@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use kernels::cray::{render_scanline, Scene};
-use kernels::image::ImageRgb;
-use kernels::rotate::rotate_rows;
+use kernels::image::{ImageRgb, ImageRgbView};
+use kernels::rotate::{rotate_rows, rotate_rows_view};
 use ompss::Runtime;
 use threadkit::partition::block_range;
 
@@ -149,16 +149,14 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
             .input(&whole)
             .output(&out_chunk)
             .spawn(move |ctx| {
+                // Read the rendered image in place, as the Pthreads variant
+                // does: the guard stays valid for the whole body.
                 let src_data = ctx.read_whole(&whole);
-                let src = ImageRgb {
-                    width,
-                    height,
-                    data: src_data.to_vec(),
-                };
+                let src = ImageRgbView::new(width, height, &src_data);
                 let mut band = ctx.write_chunk(&out_chunk);
                 let start = i * band_rows;
                 let end = (start + band_rows).min(height);
-                rotate_rows(&src, angle, start..end, &mut band);
+                rotate_rows_view(src, angle, start..end, &mut band);
             });
     }
     rt.taskwait();

@@ -3,8 +3,8 @@
 //! rotated band, so the OmpSs variant chains band-to-band tasks.
 
 
-use kernels::image::{ImageCmyk, ImageRgb};
-use kernels::rgbcmy::convert_rows;
+use kernels::image::{ImageCmyk, ImageRgb, ImageRgbView};
+use kernels::rgbcmy::{convert_rows, convert_rows_view};
 use kernels::rotate::rotate_rows;
 use kernels::workload::synthetic_rgb_image;
 use ompss::Runtime;
@@ -156,15 +156,13 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
             .input(&rot_chunk)
             .output(&cmyk_chunk)
             .spawn(move |ctx| {
+                // The rotated band is read in place, viewed as an image of
+                // its own.
                 let band_rgb = ctx.read_chunk(&rot_chunk);
                 let rows = band_rgb.len() / (3 * width);
-                let band_img = ImageRgb {
-                    width,
-                    height: rows,
-                    data: band_rgb.to_vec(),
-                };
+                let band_img = ImageRgbView::new(width, rows, &band_rgb);
                 let mut out = ctx.write_chunk(&cmyk_chunk);
-                convert_rows(&band_img, 0..rows, &mut out);
+                convert_rows_view(band_img, 0..rows, &mut out);
             });
     }
     rt.taskwait();

@@ -27,16 +27,40 @@
 //! special-case; it classifies every edge it does insert (RAW / WAR / WAW)
 //! so the effect of renaming is visible in the statistics.
 //!
-//! ## Sharding
+//! ## Sharding and the overlap index
 //!
 //! The tracker is the insertion-side critical path: every spawned task takes
-//! it to register, and (since the retire path landed) every completed task
-//! takes it again to retire its history. A single map behind a single lock
-//! serialises all of that, so the tracker is **sharded by allocation id**:
-//! [`ShardedTracker`] routes every region to the shard
-//! `alloc_id % num_shards`, and each [`TrackerShard`] owns its own lock,
-//! `entries` map, `by_alloc` index and retire path. Renaming gives every data
-//! version a fresh allocation id, so shards stay naturally balanced.
+//! it to register, and every completed task takes it again to retire its
+//! history. A single map behind a single lock serialises all of that, so the
+//! tracker is **sharded by allocation id**: [`ShardedTracker`] routes every
+//! region to the shard `alloc_id % num_shards`, and each [`TrackerShard`]
+//! owns its own gate, `entries` map, `by_alloc` overlap index and retire
+//! inbox. Renaming gives every data version a fresh allocation id, so shards
+//! stay naturally balanced.
+//!
+//! Within a shard, `by_alloc` holds one [`AllocIndex`] per allocation: the
+//! recorded regions ordered by **(size class, start offset, chunk id)**,
+//! where the size class is the bit length of the region's byte length. A
+//! region id is indexed when its history entry is created and leaves the
+//! index when garbage collection drops the entry — recording an access never
+//! reorders anything. "Which recorded regions overlap `[s, e)`" is one binary
+//! search plus a short forward walk per occupied size class (regions of
+//! class `c` are shorter than `2^c` bytes, so the ones reaching `s` start
+//! after `s - 2^c`): a chunk access on an N-chunk partition examines its
+//! neighbours, a `whole()` access the N chunks it really overlaps, nested
+//! and partially overlapping sub-ranges whatever is near them. The cost of a
+//! registration therefore follows what the task touches, not what the
+//! allocation holds; `tracker_entries_scanned` in
+//! [`RuntimeStats`](crate::RuntimeStats) counts the spans examined, and
+//! `tests/tracker_scaling.rs` pins the counts.
+//!
+//! **Overlap order.** A registration visits the overlapping entries of an
+//! access in index order — narrow size classes before wide ones, then by
+//! start, then by chunk id — and, across accesses, in declaration order.
+//! Predecessors (and so edge records and first-conflict RAW/WAR/WAW
+//! classification) come out in that order. It is a pure function of the set
+//! of tracked regions: not of the order they were recorded in, nor of the
+//! shard count, the registration tier or the replay path.
 //!
 //! A registration that touches several allocations locks every involved
 //! shard **in canonical order** (ascending shard index) and holds them all
@@ -45,6 +69,11 @@
 //! of one allocation always live in exactly one shard, the per-registration
 //! outcome — predecessors discovered, edges added, and their order — is
 //! identical for every shard count; `tests/tracker_equivalence.rs` pins this.
+//!
+//! Every tier runs the same three passes per task
+//! ([`ShardedTracker::register_node`]): collect the conflicting predecessors
+//! of every access (deduplicated in constant time — see [`PredSet`]), add an
+//! edge from each live one, record the accesses.
 //!
 //! ## The optimistic fast path
 //!
@@ -56,12 +85,17 @@
 //! itself with **one CAS** on the gate — no mutex, no blocking — walks the
 //! shard history to discover its RAW/WAR/WAW predecessors exactly as the
 //! locked path would, records its accesses, and releases the gate with one
-//! store. Per-shard scratch buffers make the steady-state fast path
-//! allocation-free. The CAS either succeeds immediately or the registration
-//! **falls back** to the mutex path; fallbacks happen on
+//! add. Per-shard scratch buffers make the steady-state fast path
+//! allocation-free. A busy gate is outwaited for a bounded number of spins
+//! (a retirement or another one-region registration is gone long before the
+//! budget runs out, and the mutex path would wait for the same holder
+//! anyway); past that the registration **falls back** to the mutex path.
+//! Fallbacks happen on
 //!
-//! * contention (another registration, retirement or `taskwait on` lookup
-//!   holds the shard),
+//! * sustained contention (a wide registration or a `taskwait on` lookup
+//!   holds the shard beyond the spin budget, or a mutex-path acquirer is
+//!   already waiting — it raises a flag that turns optimistic attempts away
+//!   at once, so it cannot be starved),
 //! * multi-allocation spans (accesses mapping to more than one shard), and
 //! * garbage collection in progress (GC locks every shard, which holds every
 //!   gate odd for the duration of the sweep).
@@ -75,27 +109,78 @@
 //! `tests/tracker_equivalence.rs` pins that too. Hits and fallbacks are
 //! counted (`tracker_fast_path_hits` / `tracker_fast_path_fallbacks` in
 //! [`RuntimeStats`](crate::RuntimeStats)), and traced edges carry a
-//! `fast_path` flag. Completion retirement of single-access tasks uses the
-//! same single-CAS protocol.
+//! `fast_path` flag. **Every** way of taking a gate — fast CAS, shard lock,
+//! batch guard, GC, diagnostics, `taskwait on` — first applies the shard's
+//! retire inbox (below), so no holder ever reads history with a retirement
+//! pending that was handed over before it acquired.
 //!
 //! ## Retirement
 //!
 //! When a task completes, the worker retires it through the router: each of
-//! its history references is replaced, under the owning shard's lock only, by
-//! a lightweight *tombstone* (its [`TaskId`]). Tombstones keep
-//! `predecessors_seen` deterministic (a completed-but-conflicting predecessor
-//! is still *seen*, exactly as before the retire path existed) while
-//! releasing the task node itself — closures, successor lists, version
-//! tickets — as soon as the task finishes. [`TrackerShard::garbage_collect`]
-//! then drops tombstoned entries and scrubs `by_alloc`, so fully retired
-//! allocations leave both maps; it runs per shard, periodically from the
-//! spawn path and at every quiescent `taskwait`.
+//! its history references is replaced by a lightweight *tombstone* (its
+//! [`TaskId`]); only the list the access kind recorded into is searched.
+//! Tombstones keep `predecessors_seen` deterministic (a
+//! completed-but-conflicting predecessor is still *seen*) while releasing
+//! the task node itself — closures, successor lists, version tickets — as
+//! soon as the task finishes. [`TrackerShard::garbage_collect`] then drops
+//! tombstoned entries and their index spans, so fully retired allocations
+//! leave both maps; it runs per shard, periodically from the spawn path and
+//! at every quiescent `taskwait`.
+//!
+//! **A retirement never blocks the worker.** It takes the shard gate only if
+//! the gate is free right now (the same single CAS as a fast-path
+//! registration). If the gate is held — typically by a spawner in the middle
+//! of a long registration — or the optimistic tier is switched off, the
+//! worker pushes `(region, task, access kind)` onto that shard's **retire
+//! inbox**, looks at the gate once more, and goes back to executing tasks.
+//! Were it to wait instead, every worker would park behind the one long
+//! registration, nothing would complete, and each following registration
+//! would find *more* live predecessors and hold the gate longer still.
+//!
+//! Who drains: every gate acquisition, before it touches history; and every
+//! gate **release**, which re-checks the inbox and, if something arrived
+//! during the hold and the gate is still free, takes it back to apply it.
+//! Together with the deferring worker's own second look this is a
+//! store-then-load handshake on (`inbox_len`, gate) in the SeqCst order: a
+//! retirement is applied either by the holder it collided with, by the
+//! worker itself, or by whoever took the gate in between — always by a
+//! thread that is still inside a registration or a completion.
+//!
+//! The invariants this keeps, each load-bearing elsewhere:
+//!
+//! * **(a) Hand-off happens-before ticket release.** [`ShardedTracker::retire`]
+//!   returns with every access tombstoned or in an inbox, and only then does
+//!   the worker release the task's version tickets. A spawner that observes
+//!   a binding count of zero (and elides a rename, see [`crate::rename`])
+//!   therefore observes the inbox entries too, and its registration drains
+//!   them before scanning: "count zero ⇒ every earlier task on the version
+//!   is a tombstone" holds exactly as with in-place retirement.
+//! * **(b) Quiescence means drained.** Whoever applies a deferred
+//!   retirement is a task still counted in flight (a worker in its
+//!   completion tail, a spawner whose task cannot run before its
+//!   registration returns) or the observing thread itself, so once
+//!   `in_flight == 0` is observed no inbox holds anything: "no history
+//!   residue after GC, no held gate, slab `outstanding == 0`" remain
+//!   post-drain facts for `taskwait`, `Runtime::audit` and
+//!   `Runtime::tracker_diagnostics` (which drain on acquisition anyway).
+//! * **(c) Deferral does not cost the recycler.** The deferring worker's own
+//!   hand-back to the slab fails (history still references the node), so
+//!   history may now hold a completed task's *last* reference. Every place
+//!   history lets go of a reference — the drain that tombstones it, a later
+//!   writer generation clearing it, a GC sweep pruning it, a registration
+//!   dropping the predecessor clones it borrowed — goes through
+//!   [`release_node`], which hands a completed task's node to the
+//!   slab ([`TaskSlab::try_recycle`], which also settles who is last when
+//!   several holders let go at once) instead of freeing it.
+//! * **(d) The inbox is allocation-free when warm.** It is a pre-sized
+//!   vector behind a mutex held only for one push or one swap; a drain swaps
+//!   it with a per-shard scratch vector, so both keep their capacity.
 //!
 //! [`crate::rename`]: crate::rename
 
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -103,7 +188,7 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::access::{Access, AccessKind, AccessVec, Dependence};
 use crate::region::{AllocId, Region, RegionId};
 use crate::stats::TrackerCounters;
-use crate::task::{TaskId, TaskNode, TaskState};
+use crate::task::{TaskId, TaskNode, TaskSlab, TaskState};
 
 /// A cheap multiply–xorshift hasher for the tracker's id-keyed maps.
 /// Allocation and region ids are small sequential counters minted by the
@@ -173,13 +258,40 @@ impl HistoryRef {
             HistoryRef::Retired(_) => false,
         }
     }
+
+    /// Let go of a reference history no longer needs (see [`release_node`]).
+    fn release(self, recycler: &Recycler) {
+        if let HistoryRef::Live(node) = self {
+            release_node(node, recycler);
+        }
+    }
 }
 
-/// Per-region bookkeeping of in-flight accesses.
+/// Where node references released by history go (see [`release_node`]): the
+/// runtime's slab, or nowhere for trackers built without a runtime (unit
+/// tests, benches, the freeze-time shadow).
+type Recycler = Option<Arc<TaskSlab>>;
+
+/// Let go of a node reference the tracker held — in history, or borrowed
+/// from it as a predecessor. A task still running is referenced by its
+/// worker too, which hands the node back to the slab itself. A *completed*
+/// task's worker may already have let go — its retirement was deferred and
+/// is applied only now, or arrived during the very registration or sweep
+/// that is dropping this reference — and then this is the node's last
+/// reference: it is parked in the slab, not freed, so deferral costs the
+/// recycler nothing.
+fn release_node(node: Arc<TaskNode>, recycler: &Recycler) {
+    if let Some(slab) = recycler {
+        if node.is_completed() {
+            slab.try_recycle(node, None);
+        }
+    }
+}
+
+/// Per-region bookkeeping of in-flight accesses. The byte range the region
+/// id stands for lives in the allocation's [`AllocIndex`], not here.
 #[derive(Default)]
 struct RegionEntry {
-    /// The byte range this region id refers to (recorded on first sight).
-    region: Option<Region>,
     /// Tasks forming the last "writer generation".
     writers: Vec<HistoryRef>,
     /// Tasks that have read the region since the last writer generation.
@@ -189,8 +301,182 @@ struct RegionEntry {
 }
 
 impl RegionEntry {
-    fn lists_mut(&mut self) -> [&mut Vec<HistoryRef>; 3] {
-        [&mut self.writers, &mut self.readers, &mut self.concurrent]
+    /// The list an access of `kind` records itself into — and therefore the
+    /// only list a retirement of that access has to search.
+    fn list_mut(&mut self, kind: AccessKind) -> &mut Vec<HistoryRef> {
+        match kind {
+            AccessKind::Input => &mut self.readers,
+            AccessKind::Output | AccessKind::InOut => &mut self.writers,
+            AccessKind::Concurrent => &mut self.concurrent,
+        }
+    }
+
+    fn refs(&self) -> impl Iterator<Item = &HistoryRef> {
+        self.writers
+            .iter()
+            .chain(self.readers.iter())
+            .chain(self.concurrent.iter())
+    }
+
+    /// Start a new writer generation: forget every recorded access.
+    fn clear(&mut self, recycler: &Recycler) {
+        for list in [&mut self.writers, &mut self.readers, &mut self.concurrent] {
+            while let Some(r) = list.pop() {
+                r.release(recycler);
+            }
+        }
+    }
+
+    /// Drop references that no longer pin anything (tombstones and completed
+    /// tasks); returns whether the entry is now empty.
+    fn prune(&mut self, recycler: &Recycler) -> bool {
+        for list in [&mut self.writers, &mut self.readers, &mut self.concurrent] {
+            list.retain_mut(|r| {
+                let keep = r.is_live_incomplete();
+                if !keep {
+                    std::mem::replace(r, HistoryRef::Retired(r.id())).release(recycler);
+                }
+                keep
+            });
+        }
+        self.writers.is_empty() && self.readers.is_empty() && self.concurrent.is_empty()
+    }
+}
+
+// lint: hot-path-begin — overlap index + predecessor dedupe: every access of
+// every registration runs a query here; no panicking calls allowed (see
+// `cargo xtask lint`).
+
+/// One recorded region of an allocation, as the overlap index sees it: its
+/// byte range, the chunk half of its [`RegionId`] (the allocation half is the
+/// `by_alloc` key) and its size class.
+#[derive(Clone, Copy)]
+struct Span {
+    /// Bit length of the byte length: `0` for an empty region, `c` for a
+    /// length in `[2^(c-1), 2^c)`.
+    class: u32,
+    start: usize,
+    end: usize,
+    chunk: u32,
+}
+
+impl Span {
+    fn of(region: &Region) -> Span {
+        let len = region.len();
+        Span {
+            class: usize::BITS - len.leading_zeros(),
+            start: region.bytes.start,
+            end: region.bytes.start + len,
+            chunk: region.id.chunk,
+        }
+    }
+
+    /// The index order: size class, then start offset, then chunk id (the
+    /// last only separates regions with identical ranges).
+    fn key(&self) -> (u32, usize, u32) {
+        (self.class, self.start, self.chunk)
+    }
+
+    /// This span's bit in [`AllocIndex::classes`] (none for an empty one).
+    fn class_bit(&self) -> u64 {
+        match self.class {
+            0 => 0,
+            c => 1 << (c - 1),
+        }
+    }
+}
+
+/// The per-allocation overlap index: every region id with a live
+/// [`RegionEntry`], ordered by **(size class, start, chunk)**.
+///
+/// Within one size class every region is shorter than `2^class` bytes, so
+/// the members overlapping a query `[s, e)` all start inside the window
+/// `(s - 2^class, e)` — one binary search plus a forward walk per occupied
+/// class. The walk also touches *near misses* (same class, starting inside
+/// the window but ending at or before `s`); regions of one class that do not
+/// nest contribute at most two of those, so a query costs
+/// `O(classes · log n + overlaps)` for partitions, whole-allocation regions
+/// over partitions, nested sub-ranges and any mix of them, and degrades only
+/// when many same-sized regions pile up just before the query. Nothing here
+/// looks at how a handle minted its region ids: only byte ranges decide.
+///
+/// Empty regions (class 0) are indexed — garbage collection finds entries
+/// through the index — but never returned: they overlap nothing.
+#[derive(Default)]
+struct AllocIndex {
+    spans: Vec<Span>,
+    /// Bit `c - 1` is set iff some span of size class `c ≥ 1` is present.
+    classes: u64,
+}
+
+impl AllocIndex {
+    /// Index `region`. Called exactly once per region id, when its
+    /// [`RegionEntry`] is created.
+    fn insert(&mut self, region: &Region) {
+        let span = Span::of(region);
+        let at = self.spans.partition_point(|s| s.key() < span.key());
+        self.spans.insert(at, span);
+        self.classes |= span.class_bit();
+    }
+
+    /// Call `hit(chunk)` for every indexed region overlapping `bytes`, in
+    /// index order, and return how many spans were examined.
+    fn for_each_overlap(&self, bytes: &std::ops::Range<usize>, mut hit: impl FnMut(u32)) -> u64 {
+        let (s, e) = (bytes.start, bytes.end);
+        if e <= s {
+            return 0;
+        }
+        // One region — every plain `Data` handle — needs no search.
+        if let [only] = self.spans[..] {
+            if only.start < e && only.end > s && only.class != 0 {
+                hit(only.chunk);
+            }
+            return 1;
+        }
+        let mut scanned = 0u64;
+        let mut classes = self.classes;
+        while classes != 0 {
+            let class = classes.trailing_zeros() + 1;
+            classes &= classes - 1;
+            // Longest member of the class: 2^class - 1 bytes. A span reaches
+            // past `s` only if `start + longest > s`.
+            let longest = 1usize.checked_shl(class).map_or(usize::MAX, |w| w - 1);
+            let first = s.saturating_sub(longest - 1);
+            let from = self
+                .spans
+                .partition_point(|sp| (sp.class, sp.start) < (class, first));
+            for sp in &self.spans[from..] {
+                if sp.class != class || sp.start >= e {
+                    break;
+                }
+                scanned += 1;
+                if sp.end > s {
+                    hit(sp.chunk);
+                }
+            }
+        }
+        scanned
+    }
+
+    /// The ids of every indexed region, in index order.
+    fn region_ids(&self, alloc: AllocId) -> impl Iterator<Item = RegionId> + '_ {
+        self.spans.iter().map(move |sp| RegionId {
+            alloc,
+            chunk: sp.chunk,
+        })
+    }
+
+    /// Keep only the spans `keep(chunk)` accepts (garbage collection).
+    fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        let mut classes = 0u64;
+        self.spans.retain(|sp| {
+            let kept = keep(sp.chunk);
+            if kept {
+                classes |= sp.class_bit();
+            }
+            kept
+        });
+        self.classes = classes;
     }
 }
 
@@ -204,116 +490,185 @@ struct PredRef {
     shard: usize,
 }
 
+/// Up to this many collected predecessors a duplicate check is a linear scan
+/// of the list itself — the 1–2-predecessor common case never hashes.
+const LINEAR_DEDUPE_MAX: usize = 8;
+
+/// The predecessors one registration has collected so far, in first-conflict
+/// order, with constant-time rejection of a task seen before (the same task
+/// can sit in several overlapping entries, or twice in one list).
+///
+/// Task ids are minted ascending and every history list is in registration
+/// order, so conflicts overwhelmingly arrive in ascending id order: an id
+/// above everything collected so far is new without any lookup. Only an id
+/// at or below the running maximum is looked up — linearly while the list is
+/// short, through a hash set (filled lazily, up to the current length, the
+/// first time it is needed) beyond that.
+#[derive(Default)]
+struct PredSet {
+    preds: Vec<PredRef>,
+    /// Highest raw id in `preds` (`0` when empty; ids start at 1).
+    max_id: u64,
+    /// The ids of `preds[..indexed]`.
+    index: HashSet<TaskId, IdBuildHasher>,
+    indexed: usize,
+}
+
+impl PredSet {
+    fn push(&mut self, t: &HistoryRef, dependence: Dependence, shard: usize) {
+        let id = t.id();
+        if id.0 > self.max_id {
+            self.max_id = id.0;
+        } else if self.contains(id) {
+            return;
+        }
+        self.preds.push(PredRef {
+            id,
+            live: t.live().cloned(),
+            dependence,
+            shard,
+        });
+    }
+
+    fn contains(&mut self, id: TaskId) -> bool {
+        if self.preds.len() <= LINEAR_DEDUPE_MAX {
+            return self.preds.iter().any(|p| p.id == id);
+        }
+        for p in &self.preds[self.indexed..] {
+            self.index.insert(p.id);
+        }
+        self.indexed = self.preds.len();
+        self.index.contains(&id)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.preds.is_empty()
+    }
+
+    /// Empty the set. The node references it borrowed from history go
+    /// through [`release_node`]: a predecessor that completed *and*
+    /// was dropped by both its worker and history while the registration
+    /// held this clone must not be freed by it.
+    fn clear(&mut self, recycler: &Recycler) {
+        while let Some(pred) = self.preds.pop() {
+            if let Some(node) = pred.live {
+                release_node(node, recycler);
+            }
+        }
+        self.max_id = 0;
+        if self.indexed != 0 {
+            self.index.clear();
+            self.indexed = 0;
+        }
+    }
+}
+
+/// One retirement a worker handed to a shard's inbox because the gate was
+/// held: "task `task` is done with its `kind` access on `rid`".
+struct Retirement {
+    rid: RegionId,
+    task: TaskId,
+    kind: AccessKind,
+}
+
 /// One shard of the dependence tracker: the region history and per-allocation
 /// index for every allocation routed to it. All methods expect the caller
-/// (the [`ShardedTracker`] router) to hold this shard's lock.
+/// (the [`ShardedTracker`] router) to hold this shard's gate.
 #[derive(Default)]
 pub(crate) struct TrackerShard {
     entries: HashMap<RegionId, RegionEntry, IdBuildHasher>,
-    /// All region ids currently tracked per allocation, used for overlap
-    /// scans.
-    by_alloc: HashMap<AllocId, Vec<RegionId>, IdBuildHasher>,
-    /// Scratch buffers reused by every single-shard registration — the
-    /// optimistic fast path *and* the mutex path — so the steady-state
+    /// The overlap index of every allocation with tracked regions. A region
+    /// id is indexed exactly while it has an entry in `entries`.
+    by_alloc: HashMap<AllocId, AllocIndex, IdBuildHasher>,
+    /// Scratch predecessor set reused by every registration on this shard —
+    /// the optimistic fast path *and* the mutex path — so the steady-state
     /// registration allocates nothing on either tier. Only ever touched
     /// while the shard's gate is held (exclusive access), and always left
     /// empty.
-    scratch_preds: Vec<PredRef>,
-    scratch_seen: Vec<TaskId>,
-    /// Scratch set reused by [`TrackerShard::garbage_collect`], so periodic
-    /// and quiescent sweeps stay allocation-free in steady state too.
-    scratch_gc: HashSet<RegionId, IdBuildHasher>,
+    scratch_preds: PredSet,
+    /// The buffer an inbox drain swaps the pending retirements into (see
+    /// [`ShardedTracker::drain_inbox`]); always left empty.
+    scratch_inbox: Vec<Retirement>,
 }
 
 impl TrackerShard {
     /// Pass 1 of registration: collect the predecessors `access` conflicts
-    /// with from this shard's history, deduplicated across `seen`.
-    fn collect_preds(
-        &self,
-        access: &Access,
-        shard: usize,
-        preds: &mut Vec<PredRef>,
-        seen: &mut Vec<TaskId>,
-    ) {
-        // Iterate the allocation's region ids in place (same order as
-        // `overlapping_ids`, without materialising the id list — this runs
-        // once per access on the insertion hot path).
-        let Some(ids) = self.by_alloc.get(&access.region.id.alloc) else {
-            return;
+    /// with from this shard's history into `preds`. Overlapping entries are
+    /// visited in index order (see [`AllocIndex`]). Returns the number of
+    /// index spans examined.
+    fn collect_preds(&self, access: &Access, shard: usize, preds: &mut PredSet) -> u64 {
+        let alloc = access.region.id.alloc;
+        let Some(index) = self.by_alloc.get(&alloc) else {
+            return 0;
         };
-        for rid in ids {
-            let entry = match self.entries.get(rid) {
-                Some(e) => e,
-                None => continue,
-            };
-            match &entry.region {
-                Some(r) if r.overlaps(&access.region) => {}
-                _ => continue,
-            }
-            let later = access.kind;
-            // Statistics classification. This deliberately diverges from
-            // `access::classify` for read-modify-writes: an `inout` (or
-            // `concurrent`) after a writer *reads* the written data, so
-            // the edge carries a genuine data flow and is counted RAW —
-            // it is not serialisation that renaming could remove. WAR and
-            // WAW are reserved for edges where the successor overwrites
-            // without reading (the renameable false dependences).
-            let vs_writer = if later.reads() {
-                Dependence::ReadAfterWrite
-            } else {
-                Dependence::WriteAfterWrite
+        let later = access.kind;
+        // Statistics classification. This deliberately diverges from
+        // `access::classify` for read-modify-writes: an `inout` (or
+        // `concurrent`) after a writer *reads* the written data, so
+        // the edge carries a genuine data flow and is counted RAW —
+        // it is not serialisation that renaming could remove. WAR and
+        // WAW are reserved for edges where the successor overwrites
+        // without reading (the renameable false dependences).
+        let vs_writer = if later.reads() {
+            Dependence::ReadAfterWrite
+        } else {
+            Dependence::WriteAfterWrite
+        };
+        index.for_each_overlap(&access.region.bytes, |chunk| {
+            let Some(entry) = self.entries.get(&RegionId { alloc, chunk }) else {
+                return;
             };
             // Earlier writers always order later readers and writers.
             for w in &entry.writers {
-                push_pred(preds, seen, w, vs_writer, shard);
+                preds.push(w, vs_writer, shard);
             }
             match later {
                 AccessKind::Input => {
                     // RAW only; concurrent accumulators count as writers.
                     for c in &entry.concurrent {
-                        push_pred(preds, seen, c, Dependence::ReadAfterWrite, shard);
+                        preds.push(c, Dependence::ReadAfterWrite, shard);
                     }
                 }
                 AccessKind::Output | AccessKind::InOut => {
                     for r in &entry.readers {
-                        push_pred(preds, seen, r, Dependence::WriteAfterRead, shard);
+                        preds.push(r, Dependence::WriteAfterRead, shard);
                     }
                     for c in &entry.concurrent {
-                        push_pred(preds, seen, c, vs_writer, shard);
+                        preds.push(c, vs_writer, shard);
                     }
                 }
                 AccessKind::Concurrent => {
                     // Order against plain readers, not against other
                     // concurrent accesses.
                     for r in &entry.readers {
-                        push_pred(preds, seen, r, Dependence::WriteAfterRead, shard);
+                        preds.push(r, Dependence::WriteAfterRead, shard);
                     }
                 }
+            }
+        })
+    }
+
+    /// The history entry of `region`, created — and indexed — on first use.
+    fn entry_mut(&mut self, region: &Region) -> &mut RegionEntry {
+        match self.entries.entry(region.id) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                self.by_alloc.entry(region.id.alloc).or_default().insert(region);
+                v.insert(RegionEntry::default())
             }
         }
     }
 
     /// Pass 3 of registration: record `access` of `node` in this shard's
     /// history so that future tasks depend on `node` where required.
-    fn record_access(&mut self, access: &Access, node: &Arc<TaskNode>) {
-        let rid = access.region.id;
-        let ids = self.by_alloc.entry(rid.alloc).or_default();
-        ids.retain(|r| *r != rid);
-        ids.push(rid);
-        let entry = self.entries.entry(rid).or_default();
-        if entry.region.is_none() {
-            entry.region = Some(access.region.clone());
+    fn record_access(&mut self, access: &Access, node: &Arc<TaskNode>, recycler: &Recycler) {
+        let entry = self.entry_mut(&access.region);
+        if matches!(access.kind, AccessKind::Output | AccessKind::InOut) {
+            entry.clear(recycler);
         }
-        match access.kind {
-            AccessKind::Input => entry.readers.push(HistoryRef::Live(node.clone())),
-            AccessKind::Output | AccessKind::InOut => {
-                entry.writers.clear();
-                entry.writers.push(HistoryRef::Live(node.clone()));
-                entry.readers.clear();
-                entry.concurrent.clear();
-            }
-            AccessKind::Concurrent => entry.concurrent.push(HistoryRef::Live(node.clone())),
-        }
+        entry
+            .list_mut(access.kind)
+            .push(HistoryRef::Live(node.clone()));
     }
 
     /// Bulk-publish one [`FrozenInstall`]: replace the region's history with
@@ -323,20 +678,15 @@ impl TrackerShard {
     /// state is a pure function of the batch). `nodes` is the current
     /// iteration's node slice; the install's positions index into it. In the
     /// warm steady state this allocates nothing: the entry, its list
-    /// capacities and the `by_alloc` slot all survive from the previous
-    /// pass.
-    fn apply_install(&mut self, inst: &FrozenInstall, nodes: &[Arc<TaskNode>]) {
-        let rid = inst.region.id;
-        let ids = self.by_alloc.entry(rid.alloc).or_default();
-        ids.retain(|r| *r != rid);
-        ids.push(rid);
-        let entry = self.entries.entry(rid).or_default();
-        if entry.region.is_none() {
-            entry.region = Some(inst.region.clone());
-        }
-        entry.writers.clear();
-        entry.readers.clear();
-        entry.concurrent.clear();
+    /// capacities and the index span all survive from the previous pass.
+    fn apply_install(
+        &mut self,
+        inst: &FrozenInstall,
+        nodes: &[Arc<TaskNode>],
+        recycler: &Recycler,
+    ) {
+        let entry = self.entry_mut(&inst.region);
+        entry.clear(recycler);
         for &p in &inst.writers {
             entry.writers.push(HistoryRef::Live(nodes[p].clone()));
         }
@@ -348,85 +698,87 @@ impl TrackerShard {
         }
     }
 
-    /// Replace every live history reference of task `id` under region `rid`
-    /// with a tombstone (the retire path). A reference already cleared by a
-    /// later writer generation is silently gone — that is fine.
-    fn retire_region(&mut self, rid: RegionId, id: TaskId) {
-        if let Some(entry) = self.entries.get_mut(&rid) {
-            for list in entry.lists_mut() {
-                for r in list.iter_mut() {
-                    if r.id() == id && r.live().is_some() {
-                        *r = HistoryRef::Retired(id);
-                    }
-                }
-            }
+    /// Replace the live history reference task `id` recorded under region
+    /// `rid` through an access of `kind` with a tombstone (the retire path),
+    /// handing the released node reference back. Only the list that kind
+    /// records into is searched. A reference already cleared by a later
+    /// writer generation is silently gone — that is fine.
+    fn retire_region(
+        &mut self,
+        rid: RegionId,
+        id: TaskId,
+        kind: AccessKind,
+    ) -> Option<Arc<TaskNode>> {
+        let slot = self
+            .entries
+            .get_mut(&rid)?
+            .list_mut(kind)
+            .iter_mut()
+            .find(|r| r.id() == id && r.live().is_some())?;
+        match std::mem::replace(slot, HistoryRef::Retired(id)) {
+            HistoryRef::Live(node) => Some(node),
+            HistoryRef::Retired(_) => None,
         }
+    }
+
+    /// Whether any tracked region overlaps `region`.
+    fn overlaps_any(&self, region: &Region) -> bool {
+        let mut any = false;
+        if let Some(index) = self.by_alloc.get(&region.id.alloc) {
+            index.for_each_overlap(&region.bytes, |_| any = true);
+        }
+        any
     }
 
     /// All in-flight tasks in this shard currently accessing a region
     /// overlapping `region` (used by `taskwait on`).
     fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
         let mut out: Vec<Arc<TaskNode>> = Vec::new();
-        let mut seen: Vec<TaskId> = Vec::new();
-        for rid in self.overlapping_ids(region) {
-            if let Some(entry) = self.entries.get(&rid) {
-                for t in entry
-                    .writers
-                    .iter()
-                    .chain(entry.readers.iter())
-                    .chain(entry.concurrent.iter())
-                    .filter_map(HistoryRef::live)
-                {
-                    if !t.is_completed() && !seen.contains(&t.id) {
-                        seen.push(t.id);
-                        out.push(t.clone());
-                    }
+        let alloc = region.id.alloc;
+        let Some(index) = self.by_alloc.get(&alloc) else {
+            // No history means nothing in flight.
+            return out;
+        };
+        index.for_each_overlap(&region.bytes, |chunk| {
+            let Some(entry) = self.entries.get(&RegionId { alloc, chunk }) else {
+                return;
+            };
+            for t in entry.refs().filter_map(HistoryRef::live) {
+                if !t.is_completed() && !out.iter().any(|o| o.id == t.id) {
+                    out.push(t.clone());
                 }
             }
-        }
+        });
         out
     }
 
     /// Drop history references that no longer pin anything (tombstones and
-    /// completed tasks), then entries left empty, then the `by_alloc` ids of
-    /// dropped entries — so a fully retired allocation leaves **both** maps
-    /// (`tests` pin this; `by_alloc` held stale region ids otherwise).
-    fn garbage_collect(&mut self) {
-        self.entries.retain(|_, e| {
-            e.writers.retain(HistoryRef::is_live_incomplete);
-            e.readers.retain(HistoryRef::is_live_incomplete);
-            e.concurrent.retain(HistoryRef::is_live_incomplete);
-            !(e.writers.is_empty() && e.readers.is_empty() && e.concurrent.is_empty())
-        });
-        let mut live = std::mem::take(&mut self.scratch_gc);
-        debug_assert!(live.is_empty());
-        live.extend(self.entries.keys().copied());
-        self.by_alloc.retain(|_, ids| {
-            ids.retain(|r| live.contains(r));
-            !ids.is_empty()
-        });
-        live.clear();
-        self.scratch_gc = live;
-    }
-
-    fn overlapping_ids(&self, region: &Region) -> Vec<RegionId> {
-        let mut out = Vec::new();
-        if let Some(ids) = self.by_alloc.get(&region.id.alloc) {
-            for rid in ids {
-                if let Some(entry) = self.entries.get(rid) {
-                    if let Some(r) = &entry.region {
-                        if r.overlaps(region) {
-                            out.push(*rid);
-                        }
-                    }
+    /// completed tasks), then entries left empty together with their index
+    /// spans, then allocations left without spans — so a fully retired
+    /// allocation leaves **both** maps (`tests` pin this). The sweep walks
+    /// the index, which reaches every entry: a region id is indexed exactly
+    /// while it has one.
+    fn garbage_collect(&mut self, recycler: &Recycler) {
+        let entries = &mut self.entries;
+        self.by_alloc.retain(|&alloc, index| {
+            index.retain(|chunk| {
+                let rid = RegionId { alloc, chunk };
+                let emptied = entries.get_mut(&rid).is_none_or(|e| e.prune(recycler));
+                if emptied {
+                    entries.remove(&rid);
                 }
-            }
-        }
-        // The exact region id may not be recorded yet; that is fine — no
-        // history means no predecessors.
-        out
+                !emptied
+            });
+            !index.spans.is_empty()
+        });
+        debug_assert_eq!(
+            self.entries.len(),
+            self.by_alloc.values().map(|i| i.spans.len()).sum::<usize>(),
+            "every tracked region is indexed exactly once"
+        );
     }
 }
+// lint: hot-path-end
 
 /// Result of registering a task with the tracker.
 pub(crate) struct Registration {
@@ -453,6 +805,20 @@ pub(crate) struct Registration {
     /// Whether this registration went through the optimistic (gate-CAS)
     /// single-shard fast path rather than the mutex path.
     pub fast_path: bool,
+}
+
+impl Registration {
+    fn from_tally(tally: &EdgeTally, edge_list: Vec<EdgeRecord>, fast_path: bool) -> Self {
+        Registration {
+            edges: tally.edges,
+            raw_edges: tally.raw,
+            war_edges: tally.war,
+            waw_edges: tally.waw,
+            predecessors_seen: tally.preds_seen,
+            edge_list,
+            fast_path,
+        }
+    }
 }
 
 /// One added dependence edge, as reported to the trace.
@@ -485,6 +851,19 @@ pub(crate) struct BatchRegistration {
     /// *frontier* tasks here (interior edges come from the plan), so entries
     /// are sparse: index by the stored batch position, not by vector offset.
     pub per_task: Vec<(usize, Vec<EdgeRecord>)>,
+}
+
+impl BatchRegistration {
+    fn from_tally(tally: &EdgeTally, per_task: Vec<(usize, Vec<EdgeRecord>)>) -> Self {
+        BatchRegistration {
+            edges: tally.edges,
+            raw_edges: tally.raw,
+            war_edges: tally.war,
+            waw_edges: tally.waw,
+            predecessors_seen: tally.preds_seen,
+            per_task,
+        }
+    }
 }
 
 /// One pre-resolved intra-batch dependence edge of a [`FrozenPlan`]: both
@@ -522,10 +901,11 @@ pub(crate) struct FrozenPlan {
     pub accesses: Vec<AccessVec>,
     /// Sorted, deduplicated union of tracker shards the batch touches.
     pub sids: Vec<usize>,
-    /// The region ids the batch uses on each allocation it touches —
-    /// pairwise **disjoint** by construction (chunked partitions qualify,
-    /// sub-region mixes do not: an overlapping pair would let one region's
-    /// pre-batch history reach an interior task through the other's scan).
+    /// The region ids the batch uses on each allocation it touches, each
+    /// list **sorted** (validation binary-searches it) — pairwise
+    /// **disjoint** by construction (chunked partitions qualify, sub-region
+    /// mixes do not: an overlapping pair would let one region's pre-batch
+    /// history reach an interior task through the other's scan).
     pub allocs: Vec<(AllocId, Vec<RegionId>)>,
     /// Whether each task (by batch position) must be registered live.
     pub frontier: Vec<bool>,
@@ -615,35 +995,17 @@ pub(crate) fn build_frozen_plan(
     if n == 0 {
         return None;
     }
-    let mut regions: Vec<(AllocId, Vec<Region>)> = Vec::new();
-    for node in nodes {
-        for access in node.accesses.iter() {
-            let rid = access.region.id;
-            match regions.iter_mut().find(|(a, _)| *a == rid.alloc) {
-                Some((_, seen)) => {
-                    if !seen.iter().any(|r| r.id == rid) {
-                        if seen.iter().any(|r| r.overlaps(&access.region)) {
-                            return None;
-                        }
-                        seen.push(access.region.clone());
-                    }
-                }
-                None => regions.push((rid.alloc, vec![access.region.clone()])),
-            }
-        }
-    }
-    let allocs = regions
-        .into_iter()
-        .map(|(a, rs)| (a, rs.into_iter().map(|r| r.id).collect()))
-        .collect();
     let mut shadow = TrackerShard::default();
-    // Regions fully overwritten by an earlier in-batch `output`/`inout`.
-    let mut cleared: Vec<RegionId> = Vec::new();
+    // Regions fully overwritten by an earlier in-batch `output`/`inout`, in
+    // first-overwrite order (keeps the install list deterministic across
+    // freezes), plus the same ids as a set for the per-access lookups.
+    let mut cleared: Vec<Region> = Vec::new();
+    let mut cleared_ids: HashSet<RegionId, IdBuildHasher> = HashSet::default();
     let mut index_of: HashMap<TaskId, usize, IdBuildHasher> = HashMap::default();
     let mut plan = FrozenPlan {
         accesses: Vec::with_capacity(n),
         sids: Vec::new(),
-        allocs,
+        allocs: Vec::new(),
         frontier: vec![false; n],
         scan_upto: 0,
         installs: Vec::new(),
@@ -654,26 +1016,24 @@ pub(crate) fn build_frozen_plan(
         baked_waw: 0,
         baked_preds: 0,
     };
-    let mut preds: Vec<PredRef> = Vec::new();
-    let mut seen: Vec<TaskId> = Vec::new();
+    let mut preds = PredSet::default();
     for (i, node) in nodes.iter().enumerate() {
         index_of.insert(node.id, i);
         let is_frontier = node
             .accesses
             .iter()
-            .any(|a| !cleared.contains(&a.region.id));
+            .any(|a| !cleared_ids.contains(&a.region.id));
         plan.frontier[i] = is_frontier;
-        preds.clear();
-        seen.clear();
+        preds.clear(&None);
         for access in node.accesses.iter() {
             let sid = tracker.shard_of(access.region.id.alloc);
             plan.sids.push(sid);
             // The shard label is the live shard of the access, not the
             // shadow's — traces must match the live scan's labelling.
-            shadow.collect_preds(access, sid, &mut preds, &mut seen);
+            shadow.collect_preds(access, sid, &mut preds);
         }
         if !is_frontier {
-            for pred in &preds {
+            for pred in &preds.preds {
                 if pred.id == node.id {
                     continue;
                 }
@@ -693,14 +1053,22 @@ pub(crate) fn build_frozen_plan(
                     Dependence::None => {}
                 }
             }
-            plan.baked_preds += preds.len();
+            plan.baked_preds += preds.preds.len();
         }
         for access in node.accesses.iter() {
-            shadow.record_access(access, node);
-            if matches!(access.kind, AccessKind::Output | AccessKind::InOut)
-                && !cleared.contains(&access.region.id)
+            // A region id new to the batch must overlap nothing the batch
+            // already uses on its allocation (the shadow index holds exactly
+            // those), or the plan cannot be frozen.
+            if !shadow.entries.contains_key(&access.region.id)
+                && shadow.overlaps_any(&access.region)
             {
-                cleared.push(access.region.id);
+                return None;
+            }
+            shadow.record_access(access, node, &None);
+            if matches!(access.kind, AccessKind::Output | AccessKind::InOut)
+                && cleared_ids.insert(access.region.id)
+            {
+                cleared.push(access.region.clone());
             }
         }
         plan.accesses.push(node.accesses.clone());
@@ -708,22 +1076,33 @@ pub(crate) fn build_frozen_plan(
     plan.sids.sort_unstable();
     plan.sids.dedup();
     plan.scan_upto = plan.frontier.iter().rposition(|&f| f).map_or(0, |p| p + 1);
+    // The validation keys: every region id the batch recorded, per
+    // allocation, sorted.
+    plan.allocs = shadow
+        .by_alloc
+        .iter()
+        .map(|(&alloc, index)| {
+            let mut ids: Vec<RegionId> = index.region_ids(alloc).collect();
+            ids.sort_unstable();
+            (alloc, ids)
+        })
+        .collect();
+    plan.allocs.sort_unstable_by_key(|(alloc, _)| *alloc);
     // Bake the batch's net history effect per overwritten region from the
-    // shadow's final state. `cleared` (first-overwrite order) keeps the
-    // install list deterministic across freezes.
+    // shadow's final state.
     let to_positions = |refs: &[HistoryRef]| -> Vec<usize> {
         refs.iter()
             .map(|r| *index_of.get(&r.id()).expect("shadow refs are in-batch"))
             .collect()
     };
-    for &rid in &cleared {
+    for region in &cleared {
         let entry = shadow
             .entries
-            .get(&rid)
+            .get(&region.id)
             .expect("an overwritten region has a shadow entry");
         plan.installs.push(FrozenInstall {
-            region: entry.region.clone().expect("recorded regions carry bytes"),
-            shard: tracker.shard_of(rid.alloc),
+            region: region.clone(),
+            shard: tracker.shard_of(region.id.alloc),
             writers: to_positions(&entry.writers),
             readers: to_positions(&entry.readers),
             concurrent: to_positions(&entry.concurrent),
@@ -732,13 +1111,7 @@ pub(crate) fn build_frozen_plan(
     // Never-overwritten regions need no install: every task touching one is
     // frontier, so all their refs land inside the live prefix.
     debug_assert!(shadow.entries.iter().all(|(rid, entry)| {
-        cleared.contains(rid)
-            || entry
-                .writers
-                .iter()
-                .chain(entry.readers.iter())
-                .chain(entry.concurrent.iter())
-                .all(|r| index_of[&r.id()] < plan.scan_upto)
+        cleared_ids.contains(rid) || entry.refs().all(|r| index_of[&r.id()] < plan.scan_upto)
     }));
     Some(plan)
 }
@@ -800,6 +1173,9 @@ pub struct TrackerDiagnostics {
     /// Registrations that wanted the fast path but fell back to the mutex
     /// path (contention, multi-allocation span, or GC in progress).
     pub fast_path_fallbacks: u64,
+    /// Overlap-index spans examined by registrations so far (monotonic; see
+    /// [`RuntimeStats::tracker_entries_scanned`](crate::RuntimeStats::tracker_entries_scanned)).
+    pub entries_scanned: u64,
 }
 
 impl TrackerDiagnostics {
@@ -819,8 +1195,8 @@ impl TrackerDiagnostics {
     }
 }
 
-/// One shard cell of the tracker: the history data plus the two-tier
-/// exclusion protecting it.
+/// One shard cell of the tracker: the history data, the two-tier exclusion
+/// protecting it, and the inbox of retirements deferred while it was held.
 ///
 /// * `gate` is the seqlock-style sequence counter and the **single point of
 ///   mutual exclusion**: even = quiescent, odd = some mutator (fast path or
@@ -829,11 +1205,17 @@ impl TrackerDiagnostics {
 /// * `queue` is the blocking tier for the mutex path: it serialises slow
 ///   acquirers so that, once a thread holds `queue`, the only competitor for
 ///   the gate is a short fast-path publication — the gate spin is bounded.
+/// * `inbox` holds the retirements of workers that found the gate held (see
+///   [`ShardedTracker::retire`]); its mutex is only ever held for one push
+///   or one buffer swap, never across history work. `inbox_len` mirrors its
+///   length so a gate holder can skip the lock when nothing is pending.
 ///
 /// All access to `data` — reads included — happens with the gate held odd.
 struct ShardSlot {
     gate: AtomicU64,
+    inbox_len: AtomicUsize,
     queue: Mutex<()>,
+    inbox: Mutex<Vec<Retirement>>,
     data: UnsafeCell<TrackerShard>,
 }
 
@@ -843,8 +1225,19 @@ struct ShardSlot {
 /// stream of fast publications. The sequence occupies the remaining bits.
 const GATE_WAITER: u64 = 1 << 63;
 
+/// How many spins an optimistic registration outwaits a gate holder for
+/// before it falls back to the mutex path (see
+/// [`ShardSlot::try_acquire_gate_for_registration`]) — the same budget the
+/// mutex path itself spins for before it starts yielding.
+const REGISTRATION_GATE_SPINS: u32 = 64;
+
+/// Retirements an inbox (and the shard-side buffer it is swapped with) can
+/// hold before growing: sized for the completions of one long gate hold, so
+/// a warm runtime defers without allocating.
+const INBOX_CAPACITY: usize = 64;
+
 // SAFETY: `data` is only ever accessed while the shard's gate is held odd
-// (acquired with an Acquire CAS, released with a Release store), which makes
+// (acquired with a SeqCst CAS, released with a SeqCst add), which makes
 // every access exclusive; `TrackerShard` itself is `Send` (task nodes are
 // `Send + Sync`).
 unsafe impl Sync for ShardSlot {}
@@ -852,32 +1245,47 @@ unsafe impl Sync for ShardSlot {}
 // lint: hot-path-begin — gate/guard tier: every task registration and
 // completion passes through here; no panicking calls allowed (see
 // `cargo xtask lint`).
+//
+// Memory ordering: the gate CASes/adds and the `inbox_len` accesses are all
+// SeqCst. A deferring worker *stores* `inbox_len` and then *loads* the gate;
+// a gate holder *stores* the gate (release) and then *loads* `inbox_len` —
+// the store-then-load pairing needs the single total order so that at least
+// one side sees the other (see `ShardedTracker::retire`).
 impl ShardSlot {
     fn new() -> Self {
         ShardSlot {
             gate: AtomicU64::new(0),
+            inbox_len: AtomicUsize::new(0),
             queue: Mutex::new(()),
-            data: UnsafeCell::new(TrackerShard::default()),
+            inbox: Mutex::new(Vec::with_capacity(INBOX_CAPACITY)),
+            data: UnsafeCell::new(TrackerShard {
+                scratch_inbox: Vec::with_capacity(INBOX_CAPACITY),
+                ..TrackerShard::default()
+            }),
         }
     }
 
-    /// Spin until the gate is acquired. Callers hold `queue`, so at most one
-    /// thread runs this per shard at a time; it first raises [`GATE_WAITER`],
-    /// which makes every new fast-path publication fall back, so the wait is
-    /// bounded by the one publication already in flight (the fast path never
-    /// blocks while holding the gate).
-    fn acquire_gate(&self) {
-        self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed);
+    /// Spin until the gate is acquired. With `queued` the caller holds
+    /// `queue`, so it is the shard's only slow acquirer: raising
+    /// [`GATE_WAITER`] once makes every new fast-path publication fall back
+    /// and the wait is bounded by the one publication already in flight (the
+    /// fast path never blocks while holding the gate). Without it — the
+    /// batch replay path takes a whole set of gates directly, since
+    /// collecting the queue mutex guards would allocate — several waiters
+    /// may spin here concurrently, so the flag is re-raised on every failed
+    /// iteration: another waiter's acquisition clears it, and the wait must
+    /// stay bounded by real mutator work rather than a publication stream.
+    fn acquire_gate(&self, queued: bool) {
+        let mut seq = self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
         let mut spins = 0u32;
         loop {
-            let seq = self.gate.load(Ordering::Relaxed);
             if seq & 1 == 0
                 && self
                     .gate
                     .compare_exchange_weak(
                         seq,
                         (seq & !GATE_WAITER) + 1,
-                        Ordering::Acquire,
+                        Ordering::SeqCst,
                         Ordering::Relaxed,
                     )
                     .is_ok()
@@ -890,84 +1298,85 @@ impl ShardSlot {
             } else {
                 std::thread::yield_now();
             }
-        }
-    }
-
-    /// As [`ShardSlot::acquire_gate`], but safe to call *without* holding
-    /// `queue`: the batch replay path takes a whole set of gates directly
-    /// (collecting the queue mutex guards would allocate), so several
-    /// waiters may spin here concurrently. Re-raising [`GATE_WAITER`] on
-    /// every failed iteration keeps fast-path publications locked out even
-    /// after another waiter's acquisition cleared the flag, so the wait
-    /// stays bounded by real mutator work rather than a publication stream.
-    fn acquire_gate_unqueued(&self) {
-        let mut spins = 0u32;
-        loop {
-            let seq = self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
-            if seq & 1 == 0
-                && self
-                    .gate
-                    .compare_exchange_weak(
-                        seq,
-                        (seq & !GATE_WAITER) + 1,
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                return;
-            }
-            if spins < 64 {
-                std::hint::spin_loop();
-                spins += 1;
+            seq = if queued {
+                self.gate.load(Ordering::Relaxed)
             } else {
-                std::thread::yield_now();
-            }
+                self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER
+            };
         }
     }
 
-    /// Try to acquire the gate for one non-blocking fast-path publication.
-    /// Succeeds only when the gate is free *and* no mutex-path acquirer is
-    /// waiting; the returned guard releases the gate on drop (so a panic
-    /// mid-publication cannot wedge the shard), and dereferences to the
-    /// shard data.
-    fn try_fast_gate(&self) -> Option<FastGate<'_>> {
-        let seq = self.gate.load(Ordering::Relaxed);
-        if seq & 1 != 0 || seq & GATE_WAITER != 0 {
-            return None;
+    /// Try to acquire the gate without blocking. Succeeds only when the gate
+    /// is free *and* no mutex-path acquirer is waiting.
+    fn try_acquire_gate(&self) -> bool {
+        let seq = self.gate.load(Ordering::SeqCst);
+        seq & 1 == 0
+            && seq & GATE_WAITER == 0
+            && self
+                .gate
+                .compare_exchange(seq, seq + 1, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+    }
+
+    /// [`ShardSlot::try_acquire_gate`] for a registration: outwait a holder
+    /// for a bounded number of spins before giving up. The mutex path a
+    /// failed attempt falls back to waits for the very same holder (plus a
+    /// mutex and the waiter flag), so leaving at the first busy read only
+    /// pays off when the holder is slow — a wide registration, a GC sweep —
+    /// or a mutex-path acquirer is already waiting (which ends the attempt
+    /// at once: it must not be starved). A retirement, a one-region
+    /// registration or an inbox drain is gone within the spin budget.
+    fn try_acquire_gate_for_registration(&self) -> bool {
+        for _ in 0..REGISTRATION_GATE_SPINS {
+            if self.try_acquire_gate() {
+                return true;
+            }
+            if self.gate.load(Ordering::Relaxed) & GATE_WAITER != 0 {
+                return false;
+            }
+            std::hint::spin_loop();
         }
-        self.gate
-            .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-            .ok()?;
-        Some(FastGate { slot: self })
+        self.try_acquire_gate()
     }
 }
 
-/// Exclusive access to one shard through the optimistic tier: holds only the
-/// gate (odd), acquired with a single CAS. Dropping releases it.
+/// Exclusive access to one shard: the proof that its gate is held (odd),
+/// however it was acquired. Dropping releases the gate (so a panic
+/// mid-publication cannot wedge the shard).
 struct FastGate<'a> {
-    slot: &'a ShardSlot,
+    tracker: &'a ShardedTracker,
+    sid: usize,
+}
+
+impl<'a> FastGate<'a> {
+    /// Wrap a gate the caller has *just acquired* and apply the shard's
+    /// retire inbox — every acquisition goes through here, which is what
+    /// makes "drain before touching history" hold for all of them.
+    fn adopt(tracker: &'a ShardedTracker, sid: usize) -> Self {
+        let mut gate = FastGate { tracker, sid };
+        tracker.drain_inbox(sid, &mut gate);
+        gate
+    }
 }
 
 impl std::ops::Deref for FastGate<'_> {
     type Target = TrackerShard;
     fn deref(&self) -> &TrackerShard {
         // SAFETY: the gate is held odd for the guard's lifetime.
-        unsafe { &*self.slot.data.get() }
+        unsafe { &*self.tracker.shards[self.sid].data.get() }
     }
 }
 
 impl std::ops::DerefMut for FastGate<'_> {
     fn deref_mut(&mut self) -> &mut TrackerShard {
         // SAFETY: as above; gate exclusivity makes the access unique.
-        unsafe { &mut *self.slot.data.get() }
+        unsafe { &mut *self.tracker.shards[self.sid].data.get() }
     }
 }
 
 impl Drop for FastGate<'_> {
     fn drop(&mut self) {
-        // Bumps odd → even; a concurrently raised GATE_WAITER bit survives.
-        self.slot.gate.fetch_add(1, Ordering::Release);
+        self.tracker.release_gate(self.sid);
     }
 }
 
@@ -975,28 +1384,20 @@ impl Drop for FastGate<'_> {
 /// the queue mutex *and* the gate. Dropping releases the gate (bumping the
 /// sequence back to even) before the queue.
 struct ShardGuard<'a> {
-    slot: &'a ShardSlot,
+    gate: FastGate<'a>,
     _queue: MutexGuard<'a, ()>,
 }
 
 impl std::ops::Deref for ShardGuard<'_> {
     type Target = TrackerShard;
     fn deref(&self) -> &TrackerShard {
-        // SAFETY: the gate is held for the guard's lifetime.
-        unsafe { &*self.slot.data.get() }
+        &self.gate
     }
 }
 
 impl std::ops::DerefMut for ShardGuard<'_> {
     fn deref_mut(&mut self) -> &mut TrackerShard {
-        // SAFETY: as above, and the guard is unique (gate + queue held).
-        unsafe { &mut *self.slot.data.get() }
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.gate.fetch_add(1, Ordering::Release);
+        &mut self.gate
     }
 }
 
@@ -1008,44 +1409,43 @@ impl Drop for ShardGuard<'_> {
 /// the mutex tier. Dropping releases every gate (odd → even), panics
 /// included.
 struct BatchGuard<'a> {
-    shards: &'a [ShardSlot],
+    tracker: &'a ShardedTracker,
     sids: &'a [usize],
 }
 
 impl<'a> BatchGuard<'a> {
     /// Acquire the gates of `sids` (which must be sorted ascending and
-    /// deduplicated) in order.
+    /// deduplicated) in order, draining each shard's inbox.
     fn acquire(tracker: &'a ShardedTracker, sids: &'a [usize]) -> Self {
         debug_assert!(
             sids.windows(2).all(|w| w[0] < w[1]),
             "batch shard ids must be sorted and deduplicated"
         );
         for &sid in sids {
-            tracker.shards[sid].acquire_gate_unqueued();
+            tracker.shards[sid].acquire_gate(false);
+            // Drained like every acquisition; the gate stays with the batch
+            // guard, whose own `Drop` releases it.
+            std::mem::forget(FastGate::adopt(tracker, sid));
         }
-        BatchGuard {
-            shards: &tracker.shards,
-            sids,
-        }
+        BatchGuard { tracker, sids }
     }
+}
 
-    /// The shard data of `sid`, which must be one of the held shards.
-    ///
+impl HeldShards for BatchGuard<'_> {
     /// Takes `&mut self` so the borrow checker serialises access through the
     /// guard; the underlying exclusivity comes from the held gate.
     fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard {
         debug_assert!(self.sids.contains(&sid), "shard {sid} is not held");
         // SAFETY: the gate of every shard in `sids` is held odd for the
         // guard's lifetime, making this access exclusive.
-        unsafe { &mut *self.shards[sid].data.get() }
+        unsafe { &mut *self.tracker.shards[sid].data.get() }
     }
 }
 
 impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
         for &sid in self.sids {
-            // Odd → even; a concurrently raised GATE_WAITER bit survives.
-            self.shards[sid].gate.fetch_add(1, Ordering::Release);
+            self.tracker.release_gate(sid);
         }
     }
 }
@@ -1059,13 +1459,17 @@ pub(crate) struct ShardedTracker {
     shards: Box<[ShardSlot]>,
     counters: TrackerCounters,
     /// Whether single-shard registrations may take the optimistic gate-CAS
-    /// path. `false` forces every registration through the mutex path (the
-    /// equivalence-suite reference configuration).
+    /// path and retirements may tombstone in place. `false` forces every
+    /// registration through the mutex path and every retirement through the
+    /// inbox (the equivalence-suite reference configuration).
     fast_path: bool,
     /// Chaos-test hook: when set, individual operations may be forced off
     /// the fast path ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)).
     /// `None` in production — a single pointer check on the hot path.
     fault: Option<crate::failpoint::FaultPlan>,
+    /// Where the node references history lets go of after their worker did
+    /// are parked (see [`release_node`]).
+    recycler: Recycler,
 }
 
 /// The shard locks one registration holds: the allocation-free singleton
@@ -1078,7 +1482,21 @@ enum LockedShards<'a> {
     Many(Vec<usize>, Vec<ShardGuard<'a>>),
 }
 
-impl LockedShards<'_> {
+/// The held shards one registration works on, addressed by shard index.
+trait HeldShards {
+    /// The data of shard `sid`, which must be one of the held shards.
+    fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard;
+}
+
+/// A single held shard.
+impl HeldShards for (usize, &mut TrackerShard) {
+    fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard {
+        debug_assert_eq!(self.0, sid);
+        self.1
+    }
+}
+
+impl HeldShards for LockedShards<'_> {
     fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard {
         match self {
             LockedShards::One(s, guard) => {
@@ -1095,6 +1513,18 @@ impl LockedShards<'_> {
     }
 }
 
+/// Counter sums of one or more registrations (the public
+/// [`Registration`]/[`BatchRegistration`] minus their edge records).
+#[derive(Default)]
+struct EdgeTally {
+    edges: usize,
+    raw: usize,
+    war: usize,
+    waw: usize,
+    preds_seen: usize,
+    scanned: u64,
+}
+
 impl ShardedTracker {
     pub(crate) fn new(shards: usize, fast_path: bool) -> Self {
         assert!(shards >= 1, "the tracker needs at least one shard");
@@ -1103,6 +1533,7 @@ impl ShardedTracker {
             counters: TrackerCounters::new(shards),
             fast_path,
             fault: None,
+            recycler: None,
         }
     }
 
@@ -1110,6 +1541,13 @@ impl ShardedTracker {
     /// [`crate::failpoint`]). Called before the tracker is shared.
     pub(crate) fn set_fault_plan(&mut self, plan: crate::failpoint::FaultPlan) {
         self.fault = Some(plan);
+    }
+
+    /// Route the references history lets go of after their worker did (see
+    /// [`release_node`]) back to `slab`. Called before the tracker is
+    /// shared.
+    pub(crate) fn set_recycler(&mut self, slab: Arc<TaskSlab>) {
+        self.recycler = Some(slab);
     }
 
     /// Whether the installed fault plan (if any) forces this operation off
@@ -1137,6 +1575,62 @@ impl ShardedTracker {
         &self.counters
     }
 
+    // lint: hot-path-begin — gate acquisition/release wrappers and the
+    // retirement inbox: every registration and completion passes through
+    // here; no panicking calls allowed (see `cargo xtask lint`).
+
+    /// Apply the retirements workers deferred into `sid`'s inbox to `shard`,
+    /// that shard's data (see [`FastGate::adopt`]: **every** acquisition
+    /// runs this before it reads or writes history). Allocation-free: the
+    /// inbox vector and the shard's scratch vector swap roles, both keeping
+    /// their capacity.
+    fn drain_inbox(&self, sid: usize, shard: &mut TrackerShard) {
+        let slot = &self.shards[sid];
+        if slot.inbox_len.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut batch = std::mem::take(&mut shard.scratch_inbox);
+        {
+            let mut inbox = slot.inbox.lock();
+            std::mem::swap(&mut *inbox, &mut batch);
+            slot.inbox_len.store(0, Ordering::SeqCst);
+        }
+        for r in batch.drain(..) {
+            // The worker that deferred this usually finished with the node
+            // long ago, which makes the history reference the last one.
+            if let Some(node) = shard.retire_region(r.rid, r.task, r.kind) {
+                release_node(node, &self.recycler);
+            }
+        }
+        shard.scratch_inbox = batch;
+    }
+
+    /// Release `sid`'s gate, then look at the inbox once more: a worker that
+    /// found the gate held may have deferred a retirement after our
+    /// acquisition-time drain. If so, and the gate is still free, take it
+    /// back and drain — so a deferred retirement never outlives the gate
+    /// hold that displaced it (and never waits for the next registration).
+    /// If someone else got the gate first, their acquisition drains.
+    fn release_gate(&self, sid: usize) {
+        let slot = &self.shards[sid];
+        // Odd → even; a concurrently raised GATE_WAITER bit survives.
+        slot.gate.fetch_add(1, Ordering::SeqCst);
+        while slot.inbox_len.load(Ordering::SeqCst) != 0 && slot.try_acquire_gate() {
+            // Released right here, not through `Drop` (which is this
+            // function): the loop re-checks instead of recursing.
+            std::mem::forget(FastGate::adopt(self, sid));
+            slot.gate.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Take `sid`'s gate if it is free right now (see
+    /// [`ShardSlot::try_acquire_gate`]); drains the inbox on success.
+    fn try_fast_gate(&self, sid: usize) -> Option<FastGate<'_>> {
+        self.shards[sid]
+            .try_acquire_gate()
+            .then(|| FastGate::adopt(self, sid))
+    }
+
     /// Lock one shard through the blocking tier, try-lock-first so contended
     /// acquisitions are counted, then acquire the gate (waiting out at most
     /// one fast-path publication).
@@ -1156,12 +1650,87 @@ impl ShardedTracker {
                 slot.queue.lock()
             }
         };
-        slot.acquire_gate();
+        slot.acquire_gate(true);
         ShardGuard {
-            slot,
+            gate: FastGate::adopt(self, shard),
             _queue: queue,
         }
     }
+
+    /// Retire a completed task from the history: every live reference it
+    /// still holds in any shard is replaced by a tombstone, releasing the
+    /// node. Idempotent per task, and **never blocks**: a shard whose gate
+    /// is free right now (one CAS, as for a fast-path registration) is
+    /// updated in place; for a shard that is held (or always, when the
+    /// optimistic tier is switched off), the retirement goes into that
+    /// shard's inbox and whoever holds or next takes the gate applies it. A
+    /// worker stalled here would stop executing tasks while the spawner's
+    /// next registration finds ever more live predecessors.
+    ///
+    /// Ordering contract (load-bearing, see the module docs): by the time
+    /// this returns, every access is either tombstoned or in an inbox, and
+    /// the caller releases the task's version tickets only *afterwards*. A
+    /// registration drains the inbox before it scans, so a spawner that saw
+    /// a binding count of zero also sees the tombstones.
+    pub(crate) fn retire(&self, node: &Arc<TaskNode>) {
+        if node.accesses.is_empty() || !node.mark_retired() {
+            return;
+        }
+        // The forced-locked configuration takes no gate optimistically, so
+        // its retirements all travel through the inbox (which also makes the
+        // equivalence suites' reference run the deferred path throughout);
+        // the chaos hook forces the same for single operations.
+        let forced = !self.fast_path || self.forced_fallback();
+        let mut held: Option<FastGate<'_>> = None;
+        for access in node.accesses.iter() {
+            let rid = access.region.id;
+            let sid = self.shard_of(rid.alloc);
+            if held.as_ref().is_none_or(|gate| gate.sid != sid) {
+                // Release the previous shard before trying the next one.
+                held = None;
+                if !forced {
+                    held = self.try_fast_gate(sid);
+                    if held.is_some() {
+                        self.counters.hit(sid);
+                    }
+                }
+            }
+            match &mut held {
+                // The worker still holds the node, so the reference coming
+                // back is never the last one.
+                Some(gate) => drop(gate.retire_region(rid, node.id, access.kind)),
+                None => self.defer_retirement(
+                    sid,
+                    Retirement {
+                        rid,
+                        task: node.id,
+                        kind: access.kind,
+                    },
+                ),
+            }
+        }
+    }
+
+    /// Hand one retirement to `sid`'s inbox, then try the gate once more.
+    ///
+    /// The second look closes the window in which the holder we collided
+    /// with released (and checked the inbox) just before our push: in the
+    /// SeqCst order either its post-release `inbox_len` load follows our
+    /// store — it drains — or our gate load follows its release — we find
+    /// the gate free and drain ourselves, or find a *newer* holder, whose
+    /// own release repeats the argument. Either way the entry is applied by
+    /// a thread that is still inside a registration or a completion, i.e.
+    /// before the runtime can look quiescent.
+    fn defer_retirement(&self, sid: usize, retirement: Retirement) {
+        let slot = &self.shards[sid];
+        {
+            let mut inbox = slot.inbox.lock();
+            inbox.push(retirement);
+            slot.inbox_len.store(inbox.len(), Ordering::SeqCst);
+        }
+        drop(self.try_fast_gate(sid));
+    }
+    // lint: hot-path-end
 
     /// Try to register `node` through the optimistic fast path: all accesses
     /// on one shard, whose gate is free right now. Returns `None` (and
@@ -1172,11 +1741,15 @@ impl ShardedTracker {
         if !shards.all(|s| s == sid) {
             return None; // multi-allocation span: canonical-order mutex path
         }
-        // Gate held (or a mutator/GC/waiter present → fallback); the guard
-        // grants exclusive access and releases on drop, panics included.
-        let mut gate = self.shards[sid].try_fast_gate()?;
+        // Gate held beyond the spin budget (a wide registration, GC) or a
+        // mutex-path acquirer waiting → fallback; the guard grants exclusive
+        // access and releases on drop, panics included.
+        if !self.shards[sid].try_acquire_gate_for_registration() {
+            return None;
+        }
+        let mut gate = FastGate::adopt(self, sid);
         self.counters.hit(sid);
-        Some(register_single_shard(&mut gate, sid, node, record_edges, true))
+        Some(self.register_single_shard(&mut gate, sid, node, record_edges, true))
     }
 
     /// Lock every shard the accesses touch, in canonical (ascending index)
@@ -1201,6 +1774,63 @@ impl ShardedTracker {
         LockedShards::Many(ids, guards)
     }
 
+    /// The three registration passes of one node against shards the caller
+    /// holds, shared by every tier (optimistic, mutex, multi-shard, batch) so
+    /// all of them produce byte-identical edge sets: collect the conflicting
+    /// predecessors from every overlapping region entry in
+    /// access-declaration order (each remembered with the dependence class
+    /// of the first conflict that introduced it), add an edge from every
+    /// live one, then record the accesses on the *exact* region entries.
+    /// `preds` is the caller's scratch set, returned empty. Adds the node's
+    /// counts to `tally` and returns its edge records (empty unless
+    /// `record_edges`).
+    fn register_node(
+        &self,
+        node: &Arc<TaskNode>,
+        preds: &mut PredSet,
+        held: &mut impl HeldShards,
+        record_edges: bool,
+        tally: &mut EdgeTally,
+    ) -> Vec<EdgeRecord> {
+        debug_assert!(preds.is_empty());
+        for access in node.accesses.iter() {
+            let sid = self.shard_of(access.region.id.alloc);
+            tally.scanned += held.shard_mut(sid).collect_preds(access, sid, preds);
+        }
+        let edge_list = add_pred_edges(&preds.preds, node, record_edges, tally);
+        for access in node.accesses.iter() {
+            let sid = self.shard_of(access.region.id.alloc);
+            held
+                .shard_mut(sid)
+                .record_access(access, node, &self.recycler);
+        }
+        tally.preds_seen += preds.preds.len();
+        preds.clear(&self.recycler);
+        edge_list
+    }
+
+    /// [`ShardedTracker::register_node`] against a single held shard, using
+    /// the shard's scratch set so the steady state allocates nothing. Shared
+    /// by the optimistic fast path and the single-shard mutex path (`fast`
+    /// records which tier obtained exclusion — the passes are
+    /// byte-identical).
+    fn register_single_shard(
+        &self,
+        shard: &mut TrackerShard,
+        sid: usize,
+        node: &Arc<TaskNode>,
+        record_edges: bool,
+        fast: bool,
+    ) -> Registration {
+        let mut preds = std::mem::take(&mut shard.scratch_preds);
+        let mut tally = EdgeTally::default();
+        let edge_list =
+            self.register_node(node, &mut preds, &mut (sid, &mut *shard), record_edges, &mut tally);
+        shard.scratch_preds = preds;
+        self.counters.scanned(tally.scanned);
+        Registration::from_tally(&tally, edge_list, fast)
+    }
+
     /// Register the declared accesses of `node`, adding dependence edges from
     /// every conflicting in-flight task, and updating the per-region history
     /// so that future tasks depend on `node` where required.
@@ -1213,15 +1843,7 @@ impl ShardedTracker {
     pub(crate) fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
         if node.accesses.is_empty() {
             node.in_edges.store(0, Ordering::Relaxed);
-            return Registration {
-                edges: 0,
-                raw_edges: 0,
-                war_edges: 0,
-                waw_edges: 0,
-                predecessors_seen: 0,
-                edge_list: Vec::new(),
-                fast_path: false,
-            };
+            return Registration::from_tally(&EdgeTally::default(), Vec::new(), false);
         }
         if self.fast_path {
             if self.forced_fallback() {
@@ -1237,63 +1859,23 @@ impl ShardedTracker {
             }
         }
         let mut locked = self.lock_for(&node.accesses);
-        // Single shard behind the mutex: exactly the three fast-path passes,
-        // via the same per-shard scratch buffers — the mutex tier is
-        // allocation-free in steady state too.
+        // Single shard behind the mutex: exactly the fast-path passes, via
+        // the same per-shard scratch set — the mutex tier is allocation-free
+        // in steady state too.
         if let LockedShards::One(sid, ref mut guard) = locked {
-            return register_single_shard(guard, sid, node, record_edges, false);
+            return self.register_single_shard(guard, sid, node, record_edges, false);
         }
         // Multi-shard span: run the passes across the canonically locked
-        // shards, borrowing the first access's shard scratch buffers (every
+        // shards, borrowing the first access's shard scratch set (every
         // involved gate is held, so the scratch is exclusively ours).
         let first = self.shard_of(node.accesses[0].region.id.alloc);
-        let (mut preds, mut seen_pred_ids) = {
-            let shard = locked.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen_pred_ids.is_empty());
-
-        // Pass 1: collect predecessors from every overlapping region entry,
-        // in access-declaration order. Each predecessor is remembered with
-        // the dependence class of the (first) conflict that introduced it,
-        // so added edges can be attributed to RAW / WAR / WAW.
-        for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            locked
-                .shard_mut(sid)
-                .collect_preds(access, sid, &mut preds, &mut seen_pred_ids);
-        }
-
-        // Pass 2: add the edges (only live predecessors can take one).
-        let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-            add_pred_edges(&preds, node, record_edges);
-        node.in_edges.store(edges, Ordering::Relaxed);
-
-        // Pass 3: update the history on the *exact* region entries.
-        for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            locked.shard_mut(sid).record_access(access, node);
-        }
-
-        let predecessors_seen = preds.len();
-        preds.clear();
-        seen_pred_ids.clear();
-        let shard = locked.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen_pred_ids;
-
-        Registration {
-            edges,
-            raw_edges,
-            war_edges,
-            waw_edges,
-            predecessors_seen,
-            edge_list,
-            fast_path: false,
-        }
+        let mut preds = std::mem::take(&mut locked.shard_mut(first).scratch_preds);
+        let mut tally = EdgeTally::default();
+        let edge_list =
+            self.register_node(node, &mut preds, &mut locked, record_edges, &mut tally);
+        locked.shard_mut(first).scratch_preds = preds;
+        self.counters.scanned(tally.scanned);
+        Registration::from_tally(&tally, edge_list, false)
     }
 
     /// Register a whole template-replay batch under **one** multi-gate
@@ -1307,77 +1889,43 @@ impl ShardedTracker {
     /// template, so they stay correct when per-replay renaming resolves
     /// clauses to different versions than the captured iteration did.
     ///
-    /// The scratch buffers of the first involved shard are borrowed for the
-    /// whole batch (its gate is held, so they are exclusively ours), keeping
-    /// a warm replay allocation-free. Equivalence with per-task
-    /// registration: the batch is one legal linearization of the same
-    /// per-node pass sequence, and gate exclusion makes it atomic against
-    /// concurrent registrations and retirements on the involved shards.
+    /// The scratch set of the first involved shard is borrowed for the whole
+    /// batch (its gate is held, so it is exclusively ours), keeping a warm
+    /// replay allocation-free. Equivalence with per-task registration: the
+    /// batch is one legal linearization of the same per-node pass sequence,
+    /// and gate exclusion makes it atomic against concurrent registrations
+    /// and retirements on the involved shards.
     pub(crate) fn register_batch(
         &self,
         nodes: &[Arc<TaskNode>],
         sids: &[usize],
         record_edges: bool,
     ) -> BatchRegistration {
-        let mut batch = BatchRegistration {
-            edges: 0,
-            raw_edges: 0,
-            war_edges: 0,
-            waw_edges: 0,
-            predecessors_seen: 0,
-            per_task: Vec::new(),
-        };
         if sids.is_empty() {
             // Access-free batch: nothing to track, nothing to gate.
             for node in nodes {
                 node.in_edges.store(0, Ordering::Relaxed);
             }
-            return batch;
+            return BatchRegistration::from_tally(&EdgeTally::default(), Vec::new());
         }
         let mut guard = BatchGuard::acquire(self, sids);
         for &sid in sids {
             self.counters.hit(sid);
         }
         let first = sids[0];
-        let (mut preds, mut seen) = {
-            let shard = guard.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen.is_empty());
+        let mut preds = std::mem::take(&mut guard.shard_mut(first).scratch_preds);
+        let mut tally = EdgeTally::default();
+        let mut per_task = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
-            preds.clear();
-            seen.clear();
-            for access in node.accesses.iter() {
-                let sid = self.shard_of(access.region.id.alloc);
-                guard
-                    .shard_mut(sid)
-                    .collect_preds(access, sid, &mut preds, &mut seen);
-            }
-            let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-                add_pred_edges(&preds, node, record_edges);
-            node.in_edges.store(edges, Ordering::Relaxed);
-            for access in node.accesses.iter() {
-                let sid = self.shard_of(access.region.id.alloc);
-                guard.shard_mut(sid).record_access(access, node);
-            }
-            batch.edges += edges;
-            batch.raw_edges += raw_edges;
-            batch.war_edges += war_edges;
-            batch.waw_edges += waw_edges;
-            batch.predecessors_seen += preds.len();
+            let edge_list =
+                self.register_node(node, &mut preds, &mut guard, record_edges, &mut tally);
             if record_edges {
-                batch.per_task.push((i, edge_list));
+                per_task.push((i, edge_list));
             }
         }
-        preds.clear();
-        seen.clear();
-        let shard = guard.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen;
-        batch
+        guard.shard_mut(first).scratch_preds = preds;
+        self.counters.scanned(tally.scanned);
+        BatchRegistration::from_tally(&tally, per_task)
     }
 
     /// Register `iterations` consecutive copies of a [`FrozenPlan`] batch
@@ -1394,13 +1942,13 @@ impl ShardedTracker {
     /// exactly the carried inter-iteration dependence of a fused replay.
     /// Interior tasks' edges and counters come pre-summed from the plan.
     ///
-    /// Validation: for each allocation the plan touches, the live
-    /// `by_alloc` index must hold no region id outside the plan's (pairwise
-    /// disjoint) set. Any other id — a sub-region access or a rename minted
-    /// elsewhere since the freeze — would be visible to a live overlap scan
-    /// but not to the baked edges, so the batch returns `None` (having
-    /// touched nothing) and the caller unwires and falls back to
-    /// [`ShardedTracker::register_batch`].
+    /// Validation: for each allocation the plan touches, the live overlap
+    /// index must hold no region id outside the plan's (pairwise disjoint,
+    /// sorted) set — one binary search per indexed region. Any other id — a
+    /// sub-region access or a rename minted elsewhere since the freeze —
+    /// would be visible to a live overlap scan but not to the baked edges,
+    /// so the batch returns `None` (having touched nothing) and the caller
+    /// unwires and falls back to [`ShardedTracker::register_batch`].
     pub(crate) fn register_batch_prewired(
         &self,
         nodes: &[Arc<TaskNode>],
@@ -1410,24 +1958,28 @@ impl ShardedTracker {
     ) -> Option<BatchRegistration> {
         let per = plan.len();
         debug_assert_eq!(nodes.len(), per * iterations);
-        let mut batch = BatchRegistration {
+        let mut tally = EdgeTally {
             edges: plan.edges.len() * iterations,
-            raw_edges: plan.baked_raw * iterations,
-            war_edges: plan.baked_war * iterations,
-            waw_edges: plan.baked_waw * iterations,
-            predecessors_seen: plan.baked_preds * iterations,
-            per_task: Vec::new(),
+            raw: plan.baked_raw * iterations,
+            war: plan.baked_war * iterations,
+            waw: plan.baked_waw * iterations,
+            preds_seen: plan.baked_preds * iterations,
+            scanned: 0,
         };
         if plan.sids.is_empty() {
             // Access-free batch: nothing to validate, nothing to gate; the
             // pre-wiring already stored every (zero) in-edge count.
-            return Some(batch);
+            return Some(BatchRegistration::from_tally(&tally, Vec::new()));
         }
         let mut guard = BatchGuard::acquire(self, &plan.sids);
         for (alloc, rids) in &plan.allocs {
             let sid = self.shard_of(*alloc);
-            if let Some(ids) = guard.shard_mut(sid).by_alloc.get(alloc) {
-                if ids.iter().any(|r| !rids.contains(r)) {
+            if let Some(index) = guard.shard_mut(sid).by_alloc.get(alloc) {
+                if index.spans.len() > rids.len()
+                    || index
+                        .region_ids(*alloc)
+                        .any(|rid| rids.binary_search(&rid).is_err())
+                {
                     return None;
                 }
             }
@@ -1436,14 +1988,8 @@ impl ShardedTracker {
             self.counters.hit(sid);
         }
         let first = plan.sids[0];
-        let (mut preds, mut seen) = {
-            let shard = guard.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen.is_empty());
+        let mut preds = std::mem::take(&mut guard.shard_mut(first).scratch_preds);
+        let mut per_task = Vec::new();
         for m in 0..iterations {
             let base = m * per;
             // Live prefix: up to (and including) the last frontier task,
@@ -1452,29 +1998,23 @@ impl ShardedTracker {
             for t in 0..plan.scan_upto {
                 let node = &nodes[base + t];
                 if plan.frontier[t] {
-                    preds.clear();
-                    seen.clear();
+                    let edge_list = self.register_node(
+                        node,
+                        &mut preds,
+                        &mut guard,
+                        record_edges,
+                        &mut tally,
+                    );
+                    if record_edges {
+                        per_task.push((base + t, edge_list));
+                    }
+                } else {
                     for access in node.accesses.iter() {
                         let sid = self.shard_of(access.region.id.alloc);
                         guard
                             .shard_mut(sid)
-                            .collect_preds(access, sid, &mut preds, &mut seen);
+                            .record_access(access, node, &self.recycler);
                     }
-                    let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-                        add_pred_edges(&preds, node, record_edges);
-                    node.in_edges.store(edges, Ordering::Relaxed);
-                    batch.edges += edges;
-                    batch.raw_edges += raw_edges;
-                    batch.war_edges += war_edges;
-                    batch.waw_edges += waw_edges;
-                    batch.predecessors_seen += preds.len();
-                    if record_edges {
-                        batch.per_task.push((base + t, edge_list));
-                    }
-                }
-                for access in node.accesses.iter() {
-                    let sid = self.shard_of(access.region.id.alloc);
-                    guard.shard_mut(sid).record_access(access, node);
                 }
             }
             // Interior tail: no per-task history work at all — the baked
@@ -1482,57 +2022,16 @@ impl ShardedTracker {
             // next iteration's frontier (and post-batch registrations) see
             // exactly the state a full per-task interleave would have left.
             for inst in &plan.installs {
-                guard
-                    .shard_mut(inst.shard)
-                    .apply_install(inst, &nodes[base..base + per]);
+                guard.shard_mut(inst.shard).apply_install(
+                    inst,
+                    &nodes[base..base + per],
+                    &self.recycler,
+                );
             }
         }
-        preds.clear();
-        seen.clear();
-        let shard = guard.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen;
-        Some(batch)
-    }
-
-    // lint: hot-path-begin — completion tier: retire + successor wakeup run
-    // once per task; no panicking calls allowed (see `cargo xtask lint`).
-    /// Retire a completed task from the history: every live reference it
-    /// still holds in any shard is replaced by a tombstone, releasing the
-    /// node. Locks one shard at a time (retirement needs no cross-shard
-    /// atomicity), and is idempotent per task.
-    pub(crate) fn retire(&self, node: &Arc<TaskNode>) {
-        if node.accesses.is_empty() || !node.mark_retired() {
-            return;
-        }
-        // Fast path for the dominant single-access task: one shard, no sort,
-        // no allocation — and, when the gate is free, no mutex either (the
-        // same single-CAS protocol as the registration fast path).
-        if let [access] = &*node.accesses {
-            let rid = access.region.id;
-            let sid = self.shard_of(rid.alloc);
-            if self.fast_path && !self.forced_fallback() {
-                if let Some(mut gate) = self.shards[sid].try_fast_gate() {
-                    self.counters.hit(sid);
-                    gate.retire_region(rid, node.id);
-                    return;
-                }
-            }
-            self.lock_shard(sid).retire_region(rid, node.id);
-            return;
-        }
-        let mut rids: Vec<RegionId> = node.accesses.iter().map(|a| a.region.id).collect();
-        rids.sort_unstable_by_key(|r| (self.shard_of(r.alloc), *r));
-        rids.dedup();
-        let mut i = 0;
-        while i < rids.len() {
-            let sid = self.shard_of(rids[i].alloc);
-            let mut guard = self.lock_shard(sid);
-            while i < rids.len() && self.shard_of(rids[i].alloc) == sid {
-                guard.retire_region(rids[i], node.id);
-                i += 1;
-            }
-        }
+        guard.shard_mut(first).scratch_preds = preds;
+        self.counters.scanned(tally.scanned);
+        Some(BatchRegistration::from_tally(&tally, per_task))
     }
 
     /// All in-flight tasks that currently access a region overlapping
@@ -1543,7 +2042,7 @@ impl ShardedTracker {
     }
 
     /// Garbage-collect every shard (one lock at a time): drop tombstones,
-    /// completed tasks, emptied entries and their `by_alloc` ids. Called
+    /// completed tasks, emptied entries and their index spans. Called
     /// periodically from the spawn path (cadence:
     /// [`RuntimeConfig::with_tracker_gc_interval`](crate::RuntimeConfig::with_tracker_gc_interval))
     /// and from quiescent `taskwait`s to bound memory on long-running
@@ -1552,10 +2051,12 @@ impl ShardedTracker {
     /// a sweep touching every shard would drown the signal (uniform hits,
     /// phantom contention). Taking each shard's lock holds its gate odd, so
     /// optimistic registrations on a shard being swept fall back to the
-    /// mutex path and queue behind the sweep.
+    /// mutex path and queue behind the sweep — and drains the shard's retire
+    /// inbox first, like every acquisition.
     pub(crate) fn garbage_collect(&self) {
         for sid in 0..self.shards.len() {
-            self.lock_shard_uncounted(sid).garbage_collect();
+            self.lock_shard_uncounted(sid)
+                .garbage_collect(&self.recycler);
         }
     }
 
@@ -1571,9 +2072,10 @@ impl ShardedTracker {
             .position(|slot| slot.gate.load(Ordering::Acquire) & 1 == 1)
     }
 
-    /// Current per-shard map sizes plus the fast-path hit/fallback counters.
-    /// Reading diagnostics leaves the hit/contention counters untouched (see
-    /// [`ShardedTracker::garbage_collect`]).
+    /// Current per-shard map sizes plus the monotonic counters. Reading
+    /// diagnostics leaves the hit/contention counters untouched (see
+    /// [`ShardedTracker::garbage_collect`]); like every acquisition it
+    /// applies pending deferred retirements first.
     pub(crate) fn diagnostics(&self) -> TrackerDiagnostics {
         let mut regions = Vec::with_capacity(self.shards.len());
         let mut allocs = Vec::with_capacity(self.shards.len());
@@ -1587,6 +2089,7 @@ impl ShardedTracker {
             allocs_per_shard: allocs,
             fast_path_hits: self.counters.fast_hits(),
             fast_path_fallbacks: self.counters.fast_fallbacks(),
+            entries_scanned: self.counters.entries_scanned(),
         }
     }
 
@@ -1596,18 +2099,41 @@ impl ShardedTracker {
     pub(crate) fn tracked_regions(&self) -> usize {
         self.diagnostics().total_regions()
     }
+
+    /// Test support: hold `shard`'s gate (through the blocking tier) until
+    /// the returned guard drops, so a test can make completions on that
+    /// shard defer their retirements deterministically.
+    pub(crate) fn hold_shard(&self, shard: usize) -> ShardHold<'_> {
+        ShardHold(self.lock_shard_uncounted(shard))
+    }
 }
 
-/// Pass 2 of registration, shared verbatim by the mutex path and the
-/// optimistic fast path (so both produce byte-identical edge sets): add an
-/// edge from every live predecessor, classifying it RAW / WAR / WAW.
+/// A held tracker shard (test support; see
+/// [`Runtime::hold_tracker_shard`](crate::Runtime::hold_tracker_shard)).
+#[doc(hidden)]
+pub struct ShardHold<'a>(ShardGuard<'a>);
+
+impl ShardHold<'_> {
+    /// Retirements currently waiting in the held shard's inbox.
+    pub fn deferred_retirements(&self) -> usize {
+        let gate = &self.0.gate;
+        gate.tracker.shards[gate.sid].inbox_len.load(Ordering::SeqCst)
+    }
+}
+
+// lint: hot-path-begin — edge insertion + completion tier: run once per
+// predecessor / per task; no panicking calls allowed (see `cargo xtask lint`).
+/// Pass 2 of registration, shared verbatim by every tier (so all produce
+/// byte-identical edge sets): add an edge from every live predecessor,
+/// classifying it RAW / WAR / WAW into `tally`, and store the node's in-edge
+/// count.
 fn add_pred_edges(
     preds: &[PredRef],
     node: &Arc<TaskNode>,
     record_edges: bool,
-) -> (usize, usize, usize, usize, Vec<EdgeRecord>) {
+    tally: &mut EdgeTally,
+) -> Vec<EdgeRecord> {
     let mut edges = 0usize;
-    let (mut raw_edges, mut war_edges, mut waw_edges) = (0usize, 0usize, 0usize);
     let mut edge_list = Vec::new();
     for pred in preds {
         if pred.id == node.id {
@@ -1617,9 +2143,9 @@ fn add_pred_edges(
         if add_edge(live, node) {
             edges += 1;
             match pred.dependence {
-                Dependence::ReadAfterWrite => raw_edges += 1,
-                Dependence::WriteAfterRead => war_edges += 1,
-                Dependence::WriteAfterWrite => waw_edges += 1,
+                Dependence::ReadAfterWrite => tally.raw += 1,
+                Dependence::WriteAfterRead => tally.war += 1,
+                Dependence::WriteAfterWrite => tally.waw += 1,
                 Dependence::None => {}
             }
             if record_edges {
@@ -1630,65 +2156,9 @@ fn add_pred_edges(
             }
         }
     }
-    (edges, raw_edges, war_edges, waw_edges, edge_list)
-}
-
-/// The three registration passes against a single shard, using the shard's
-/// scratch buffers so the steady state allocates nothing. Shared by the
-/// optimistic fast path and the single-shard mutex path (`fast` records
-/// which tier obtained exclusion — the passes are byte-identical).
-fn register_single_shard(
-    shard: &mut TrackerShard,
-    sid: usize,
-    node: &Arc<TaskNode>,
-    record_edges: bool,
-    fast: bool,
-) -> Registration {
-    let mut preds = std::mem::take(&mut shard.scratch_preds);
-    let mut seen = std::mem::take(&mut shard.scratch_seen);
-    debug_assert!(preds.is_empty() && seen.is_empty());
-    for access in node.accesses.iter() {
-        shard.collect_preds(access, sid, &mut preds, &mut seen);
-    }
-    let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-        add_pred_edges(&preds, node, record_edges);
     node.in_edges.store(edges, Ordering::Relaxed);
-    for access in node.accesses.iter() {
-        shard.record_access(access, node);
-    }
-    let predecessors_seen = preds.len();
-    preds.clear();
-    seen.clear();
-    shard.scratch_preds = preds;
-    shard.scratch_seen = seen;
-    Registration {
-        edges,
-        raw_edges,
-        war_edges,
-        waw_edges,
-        predecessors_seen,
-        edge_list,
-        fast_path: fast,
-    }
-}
-
-fn push_pred(
-    preds: &mut Vec<PredRef>,
-    seen: &mut Vec<TaskId>,
-    t: &HistoryRef,
-    dependence: Dependence,
-    shard: usize,
-) {
-    let id = t.id();
-    if !seen.contains(&id) {
-        seen.push(id);
-        preds.push(PredRef {
-            id,
-            live: t.live().cloned(),
-            dependence,
-            shard,
-        });
-    }
+    tally.edges += edges;
+    edge_list
 }
 
 /// Add a dependence edge `pred -> succ`. Returns `false` (and adds nothing)
@@ -2375,6 +2845,228 @@ mod tests {
     }
 
     #[test]
+    fn overlaps_are_visited_in_index_order() {
+        // Overlap order is a pure function of the recorded regions: size
+        // class first (narrow before wide), then start, then chunk id —
+        // whatever order the regions were recorded in.
+        let program = |order: &[usize]| {
+            let regions = [
+                region(3, 7, 0..100),  // class 7, the "whole" region
+                region(3, 1, 40..50),  // class 4
+                region(3, 2, 10..20),  // class 4
+                region(3, 9, 10..20),  // same range as chunk 2
+                region(3, 4, 12..14),  // class 2, nested in chunks 2 and 9
+                region(3, 5, 300..310), // disjoint from the query
+            ];
+            let tr = tracker(1);
+            let mut ids = Vec::new();
+            for &i in order {
+                let w = node_with(vec![Access::new(regions[i].clone(), AccessKind::Output)]);
+                tr.register(&w, false);
+                finish_registration(&w);
+                ids.push((regions[i].id.chunk, w.id));
+            }
+            let r = node_with(vec![acc(3, 8, 5..60, AccessKind::Input)]);
+            let reg = tr.register(&r, true);
+            finish_registration(&r);
+            reg.edge_list
+                .iter()
+                .map(|e| ids.iter().find(|(_, id)| *id == e.pred).unwrap().0)
+                .collect::<Vec<_>>()
+        };
+        let expected = vec![4, 2, 9, 1, 7];
+        assert_eq!(program(&[0, 1, 2, 3, 4, 5]), expected);
+        assert_eq!(program(&[5, 4, 3, 2, 1, 0]), expected);
+        assert_eq!(program(&[2, 0, 4, 5, 1, 3]), expected);
+    }
+
+    #[test]
+    fn chunk_queries_scan_neighbours_not_the_allocation() {
+        const CHUNKS: u32 = 512;
+        let tr = tracker(2);
+        let mut nodes = Vec::new();
+        for c in 0..CHUNKS {
+            let before = tr.diagnostics().entries_scanned;
+            let start = c as usize * 48;
+            let w = node_with(vec![acc(4, c + 1, start..start + 48, AccessKind::Output)]);
+            tr.register(&w, false);
+            finish_registration(&w);
+            nodes.push(w);
+            assert!(
+                tr.diagnostics().entries_scanned - before <= 2,
+                "a chunk access examines its neighbours only"
+            );
+        }
+        let before = tr.diagnostics().entries_scanned;
+        let whole = node_with(vec![acc(4, 0, 0..CHUNKS as usize * 48, AccessKind::Input)]);
+        let reg = tr.register(&whole, false);
+        finish_registration(&whole);
+        assert_eq!(tr.diagnostics().entries_scanned - before, u64::from(CHUNKS));
+        assert_eq!(reg.predecessors_seen, CHUNKS as usize);
+        assert_eq!(reg.edges, CHUNKS as usize);
+        // An empty access examines nothing and conflicts with nothing.
+        let before = tr.diagnostics().entries_scanned;
+        let empty = node_with(vec![acc(4, 9999, 100..100, AccessKind::Output)]);
+        assert_eq!(tr.register(&empty, false).predecessors_seen, 0);
+        finish_registration(&empty);
+        assert_eq!(tr.diagnostics().entries_scanned, before);
+    }
+
+    #[test]
+    fn dedupe_survives_descending_and_repeated_ids() {
+        // One early task spans every chunk (so it conflicts through every
+        // entry, after tasks with higher ids), and the chunk writers are
+        // recorded in descending chunk order, so a whole-region scan meets
+        // ids in *descending* order: every duplicate check leaves the
+        // ascending shortcut, and past the linear window the hash index.
+        const CHUNKS: usize = 64;
+        let tr = tracker(1);
+        let spanning = node_with(
+            (0..CHUNKS)
+                .map(|c| acc(6, c as u32 + 1, c * 10..c * 10 + 10, AccessKind::Input))
+                .collect(),
+        );
+        tr.register(&spanning, false);
+        finish_registration(&spanning);
+        let mut readers = Vec::new();
+        for c in (0..CHUNKS).rev() {
+            let r = node_with(vec![acc(6, c as u32 + 1, c * 10..c * 10 + 10, AccessKind::Input)]);
+            tr.register(&r, false);
+            finish_registration(&r);
+            readers.push(r);
+        }
+        let w = node_with(vec![acc(6, 0, 0..CHUNKS * 10, AccessKind::Output)]);
+        let reg = tr.register(&w, true);
+        finish_registration(&w);
+        assert_eq!(reg.predecessors_seen, CHUNKS + 1, "every reader once");
+        assert_eq!(reg.war_edges, CHUNKS + 1);
+        // First-conflict order: the spanning task is met first (chunk 1's
+        // entry lists it before that chunk's own reader).
+        assert_eq!(reg.edge_list[0].pred, spanning.id);
+        assert_eq!(reg.edge_list[1].pred, readers[CHUNKS - 1].id);
+    }
+
+    #[test]
+    fn retire_under_a_held_gate_defers_and_is_applied_before_the_next_scan() {
+        let tr = tracker(2);
+        let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
+        tr.register(&w, false);
+        finish_registration(&w);
+        finish(&w);
+        let sid = tr.shard_of(AllocId(2));
+        {
+            let hold = tr.hold_shard(sid);
+            // Returns at once although this very thread holds the gate — a
+            // blocking retire would deadlock right here.
+            tr.retire(&w);
+            assert_eq!(hold.deferred_retirements(), 1);
+            assert_eq!(Arc::strong_count(&w), 2, "history still pins the node");
+            tr.retire(&w); // idempotent while deferred, too
+            assert_eq!(hold.deferred_retirements(), 1);
+        }
+        // Releasing the gate applied the inbox: the reference is a tombstone.
+        assert_eq!(Arc::strong_count(&w), 1);
+        let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
+        let reg = tr.register(&r, false);
+        assert_eq!((reg.edges, reg.predecessors_seen), (0, 1));
+        finish_registration(&r);
+    }
+
+    #[test]
+    fn every_acquisition_drains_the_inbox_first() {
+        // Push retirements straight into the inbox (as a worker that lost
+        // the race for the gate would, minus its own second look), then
+        // check each way of taking the gate applies them before using the
+        // history.
+        let defer = |tr: &ShardedTracker, node: &Arc<TaskNode>| {
+            assert!(node.mark_retired());
+            let a = &node.accesses[0];
+            let slot = &tr.shards[tr.shard_of(a.region.id.alloc)];
+            let mut inbox = slot.inbox.lock();
+            inbox.push(Retirement {
+                rid: a.region.id,
+                task: node.id,
+                kind: a.kind,
+            });
+            slot.inbox_len.store(inbox.len(), Ordering::SeqCst);
+        };
+        let completed_writer = |tr: &ShardedTracker| {
+            let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
+            tr.register(&w, false);
+            finish_registration(&w);
+            finish(&w);
+            w
+        };
+        // Optimistic registration.
+        let tr = tracker(2);
+        let w = completed_writer(&tr);
+        defer(&tr, &w);
+        let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
+        assert!(tr.register(&r, false).fast_path);
+        assert_eq!(Arc::strong_count(&w), 1, "fast gate drained");
+        // Mutex registration.
+        let tr = tracker_locked(2);
+        let w = completed_writer(&tr);
+        defer(&tr, &w);
+        tr.register(&node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]), false);
+        assert_eq!(Arc::strong_count(&w), 1, "shard lock drained");
+        // Batch registration.
+        let tr = tracker(2);
+        let w = completed_writer(&tr);
+        defer(&tr, &w);
+        let batch = [node_with(vec![acc(2, 0, 0..10, AccessKind::Input)])];
+        tr.register_batch(&batch, &[tr.shard_of(AllocId(2))], false);
+        assert_eq!(Arc::strong_count(&w), 1, "batch guard drained");
+        // Garbage collection: drains, then drops the tombstone it produced.
+        let tr = tracker(2);
+        let w = completed_writer(&tr);
+        defer(&tr, &w);
+        tr.garbage_collect();
+        assert_eq!(Arc::strong_count(&w), 1, "GC drained");
+        assert_eq!(tr.tracked_regions(), 0);
+        // `taskwait on` lookups and diagnostics.
+        let tr = tracker(2);
+        let w = completed_writer(&tr);
+        defer(&tr, &w);
+        assert!(tr.tasks_touching(&region(2, 0, 0..10)).is_empty());
+        assert_eq!(Arc::strong_count(&w), 1, "lookup drained");
+        let w2 = completed_writer(&tr);
+        defer(&tr, &w2);
+        tr.diagnostics();
+        assert_eq!(Arc::strong_count(&w2), 1, "diagnostics drained");
+    }
+
+    #[test]
+    fn a_drain_parks_released_nodes_in_the_slab() {
+        let slab = Arc::new(TaskSlab::new(8, 0, crate::task::INLINE_BODY_BYTES));
+        let mut tr = tracker(1);
+        tr.set_recycler(slab.clone());
+        let w = slab.acquire(
+            None,
+            None,
+            TaskPriority::default(),
+            [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect(),
+            Vec::new(),
+            |_ctx| {},
+            ChildTracker::new(),
+            &mut false,
+        );
+        tr.register(&w, false);
+        finish_registration(&w);
+        let _ = w.body.lock().take();
+        finish(&w);
+        let hold = tr.hold_shard(0);
+        tr.retire(&w);
+        // The worker's own hand-back fails — history still pins the node —
+        // and it moves on.
+        slab.try_recycle(w, None);
+        assert_eq!((slab.diagnostics().free, slab.diagnostics().outstanding), (0, 1));
+        drop(hold);
+        // The drain dropped the last reference: parked, not freed.
+        assert_eq!((slab.diagnostics().free, slab.diagnostics().outstanding), (1, 0));
+    }
+
+    #[test]
     fn add_edge_refuses_completed_pred() {
         let a = node_with(vec![]);
         let b = node_with(vec![]);
@@ -2402,8 +3094,101 @@ mod tests {
         }
     }
 
+    /// One step of the index oracle: record a region, or drop the `n`-th
+    /// tracked one (garbage collection's effect on the index).
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        Insert { alloc: u64, start: usize, len: usize },
+        Remove { nth: usize },
+    }
+
+    fn index_op() -> impl Strategy<Value = IndexOp> {
+        // Lengths: empty, tiny, chunk-sized (many share a size class and
+        // touch), and allocation-wide; starts on a coarse grid so duplicate
+        // starts, touching and nested ranges are all common.
+        let len = prop_oneof![
+            Just(0usize),
+            1usize..4,
+            Just(16usize),
+            10usize..40,
+            200usize..1200,
+        ];
+        prop_oneof![
+            (1u64..4, 0usize..64, len).prop_map(|(alloc, slot, len)| IndexOp::Insert {
+                alloc,
+                start: slot * 16,
+                len,
+            }),
+            (1u64..4, 0usize..1024, 1usize..9).prop_map(|(alloc, start, len)| {
+                IndexOp::Insert { alloc, start, len }
+            }),
+            (0usize..64).prop_map(|nth| IndexOp::Remove { nth }),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The overlap index answers exactly what a brute-force
+        /// `Region::overlaps` scan over the tracked regions answers — after
+        /// any sequence of inserts and removals, for nested, partially
+        /// overlapping, touching, empty and duplicate-start regions on
+        /// several allocations of one shard — in index order, examining at
+        /// least what it returns.
+        #[test]
+        fn prop_overlap_index_matches_brute_force(
+            ops in proptest::collection::vec(index_op(), 1..80),
+            queries in proptest::collection::vec((1u64..4, 0usize..1100, 0usize..600), 1..12),
+        ) {
+            let mut shard = TrackerShard::default();
+            let mut model: Vec<Region> = Vec::new();
+            let mut next_chunk = 0u32;
+            for op in ops {
+                match op {
+                    IndexOp::Insert { alloc, start, len } => {
+                        let r = region(alloc, next_chunk, start..start + len);
+                        next_chunk += 1;
+                        shard.entry_mut(&r);
+                        let _ = shard.entry_mut(&r); // idempotent per region id
+                        model.push(r);
+                    }
+                    IndexOp::Remove { nth } => {
+                        if model.is_empty() {
+                            continue;
+                        }
+                        let victim = model.remove(nth % model.len());
+                        // What GC does to an entry whose history emptied.
+                        shard.entries.remove(&victim.id);
+                        let index = shard.by_alloc.get_mut(&victim.id.alloc).unwrap();
+                        index.retain(|chunk| chunk != victim.id.chunk);
+                        if index.spans.is_empty() {
+                            shard.by_alloc.remove(&victim.id.alloc);
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    shard.by_alloc.values().map(|i| i.spans.len()).sum::<usize>(),
+                    model.len()
+                );
+                for &(alloc, start, len) in &queries {
+                    let q = region(alloc, u32::MAX, start..start + len);
+                    let mut expected: Vec<Span> = model
+                        .iter()
+                        .filter(|r| r.overlaps(&q))
+                        .map(Span::of)
+                        .collect();
+                    expected.sort_by_key(Span::key);
+                    let mut got = Vec::new();
+                    let scanned = shard
+                        .by_alloc
+                        .get(&AllocId(alloc))
+                        .map_or(0, |index| index.for_each_overlap(&q.bytes, |c| got.push(c)));
+                    prop_assert_eq!(&got, &expected.iter().map(|s| s.chunk).collect::<Vec<_>>());
+                    prop_assert!(scanned >= got.len() as u64);
+                    prop_assert_eq!(shard.overlaps_any(&q), !expected.is_empty());
+                }
+            }
+        }
 
         /// Random access patterns over a handful of regions always produce an
         /// acyclic graph in which every task eventually runs (liveness), and

@@ -308,7 +308,9 @@ pub(crate) struct RuntimeInner {
     pub(crate) critical: CriticalSections,
     pub(crate) panics: Mutex<Vec<Error>>,
     pub(crate) rename: Arc<RenamePool>,
-    pub(crate) slab: TaskSlab,
+    /// Shared with the tracker, whose retire-inbox drains park released
+    /// nodes here (see [`ShardedTracker::set_recycler`]).
+    pub(crate) slab: Arc<TaskSlab>,
     pub(crate) fault: Option<FaultPlan>,
     /// The race-oracle + auditor state, present only under
     /// [`RuntimeConfig::with_dcheck`] — `None` keeps every hook down to one
@@ -635,7 +637,17 @@ impl Runtime {
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let tracker_shards = config.effective_tracker_shards();
         let sched = SchedState::new(config.policy, config.idle, stealers, tracker_shards);
+        let slab = Arc::new(TaskSlab::new(
+            if config.task_recycler {
+                DEFAULT_TASK_SLAB_CAPACITY
+            } else {
+                0
+            },
+            config.workers,
+            config.inline_body_bytes,
+        ));
         let mut tracker = ShardedTracker::new(tracker_shards, config.tracker_fast_path);
+        tracker.set_recycler(slab.clone());
         if let Some(plan) = config.fault_plan.clone() {
             tracker.set_fault_plan(plan);
         }
@@ -650,15 +662,7 @@ impl Runtime {
             critical: CriticalSections::new(),
             panics: Mutex::new(Vec::new()),
             rename: Arc::new(RenamePool::new(config.rename_memory_cap)),
-            slab: TaskSlab::new(
-                if config.task_recycler {
-                    DEFAULT_TASK_SLAB_CAPACITY
-                } else {
-                    0
-                },
-                config.workers,
-                config.inline_body_bytes,
-            ),
+            slab,
             fault: config.fault_plan.clone(),
             dcheck: config
                 .dcheck
@@ -725,6 +729,17 @@ impl Runtime {
     /// window.
     pub fn in_flight_tasks(&self) -> usize {
         self.inner.in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Test support: hold tracker shard `shard` (its gate and queue) until
+    /// the returned guard drops. While it is held, a task completing on that
+    /// shard cannot retire in place and hands its retirement to the shard's
+    /// inbox instead — which is how the protocol tests make that path
+    /// deterministic. The holding thread must not register, `taskwait` or
+    /// read diagnostics meanwhile (those take the same shard).
+    #[doc(hidden)]
+    pub fn hold_tracker_shard(&self, shard: usize) -> graph::ShardHold<'_> {
+        self.inner.tracker.hold_shard(shard)
     }
 
     /// Register a value with the runtime, obtaining a dependence handle.
@@ -1045,6 +1060,7 @@ impl Runtime {
             tracker_lock_contention: self.inner.tracker.counters().contention(),
             tracker_fast_path_hits: self.inner.tracker.counters().fast_hits(),
             tracker_fast_path_fallbacks: self.inner.tracker.counters().fast_fallbacks(),
+            tracker_entries_scanned: self.inner.tracker.counters().entries_scanned(),
         }
     }
 

@@ -98,6 +98,7 @@ pub(crate) struct TrackerCounters {
     lock_contention: AtomicU64,
     fast_path_hits: AtomicU64,
     fast_path_fallbacks: AtomicU64,
+    entries_scanned: AtomicU64,
 }
 
 impl TrackerCounters {
@@ -109,6 +110,7 @@ impl TrackerCounters {
             lock_contention: AtomicU64::new(0),
             fast_path_hits: AtomicU64::new(0),
             fast_path_fallbacks: AtomicU64::new(0),
+            entries_scanned: AtomicU64::new(0),
         }
     }
 
@@ -134,6 +136,14 @@ impl TrackerCounters {
         self.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record the overlap-index spans one registration (or one replay
+    /// batch) examined — added once per registration, not per span.
+    pub(crate) fn scanned(&self, spans: u64) {
+        if spans != 0 {
+            self.entries_scanned.fetch_add(spans, Ordering::Relaxed);
+        }
+    }
+
     /// Per-shard hit counts.
     pub(crate) fn hits(&self) -> Vec<u64> {
         self.shard_hits
@@ -155,6 +165,11 @@ impl TrackerCounters {
     /// Total fast-path fallbacks.
     pub(crate) fn fast_fallbacks(&self) -> u64 {
         self.fast_path_fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// Total overlap-index spans examined by registrations.
+    pub(crate) fn entries_scanned(&self) -> u64 {
+        self.entries_scanned.load(Ordering::Relaxed)
     }
 }
 
@@ -268,6 +283,15 @@ pub struct RuntimeStats {
     /// path: the shard was contended, the accesses spanned several shards,
     /// or a GC sweep held the shard.
     pub tracker_fast_path_fallbacks: u64,
+    /// History entries examined by the tracker's overlap queries: for every
+    /// access of every registration, the spans of the allocation's overlap
+    /// index the query had to look at (real overlaps plus near misses). The
+    /// count depends only on the program and on which history garbage
+    /// collection has already dropped — not on timing — and
+    /// `tracker_entries_scanned / tasks_spawned` is what a registration
+    /// costs beyond its fixed part: about one per access for chunk accesses
+    /// on a partition, the chunk count for a whole-partition access.
+    pub tracker_entries_scanned: u64,
     /// `output` accesses on versioned handles whose rename was **elided**:
     /// the current version had no in-flight bindings (every earlier bound
     /// task had completed and retired), so the access bound it in place
@@ -433,6 +457,7 @@ impl RuntimeStats {
         self.tracker_lock_contention += other.tracker_lock_contention;
         self.tracker_fast_path_hits += other.tracker_fast_path_hits;
         self.tracker_fast_path_fallbacks += other.tracker_fast_path_fallbacks;
+        self.tracker_entries_scanned += other.tracker_entries_scanned;
         if self.tracker_shard_hits.len() == other.tracker_shard_hits.len() {
             for (mine, theirs) in self
                 .tracker_shard_hits

@@ -23,7 +23,14 @@
 //!   (verified with `Arc::get_mut`, so reuse is provably exclusive), the
 //!   node is reset — the successor-list capacity staying warm for its next
 //!   life — and pushed onto a lock-free free list (the vendored crossbeam
-//!   `Injector`). The next spawn pops it back instead of allocating.
+//!   `Injector`). The next spawn pops it back instead of allocating. A node
+//!   whose retirement was deferred (see [`crate::graph`], "Retirement") is
+//!   still referenced by tracker history when its worker lets go; whoever
+//!   drops that reference later hands the node in the same way, and
+//!   [`TaskSlab::try_recycle`] settles which of several simultaneous
+//!   holders is the last. The slab builds a fixed stock before it reuses
+//!   anything ([`TaskSlab::acquire`]), so whether a runtime is warm does not
+//!   depend on how far its spawner happened to run ahead of the workers.
 //!
 //! Staleness is guarded twice over: [`TaskId`]s are minted from a global
 //! never-reused serial (an id can therefore never alias across reuses —
@@ -636,6 +643,11 @@ impl std::fmt::Debug for TaskNode {
 /// Default bound on the number of retired nodes a runtime keeps for reuse.
 pub(crate) const DEFAULT_TASK_SLAB_CAPACITY: usize = 4096;
 
+/// The share of a slab's capacity it builds up as stock before it starts
+/// reusing nodes: one sixteenth — 256 nodes at the default capacity. See
+/// [`TaskSlab::acquire`].
+const WARM_STOCK_SHARE: usize = 16;
+
 /// Bound on each worker-local free stack. Small on purpose: the local stack
 /// only has to cover a worker's spawn-from-body burst between completions;
 /// everything beyond overflows to the shared injector, which is what keeps
@@ -716,6 +728,9 @@ pub(crate) struct TaskSlab {
     /// Bound on the free list; 0 disables recycling entirely
     /// ([`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
     capacity: usize,
+    /// Nodes allocated before parked ones are reused
+    /// (`capacity / WARM_STOCK_SHARE`).
+    warm_stock: u64,
     /// Approximate free-list length (push/pop race only costs a slot or two
     /// of the bound). Tracks the shared injector only; the locals are bounded
     /// by `LOCAL_FREE_STACK_CAP` each.
@@ -729,6 +744,9 @@ pub(crate) struct TaskSlab {
     /// Placeholder parent tracker parked nodes point at, so the free list
     /// never pins a real parent's `ChildTracker`.
     detached: Arc<ChildTracker>,
+    /// Serialises "not unique, so drop" between the holders of a shared
+    /// node (see [`TaskSlab::try_recycle`]).
+    handback: Mutex<()>,
 }
 
 impl TaskSlab {
@@ -747,13 +765,40 @@ impl TaskSlab {
             free: Injector::new(),
             locals,
             capacity,
+            warm_stock: (capacity / WARM_STOCK_SHARE) as u64,
             free_len: AtomicUsize::new(0),
             allocated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
             counters: Arc::new(SlabCounters::default()),
             inline_limit,
             detached: ChildTracker::new(),
+            handback: Mutex::new(()),
         }
+    }
+
+    /// Take a parked node: from the calling worker's local stack, then the
+    /// shared free list, then — the miss path only — any other worker's
+    /// stack. A main-thread (or off-worker) spawner never feeds the local
+    /// stacks itself, so without the raid the workers would hoard every
+    /// recycled node and the producer thread would allocate forever.
+    fn pop_parked(&self, worker: Option<usize>) -> Option<Arc<TaskNode>> {
+        if let Some(node) = worker
+            .and_then(|w| self.locals.get(w))
+            .and_then(|stack| stack.lock().pop())
+        {
+            return Some(node);
+        }
+        loop {
+            match self.free.steal() {
+                Steal::Success(node) => {
+                    self.free_len.fetch_sub(1, Ordering::Relaxed);
+                    return Some(node);
+                }
+                Steal::Empty => break,
+                Steal::Retry => continue,
+            }
+        }
+        self.locals.iter().find_map(|stack| stack.lock().pop())
     }
 
     /// Obtain a node armed for `body` — recycled from the calling worker's
@@ -780,39 +825,18 @@ impl TaskSlab {
             counters: self.counters.clone(),
         };
         token.counters.outstanding.fetch_add(1, Ordering::Relaxed);
-        let mut parked: Option<Arc<TaskNode>> = None;
-        if let Some(w) = worker {
-            if let Some(stack) = self.locals.get(w) {
-                parked = stack.lock().pop();
-            }
-        }
-        if parked.is_none() {
-            loop {
-                match self.free.steal() {
-                    Steal::Success(node) => {
-                        self.free_len.fetch_sub(1, Ordering::Relaxed);
-                        parked = Some(node);
-                        break;
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        if parked.is_none() {
-            // Raid the workers' local stacks before paying for a fresh
-            // allocation: a main-thread (or off-worker) spawner never feeds
-            // the local stacks itself, so without this the workers would
-            // hoard every recycled node and the producer thread would
-            // allocate forever. The raid is the miss path only — the
-            // steady-state spawn never gets here.
-            for stack in self.locals.iter() {
-                if let Some(node) = stack.lock().pop() {
-                    parked = Some(node);
-                    break;
-                }
-            }
-        }
+        // Until the stock has reached its floor, allocate even when a parked
+        // node is on offer. How many nodes a spawner needs at once depends
+        // on how far it runs ahead of the workers, which is a race that
+        // differs from one burst to the next; a stock equal to the largest
+        // lead seen so far allocates again whenever a burst sets a new
+        // record. Building a fixed stock first makes "warm" a property of
+        // the spawn count, not of the schedule.
+        let parked = if self.allocated.load(Ordering::Relaxed) >= self.warm_stock {
+            self.pop_parked(worker)
+        } else {
+            None
+        };
         if let Some(mut node) = parked {
             if let Some(n) = Arc::get_mut(&mut node) {
                 n.reinit(
@@ -858,8 +882,21 @@ impl TaskSlab {
     /// last reference and the slab has room: the recycling worker's local
     /// stack first (up to [`LOCAL_FREE_STACK_CAP`]), the shared injector on
     /// overflow or when recycling off-worker. Nodes still referenced
-    /// elsewhere (a `taskwait_on` spinner, a trace reader) simply drop
-    /// normally — correctness never depends on recycling succeeding.
+    /// elsewhere (a `taskwait_on` spinner, a trace reader, tracker history
+    /// awaiting a deferred retirement) simply drop normally — correctness
+    /// never depends on recycling succeeding.
+    ///
+    /// A node whose retirement was deferred has several holders letting go
+    /// at about the same time: the worker that completed it, the tracker
+    /// drain that tombstones its history reference (which calls this with
+    /// `worker = None`), possibly a registration that borrowed it as a
+    /// predecessor. If each ran "not unique, so drop" unsynchronised, all of
+    /// them could see another's reference and the node would be freed
+    /// although one of them was its last holder. So a *failed* uniqueness
+    /// check is repeated under `handback`, and the drop happens under it
+    /// too: of any number of racing holders the last finds the node unique
+    /// and parks it. The lock is never taken on the common path (first
+    /// check succeeds) and only ever held for these few instructions.
     ///
     /// Returns the node's parent child-tracker in every case (the worker
     /// still owes it a `child_done`): taken out of the node when it is
@@ -870,30 +907,39 @@ impl TaskSlab {
         mut node: Arc<TaskNode>,
         worker: Option<usize>,
     ) -> Arc<ChildTracker> {
-        if self.capacity != 0 {
-            if let Some(n) = Arc::get_mut(&mut node) {
-                if let Some(stack) = worker.and_then(|w| self.locals.get(w)) {
-                    let mut stack = stack.lock();
-                    if stack.len() < LOCAL_FREE_STACK_CAP {
-                        let (token, parent) = n.reset_for_reuse(&self.detached);
-                        drop(token);
-                        stack.push(node);
-                        return parent;
-                    }
-                }
-                if self.free_len.load(Ordering::Relaxed) < self.capacity {
+        if self.capacity == 0 {
+            return node.parent_children.clone();
+        }
+        let serial = if Arc::get_mut(&mut node).is_none() {
+            Some(self.handback.lock())
+        } else {
+            None
+        };
+        if let Some(n) = Arc::get_mut(&mut node) {
+            if let Some(stack) = worker.and_then(|w| self.locals.get(w)) {
+                let mut stack = stack.lock();
+                if stack.len() < LOCAL_FREE_STACK_CAP {
                     let (token, parent) = n.reset_for_reuse(&self.detached);
                     drop(token);
-                    self.free_len.fetch_add(1, Ordering::Relaxed);
-                    self.free.push(node);
+                    stack.push(node);
                     return parent;
                 }
             }
+            if self.free_len.load(Ordering::Relaxed) < self.capacity {
+                let (token, parent) = n.reset_for_reuse(&self.detached);
+                drop(token);
+                self.free_len.fetch_add(1, Ordering::Relaxed);
+                self.free.push(node);
+                return parent;
+            }
         }
-        // Recycling refused (disabled, full, or the node is still shared):
-        // the node — and its accounting token, via Drop — deallocates when
-        // the last reference goes.
-        node.parent_children.clone()
+        // Recycling refused (full, or the node is still shared): the node —
+        // and its accounting token, via Drop — deallocates when the last
+        // reference goes. Ours goes here, before `serial` is released.
+        let parent = node.parent_children.clone();
+        drop(node);
+        drop(serial);
+        parent
     }
 
     /// Current accounting snapshot. `free` counts the shared injector plus

@@ -14,6 +14,10 @@ use crate::stats::StatField;
 use crate::task::{TaskId, TaskNode, TaskState};
 use crate::trace::TraceEvent;
 
+/// Successors one completion can wake before the worker's wakeup buffer
+/// grows.
+const WAKEUP_BUFFER_CAPACITY: usize = 64;
+
 /// Main loop of one worker thread.
 ///
 /// The loop polls for ready tasks (own deque → global queue → stealing) and
@@ -26,8 +30,10 @@ pub(crate) fn worker_loop(
     worker_id: usize,
 ) {
     // Reused across every task this worker executes, so the steady-state
-    // wakeup path allocates nothing (see `graph::complete_into`).
-    let mut ready = Vec::new();
+    // wakeup path allocates nothing (see `graph::complete_into`). Sized up
+    // front: whether a worker ever wakes a successor while a program warms
+    // up depends on how far the spawner runs ahead of it.
+    let mut ready = Vec::with_capacity(WAKEUP_BUFFER_CAPACITY);
     loop {
         match inner.sched.pop(worker_id, Some(&deque)) {
             Some(node) => {
@@ -250,20 +256,23 @@ fn retire_node(
         inner.sched.push_wakeup(succ, deque, worker, shard);
     }
 
-    // Retire the task's dependence history through the sharded router:
-    // its live references become tombstones under the owning shards' locks
-    // only, so completions on disjoint allocations never contend (and the
-    // node — closure, successors, tickets — is released now, not at the
-    // next garbage collection).
+    // Retire the task's dependence history through the sharded router: its
+    // live references become tombstones — in place where the owning shard's
+    // gate is free, through that shard's retire inbox where it is held. The
+    // call never waits for a gate: a worker parked behind a spawner's long
+    // registration completes nothing, and the spawner's next registration
+    // then finds even more live predecessors (see graph.rs, "Retirement").
     inner.tracker.retire(&node);
 
     // Only now release the version bindings, so superseded versions can be
     // recycled (see rename.rs; successors bound to the same versions hold
-    // their own tickets). Releasing strictly *after* retirement is what
-    // makes first-write rename elision deterministic: a binding count of
-    // zero then guarantees every earlier task on the version is already a
-    // tombstone in the tracker — an elided overwrite can inherit no WAR/WAW
-    // edge.
+    // their own tickets). Releasing strictly *after* `retire` returned —
+    // i.e. after every access is a tombstone or sits in an inbox — is what
+    // makes first-write rename elision deterministic: a spawner that reads
+    // a binding count of zero also sees those inbox entries, and its
+    // registration applies them before it scans, so every earlier task on
+    // the version is a tombstone by then — an elided overwrite can inherit
+    // no WAR/WAW edge.
     let released = node.release_tickets();
     if released != 0 {
         inner.rename.note_tickets_released(released as u64);
@@ -287,9 +296,12 @@ fn retire_node(
     // Retired, tickets released, bookkeeping done: if this worker holds the
     // last reference, the node's storage goes back to the slab for the next
     // spawn (transient holders — a `taskwait_on` spinner, a fetch — simply
-    // make it drop normally; recycling is best-effort). This happens
-    // *before* the completion counters tick over, so once `taskwait`
-    // observes a drained runtime every node really is parked or freed —
+    // make it drop normally; recycling is best-effort). After a *deferred*
+    // retirement the history still references the node, so the hand-back
+    // here fails and the inbox drain that drops the last reference parks
+    // the node instead. Either happens *before* the completion counters of
+    // the thread doing it tick over, so once `taskwait` observes a drained
+    // runtime every node really is parked or freed —
     // `task_slab_diagnostics().outstanding == 0` is a firm post-drain
     // invariant, not a race. The parent tracker comes back out of the node
     // (the worker still owes it the `child_done` below).

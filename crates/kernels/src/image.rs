@@ -62,6 +62,49 @@ impl ImageRgb {
     pub fn checksum(&self) -> u64 {
         fletcher64(&self.data)
     }
+
+    /// Borrow the image as a view.
+    pub fn view(&self) -> ImageRgbView<'_> {
+        ImageRgbView {
+            width: self.width,
+            height: self.height,
+            data: &self.data,
+        }
+    }
+}
+
+/// A borrowed 8-bit interleaved RGB image: the read side of [`ImageRgb`]
+/// over samples owned elsewhere (a band of a larger buffer, a runtime read
+/// guard), so a kernel can read them in place.
+#[derive(Debug, Clone, Copy)]
+pub struct ImageRgbView<'a> {
+    /// Width in pixels.
+    pub width: usize,
+    /// Height in pixels.
+    pub height: usize,
+    /// Interleaved RGB samples, `3 * width * height` bytes.
+    pub data: &'a [u8],
+}
+
+impl<'a> ImageRgbView<'a> {
+    /// View `data` as a `width × height` image.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != 3 * width * height`.
+    pub fn new(width: usize, height: usize, data: &'a [u8]) -> Self {
+        assert_eq!(data.len(), 3 * width * height, "RGB data size mismatch");
+        ImageRgbView {
+            width,
+            height,
+            data,
+        }
+    }
+
+    /// The RGB triple at `(x, y)`.
+    pub fn get(&self, x: usize, y: usize) -> [u8; 3] {
+        let i = 3 * (y * self.width + x);
+        [self.data[i], self.data[i + 1], self.data[i + 2]]
+    }
 }
 
 /// An 8-bit grayscale image.

@@ -5,7 +5,7 @@
 //! iterations — the property Section 4 uses to discuss barrier costs). The
 //! parallel work unit is a band of rows: [`convert_rows`].
 
-use crate::image::{ImageCmyk, ImageRgb};
+use crate::image::{ImageCmyk, ImageRgb, ImageRgbView};
 
 /// Convert one RGB pixel to CMYK using the standard undercolour-removal
 /// formula (all channels 8-bit).
@@ -34,6 +34,14 @@ pub fn rgb_to_cmyk_pixel(rgb: [u8; 3]) -> [u8; 4] {
 /// # Panics
 /// Panics if the output buffer size does not match.
 pub fn convert_rows(src: &ImageRgb, rows: std::ops::Range<usize>, out_rows: &mut [u8]) {
+    convert_rows_view(src.view(), rows, out_rows);
+}
+
+/// [`convert_rows`] over a borrowed source image.
+///
+/// # Panics
+/// Panics if the output buffer size does not match.
+pub fn convert_rows_view(src: ImageRgbView<'_>, rows: std::ops::Range<usize>, out_rows: &mut [u8]) {
     assert_eq!(
         out_rows.len(),
         4 * src.width * rows.len(),

@@ -5,11 +5,11 @@
 //! natural work unit — in both the Pthreads and OmpSs variants — is a band of
 //! output rows: [`rotate_rows`]. [`rotate`] is the sequential reference.
 
-use crate::image::ImageRgb;
+use crate::image::{ImageRgb, ImageRgbView};
 
 /// Sample the source image at a fractional position with bilinear
 /// interpolation; out-of-bounds samples are black.
-fn sample_bilinear(src: &ImageRgb, x: f64, y: f64) -> [u8; 3] {
+fn sample_bilinear(src: ImageRgbView<'_>, x: f64, y: f64) -> [u8; 3] {
     if x < 0.0 || y < 0.0 {
         return [0, 0, 0];
     }
@@ -45,6 +45,19 @@ fn sample_bilinear(src: &ImageRgb, x: f64, y: f64) -> [u8; 3] {
 /// Panics if the output buffer size does not match.
 pub fn rotate_rows(
     src: &ImageRgb,
+    angle_rad: f64,
+    rows: std::ops::Range<usize>,
+    out_rows: &mut [u8],
+) {
+    rotate_rows_view(src.view(), angle_rad, rows, out_rows);
+}
+
+/// [`rotate_rows`] over a borrowed source image.
+///
+/// # Panics
+/// Panics if the output buffer size does not match.
+pub fn rotate_rows_view(
+    src: ImageRgbView<'_>,
     angle_rad: f64,
     rows: std::ops::Range<usize>,
     out_rows: &mut [u8],

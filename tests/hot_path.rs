@@ -310,6 +310,182 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
 }
 
 // ---------------------------------------------------------------------------
+// 2c. The same corners behind a *deferred* retirement
+// ---------------------------------------------------------------------------
+//
+// Elision binds a version in place when its binding count is zero, relying
+// on "count zero ⇒ every earlier task on the version is a tombstone". A
+// worker that finds the version's tracker shard held does not wait for it:
+// it leaves the retirement in the shard's inbox and releases its tickets.
+// The three regressions above are re-run with exactly that history — a
+// predecessor on the handle completes while this thread holds the (single)
+// shard — and must come out the same: whoever takes the gate next applies
+// the inbox before it reads history.
+
+/// Spin until `done()`, failing loudly instead of hanging.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// One tracker shard, so `hold_tracker_shard(0)` covers every allocation
+/// (renamed versions included).
+fn one_shard_runtime() -> Runtime {
+    Runtime::new(
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_tracker_shards(1),
+    )
+}
+
+/// Open `go` while this thread holds the tracker shard, wait for the tasks
+/// blocked on it to finish completely, and check their retirements were
+/// deferred rather than applied.
+fn finish_with_deferred_retirement(rt: &Runtime, go: &std::sync::atomic::AtomicBool) {
+    let hold = rt.hold_tracker_shard(0);
+    go.store(true, Ordering::Release);
+    wait_until("tasks to finish under a held gate", || rt.in_flight_tasks() == 0);
+    assert!(hold.deferred_retirements() >= 1, "the retirement was deferred");
+    drop(hold);
+}
+
+#[test]
+fn output_before_input_unelides_behind_a_deferred_retirement() {
+    let rt = one_shard_runtime();
+    let x = rt.versioned_data(41u64);
+    let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    {
+        // The predecessor updates the current version in place; it holds the
+        // version's only binding until its retirement is handed over.
+        let (x, go) = (x.clone(), go.clone());
+        rt.task().inout(&x).spawn(move |ctx| {
+            while !go.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            *ctx.write(&x) += 1;
+        });
+    }
+    finish_with_deferred_retirement(&rt, &go);
+    let before = rt.stats();
+    let (w, r) = (x.clone(), x.clone());
+    rt.task().output(&w).input(&r).spawn(move |ctx| {
+        *ctx.write(&w) = 100;
+        assert_eq!(*ctx.read(&r), 42, "input must observe the predecessor's value");
+    });
+    let registered = rt.stats();
+    assert_eq!(
+        registered.war_edges + registered.waw_edges,
+        before.war_edges + before.waw_edges,
+        "the retired predecessor passes on no false dependence"
+    );
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty(), "body assertions all held");
+    let stats = rt.stats();
+    assert_eq!(stats.renames, 1, "the elided output was converted to a rename");
+    assert_eq!(stats.renames_elided, 0, "the elision was un-counted");
+    assert_eq!(rt.into_inner(x), 100, "the fresh version was committed");
+    rt.shutdown();
+}
+
+#[test]
+fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
+    let rt = one_shard_runtime();
+    let part = rt.versioned_partitioned(vec![0u64; 12], 4);
+    let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    for chunk in part.chunk_handles() {
+        // First writes: each elides its rename and fills its chunk in place.
+        let go = go.clone();
+        rt.task().output(&chunk).spawn(move |ctx| {
+            while !go.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            ctx.write_chunk(&chunk).fill(1);
+        });
+    }
+    finish_with_deferred_retirement(&rt, &go);
+    let before = rt.stats();
+    assert_eq!((before.renames, before.renames_elided), (0, 3));
+    let chunk0 = part.chunk(0);
+    let whole = part.whole();
+    rt.task()
+        .output(&chunk0)
+        .input(&whole)
+        .spawn(move |ctx| {
+            ctx.write_chunk(&chunk0).fill(9);
+            let snapshot = ctx.gather_whole(&whole);
+            assert_eq!(
+                snapshot,
+                vec![1u64; 12],
+                "the whole-array read sees every pre-task chunk value"
+            );
+        });
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty());
+    let stats = rt.stats();
+    assert_eq!(stats.chunk_renames, 1, "only the written chunk renamed");
+    assert_eq!(stats.renames_elided, 3, "the un-elided write was un-counted");
+    assert_eq!(stats.war_edges + stats.waw_edges, 0);
+    let out = rt.into_vec(part);
+    assert_eq!(out[..4], [9, 9, 9, 9]);
+    assert_eq!(out[4..], [1; 8][..]);
+    rt.shutdown();
+}
+
+#[test]
+fn replay_reruns_unelision_behind_deferred_retirements() {
+    // Every pass — the capture iteration and each replay — completes while
+    // the shard is held, so every pass's bind-time analysis runs against a
+    // predecessor whose retirement went through the inbox.
+    let rt = one_shard_runtime();
+    let x = rt.versioned_data(42u64);
+    let released = Arc::new(AtomicU64::new(0));
+    let mut scope = rt.capture();
+    {
+        let (w, r) = (x.clone(), x.clone());
+        let released = released.clone();
+        scope.task().output(&w).input(&r).spawn(move |ctx| {
+            let pass = ctx.replay_pass();
+            while released.load(Ordering::Acquire) <= pass {
+                std::thread::yield_now();
+            }
+            *ctx.write(&w) = 100 + pass;
+            let expected = if pass == 0 { 42 } else { 100 + pass - 1 };
+            assert_eq!(
+                *ctx.read(&r),
+                expected,
+                "input must observe the pre-pass value on every replay"
+            );
+        });
+    }
+    let template = scope.finish();
+    for pass in 0..4u64 {
+        if pass > 0 {
+            rt.replay(&template, &ompss::ReplayBindings::new());
+        }
+        let hold = rt.hold_tracker_shard(0);
+        released.store(pass + 1, Ordering::Release);
+        wait_until("the pass to finish under a held gate", || rt.in_flight_tasks() == 0);
+        assert!(hold.deferred_retirements() >= 1);
+        drop(hold);
+    }
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty(), "body assertions held on every pass");
+    let stats = rt.stats();
+    assert_eq!(
+        stats.renames, 4,
+        "capture + each of the 3 replays un-elided its output into a rename"
+    );
+    assert_eq!(stats.renames_elided, 0, "no pass left the aliasing elision in place");
+    assert_eq!(stats.war_edges + stats.waw_edges, 0);
+    drop(template);
+    assert_eq!(rt.into_inner(x), 103, "the last pass's fresh version was committed");
+    rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // 3. Optimistic-path fallback under a GC storm
 // ---------------------------------------------------------------------------
 

@@ -194,3 +194,109 @@ fn retired_allocations_leave_by_alloc() {
     assert_eq!(rt.tracker_diagnostics().total_allocs(), 0);
     rt.shutdown();
 }
+
+/// Deferred-retirement stress: 8 spawner threads hammer one partition with
+/// chunk updates while also inserting whole-partition readers, whose
+/// registrations walk every chunk entry and add an edge per live writer —
+/// long gate holds, during which the workers keep completing chunk tasks on
+/// the very same shard. Those completions cannot retire in place; they go
+/// through the shard's retire inbox. Nothing may be lost: every increment
+/// lands, every reader sees a consistent total order per chunk, and after
+/// the drain the tracker holds no history, every gate is free and every
+/// node is back in the slab (or freed) — one missed tombstone would leave a
+/// pinned node behind.
+fn run_deferred_retire_stress(config: RuntimeConfig) {
+    const CHUNKS: usize = 96;
+    const CHUNK_LEN: usize = 4;
+    let per_thread = tasks_per_spawner() / 2;
+    let rt = Runtime::new(config);
+    let part = rt.partitioned(vec![0u64; CHUNKS * CHUNK_LEN], CHUNK_LEN);
+    let bodies_run = Arc::new(AtomicU64::new(0));
+    let torn_reads = Arc::new(AtomicU64::new(0));
+
+    std::thread::scope(|scope| {
+        for t in 0..SPAWNERS {
+            let rt = &rt;
+            let part = &part;
+            let bodies_run = bodies_run.clone();
+            let torn_reads = torn_reads.clone();
+            scope.spawn(move || {
+                let whole = part.whole();
+                for i in 0..per_thread {
+                    let bodies_run = bodies_run.clone();
+                    if i % 16 == 15 {
+                        // The long registration: overlaps all CHUNKS entries.
+                        let whole = whole.clone();
+                        let torn_reads = torn_reads.clone();
+                        rt.task().input(&whole).spawn(move |ctx| {
+                            bodies_run.fetch_add(1, Ordering::Relaxed);
+                            let all = ctx.read_whole(&whole);
+                            // Chunk tasks bump all elements of a chunk
+                            // together; a reader ordered against every
+                            // writer never sees a half-updated chunk.
+                            if all.chunks(CHUNK_LEN).any(|c| c.iter().any(|&v| v != c[0])) {
+                                torn_reads.fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                    } else {
+                        let chunk = part.chunk((t * 31 + i * 7) % CHUNKS);
+                        rt.task().inout(&chunk).spawn(move |ctx| {
+                            bodies_run.fetch_add(1, Ordering::Relaxed);
+                            for v in ctx.write_chunk(&chunk).iter_mut() {
+                                *v += 1;
+                            }
+                        });
+                    }
+                }
+            });
+        }
+    });
+    rt.taskwait();
+
+    let total = (SPAWNERS * per_thread) as u64;
+    let stats = rt.stats();
+    assert_eq!(stats.tasks_spawned, total);
+    assert_eq!(stats.tasks_executed, total, "every task ran exactly once");
+    assert_eq!(bodies_run.load(Ordering::Relaxed), total);
+    assert_eq!(torn_reads.load(Ordering::Relaxed), 0, "a reader overlapped a writer");
+    assert!(rt.take_panics().is_empty());
+
+    // Post-drain facts, in the order a leak would surface: the auditor
+    // (ledger, gates, residue, slab, tickets), then the raw diagnostics.
+    rt.audit().expect("audit after the deferred-retire storm");
+    let diag = rt.tracker_diagnostics();
+    assert_eq!(diag.regions_per_shard.iter().sum::<usize>(), 0, "{diag:?}");
+    assert_eq!(diag.allocs_per_shard.iter().sum::<usize>(), 0, "{diag:?}");
+    assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "a node stayed pinned");
+
+    let writes = total - (SPAWNERS * (per_thread / 16)) as u64;
+    let data = rt.into_vec(part);
+    assert_eq!(data.iter().sum::<u64>(), writes * CHUNK_LEN as u64, "a chunk update was lost");
+    rt.shutdown();
+}
+
+#[test]
+fn deferred_retire_stress_one_shard() {
+    // One shard: every registration and every completion meet on one gate.
+    run_deferred_retire_stress(
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(1),
+    );
+}
+
+#[test]
+fn deferred_retire_stress_sharded_and_forced_locked() {
+    run_deferred_retire_stress(
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(8),
+    );
+    // The mutex-only registration tier defers and drains the same way.
+    run_deferred_retire_stress(
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(2)
+            .with_tracker_fast_path(false),
+    );
+}
