@@ -3,11 +3,12 @@
 //! retirement) for single-access tasks, at 1 and 8 concurrently spawning
 //! threads, across three runtime configurations:
 //!
-//! * `locked` — tracker mutex path, node recycler off: the historical
+//! * `locked` — tracker forced-locked (every gate acquisition waits, every
+//!   retirement goes through the inbox), node recycler off: the historical
 //!   baseline.
-//! * `optimistic` — the gate-CAS tracker fast path, recycler still off: the
-//!   PR-4 configuration, which moved the tracker-only number but left ~6
-//!   heap allocations on every spawn.
+//! * `optimistic` — try-first gate acquisition (the default), recycler still
+//!   off: the PR-4 configuration, which moved the tracker-only number but
+//!   left ~6 heap allocations on every spawn.
 //! * `recycled` — fast path plus the task-node slab and inline accesses/
 //!   bodies: the steady-state spawn is allocation-free end to end (pinned by
 //!   `tests/spawn_alloc.rs`).

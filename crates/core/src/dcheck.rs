@@ -47,9 +47,9 @@
 //! `register_batch_prewired` returns — pre-wired edges need no special
 //! handling because clocks merge at *completion* time along the live
 //! successor lists, which pre-wiring populates like any other edge. Poisoned
-//! and cancelled tasks complete through
-//! [`complete_into_poison`](crate::graph), which performs the same clock
-//! merges — a task retired without running logs no accesses, so poison can
+//! and cancelled tasks complete through the same
+//! [`graph::complete_into`](crate::graph) (with a poison origin), which
+//! performs the same clock merges — a task retired without running logs no accesses, so poison can
 //! suppress log records but never invents an unordered pair.
 //!
 //! After each check the epoch resets: quiescence orders everything before

@@ -72,9 +72,9 @@ pub enum FaultClass {
     /// exhausted: the access falls back to serialising in place (the
     /// documented backpressure path). Serial: per-class call counter.
     RenameExhaustion = 2,
-    /// A tracker registration (or single-access retirement) forced off the
-    /// optimistic fast path onto the shard mutex. Serial: per-class call
-    /// counter.
+    /// A tracker registration forced to skip the polite gate try (and so
+    /// counted as a fast-path fallback), or a retirement forced through the
+    /// shard's retire inbox. Serial: per-class call counter.
     TrackerFallback = 3,
     /// An ingest-queue push forced to report the queue as full, shedding the
     /// job even below capacity. Serial: per-class call counter.

@@ -74,12 +74,13 @@ pub struct RuntimeConfig {
     /// buy insertion throughput under many concurrently spawning threads
     /// at the cost of a little fixed memory. See [`crate::graph`].
     pub tracker_shards: usize,
-    /// Whether single-shard registrations (and single-access retirements)
-    /// may take the optimistic gate-CAS fast path instead of the shard
-    /// mutex. Enabled by default; `false` forces every tracker operation
-    /// through the mutex path — the reference configuration of the
-    /// equivalence suite and the baseline of `insertion_bench`. See
-    /// [`crate::graph`], "The optimistic fast path".
+    /// Whether tracker operations first *try* their shard gates (a bounded,
+    /// flag-free spin) before waiting, and retirements may tombstone in
+    /// place. Enabled by default; `false` makes every acquisition wait and
+    /// sends every retirement through the shard's inbox — the reference
+    /// configuration of the equivalence suite and the baseline of
+    /// `insertion_bench`. See [`crate::graph`], "Exclusion: one gate
+    /// protocol".
     pub tracker_fast_path: bool,
     /// Whether an `output` access on a versioned handle may **elide** its
     /// rename when the current version has no in-flight bindings, binding it
@@ -89,10 +90,9 @@ pub struct RuntimeConfig {
     /// How often (in spawned tasks) the dependence tracker is garbage
     /// collected from the spawn path; `0` disables the periodic sweep
     /// entirely (quiescent `taskwait`/`barrier` and explicit
-    /// [`Runtime::tracker_gc`] still collect). The sweep locks every shard
-    /// in turn — holding each shard's sequence gate odd, so optimistic
-    /// registrations on a shard being swept fall back to the mutex path for
-    /// the duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
+    /// [`Runtime::tracker_gc`] still collect). The sweep holds each shard's
+    /// gate in turn, so registrations on a shard being swept wait for the
+    /// duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
     pub tracker_gc_interval: u64,
     /// Whether retired task nodes are recycled through the per-runtime slab
     /// (the spawn-side allocation diet: a steady-state ≤2-access spawn then
@@ -100,12 +100,6 @@ pub struct RuntimeConfig {
     /// allocates every node fresh — the reference configuration of the
     /// equivalence suite and the full-spawn `insertion_bench` baseline.
     pub task_recycler: bool,
-    /// Bytes of task-closure capture stored inline in the task node; bigger
-    /// bodies are boxed (counted by
-    /// [`RuntimeStats::spawn_body_spills`](crate::RuntimeStats::spawn_body_spills)).
-    /// Capped at the node's 64-byte buffer; lowering it trades inline hits
-    /// for measurement (set it to 0 to box every body).
-    pub inline_body_bytes: usize,
     /// Whether eligible [`GraphTemplate`](crate::GraphTemplate)s freeze into
     /// pre-wired form after a clean replay pass (see [`crate::capture`],
     /// "Pre-wired templates"). Enabled by default; `false` keeps every
@@ -146,7 +140,6 @@ impl Default for RuntimeConfig {
             rename_elision: true,
             tracker_gc_interval: DEFAULT_TRACKER_GC_INTERVAL,
             task_recycler: true,
-            inline_body_bytes: crate::task::INLINE_BODY_BYTES,
             replay_prewiring: true,
             fault_plan: None,
             dcheck: false,
@@ -216,10 +209,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable or disable the tracker's optimistic single-shard fast path.
-    /// With `false` every registration and retirement takes the shard mutex
-    /// (the pre-fast-path behaviour); the discovered dependence structure is
-    /// identical either way — `tests/tracker_equivalence.rs` pins it.
+    /// Enable or disable the polite first try of the tracker's gate
+    /// acquisition. With `false` every acquisition waits and every
+    /// retirement goes through the inbox; the discovered dependence
+    /// structure is identical either way — `tests/tracker_equivalence.rs`
+    /// pins it.
     pub fn with_tracker_fast_path(mut self, fast_path: bool) -> Self {
         self.tracker_fast_path = fast_path;
         self
@@ -237,7 +231,7 @@ impl RuntimeConfig {
     /// Set the tracker garbage-collection cadence in spawned tasks; `0`
     /// disables the periodic sweep (quiescent and explicit GC still run).
     /// Lower values bound history memory tighter at the cost of sweeping —
-    /// and of optimistic-path fallbacks while each shard is swept.
+    /// and of registrations waiting while their shard is swept.
     pub fn with_tracker_gc_interval(mut self, interval: u64) -> Self {
         self.tracker_gc_interval = interval;
         self
@@ -249,16 +243,6 @@ impl RuntimeConfig {
     /// pins the edge structure across both settings.
     pub fn with_task_recycler(mut self, recycler: bool) -> Self {
         self.task_recycler = recycler;
-        self
-    }
-
-    /// Set the inline-body threshold in bytes. Values above the node's
-    /// 64-byte buffer are clamped to it (the buffer is a compile-time
-    /// constant; the knob can only tighten the threshold, not grow the
-    /// node). Watch [`RuntimeStats::spawn_body_spills`](crate::RuntimeStats::spawn_body_spills)
-    /// to see whether a workload's captures fit.
-    pub fn with_inline_body_bytes(mut self, bytes: usize) -> Self {
-        self.inline_body_bytes = bytes.min(crate::task::INLINE_BODY_BYTES);
         self
     }
 
@@ -381,7 +365,7 @@ impl RuntimeInner {
                 deps: registration.edges,
                 generation: node.generation,
             });
-            for edge in &registration.edge_list {
+            for edge in registration.per_task.iter().flat_map(|(_, edges)| edges) {
                 self.trace.record(TraceEvent::Edge {
                     task: id,
                     from: edge.pred,
@@ -636,7 +620,7 @@ impl Runtime {
             .collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let tracker_shards = config.effective_tracker_shards();
-        let sched = SchedState::new(config.policy, config.idle, stealers, tracker_shards);
+        let sched = SchedState::new(config.policy, config.idle, stealers);
         let slab = Arc::new(TaskSlab::new(
             if config.task_recycler {
                 DEFAULT_TASK_SLAB_CAPACITY
@@ -644,7 +628,6 @@ impl Runtime {
                 0
             },
             config.workers,
-            config.inline_body_bytes,
         ));
         let mut tracker = ShardedTracker::new(tracker_shards, config.tracker_fast_path);
         tracker.set_recycler(slab.clone());
@@ -731,7 +714,7 @@ impl Runtime {
         self.inner.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Test support: hold tracker shard `shard` (its gate and queue) until
+    /// Test support: hold tracker shard `shard` (its gate) until
     /// the returned guard drops. While it is held, a task completing on that
     /// shard cannot retire in place and hands its retirement to the shard's
     /// inbox instead — which is how the protocol tests make that path
@@ -1044,8 +1027,6 @@ impl Runtime {
             sched_local_wakeups: s.local_wakeups.load(Ordering::Relaxed),
             sched_global_wakeups: s.global_wakeups.load(Ordering::Relaxed),
             sched_priority_pops: s.priority_pops.load(Ordering::Relaxed),
-            sched_affinity_wakeups: s.affinity_wakeups.load(Ordering::Relaxed),
-            sched_affinity_steals: s.affinity_steals.load(Ordering::Relaxed),
             task_nodes_recycled: self.inner.slab.recycled_count(),
             task_nodes_allocated: self.inner.slab.allocated_count(),
             access_inline_hits: c

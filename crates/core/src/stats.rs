@@ -29,8 +29,7 @@ pub(crate) struct StatCounters {
     /// `tasks_spawned - spills` when stats are snapshotted.
     pub access_inline_spills: AtomicU64,
     /// Spawns whose body closure spilled past the node's inline body buffer
-    /// (the [`RuntimeConfig::with_inline_body_bytes`](crate::RuntimeConfig::with_inline_body_bytes)
-    /// threshold) into a `Box`.
+    /// into a `Box`.
     pub spawn_body_spills: AtomicU64,
     /// Template passes stamped through `Runtime::replay` / `replay_fused`
     /// (a fused super-batch counts each of its iterations).
@@ -82,10 +81,11 @@ impl StatCounters {
 /// plus a global contention counter. Owned by the tracker router
 /// ([`crate::graph`]) and snapshotted into [`RuntimeStats`].
 ///
-/// Shard locks are acquired try-lock-first: a successful `try_lock` is an
-/// uncontended hit, a failed one bumps `lock_contention` before blocking.
-/// `lock_contention / sum(shard_hits)` is therefore the fraction of tracker
-/// accesses that had to wait — the number sharding is meant to drive to zero.
+/// Shard gates are acquired try-first: a successful try is an uncontended
+/// hit; an acquirer that has to wait bumps `lock_contention` if it finds the
+/// gate held at that point. `lock_contention / sum(shard_hits)` is therefore
+/// the fraction of tracker accesses that waited behind a holder — the number
+/// sharding is meant to drive to zero.
 #[derive(Debug)]
 pub(crate) struct TrackerCounters {
     /// One hit counter per shard, each padded to its own cache-line pair:
@@ -114,24 +114,23 @@ impl TrackerCounters {
         }
     }
 
-    /// Record an acquisition of `shard`'s lock (or gate).
+    /// Record an acquisition of `shard`'s gate.
     pub(crate) fn hit(&self, shard: usize) {
         self.shard_hits[shard].0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a shard lock that was held by another thread at acquisition.
+    /// Record a waiting acquisition that found the gate held.
     pub(crate) fn contended(&self) {
         self.lock_contention.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a registration that completed through the optimistic
-    /// single-shard fast path.
+    /// Record a single-shard registration whose gate fell to the first try.
     pub(crate) fn fast_hit(&self) {
         self.fast_path_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a registration that wanted the fast path but took the mutex
-    /// path instead (contention, multi-allocation span, GC in progress).
+    /// Record a registration that spanned several shards or had to wait for
+    /// its gate (contention, GC in progress).
     pub(crate) fn fast_fallback(&self) {
         self.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -265,23 +264,24 @@ pub struct RuntimeStats {
     /// Number of shards of the dependence tracker (see
     /// [`RuntimeConfig::with_tracker_shards`](crate::RuntimeConfig::with_tracker_shards)).
     pub tracker_shards: usize,
-    /// Shard-lock acquisitions per tracker shard (registration, completion
+    /// Gate acquisitions per tracker shard (registration, completion
     /// retirement and `taskwait on` lookups), indexed by shard. Renamed
     /// versions carry fresh allocation ids, so a balanced workload shows a
     /// near-uniform distribution here.
     pub tracker_shard_hits: Vec<u64>,
-    /// Tracker shard-lock acquisitions that found the lock held by another
-    /// thread (the try-lock failed and the caller blocked). With one shard
-    /// this counts every spawn/retire collision; with enough shards it should
-    /// stay near zero for tasks touching disjoint allocations.
+    /// Tracker gate acquisitions that had to wait and found the gate held by
+    /// another thread at that point. With one shard this counts the
+    /// spawn/spawn and spawn/sweep collisions that outlast the spin budget;
+    /// with enough shards it should stay near zero for tasks touching
+    /// disjoint allocations.
     pub tracker_lock_contention: u64,
-    /// Registrations that completed through the optimistic single-shard
-    /// fast path (one gate CAS, no mutex) — see
+    /// Registrations that touched a single shard and took its gate at the
+    /// first try, without waiting — see
     /// [`RuntimeConfig::with_tracker_fast_path`](crate::RuntimeConfig::with_tracker_fast_path).
     pub tracker_fast_path_hits: u64,
-    /// Registrations that wanted the fast path but fell back to the mutex
-    /// path: the shard was contended, the accesses spanned several shards,
-    /// or a GC sweep held the shard.
+    /// Registrations that did not: the accesses spanned several shards, or
+    /// the shard's gate was held (contention, a GC sweep) past the spin
+    /// budget.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap
@@ -298,16 +298,6 @@ pub struct RuntimeStats {
     /// instead of allocating a fresh version. Disjoint from
     /// [`RuntimeStats::renames`].
     pub renames_elided: u64,
-    /// Successor tasks routed to the deque inbox of the worker that last
-    /// completed work on the successor's tracker shard
-    /// ([`SchedulerPolicy::ShardAffinity`](crate::SchedulerPolicy::ShardAffinity)).
-    pub sched_affinity_wakeups: u64,
-    /// Steals served from a *preferred* victim inbox — one whose most
-    /// recently routed wakeup belongs to a shard the stealing worker itself
-    /// recently completed work on, probed before the plain round-robin
-    /// steal order ([`SchedulerPolicy::ShardAffinity`](crate::SchedulerPolicy::ShardAffinity)).
-    /// A subset of [`RuntimeStats::sched_steals`].
-    pub sched_affinity_steals: u64,
     /// Task-node acquisitions served from the runtime's slab free list
     /// instead of the heap (the spawn-side allocation diet; see
     /// [`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
@@ -321,8 +311,7 @@ pub struct RuntimeStats {
     /// declared accesses).
     pub access_inline_spills: u64,
     /// Spawned tasks whose body closure was too large (or too aligned) for
-    /// the node's inline body buffer and was boxed instead. Tune with
-    /// [`RuntimeConfig::with_inline_body_bytes`](crate::RuntimeConfig::with_inline_body_bytes).
+    /// the node's 64-byte inline body buffer and was boxed instead.
     pub spawn_body_spills: u64,
     /// Template passes stamped through
     /// [`Runtime::replay`](crate::Runtime::replay) /
@@ -387,7 +376,7 @@ impl RuntimeStats {
             .saturating_sub(self.tasks_cancelled)
     }
 
-    /// Fraction of tracker shard-lock acquisitions that had to wait for
+    /// Fraction of tracker gate acquisitions that had to wait for
     /// another thread. `None` when the tracker was never touched.
     pub fn tracker_contention_rate(&self) -> Option<f64> {
         let total: u64 = self.tracker_shard_hits.iter().sum();
@@ -398,8 +387,8 @@ impl RuntimeStats {
         }
     }
 
-    /// Fraction of fast-path-eligible registrations that completed through
-    /// the optimistic single-shard path. `None` when no registration with
+    /// Fraction of registrations that touched a single shard and took its
+    /// gate at the first try. `None` when no registration with
     /// accesses happened (hits + fallbacks account for every such
     /// registration while the fast path is enabled).
     pub fn tracker_fast_path_rate(&self) -> Option<f64> {
@@ -442,8 +431,6 @@ impl RuntimeStats {
         self.sched_local_wakeups += other.sched_local_wakeups;
         self.sched_global_wakeups += other.sched_global_wakeups;
         self.sched_priority_pops += other.sched_priority_pops;
-        self.sched_affinity_wakeups += other.sched_affinity_wakeups;
-        self.sched_affinity_steals += other.sched_affinity_steals;
         self.task_nodes_recycled += other.task_nodes_recycled;
         self.task_nodes_allocated += other.task_nodes_allocated;
         self.access_inline_hits += other.access_inline_hits;

@@ -164,17 +164,16 @@ impl Default for BodySlot {
 }
 
 impl BodySlot {
-    /// Store `f`, inline when it fits within `limit` bytes (the effective
-    /// threshold from [`RuntimeConfig::with_inline_body_bytes`](crate::RuntimeConfig::with_inline_body_bytes),
-    /// never above the [`INLINE_BODY_BYTES`] buffer). Returns `true` when the
-    /// closure spilled to a `Box` — the caller feeds the `spawn_body_spills`
-    /// counter so workloads can see when the inline budget is too small.
-    pub(crate) fn set<F>(&mut self, f: F, limit: usize) -> bool
+    /// Store `f`, inline when it fits the [`INLINE_BODY_BYTES`] buffer.
+    /// Returns `true` when the closure spilled to a `Box` — the caller feeds
+    /// the `spawn_body_spills` counter so workloads can see when their
+    /// captures do not fit.
+    pub(crate) fn set<F>(&mut self, f: F) -> bool
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
         debug_assert!(self.is_empty(), "body slot armed twice");
-        if std::mem::size_of::<F>() <= limit.min(INLINE_BODY_BYTES)
+        if std::mem::size_of::<F>() <= INLINE_BODY_BYTES
             && std::mem::align_of::<F>() <= INLINE_BODY_ALIGN
         {
             // SAFETY: the buffer is large and aligned enough for `F`, and the
@@ -361,7 +360,7 @@ pub(crate) struct TaskNode {
     /// ids are minted from 1). A poisoned node is dequeued and retired
     /// without running its body, propagating the same origin to its own
     /// successors; set at most once, under the poisoning predecessor's
-    /// links lock (see [`crate::graph::complete_into_poison`]).
+    /// links lock (see `graph::complete_into`).
     pub poison: AtomicU64,
     /// Cancellation flag of the [`CancelToken`](crate::CancelToken) scope
     /// this task was spawned under (`None` outside any scope). Written under
@@ -398,14 +397,15 @@ unsafe impl Sync for TaskNode {}
 
 impl TaskNode {
     /// Create a fresh node with the registration sentinel held (pending = 1).
-    /// `spilled` reports whether the body missed the inline buffer.
+    /// `spilled` reports whether the body missed the inline buffer. The
+    /// runtime builds its nodes through the slab; unit tests use this.
+    #[cfg(test)]
     pub(crate) fn new<F>(
         name: Option<Arc<str>>,
         priority: TaskPriority,
         accesses: AccessVec,
         body: F,
         parent_children: Arc<ChildTracker>,
-        inline_limit: usize,
         spilled: &mut bool,
     ) -> Arc<Self>
     where
@@ -417,28 +417,26 @@ impl TaskNode {
             accesses,
             body,
             parent_children,
-            inline_limit,
             spilled,
         ))
     }
 
-    /// As [`TaskNode::new`] but returning the plain value, for callers (the
-    /// slab's fresh-allocation path) that still need to set owner-only
-    /// fields before sharing the node behind an `Arc`.
+    /// Build a fresh node as a plain value, for callers (the slab's
+    /// fresh-allocation path) that still need to set owner-only fields
+    /// before sharing the node behind an `Arc`.
     pub(crate) fn build<F>(
         name: Option<Arc<str>>,
         priority: TaskPriority,
         accesses: AccessVec,
         body: F,
         parent_children: Arc<ChildTracker>,
-        inline_limit: usize,
         spilled: &mut bool,
     ) -> Self
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
         let mut slot = BodySlot::default();
-        *spilled = slot.set(body, inline_limit);
+        *spilled = slot.set(body);
         TaskNode {
             id: TaskId::fresh(),
             name,
@@ -485,7 +483,6 @@ impl TaskNode {
         body: F,
         parent_children: Arc<ChildTracker>,
         live_token: LiveToken,
-        inline_limit: usize,
         spilled: &mut bool,
     ) where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
@@ -498,7 +495,7 @@ impl TaskNode {
         self.priority = priority;
         self.accesses = accesses;
         self.replay_pass = 0;
-        *spilled = self.body.get_mut().set(body, inline_limit);
+        *spilled = self.body.get_mut().set(body);
         if !tickets.is_empty() {
             // Move the hooks into the node-resident vector, which kept its
             // capacity across the in-place release at last completion.
@@ -738,9 +735,6 @@ pub(crate) struct TaskSlab {
     allocated: AtomicU64,
     recycled: AtomicU64,
     counters: Arc<SlabCounters>,
-    /// Effective inline-body threshold
-    /// ([`RuntimeConfig::with_inline_body_bytes`](crate::RuntimeConfig::with_inline_body_bytes)).
-    inline_limit: usize,
     /// Placeholder parent tracker parked nodes point at, so the free list
     /// never pins a real parent's `ChildTracker`.
     detached: Arc<ChildTracker>,
@@ -751,9 +745,8 @@ pub(crate) struct TaskSlab {
 
 impl TaskSlab {
     /// Create a slab keeping at most `capacity` retired nodes (0 = recycling
-    /// off), with one local free stack per worker and bodies inlined up to
-    /// `inline_limit` bytes.
-    pub(crate) fn new(capacity: usize, workers: usize, inline_limit: usize) -> Self {
+    /// off), with one local free stack per worker.
+    pub(crate) fn new(capacity: usize, workers: usize) -> Self {
         // Stacks are allocated at their bound up front so a push during a
         // steady-state measurement window never grows the vector
         // (`tests/spawn_alloc.rs` counts every heap allocation).
@@ -770,7 +763,6 @@ impl TaskSlab {
             allocated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
             counters: Arc::new(SlabCounters::default()),
-            inline_limit,
             detached: ChildTracker::new(),
             handback: Mutex::new(()),
         }
@@ -847,7 +839,6 @@ impl TaskSlab {
                     body,
                     parent_children,
                     token,
-                    self.inline_limit,
                     spilled,
                 );
                 self.recycled.fetch_add(1, Ordering::Relaxed);
@@ -868,7 +859,6 @@ impl TaskSlab {
             accesses,
             body,
             parent_children,
-            self.inline_limit,
             spilled,
         );
         if !tickets.is_empty() {
@@ -976,7 +966,6 @@ mod tests {
             AccessVec::new(),
             |_ctx| {},
             ChildTracker::new(),
-            INLINE_BODY_BYTES,
             &mut false,
         )
     }
@@ -1029,7 +1018,6 @@ mod tests {
             AccessVec::new(),
             |_ctx| {},
             ChildTracker::new(),
-            INLINE_BODY_BYTES,
             &mut false,
         );
         assert_eq!(n.display_name(), format!("{}", n.id));
@@ -1089,7 +1077,6 @@ mod tests {
             move |_ctx: &TaskContext<'_>| {
                 std::hint::black_box(small);
             },
-            INLINE_BODY_BYTES,
         );
         assert!(!spilled);
         assert!(slot.is_inline());
@@ -1100,7 +1087,6 @@ mod tests {
             move |_ctx: &TaskContext<'_>| {
                 std::hint::black_box(big);
             },
-            INLINE_BODY_BYTES,
         );
         assert!(spilled);
         assert!(!slot.is_inline());
@@ -1108,21 +1094,6 @@ mod tests {
         assert!(slot.take().is_some());
         assert!(slot.is_empty());
         assert!(slot.take().is_none());
-    }
-
-    #[test]
-    fn inline_limit_below_body_size_forces_spill() {
-        let mut slot = BodySlot::default();
-        let small = [7u64; 2]; // 16 bytes: inline at the default threshold
-        let spilled = slot.set(
-            move |_ctx: &TaskContext<'_>| {
-                std::hint::black_box(small);
-            },
-            8, // shrunken knob: the 16-byte capture must spill
-        );
-        assert!(spilled);
-        assert!(!slot.is_inline());
-        assert!(slot.take().is_some());
     }
 
     #[test]
@@ -1134,7 +1105,6 @@ mod tests {
             move |_ctx: &TaskContext<'_>| {
                 let _ = &held;
             },
-            INLINE_BODY_BYTES,
         );
         assert!(slot.is_inline());
         let taken = slot.take().expect("armed");
@@ -1147,7 +1117,6 @@ mod tests {
             move |_ctx: &TaskContext<'_>| {
                 let _ = &held;
             },
-            INLINE_BODY_BYTES,
         );
         slot.clear();
         assert_eq!(Arc::strong_count(&marker), 1);
@@ -1155,7 +1124,7 @@ mod tests {
 
     #[test]
     fn slab_recycles_the_same_storage_with_bumped_generation() {
-        let slab = TaskSlab::new(8, 0, INLINE_BODY_BYTES);
+        let slab = TaskSlab::new(8, 0);
         let n1 = acquire_plain(&slab, None);
         let first_id = n1.id;
         assert_eq!(n1.generation, 0);
@@ -1177,7 +1146,7 @@ mod tests {
 
     #[test]
     fn shared_nodes_and_disabled_slabs_are_never_recycled() {
-        let slab = TaskSlab::new(8, 0, INLINE_BODY_BYTES);
+        let slab = TaskSlab::new(8, 0);
         let n = acquire_plain(&slab, None);
         let _ = n.body.lock().take();
         n.links.lock().completed = true;
@@ -1190,7 +1159,7 @@ mod tests {
             0,
             "final drop released the accounting token"
         );
-        let off = TaskSlab::new(0, 2, INLINE_BODY_BYTES);
+        let off = TaskSlab::new(0, 2);
         let n = acquire_plain(&off, Some(0));
         let _ = n.body.lock().take();
         n.links.lock().completed = true;
@@ -1201,7 +1170,7 @@ mod tests {
 
     #[test]
     fn worker_local_stack_recycles_without_touching_the_shared_list() {
-        let slab = TaskSlab::new(8, 2, INLINE_BODY_BYTES);
+        let slab = TaskSlab::new(8, 2);
         let local = acquire_plain(&slab, Some(1));
         let shared = acquire_plain(&slab, Some(1));
         finish_by_hand(&local);

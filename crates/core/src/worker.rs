@@ -158,10 +158,8 @@ pub(crate) fn execute_task(
     let dcheck = inner.dcheck.as_ref();
     if panicked {
         inner.note_poison(task_id);
-        graph::complete_into_poison(&node, ready, task_id, dcheck);
-    } else {
-        graph::complete_into(&node, ready, dcheck);
     }
+    graph::complete_into(&node, ready, panicked.then_some(task_id), dcheck);
 
     inner.stats.add(StatField::TasksExecuted, 1);
     retire_node(inner, node, worker, deque, ready, task_id, generation);
@@ -216,7 +214,7 @@ fn retire_without_run(
     };
 
     debug_assert!(ready.is_empty());
-    graph::complete_into_poison(&node, ready, origin, inner.dcheck.as_ref());
+    graph::complete_into(&node, ready, Some(origin), inner.dcheck.as_ref());
     retire_node(inner, node, worker, deque, ready, task_id, generation);
 }
 
@@ -235,10 +233,6 @@ fn retire_node(
     generation: u32,
 ) {
     let trace_enabled = inner.trace.is_enabled();
-    let affinity = inner.config.policy == crate::scheduler::SchedulerPolicy::ShardAffinity;
-
-    // Under shard-affinity scheduling each successor carries its dominant
-    // tracker shard as a placement hint.
     for succ in ready.drain(..) {
         if trace_enabled {
             inner.trace.record(TraceEvent::Ready {
@@ -246,14 +240,7 @@ fn retire_node(
                 at_ns: inner.trace.now_ns(),
             });
         }
-        let shard = if affinity {
-            succ.accesses
-                .first()
-                .map(|a| inner.tracker.shard_of(a.region.id.alloc))
-        } else {
-            None
-        };
-        inner.sched.push_wakeup(succ, deque, worker, shard);
+        inner.sched.push_wakeup(succ, deque);
     }
 
     // Retire the task's dependence history through the sharded router: its
@@ -261,7 +248,7 @@ fn retire_node(
     // gate is free, through that shard's retire inbox where it is held. The
     // call never waits for a gate: a worker parked behind a spawner's long
     // registration completes nothing, and the spawner's next registration
-    // then finds even more live predecessors (see graph.rs, "Retirement").
+    // then finds even more live predecessors (see `graph`, "Retirement").
     inner.tracker.retire(&node);
 
     // Only now release the version bindings, so superseded versions can be
@@ -276,16 +263,6 @@ fn retire_node(
     let released = node.release_tickets();
     if released != 0 {
         inner.rename.note_tickets_released(released as u64);
-    }
-
-    // Record this worker as the shard's last completer (the shard-affinity
-    // locality key) — after retirement, so the data really is done here.
-    if affinity {
-        if let (Some(w), Some(access)) = (worker, node.accesses.first()) {
-            inner
-                .sched
-                .note_shard_completion(inner.tracker.shard_of(access.region.id.alloc), w);
-        }
     }
 
     debug_assert!(

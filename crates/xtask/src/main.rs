@@ -10,8 +10,8 @@
 //! 2. **No panicking calls on the hot path** — `unwrap()` / `expect(` /
 //!    `panic!` / `unreachable!` / `todo!` / `unimplemented!` are banned in
 //!    the per-task execution path: all of `worker.rs` and `task.rs`, and the
-//!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of
-//!    `graph.rs`. `#[cfg(test)]` modules are exempt; a deliberate site can
+//!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of the
+//!    files under `graph/`. `#[cfg(test)]` modules are exempt; a deliberate site can
 //!    carry `// lint: allow(panic)` on the line itself or the line above
 //!    (used exactly once, for the injected-fault panic in `worker.rs`).
 //! 3. **No wall-clock reads in deterministic modules** — `Instant::now` /
@@ -166,7 +166,7 @@ fn rules_for(root: &Path, path: &Path) -> Option<FileRules> {
     let in_core = rel_str.starts_with("crates/core/src/");
     let panic = if in_core && (file == "worker.rs" || file == "task.rs") {
         PanicScope::Everywhere
-    } else if in_core && file == "graph.rs" {
+    } else if rel_str.starts_with("crates/core/src/graph/") {
         PanicScope::MarkedRegions
     } else {
         PanicScope::Off
@@ -499,6 +499,28 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
+    }
+
+    #[test]
+    fn marked_region_rule_follows_the_graph_directory() {
+        let root = super::workspace_root();
+        let scope = |rel: &str| rules_for(&root, &root.join(rel)).map(|r| r.panic);
+        for file in ["mod.rs", "gate.rs", "shard.rs", "index.rs", "complete.rs", "plan.rs"] {
+            let rel = format!("crates/core/src/graph/{file}");
+            assert!(scope(&rel) == Some(PanicScope::MarkedRegions), "{rel}");
+        }
+        assert!(scope("crates/core/src/worker.rs") == Some(PanicScope::Everywhere));
+        assert!(scope("crates/core/src/capture.rs") == Some(PanicScope::Off));
+        // The rule bites inside a marked region of such a file, and only there.
+        let gate = root.join("crates/core/src/graph/gate.rs");
+        let src = "fn a() { x.unwrap(); }\n// lint: hot-path-begin\nfn b() { y.unwrap(); }\n\
+                   // lint: hot-path-end\nfn c() { z.unwrap(); }\n";
+        let rules = rules_for(&root, &gate).expect("graph files are linted");
+        let v = lint_file(&gate, src, rules);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3], "{v:?}");
+        // And the real gate file does mark its hot path.
+        let real = std::fs::read_to_string(&gate).expect("gate.rs readable");
+        assert!(real.contains("lint: hot-path-begin"));
     }
 
     #[test]

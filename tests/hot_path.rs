@@ -1,6 +1,5 @@
-//! The task-insertion hot path: first-write rename elision, the optimistic
-//! registration fast path under adversarial GC, and shard-affinity
-//! scheduling.
+//! The task-insertion hot path: first-write rename elision and the optimistic
+//! registration fast path under adversarial GC.
 //!
 //! Three angles:
 //!
@@ -21,7 +20,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{Runtime, RuntimeConfig, SchedulerPolicy};
+use ompss::{Runtime, RuntimeConfig};
 
 // ---------------------------------------------------------------------------
 // 1. Elision on/off/mixed keeps sequential-value semantics
@@ -645,49 +644,4 @@ fn forced_locked_storm_matches_invariants() {
         storm_tasks(),
     );
     assert_eq!(stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Shard-affinity scheduling
-// ---------------------------------------------------------------------------
-
-#[test]
-fn shard_affinity_policy_preserves_semantics() {
-    // A producer→consumer mesh over several allocations under the
-    // ShardAffinity policy: values must match, and the affinity router must
-    // actually have been exercised alongside the plain locality path.
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_policy(SchedulerPolicy::ShardAffinity),
-    );
-    assert_eq!(rt.policy(), SchedulerPolicy::ShardAffinity);
-    let cells: Vec<_> = (0..16).map(|_| rt.data(0u64)).collect();
-    for round in 0..50u64 {
-        for (i, cell) in cells.iter().enumerate() {
-            let c = cell.clone();
-            let next = cells[(i + 1) % cells.len()].clone();
-            rt.task().input(&c).inout(&next).spawn(move |ctx| {
-                let v = *ctx.read(&c);
-                let mut n = ctx.write(&next);
-                *n = n.wrapping_add(v).wrapping_add(round);
-            });
-        }
-    }
-    rt.taskwait();
-    let stats = rt.stats();
-    let routed = stats.sched_affinity_wakeups + stats.sched_local_wakeups + stats.sched_global_wakeups;
-    assert!(routed > 0, "the chain produced dependent wakeups");
-    // Semantics: replay sequentially.
-    let mut expected = vec![0u64; 16];
-    for round in 0..50u64 {
-        for i in 0..16 {
-            let v = expected[i];
-            let n = (i + 1) % 16;
-            expected[n] = expected[n].wrapping_add(v).wrapping_add(round);
-        }
-    }
-    let got: Vec<u64> = cells.iter().map(|c| rt.fetch(c)).collect();
-    assert_eq!(got, expected);
-    rt.shutdown();
 }

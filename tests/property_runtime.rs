@@ -135,7 +135,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(3), 1..40),
     ) {
         let expected = run_sequential(3, &ops);
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Lifo, SchedulerPolicy::WorkStealing] {
+        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::WorkStealing] {
             let got = run_tasked(3, &ops, 2, policy);
             prop_assert_eq!(&got, &expected, "policy {:?}", policy);
         }

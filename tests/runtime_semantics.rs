@@ -385,7 +385,6 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
 fn all_scheduler_policies_run_the_same_program() {
     for policy in [
         SchedulerPolicy::Fifo,
-        SchedulerPolicy::Lifo,
         SchedulerPolicy::WorkStealing,
         SchedulerPolicy::LocalityWorkStealing,
     ] {

@@ -3,9 +3,9 @@
 //! Installs [`ompss::CountingAllocator`] as the binary's global allocator
 //! and proves the headline claim of the diet: once the runtime is warm
 //! (slab full of recycled nodes, tracker maps and scheduler queues at their
-//! high-water capacity), a batch of ≤2-access task spawns — including their
-//! execution, completion, retirement and node recycling — performs **zero**
-//! heap allocations.
+//! high-water capacity), a batch of ≤2-access task spawns — on one tracker
+//! shard or across two, including their execution, completion, retirement
+//! and node recycling — performs **zero** heap allocations.
 //!
 //! This file contains exactly one test so no unrelated test thread can
 //! allocate inside the measurement window.
@@ -24,6 +24,18 @@ fn spawn_batch(rt: &Runtime, cells: &[Data<u64>]) {
         let c = cells[i % cells.len()].clone();
         rt.task().output(&c).spawn(move |ctx| {
             *ctx.write(&c) = i as u64;
+        });
+    }
+}
+
+/// The same batch with every task spanning two allocations — `input` on one
+/// cell, `output` on the next — which sit on different tracker shards.
+fn spawn_cross_shard_batch(rt: &Runtime, cells: &[Data<u64>]) {
+    for i in 0..BATCH {
+        let src = cells[i % cells.len()].clone();
+        let dst = cells[(i + 1) % cells.len()].clone();
+        rt.task().input(&src).output(&dst).spawn(move |ctx| {
+            *ctx.write(&dst) = *ctx.read(&src) + 1;
         });
     }
 }
@@ -81,6 +93,32 @@ fn steady_state_spawn_is_allocation_free() {
     );
     assert_eq!(stats.access_inline_spills, 0);
     assert_eq!(stats.access_inline_hits, stats.tasks_spawned);
+
+    // A registration spanning two shards rides the same diet: the set of
+    // shard ids it holds lives on the spawner's stack, not in a vector.
+    // Consecutive cells have consecutive allocation ids, so with 4 shards
+    // every one of these tasks spans two — none is a single-shard hit.
+    for _ in 0..4 {
+        spawn_cross_shard_batch(&rt, &cells);
+        drain(&rt);
+    }
+    let fallbacks_before = rt.stats().tracker_fast_path_fallbacks;
+    let before = CountingAllocator::allocations();
+    spawn_cross_shard_batch(&rt, &cells);
+    drain(&rt);
+    let delta_cross = CountingAllocator::allocations() - before;
+    assert_eq!(
+        delta_cross, 0,
+        "steady-state spawns spanning two shards must not allocate (saw {delta_cross} \
+         allocations across a {BATCH}-task batch)"
+    );
+    let stats = rt.stats();
+    assert_eq!(
+        stats.tracker_fast_path_fallbacks - fallbacks_before,
+        BATCH as u64,
+        "every task of the measured batch spanned two shards"
+    );
+    assert_eq!(stats.access_inline_spills, 0);
 
     // Template replay rides the same diet: capture a full batch (the
     // capture iteration itself allocates freely — recipes, Arc'd bodies),

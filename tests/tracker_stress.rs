@@ -13,7 +13,10 @@
 //!   a re-executed body would panic in the runtime and be reported);
 //! * **clean drain** — after the final `taskwait` the tracker maps are
 //!   empty in every shard (the completion retire path plus GC reclaimed all
-//!   history, including the `by_alloc` overlap index).
+//!   history, including the `by_alloc` overlap index);
+//! * **no deadlock between multi-shard spans** — registrations naming the
+//!   same shards in opposite clause order, racing a template replay over the
+//!   same cells, all terminate (`opposite_order_spans_and_concurrent_replay`).
 //!
 //! CI runs this under `cargo test --release` with both default test
 //! threading and `RUST_TEST_THREADS=1`, so the contention is real.
@@ -117,10 +120,10 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     assert_eq!(diag.total_regions(), 0, "tracked regions leak after drain");
     assert_eq!(diag.total_allocs(), 0, "by_alloc leaks after drain");
 
-    // The tracker was exercised, and under contention the try-lock path
-    // counted hits per shard.
+    // The tracker was exercised: every gate acquisition counted a hit on
+    // its shard.
     let hits: u64 = stats.tracker_shard_hits.iter().sum();
-    assert!(hits >= total, "every registration takes at least one shard lock");
+    assert!(hits >= total, "every registration takes at least one shard gate");
 
     rt.shutdown();
     stats
@@ -292,11 +295,125 @@ fn deferred_retire_stress_sharded_and_forced_locked() {
             .with_workers(4)
             .with_tracker_shards(8),
     );
-    // The mutex-only registration tier defers and drains the same way.
+    // The reference configuration (no polite try) defers and drains the same way.
     run_deferred_retire_stress(
         RuntimeConfig::default()
             .with_workers(4)
             .with_tracker_shards(2)
+            .with_tracker_fast_path(false),
+    );
+}
+
+/// Multi-shard spans racing in opposite declaration order. Every spawner
+/// registers `inout` tasks over two or three neighbouring cells — even
+/// spawners name them ascending, odd spawners descending — while one more
+/// thread keeps replaying a captured template over the same cells. All of
+/// them take several shard gates per registration, through the gates alone:
+/// it is the canonical (ascending shard id) acquisition order, not the order
+/// the clauses were declared in, that keeps them from deadlocking. The run
+/// must terminate, lose no edge (each cell counts exactly the tasks that
+/// named it), drain clean and pass the audit.
+fn run_opposite_order_span_stress(config: RuntimeConfig) {
+    const CELLS: usize = 8;
+    const REPLAYS: usize = 40;
+    let per_thread = tasks_per_spawner() / 2;
+    let rt = Runtime::new(config);
+    let cells: Vec<Data<u64>> = (0..CELLS).map(|_| rt.data(0u64)).collect();
+    let mut expected = [0u64; CELLS];
+
+    // The template: one two-cell span per cell, alternating declaration
+    // order. Capturing runs it once; every replay runs it again.
+    let bump = |handles: Vec<Data<u64>>| {
+        move |ctx: &ompss::TaskContext<'_>| {
+            for h in &handles {
+                *ctx.write(h) += 1;
+            }
+        }
+    };
+    let mut scope = rt.capture();
+    for k in 0..CELLS {
+        let (a, b) = (cells[k].clone(), cells[(k + 1) % CELLS].clone());
+        let (first, second) = if k % 2 == 0 { (a, b) } else { (b, a) };
+        scope
+            .task()
+            .inout(&first)
+            .inout(&second)
+            .spawn(bump(vec![first.clone(), second.clone()]));
+        expected[k] += 1 + REPLAYS as u64;
+        expected[(k + 1) % CELLS] += 1 + REPLAYS as u64;
+    }
+    let template = scope.finish();
+
+    for t in 0..SPAWNERS {
+        for i in 0..per_thread {
+            let base = t * 3 + i;
+            let span = if i % 3 == 2 { 3 } else { 2 };
+            for d in 0..span {
+                expected[(base + d) % CELLS] += 1;
+            }
+        }
+    }
+
+    std::thread::scope(|scope| {
+        for t in 0..SPAWNERS {
+            let (rt, cells, bump) = (&rt, &cells, &bump);
+            scope.spawn(move || {
+                for i in 0..per_thread {
+                    let base = t * 3 + i;
+                    let span = if i % 3 == 2 { 3 } else { 2 };
+                    let mut handles: Vec<Data<u64>> =
+                        (0..span).map(|d| cells[(base + d) % CELLS].clone()).collect();
+                    if t % 2 == 1 {
+                        handles.reverse();
+                    }
+                    let mut task = rt.task();
+                    for h in &handles {
+                        task = task.inout(h);
+                    }
+                    task.spawn(bump(handles));
+                }
+            });
+        }
+        let (rt, template) = (&rt, &template);
+        scope.spawn(move || {
+            let bindings = ompss::ReplayBindings::new();
+            for _ in 0..REPLAYS {
+                rt.replay(template, &bindings);
+            }
+        });
+    });
+    rt.taskwait();
+
+    let total = (SPAWNERS * per_thread + CELLS * (1 + REPLAYS)) as u64;
+    let stats = rt.stats();
+    assert_eq!(stats.tasks_spawned, total);
+    assert_eq!(stats.tasks_executed, total, "every task ran exactly once");
+    assert!(rt.take_panics().is_empty());
+    let got: Vec<u64> = cells.iter().map(|c| rt.fetch(c)).collect();
+    assert_eq!(got, expected, "an edge between two spans on one cell was lost");
+
+    rt.taskwait();
+    rt.audit().expect("audit after the opposite-order span storm");
+    let diag = rt.tracker_diagnostics();
+    assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0), "{diag:?}");
+    assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "a node stayed pinned");
+    drop(template);
+    rt.shutdown();
+}
+
+#[test]
+fn opposite_order_spans_and_concurrent_replay() {
+    // More cells than shards, so distinct cells share gates too.
+    run_opposite_order_span_stress(
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(4),
+    );
+    // The reference configuration waits on every gate instead of trying it.
+    run_opposite_order_span_stress(
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(3)
             .with_tracker_fast_path(false),
     );
 }
