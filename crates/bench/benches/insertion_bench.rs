@@ -23,7 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ompss::{Data, Runtime, RuntimeConfig};
+use ompss::{Data, FaultPlan, Runtime, RuntimeConfig};
 
 /// Cells per spawner: enough to spread over every shard and keep
 /// register/retire collisions (fast-path fallbacks) rare.
@@ -39,13 +39,14 @@ const CONFIGS: [(&str, bool, bool); 3] = [
 ];
 
 fn runtime(fast_path: bool, recycler: bool) -> Runtime {
-    Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(8)
-            .with_tracker_fast_path(fast_path)
-            .with_task_recycler(recycler),
-    )
+    let mut config = RuntimeConfig::default()
+        .with_workers(2)
+        .with_tracker_shards(8)
+        .with_task_recycler(recycler);
+    if !fast_path {
+        config = config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1));
+    }
+    Runtime::new(config)
 }
 
 fn spawn_batch(rt: &Runtime, cells: &[Data<u64>]) {

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use benchsuite::benchmarks::h264dec::{self, Params};
 use kernels::h264::{EncodedStream, VideoParams};
-use ompss::{Data, Runtime, RuntimeConfig, RuntimeStats};
+use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, RuntimeStats};
 
 struct Row {
     label: &'static str,
@@ -299,7 +299,7 @@ fn spawn_rate_run(shards: usize, spawners: usize, per_spawner: usize) -> (f64, R
             // varies between the rows is the shard count alone. The
             // fast-path ablation below compares try-first vs forced-locked
             // explicitly.
-            .with_tracker_fast_path(false),
+            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -357,13 +357,14 @@ fn single_access_rate(
     per_spawner: usize,
 ) -> (f64, RuntimeStats) {
     const CELLS: usize = 64;
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(SHARDED)
-            .with_tracker_fast_path(fast_path)
-            .with_task_recycler(recycler),
-    );
+    let mut config = RuntimeConfig::default()
+        .with_workers(2)
+        .with_tracker_shards(SHARDED)
+        .with_task_recycler(recycler);
+    if !fast_path {
+        config = config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1));
+    }
+    let rt = Runtime::new(config);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..spawners {

@@ -21,6 +21,17 @@
 //!   acquisition instead of one per task, then the ready roots are queued
 //!   with one batched scheduler wakeup.
 //!
+//! A fresh spawn and a replay differ in two things only: **how the clauses
+//! are resolved** (a [`TaskBuilder`] declares them call by call; a replay
+//! feeds a recipe's recorded clauses — or, pre-wired, takes the frozen
+//! plan's access copies — through the same `ClauseSet`) and **which
+//! registration runs** (`register` for one node, `register_batch` /
+//! `register_batch_prewired` for the batch). Everything after registration
+//! is `RuntimeInner::insert`, for which a fresh spawn is a batch of one. So
+//! a replay also *fails* like the spawn loop it stands for: on a write clash
+//! from folded bindings the recipes before it are inserted and run, the
+//! clashing recipe's bindings are released, then the panic propagates.
+//!
 //! # Resolved passes, and the freeze → pre-wired state machine
 //!
 //! A template starts life **unfrozen**. An unfrozen (or binding-substituted)
@@ -30,9 +41,10 @@
 //! first-write elision depends on the live reference count of the current
 //! version, and the output-before-elided-input corner can force a bind-time
 //! un-elision. Baking any of that in would replay yesterday's decisions
-//! against today's state. So each resolved pass re-runs resolution — the
-//! same [`crate::rename`] machinery, the same write-clash rejection, the
-//! same un-elision check the builder path uses — and re-derives the edges
+//! against today's state. So each resolved pass re-runs resolution — through
+//! the very `ClauseSet` the builder path declares into, so the same
+//! [`crate::rename`] machinery, write-clash rejection and un-elision check
+//! by construction — and re-derives the edges
 //! inside the batch registration: node *i*'s history update lands before
 //! node *i+1*'s predecessor scan, so intra-batch edges fall out of the
 //! ordinary three-pass dance, and cross-batch predecessors (tasks of the
@@ -47,8 +59,8 @@
 //! machine:
 //!
 //! * **Unfrozen → Frozen.** A resolved pass that ran with empty bindings
-//!   and observed *zero* version tickets, rename commits and rename events
-//!   proves clause resolution is pass-invariant (plain handles only), and
+//!   and observed *zero* version tickets (so no renames either) proves
+//!   clause resolution is pass-invariant (plain handles only), and
 //!   the template **freezes**: the batch is shadow-registered once against
 //!   an empty history to bake a [`graph`]-level plan — per-task resolved
 //!   accesses, the intra-batch successor edges and dep counts of every
@@ -133,20 +145,19 @@
 //! shard counts and recycler settings) and the replay extension of
 //! `tests/property_runtime.rs` (sequential-semantics oracle).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::access::{AccessKind, AccessVec};
+use crate::access::AccessKind;
 use crate::graph;
 use crate::handle::Accessible;
 use crate::region::RegionId;
-use crate::rename::{RenameCommit, RenameEvent, VersionTicket};
-use crate::runtime::{
-    reject_write_clash, unelide_overlapping, Runtime, RuntimeInner, TaskBuilder, TaskContext,
-};
+use crate::rename::RenameEvent;
+use crate::runtime::{ClauseSet, Runtime, RuntimeInner, TaskBuilder, TaskContext};
 use crate::stats::StatField;
 use crate::task::{TaskId, TaskNode, TaskPriority};
 use crate::trace::TraceEvent;
@@ -385,14 +396,6 @@ impl GraphTemplate {
     pub fn is_frozen(&self) -> bool {
         self.frozen.lock().is_some()
     }
-
-    fn lease_scratch(&self) -> ReplayScratch {
-        self.scratch.lock().pop().unwrap_or_default()
-    }
-
-    fn return_scratch(&self, scratch: ReplayScratch) {
-        self.scratch.lock().push(scratch);
-    }
 }
 
 impl std::fmt::Debug for GraphTemplate {
@@ -565,12 +568,11 @@ impl Runtime {
             }
             return last;
         }
-        let total = n * iterations;
         // Replayed tasks join the replaying thread's cancel scope, exactly
         // as fresh root spawns do — a cancelled job's queued replay batches
         // are retired without running, and the template stays reusable.
         let cancel = crate::runtime::current_cancel_scope();
-        let mut scratch = template.lease_scratch();
+        let mut scratch = template.scratch.lock().pop().unwrap_or_default();
         let ReplayScratch { nodes, ready, sids } = &mut scratch;
         nodes.clear();
         ready.clear();
@@ -586,243 +588,132 @@ impl Runtime {
             None
         };
         // Whether this pass can *become* the frozen plan (resolved path:
-        // proven below by observing zero tickets/commits/renames).
+        // proven below by observing zero version bindings).
         let mut pure = prewiring_ok && plan.is_none();
 
         // Rename events per task, kept only for the trace (the non-traced
         // steady state must stay allocation-free).
         let mut renames_per_task: Vec<Vec<RenameEvent>> = Vec::new();
-        let mut spills = 0u64;
         let mut body_spills = 0u64;
+        let mut clash = None;
 
-        if let Some(plan) = &plan {
-            // Phase 1 (pre-wired) — no clause resolution: freezing proved
-            // it pass-invariant, so every node is armed straight from the
-            // plan's access copies (no tickets, no commits, no renames by
-            // construction), then the baked interior edges are wired in
-            // before any gate is taken.
-            for m in 0..iterations {
-                for (t, recipe) in template.tasks.iter().enumerate() {
-                    let accesses = plan.accesses[t].clone();
-                    if accesses.spilled() {
-                        spills += 1;
-                    }
-                    let run = recipe.body.clone();
-                    let mut spilled = false;
-                    let mut node = inner.slab.acquire(
-                        None,
-                        recipe.name.clone(),
-                        recipe.priority,
-                        accesses,
-                        Vec::new(),
-                        move |ctx: &TaskContext<'_>| run(ctx),
-                        inner.root_children.clone(),
-                        &mut spilled,
-                    );
-                    if spilled {
-                        body_spills += 1;
-                    }
-                    {
-                        let fresh = Arc::get_mut(&mut node)
-                            .expect("freshly acquired node is unshared");
-                        fresh.replay_pass = base + m as u64 + 1;
-                        fresh.cancel = cancel.clone();
-                    }
-                    if let Some(d) = &inner.dcheck {
-                        d.register_task(&node);
-                    }
-                    nodes.push(node);
-                }
-            }
-            graph::prewire_batch(nodes, plan, iterations);
-        } else {
-            let cx = inner.rename_cx();
-            // Phase 1 (resolved) — per recipe, in capture order (iteration
-            // major): re-resolve the clauses against current version state
-            // (bindings substituting handles), re-running the same
-            // write-clash rejection and bind-time un-elision the builder
-            // path runs; commit the renames (this is the batch's point in
-            // program order); acquire and arm a slab node.
-            for m in 0..iterations {
-                for recipe in &template.tasks {
-                    let mut accesses = AccessVec::new();
-                    let mut tickets: Vec<Box<dyn VersionTicket>> = Vec::new();
-                    let mut commits: Vec<Box<dyn RenameCommit>> = Vec::new();
-                    let mut renames: Vec<RenameEvent> = Vec::new();
+        // Phase 1 — arm one slab node per recipe, in capture order
+        // (iteration major). Pre-wired: no clause resolution — freezing
+        // proved it pass-invariant, so the accesses are the plan's copies
+        // (no tickets, no renames by construction). Resolved: the recipe's
+        // clauses go through a `ClauseSet` against current version state
+        // (bindings substituting handles), exactly as a `TaskBuilder`'s do,
+        // and are committed here — the batch's point in program order. A
+        // write clash stops the stamping at its recipe, as it would stop the
+        // fresh-spawn loop this replay stands for: the recipes before it are
+        // inserted below, its own bindings are released with its set.
+        let cx = inner.rename_cx();
+        'stamp: for m in 0..iterations {
+            for (t, recipe) in template.tasks.iter().enumerate() {
+                let (accesses, tickets) = if let Some(plan) = &plan {
+                    (plan.accesses[t].clone(), Vec::new())
+                } else {
+                    let mut clauses = ClauseSet::default();
                     for clause in &recipe.clauses {
                         let handle: &dyn Accessible = match bindings.lookup(clause.key) {
                             Some(h) => h,
                             None => &*clause.handle,
                         };
-                        let mut resolved = handle.resolve(clause.kind, &cx);
-                        reject_write_clash(&accesses, &mut resolved);
-                        if clause.kind.reads() {
-                            unelide_overlapping(
-                                &mut accesses,
-                                &mut tickets,
-                                &mut commits,
-                                &mut renames,
-                                &resolved,
-                                &cx,
-                            );
+                        if let Err(c) = clauses.declare(clause.kind, handle, &cx) {
+                            clash = Some(c);
+                            break 'stamp;
                         }
-                        accesses.append(resolved.accesses);
-                        tickets.extend(resolved.tickets);
-                        commits.extend(resolved.commits);
-                        renames.extend(resolved.renamed);
                     }
+                    let bound = clauses.commit(&inner.rename);
                     // Any version machinery at all disqualifies freezing:
                     // resolution is only pass-invariant for plain handles.
-                    if !tickets.is_empty() || !commits.is_empty() || !renames.is_empty() {
-                        pure = false;
-                    }
-                    for commit in commits.drain(..) {
-                        commit.commit();
-                    }
-                    if accesses.spilled() {
-                        spills += 1;
-                    }
-                    if !tickets.is_empty() {
-                        // Bind side of the version-ticket ledger, mirroring
-                        // `TaskBuilder::spawn` (release side: worker retire).
-                        inner.rename.note_tickets_bound(tickets.len() as u64);
-                    }
-                    let run = recipe.body.clone();
-                    let mut spilled = false;
-                    let mut node = inner.slab.acquire(
-                        None,
-                        recipe.name.clone(),
-                        recipe.priority,
-                        accesses,
-                        tickets,
-                        move |ctx: &TaskContext<'_>| run(ctx),
-                        inner.root_children.clone(),
-                        &mut spilled,
-                    );
-                    if spilled {
-                        body_spills += 1;
-                    }
-                    {
-                        let fresh = Arc::get_mut(&mut node)
-                            .expect("freshly acquired node is unshared");
-                        fresh.replay_pass = base + m as u64 + 1;
-                        fresh.cancel = cancel.clone();
-                    }
-                    if let Some(d) = &inner.dcheck {
-                        d.register_task(&node);
-                    }
-                    for access in node.accesses.iter() {
+                    pure &= bound.tickets.is_empty();
+                    for access in bound.accesses.iter() {
                         sids.push(inner.tracker.shard_of(access.region.id.alloc));
                     }
                     if trace_enabled {
-                        renames_per_task.push(renames);
+                        renames_per_task.push(bound.renamed);
                     }
-                    nodes.push(node);
-                }
+                    (bound.accesses, bound.tickets)
+                };
+                let run = recipe.body.clone();
+                let mut spilled = false;
+                nodes.push(inner.slab.acquire(
+                    None,
+                    recipe.name.clone(),
+                    recipe.priority,
+                    accesses,
+                    tickets,
+                    move |ctx: &TaskContext<'_>| run(ctx),
+                    inner.root_children.clone(),
+                    base + m as u64 + 1,
+                    cancel.clone(),
+                    &mut spilled,
+                ));
+                body_spills += u64::from(spilled);
             }
+        }
+        if let Some(plan) = &plan {
+            // The baked interior edges are wired in before any gate is taken.
+            graph::prewire_batch(nodes, plan, iterations);
+        } else {
             sids.sort_unstable();
             sids.dedup();
         }
-
-        // Batched bookkeeping, mirroring `spawn_node` — counted before the
-        // batch can start executing.
-        inner.stats.add(StatField::TasksSpawned, total as u64);
-        inner.stats.add(StatField::ReplayTasks, total as u64);
-        if spills != 0 {
-            inner.stats.add(StatField::AccessInlineSpills, spills);
-        }
-        if body_spills != 0 {
-            inner.stats.add(StatField::SpawnBodySpills, body_spills);
-        }
-        inner.in_flight.fetch_add(total, Ordering::SeqCst);
-        inner.root_children.add_children(total);
-
-        // Phase 2 — one gate acquisition for the whole (super-)batch.
-        let mut prewired = false;
-        let batch = if let Some(plan) = &plan {
-            match inner
-                .tracker
-                .register_batch_prewired(nodes, plan, iterations, trace_enabled)
-            {
-                Some(batch) => {
-                    prewired = true;
-                    batch
-                }
-                None => {
-                    // Live state disagrees with the plan (another region id
-                    // appeared on a frozen allocation): unwire the baked
-                    // edges and fall back to full re-derivation. The plan's
-                    // accesses are still the right resolution — freezing
-                    // proved it pass-invariant — so only the registration
-                    // repeats. The plan is kept: the conflict is usually a
-                    // transient tombstone the next GC sweep drops.
-                    graph::unwire_batch(nodes);
-                    inner.tracker.register_batch(nodes, &plan.sids, trace_enabled)
-                }
-            }
-        } else {
-            inner.tracker.register_batch(nodes, sids, trace_enabled)
-        };
-        inner.stats.add(StatField::EdgesAdded, batch.edges as u64);
-        inner.stats.add(StatField::EdgesRaw, batch.raw_edges as u64);
-        inner.stats.add(StatField::EdgesWar, batch.war_edges as u64);
-        inner.stats.add(StatField::EdgesWaw, batch.waw_edges as u64);
-        inner
-            .stats
-            .add(StatField::DependencesSeen, batch.predecessors_seen as u64);
-
-        if let Some(d) = &inner.dcheck {
-            // Same rule as `spawn_node`: the completed-task snapshot is
-            // merged right after tracker registration, so any predecessor
-            // that completed before (or raced with) this batch's
-            // registration is already in each node's clock.
-            for node in nodes.iter() {
-                d.merge_completed_snapshot(node);
-            }
-        }
-
         // Freeze attempt — a resolved pass with empty bindings that used no
         // version machinery proves the batch renaming-free; bake it. Done
         // outside any gate (the shadow registration touches no live shard).
-        if pure {
+        if pure && clash.is_none() {
             let mut frozen = template.frozen.lock();
             if frozen.is_none() {
                 *frozen = graph::build_frozen_plan(&nodes[..n], &inner.tracker).map(Arc::new);
             }
         }
 
-        if trace_enabled {
-            for node in nodes.iter() {
-                inner.trace.record(TraceEvent::Spawned {
-                    task: node.id,
-                    name: node.name.clone(),
-                    at_ns: inner.trace.now_ns(),
-                    deps: node.in_edges.load(Ordering::Relaxed),
-                    generation: node.generation,
-                });
-            }
-            // Live edge records: dense (every task) on the resolved path,
-            // frontier-only on the pre-wired path — indexed by the stored
-            // batch position either way.
-            for (i, edge_list) in &batch.per_task {
-                for edge in edge_list {
-                    inner.trace.record(TraceEvent::Edge {
-                        task: nodes[*i].id,
-                        from: edge.pred,
-                        shard: edge.shard,
-                        fast_path: false,
-                        at_ns: inner.trace.now_ns(),
-                    });
+        inner.stats.add(StatField::ReplayTasks, nodes.len() as u64);
+        if body_spills != 0 {
+            inner.stats.add(StatField::SpawnBodySpills, body_spills);
+        }
+
+        // Phase 2 — the insertion every task goes through, with one gate
+        // acquisition for the whole (super-)batch as its registration.
+        let prewired = Cell::new(false);
+        inner.insert(
+            nodes.drain(..),
+            &renames_per_task,
+            None,
+            ready,
+            |nodes, record_edges| {
+                let Some(plan) = &plan else {
+                    return inner.tracker.register_batch(nodes, sids, record_edges);
+                };
+                if let Some(batch) =
+                    inner
+                        .tracker
+                        .register_batch_prewired(nodes, plan, iterations, record_edges)
+                {
+                    prewired.set(true);
+                    return batch;
                 }
-            }
-            if prewired {
-                if let Some(plan) = &plan {
-                    for m in 0..iterations {
-                        let b = m * n;
+                // Live state disagrees with the plan (another region id
+                // appeared on a frozen allocation): unwire the baked edges
+                // and fall back to full re-derivation. The plan's accesses
+                // are still the right resolution — freezing proved it
+                // pass-invariant — so only the registration repeats. The
+                // plan is kept: the conflict is usually a transient
+                // tombstone the next GC sweep drops.
+                graph::unwire_batch(nodes);
+                inner.tracker.register_batch(nodes, &plan.sids, record_edges)
+            },
+            |nodes| {
+                // The live edges are out; a pre-wired pass adds its baked
+                // ones.
+                if let (true, Some(plan)) = (prewired.get(), &plan) {
+                    for pass in nodes.chunks(n) {
                         for e in &plan.edges {
                             inner.trace.record(TraceEvent::Edge {
-                                task: nodes[b + e.succ].id,
-                                from: nodes[b + e.pred].id,
+                                task: pass[e.succ].id,
+                                from: pass[e.pred].id,
                                 shard: e.shard,
                                 fast_path: false,
                                 at_ns: inner.trace.now_ns(),
@@ -830,57 +721,20 @@ impl Runtime {
                         }
                     }
                 }
-            }
-            for (i, renames) in renames_per_task.iter().enumerate() {
-                for ev in renames {
-                    inner.trace.record(TraceEvent::Renamed {
-                        task: nodes[i].id,
-                        from_alloc: ev.from.raw(),
-                        to_alloc: ev.to.raw(),
-                        recycled: ev.recycled,
-                        chunk: ev.chunk,
+                for (m, pass) in nodes.chunks(n).enumerate() {
+                    inner.trace.record(TraceEvent::Replayed {
+                        task: pass[0].id,
+                        tasks: pass.len(),
+                        pass: base + m as u64 + 1,
+                        prewired: prewired.get(),
                         at_ns: inner.trace.now_ns(),
                     });
                 }
-            }
-            for m in 0..iterations {
-                inner.trace.record(TraceEvent::Replayed {
-                    task: nodes[m * n].id,
-                    tasks: n,
-                    pass: base + m as u64 + 1,
-                    prewired,
-                    at_ns: inner.trace.now_ns(),
-                });
-            }
-        }
-
-        // Phase 3 — release every registration sentinel in capture order,
-        // collecting the immediately ready roots. Draining `nodes` here
-        // drops the batch's extra `Arc`s *before* the roots are queued, so
-        // workers retiring these tasks find them uniquely referenced and
-        // the recycler keeps feeding the slab.
-        let mut immediately_ready = 0u64;
-        for node in nodes.drain(..) {
-            if graph::finish_registration(&node) {
-                immediately_ready += 1;
-                if trace_enabled {
-                    inner.trace.record(TraceEvent::Ready {
-                        task: node.id,
-                        at_ns: inner.trace.now_ns(),
-                    });
-                }
-                ready.push(node);
-            }
-        }
-        if immediately_ready != 0 {
-            inner.stats.add(StatField::ImmediatelyReady, immediately_ready);
-        }
-        inner.sched.push_spawn_batch(ready);
-        template.return_scratch(scratch);
-        // GC cadence after every lock is released — the sweep takes each
-        // shard's gate itself.
-        if inner.note_batch_spawned(total as u64) {
-            inner.tracker.garbage_collect();
+            },
+        );
+        template.scratch.lock().push(scratch);
+        if let Some(clash) = clash {
+            clash.raise();
         }
         last
     }

@@ -72,9 +72,10 @@ pub enum FaultClass {
     /// exhausted: the access falls back to serialising in place (the
     /// documented backpressure path). Serial: per-class call counter.
     RenameExhaustion = 2,
-    /// A tracker registration forced to skip the polite gate try (and so
-    /// counted as a fast-path fallback), or a retirement forced through the
-    /// shard's retire inbox. Serial: per-class call counter.
+    /// A tracker gate acquisition forced to skip the polite try (a fresh
+    /// registration so forced counts as a fast-path fallback), or a
+    /// retirement forced through the shard's retire inbox. Serial: per-class
+    /// call counter.
     TrackerFallback = 3,
     /// An ingest-queue push forced to report the queue as full, shedding the
     /// job even below capacity. Serial: per-class call counter.
@@ -174,7 +175,8 @@ impl FaultPlan {
         self.with_rate(FaultClass::RenameExhaustion, one_in(n))
     }
 
-    /// Force roughly one in `n` tracker operations off the fast path.
+    /// Force roughly one in `n` tracker operations off the fast path; `n = 1`
+    /// forces all of them — the tracker's reference configuration.
     pub fn tracker_fallback_one_in(self, n: u64) -> Self {
         self.with_rate(FaultClass::TrackerFallback, one_in(n))
     }

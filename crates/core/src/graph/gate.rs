@@ -246,12 +246,14 @@ pub(super) struct Held<'a> {
 impl<'a> Held<'a> {
     /// Acquire the gates of `sids` — ascending and deduplicated: the one
     /// global order, which is what makes multi-shard holds deadlock-free —
-    /// waiting as long as it takes. Per gate: with `try_first`, a polite
-    /// attempt within the spin budget; failing that (or without it), the
-    /// waiter-flag wait. Each shard's retire inbox is applied as its gate is
-    /// taken, so no holder ever reads history with a retirement pending that
-    /// was handed over before it acquired.
-    pub(super) fn acquire(tracker: &'a ShardedTracker, sids: &'a [usize], try_first: bool) -> Self {
+    /// waiting as long as it takes. Per gate: a polite attempt within the
+    /// spin budget; failing that (or when the fault plan forces this
+    /// acquisition off the try), the waiter-flag wait. Each shard's retire
+    /// inbox is applied as its gate is taken, so no holder ever reads
+    /// history with a retirement pending that was handed over before it
+    /// acquired.
+    pub(super) fn acquire(tracker: &'a ShardedTracker, sids: &'a [usize]) -> Self {
+        let try_first = !tracker.forced_fallback();
         debug_assert!(
             sids.windows(2).all(|w| w[0] < w[1]),
             "shard ids must be sorted and deduplicated"
@@ -368,9 +370,9 @@ impl ShardedTracker {
     /// still holds in any shard is replaced by a tombstone, releasing the
     /// node. Idempotent per task, and **never blocks**: a shard whose gate
     /// is free right now (one CAS) is updated in place; for a shard that is
-    /// held (or always, when the polite try is switched off), the retirement
-    /// goes into that shard's inbox and whoever holds or next takes the gate
-    /// applies it. A worker stalled here would stop executing tasks while
+    /// held (or when the fault plan forces it), the retirement goes into
+    /// that shard's inbox and whoever holds or next takes the gate applies
+    /// it. A worker stalled here would stop executing tasks while
     /// the spawner's next registration finds ever more live predecessors.
     ///
     /// Ordering contract (load-bearing, see the module docs): by the time
@@ -382,11 +384,10 @@ impl ShardedTracker {
         if node.accesses.is_empty() || !node.mark_retired() {
             return;
         }
-        // The forced-locked configuration tries no gate, so its retirements
-        // all travel through the inbox (which also makes the equivalence
-        // suites' reference run the deferred path throughout); the chaos
-        // hook forces the same for single operations.
-        let forced = !self.fast_path || self.forced_fallback();
+        // A forced retirement tries no gate and travels through the inbox;
+        // forced at every roll, the equivalence suites' reference
+        // configuration runs the deferred path throughout.
+        let forced = self.forced_fallback();
         let mut held: Option<Held<'_>> = None;
         for access in node.accesses.iter() {
             let rid = access.region.id;

@@ -122,12 +122,12 @@
 //! several shards or had to wait, and `tracker_lock_contention` waiting
 //! acquisitions that found the gate held (all in
 //! [`RuntimeStats`](crate::RuntimeStats)); traced edges carry a `fast_path`
-//! flag. [`RuntimeConfig::with_tracker_fast_path(false)`](crate::RuntimeConfig::with_tracker_fast_path)
-//! is the equivalence suites' reference configuration: it skips step 1
-//! everywhere (every acquisition waits, nothing is counted as hit or
-//! fallback) and sends every retirement through the inbox. Both
-//! configurations run the same passes on the same history maps, which is why
-//! the edge multiset is byte-identical between them;
+//! flag. The equivalence suites' reference configuration is a fault plan
+//! ([`FaultPlan::tracker_fallback_one_in(1)`](crate::FaultPlan::tracker_fallback_one_in)):
+//! it skips step 1 everywhere (every acquisition waits, every fresh
+//! registration counts as a fallback) and sends every retirement through the
+//! inbox. Both configurations run the same passes on the same history maps,
+//! which is why the edge multiset is byte-identical between them;
 //! `tests/tracker_equivalence.rs` pins that too.
 //!
 //! **Every** acquisition first applies the retire inbox (below) of each shard
@@ -149,10 +149,10 @@
 //!
 //! **A retirement never blocks the worker.** It takes the shard gate only if
 //! the gate is free right now (one CAS, no spinning). If the gate is held —
-//! typically by a spawner in the middle of a long registration — or the
-//! polite try is switched off, the
-//! worker pushes `(region, task, access kind)` onto that shard's **retire
-//! inbox**, looks at the gate once more, and goes back to executing tasks.
+//! typically by a spawner in the middle of a long registration — or a fault
+//! plan forces it, the worker pushes `(region, task, access kind)` onto that
+//! shard's **retire inbox**, looks at the gate once more, and goes back to
+//! executing tasks.
 //! Were it to wait instead, every worker would park behind the one long
 //! registration, nothing would complete, and each following registration
 //! would find *more* live predecessors and hold the gate longer still.
@@ -346,14 +346,12 @@ pub(crate) struct ShardedTracker {
     /// borrows its id from (see [`ShardedTracker::one`]).
     shard_ids: Box<[usize]>,
     counters: TrackerCounters,
-    /// Whether acquisitions try their gates politely before waiting and
-    /// retirements may tombstone in place. `false` makes every acquisition
-    /// wait and sends every retirement through the inbox (the
-    /// equivalence-suite reference configuration).
-    fast_path: bool,
-    /// Chaos-test hook: when set, individual operations may be forced to
-    /// skip the try ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)).
-    /// `None` in production — a single pointer check on the hot path.
+    /// Chaos-test hook: when set, individual gate acquisitions may be forced
+    /// to skip the polite try and individual retirements through the inbox
+    /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
+    /// rate of one in one that is the equivalence suites' reference
+    /// configuration. `None` in production — a single pointer check on the
+    /// hot path.
     fault: Option<crate::failpoint::FaultPlan>,
     /// Where the node references history lets go of after their worker did
     /// are parked (see `shard::release_node`).
@@ -361,13 +359,12 @@ pub(crate) struct ShardedTracker {
 }
 
 impl ShardedTracker {
-    pub(crate) fn new(shards: usize, fast_path: bool) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         assert!(shards >= 1, "the tracker needs at least one shard");
         ShardedTracker {
             shards: (0..shards).map(|_| ShardSlot::new()).collect(),
             shard_ids: (0..shards).collect(),
             counters: TrackerCounters::new(shards),
-            fast_path,
             fault: None,
             recycler: None,
         }
@@ -386,9 +383,9 @@ impl ShardedTracker {
         self.recycler = Some(slab);
     }
 
-    /// Whether the installed fault plan (if any) forces this operation to
-    /// skip the polite try.
-    fn forced_fallback(&self) -> bool {
+    /// Whether the installed fault plan (if any) forces this operation —
+    /// one gate acquisition, or one retirement — to skip the polite try.
+    pub(super) fn forced_fallback(&self) -> bool {
         self.fault
             .as_ref()
             .is_some_and(|p| p.roll_next(crate::failpoint::FaultClass::TrackerFallback))
@@ -418,7 +415,7 @@ impl ShardedTracker {
 
     /// Hold shard `sid` alone (sweeps, diagnostics, lookups).
     fn hold_one(&self, sid: usize) -> Held<'_> {
-        Held::acquire(self, self.one(sid), self.fast_path)
+        Held::acquire(self, self.one(sid))
     }
 
     // lint: hot-path-begin — registration: every spawned task and every
@@ -466,14 +463,13 @@ impl ShardedTracker {
     /// so that future tasks depend on `node` where required: a
     /// [`register_batch`](ShardedTracker::register_batch) of one node over
     /// the shards its accesses touch, counted as a fast-path hit (single
-    /// shard, gate taken at the first try) or fallback. `record_edges` asks
-    /// for [`EdgeRecord`]s (only the tracing path wants them).
+    /// shard, gate taken at the first try) or fallback (several shards, a
+    /// wait, or a try the fault plan forced off). `record_edges` asks for
+    /// [`EdgeRecord`]s (only the tracing path wants them).
     pub(crate) fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
         let sids = ShardIds::of(self, &node.accesses);
-        let counted = self.fast_path && !sids.is_empty();
-        let try_first = counted && !self.forced_fallback();
-        let reg = self.register_nodes(std::slice::from_ref(node), &sids, record_edges, try_first);
-        if counted {
+        let reg = self.register_batch(std::slice::from_ref(node), &sids, record_edges);
+        if !sids.is_empty() {
             if reg.fast_path {
                 self.counters.fast_hit();
             } else {
@@ -483,7 +479,8 @@ impl ShardedTracker {
         reg
     }
 
-    /// Register a whole template-replay batch under **one** acquisition:
+    /// Register a batch — a template replay's, or a fresh spawn's one node —
+    /// under **one** acquisition:
     /// every shard in `sids` (the sorted, deduplicated union of the shards
     /// the batch's accesses touch — computed by the caller so the buffer can
     /// be reused across replays) is gated once, then the three registration
@@ -504,16 +501,6 @@ impl ShardedTracker {
         sids: &[usize],
         record_edges: bool,
     ) -> Registration {
-        self.register_nodes(nodes, sids, record_edges, self.fast_path)
-    }
-
-    fn register_nodes(
-        &self,
-        nodes: &[Arc<TaskNode>],
-        sids: &[usize],
-        record_edges: bool,
-        try_first: bool,
-    ) -> Registration {
         let mut reg = Registration::default();
         let Some(&first) = sids.first() else {
             // Access-free: nothing to track, nothing to gate.
@@ -522,7 +509,7 @@ impl ShardedTracker {
             }
             return reg;
         };
-        let mut held = Held::acquire(self, sids, try_first);
+        let mut held = Held::acquire(self, sids);
         reg.fast_path = sids.len() == 1 && held.tried();
         for &sid in sids {
             self.counters.hit(sid);
@@ -693,11 +680,15 @@ mod tests {
     }
 
     fn tracker(shards: usize) -> ShardedTracker {
-        ShardedTracker::new(shards, true)
+        ShardedTracker::new(shards)
     }
 
+    /// The reference configuration: every gate acquisition forced off the
+    /// polite try, every retirement through the inbox.
     fn tracker_locked(shards: usize) -> ShardedTracker {
-        ShardedTracker::new(shards, false)
+        let mut tr = ShardedTracker::new(shards);
+        tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
+        tr
     }
 
     /// Drain a node as if it executed (without a runtime).
@@ -1055,7 +1046,11 @@ mod tests {
         assert!(!tr.register(&a, false).fast_path);
         finish_registration(&a);
         let diag = tr.diagnostics();
-        assert_eq!((diag.fast_path_hits, diag.fast_path_fallbacks), (0, 0));
+        assert_eq!(
+            (diag.fast_path_hits, diag.fast_path_fallbacks),
+            (0, 1),
+            "a forced fallback counts as a fallback"
+        );
     }
 
     #[test]
@@ -1405,6 +1400,8 @@ mod tests {
             Vec::new(),
             |_ctx| {},
             ChildTracker::new(),
+            0,
+            None,
             &mut false,
         );
         tr.register(&w, false);

@@ -350,7 +350,7 @@ impl ShardedTracker {
             // pre-wiring already stored every (zero) in-edge count.
             return Some(reg);
         };
-        let mut held = Held::acquire(self, &plan.sids, self.fast_path);
+        let mut held = Held::acquire(self, &plan.sids);
         for (alloc, rids) in &plan.allocs {
             let sid = self.shard_of(*alloc);
             if let Some(index) = held.shard(sid).by_alloc.get(alloc) {

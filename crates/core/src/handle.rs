@@ -17,19 +17,19 @@
 //! are serialised by the dependence graph, which is what makes handing out
 //! `&mut` sound.
 //!
-//! A [`Data<T>`] handle can additionally be **versioned**
-//! ([`Data::versioned`] / [`Runtime::versioned_data`]): it is then backed by
-//! a chain of storage versions, and an `output` access allocates a fresh
-//! version instead of inheriting WAR/WAW dependences — the automatic
-//! renaming of [`crate::rename`].
-//!
-//! A [`PartitionedData<T>`] can likewise be versioned
-//! ([`PartitionedData::versioned`] / [`Runtime::versioned_partitioned`]), at
-//! **chunk granularity**: every chunk owns its own version chain, an
-//! `output` access to chunk *i* renames just that chunk, and whole-array
-//! accesses bind (for `output`: rename) the current version of every chunk.
-//! The backing `Vec<T>` is reassembled from the chunks' final versions when
-//! the partition is unwrapped ([`PartitionedData::try_into_vec`] /
+//! Either handle can additionally be **versioned** ([`Data::versioned`] /
+//! [`PartitionedData::versioned`], normally through
+//! [`Runtime::versioned_data`] / [`Runtime::versioned_partitioned`]): its
+//! storage is then a **version chain** — a `Data` is one chain, a partition
+//! is `n` chains, one per chunk — and an `output` access allocates a fresh
+//! version of the chain it names instead of inheriting WAR/WAW dependences:
+//! the automatic renaming of [`crate::rename`]. What a chain does (bind the
+//! current version, elide a first write, rename or fall back, un-elide,
+//! commit, release and reclaim) is written once in this module, over a
+//! description of who owns the chain (`ChainOwner`). A whole-array access
+//! binds (for `output`: renames) the current version of every chunk's chain,
+//! and the backing `Vec<T>` is reassembled from the chunks' final versions
+//! when the partition is unwrapped ([`PartitionedData::try_into_vec`] /
 //! [`Runtime::into_vec`]).
 //!
 //! [`Runtime::versioned_data`]: crate::Runtime::versioned_data
@@ -43,9 +43,7 @@ use parking_lot::Mutex;
 
 use crate::access::{Access, AccessKind};
 use crate::region::{AllocId, Region, RegionId};
-use crate::rename::{
-    RenameCommit, RenameCx, RenameEvent, Reservation, ResolvedAccess, VersionTicket,
-};
+use crate::rename::{RenameCx, RenameEvent, Reservation, ResolvedAccess, VersionTicket};
 
 /// Trait of everything that can appear in an access clause.
 pub trait Accessible {
@@ -81,47 +79,26 @@ pub trait Accessible {
 }
 
 // ---------------------------------------------------------------------------
-// Data<T>
+// The version chain
 // ---------------------------------------------------------------------------
 
-pub(crate) struct DataInner<T> {
-    /// Canonical region: its allocation id is the stable identity ("root")
-    /// of the handle, and — for plain storage — the region used in clauses.
-    pub(crate) region: Region,
-    storage: Storage<T>,
-}
-
-enum Storage<T> {
-    /// A single cell; accesses always resolve to the canonical region.
-    Plain(UnsafeCell<T>),
-    /// A chain of versions; `output` accesses may rename (see
-    /// [`crate::rename`]).
-    Versioned(Chain<T>),
-}
-
-struct Chain<T> {
-    /// Produces the value a freshly allocated version starts from.
-    make: Box<dyn Fn() -> T + Send + Sync>,
-    /// Bytes one version is accounted for against the rename budget. Defaults
-    /// to the shallow `size_of::<T>()`; [`Data::versioned_with_size`] lets
-    /// heap-backed types declare their deep payload.
-    bytes_per_version: usize,
-    state: Mutex<ChainState<T>>,
-}
-
-struct ChainState<T> {
+/// One version chain: the live versions of one renameable unit of storage —
+/// a whole [`Data`], or one chunk of a versioned [`PartitionedData`] — plus
+/// its recycle pool and which version is current. `C` is what one version
+/// stores (`T`, or a chunk's `Vec<T>`). See [`crate::rename`] for the model.
+struct ChainState<C> {
     /// Live versions. Slot cells are boxed so their addresses survive the
     /// vector reallocating.
-    slots: Vec<Slot<T>>,
+    slots: Vec<Slot<C>>,
     /// Recycled storage (bounded by the runtime's rename pool depth).
-    free: Vec<FreeSlot<T>>,
+    free: Vec<FreeSlot<C>>,
     /// Index into `slots` of the current (program-order latest) version.
     current: usize,
 }
 
-struct Slot<T> {
+struct Slot<C> {
     alloc: AllocId,
-    cell: Box<UnsafeCell<T>>,
+    cell: Box<UnsafeCell<C>>,
     /// In-flight tasks bound to this version.
     refs: usize,
     /// Budget share of this version; `None` for the canonical first slot
@@ -129,12 +106,26 @@ struct Slot<T> {
     reservation: Option<Reservation>,
 }
 
-struct FreeSlot<T> {
-    cell: Box<UnsafeCell<T>>,
+struct FreeSlot<C> {
+    cell: Box<UnsafeCell<C>>,
     reservation: Option<Reservation>,
 }
 
-impl<T> ChainState<T> {
+impl<C> ChainState<C> {
+    /// A chain holding only its canonical version.
+    fn new(alloc: AllocId, value: C) -> Self {
+        ChainState {
+            slots: vec![Slot {
+                alloc,
+                cell: Box::new(UnsafeCell::new(value)),
+                refs: 0,
+                reservation: None,
+            }],
+            free: Vec::new(),
+            current: 0,
+        }
+    }
+
     fn slot_index(&self, alloc: AllocId) -> Option<usize> {
         self.slots.iter().position(|s| s.alloc == alloc)
     }
@@ -160,6 +151,280 @@ impl<T> ChainState<T> {
     }
 }
 
+/// Who owns version chains and what one of their versions looks like. All
+/// that ever happens to a [`ChainState`] — [`resolve_chains`], [`rename`],
+/// [`bind_current`] and the [`ChainTicket`] release / commit / un-elide — is
+/// written once over this description: a [`Data`] is one chain, a versioned
+/// [`PartitionedData`] is one chain per chunk.
+trait ChainOwner: Send + Sync + 'static {
+    /// Storage of one version.
+    type Cell;
+
+    /// Chain `i` (always `0` for a [`Data`]; the chunk index for a
+    /// partition). Only called on versioned storage.
+    fn chain(&self, i: usize) -> &Mutex<ChainState<Self::Cell>>;
+
+    /// The sub-region of the handle that chain `i` versions: the identity
+    /// its bindings are keyed by, whatever concrete version they resolve to.
+    fn canonical(&self, i: usize) -> Region;
+
+    /// Region of the version of chain `i` with allocation identity `alloc`.
+    fn version_region(&self, i: usize, alloc: AllocId) -> Region;
+
+    /// Bytes one version of chain `i` draws from the rename budget.
+    fn bytes_per_version(&self, i: usize) -> usize;
+
+    /// The contents a freshly allocated version of chain `i` starts from.
+    fn make(&self, i: usize) -> Self::Cell;
+
+    /// Storage pointer and element count of a version cell of chain `i`.
+    fn cell_ptr(&self, i: usize, cell: &UnsafeCell<Self::Cell>) -> (*mut (), usize);
+
+    /// Chunk index the [`RenameEvent`]s of chain `i` report.
+    fn chunk(&self, i: usize) -> Option<u32>;
+
+    /// An access of `kind` bound to the version of chain `i` with identity
+    /// `alloc`, stored in `cell`. The version's storage pointer is resolved
+    /// here, once, so the task-body guards never lock the chain.
+    fn bound_access(
+        &self,
+        i: usize,
+        alloc: AllocId,
+        cell: &UnsafeCell<Self::Cell>,
+        kind: AccessKind,
+    ) -> Access {
+        let (ptr, len) = self.cell_ptr(i, cell);
+        Access::bound_to(self.version_region(i, alloc), kind, self.canonical(i), ptr, len)
+    }
+
+    /// Region of the current version of chain `i`.
+    fn current_region(&self, i: usize) -> Region {
+        let st = self.chain(i).lock();
+        self.version_region(i, st.slots[st.current].alloc)
+    }
+
+    /// Region of every live version of chain `i` (what a synchronisation on
+    /// it must cover).
+    fn live_regions(&self, i: usize) -> Vec<Region> {
+        let st = self.chain(i).lock();
+        st.slots
+            .iter()
+            .map(|s| self.version_region(i, s.alloc))
+            .collect()
+    }
+}
+
+/// A task's binding to one version of one chain: the release hook, run
+/// exactly once (task completion, or an abandoned builder), and — for a
+/// binding a rename made — that rename's pending commit.
+struct ChainTicket<O: ChainOwner> {
+    owner: Arc<O>,
+    chain: usize,
+    alloc: AllocId,
+    pool_depth: usize,
+    /// The bound version was allocated by a rename and is not current yet.
+    uncommitted: bool,
+}
+
+impl<O: ChainOwner> VersionTicket for ChainTicket<O> {
+    fn release(&self) {
+        let mut st = self.owner.chain(self.chain).lock();
+        if let Some(idx) = st.slot_index(self.alloc) {
+            debug_assert!(st.slots[idx].refs > 0, "ticket released twice");
+            st.slots[idx].refs -= 1;
+            st.reclaim(idx, self.pool_depth);
+        }
+    }
+
+    fn commit(&mut self) {
+        if !std::mem::take(&mut self.uncommitted) {
+            return;
+        }
+        let mut st = self.owner.chain(self.chain).lock();
+        if let Some(idx) = st.slot_index(self.alloc) {
+            if idx != st.current {
+                let superseded = st.current;
+                st.current = idx;
+                st.reclaim(superseded, self.pool_depth);
+            }
+        }
+    }
+
+    fn unelide(&mut self, cx: &RenameCx<'_>) -> Option<(Access, RenameEvent)> {
+        let mut st = self.owner.chain(self.chain).lock();
+        let idx = st.slot_index(self.alloc)?;
+        if idx != st.current {
+            // Not an in-place binding on the current version: nothing to
+            // un-elide (the write already targets its own version).
+            return None;
+        }
+        let (access, event) = rename(&*self.owner, self.chain, &mut st, AccessKind::Output, cx)?;
+        // The binding moves to the fresh version; release the in-place
+        // reference it held. The old version stays current — and readable —
+        // until the commit at insertion.
+        debug_assert!(st.slots[idx].refs > 0, "elided binding already released");
+        st.slots[idx].refs -= 1;
+        cx.pool().note_unelision();
+        self.alloc = event.to;
+        self.uncommitted = true;
+        Some((access, event))
+    }
+}
+
+/// Bind the current version of chain `i`: bump its refcount and build the
+/// access. `elided` marks the binding as an elided in-place `output` (so the
+/// clause set can un-elide it if an `input` on the same sub-region follows).
+fn bind_current<O: ChainOwner>(
+    owner: &O,
+    i: usize,
+    st: &mut ChainState<O::Cell>,
+    kind: AccessKind,
+    elided: bool,
+) -> Access {
+    let slot = &mut st.slots[st.current];
+    slot.refs += 1;
+    let access = owner.bound_access(i, slot.alloc, &slot.cell, kind);
+    if elided {
+        access.mark_elided()
+    } else {
+        access
+    }
+}
+
+/// The rename arm shared by [`resolve_chains`] and [`ChainTicket::unelide`]:
+/// with the chain lock held, allocate (or pool-recycle) a fresh version and
+/// bind the task to it (refs = 1). Returns `None` — after counting a
+/// fallback — when the chain is at its version bound or the byte budget
+/// refuses the reservation.
+fn rename<O: ChainOwner>(
+    owner: &O,
+    i: usize,
+    st: &mut ChainState<O::Cell>,
+    kind: AccessKind,
+    cx: &RenameCx<'_>,
+) -> Option<(Access, RenameEvent)> {
+    // Version-count backpressure first: a `Data`'s byte accounting is
+    // shallow (`size_of::<T>()` unless a deep hint was given), so this is
+    // the bound that actually limits heap-backed types. Then prefer recycled
+    // storage (no new memory), else draw on the budget.
+    let storage = if st.slots.len() >= cx.max_versions() {
+        None
+    } else if let Some(free) = st.free.pop() {
+        Some((free.cell, free.reservation, true))
+    } else {
+        cx.try_reserve(owner.bytes_per_version(i))
+            .map(|res| (Box::new(UnsafeCell::new(owner.make(i))), Some(res), false))
+    };
+    let Some((cell, reservation, recycled)) = storage else {
+        cx.pool().note_fallback();
+        return None;
+    };
+    let alloc = AllocId::fresh();
+    let from = st.slots[st.current].alloc;
+    let access = owner.bound_access(i, alloc, &cell, kind);
+    // The new version is allocated (and this task bound to it) but NOT yet
+    // current: it becomes the handle's value only when the task is actually
+    // inserted (`ClauseSet::commit` runs the ticket's commit). A clause set
+    // abandoned before that releases its ticket, reclaiming the
+    // never-current version without disturbing the handle.
+    st.slots.push(Slot {
+        alloc,
+        cell,
+        refs: 1,
+        reservation,
+    });
+    let chunk = owner.chunk(i);
+    cx.pool().note_rename(recycled, chunk.is_some());
+    let event = RenameEvent {
+        from,
+        to: alloc,
+        recycled,
+        chunk,
+    };
+    Some((access, event))
+}
+
+/// Resolve an access of `kind` against each of `chains` in turn — one chain
+/// for a [`Data`] or a [`Chunk`], every chunk's chain for a whole-array
+/// clause, which binds (for `output`: renames) the current version of all of
+/// them.
+fn resolve_chains<O: ChainOwner>(
+    owner: &Arc<O>,
+    chains: std::ops::Range<usize>,
+    kind: AccessKind,
+    cx: &RenameCx<'_>,
+) -> ResolvedAccess {
+    let mut out = ResolvedAccess::default();
+    for i in chains {
+        let mut st = owner.chain(i).lock();
+        // Reads (and in-place updates) bind the latest version: true
+        // dependences are preserved, `inout` chains still serialise.
+        let writes_fresh = kind == AccessKind::Output && cx.renaming_enabled();
+        // First-write rename elision: nobody is bound to the current version
+        // (ticket release happens after tracker retirement, so "no bindings"
+        // means every earlier task on this version is a tombstone that can
+        // take no WAR/WAW edge) — overwrite it in place instead of paying
+        // for a version that would conflict with nothing anyway. The binding
+        // is marked elided so the clause set can undo it if an `input` on
+        // the same sub-region follows (the output-before-input corner).
+        let elide = writes_fresh && cx.elision_enabled() && st.slots[st.current].refs == 0;
+        if elide {
+            cx.pool().note_elision();
+        }
+        // `output`: rename; if the version bound or the byte budget refuses,
+        // fall back to the current version, serialising like the
+        // non-renaming runtime.
+        let renamed = if writes_fresh && !elide {
+            rename(&**owner, i, &mut st, kind, cx)
+        } else {
+            None
+        };
+        let (access, event) = match renamed {
+            Some((access, event)) => (access, Some(event)),
+            None => (bind_current(&**owner, i, &mut st, kind, elide), None),
+        };
+        drop(st);
+        let ticket = Box::new(ChainTicket {
+            owner: owner.clone(),
+            chain: i,
+            alloc: access.region.id.alloc,
+            pool_depth: cx.pool_depth(),
+            uncommitted: event.is_some(),
+        });
+        out.bind(access, ticket, event);
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Data<T>
+// ---------------------------------------------------------------------------
+
+pub(crate) struct DataInner<T> {
+    /// Canonical region: its allocation id is the stable identity ("root")
+    /// of the handle, and — for plain storage — the region used in clauses.
+    pub(crate) region: Region,
+    storage: Storage<T>,
+}
+
+enum Storage<T> {
+    /// A single cell; accesses always resolve to the canonical region.
+    Plain(UnsafeCell<T>),
+    /// One version chain; `output` accesses may rename (see
+    /// [`crate::rename`]).
+    Versioned(Chain<T>),
+}
+
+struct Chain<T> {
+    /// Produces the value a freshly allocated version starts from.
+    make: Box<dyn Fn() -> T + Send + Sync>,
+    /// Bytes one version is accounted for against the rename budget. Defaults
+    /// to the shallow `size_of::<T>()`; [`Data::versioned_with_size`] lets
+    /// heap-backed types declare their deep payload.
+    bytes_per_version: usize,
+    state: Mutex<ChainState<T>>,
+}
+
 // SAFETY: access to the cells is mediated by the runtime: a mutable guard is
 // only produced for a task that declared a write access, tasks with
 // conflicting declared accesses on the same version are ordered by the
@@ -168,70 +433,44 @@ impl<T> ChainState<T> {
 unsafe impl<T: Send> Send for DataInner<T> {}
 unsafe impl<T: Send> Sync for DataInner<T> {}
 
-/// Release hook for one (task, version) binding of a versioned handle;
-/// doubles as the commit hook for renames (same slot identity).
-struct SlotTicket<T> {
-    inner: Arc<DataInner<T>>,
-    alloc: AllocId,
-    pool_depth: usize,
-}
-
-impl<T> Clone for SlotTicket<T> {
-    fn clone(&self) -> Self {
-        SlotTicket {
-            inner: self.inner.clone(),
-            alloc: self.alloc,
-            pool_depth: self.pool_depth,
+impl<T> DataInner<T> {
+    fn versioned(&self) -> &Chain<T> {
+        match &self.storage {
+            Storage::Versioned(chain) => chain,
+            Storage::Plain(_) => unreachable!("version chains only exist on versioned handles"),
         }
     }
 }
 
-impl<T: Send + 'static> VersionTicket for SlotTicket<T> {
-    fn release(&self) {
-        if let Storage::Versioned(chain) = &self.inner.storage {
-            let mut st = chain.state.lock();
-            if let Some(idx) = st.slot_index(self.alloc) {
-                debug_assert!(st.slots[idx].refs > 0, "ticket released twice");
-                st.slots[idx].refs -= 1;
-                st.reclaim(idx, self.pool_depth);
-            }
-        }
+impl<T: Send + 'static> ChainOwner for DataInner<T> {
+    type Cell = T;
+
+    fn chain(&self, _: usize) -> &Mutex<ChainState<T>> {
+        &self.versioned().state
     }
 
-    fn unelide(&self, cx: &RenameCx<'_>) -> Option<ResolvedAccess> {
-        let Storage::Versioned(chain) = &self.inner.storage else {
-            return None;
-        };
-        let mut st = chain.state.lock();
-        let idx = st.slot_index(self.alloc)?;
-        if idx != st.current {
-            // Not an in-place binding on the current version: nothing to
-            // un-elide (the write already targets its own version).
-            return None;
-        }
-        let resolved = rename_data_version(&self.inner, chain, &mut st, AccessKind::Output, cx)?;
-        // The binding moves to the fresh version (held by the replacement
-        // ticket); release the in-place reference this ticket held. The old
-        // version stays current — and readable — until the commit at spawn.
-        debug_assert!(st.slots[idx].refs > 0, "elided binding already released");
-        st.slots[idx].refs -= 1;
-        cx.pool().note_unelision();
-        Some(resolved)
+    fn canonical(&self, _: usize) -> Region {
+        self.region.clone()
     }
-}
 
-impl<T: Send> RenameCommit for SlotTicket<T> {
-    fn commit(&self) {
-        if let Storage::Versioned(chain) = &self.inner.storage {
-            let mut st = chain.state.lock();
-            if let Some(idx) = st.slot_index(self.alloc) {
-                if idx != st.current {
-                    let superseded = st.current;
-                    st.current = idx;
-                    st.reclaim(superseded, self.pool_depth);
-                }
-            }
-        }
+    fn version_region(&self, _: usize, alloc: AllocId) -> Region {
+        Region::new(alloc, 0, self.region.bytes.clone())
+    }
+
+    fn bytes_per_version(&self, _: usize) -> usize {
+        self.versioned().bytes_per_version
+    }
+
+    fn make(&self, _: usize) -> T {
+        (self.versioned().make)()
+    }
+
+    fn cell_ptr(&self, _: usize, cell: &UnsafeCell<T>) -> (*mut (), usize) {
+        (cell.get() as *mut (), 1)
+    }
+
+    fn chunk(&self, _: usize) -> Option<u32> {
+        None
     }
 }
 
@@ -306,16 +545,7 @@ impl<T: Send + 'static> Data<T> {
                 storage: Storage::Versioned(Chain {
                     make: Box::new(make),
                     bytes_per_version,
-                    state: Mutex::new(ChainState {
-                        slots: vec![Slot {
-                            alloc,
-                            cell: Box::new(UnsafeCell::new(value)),
-                            refs: 0,
-                            reservation: None,
-                        }],
-                        free: Vec::new(),
-                        current: 0,
-                    }),
+                    state: Mutex::new(ChainState::new(alloc, value)),
                 }),
             }),
         }
@@ -372,148 +602,20 @@ impl<T: Send + 'static> Data<T> {
             }
         }
     }
-
-    fn version_region(&self, alloc: AllocId) -> Region {
-        self.inner.version_region(alloc)
-    }
-
-    /// Bind the current version: bump its refcount and build the access. The
-    /// version's storage pointer is resolved here, once, so the task-body
-    /// guards never lock the chain. `elided` marks the binding as an elided
-    /// in-place `output` (so the builder can un-elide it if an `input` on
-    /// the same handle follows).
-    fn bind_current(
-        &self,
-        kind: AccessKind,
-        cx: &RenameCx<'_>,
-        st: &mut ChainState<T>,
-        elided: bool,
-    ) -> ResolvedAccess {
-        let current = st.current;
-        st.slots[current].refs += 1;
-        let alloc = st.slots[current].alloc;
-        let ptr = st.slots[current].cell.get();
-        let mut access = Access::bound_to(
-            self.version_region(alloc),
-            kind,
-            self.inner.region.clone(),
-            ptr as *mut (),
-            1,
-        );
-        if elided {
-            access = access.mark_elided();
-        }
-        ResolvedAccess::bound(
-            access,
-            Box::new(SlotTicket {
-                inner: self.inner.clone(),
-                alloc,
-                pool_depth: cx.pool_depth(),
-            }),
-            None,
-            None,
-        )
-    }
-}
-
-impl<T> DataInner<T> {
-    fn version_region(&self, alloc: AllocId) -> Region {
-        Region::new(alloc, 0, self.region.bytes.clone())
-    }
-}
-
-/// The rename arm shared by [`Data::resolve`] and [`SlotTicket::unelide`]:
-/// with the chain lock held, allocate (or pool-recycle) a fresh version,
-/// bind the task to it (refs = 1) and return the access + ticket + deferred
-/// commit. Returns `None` — after counting a fallback — when the handle is
-/// at its version bound or the byte budget refuses the reservation.
-fn rename_data_version<T: Send + 'static>(
-    inner: &Arc<DataInner<T>>,
-    chain: &Chain<T>,
-    st: &mut ChainState<T>,
-    kind: AccessKind,
-    cx: &RenameCx<'_>,
-) -> Option<ResolvedAccess> {
-    // Version-count backpressure: the byte budget below is shallow
-    // (`size_of::<T>()` unless a deep hint was given), so this is the bound
-    // that actually limits heap-backed types.
-    if st.slots.len() >= cx.max_versions() {
-        cx.pool().note_fallback();
-        return None;
-    }
-    // Prefer recycled storage (no new memory), else draw on the budget.
-    let (cell, reservation, recycled) = if let Some(free) = st.free.pop() {
-        (free.cell, free.reservation, true)
-    } else {
-        match cx.try_reserve(chain.bytes_per_version) {
-            Some(res) => (Box::new(UnsafeCell::new((chain.make)())), Some(res), false),
-            None => {
-                cx.pool().note_fallback();
-                return None;
-            }
-        }
-    };
-    let alloc = AllocId::fresh();
-    let from = st.slots[st.current].alloc;
-    st.slots.push(Slot {
-        alloc,
-        cell,
-        refs: 1,
-        reservation,
-    });
-    let ptr = st.slots.last().expect("just pushed").cell.get();
-    // The new version is allocated (and this task bound to it) but NOT
-    // yet current: it becomes the handle's value only when the task is
-    // actually inserted (`TaskBuilder::spawn` runs the commit hook). A
-    // builder abandoned before spawn releases its ticket, reclaiming
-    // the never-current version without disturbing the handle.
-    cx.pool().note_rename(recycled, false);
-    let ticket = SlotTicket {
-        inner: inner.clone(),
-        alloc,
-        pool_depth: cx.pool_depth(),
-    };
-    let commit = ticket.clone();
-    Some(ResolvedAccess::bound(
-        Access::bound_to(
-            inner.version_region(alloc),
-            kind,
-            inner.region.clone(),
-            ptr as *mut (),
-            1,
-        ),
-        Box::new(ticket),
-        Some(RenameEvent {
-            from,
-            to: alloc,
-            recycled,
-            chunk: None,
-        }),
-        Some(Box::new(commit)),
-    ))
 }
 
 impl<T: Send + 'static> Accessible for Data<T> {
     fn region(&self) -> Region {
         match &self.inner.storage {
             Storage::Plain(_) => self.inner.region.clone(),
-            Storage::Versioned(chain) => {
-                let st = chain.state.lock();
-                self.version_region(st.slots[st.current].alloc)
-            }
+            Storage::Versioned(_) => self.inner.current_region(0),
         }
     }
 
     fn sync_regions(&self) -> Vec<Region> {
         match &self.inner.storage {
             Storage::Plain(_) => vec![self.inner.region.clone()],
-            Storage::Versioned(chain) => chain
-                .state
-                .lock()
-                .slots
-                .iter()
-                .map(|s| self.version_region(s.alloc))
-                .collect(),
+            Storage::Versioned(_) => self.inner.live_regions(0),
         }
     }
 
@@ -524,38 +626,11 @@ impl<T: Send + 'static> Accessible for Data<T> {
     }
 
     fn resolve(&self, kind: AccessKind, cx: &RenameCx<'_>) -> ResolvedAccess {
-        let chain = match &self.inner.storage {
-            Storage::Plain(cell) => {
-                return ResolvedAccess::plain(
-                    Access::new(self.inner.region.clone(), kind)
-                        .with_ptr(cell.get() as *mut (), 1),
-                )
-            }
-            Storage::Versioned(chain) => chain,
-        };
-        let mut st = chain.state.lock();
-        if kind != AccessKind::Output || !cx.renaming_enabled() {
-            // Reads (and in-place updates) bind the latest version: true
-            // dependences are preserved, `inout` chains still serialise.
-            return self.bind_current(kind, cx, &mut st, false);
-        }
-        // First-write rename elision: nobody is bound to the current version
-        // (ticket release happens after tracker retirement, so "no bindings"
-        // means every earlier task on this version is a tombstone that can
-        // take no WAR/WAW edge) — overwrite it in place instead of paying
-        // for a version that would conflict with nothing anyway. The binding
-        // is marked elided so the builder can undo it if an `input` on the
-        // same handle follows (the output-before-input corner).
-        if cx.elision_enabled() && st.slots[st.current].refs == 0 {
-            cx.pool().note_elision();
-            return self.bind_current(kind, cx, &mut st, true);
-        }
-        // `output`: rename; if the version bound or the byte budget refuses,
-        // fall back to the current version, serialising like the
-        // non-renaming runtime.
-        match rename_data_version(&self.inner, chain, &mut st, kind, cx) {
-            Some(resolved) => resolved,
-            None => self.bind_current(kind, cx, &mut st, false),
+        match &self.inner.storage {
+            Storage::Plain(cell) => ResolvedAccess::plain(
+                Access::new(self.inner.region.clone(), kind).with_ptr(cell.get() as *mut (), 1),
+            ),
+            Storage::Versioned(_) => resolve_chains(&self.inner, 0..1, kind, cx),
         }
     }
 }
@@ -634,14 +709,21 @@ struct PartChains<T> {
     /// Produces the contents a freshly allocated chunk version starts from
     /// (argument: chunk length in elements).
     make: Box<dyn Fn(usize) -> Vec<T> + Send + Sync>,
-    /// Chain `i` versions chunk `i`. Reuses the scalar-chain state machinery
-    /// with `Vec<T>` as the per-version storage.
+    /// Chain `i` versions chunk `i`, with the chunk's `Vec<T>` as the
+    /// per-version storage.
     chains: Vec<Mutex<ChainState<Vec<T>>>>,
 }
 
 impl<T> PartInner<T> {
     fn is_versioned(&self) -> bool {
         matches!(self.storage, PartStorage::Versioned(_))
+    }
+
+    fn versioned(&self) -> &PartChains<T> {
+        match &self.storage {
+            PartStorage::Versioned(chains) => chains,
+            PartStorage::Plain(_) => unreachable!("version chains only exist on versioned partitions"),
+        }
     }
 
     /// Canonical region of chunk `i`: a sub-range of the partition's own
@@ -659,11 +741,6 @@ impl<T> PartInner<T> {
     /// Canonical region of the whole array.
     fn whole_region(&self) -> Region {
         Region::new(self.alloc, 0, 0..self.len.max(1) * self.elem_size)
-    }
-
-    /// Region of one concrete chunk version (its own allocation identity).
-    fn chunk_version_region(&self, i: usize, alloc: AllocId) -> Region {
-        Region::new(alloc, 0, 0..self.chunks[i].len() * self.elem_size)
     }
 
     /// Pointer/length of an element range of the plain backing vector.
@@ -686,17 +763,14 @@ impl<T> PartInner<T> {
             }
         }
     }
+}
 
+impl<T: Send + 'static> PartInner<T> {
     /// All regions a synchronisation on chunk `i` must cover.
     fn chunk_sync_regions(&self, i: usize) -> Vec<Region> {
         match &self.storage {
             PartStorage::Plain(_) => vec![self.chunk_canonical_region(i)],
-            PartStorage::Versioned(chains) => chains.chains[i]
-                .lock()
-                .slots
-                .iter()
-                .map(|s| self.chunk_version_region(i, s.alloc))
-                .collect(),
+            PartStorage::Versioned(_) => self.live_regions(i),
         }
     }
 
@@ -720,225 +794,43 @@ unsafe impl<T: Send> Send for PartInner<T> {}
 // SAFETY: as for `Send` above.
 unsafe impl<T: Send> Sync for PartInner<T> {}
 
-/// Release hook for one (task, chunk version) binding of a versioned
-/// partition; doubles as the commit hook for per-chunk renames.
-struct ChunkTicket<T> {
-    inner: Arc<PartInner<T>>,
-    chunk: usize,
-    alloc: AllocId,
-    pool_depth: usize,
-}
+impl<T: Send + 'static> ChainOwner for PartInner<T> {
+    type Cell = Vec<T>;
 
-impl<T> ChunkTicket<T> {
-    fn chain(&self) -> &Mutex<ChainState<Vec<T>>> {
-        match &self.inner.storage {
-            PartStorage::Versioned(chains) => &chains.chains[self.chunk],
-            PartStorage::Plain(_) => unreachable!("chunk tickets only exist for versioned partitions"),
-        }
-    }
-}
-
-impl<T> Clone for ChunkTicket<T> {
-    fn clone(&self) -> Self {
-        ChunkTicket {
-            inner: self.inner.clone(),
-            chunk: self.chunk,
-            alloc: self.alloc,
-            pool_depth: self.pool_depth,
-        }
-    }
-}
-
-impl<T: Send + 'static> VersionTicket for ChunkTicket<T> {
-    fn release(&self) {
-        let mut st = self.chain().lock();
-        if let Some(idx) = st.slot_index(self.alloc) {
-            debug_assert!(st.slots[idx].refs > 0, "chunk ticket released twice");
-            st.slots[idx].refs -= 1;
-            st.reclaim(idx, self.pool_depth);
-        }
+    fn chain(&self, i: usize) -> &Mutex<ChainState<Vec<T>>> {
+        &self.versioned().chains[i]
     }
 
-    fn unelide(&self, cx: &RenameCx<'_>) -> Option<ResolvedAccess> {
-        let mut st = self.chain().lock();
-        let idx = st.slot_index(self.alloc)?;
-        if idx != st.current {
-            return None;
-        }
-        let resolved =
-            rename_chunk_version(&self.inner, self.chunk, &mut st, AccessKind::Output, cx)?;
-        debug_assert!(st.slots[idx].refs > 0, "elided chunk binding already released");
-        st.slots[idx].refs -= 1;
-        cx.pool().note_unelision();
-        Some(resolved)
+    fn canonical(&self, i: usize) -> Region {
+        self.chunk_canonical_region(i)
     }
-}
 
-impl<T: Send> RenameCommit for ChunkTicket<T> {
-    fn commit(&self) {
-        let mut st = self.chain().lock();
-        if let Some(idx) = st.slot_index(self.alloc) {
-            if idx != st.current {
-                let superseded = st.current;
-                st.current = idx;
-                st.reclaim(superseded, self.pool_depth);
-            }
-        }
+    fn version_region(&self, i: usize, alloc: AllocId) -> Region {
+        Region::new(alloc, 0, 0..self.chunks[i].len() * self.elem_size)
     }
-}
 
-/// The per-chunk rename arm shared by [`resolve_chunk`] and
-/// [`ChunkTicket::unelide`]: with the chunk's chain lock held, allocate (or
-/// pool-recycle) a fresh chunk version and bind the task to it. The
-/// reservation covers the chunk's deep payload
-/// (`chunk_len * size_of::<T>()`), so the byte budget is meaningful for
-/// partitions however large their element chunks are. Returns `None` —
-/// after counting a fallback — under version-count or byte-budget
-/// backpressure.
-fn rename_chunk_version<T: Send + 'static>(
-    inner: &Arc<PartInner<T>>,
-    chunk: usize,
-    st: &mut ChainState<Vec<T>>,
-    kind: AccessKind,
-    cx: &RenameCx<'_>,
-) -> Option<ResolvedAccess> {
-    let chains = match &inner.storage {
-        PartStorage::Versioned(chains) => chains,
-        PartStorage::Plain(_) => unreachable!("chunk renames require versioned storage"),
-    };
-    let chunk_len = inner.chunks[chunk].len();
-    if st.slots.len() >= cx.max_versions() {
-        cx.pool().note_fallback();
-        return None;
+    /// The chunk's deep payload, so the byte budget is meaningful for
+    /// partitions however large their element chunks are.
+    fn bytes_per_version(&self, i: usize) -> usize {
+        self.chunks[i].len() * self.elem_size
     }
-    let (cell, reservation, recycled) = if let Some(free) = st.free.pop() {
-        (free.cell, free.reservation, true)
-    } else {
-        let bytes = chunk_len * inner.elem_size;
-        match cx.try_reserve(bytes) {
-            Some(res) => {
-                let fresh = (chains.make)(chunk_len);
-                debug_assert_eq!(fresh.len(), chunk_len, "make() returned the wrong length");
-                (Box::new(UnsafeCell::new(fresh)), Some(res), false)
-            }
-            None => {
-                cx.pool().note_fallback();
-                return None;
-            }
-        }
-    };
-    let alloc = AllocId::fresh();
-    let from = st.slots[st.current].alloc;
-    st.slots.push(Slot {
-        alloc,
-        cell,
-        refs: 1,
-        reservation,
-    });
-    // SAFETY: pointer manufacture only; the chain lock is held and the
-    // version cannot be reclaimed while the returned ticket is live.
-    let ptr = unsafe { (*st.slots.last().expect("just pushed").cell.get()).as_mut_ptr() };
-    cx.pool().note_rename(recycled, true);
-    let ticket = ChunkTicket {
-        inner: inner.clone(),
-        chunk,
-        alloc,
-        pool_depth: cx.pool_depth(),
-    };
-    let commit = ticket.clone();
-    Some(ResolvedAccess::bound(
-        Access::bound_to(
-            inner.chunk_version_region(chunk, alloc),
-            kind,
-            inner.chunk_canonical_region(chunk),
-            ptr as *mut (),
-            chunk_len,
-        ),
-        Box::new(ticket),
-        Some(RenameEvent {
-            from,
-            to: alloc,
-            recycled,
-            chunk: Some(chunk as u32),
-        }),
-        Some(Box::new(commit)),
-    ))
-}
 
-/// Resolve an access to chunk `chunk` of a versioned partition against its
-/// chain — the per-chunk analogue of `Data::resolve`'s versioned arm.
-fn resolve_chunk<T: Send + 'static>(
-    inner: &Arc<PartInner<T>>,
-    chunk: usize,
-    kind: AccessKind,
-    cx: &RenameCx<'_>,
-) -> ResolvedAccess {
-    let chains = match &inner.storage {
-        PartStorage::Versioned(chains) => chains,
-        PartStorage::Plain(_) => unreachable!("resolve_chunk requires versioned storage"),
-    };
-    let canonical = inner.chunk_canonical_region(chunk);
-    let chunk_len = inner.chunks[chunk].len();
-    let bind_current = |st: &mut ChainState<Vec<T>>, elided: bool| -> ResolvedAccess {
-        let current = st.current;
-        st.slots[current].refs += 1;
-        let alloc = st.slots[current].alloc;
-        // SAFETY: pointer manufacture only; the chain lock is held and the
-        // version cannot be reclaimed while the ticket below is live.
-        let ptr = unsafe { (*st.slots[current].cell.get()).as_mut_ptr() };
-        let mut access = Access::bound_to(
-            inner.chunk_version_region(chunk, alloc),
-            kind,
-            canonical.clone(),
-            ptr as *mut (),
-            chunk_len,
-        );
-        if elided {
-            access = access.mark_elided();
-        }
-        ResolvedAccess::bound(
-            access,
-            Box::new(ChunkTicket {
-                inner: inner.clone(),
-                chunk,
-                alloc,
-                pool_depth: cx.pool_depth(),
-            }),
-            None,
-            None,
-        )
-    };
-    let mut st = chains.chains[chunk].lock();
-    if kind != AccessKind::Output || !cx.renaming_enabled() {
-        return bind_current(&mut st, false);
+    fn make(&self, i: usize) -> Vec<T> {
+        let fresh = (self.versioned().make)(self.chunks[i].len());
+        debug_assert_eq!(fresh.len(), self.chunks[i].len(), "make() returned the wrong length");
+        fresh
     }
-    // First-write rename elision at chunk granularity (see `Data::resolve`):
-    // an unreferenced current chunk version is overwritten in place, marked
-    // elided so the builder can undo it on the output-before-input corner.
-    if cx.elision_enabled() && st.slots[st.current].refs == 0 {
-        cx.pool().note_elision();
-        return bind_current(&mut st, true);
-    }
-    // `output`: rename this chunk, falling back to serialising in place
-    // under backpressure.
-    match rename_chunk_version(inner, chunk, &mut st, kind, cx) {
-        Some(resolved) => resolved,
-        None => bind_current(&mut st, false),
-    }
-}
 
-/// Resolve a whole-array access on a versioned partition: bind (for
-/// `output`: rename) the current version of **every** chunk chain.
-fn resolve_all_chunks<T: Send + 'static>(
-    inner: &Arc<PartInner<T>>,
-    kind: AccessKind,
-    cx: &RenameCx<'_>,
-) -> ResolvedAccess {
-    let mut resolved = ResolvedAccess::empty();
-    for chunk in 0..inner.chunks.len() {
-        resolved.merge(resolve_chunk(inner, chunk, kind, cx));
+    fn cell_ptr(&self, i: usize, cell: &UnsafeCell<Vec<T>>) -> (*mut (), usize) {
+        // SAFETY: pointer manufacture only; the caller holds the chain lock,
+        // and the version cannot be reclaimed while a ticket on it is live.
+        let ptr = unsafe { (*cell.get()).as_mut_ptr() };
+        (ptr as *mut (), self.chunks[i].len())
     }
-    resolved
+
+    fn chunk(&self, i: usize) -> Option<u32> {
+        Some(i as u32)
+    }
 }
 
 /// A `Vec<T>` partitioned into disjoint chunks, each chunk being an
@@ -1031,18 +923,7 @@ impl<T: Send + 'static> PartitionedData<T> {
         parts.reverse();
         let chains = parts
             .into_iter()
-            .map(|part| {
-                Mutex::new(ChainState {
-                    slots: vec![Slot {
-                        alloc: AllocId::fresh(),
-                        cell: Box::new(UnsafeCell::new(part)),
-                        refs: 0,
-                        reservation: None,
-                    }],
-                    free: Vec::new(),
-                    current: 0,
-                })
-            })
+            .map(|part| Mutex::new(ChainState::new(AllocId::fresh(), part)))
             .collect();
         PartitionedData {
             inner: Arc::new(PartInner {
@@ -1222,11 +1103,7 @@ impl<T: Send + 'static> Accessible for Chunk<T> {
     fn region(&self) -> Region {
         match &self.inner.storage {
             PartStorage::Plain(_) => self.inner.chunk_canonical_region(self.index),
-            PartStorage::Versioned(chains) => {
-                let st = chains.chains[self.index].lock();
-                self.inner
-                    .chunk_version_region(self.index, st.slots[st.current].alloc)
-            }
+            PartStorage::Versioned(_) => self.inner.current_region(self.index),
         }
     }
 
@@ -1240,7 +1117,9 @@ impl<T: Send + 'static> Accessible for Chunk<T> {
                 self.inner.chunk_canonical_region(self.index),
                 kind,
             )),
-            PartStorage::Versioned(_) => resolve_chunk(&self.inner, self.index, kind, cx),
+            PartStorage::Versioned(_) => {
+                resolve_chains(&self.inner, self.index..self.index + 1, kind, cx)
+            }
         }
     }
 
@@ -1309,7 +1188,9 @@ impl<T: Send + 'static> Accessible for Whole<T> {
             PartStorage::Plain(_) => {
                 ResolvedAccess::plain(Access::new(self.inner.whole_region(), kind))
             }
-            PartStorage::Versioned(_) => resolve_all_chunks(&self.inner, kind, cx),
+            PartStorage::Versioned(_) => {
+                resolve_chains(&self.inner, 0..self.inner.chunks.len(), kind, cx)
+            }
         }
     }
 
@@ -1360,12 +1241,11 @@ mod tests {
     use crate::rename::RenamePool;
     use proptest::prelude::*;
 
-    /// Run the deferred rename commits of a resolution, as
-    /// `TaskBuilder::spawn` does.
+    /// Run the deferred rename commits of a resolution, as insertion does.
     fn commit(r: &mut ResolvedAccess) {
-        assert!(!r.commits.is_empty(), "resolution renamed");
-        for c in r.commits.drain(..) {
-            c.commit();
+        assert!(!r.renamed.is_empty(), "resolution renamed");
+        for t in &mut r.tickets {
+            t.commit();
         }
     }
 
@@ -1535,10 +1415,9 @@ mod tests {
         fn uncommitted_rename_leaves_the_value_untouched() {
             let pool = Arc::new(RenamePool::new(1 << 20));
             let d = Data::versioned(42u64);
-            let mut r = d.resolve(AccessKind::Output, &cx(&pool, true));
+            let r = d.resolve(AccessKind::Output, &cx(&pool, true));
             // Abandon: release the binding without committing (what
             // dropping an unspawned TaskBuilder does).
-            r.commits.clear();
             release(r);
             assert_eq!(d.live_versions(), 1);
             assert_eq!(d.try_into_inner().unwrap(), 42, "value must survive");
@@ -1660,7 +1539,6 @@ mod tests {
             // Bound in place: same version, no rename, no commit needed.
             assert_eq!(w.access().region, before, "elided write binds the current version");
             assert!(w.renamed.is_empty());
-            assert!(w.commits.is_empty());
             assert_eq!(pool.renames(), 0);
             assert_eq!(pool.elided(), 1);
             assert_eq!(pool.bytes_held(), 0, "elision allocates nothing");
@@ -1838,9 +1716,8 @@ mod tests {
         fn uncommitted_chunk_rename_leaves_the_array_untouched() {
             let pool = Arc::new(RenamePool::new(1 << 20));
             let p = PartitionedData::versioned(vec![9u8; 4], 2);
-            let mut r = p.chunk(0).resolve(AccessKind::Output, &cx(&pool, true));
-            r.commits.clear(); // abandon without committing
-            release(r);
+            let r = p.chunk(0).resolve(AccessKind::Output, &cx(&pool, true));
+            release(r); // abandon without committing
             assert_eq!(p.live_chunk_versions(0), 1);
             assert_eq!(p.try_into_vec().unwrap(), vec![9; 4]);
         }

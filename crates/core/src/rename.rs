@@ -60,16 +60,20 @@
 //! in-place aliasing remain — the same degradation the budget-exhaustion
 //! fallback (and renaming-off mode) always had.
 //!
-//! ## Region granularity
+//! ## Region granularity: one chain, `n` chains
 //!
-//! Version chains are keyed by **sub-region**, not only by whole handles. A
-//! [`Data`](crate::handle::Data) handle has a single chain; a *versioned*
+//! The unit of renaming is the **version chain**, and there is one
+//! implementation of it ([`crate::handle`]): a
+//! [`Data`](crate::handle::Data) handle is one chain; a *versioned*
 //! [`PartitionedData`](crate::handle::PartitionedData)
 //! ([`Runtime::versioned_partitioned`](crate::Runtime::versioned_partitioned))
-//! gives **every chunk its own chain**, so an `output` access to chunk *i*
+//! is `n` chains, **one per chunk**, so an `output` access to chunk *i*
 //! renames just that chunk while the other chunks stay untouched — the
 //! region model the paper's scanline/block pipelines (rotate, rgbcmy,
-//! bodytrack weight updates) need. A whole-array access synchronises across
+//! bodytrack weight updates) need. Every decision described on this page is
+//! taken per chain, by the same code, whichever handle owns it; the two
+//! differ only in what a version stores (`T` or a chunk's `Vec<T>`) and how
+//! many bytes it is accounted for. A whole-array access synchronises across
 //! all chunk chains: it binds (for `output`: renames) the current version of
 //! every chunk. One access clause may therefore resolve to **several**
 //! concrete bindings, which is why [`ResolvedAccess`] carries vectors.
@@ -387,24 +391,23 @@ impl<'a> RenameCx<'a> {
 /// What happened when an access clause was resolved against a handle.
 ///
 /// Returned by [`Accessible::resolve`](crate::handle::Accessible::resolve);
-/// consumed by the task builder, which stores the bindings on the task and
-/// records rename statistics. One clause usually resolves to one concrete
+/// consumed by the task's clause set, which stores the bindings on the task
+/// and records rename statistics. One clause usually resolves to one concrete
 /// access, but a whole-array clause on a versioned partition resolves to one
-/// binding **per chunk chain** — hence the vectors.
+/// binding **per chunk chain** — hence the vectors. The default value is the
+/// empty resolution, to [`bind`](ResolvedAccess::bind) versions into.
+#[derive(Default)]
 pub struct ResolvedAccess {
     /// The concrete accesses (region of each bound version + access kind).
     /// Stored inline (≤2) so the dominant single-binding resolution
     /// allocates nothing.
     pub(crate) accesses: crate::access::AccessVec,
-    /// Release hooks decrementing each bound version's in-flight count when
-    /// the task completes (empty for unversioned handles). Parallel to the
-    /// version-bound (canonical-carrying) subsequence of `accesses`.
+    /// The task's binding to each bound version (empty for unversioned
+    /// handles). Parallel to the version-bound (canonical-carrying)
+    /// subsequence of `accesses`.
     pub(crate) tickets: Vec<Box<dyn VersionTicket>>,
     /// One entry per sub-region the resolution renamed to a new version.
     pub(crate) renamed: Vec<RenameEvent>,
-    /// Hooks making each renamed version *current*, run at `spawn()` — see
-    /// [`RenameCommit`]. Empty when the resolution did not rename.
-    pub(crate) commits: Vec<Box<dyn RenameCommit>>,
 }
 
 impl ResolvedAccess {
@@ -414,41 +417,20 @@ impl ResolvedAccess {
             accesses: crate::access::AccessVec::one(access),
             tickets: Vec::new(),
             renamed: Vec::new(),
-            commits: Vec::new(),
         }
     }
 
-    /// An access bound to a single version of a versioned handle.
-    pub(crate) fn bound(
+    /// Add an access bound to one version of one chain, with the ticket
+    /// holding that binding and the rename that made the version, if any.
+    pub(crate) fn bind(
+        &mut self,
         access: crate::access::Access,
         ticket: Box<dyn VersionTicket>,
         renamed: Option<RenameEvent>,
-        commit: Option<Box<dyn RenameCommit>>,
-    ) -> Self {
-        ResolvedAccess {
-            accesses: crate::access::AccessVec::one(access),
-            tickets: vec![ticket],
-            renamed: renamed.into_iter().collect(),
-            commits: commit.into_iter().collect(),
-        }
-    }
-
-    /// An empty resolution to merge per-chunk bindings into.
-    pub(crate) fn empty() -> Self {
-        ResolvedAccess {
-            accesses: crate::access::AccessVec::new(),
-            tickets: Vec::new(),
-            renamed: Vec::new(),
-            commits: Vec::new(),
-        }
-    }
-
-    /// Fold another resolution (e.g. one chunk's binding) into this one.
-    pub(crate) fn merge(&mut self, other: ResolvedAccess) {
-        self.accesses.append(other.accesses);
-        self.tickets.extend(other.tickets);
-        self.renamed.extend(other.renamed);
-        self.commits.extend(other.commits);
+    ) {
+        self.accesses.push(access);
+        self.tickets.push(ticket);
+        self.renamed.extend(renamed);
     }
 
     /// The primary concrete access (single-binding resolutions).
@@ -473,41 +455,38 @@ pub struct RenameEvent {
     pub chunk: Option<u32>,
 }
 
-/// Release hook held by a task for every version it is bound to; invoked
-/// exactly once when the task completes.
+/// A task's hold on one version it is bound to, from clause resolution to
+/// task completion.
 pub(crate) trait VersionTicket: Send {
     /// Decrement the bound version's in-flight count (recycling the version
-    /// if it became unreferenced and is no longer current).
+    /// if it became unreferenced and is no longer current). Invoked exactly
+    /// once: when the task completes, or when its clause set is dropped
+    /// without being inserted.
     fn release(&self);
 
+    /// The deferred half of a rename. Resolution *allocates* the new version
+    /// (so the renaming task is bound to it), but the version only becomes
+    /// the handle's **current** one when the task is actually inserted —
+    /// which is when this runs, superseding (and possibly reclaiming) the
+    /// previous version. A no-op for a binding no rename made. A clause set
+    /// dropped without inserting never commits: its ticket release reclaims
+    /// the never-current version and the handle's value is untouched,
+    /// exactly as if the task had never been written.
+    fn commit(&mut self);
+
     /// Convert an **elided** in-place `output` binding into a real rename:
-    /// allocate (or pool-recycle) a fresh version, transfer the binding to
-    /// it, and return the replacement access/ticket/commit. The handle's
-    /// *current* version is untouched until the commit runs at `spawn()`.
+    /// allocate (or pool-recycle) a fresh version, move this binding onto it
+    /// (with its commit pending) and return the replacement access. The
+    /// handle's *current* version is untouched until the commit.
     ///
-    /// The task builder calls this when it detects the output-before-input
+    /// The clause set calls this when it detects the output-before-input
     /// aliasing corner: an `input` clause arriving after an elided `output`
     /// on the same sub-region would otherwise read the very storage the
     /// task overwrites. Returns `None` when renaming is impossible (budget
-    /// or version-count backpressure, or the ticket is not an elided output
-    /// binding), in which case the in-place binding — and the documented
-    /// `inout`-like fallback semantics — stay.
-    fn unelide(&self, cx: &RenameCx<'_>) -> Option<ResolvedAccess> {
-        let _ = cx;
-        None
-    }
-}
-
-/// Deferred half of a rename. `resolve` *allocates* the new version (so the
-/// renaming task is bound to it), but the version only becomes the handle's
-/// **current** one when the task is actually inserted — `TaskBuilder::spawn`
-/// runs this hook. A builder dropped without spawning never commits: its
-/// ticket release reclaims the never-current version and the handle's value
-/// is untouched, exactly as if the task had never been written.
-pub(crate) trait RenameCommit: Send {
-    /// Make the allocated version current, superseding (and possibly
-    /// reclaiming) the previous one.
-    fn commit(&self);
+    /// or version-count backpressure, or the ticket is not an in-place
+    /// binding on the current version), in which case the in-place binding —
+    /// and the documented `inout`-like fallback semantics — stay.
+    fn unelide(&mut self, cx: &RenameCx<'_>) -> Option<(crate::access::Access, RenameEvent)>;
 }
 
 #[cfg(test)]

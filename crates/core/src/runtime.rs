@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 use crossbeam::deque::Worker as WorkerDeque;
 use parking_lot::{Condvar, Mutex};
 
-use crate::access::{Access, AccessKind, AccessVec};
+use crate::access::{Access, AccessKind};
 use crate::critical::CriticalSections;
 use crate::dcheck::{AuditReport, AuditViolation, RaceReport};
 use crate::error::{Error, Result};
@@ -24,9 +24,10 @@ use crate::handle::{
     Accessible, Chunk, Data, PartitionedData, ReadGuard, SliceReadGuard, SliceWriteGuard, Whole,
     WriteGuard,
 };
+use crate::region::{Region, RegionId};
 use crate::rename::{
-    RenameCx, RenameEvent, RenamePool, DEFAULT_RENAME_MAX_VERSIONS, DEFAULT_RENAME_MEMORY_CAP,
-    DEFAULT_RENAME_POOL_DEPTH,
+    RenameCx, RenameEvent, RenamePool, ResolvedAccess, DEFAULT_RENAME_MAX_VERSIONS,
+    DEFAULT_RENAME_MEMORY_CAP, DEFAULT_RENAME_POOL_DEPTH,
 };
 use crate::scheduler::{IdlePolicy, SchedState, SchedulerPolicy};
 use crate::stats::{RuntimeStats, StatCounters, StatField};
@@ -74,14 +75,6 @@ pub struct RuntimeConfig {
     /// buy insertion throughput under many concurrently spawning threads
     /// at the cost of a little fixed memory. See [`crate::graph`].
     pub tracker_shards: usize,
-    /// Whether tracker operations first *try* their shard gates (a bounded,
-    /// flag-free spin) before waiting, and retirements may tombstone in
-    /// place. Enabled by default; `false` makes every acquisition wait and
-    /// sends every retirement through the shard's inbox — the reference
-    /// configuration of the equivalence suite and the baseline of
-    /// `insertion_bench`. See [`crate::graph`], "Exclusion: one gate
-    /// protocol".
-    pub tracker_fast_path: bool,
     /// Whether an `output` access on a versioned handle may **elide** its
     /// rename when the current version has no in-flight bindings, binding it
     /// in place instead of allocating a fresh version. Enabled by default;
@@ -97,8 +90,8 @@ pub struct RuntimeConfig {
     /// Whether retired task nodes are recycled through the per-runtime slab
     /// (the spawn-side allocation diet: a steady-state ≤2-access spawn then
     /// performs no heap allocation at all). Enabled by default; `false`
-    /// allocates every node fresh — the reference configuration of the
-    /// equivalence suite and the full-spawn `insertion_bench` baseline.
+    /// allocates every node fresh — a configuration of the equivalence
+    /// suite's matrix and the full-spawn `insertion_bench` baseline.
     pub task_recycler: bool,
     /// Whether eligible [`GraphTemplate`](crate::GraphTemplate)s freeze into
     /// pre-wired form after a clean replay pass (see [`crate::capture`],
@@ -136,7 +129,6 @@ impl Default for RuntimeConfig {
             rename_pool_depth: DEFAULT_RENAME_POOL_DEPTH,
             rename_max_versions: DEFAULT_RENAME_MAX_VERSIONS,
             tracker_shards: 0,
-            tracker_fast_path: true,
             rename_elision: true,
             tracker_gc_interval: DEFAULT_TRACKER_GC_INTERVAL,
             task_recycler: true,
@@ -206,16 +198,6 @@ impl RuntimeConfig {
     /// reference.
     pub fn with_tracker_shards(mut self, shards: usize) -> Self {
         self.tracker_shards = shards;
-        self
-    }
-
-    /// Enable or disable the polite first try of the tracker's gate
-    /// acquisition. With `false` every acquisition waits and every
-    /// retirement goes through the inbox; the discovered dependence
-    /// structure is identical either way — `tests/tracker_equivalence.rs`
-    /// pins it.
-    pub fn with_tracker_fast_path(mut self, fast_path: bool) -> Self {
-        self.tracker_fast_path = fast_path;
         self
     }
 
@@ -307,44 +289,62 @@ pub(crate) struct RuntimeInner {
 }
 
 impl RuntimeInner {
-    fn spawn_node(
+    // lint: hot-path-begin — the insertion tail: every task, freshly spawned
+    // or replayed, is published through here; no panicking calls allowed
+    // (see `cargo xtask lint`).
+
+    /// Insert a batch of armed nodes — one for a fresh spawn, a replay's
+    /// whole (super-)batch — into the graph and the scheduler. The callers
+    /// differ in how the nodes' clauses were resolved and in the `register`
+    /// they hand in (which runs the tracker registration over the batch,
+    /// with edge records or without); everything else is here, once.
+    ///
+    /// `batch` yields the nodes by value — all children of one parent — and
+    /// each reference is dropped or queued the moment its node's sentinel is
+    /// released, so a worker retiring the node finds it uniquely held and
+    /// the recycler keeps feeding the slab. `renames[i]` are node `i`'s
+    /// rename events, for the trace. `registered` runs after the
+    /// `Spawned`/`Edge`/`Renamed` events of a traced insertion, before any
+    /// node can start (replay's marker events). A lone ready node goes
+    /// straight to its spawner's queue (`local`); a batch collects its
+    /// roots in `ready`, so the scheduler is told once.
+    pub(crate) fn insert<B>(
         &self,
-        node: Arc<TaskNode>,
+        batch: B,
+        renames: &[Vec<RenameEvent>],
         local: Option<&WorkerDeque<Arc<TaskNode>>>,
-        renames: Vec<RenameEvent>,
-    ) -> TaskId {
-        let id = node.id;
-        // Race oracle: assign the task its epoch index *before* tracker
-        // registration, so no completion or edge can reference an
-        // unregistered task (see `crate::dcheck`).
-        if let Some(d) = &self.dcheck {
-            d.register_task(&node);
+        ready: &mut Vec<Arc<TaskNode>>,
+        register: impl FnOnce(&[Arc<TaskNode>], bool) -> graph::Registration,
+        registered: impl FnOnce(&[Arc<TaskNode>]),
+    ) where
+        B: AsRef<[Arc<TaskNode>]> + IntoIterator<Item = Arc<TaskNode>>,
+    {
+        let nodes = batch.as_ref();
+        let Some(first) = nodes.first() else { return };
+        let total = nodes.len();
+        let mut spills = 0u64;
+        for node in nodes {
+            // Race oracle: assign the task its epoch index *before* tracker
+            // registration, so no completion or edge can reference an
+            // unregistered task (see `crate::dcheck`).
+            if let Some(d) = &self.dcheck {
+                d.register_task(node);
+            }
+            spills += u64::from(node.accesses.spilled());
         }
-        self.stats.add(StatField::TasksSpawned, 1);
+        // Counted before the batch can start executing.
+        self.stats.add(StatField::TasksSpawned, total as u64);
         // Only the rare spill is counted; inline hits are derived as
         // `tasks_spawned - spills` at snapshot time, so the common case
         // adds no extra shared-line RMW to the spawn path.
-        if node.accesses.spilled() {
-            self.stats.add(StatField::AccessInlineSpills, 1);
+        if spills != 0 {
+            self.stats.add(StatField::AccessInlineSpills, spills);
         }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        node.parent_children.add_child();
+        self.in_flight.fetch_add(total, Ordering::SeqCst);
+        first.parent_children.add_children(total);
 
         let trace_enabled = self.trace.is_enabled();
-        let registration = self.tracker.register(&node, trace_enabled);
-        // Race oracle: now that registration has discovered every live
-        // predecessor, fold in the completed-task snapshot — it covers
-        // exactly the predecessors registration saw as already done.
-        if let Some(d) = &self.dcheck {
-            d.merge_completed_snapshot(&node);
-        }
-        let gc_interval = self.config.tracker_gc_interval;
-        if gc_interval != 0 {
-            let count = self.spawn_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if count.is_multiple_of(gc_interval) {
-                self.tracker.garbage_collect();
-            }
-        }
+        let registration = register(nodes, trace_enabled);
         self.stats
             .add(StatField::EdgesAdded, registration.edges as u64);
         self.stats
@@ -357,46 +357,95 @@ impl RuntimeInner {
             StatField::DependencesSeen,
             registration.predecessors_seen as u64,
         );
+        // Race oracle: now that registration has discovered every live
+        // predecessor, fold in the completed-task snapshot — it covers
+        // exactly the predecessors registration saw as already done.
+        if let Some(d) = &self.dcheck {
+            for node in nodes {
+                d.merge_completed_snapshot(node);
+            }
+        }
         if trace_enabled {
-            self.trace.record(TraceEvent::Spawned {
-                task: id,
-                name: node.name.clone(),
-                at_ns: self.trace.now_ns(),
-                deps: registration.edges,
-                generation: node.generation,
-            });
-            for edge in registration.per_task.iter().flat_map(|(_, edges)| edges) {
-                self.trace.record(TraceEvent::Edge {
-                    task: id,
-                    from: edge.pred,
-                    shard: edge.shard,
-                    fast_path: registration.fast_path,
+            for node in nodes {
+                self.trace.record(TraceEvent::Spawned {
+                    task: node.id,
+                    name: node.name.clone(),
                     at_ns: self.trace.now_ns(),
+                    deps: node.in_edges.load(Ordering::Relaxed),
+                    generation: node.generation,
                 });
             }
-            for ev in &renames {
-                self.trace.record(TraceEvent::Renamed {
-                    task: id,
-                    from_alloc: ev.from.raw(),
-                    to_alloc: ev.to.raw(),
-                    recycled: ev.recycled,
-                    chunk: ev.chunk,
-                    at_ns: self.trace.now_ns(),
-                });
+            // Live edge records, indexed by the stored batch position: dense
+            // (every task) except on the pre-wired path, which registers
+            // only its frontier live.
+            for (i, edge_list) in &registration.per_task {
+                for edge in edge_list {
+                    self.trace.record(TraceEvent::Edge {
+                        task: nodes[*i].id,
+                        from: edge.pred,
+                        shard: edge.shard,
+                        fast_path: registration.fast_path,
+                        at_ns: self.trace.now_ns(),
+                    });
+                }
             }
+            for (node, events) in nodes.iter().zip(renames) {
+                for ev in events {
+                    self.trace.record(TraceEvent::Renamed {
+                        task: node.id,
+                        from_alloc: ev.from.raw(),
+                        to_alloc: ev.to.raw(),
+                        recycled: ev.recycled,
+                        chunk: ev.chunk,
+                        at_ns: self.trace.now_ns(),
+                    });
+                }
+            }
+            registered(nodes);
         }
-        if graph::finish_registration(&node) {
-            self.stats.add(StatField::ImmediatelyReady, 1);
-            if self.trace.is_enabled() {
+
+        // Release every registration sentinel in batch order, queueing the
+        // nodes that are ready at once.
+        let mut immediately_ready = 0u64;
+        for node in batch {
+            if !graph::finish_registration(&node) {
+                continue;
+            }
+            immediately_ready += 1;
+            if trace_enabled {
                 self.trace.record(TraceEvent::Ready {
-                    task: id,
+                    task: node.id,
                     at_ns: self.trace.now_ns(),
                 });
             }
-            self.sched.push_spawn(node, local);
+            if total == 1 {
+                self.sched.push_spawn(node, local);
+            } else {
+                ready.push(node);
+            }
         }
-        id
+        self.sched.push_spawn_batch(ready);
+        if immediately_ready != 0 {
+            self.stats.add(StatField::ImmediatelyReady, immediately_ready);
+        }
+        // GC cadence after every lock is released — the sweep takes each
+        // shard's gate itself.
+        if self.note_batch_spawned(total as u64) {
+            self.tracker.garbage_collect();
+        }
     }
+
+    /// Advance the spawn counter by a whole inserted batch at once and
+    /// report whether the periodic tracker-GC cadence was crossed inside it.
+    fn note_batch_spawned(&self, n: u64) -> bool {
+        let gc_interval = self.config.tracker_gc_interval;
+        if gc_interval == 0 {
+            return false;
+        }
+        let after = self.spawn_count.fetch_add(n, Ordering::Relaxed) + n;
+        (after / gc_interval) != ((after - n) / gc_interval)
+    }
+    // lint: hot-path-end
 
     pub(crate) fn record_panic(&self, err: Error) {
         self.stats.add(StatField::TasksPanicked, 1);
@@ -433,18 +482,6 @@ impl RuntimeInner {
             max_versions: self.config.rename_max_versions,
             fault: self.fault.as_ref(),
         }
-    }
-
-    /// Advance the spawn counter by a whole replay batch at once and report
-    /// whether the periodic tracker-GC cadence was crossed inside it (the
-    /// batched counterpart of the per-spawn check in `spawn_node`).
-    pub(crate) fn note_batch_spawned(&self, n: u64) -> bool {
-        let gc_interval = self.config.tracker_gc_interval;
-        if gc_interval == 0 || n == 0 {
-            return false;
-        }
-        let after = self.spawn_count.fetch_add(n, Ordering::Relaxed) + n;
-        (after / gc_interval) != ((after - n) / gc_interval)
     }
 
     fn quiescent(&self) -> bool {
@@ -629,7 +666,7 @@ impl Runtime {
             },
             config.workers,
         ));
-        let mut tracker = ShardedTracker::new(tracker_shards, config.tracker_fast_path);
+        let mut tracker = ShardedTracker::new(tracker_shards);
         tracker.set_recycler(slab.clone());
         if let Some(plan) = config.fault_plan.clone() {
             tracker.set_fault_plan(plan);
@@ -1163,6 +1200,15 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+/// How a guard request reads in the undeclared-access panic.
+fn access_mode(write: bool) -> &'static str {
+    if write {
+        "mutably"
+    } else {
+        "for reading"
+    }
+}
+
 fn backoff(spins: &mut u32) {
     if *spins < 64 {
         std::hint::spin_loop();
@@ -1189,13 +1235,9 @@ pub struct TaskBuilder<'r> {
     worker: Option<usize>,
     name: Option<Arc<str>>,
     priority: TaskPriority,
-    /// Declared accesses: ≤2 inline, so the dominant builder shapes never
-    /// touch the heap. The version tickets in `tickets` run parallel to the
-    /// version-bound (canonical-carrying) subsequence of this list.
-    accesses: AccessVec,
-    tickets: Vec<Box<dyn crate::rename::VersionTicket>>,
-    commits: Vec<Box<dyn crate::rename::RenameCommit>>,
-    renames: Vec<RenameEvent>,
+    /// The clauses declared so far, resolved. Dropping the builder without
+    /// [`TaskBuilder::spawn`] drops the set, which releases what it bound.
+    clauses: ClauseSet,
     /// Cancel scope the spawned task will carry: the spawning thread's
     /// active scope for root spawns, the parent task's flag for nested ones.
     pub(crate) cancel: Option<Arc<AtomicBool>>,
@@ -1215,10 +1257,7 @@ impl<'r> TaskBuilder<'r> {
             worker,
             name: None,
             priority: TaskPriority::default(),
-            accesses: AccessVec::new(),
-            tickets: Vec::new(),
-            commits: Vec::new(),
-            renames: Vec::new(),
+            clauses: ClauseSet::default(),
             cancel: None,
         }
     }
@@ -1235,225 +1274,244 @@ impl<'r> TaskBuilder<'r> {
         self
     }
 
-    fn declare(mut self, kind: AccessKind, handle: &impl Accessible) -> Self {
+    /// Declare an access with an explicit kind.
+    pub fn access(mut self, kind: AccessKind, handle: &impl Accessible) -> Self {
         let cx = self.inner.rename_cx();
-        let mut resolved = handle.resolve(kind, &cx);
-        reject_write_clash(&self.accesses, &mut resolved);
-        // The output-before-input corner: a reading clause that overlaps an
-        // *elided* earlier output of this same task would read the very
-        // storage the task overwrites (inout-like aliasing). Un-elide the
-        // write now — transfer its binding to a real fresh version — so the
-        // read keeps observing the pre-task value whatever the clause order.
-        // Only backpressure (budget / version bound) leaves the aliasing in
-        // place, exactly like the rename fallback always has.
-        if kind.reads() {
-            unelide_overlapping(
-                &mut self.accesses,
-                &mut self.tickets,
-                &mut self.commits,
-                &mut self.renames,
-                &resolved,
-                &cx,
-            );
+        if let Err(clash) = self.clauses.declare(kind, handle, &cx) {
+            // Unwinding drops the builder, releasing the earlier clauses.
+            clash.raise();
         }
-        self.accesses.append(resolved.accesses);
-        self.tickets.extend(resolved.tickets);
-        self.commits.extend(resolved.commits);
-        self.renames.extend(resolved.renamed);
-        // Pin the invariant `unelide_overlapping` indexes by: version
-        // tickets run 1:1, in order, with the canonical-carrying accesses
-        // (every `ResolvedAccess` constructor pairs them).
-        debug_assert_eq!(
-            self.tickets.len(),
-            self.accesses
-                .iter()
-                .filter(|a| a.canonical_region().is_some())
-                .count(),
-            "version tickets must parallel the version-bound accesses"
-        );
         self
     }
 
     /// Declare a read access (`input(x)`).
     pub fn input(self, handle: &impl Accessible) -> Self {
-        self.declare(AccessKind::Input, handle)
+        self.access(AccessKind::Input, handle)
     }
 
     /// Declare a write access (`output(x)`). On a versioned handle this
     /// renames to a fresh version (when renaming is enabled), eliminating
     /// WAR/WAW serialisation.
     pub fn output(self, handle: &impl Accessible) -> Self {
-        self.declare(AccessKind::Output, handle)
+        self.access(AccessKind::Output, handle)
     }
 
     /// Declare a read-write access (`inout(x)`).
     pub fn inout(self, handle: &impl Accessible) -> Self {
-        self.declare(AccessKind::InOut, handle)
+        self.access(AccessKind::InOut, handle)
     }
 
     /// Declare a commutative-update access (`concurrent(x)`).
     pub fn concurrent(self, handle: &impl Accessible) -> Self {
-        self.declare(AccessKind::Concurrent, handle)
-    }
-
-    /// Declare an access with an explicit kind.
-    pub fn access(self, kind: AccessKind, handle: &impl Accessible) -> Self {
-        self.declare(kind, handle)
+        self.access(AccessKind::Concurrent, handle)
     }
 
     /// Spawn the task. The closure receives a [`TaskContext`] through which
     /// it obtains guarded access to the declared data.
-    pub fn spawn<F>(mut self, body: F) -> TaskId
+    pub fn spawn<F>(self, body: F) -> TaskId
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        // The task is being inserted: this is the point in program order
-        // where its renames take effect. Committing here (not at clause
-        // declaration) means an abandoned builder never changes the
-        // handle's value.
-        for commit in self.commits.drain(..) {
-            commit.commit();
-        }
-        let accesses = std::mem::take(&mut self.accesses);
-        let tickets = std::mem::take(&mut self.tickets);
-        let renames = std::mem::take(&mut self.renames);
-        let cancel = self.cancel.take();
-        if !tickets.is_empty() {
-            // Bind side of the version-ticket ledger; the release side is
-            // `release_tickets()` in the worker's retire tail. The audit
-            // checks the two balance at quiescence.
-            self.inner.rename.note_tickets_bound(tickets.len() as u64);
-        }
+        let inner = self.inner;
+        let bound = self.clauses.commit(&inner.rename);
         // The node comes from the runtime's slab: recycled storage when a
         // retired node is available, a fresh allocation otherwise. Small
         // bodies are written into the node's inline buffer — a steady-state
         // ≤2-access spawn allocates nothing here at all.
         let mut spilled = false;
-        let mut node = self.inner.slab.acquire(
+        let node = inner.slab.acquire(
             self.worker,
-            self.name.take(),
+            self.name,
             self.priority,
-            accesses,
-            tickets,
+            bound.accesses,
+            bound.tickets,
             body,
-            self.parent_children.clone(),
+            self.parent_children,
+            0,
+            self.cancel,
             &mut spilled,
         );
-        if let Some(flag) = cancel {
-            // The node is provably unique until `spawn_node` publishes it to
-            // the tracker/scheduler (same reasoning as replay re-stamping).
-            Arc::get_mut(&mut node)
-                .expect("fresh task node is uniquely held before spawn")
-                .cancel = Some(flag);
-        }
         if spilled {
-            self.inner.stats.add(StatField::SpawnBodySpills, 1);
+            inner.stats.add(StatField::SpawnBodySpills, 1);
         }
-        self.inner.spawn_node(node, self.deque, renames)
+        let id = node.id;
+        inner.insert(
+            [node],
+            std::slice::from_ref(&bound.renamed),
+            self.deque,
+            &mut Vec::new(),
+            |nodes, record_edges| inner.tracker.register(&nodes[0], record_edges),
+            |_| {},
+        );
+        id
     }
 }
 
-impl Drop for TaskBuilder<'_> {
-    /// A builder abandoned without [`TaskBuilder::spawn`] must release the
-    /// version bindings its access clauses created, or the bound versions
-    /// (and their share of the rename budget) would be pinned forever. Its
-    /// uncommitted renames are simply dropped — the never-current versions
-    /// are reclaimed by the ticket release and the handle's value is
-    /// untouched. After a successful `spawn` the tickets and commits have
-    /// been moved out and this is a no-op.
-    fn drop(&mut self) {
-        self.commits.clear();
-        for ticket in self.tickets.drain(..) {
-            ticket.release();
-        }
-    }
+// ---------------------------------------------------------------------------
+// ClauseSet
+// ---------------------------------------------------------------------------
+
+/// The access clauses of one task under construction, resolved: the one
+/// place a clause becomes bindings, whether a [`TaskBuilder`] declares it or
+/// a template replay re-resolves a recorded recipe. Owns what resolution
+/// bound until [`ClauseSet::commit`] hands it to the task; a set dropped
+/// before that releases its bindings, or the bound versions (and their share
+/// of the rename budget) would be pinned forever — its uncommitted renames
+/// simply never happen, and the handles' values are untouched.
+#[derive(Default)]
+pub(crate) struct ClauseSet {
+    /// What the clauses declared so far resolved to, as one resolution: the
+    /// accesses in declaration order (≤2 inline, so the dominant task shapes
+    /// never touch the heap), their version tickets, the renames.
+    bound: ResolvedAccess,
 }
 
 /// Two writing clauses on overlapping sub-regions of one *versioned* handle
 /// are ill-formed (as `inout(x) output(x)` is in OmpSs): each clause binds
 /// its own version, so the task body's write would target one version while
-/// the rename commit makes another current — a silent lost write. Reject at
-/// declaration instead, at sub-region granularity: `output` on chunk 1 and
-/// chunk 2 of one partition is fine (disjoint chains), `output` on chunk 2
-/// and on `whole()` is not. (`input` + `output` on the same region is also
-/// fine: the read binds the previous version, the write the fresh one.)
-///
-/// Shared by [`TaskBuilder`] declaration and template replay — a
+/// the rename commit makes another current — a silent lost write. Rejected
+/// at declaration, at sub-region granularity: `output` on chunk 1 and chunk 2
+/// of one partition is fine (disjoint chains), `output` on chunk 2 and on
+/// `whole()` is not. (`input` + `output` on the same region is also fine:
+/// the read binds the previous version, the write the fresh one.) A
 /// [`ReplayBindings`](crate::ReplayBindings) substitution that folds two
-/// captured handles onto one overlapping target trips the same rejection a
-/// fresh spawn would.
-pub(crate) fn reject_write_clash(existing: &AccessVec, resolved: &mut crate::rename::ResolvedAccess) {
-    let clash = resolved.accesses.iter().find_map(|access| {
-        let canon = access.canonical_region()?;
-        (access.kind.allows_mutation()
-            && existing.iter().any(|a| {
-                a.kind.allows_mutation() && a.canonical_region().is_some_and(|c| c.overlaps(canon))
-            }))
-        .then(|| canon.clone())
-    });
-    if let Some(canon) = clash {
-        // Unbind the just-created versions before unwinding (their
-        // renames were never committed, so the handle is untouched).
-        for ticket in resolved.tickets.drain(..) {
-            ticket.release();
-        }
+/// captured handles onto one overlapping target is the same clash.
+pub(crate) struct WriteClash(RegionId);
+
+impl WriteClash {
+    pub(crate) fn raise(self) -> ! {
         panic!(
             "task declares more than one writing access (output/inout/concurrent) \
              on overlapping regions of the same versioned handle (region {}); \
              declare a single inout (to update in place) or a single output \
              (to rename)",
-            canon.id
+            self.0
         );
     }
 }
 
-/// Un-elide every earlier elided `output` binding in `accesses` whose
-/// canonical sub-region overlaps a (reading) access in `resolved`. See
-/// [`crate::rename`], "First-write rename elision".
-///
-/// Shared by [`TaskBuilder`] declaration and template replay: replay
-/// re-resolves every clause, so a template captured before an un-elision
-/// cannot bake in the aliased write — each replay pass re-runs this very
-/// check against its own freshly resolved accesses.
-pub(crate) fn unelide_overlapping(
-    accesses: &mut AccessVec,
-    tickets: &mut [Box<dyn crate::rename::VersionTicket>],
-    commits: &mut Vec<Box<dyn crate::rename::RenameCommit>>,
-    renames: &mut Vec<RenameEvent>,
-    resolved: &crate::rename::ResolvedAccess,
-    cx: &RenameCx<'_>,
-) {
-    for j in 0..accesses.len() {
-        let earlier = &accesses[j];
-        if !earlier.is_elided() {
-            continue;
+// lint: hot-path-begin — clause resolution: every clause of every task,
+// freshly declared or replayed, passes through here; no panicking calls
+// allowed (see `cargo xtask lint`) — a clash comes back as a value.
+impl ClauseSet {
+    /// Resolve one clause against `handle` (for a versioned handle: to a
+    /// concrete data version, in program order on the spawning thread) and
+    /// add its bindings. On a [`WriteClash`] the clause's own bindings are
+    /// released and the set is left as it was.
+    pub(crate) fn declare(
+        &mut self,
+        kind: AccessKind,
+        handle: &dyn Accessible,
+        cx: &RenameCx<'_>,
+    ) -> std::result::Result<(), WriteClash> {
+        let mut resolved = handle.resolve(kind, cx);
+        if let Some(clash) = self.write_clash(&resolved) {
+            // Unbind the just-created versions (their renames were never
+            // committed, so the handle is untouched).
+            for ticket in resolved.tickets.drain(..) {
+                ticket.release();
+            }
+            return Err(clash);
         }
-        let Some(canon) = earlier.canonical_region() else {
-            continue;
-        };
-        let overlaps = resolved
-            .accesses
-            .iter()
-            .any(|r| r.canonical_region().is_some_and(|c| c.overlaps(canon)));
-        if !overlaps {
-            continue;
+        // The output-before-input corner: a reading clause that overlaps an
+        // *elided* earlier output of this same task would read the very
+        // storage the task overwrites (inout-like aliasing). Un-elide the
+        // write now — move its binding to a real fresh version — so the
+        // read keeps observing the pre-task value whatever the clause order.
+        // Only backpressure (budget / version bound) leaves the aliasing in
+        // place, exactly like the rename fallback always has.
+        if kind.reads() {
+            self.unelide_overlapping(&resolved, cx);
         }
+        self.bound.accesses.append(resolved.accesses);
+        self.bound.tickets.append(&mut resolved.tickets);
+        self.bound.renamed.append(&mut resolved.renamed);
+        // Pin the invariant `unelide_overlapping` indexes by: version
+        // tickets run 1:1, in order, with the canonical-carrying accesses
+        // (every `ResolvedAccess` constructor pairs them).
+        debug_assert_eq!(
+            self.bound.tickets.len(),
+            self.bound
+                .accesses
+                .iter()
+                .filter(|a| a.canonical_region().is_some())
+                .count(),
+            "version tickets must parallel the version-bound accesses"
+        );
+        Ok(())
+    }
+
+    /// The clash, if a writing access in `resolved` overlaps a writing
+    /// access already in the set on the same versioned handle.
+    fn write_clash(&self, resolved: &ResolvedAccess) -> Option<WriteClash> {
+        resolved.accesses.iter().find_map(|access| {
+            let canon = access.canonical_region()?;
+            (access.kind.allows_mutation()
+                && self.bound.accesses.iter().any(|a| {
+                    a.kind.allows_mutation()
+                        && a.canonical_region().is_some_and(|c| c.overlaps(canon))
+                }))
+            .then_some(WriteClash(canon.id))
+        })
+    }
+
+    /// Un-elide every earlier elided `output` binding whose canonical
+    /// sub-region overlaps a (reading) access in `resolved`. See
+    /// [`crate::rename`], "First-write rename elision". Replay re-resolves
+    /// every clause through this same set, so a template captured before an
+    /// un-elision cannot bake in the aliased write.
+    fn unelide_overlapping(&mut self, resolved: &ResolvedAccess, cx: &RenameCx<'_>) {
         // Tickets run parallel to the version-bound subsequence of the
-        // access list: the ticket of access `j` is at the index counting
-        // the canonical-carrying accesses before it.
-        let tj = accesses[..j]
-            .iter()
-            .filter(|a| a.canonical_region().is_some())
-            .count();
-        if let Some(mut repl) = tickets[tj].unelide(cx) {
-            debug_assert_eq!(repl.accesses.len(), 1);
-            debug_assert_eq!(repl.accesses[0].kind, accesses[j].kind);
-            accesses.as_mut_slice()[j] = repl.accesses[0].clone();
-            // The old ticket's reference was released inside unelide();
-            // dropping the box itself releases nothing.
-            tickets[tj] = repl.tickets.pop().expect("replacement carries its ticket");
-            commits.extend(repl.commits);
-            renames.extend(repl.renamed);
+        // access list: `ticket` counts the canonical-carrying accesses seen.
+        let mut ticket = 0;
+        let bound = &mut self.bound;
+        for j in 0..bound.accesses.len() {
+            let Some(canon) = bound.accesses[j].canonical_region() else {
+                continue;
+            };
+            ticket += 1;
+            let aliased = bound.accesses[j].is_elided()
+                && resolved
+                    .accesses
+                    .iter()
+                    .any(|r| r.canonical_region().is_some_and(|c| c.overlaps(canon)));
+            if !aliased {
+                continue;
+            }
+            if let Some((access, event)) = bound.tickets[ticket - 1].unelide(cx) {
+                debug_assert_eq!(access.kind, bound.accesses[j].kind);
+                bound.accesses.as_mut_slice()[j] = access;
+                bound.renamed.push(event);
+            }
+        }
+    }
+
+    /// The task is being inserted: this is the point in program order where
+    /// its renames take effect. Committing here (not at clause declaration)
+    /// means an abandoned set never changes a handle's value. Hands over
+    /// what the task node takes — accesses and version tickets, counted on
+    /// the bind side of the ticket ledger (release side: the worker's retire
+    /// tail; [`Runtime::audit`] checks the two balance at quiescence) — and
+    /// the rename events for the trace.
+    pub(crate) fn commit(mut self, pool: &RenamePool) -> ResolvedAccess {
+        let mut bound = std::mem::take(&mut self.bound);
+        if !bound.renamed.is_empty() {
+            for ticket in &mut bound.tickets {
+                ticket.commit();
+            }
+        }
+        if !bound.tickets.is_empty() {
+            pool.note_tickets_bound(bound.tickets.len() as u64);
+        }
+        bound
+    }
+}
+// lint: hot-path-end
+
+impl Drop for ClauseSet {
+    fn drop(&mut self) {
+        for ticket in self.bound.tickets.drain(..) {
+            ticket.release();
         }
     }
 }
@@ -1497,43 +1555,23 @@ impl<'a> TaskContext<'a> {
         self.node.replay_pass
     }
 
-    fn check_access(&self, region: &crate::region::Region, write: bool, what: &str) {
-        let matched = self.node.accesses.iter().find(|a| {
-            a.region.contains(region) && (!write || a.kind.allows_mutation())
-        });
-        let Some(access) = matched else {
-            panic!(
-                "task `{}` accessed {what} {} ({}) without declaring a matching {} access",
-                self.node.display_name(),
-                region.id,
-                if write { "mutably" } else { "for reading" },
-                if write { "output/inout/concurrent" } else { "input/inout" },
-            );
-        };
-        if let Some(d) = &self.inner.dcheck {
-            // Log the *requested* region (a subset of the declared one): any
-            // overlap the oracle sees on it, the tracker saw on the declared
-            // region too, so oracle conflicts never outrun tracker edges.
-            d.log_access(
-                self.worker,
-                self.node,
-                region,
-                write,
-                access.kind == AccessKind::Concurrent,
-            );
-        }
-    }
-
-    /// Locate the declared access binding this task to (a version of)
-    /// `data`, preferring the appropriate kind, and return the bound
-    /// version's storage pointer — resolved once at bind time, so this is
-    /// lock-free however the handle is versioned.
-    fn data_binding<T: Send + 'static>(&self, data: &Data<T>, write: bool) -> *mut T {
-        let root = data.root_alloc();
-        let viable = |a: &&Access| a.root_alloc() == root && (!write || a.kind.allows_mutation());
-        // For reads on a handle declared with several accesses (e.g. input +
-        // output under renaming), prefer the access that *reads*: it is
-        // bound to the version holding the value this task may observe.
+    /// The one declared-access lookup behind every guard: find the access
+    /// `matches` accepts (and, for `write`, that allows mutation), panic if
+    /// the task declared none, and log the access with the race oracle —
+    /// under the `requested` region when the caller asks for a subset of the
+    /// declared one, else under the bound version's own region.
+    ///
+    /// For reads on a handle declared with several accesses (e.g. input +
+    /// output under renaming), the access that *reads* is preferred: it is
+    /// bound to the version holding the value this task may observe.
+    fn declared(
+        &self,
+        write: bool,
+        requested: Option<&Region>,
+        subject: std::fmt::Arguments<'_>,
+        matches: impl Fn(&Access) -> bool,
+    ) -> &Access {
+        let viable = |a: &&Access| matches(a) && (!write || a.kind.allows_mutation());
         let access = if write {
             self.node.accesses.iter().find(viable)
         } else {
@@ -1545,13 +1583,51 @@ impl<'a> TaskContext<'a> {
         };
         let Some(access) = access else {
             panic!(
-                "task `{}` accessed data {} {} without declaring a matching {} access",
+                "task `{}` accessed {subject} without declaring a matching {} access",
                 self.node.display_name(),
-                data.root_alloc().raw(),
-                if write { "mutably" } else { "for reading" },
                 if write { "output/inout/concurrent" } else { "input/inout" },
             );
         };
+        if let Some(d) = &self.inner.dcheck {
+            // A requested region is a subset of the declared one: any
+            // overlap the oracle sees on it, the tracker saw on the declared
+            // region too, so oracle conflicts never outrun tracker edges. A
+            // bound region carries the *version's* AllocId (renamed versions
+            // mint fresh ids), so "same version" falls out of the record's
+            // alloc field in the oracle.
+            d.log_access(
+                self.worker,
+                self.node,
+                requested.unwrap_or(&access.region),
+                write,
+                access.kind == AccessKind::Concurrent,
+            );
+        }
+        access
+    }
+
+    /// Check that the task declared an access covering `region` of a plain
+    /// partition.
+    fn check_access(&self, region: &Region, write: bool, what: &str) {
+        self.declared(
+            write,
+            Some(region),
+            format_args!("{what} {} ({})", region.id, access_mode(write)),
+            |a| a.region.contains(region),
+        );
+    }
+
+    /// The storage of the version of `data` this task is bound to — resolved
+    /// once at bind time, so this is lock-free however the handle is
+    /// versioned.
+    fn data_binding<T: Send + 'static>(&self, data: &Data<T>, write: bool) -> *mut T {
+        let root = data.root_alloc();
+        let access = self.declared(
+            write,
+            None,
+            format_args!("data {} {}", root.raw(), access_mode(write)),
+            |a| a.root_alloc() == root,
+        );
         let (ptr, _len) = access
             .bound_ptr()
             .expect("runtime-resolved accesses carry their storage pointer");
@@ -1562,25 +1638,13 @@ impl<'a> TaskContext<'a> {
             Some(ptr as *mut T),
             "bind-time pointer must match the live version storage"
         );
-        if let Some(d) = &self.inner.dcheck {
-            // The bound region carries the *version's* AllocId (renamed
-            // versions mint fresh ids), so "same version" falls out of the
-            // record's alloc field in the oracle.
-            d.log_access(
-                self.worker,
-                self.node,
-                &access.region,
-                write,
-                access.kind == AccessKind::Concurrent,
-            );
-        }
         ptr as *mut T
     }
 
-    /// Locate the declared access binding this task to (a version of) chunk
-    /// `index` of a versioned partition and return the bound chunk storage.
-    /// An access declared on `whole()` covers every chunk (whole accesses on
-    /// versioned partitions resolve to one binding per chunk).
+    /// The storage of the version of chunk `index` of a versioned partition
+    /// this task is bound to. An access declared on `whole()` covers every
+    /// chunk (whole accesses on versioned partitions resolve to one binding
+    /// per chunk).
     fn chunk_binding<T: Send + 'static>(
         &self,
         part: &std::sync::Arc<crate::handle::PartInner<T>>,
@@ -1588,41 +1652,15 @@ impl<'a> TaskContext<'a> {
         write: bool,
     ) -> (*mut T, usize) {
         let canon = part.chunk_canonical_region(index);
-        let viable = |a: &&Access| {
-            a.canonical_region().is_some_and(|c| c.contains(&canon))
-                && (!write || a.kind.allows_mutation())
-        };
-        // As in data_binding: reads prefer the binding that reads.
-        let access = if write {
-            self.node.accesses.iter().find(viable)
-        } else {
-            self.node
-                .accesses
-                .iter()
-                .filter(viable)
-                .max_by_key(|a| a.kind.reads())
-        };
-        let Some(access) = access else {
-            panic!(
-                "task `{}` accessed chunk {} {} without declaring a matching {} access",
-                self.node.display_name(),
-                canon.id,
-                if write { "mutably" } else { "for reading" },
-                if write { "output/inout/concurrent" } else { "input/inout" },
-            );
-        };
+        let access = self.declared(
+            write,
+            None,
+            format_args!("chunk {} {}", canon.id, access_mode(write)),
+            |a| a.canonical_region().is_some_and(|c| c.contains(&canon)),
+        );
         let (ptr, len) = access
             .bound_ptr()
             .expect("runtime-resolved accesses carry their storage pointer");
-        if let Some(d) = &self.inner.dcheck {
-            d.log_access(
-                self.worker,
-                self.node,
-                &access.region,
-                write,
-                access.kind == AccessKind::Concurrent,
-            );
-        }
         (ptr as *mut T, len)
     }
 

@@ -55,7 +55,9 @@ pub enum IdlePolicy {
     #[default]
     Polling,
     /// Block on a condition variable until work is pushed. Cheaper for the
-    /// system, slower to react — used by the barrier ablation experiment.
+    /// system, slower to react. No harness selects it (`barrier_ablation`
+    /// compares barrier kinds, not idle policies); `tests/runtime_semantics.rs`
+    /// pins that a blocking pool drains like a polling one.
     Blocking,
 }
 

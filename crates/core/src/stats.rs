@@ -276,12 +276,12 @@ pub struct RuntimeStats {
     /// disjoint allocations.
     pub tracker_lock_contention: u64,
     /// Registrations that touched a single shard and took its gate at the
-    /// first try, without waiting — see
-    /// [`RuntimeConfig::with_tracker_fast_path`](crate::RuntimeConfig::with_tracker_fast_path).
+    /// first try, without waiting — see [`crate::graph`], "Exclusion: one
+    /// gate protocol".
     pub tracker_fast_path_hits: u64,
-    /// Registrations that did not: the accesses spanned several shards, or
-    /// the shard's gate was held (contention, a GC sweep) past the spin
-    /// budget.
+    /// Registrations that did not: the accesses spanned several shards, the
+    /// shard's gate was held (contention, a GC sweep) past the spin budget,
+    /// or a fault plan forced the acquisition off the try.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap

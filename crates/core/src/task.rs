@@ -274,21 +274,14 @@ impl ChildTracker {
         Arc::new(ChildTracker::default())
     }
 
-    pub(crate) fn add_child(&self) {
-        self.live.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Register `n` children with one atomic add — the batch-spawn
-    /// (template replay) counterpart of [`ChildTracker::add_child`].
+    /// Register `n` children — one inserted batch — with one atomic add.
     pub(crate) fn add_children(&self, n: usize) {
-        if n != 0 {
-            self.live.fetch_add(n, Ordering::SeqCst);
-        }
+        self.live.fetch_add(n, Ordering::SeqCst);
     }
 
     pub(crate) fn child_done(&self) {
         let prev = self.live.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "child_done without matching add_child");
+        debug_assert!(prev > 0, "child_done without matching add_children");
     }
 
     pub(crate) fn live_children(&self) -> usize {
@@ -494,7 +487,6 @@ impl TaskNode {
         self.name = name;
         self.priority = priority;
         self.accesses = accesses;
-        self.replay_pass = 0;
         *spilled = self.body.get_mut().set(body);
         if !tickets.is_empty() {
             // Move the hooks into the node-resident vector, which kept its
@@ -798,6 +790,8 @@ impl TaskSlab {
     /// freshly allocated otherwise. The node has the registration sentinel
     /// held (pending = 1) and a fresh [`TaskId`]. `spilled` reports whether
     /// the body missed the inline buffer (the `spawn_body_spills` counter).
+    /// `replay_pass` and `cancel` are stamped here, while the node is still
+    /// provably unshared, so no caller has to reach back into it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn acquire<F>(
         &self,
@@ -808,6 +802,8 @@ impl TaskSlab {
         tickets: Vec<Box<dyn VersionTicket>>,
         body: F,
         parent_children: Arc<ChildTracker>,
+        replay_pass: u64,
+        cancel: Option<Arc<AtomicBool>>,
         spilled: &mut bool,
     ) -> Arc<TaskNode>
     where
@@ -841,6 +837,8 @@ impl TaskSlab {
                     token,
                     spilled,
                 );
+                n.replay_pass = replay_pass;
+                n.cancel = cancel;
                 self.recycled.fetch_add(1, Ordering::Relaxed);
                 return node;
             }
@@ -864,6 +862,8 @@ impl TaskSlab {
         if !tickets.is_empty() {
             *n.tickets.get_mut() = tickets;
         }
+        n.replay_pass = replay_pass;
+        n.cancel = cancel;
         n.live_token = Some(token);
         Arc::new(n)
     }
@@ -980,6 +980,8 @@ mod tests {
             Vec::new(),
             |_ctx| {},
             ChildTracker::new(),
+            0,
+            None,
             &mut false,
         )
     }
@@ -1038,8 +1040,7 @@ mod tests {
     fn child_tracker_counts() {
         let c = ChildTracker::new();
         assert_eq!(c.live_children(), 0);
-        c.add_child();
-        c.add_child();
+        c.add_children(2);
         assert_eq!(c.live_children(), 2);
         c.child_done();
         assert_eq!(c.live_children(), 1);

@@ -10,8 +10,10 @@
 //! 2. **No panicking calls on the hot path** — `unwrap()` / `expect(` /
 //!    `panic!` / `unreachable!` / `todo!` / `unimplemented!` are banned in
 //!    the per-task execution path: all of `worker.rs` and `task.rs`, and the
-//!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of the
-//!    files under `graph/`. `#[cfg(test)]` modules are exempt; a deliberate site can
+//!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of every
+//!    other file of `crates/core/src` (the tracker under `graph/`, clause
+//!    resolution and the insertion tail in `runtime.rs`). `#[cfg(test)]`
+//!    modules are exempt; a deliberate site can
 //!    carry `// lint: allow(panic)` on the line itself or the line above
 //!    (used exactly once, for the injected-fault panic in `worker.rs`).
 //! 3. **No wall-clock reads in deterministic modules** — `Instant::now` /
@@ -166,7 +168,7 @@ fn rules_for(root: &Path, path: &Path) -> Option<FileRules> {
     let in_core = rel_str.starts_with("crates/core/src/");
     let panic = if in_core && (file == "worker.rs" || file == "task.rs") {
         PanicScope::Everywhere
-    } else if rel_str.starts_with("crates/core/src/graph/") {
+    } else if in_core {
         PanicScope::MarkedRegions
     } else {
         PanicScope::Off
@@ -502,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn marked_region_rule_follows_the_graph_directory() {
+    fn marked_region_rule_follows_the_core_crate() {
         let root = super::workspace_root();
         let scope = |rel: &str| rules_for(&root, &root.join(rel)).map(|r| r.panic);
         for file in ["mod.rs", "gate.rs", "shard.rs", "index.rs", "complete.rs", "plan.rs"] {
@@ -510,7 +512,9 @@ mod tests {
             assert!(scope(&rel) == Some(PanicScope::MarkedRegions), "{rel}");
         }
         assert!(scope("crates/core/src/worker.rs") == Some(PanicScope::Everywhere));
-        assert!(scope("crates/core/src/capture.rs") == Some(PanicScope::Off));
+        assert!(scope("crates/core/src/runtime.rs") == Some(PanicScope::MarkedRegions));
+        assert!(scope("crates/core/src/capture.rs") == Some(PanicScope::MarkedRegions));
+        assert!(scope("crates/service/src/service.rs") == Some(PanicScope::Off));
         // The rule bites inside a marked region of such a file, and only there.
         let gate = root.join("crates/core/src/graph/gate.rs");
         let src = "fn a() { x.unwrap(); }\n// lint: hot-path-begin\nfn b() { y.unwrap(); }\n\
@@ -518,9 +522,13 @@ mod tests {
         let rules = rules_for(&root, &gate).expect("graph files are linted");
         let v = lint_file(&gate, src, rules);
         assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3], "{v:?}");
-        // And the real gate file does mark its hot path.
-        let real = std::fs::read_to_string(&gate).expect("gate.rs readable");
-        assert!(real.contains("lint: hot-path-begin"));
+        // And the real files do mark their hot paths: the gate, and what
+        // every task crosses before it (clause resolution, the insertion
+        // tail).
+        for rel in ["crates/core/src/graph/gate.rs", "crates/core/src/runtime.rs"] {
+            let real = std::fs::read_to_string(root.join(rel)).expect("source readable");
+            assert!(real.contains("lint: hot-path-begin"), "{rel}");
+        }
     }
 
     #[test]

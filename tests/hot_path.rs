@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{Runtime, RuntimeConfig};
+use ompss::{FaultPlan, Runtime, RuntimeConfig};
 
 // ---------------------------------------------------------------------------
 // 1. Elision on/off/mixed keeps sequential-value semantics
@@ -130,6 +130,248 @@ proptest! {
             &ops,
         );
         prop_assert_eq!(&mixed, &expected, "elision mixed with fallbacks");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 1b. One chain: a `Data` and a one-chunk partition version identically
+// ---------------------------------------------------------------------------
+//
+// A versioned `Data<u64>` is one version chain; a versioned partition of one
+// one-element chunk is one version chain too. The same clause program must
+// therefore take the same decision at every clause — bind, elide, rename,
+// recycle, fall back, un-elide — on either, whatever the renaming knobs say.
+// Bodies are gated per round, so nothing completes (and no binding is
+// released) while a round is being declared: every decision is then a pure
+// function of the program, and the counters can be compared exactly.
+
+/// What a parity task declares on the subject handle (at most one writing
+/// clause — two would be a write clash). Every reading task also declares
+/// `inout` on a plain accumulator and folds what it read into it.
+#[derive(Debug, Clone, Copy)]
+enum Clauses {
+    In,
+    Out(u64),
+    InOut,
+    Conc(u64),
+    /// `input` then `output`: reads the previous version, writes a fresh one.
+    InThenOut(u64),
+    /// `output` then `input`: the un-elision corner.
+    OutThenIn(u64),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    clauses: Clauses,
+    /// Declare the clauses, then drop the builder unspawned.
+    abandoned: bool,
+    /// Open the gate and drain after this step (later steps then meet
+    /// released bindings, reclaimed versions and a stocked recycle pool).
+    drain_after: bool,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let clauses = prop_oneof![
+        Just(Clauses::In),
+        (1u64..50).prop_map(Clauses::Out),
+        Just(Clauses::InOut),
+        (1u64..9).prop_map(Clauses::Conc),
+        (1u64..50).prop_map(Clauses::InThenOut),
+        (1u64..50).prop_map(Clauses::OutThenIn),
+    ];
+    (clauses, 0u8..6, 0u8..5).prop_map(|(clauses, a, d)| Step {
+        clauses,
+        abandoned: a == 0,
+        drain_after: d == 0,
+    })
+}
+
+impl Clauses {
+    /// Whether the task reads the subject (and folds it into the
+    /// accumulator).
+    fn reads(self) -> bool {
+        matches!(self, Clauses::In | Clauses::InThenOut(_) | Clauses::OutThenIn(_))
+    }
+
+    /// The value a writing task leaves in the subject, given the one it
+    /// found there.
+    fn written(self, x: u64) -> Option<u64> {
+        match self {
+            Clauses::In => None,
+            Clauses::Out(v) | Clauses::InThenOut(v) | Clauses::OutThenIn(v) => Some(v),
+            Clauses::InOut => Some(x.wrapping_mul(3).wrapping_add(1)),
+            Clauses::Conc(k) => Some(x.wrapping_add(k)),
+        }
+    }
+}
+
+/// Sequential semantics of a parity program: (subject, accumulator).
+fn parity_sequential(steps: &[Step]) -> (u64, u64) {
+    let (mut x, mut acc) = (1u64, 0u64);
+    for step in steps.iter().filter(|s| !s.abandoned) {
+        if step.clauses.reads() {
+            acc = acc.wrapping_add(x);
+        }
+        x = step.clauses.written(x).unwrap_or(x);
+    }
+    (x, acc)
+}
+
+/// The two shapes of "one chain".
+trait Subject: ompss::Accessible + Clone + Send + Sync + 'static {
+    fn get(&self, ctx: &ompss::TaskContext<'_>) -> u64;
+    fn update(&self, ctx: &ompss::TaskContext<'_>, f: impl FnOnce(u64) -> u64);
+}
+
+impl Subject for ompss::Data<u64> {
+    fn get(&self, ctx: &ompss::TaskContext<'_>) -> u64 {
+        *ctx.read(self)
+    }
+    fn update(&self, ctx: &ompss::TaskContext<'_>, f: impl FnOnce(u64) -> u64) {
+        let mut g = ctx.write(self);
+        *g = f(*g);
+    }
+}
+
+impl Subject for ompss::Chunk<u64> {
+    fn get(&self, ctx: &ompss::TaskContext<'_>) -> u64 {
+        ctx.read_chunk(self)[0]
+    }
+    fn update(&self, ctx: &ompss::TaskContext<'_>, f: impl FnOnce(u64) -> u64) {
+        let mut g = ctx.write_chunk(self);
+        g[0] = f(g[0]);
+    }
+}
+
+/// What must not depend on the shape of the chain.
+#[derive(Debug, PartialEq, Eq)]
+struct ParityOutcome {
+    value: u64,
+    acc: u64,
+    renames: u64,
+    recycled: u64,
+    elided: u64,
+    fallbacks: u64,
+    bytes_held: u64,
+}
+
+fn run_parity<H: Subject>(
+    config: RuntimeConfig,
+    subject: impl FnOnce(&Runtime) -> H,
+    steps: &[Step],
+) -> (ParityOutcome, u64) {
+    let rt = Runtime::new(config);
+    let x = subject(&rt);
+    let acc = rt.data(0u64);
+    let mut gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    for step in steps {
+        let clauses = step.clauses;
+        let builder = rt.task();
+        let builder = match clauses {
+            Clauses::In => builder.input(&x),
+            Clauses::Out(_) => builder.output(&x),
+            Clauses::InOut => builder.inout(&x),
+            Clauses::Conc(_) => builder.concurrent(&x),
+            Clauses::InThenOut(_) => builder.input(&x).output(&x),
+            Clauses::OutThenIn(_) => builder.output(&x).input(&x),
+        };
+        let builder = if clauses.reads() { builder.inout(&acc) } else { builder };
+        if step.abandoned {
+            drop(builder);
+        } else {
+            let (x, acc, gate) = (x.clone(), acc.clone(), gate.clone());
+            builder.spawn(move |ctx| {
+                while !gate.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                // Read before writing: with the write bound in place (no
+                // renaming, or a fallback) that is the only order in which
+                // the read still sees the pre-task value.
+                if clauses.reads() {
+                    let seen = x.get(ctx);
+                    let mut a = ctx.write(&acc);
+                    *a = a.wrapping_add(seen);
+                }
+                if clauses.written(0).is_some() {
+                    ctx.critical("hot-path-parity", || {
+                        x.update(ctx, |old| clauses.written(old).unwrap_or(old))
+                    });
+                }
+            });
+        }
+        if step.drain_after {
+            gate.store(true, Ordering::Release);
+            rt.taskwait();
+            gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        }
+    }
+    gate.store(true, Ordering::Release);
+    rt.taskwait();
+    let stats = rt.stats();
+    assert!(rt.take_panics().is_empty(), "a parity body panicked");
+    rt.audit().expect("parity run audits clean");
+    let value = Arc::new(AtomicU64::new(0));
+    {
+        let (x, value) = (x.clone(), value.clone());
+        rt.task().input(&x).spawn(move |ctx| value.store(x.get(ctx), Ordering::Release));
+    }
+    rt.taskwait();
+    let outcome = ParityOutcome {
+        value: value.load(Ordering::Acquire),
+        acc: rt.fetch(&acc),
+        renames: stats.renames,
+        recycled: stats.renames_recycled,
+        elided: stats.renames_elided,
+        fallbacks: stats.rename_fallbacks,
+        bytes_held: stats.rename_bytes_held,
+    };
+    rt.shutdown();
+    (outcome, stats.chunk_renames)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same clause program over a versioned `Data<u64>` and over a
+    /// one-chunk, one-element versioned partition: same final values, same
+    /// rename / recycle / elision / fallback counts, same bytes held, under
+    /// every combination of the renaming knobs. Only `chunk_renames` tells
+    /// the two apart.
+    #[test]
+    fn one_chain_behaves_the_same_as_a_data_and_as_a_chunk(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+    ) {
+        let expected = parity_sequential(&steps);
+        for knobs in 0u32..32 {
+            let bit = |i: u32| knobs & (1 << i) != 0;
+            let base = RuntimeConfig::default()
+                .with_workers(2)
+                .with_renaming(bit(0))
+                .with_rename_elision(bit(1))
+                .with_rename_max_versions(if bit(2) { 4 } else { 1 })
+                .with_rename_pool_depth(if bit(3) { 2 } else { 0 });
+            let config = if bit(4) { base } else { base.with_rename_memory_cap(0) };
+            let (mut data, data_chunk_renames) =
+                run_parity(config.clone(), |rt| rt.versioned_data(1u64), &steps);
+            let (chunk, chunk_renames) = run_parity(
+                config.clone(),
+                |rt| rt.versioned_partitioned(vec![1u64], 1).chunk(0),
+                &steps,
+            );
+            prop_assert_eq!((data.value, data.acc), expected, "sequential semantics, {:?}", config);
+            if bit(3) {
+                // With a recycle pool, *which* superseded versions a full
+                // pool parks and which it drops follows completion order,
+                // and the canonical first version carries no reservation:
+                // the bytes held are bounded, not a function of the program.
+                let bound = (2 + 1) * std::mem::size_of::<u64>() as u64;
+                prop_assert!(data.bytes_held <= bound && chunk.bytes_held <= bound);
+                data.bytes_held = chunk.bytes_held;
+            }
+            prop_assert_eq!(&data, &chunk, "one chain, two shapes, {:?}", config);
+            prop_assert_eq!(data_chunk_renames, 0);
+            prop_assert_eq!(chunk_renames, chunk.renames);
+        }
     }
 }
 
@@ -489,7 +731,6 @@ fn replay_reruns_unelision_behind_deferred_retirements() {
 // ---------------------------------------------------------------------------
 
 fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss::RuntimeStats {
-    let fast_path = config.tracker_fast_path;
     let rt = Runtime::new(config);
     let bodies = Arc::new(AtomicU64::new(0));
     let chains: Vec<_> = std::thread::scope(|scope| {
@@ -526,16 +767,13 @@ fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss:
     for chain in &chains {
         assert_eq!(rt.fetch(chain), per_thread as u64, "no chain edge was lost");
     }
-    // Every registration had accesses: with the fast path enabled, hits +
-    // fallbacks must account for all of them (including the fetch tasks
-    // spawned just above).
+    // Every registration had accesses: hits + fallbacks must account for
+    // all of them (including the fetch tasks spawned just above).
     let after_fetch = rt.stats();
-    if fast_path {
-        assert_eq!(
-            after_fetch.tracker_fast_path_hits + after_fetch.tracker_fast_path_fallbacks,
-            after_fetch.tasks_spawned,
-        );
-    }
+    assert_eq!(
+        after_fetch.tracker_fast_path_hits + after_fetch.tracker_fast_path_fallbacks,
+        after_fetch.tasks_spawned,
+    );
     rt.taskwait();
     let diag = rt.tracker_diagnostics();
     assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0), "clean drain");
@@ -632,16 +870,17 @@ fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
 
 #[test]
 fn forced_locked_storm_matches_invariants() {
-    // The mutex-only configuration survives the same storm (it is the
-    // equivalence reference); no hit/fallback counters move.
+    // The forced-fallback configuration survives the same storm (it is the
+    // equivalence reference); every registration counts as a fallback.
     let stats = gc_storm(
         RuntimeConfig::default()
             .with_workers(4)
             .with_tracker_shards(4)
-            .with_tracker_fast_path(false)
+            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
             .with_tracker_gc_interval(64),
         4,
         storm_tasks(),
     );
-    assert_eq!(stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks, 0);
+    assert_eq!(stats.tracker_fast_path_hits, 0);
+    assert_eq!(stats.tracker_fast_path_fallbacks, stats.tasks_spawned);
 }

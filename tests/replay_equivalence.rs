@@ -879,3 +879,111 @@ proptest! {
         rt.shutdown();
     }
 }
+
+/// A replay whose bindings fold two captured versioned handles onto one
+/// target clashes exactly as the fresh-spawn loop it stands for would: the
+/// recipes before the clashing one are inserted and run, the clashing
+/// recipe's bindings — the renames it had already allocated and the versions
+/// its earlier clauses had bound — are released, and only then does the
+/// write-clash panic propagate. Nothing stays pinned, the ticket ledger
+/// balances, and the template is as replayable as before.
+#[test]
+fn replay_write_clash_inserts_the_prefix_and_releases_the_rest() {
+    // No recycle pool: a released never-current version returns its bytes to
+    // the budget instead of parking them, so `rename_bytes_held` reads zero.
+    let rt = Runtime::new(
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_rename_pool_depth(0),
+    );
+    let a = rt.versioned_data(1u64);
+    let b = rt.versioned_data(2u64);
+    let c = rt.versioned_data(3u64);
+    let total = rt.data(0u64);
+    // The program, folded sequentially: `upto` recipes of one pass.
+    let fold = |s: &mut [u64; 4], upto: usize| {
+        let [a, b, c, total] = s;
+        if upto > 0 {
+            *total += *a;
+        }
+        if upto > 1 {
+            *total += *c;
+        }
+        if upto > 2 {
+            *a = *c + 1;
+            *b = *c + 2;
+        }
+    };
+    let mut scope = rt.capture();
+    {
+        let (a, total) = (a.clone(), total.clone());
+        scope.task().input(&a).inout(&total).spawn(move |ctx| {
+            let add = *ctx.read(&a);
+            *ctx.write(&total) += add;
+        });
+    }
+    {
+        let (c, total) = (c.clone(), total.clone());
+        scope.task().input(&c).inout(&total).spawn(move |ctx| {
+            let add = *ctx.read(&c);
+            *ctx.write(&total) += add;
+        });
+    }
+    // Drain first, so the capture iteration's two outputs elide (nobody
+    // holds `a` or `b`) and the run starts with no renamed version live.
+    rt.taskwait();
+    {
+        let (a, b, c) = (a.clone(), b.clone(), c.clone());
+        scope.task().input(&c).output(&a).output(&b).spawn(move |ctx| {
+            let v = *ctx.read(&c);
+            *ctx.write(&a) = v + 1;
+            *ctx.write(&b) = v + 2;
+        });
+    }
+    let template = scope.finish();
+    rt.taskwait();
+    let mut expected = [1u64, 2, 3, 0];
+    fold(&mut expected, 3);
+    assert_eq!(rt.stats().rename_bytes_held, 0, "the capture iteration elided");
+
+    // `b` folded onto `a`: recipe 2 now declares `output(a)` twice. By then
+    // its `input(c)` is bound and its first `output(a)` has renamed (recipe
+    // 0's unstarted read holds `a`'s current version).
+    let mut bindings = ReplayBindings::new();
+    bindings.bind(&b, &a);
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.replay(&template, &bindings);
+    }))
+    .expect_err("the folded bindings clash");
+    let message = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains("more than one writing access"),
+        "the builder's own rejection propagates: {message}"
+    );
+    rt.taskwait();
+    fold(&mut expected, 2);
+    for (name, handle) in [("a", &a), ("b", &b), ("c", &c)] {
+        assert_eq!(handle.live_versions(), 1, "a version of `{name}` stayed pinned");
+    }
+    let stats = rt.stats();
+    assert_eq!(stats.rename_bytes_held, 0, "an uncommitted rename kept its bytes");
+    assert_eq!(stats.tasks_executed, stats.tasks_spawned);
+    let report = rt.audit().expect("ledgers balance after the clash");
+    assert_eq!(report.ticket_refs_bound, report.ticket_refs_released);
+    assert_eq!(rt.fetch(&total), expected[3], "recipes 0 and 1 were inserted and ran");
+    assert_eq!(rt.fetch(&a), expected[0], "recipe 2 never ran");
+
+    // The template is untouched: an empty-binding pass is a whole pass.
+    rt.replay(&template, &ReplayBindings::new());
+    rt.taskwait();
+    fold(&mut expected, 3);
+    let got = [rt.fetch(&a), rt.fetch(&b), rt.fetch(&c), rt.fetch(&total)];
+    assert_eq!(got, expected);
+    assert!(rt.take_panics().is_empty());
+    rt.audit().expect("ledgers balance after the clean pass");
+    rt.shutdown();
+}

@@ -25,11 +25,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{Data, Runtime, RuntimeConfig, TraceEvent};
+use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, TraceEvent};
 
 /// The shard counts the suite compares (1 is the reference single-lock
 /// configuration).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
+
+/// The tracker configuration under test: optimistic (the default), or
+/// forced-locked — every gate acquisition forced off the polite try and
+/// every retirement through the inbox, the suite's reference.
+fn tracker_config(fast_path: bool) -> RuntimeConfig {
+    if fast_path {
+        RuntimeConfig::default()
+    } else {
+        RuntimeConfig::default().with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
+    }
+}
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -165,10 +176,9 @@ fn edge_structure(
     ops: &[Op],
 ) -> EdgeStructure {
     let rt = Runtime::new(
-        RuntimeConfig::default()
+        tracker_config(fast_path)
             .with_workers(2)
             .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler)
             .with_tracing(true),
     );
@@ -180,18 +190,15 @@ fn edge_structure(
     // deterministic structure, then release the tasks and drain.
     let stats = rt.stats();
     assert_eq!(stats.tracker_shards, shards);
-    // Hit/fallback accounting: with the fast path enabled every
-    // registration that has accesses is either a hit or a fallback; with it
-    // disabled, neither counter moves.
-    if fast_path {
-        assert_eq!(
-            stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks,
-            stats.tasks_spawned,
-            "every registration is accounted as fast-path hit or fallback"
-        );
-    } else {
+    // Hit/fallback accounting: every registration that has accesses is
+    // either a hit or a fallback, and a forced fallback is a fallback.
+    assert_eq!(
+        stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks,
+        stats.tasks_spawned,
+        "every registration is accounted as fast-path hit or fallback"
+    );
+    if !fast_path {
         assert_eq!(stats.tracker_fast_path_hits, 0);
-        assert_eq!(stats.tracker_fast_path_fallbacks, 0);
     }
     let trace = rt.trace();
     gate.store(true, Ordering::Release);
@@ -235,10 +242,9 @@ fn edge_structure(
 
 fn final_values(shards: usize, fast_path: bool, recycler: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
     let rt = Runtime::new(
-        RuntimeConfig::default()
+        tracker_config(fast_path)
             .with_workers(3)
             .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler),
     );
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
@@ -310,10 +316,9 @@ fn final_values_dcheck(
     ops: &[Op],
 ) -> (Vec<u64>, Vec<ompss::RaceReport>, bool) {
     let rt = Runtime::new(
-        RuntimeConfig::default()
+        tracker_config(fast_path)
             .with_workers(3)
             .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler)
             .with_dcheck(true),
     );

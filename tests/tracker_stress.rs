@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ompss::{Data, Runtime, RuntimeConfig};
+use ompss::{Data, FaultPlan, Runtime, RuntimeConfig};
 
 const SPAWNERS: usize = 8;
 
@@ -300,7 +300,7 @@ fn deferred_retire_stress_sharded_and_forced_locked() {
         RuntimeConfig::default()
             .with_workers(4)
             .with_tracker_shards(2)
-            .with_tracker_fast_path(false),
+            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
 }
 
@@ -414,6 +414,6 @@ fn opposite_order_spans_and_concurrent_replay() {
         RuntimeConfig::default()
             .with_workers(4)
             .with_tracker_shards(3)
-            .with_tracker_fast_path(false),
+            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
 }
