@@ -11,6 +11,14 @@
 //! thread to arrive flips the generation; the others either spin on the
 //! generation word ([`BarrierKind::Polling`]) or block on a condition
 //! variable ([`BarrierKind::Blocking`]).
+//!
+//! `threadkit` has a blocking and a spinning barrier of its own, and they
+//! stay there: those are what the Pthreads variants' thread teams meet at —
+//! the baseline side of the Section 4 claim — and the baseline shares no code
+//! with the runtime it is compared against, so a change to one side cannot
+//! move both. This type is the runtime side's instrument: one barrier whose
+//! only difference between the two rows of `barrier_ablation` is how a
+//! follower waits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

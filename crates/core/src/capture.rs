@@ -6,7 +6,7 @@
 //! clause resolution and a full tracker registration — the per-task
 //! insertion overhead the paper identifies as the scalability ceiling of
 //! task-superscalar runtimes. Capture/replay amortises that overhead across
-//! the batch (à la CUDA graphs / OpenMP taskloop fusion):
+//! the batch (à la CUDA graphs):
 //!
 //! * [`Runtime::capture`] opens a [`CaptureScope`]. Tasks spawned through
 //!   the scope **execute normally** — the capture iteration *is* a regular

@@ -101,7 +101,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod stats;
 pub mod task;
-pub mod taskloop;
 pub mod trace;
 mod worker;
 
@@ -127,7 +126,6 @@ pub use runtime::{
 pub use scheduler::{IdlePolicy, SchedulerPolicy};
 pub use stats::RuntimeStats;
 pub use task::{TaskId, TaskPriority, TaskSlabDiagnostics, TaskState};
-pub use taskloop::{taskloop_fill, taskloop_fill_captured, taskloop_reduce};
 pub use trace::{TraceEvent, TraceRecorder};
 
 /// Crate version string (mirrors `CARGO_PKG_VERSION`).

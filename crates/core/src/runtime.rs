@@ -91,13 +91,13 @@ pub struct RuntimeConfig {
     /// (the spawn-side allocation diet: a steady-state ≤2-access spawn then
     /// performs no heap allocation at all). Enabled by default; `false`
     /// allocates every node fresh — a configuration of the equivalence
-    /// suite's matrix and the full-spawn `insertion_bench` baseline.
+    /// suite's matrix and the reference of `tests/spawn_alloc.rs`.
     pub task_recycler: bool,
     /// Whether eligible [`GraphTemplate`](crate::GraphTemplate)s freeze into
     /// pre-wired form after a clean replay pass (see [`crate::capture`],
     /// "Pre-wired templates"). Enabled by default; `false` keeps every
-    /// replay on the resolved-per-pass path — the baseline configuration of
-    /// the `graph_replay` benchmark's mode comparison.
+    /// replay on the resolved-per-pass path — what the ledger's
+    /// `capture.replay_resolved_ns_per_task` probe times.
     pub replay_prewiring: bool,
     /// Optional deterministic fault-injection plan (see [`crate::failpoint`]).
     /// `None` (the default) compiles the hooks down to a single `Option`
@@ -835,10 +835,13 @@ impl Runtime {
     /// inherits the calling thread's cancel scope, if one is active (see
     /// [`Runtime::with_cancel_scope`]).
     pub fn task(&self) -> TaskBuilder<'_> {
-        let mut builder =
-            TaskBuilder::new(&self.inner, self.inner.root_children.clone(), None, None);
-        builder.cancel = current_cancel_scope();
-        builder
+        TaskBuilder::new(
+            &self.inner,
+            self.inner.root_children.clone(),
+            None,
+            None,
+            current_cancel_scope(),
+        )
     }
 
     /// Mint a fresh [`CancelToken`]. Pair with
@@ -872,15 +875,14 @@ impl Runtime {
     /// parents' counters drop) has completed.
     ///
     /// This is the polling "task barrier" of the paper: the calling thread
-    /// spins (with `yield`) rather than blocking in the kernel.
+    /// polls rather than blocking in the kernel and, like the paper's master
+    /// thread, runs the ready tasks it finds meanwhile — a task body may
+    /// execute on the thread that waits for it.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        while self.inner.root_children.live_children() > 0
-            || self.inner.in_flight.load(Ordering::SeqCst) > 0
-        {
-            backoff(&mut spins);
-        }
+        help_while(&self.inner, None, || {
+            self.inner.root_children.live_children() > 0 || !self.inner.quiescent()
+        });
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
         // tracks nothing (see `Runtime::tracker_diagnostics`).
@@ -922,10 +924,7 @@ impl Runtime {
     /// regardless of spawning context).
     pub fn barrier(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        while !self.inner.quiescent() {
-            backoff(&mut spins);
-        }
+        help_while(&self.inner, None, || !self.inner.quiescent());
         self.inner.tracker.garbage_collect();
         self.inner.dcheck_quiescent_pass();
     }
@@ -1209,6 +1208,29 @@ fn access_mode(write: bool) -> &'static str {
     }
 }
 
+/// Poll until `pending` turns false, running ready tasks in between: a
+/// thread waiting for tasks is one more executor of them, as the paper's
+/// master thread is at a task barrier, and a nested `taskwait` that only
+/// spun could deadlock the pool. It is also what keeps one program at one
+/// speed: a waiter that only spins holds a core to itself while the workers
+/// share the others, so whether the drain runs on every core or on one
+/// fewer is decided by where the OS put the threads. `taskwait_on` does not
+/// come here from outside a task: it waits for one region, and a helper
+/// that picked up an unrelated long task would overshoot it.
+fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    let mut ready = Vec::new();
+    while pending() {
+        match inner.sched.pop(worker.unwrap_or(0), None) {
+            Some(task) => {
+                worker::execute_task(inner, task, worker, None, &mut ready);
+                spins = 0;
+            }
+            None => backoff(&mut spins),
+        }
+    }
+}
+
 fn backoff(spins: &mut u32) {
     if *spins < 64 {
         std::hint::spin_loop();
@@ -1240,7 +1262,7 @@ pub struct TaskBuilder<'r> {
     clauses: ClauseSet,
     /// Cancel scope the spawned task will carry: the spawning thread's
     /// active scope for root spawns, the parent task's flag for nested ones.
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<'r> TaskBuilder<'r> {
@@ -1249,6 +1271,7 @@ impl<'r> TaskBuilder<'r> {
         parent_children: Arc<ChildTracker>,
         deque: Option<&'r WorkerDeque<Arc<TaskNode>>>,
         worker: Option<usize>,
+        cancel: Option<Arc<AtomicBool>>,
     ) -> Self {
         TaskBuilder {
             inner,
@@ -1258,7 +1281,7 @@ impl<'r> TaskBuilder<'r> {
             name: None,
             priority: TaskPriority::default(),
             clauses: ClauseSet::default(),
-            cancel: None,
+            cancel,
         }
     }
 
@@ -1535,7 +1558,8 @@ impl<'a> TaskContext<'a> {
         self.node.id
     }
 
-    /// Index of the worker executing this task, if known.
+    /// Index of the worker executing this task; `None` on a thread that runs
+    /// it while waiting in [`Runtime::taskwait`] or [`Runtime::barrier`].
     pub fn worker_id(&self) -> Option<usize> {
         self.worker
     }
@@ -1612,7 +1636,7 @@ impl<'a> TaskContext<'a> {
         self.declared(
             write,
             Some(region),
-            format_args!("{what} {} ({})", region.id, access_mode(write)),
+            format_args!("{what} {} {}", region.id, access_mode(write)),
             |a| a.region.contains(region),
         );
     }
@@ -1851,10 +1875,13 @@ impl<'a> TaskContext<'a> {
     /// inherits the current task's cancel scope, so cancelling a subtree's
     /// token also covers tasks spawned from inside its tasks.
     pub fn task(&self) -> TaskBuilder<'a> {
-        let mut builder =
-            TaskBuilder::new(self.inner, self.node.children.clone(), self.deque, self.worker);
-        builder.cancel = self.node.cancel.clone();
-        builder
+        TaskBuilder::new(
+            self.inner,
+            self.node.children.clone(),
+            self.deque,
+            self.worker,
+            self.node.cancel.clone(),
+        )
     }
 
     /// Wait for the direct children of the current task. While waiting, the
@@ -1862,17 +1889,9 @@ impl<'a> TaskContext<'a> {
     /// never deadlocks the pool.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        let mut ready = Vec::new();
-        while self.node.children.live_children() > 0 {
-            let helper_id = self.worker.unwrap_or(0);
-            if let Some(task) = self.inner.sched.pop(helper_id, None) {
-                worker::execute_task(self.inner, task, self.worker, None, &mut ready);
-                spins = 0;
-            } else {
-                backoff(&mut spins);
-            }
-        }
+        help_while(self.inner, self.worker, || {
+            self.node.children.live_children() > 0
+        });
     }
 
     /// Wait for the in-flight tasks accessing `handle` (helping execute ready

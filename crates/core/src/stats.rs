@@ -355,18 +355,6 @@ impl RuntimeStats {
         }
     }
 
-    /// Fraction of added graph edges that are false (WAR + WAW)
-    /// dependences — overwrites that do not read the data they replace, the
-    /// serialisation automatic renaming targets. `None` when no edges were
-    /// added.
-    pub fn false_dependence_fraction(&self) -> Option<f64> {
-        if self.edges_added == 0 {
-            None
-        } else {
-            Some((self.war_edges + self.waw_edges) as f64 / self.edges_added as f64)
-        }
-    }
-
     /// Tasks still in flight (spawned but not yet executed, poisoned or
     /// cancelled).
     pub fn tasks_in_flight(&self) -> u64 {
@@ -374,17 +362,6 @@ impl RuntimeStats {
             .saturating_sub(self.tasks_executed)
             .saturating_sub(self.tasks_poisoned)
             .saturating_sub(self.tasks_cancelled)
-    }
-
-    /// Fraction of tracker gate acquisitions that had to wait for
-    /// another thread. `None` when the tracker was never touched.
-    pub fn tracker_contention_rate(&self) -> Option<f64> {
-        let total: u64 = self.tracker_shard_hits.iter().sum();
-        if total == 0 {
-            None
-        } else {
-            Some(self.tracker_lock_contention as f64 / total as f64)
-        }
     }
 
     /// Fraction of registrations that touched a single shard and took its
@@ -458,18 +435,6 @@ impl RuntimeStats {
                 .extend_from_slice(&other.tracker_shard_hits);
         }
     }
-
-    /// Fraction of task-node acquisitions served from the slab free list —
-    /// the recycler hit rate the allocation diet drives toward 1 in steady
-    /// state. `None` before the first spawn.
-    pub fn task_recycle_rate(&self) -> Option<f64> {
-        let total = self.task_nodes_recycled + self.task_nodes_allocated;
-        if total == 0 {
-            None
-        } else {
-            Some(self.task_nodes_recycled as f64 / total as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counters_and_contention_rate() {
+    fn tracker_counters_count_hits_and_contention() {
         let c = TrackerCounters::new(4);
         c.hit(0);
         c.hit(0);
@@ -496,13 +461,6 @@ mod tests {
         c.contended();
         assert_eq!(c.hits(), vec![2, 0, 0, 1]);
         assert_eq!(c.contention(), 1);
-        let s = RuntimeStats {
-            tracker_shard_hits: vec![2, 0, 0, 1],
-            tracker_lock_contention: 1,
-            ..Default::default()
-        };
-        assert!((s.tracker_contention_rate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(RuntimeStats::default().tracker_contention_rate(), None);
     }
 
     #[test]

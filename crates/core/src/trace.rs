@@ -76,7 +76,8 @@ pub enum TraceEvent {
     Started {
         /// Task id.
         task: TaskId,
-        /// Executing worker index.
+        /// Executing worker index; the number of workers for a thread that
+        /// ran the task while waiting in `taskwait` or `barrier`.
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -85,7 +86,8 @@ pub enum TraceEvent {
     Finished {
         /// Task id.
         task: TaskId,
-        /// Executing worker index.
+        /// Executing worker index; the number of workers for a thread that
+        /// ran the task while waiting in `taskwait` or `barrier`.
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -231,7 +233,8 @@ impl TraceRecorder {
 
     /// Total busy time (sum of task execution intervals) per worker, derived
     /// from Started/Finished pairs. The returned vector is indexed by worker
-    /// id and sized to the largest worker index seen.
+    /// id and sized to the largest worker index seen; threads that ran tasks
+    /// while waiting in `taskwait` share one more slot after the workers'.
     pub fn busy_ns_per_worker(&self) -> Vec<u64> {
         let events = self.events.lock();
         let mut start_of: std::collections::HashMap<(usize, TaskId), u64> =

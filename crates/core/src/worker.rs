@@ -82,10 +82,13 @@ pub(crate) fn execute_task(
     // would mint a new id and bump the generation) while we execute it.
     let (task_id, generation) = (node.id, node.generation);
     let trace_enabled = inner.trace.is_enabled();
+    // A thread that runs the task while it waits in `taskwait` is traced in
+    // the slot after the last worker's, like its dcheck shadow log.
+    let traced_worker = worker.unwrap_or(inner.config.workers);
     if trace_enabled {
         inner.trace.record(TraceEvent::Started {
             task: task_id,
-            worker: worker.unwrap_or(usize::MAX),
+            worker: traced_worker,
             at_ns: inner.trace.now_ns(),
         });
     }
@@ -133,7 +136,7 @@ pub(crate) fn execute_task(
     if trace_enabled {
         inner.trace.record(TraceEvent::Finished {
             task: task_id,
-            worker: worker.unwrap_or(usize::MAX),
+            worker: traced_worker,
             at_ns: inner.trace.now_ns(),
             panicked,
         });

@@ -1,4 +1,11 @@
 //! The bounded two-lane ingest queue dispatchers pop from.
+//!
+//! Not `threadkit::BoundedQueue` with extras: `push` never blocks — at
+//! capacity it hands the job back so admission can shed it with a typed
+//! rejection — there are two lanes under one bound, depth / peak / active are
+//! kept under the lane mutex so "drained" has no window, and `push` carries
+//! the `QueueFull` fault hook. What the two share is a `VecDeque` behind a
+//! mutex and a condvar.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +54,7 @@ impl Lanes {
 /// Bounded MPMC queue with two priority lanes. `capacity` bounds the lanes
 /// *combined*, and both the capacity check and the depth/peak bookkeeping
 /// happen under the lane mutex, so the recorded peak depth can never exceed
-/// the capacity — the invariant the load bench asserts.
+/// the capacity — the invariant the overload test asserts.
 pub(crate) struct IngestQueue {
     lanes: Mutex<Lanes>,
     cv: Condvar,

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ompss::{FaultPlan, RuntimeConfig};
+use ompss::{FaultClass, FaultPlan, RuntimeConfig};
 use proptest::prelude::*;
 use service::{JobService, JobSpec, JobStatus, ServiceConfig, TenantSpec};
 
@@ -360,7 +360,7 @@ proptest! {
                     .with_runtime_config(
                         RuntimeConfig::default()
                             .with_workers(2)
-                            .with_fault_plan(tenant_plan),
+                            .with_fault_plan(tenant_plan.clone()),
                     ),
             )
             .unwrap();
@@ -431,6 +431,11 @@ proptest! {
             rs.tasks_executed + rs.tasks_poisoned + rs.tasks_cancelled,
             (jobs.len() as u64) * TASKS_PER_JOB,
             "every spawned task must retire exactly once"
+        );
+        prop_assert_eq!(
+            rs.tasks_panicked,
+            tenant_plan.injected(FaultClass::TaskPanic),
+            "every injected panic must surface as a panicked task"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Deterministic end-to-end tests of the job service: priority lanes,
 //! template capture/replay through the frontend, failure isolation, retry,
-//! and shutdown draining.
+//! overload from many client threads, and shutdown draining.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -271,6 +271,169 @@ fn shutdown_rejects_new_work_and_drains_admitted_work() {
     }
     assert_eq!(metrics.completed, 16);
     assert_eq!(metrics.ingest_queue_depth, 0);
+}
+
+/// Overload from many threads at once: 8 client threads stream jobs at 4
+/// tenants (a latency tenant, two bulk tenants — one with a 2-runtime pool —
+/// and a "flood" tenant whose budget of 1 is held by a plug job, so every
+/// job aimed at it sheds) through 2 dispatchers. No accepted job is lost or
+/// run twice, the queue never exceeds its capacity, admission control
+/// engages, and the ledgers balance at service and tenant level.
+#[test]
+fn overload_from_many_clients_loses_nothing() {
+    const CLIENTS: usize = 8;
+    const JOBS_PER_CLIENT: usize = 40;
+
+    let svc = Arc::new(JobService::new(
+        ServiceConfig::default()
+            .with_dispatchers(2)
+            .with_queue_capacity(16),
+    ));
+    let tenants = vec![
+        svc.register_tenant(
+            TenantSpec::new("interactive")
+                .with_lane(Lane::Latency)
+                .with_in_flight_budget(8),
+        )
+        .unwrap(),
+        svc.register_tenant(TenantSpec::new("batch-a").with_in_flight_budget(8))
+            .unwrap(),
+        svc.register_tenant(
+            TenantSpec::new("batch-b")
+                .with_pool_size(2)
+                .with_in_flight_budget(8),
+        )
+        .unwrap(),
+        svc.register_tenant(TenantSpec::new("flood").with_in_flight_budget(1))
+            .unwrap(),
+    ];
+
+    let gate = Arc::new(AtomicBool::new(false));
+    let plug = {
+        let gate = Arc::clone(&gate);
+        svc.submit(
+            tenants[3],
+            JobSpec::spawn(move |_cx| {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }),
+        )
+        .expect("plug job must admit")
+    };
+
+    // Per-tenant observed side-effect sum; each job adds its unique weight
+    // exactly once if and only if it runs exactly once.
+    let effects: Vec<Arc<AtomicU64>> = tenants
+        .iter()
+        .map(|_| Arc::new(AtomicU64::new(0)))
+        .collect();
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let svc = Arc::clone(&svc);
+            let tenants = tenants.clone();
+            let effects = effects.clone();
+            std::thread::spawn(move || {
+                let policy = RetryPolicy::default();
+                // (ticket, tenant index, weight) per accepted job.
+                let mut accepted = Vec::new();
+                let mut rejected = 0u64;
+                for j in 0..JOBS_PER_CLIENT {
+                    let t = (c + j) % tenants.len();
+                    let weight = (c * JOBS_PER_CLIENT + j) as u64 + 1;
+                    let sum = Arc::clone(&effects[t]);
+                    let job = JobSpec::spawn(move |cx| {
+                        let h = cx.runtime.data(0u64);
+                        cx.runtime.task().inout(&h.clone()).spawn(move |tc| {
+                            *tc.write(&h) = weight;
+                            sum.fetch_add(weight, Ordering::SeqCst);
+                        });
+                    })
+                    .with_affinity(j as u32);
+                    // Even clients retry soft rejections; odd clients shed
+                    // immediately — both paths must keep the ledger exact.
+                    let outcome = if c % 2 == 0 {
+                        svc.submit_with_retry(tenants[t], job, &policy)
+                    } else {
+                        svc.submit(tenants[t], job)
+                    };
+                    match outcome {
+                        Ok(ticket) => accepted.push((ticket, t, weight)),
+                        Err(r) => {
+                            assert!(
+                                r.error.is_soft(),
+                                "client {c}: unexpected hard rejection {:?}",
+                                r.error
+                            );
+                            rejected += 1;
+                        }
+                    }
+                }
+                (accepted, rejected)
+            })
+        })
+        .collect();
+
+    let mut accepted = Vec::new();
+    let mut client_rejected = 0u64;
+    for client in clients {
+        let (a, r) = client.join().expect("client thread");
+        accepted.extend(a);
+        client_rejected += r;
+    }
+
+    // Submission phase over: release the plug and let everything drain.
+    gate.store(true, Ordering::SeqCst);
+    assert!(plug.wait().is_completed(), "plug job failed");
+    svc.drain();
+
+    let mut expected = vec![0u64; tenants.len()];
+    for (ticket, t, weight) in &accepted {
+        assert!(
+            ticket.status().is_completed(),
+            "accepted job (tenant {t}, weight {weight}) not completed after drain"
+        );
+        expected[*t] += weight;
+    }
+    for (t, sum) in effects.iter().enumerate() {
+        assert_eq!(
+            sum.load(Ordering::SeqCst),
+            expected[t],
+            "tenant {t}: side effects disagree with accepted jobs (lost or duplicated work)"
+        );
+    }
+
+    let m = Arc::into_inner(svc).expect("clients joined").shutdown();
+    // `submitted`/`rejected` count submission *attempts*: a job retried R
+    // times contributes R+1 submissions, R+[finally shed] rejections, and R
+    // retries — so the client-side job count reconciles through `retries`.
+    let jobs_offered = (CLIENTS * JOBS_PER_CLIENT) as u64 + 1; // + plug
+    assert_eq!(m.submitted, jobs_offered + m.retries, "ledger lost submissions");
+    assert_eq!(m.submitted, m.accepted + m.rejected());
+    assert_eq!(m.accepted, accepted.len() as u64 + 1);
+    assert_eq!(m.rejected(), client_rejected + m.retries);
+    assert_eq!(m.completed, m.accepted, "accepted jobs failed or were lost");
+    assert_eq!(m.failed, 0);
+    assert!(
+        m.rejected() > 0,
+        "deliberate overload produced no rejections — admission control never engaged"
+    );
+    assert!(
+        m.peak_queue_depth <= m.queue_capacity,
+        "queue depth {} exceeded capacity {}",
+        m.peak_queue_depth,
+        m.queue_capacity
+    );
+    for tm in &m.tenants {
+        assert_eq!(
+            tm.submitted,
+            tm.accepted + tm.rejected_queue_full + tm.rejected_budget,
+            "tenant {} ledger does not balance",
+            tm.name
+        );
+        assert_eq!(tm.in_flight, 0, "tenant {} still has in-flight jobs", tm.name);
+    }
 }
 
 /// Submitting to an unknown tenant is a hard typed error.

@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -69,32 +68,6 @@ impl BlockingBarrier {
             }
             false
         }
-    }
-
-    /// Like [`BlockingBarrier::wait`] but gives up after `timeout`,
-    /// returning `None`. Useful in tests guarding against lost wakeups.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<IsLeader> {
-        let s = &self.state;
-        let mut phase = s.lock.lock();
-        phase.arrived += 1;
-        if phase.arrived == s.participants {
-            phase.arrived = 0;
-            phase.generation += 1;
-            s.cv.notify_all();
-            return Some(true);
-        }
-        let my_gen = phase.generation;
-        let deadline = std::time::Instant::now() + timeout;
-        while phase.generation == my_gen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                // Withdraw our arrival so the barrier stays consistent.
-                phase.arrived -= 1;
-                return None;
-            }
-            s.cv.wait_for(&mut phase, deadline - now);
-        }
-        Some(false)
     }
 }
 
@@ -239,17 +212,6 @@ mod tests {
             }
         });
         assert_eq!(leaders.load(Ordering::SeqCst), 30);
-    }
-
-    #[test]
-    fn wait_timeout_expires_without_other_threads() {
-        let b = BlockingBarrier::new(2);
-        assert_eq!(b.wait_timeout(Duration::from_millis(10)), None);
-        // The withdrawn arrival must not corrupt the next episode.
-        let b2 = b.clone();
-        let t = std::thread::spawn(move || b2.wait());
-        assert!(b.wait_timeout(Duration::from_secs(5)).is_some());
-        t.join().unwrap();
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   block of hand-rolled pipelines.
 //! * [`Pipeline`] — a thread-per-stage pipeline connected by bounded queues
 //!   (what the Pthreads `h264dec` uses instead of task annotations).
-//! * [`partition`] — static work-partitioning helpers (block and cyclic).
-//! * [`parallel_for`] — one-shot statically-chunked data-parallel loop over
-//!   scoped threads.
+//! * [`partition`] — static work-partitioning helpers (blocks and chunks).
+//!
+//! That list is the whole crate: a primitive no Pthreads variant is built
+//! from does not live here.
 //!
 //! ## Workspace role
 //!
@@ -36,12 +37,10 @@
 pub mod barrier;
 pub mod partition;
 pub mod pipeline;
-pub mod pool;
 pub mod queue;
 pub mod team;
 
 pub use barrier::{BlockingBarrier, SpinBarrier};
 pub use pipeline::{Pipeline, PipelineStats};
-pub use pool::JobPool;
 pub use queue::{BoundedQueue, QueueClosed};
-pub use team::{parallel_for, TeamCtx, ThreadTeam};
+pub use team::{TeamCtx, ThreadTeam};

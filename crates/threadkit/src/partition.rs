@@ -19,21 +19,6 @@ pub fn block_range(total: usize, num_threads: usize, thread_id: usize) -> Range<
     start..(start + len)
 }
 
-/// The indices of `0..total` assigned to `thread_id` under cyclic (round
-/// robin) partitioning: `thread_id, thread_id + num_threads, …`.
-///
-/// # Panics
-/// Panics if `num_threads == 0` or `thread_id >= num_threads`.
-pub fn cyclic_indices(
-    total: usize,
-    num_threads: usize,
-    thread_id: usize,
-) -> impl Iterator<Item = usize> {
-    assert!(num_threads > 0, "num_threads must be positive");
-    assert!(thread_id < num_threads, "thread_id out of range");
-    (thread_id..total).step_by(num_threads)
-}
-
 /// Split `0..total` into chunks of at most `chunk` items (the work units a
 /// dynamic scheduler or a task-based runtime would hand out).
 ///
@@ -86,13 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_covers_expected_indices() {
-        let idx: Vec<_> = cyclic_indices(10, 3, 1).collect();
-        assert_eq!(idx, vec![1, 4, 7]);
-        assert_eq!(cyclic_indices(0, 3, 0).count(), 0);
-    }
-
-    #[test]
     fn chunk_ranges_cover_total() {
         assert_eq!(chunk_ranges(10, 4), vec![0..4, 4..8, 8..10]);
         assert!(chunk_ranges(0, 4).is_empty());
@@ -121,18 +99,6 @@ mod tests {
             let min = *sizes.iter().min().unwrap();
             let max = *sizes.iter().max().unwrap();
             prop_assert!(max - min <= 1);
-        }
-
-        /// Cyclic partitioning assigns every index to exactly one thread.
-        #[test]
-        fn prop_cyclic_partition_exact(total in 0usize..2_000, threads in 1usize..32) {
-            let mut seen = vec![0u8; total];
-            for t in 0..threads {
-                for i in cyclic_indices(total, threads, t) {
-                    seen[i] += 1;
-                }
-            }
-            prop_assert!(seen.iter().all(|&c| c == 1));
         }
 
         /// Chunking covers the range in order without gaps or overlaps.

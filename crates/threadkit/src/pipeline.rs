@@ -59,11 +59,6 @@ impl<T: Send + 'static> Pipeline<T> {
         self
     }
 
-    /// Number of stages added so far.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Feed `items` through the pipeline, returning the processed items in
     /// input order together with per-stage statistics.
     ///
@@ -187,7 +182,6 @@ mod tests {
             .stage("add1", |x: u64| x + 1)
             .stage("times3", |x: u64| x * 3)
             .stage("sub2", |x: u64| x - 2);
-        assert_eq!(p.num_stages(), 3);
         let (out, stats) = p.run(0..100u64);
         let expected: Vec<u64> = (0..100).map(|x| (x + 1) * 3 - 2).collect();
         assert_eq!(out, expected);

@@ -1,5 +1,12 @@
 //! A bounded blocking MPMC queue (mutex + condition variables), the
 //! communication channel of hand-rolled Pthreads pipelines.
+//!
+//! Blocking in both directions — a full queue stalls the producer, which is
+//! the back-pressure a Pthreads pipeline runs on — and nothing else: it is
+//! the baseline's channel ([`Pipeline`](crate::Pipeline)) and the ledger's
+//! `threadkit.queue_handoff_ns` probe. The service's ingest queue sheds
+//! instead of blocking and keeps admission accounting under its lock, so the
+//! two stay apart.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -118,21 +125,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Try to pop without blocking. `Ok(None)` means the queue is currently
-    /// empty but still open.
-    pub fn try_pop(&self) -> Result<Option<T>, QueueClosed> {
-        let inner = &self.inner;
-        let mut state = inner.state.lock();
-        if let Some(item) = state.items.pop_front() {
-            inner.not_full.notify_one();
-            return Ok(Some(item));
-        }
-        if state.closed {
-            return Err(QueueClosed);
-        }
-        Ok(None)
-    }
-
     /// Close the queue: producers can no longer push; consumers drain the
     /// remaining items and then receive [`QueueClosed`].
     pub fn close(&self) {
@@ -177,17 +169,6 @@ mod tests {
         assert_eq!(q.pop().unwrap(), 2);
         assert_eq!(q.pop().unwrap(), 3);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn try_pop_distinguishes_empty_and_closed() {
-        let q = BoundedQueue::<u32>::new(2);
-        assert_eq!(q.try_pop(), Ok(None));
-        q.push(7).unwrap();
-        assert_eq!(q.try_pop(), Ok(Some(7)));
-        q.close();
-        assert_eq!(q.try_pop(), Err(QueueClosed));
-        assert!(q.is_closed());
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Persistent SPMD thread teams and a one-shot `parallel_for`.
+//! Persistent SPMD thread teams.
 //!
 //! Hand-written Pthreads benchmarks typically create their threads once and
 //! then run every parallel phase SPMD-style: each thread executes the same
 //! function, works on its static partition, and meets the others at a
-//! barrier. [`ThreadTeam`] reproduces that structure with a persistent pool;
-//! [`parallel_for`] is the convenience wrapper for one-off data-parallel
-//! loops.
+//! barrier. [`ThreadTeam`] reproduces that structure with a persistent pool.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,11 +62,6 @@ impl TeamCtx<'_> {
     /// partitioning.
     pub fn block_range(&self, total: usize) -> Range<usize> {
         block_range(total, self.num_threads, self.thread_id)
-    }
-
-    /// Whether this is thread 0 (often the one doing sequential sections).
-    pub fn is_main(&self) -> bool {
-        self.thread_id == 0
     }
 }
 
@@ -142,11 +135,6 @@ impl ThreadTeam {
         }
     }
 
-    /// Number of threads in the team.
-    pub fn num_threads(&self) -> usize {
-        self.shared.num_threads
-    }
-
     /// Execute `f` on every team member and wait for all of them to finish.
     pub fn run(&mut self, f: impl Fn(&TeamCtx<'_>) + Send + Sync + 'static) {
         self.generation += 1;
@@ -172,8 +160,14 @@ impl ThreadTeam {
         if self.threads.is_empty() {
             return;
         }
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.job_cv.notify_all();
+        {
+            // Under `job`, the mutex a member holds from its `stop` check to
+            // `job_cv.wait`: a notify landing in that window is lost and the
+            // `join` below never returns.
+            let _job = self.shared.job.lock();
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.job_cv.notify_all();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -221,38 +215,6 @@ fn team_member_loop(shared: Arc<TeamShared>, thread_id: usize) {
             shared.done_cv.notify_all();
         }
     }
-}
-
-/// One-shot statically partitioned parallel loop: splits `range` into
-/// `num_threads` blocks and runs `body(index)` for every index, using scoped
-/// threads. `body` must be `Sync` because all threads share it.
-pub fn parallel_for<F>(num_threads: usize, range: Range<usize>, body: F)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    assert!(num_threads > 0, "num_threads must be positive");
-    let total = range.end.saturating_sub(range.start);
-    if total == 0 {
-        return;
-    }
-    if num_threads == 1 {
-        for i in range {
-            body(i);
-        }
-        return;
-    }
-    let body = &body;
-    std::thread::scope(|scope| {
-        for t in 0..num_threads {
-            let r = block_range(total, num_threads, t);
-            let start = range.start;
-            scope.spawn(move || {
-                for i in r {
-                    body(start + i);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -336,49 +298,26 @@ mod tests {
         assert!(data.lock().iter().all(|&v| v == 1));
     }
 
+    /// A shutdown notify that lands between a member's `stop` check and its
+    /// `job_cv.wait` is the only one that member would ever get. The window
+    /// is a few instructions wide: only many create → drop rounds hit it, and
+    /// a hit is a hang, hence the watchdog.
     #[test]
-    fn is_main_flags_exactly_one_thread() {
-        let mut team = ThreadTeam::new(4);
-        let mains = Arc::new(AtomicUsize::new(0));
-        {
-            let mains = mains.clone();
-            team.run(move |ctx| {
-                if ctx.is_main() {
-                    mains.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        }
-        assert_eq!(mains.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        let counts: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(4, 0..500, |i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
+    fn shutdown_never_loses_a_wakeup() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(ThreadTeam::new(4));
+            }
+            for _ in 0..2_000 {
+                let mut team = ThreadTeam::new(4);
+                team.run(|_| {});
+            }
+            let _ = done.send(());
         });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn parallel_for_handles_empty_and_single_thread() {
-        parallel_for(3, 10..10, |_| panic!("must not be called"));
-        let count = AtomicUsize::new(0);
-        parallel_for(1, 5..15, |_| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn parallel_for_respects_range_offset() {
-        let seen = Mutex::new(Vec::new());
-        parallel_for(2, 100..110, |i| {
-            seen.lock().push(i);
-        });
-        let mut v = seen.lock().clone();
-        v.sort_unstable();
-        assert_eq!(v, (100..110).collect::<Vec<_>>());
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("shutdown lost a wakeup");
     }
 
     #[test]

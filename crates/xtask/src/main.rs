@@ -1,6 +1,11 @@
 //! `cargo xtask` — workspace automation (std-only, no dependencies).
 //!
-//! The one subcommand, `lint`, is the source-level audit gating CI:
+//! `cargo xtask ledger` runs the benchmark package (`ledger/`, a package of
+//! its own outside the workspace, so `cargo test --workspace` never reaches
+//! it): its tests, then its `--quick` pass, which exits non-zero unless every
+//! workload is correct with no failed operation.
+//!
+//! `cargo xtask lint` is the source-level audit gating CI:
 //!
 //! 1. **SAFETY comments** — every `unsafe` block and `unsafe impl` in
 //!    first-party crates (`crates/**`) must be preceded (or accompanied on
@@ -59,12 +64,32 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        Some("ledger") => {
+            let manifest = workspace_root().join("ledger/Cargo.toml");
+            let cargo = |head: &[&str], tail: &[&str]| {
+                let status = std::process::Command::new("cargo")
+                    .args(head)
+                    .arg("--manifest-path")
+                    .arg(&manifest)
+                    .args(tail)
+                    .status()
+                    .expect("cargo is on PATH");
+                if !status.success() {
+                    std::process::exit(status.code().unwrap_or(1));
+                }
+            };
+            cargo(&["test", "--release", "--offline"], &[]);
+            cargo(
+                &["run", "--release", "--quiet", "--offline"],
+                &["--", "--quick"],
+            );
+        }
         Some(other) => {
-            eprintln!("xtask: unknown subcommand `{other}` (expected `lint`)");
+            eprintln!("xtask: unknown subcommand `{other}` (expected `lint` or `ledger`)");
             std::process::exit(2);
         }
         None => {
-            eprintln!("usage: cargo xtask lint [file...]");
+            eprintln!("usage: cargo xtask lint [file...] | cargo xtask ledger");
             std::process::exit(2);
         }
     }

@@ -866,6 +866,15 @@ fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
         2,
         storm_tasks(),
     );
+    // One spawner on the default configuration: with nobody else inserting,
+    // a single-access workload is fast-path dominated.
+    let stats = gc_storm(RuntimeConfig::default(), 1, storm_tasks());
+    assert!(
+        stats.tracker_fast_path_rate() >= Some(0.9),
+        "single-access workload must take the fast path >= 90% of the time: {} hits, {} fallbacks",
+        stats.tracker_fast_path_hits,
+        stats.tracker_fast_path_fallbacks,
+    );
 }
 
 #[test]

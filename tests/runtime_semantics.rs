@@ -3,8 +3,9 @@
 //! sections, panic containment, and scheduler policies — exercised through
 //! the public API only.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ompss::{
     IdlePolicy, RenameRing, Runtime, RuntimeConfig, SchedulerPolicy,
@@ -312,6 +313,48 @@ fn nested_tasks_and_nested_taskwait() {
     }
     rt.taskwait();
     assert_eq!(rt.into_inner(total), (1..=8u64).map(|i| i * 10).sum());
+}
+
+#[test]
+fn taskwait_runs_ready_tasks_on_the_waiting_thread() {
+    // The one worker is held by a task that ends only once a later task has
+    // run. A waiter that merely polled would leave that task queued; the
+    // hold gives up after 10 s so that such a runtime fails here, not hangs.
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(1).with_tracing(true));
+    let held = Arc::new(AtomicBool::new(false));
+    let released = Arc::new(AtomicBool::new(false));
+    {
+        let (held, released) = (held.clone(), released.clone());
+        rt.task().spawn(move |_| {
+            held.store(true, Ordering::SeqCst);
+            let start = Instant::now();
+            while !released.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+        });
+    }
+    while !held.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let ran_on = Arc::new(std::sync::Mutex::new(None));
+    {
+        let (released, ran_on) = (released.clone(), ran_on.clone());
+        rt.task().spawn(move |ctx| {
+            *ran_on.lock().unwrap() = Some((std::thread::current().id(), ctx.worker_id()));
+            released.store(true, Ordering::SeqCst);
+        });
+    }
+    rt.taskwait();
+    assert_eq!(
+        *ran_on.lock().unwrap(),
+        Some((std::thread::current().id(), None)),
+        "the queued task ran on the thread that waited for it"
+    );
+    assert_eq!(
+        rt.busy_ns_per_worker().len(),
+        2,
+        "and is traced in the slot after the one worker's"
+    );
 }
 
 #[test]
