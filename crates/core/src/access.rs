@@ -1,9 +1,9 @@
-//! Access declarations and dependence classification.
+//! Access declarations.
 //!
 //! OmpSs tasks declare, per argument, whether they read (`input`), write
 //! (`output`), or read-and-write (`inout`) the argument's memory. From pairs
-//! of such declarations on overlapping regions the runtime derives the
-//! classical dependence kinds:
+//! of such declarations on overlapping regions the dependence tracker
+//! ([`crate::graph`]) derives the classical dependence kinds:
 //!
 //! * read-after-write (**RAW**, true dependence),
 //! * write-after-read (**WAR**, anti dependence),
@@ -175,56 +175,17 @@ impl Access {
     }
 }
 
-/// The dependence classes that can arise between an earlier and a later
-/// access to overlapping regions (in program/spawn order).
+/// The class of a dependence edge from an earlier to a later access on
+/// overlapping regions (in program/spawn order), as the tracker counts it
+/// (`graph/shard.rs` decides which pairs are ordered, and how they count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dependence {
+pub(crate) enum Dependence {
     /// Later task reads data produced by the earlier task.
     ReadAfterWrite,
     /// Later task overwrites data the earlier task reads.
     WriteAfterRead,
     /// Later task overwrites data the earlier task writes.
     WriteAfterWrite,
-    /// Both accesses are commutative (`concurrent`) updates: no ordering is
-    /// required between them.
-    None,
-}
-
-impl Dependence {
-    /// Whether this dependence requires the later task to wait for the
-    /// earlier one.
-    pub fn orders(self) -> bool {
-        !matches!(self, Dependence::None)
-    }
-}
-
-/// Classify the dependence from an earlier access to a later access, assuming
-/// their regions overlap. Returns [`Dependence::None`] when no ordering is
-/// required (read-read, or concurrent-concurrent).
-pub fn classify(earlier: AccessKind, later: AccessKind) -> Dependence {
-    use AccessKind::*;
-    match (earlier, later) {
-        // Two commutative updates may reorder freely.
-        (Concurrent, Concurrent) => Dependence::None,
-        // Plain readers never conflict with each other.
-        (Input, Input) => Dependence::None,
-        // The later access writes.
-        (e, l) if l.writes() => {
-            if e.writes() {
-                Dependence::WriteAfterWrite
-            } else {
-                Dependence::WriteAfterRead
-            }
-        }
-        // The later access only reads; it depends on earlier writes.
-        (e, _l) if e.writes() => Dependence::ReadAfterWrite,
-        _ => Dependence::None,
-    }
-}
-
-/// Whether two accesses on overlapping regions require ordering at all.
-pub fn conflicts(earlier: AccessKind, later: AccessKind) -> bool {
-    classify(earlier, later).orders()
 }
 
 // ---------------------------------------------------------------------------
@@ -426,7 +387,6 @@ impl FromIterator<Access> for AccessVec {
 mod tests {
     use super::*;
     use crate::region::AllocId;
-    use proptest::prelude::*;
 
     #[test]
     fn kind_predicates() {
@@ -438,51 +398,6 @@ mod tests {
         assert!(AccessKind::Concurrent.reads() && AccessKind::Concurrent.writes());
         assert!(!AccessKind::Input.allows_mutation());
         assert!(AccessKind::Output.allows_mutation());
-    }
-
-    #[test]
-    fn classify_raw() {
-        assert_eq!(
-            classify(AccessKind::Output, AccessKind::Input),
-            Dependence::ReadAfterWrite
-        );
-        assert_eq!(
-            classify(AccessKind::InOut, AccessKind::Input),
-            Dependence::ReadAfterWrite
-        );
-    }
-
-    #[test]
-    fn classify_war_and_waw() {
-        assert_eq!(
-            classify(AccessKind::Input, AccessKind::Output),
-            Dependence::WriteAfterRead
-        );
-        assert_eq!(
-            classify(AccessKind::Output, AccessKind::Output),
-            Dependence::WriteAfterWrite
-        );
-        assert_eq!(
-            classify(AccessKind::InOut, AccessKind::InOut),
-            Dependence::WriteAfterWrite
-        );
-    }
-
-    #[test]
-    fn classify_non_conflicting() {
-        assert_eq!(classify(AccessKind::Input, AccessKind::Input), Dependence::None);
-        assert_eq!(
-            classify(AccessKind::Concurrent, AccessKind::Concurrent),
-            Dependence::None
-        );
-    }
-
-    #[test]
-    fn concurrent_orders_against_plain_accesses() {
-        assert!(conflicts(AccessKind::Concurrent, AccessKind::Input));
-        assert!(conflicts(AccessKind::Input, AccessKind::Concurrent));
-        assert!(conflicts(AccessKind::Concurrent, AccessKind::Output));
-        assert!(conflicts(AccessKind::Output, AccessKind::Concurrent));
     }
 
     #[test]
@@ -555,43 +470,5 @@ mod tests {
         assert!(!a.is_elided());
         let a = a.mark_elided();
         assert!(a.is_elided());
-    }
-
-    fn any_kind() -> impl Strategy<Value = AccessKind> {
-        prop_oneof![
-            Just(AccessKind::Input),
-            Just(AccessKind::Output),
-            Just(AccessKind::InOut),
-            Just(AccessKind::Concurrent),
-        ]
-    }
-
-    proptest! {
-        /// A pair of accesses needs ordering exactly when at least one of
-        /// them writes, except for the commutative concurrent-concurrent
-        /// pair.
-        #[test]
-        fn prop_conflict_iff_writer_involved(e in any_kind(), l in any_kind()) {
-            let expected = (e.writes() || l.writes())
-                && !(e == AccessKind::Concurrent && l == AccessKind::Concurrent);
-            prop_assert_eq!(conflicts(e, l), expected);
-        }
-
-        /// Classification is exhaustive: every pair maps to exactly one
-        /// dependence kind, and `orders()` matches `conflicts()`.
-        #[test]
-        fn prop_classify_consistent(e in any_kind(), l in any_kind()) {
-            let d = classify(e, l);
-            prop_assert_eq!(d.orders(), conflicts(e, l));
-            if d == Dependence::ReadAfterWrite {
-                prop_assert!(e.writes() && l.reads());
-            }
-            if d == Dependence::WriteAfterRead {
-                prop_assert!(l.writes() && !e.writes());
-            }
-            if d == Dependence::WriteAfterWrite {
-                prop_assert!(e.writes() && l.writes());
-            }
-        }
     }
 }

@@ -18,8 +18,8 @@
 //!   are re-resolved (optionally substituted through [`ReplayBindings`]),
 //!   the nodes are acquired from the task slab, and the entire batch is
 //!   registered with the dependence tracker under **one** multi-gate
-//!   acquisition instead of one per task, then the ready roots are queued
-//!   with one batched scheduler wakeup.
+//!   acquisition instead of one per task, then each ready root is queued as
+//!   its registration sentinel is released.
 //!
 //! A fresh spawn and a replay differ in two things only: **how the clauses
 //! are resolved** (a [`TaskBuilder`] declares them call by call; a replay
@@ -50,8 +50,8 @@
 //! ordinary three-pass dance, and cross-batch predecessors (tasks of the
 //! previous iteration still in flight) are discovered exactly as a fresh
 //! spawn would discover them. What the batch saves is the per-task
-//! synchronisation and scheduling overhead: one gate acquisition, one
-//! in-flight/stat/GC update, one wakeup notification for the whole batch.
+//! synchronisation overhead: one gate acquisition and one
+//! in-flight/stat/GC update for the whole batch.
 //!
 //! For the renaming-free case all of that re-derivation is itself
 //! redundant: the resolved accesses are identical every pass, and so are
@@ -99,7 +99,7 @@
 //! graphs that have no false dependences left to remove.
 //!
 //! [`Runtime::replay_fused`] stamps K iterations as **one super-batch**
-//! under a single gate acquisition and a single scheduler wakeup: because
+//! under a single gate acquisition: because
 //! every task's history update lands in batch order, iteration *m*'s
 //! frontier scan (or, resolved, every scan) picks up iteration *m−1*'s
 //! writers — the carried inter-iteration dependences — with no barrier
@@ -342,15 +342,14 @@ impl CapturedTaskBuilder<'_, '_> {
     }
 }
 
-/// Reusable replay buffers: the acquired nodes of the pass being stamped,
-/// the roots that became immediately ready, and the sorted shard-id union.
+/// Reusable replay buffers: the acquired nodes of the pass being stamped and
+/// the sorted shard-id union.
 /// Kept in a lease pool inside the template (one entry per concurrent
 /// replay lane) so a warm replay allocates nothing and two passes never
 /// serialise on a buffer mutex.
 #[derive(Default)]
 struct ReplayScratch {
     nodes: Vec<Arc<TaskNode>>,
-    ready: Vec<Arc<TaskNode>>,
     sids: Vec<usize>,
 }
 
@@ -497,7 +496,8 @@ impl Runtime {
     /// live registration, no clause resolution); otherwise every recipe's
     /// clauses are re-resolved (substituted through `bindings` where bound).
     /// Either way the whole batch registers under a single multi-gate
-    /// acquisition and the ready roots are queued with one batched wakeup.
+    /// acquisition; its ready roots are queued as their sentinels are
+    /// released.
     /// Returns the 1-based pass number of this replay.
     ///
     /// Once warm (slab stocked, scratch buffers at capacity) a replay of a
@@ -515,8 +515,8 @@ impl Runtime {
     }
 
     /// Re-stamp `iterations` passes of a captured batch as **one fused
-    /// super-batch**: one scratch lease, one tracker multi-gate acquisition
-    /// and one scheduler wakeup for all K·n tasks. Inter-iteration
+    /// super-batch**: one scratch lease and one tracker multi-gate
+    /// acquisition for all K·n tasks. Inter-iteration
     /// dependences are carried exactly as K sequential [`Runtime::replay`]
     /// calls would carry them — every task's history update lands in batch
     /// order, so iteration *m*'s scans see iteration *m−1*'s writers —
@@ -573,9 +573,8 @@ impl Runtime {
         // are retired without running, and the template stays reusable.
         let cancel = crate::runtime::current_cancel_scope();
         let mut scratch = template.scratch.lock().pop().unwrap_or_default();
-        let ReplayScratch { nodes, ready, sids } = &mut scratch;
+        let ReplayScratch { nodes, sids } = &mut scratch;
         nodes.clear();
-        ready.clear();
         sids.clear();
 
         // Mode select: a frozen plan is only usable when no binding
@@ -639,7 +638,6 @@ impl Runtime {
                 let run = recipe.body.clone();
                 let mut spilled = false;
                 nodes.push(inner.slab.acquire(
-                    None,
                     recipe.name.clone(),
                     recipe.priority,
                     accesses,
@@ -682,7 +680,6 @@ impl Runtime {
             nodes.drain(..),
             &renames_per_task,
             None,
-            ready,
             |nodes, record_edges| {
                 let Some(plan) = &plan else {
                     return inner.tracker.register_batch(nodes, sids, record_edges);

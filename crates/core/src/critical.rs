@@ -35,16 +35,6 @@ impl CriticalSections {
         f()
     }
 
-    /// Number of distinct named sections created so far.
-    pub fn len(&self) -> usize {
-        self.sections.lock().len()
-    }
-
-    /// Whether no critical section has been used yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn section(&self, name: &str) -> Arc<Mutex<()>> {
         let mut map = self.sections.lock();
         map.entry(name.to_string())
@@ -61,7 +51,8 @@ impl Default for CriticalSections {
 
 impl std::fmt::Debug for CriticalSections {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CriticalSections({} named sections)", self.len())
+        let named = self.sections.lock().len();
+        write!(f, "CriticalSections({named} named sections)")
     }
 }
 
@@ -75,8 +66,7 @@ mod tests {
         let cs = CriticalSections::new();
         let v = cs.enter("x", || 42);
         assert_eq!(v, 42);
-        assert_eq!(cs.len(), 1);
-        assert!(!cs.is_empty());
+        assert_eq!(cs.sections.lock().len(), 1);
     }
 
     #[test]
@@ -116,7 +106,7 @@ mod tests {
         let cs = CriticalSections::new();
         let r = cs.enter("a", || cs.enter("b", || 7));
         assert_eq!(r, 7);
-        assert_eq!(cs.len(), 2);
+        assert_eq!(cs.sections.lock().len(), 2);
     }
 
     #[test]
@@ -124,7 +114,7 @@ mod tests {
         let cs = CriticalSections::new();
         cs.enter("", || {});
         cs.enter("", || {});
-        assert_eq!(cs.len(), 1);
+        assert_eq!(cs.sections.lock().len(), 1);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   what orders a fresh task after predecessors that completed — and were
 //!   possibly tombstoned and garbage-collected — before the task ever
 //!   existed: completion is published to the snapshot *before* the
-//!   predecessor's successor list closes, so any edge the tracker declined
-//!   to add (`add_edge` on a completed node) is covered by the snapshot
-//!   instead. The snapshot is transitively closed by construction: a task
+//!   predecessor reads as completed or its successor list closes, so any
+//!   edge the tracker declined to add (`add_edge` on a completed node) or
+//!   never looked for (a GC sweep dropped the completed predecessor from
+//!   history) is covered by the snapshot instead. The snapshot is transitively closed by construction: a task
 //!   only completes after everything that happened before it completed.
 //!
 //! Meanwhile every **bind-time-resolved region access** a task body performs
@@ -362,9 +363,10 @@ impl DcheckState {
     }
 
     /// Publish `node`'s completion to the snapshot. Must run before the
-    /// node's successor list closes (`links.completed = true`), so a
-    /// registration that races with this completion either gets the edge or
-    /// sees the snapshot bit.
+    /// node reads as completed — its `Completed` state, on which a tracker
+    /// GC sweep drops it from history, and its closed successor list
+    /// (`links.completed = true`) — so a registration that races with this
+    /// completion either gets the edge or sees the snapshot bit.
     pub(crate) fn mark_completed(&self, node: &TaskNode) {
         let index = node.dcheck_index.load(Ordering::Relaxed);
         let mut t = self.table.lock();
@@ -501,11 +503,6 @@ impl DcheckState {
         t.epoch_base = t.next;
         t.clocks.clear();
         t.completed.clear();
-    }
-
-    /// Copy of the race reports accumulated so far.
-    pub(crate) fn reports(&self) -> Vec<RaceReport> {
-        self.reports.lock().clone()
     }
 
     /// Drain the accumulated race reports.

@@ -29,12 +29,6 @@ pub enum Error {
     /// A data handle was still shared when exclusive ownership was requested
     /// (e.g. [`crate::Runtime::into_inner`] while tasks still hold clones).
     StillShared,
-    /// A contiguous whole-array view was requested on a **versioned**
-    /// partition, whose chunks live in independent version buffers (e.g.
-    /// [`crate::TaskContext::try_read_whole`]). Use per-chunk access or the
-    /// copying [`crate::TaskContext::gather_whole`] /
-    /// [`crate::TaskContext::scatter_whole`] instead.
-    VersionedWhole,
     /// Part of the task graph was poisoned: a task panicked or was
     /// cancelled, and every transitive successor was retired without running
     /// (see the README's "Failure semantics"). `origin` is the first task
@@ -56,11 +50,6 @@ impl fmt::Display for Error {
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::StillShared => write!(f, "data handle is still shared"),
-            Error::VersionedWhole => write!(
-                f,
-                "versioned partition has no contiguous whole-array storage; \
-                 use per-chunk access, gather_whole or scatter_whole"
-            ),
             Error::Poisoned { origin } => write!(
                 f,
                 "task graph poisoned by {origin}: its transitive successors \

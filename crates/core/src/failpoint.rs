@@ -224,15 +224,6 @@ impl FaultPlan {
     pub fn injected(&self, class: FaultClass) -> u64 {
         self.inner.injected[class as usize].load(Ordering::Relaxed)
     }
-
-    /// Faults injected so far, all classes.
-    pub fn total_injected(&self) -> u64 {
-        self.inner
-            .injected
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// `1/n` as a per-million rate (`n = 0` means never, `n = 1` always).

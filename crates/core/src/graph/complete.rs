@@ -57,17 +57,19 @@ pub(crate) fn complete_into(
     poison: Option<TaskId>,
     dcheck: Option<&crate::dcheck::DcheckState>,
 ) {
-    node.set_state(TaskState::Completed);
-    // Publish completion to the race oracle's snapshot *before* the
-    // successor list closes: a registration racing with this completion then
-    // either gets a live edge (merged below) or observes `links.completed`
-    // and inherits the ordering from the snapshot instead. Poisoned
-    // completions participate in happens-before like any other (their bodies
-    // never ran, so they log no accesses — but their successors still
-    // inherit the ordering).
+    // Publish completion to the race oracle's snapshot *before* anything
+    // can tell that the task completed — the `Completed` state (a tracker GC
+    // sweep drops history references to completed tasks, so a later
+    // registration finds no predecessor at all) and the closed successor
+    // list: a registration racing with this completion then either gets a
+    // live edge (merged below) or inherits the ordering from the snapshot
+    // instead. Poisoned completions participate in happens-before like any
+    // other (their bodies never ran, so they log no accesses — but their
+    // successors still inherit the ordering).
     if let Some(d) = dcheck {
         d.mark_completed(node);
     }
+    node.set_state(TaskState::Completed);
     let mut links = node.links.lock();
     links.completed = true;
     for succ in links.successors.drain(..) {

@@ -27,6 +27,13 @@
 //! special-case; it classifies every edge it does insert (RAW / WAR / WAW)
 //! so the effect of renaming is visible in the statistics.
 //!
+//! The graph exists only while it runs: edges are discovered as tasks are
+//! spawned, live in the predecessors' successor lists, and are gone once the
+//! tasks retire. That is why it shares no representation with `simsched`'s
+//! `SimDag`, a static, cost-annotated, topologically ordered DAG that list
+//! scheduling needs whole before it starts — a recorded trace is the bridge
+//! between the two (ROADMAP direction 5).
+//!
 //! ## Sharding and the overlap index
 //!
 //! The tracker is the insertion-side critical path: every spawned task takes
@@ -635,7 +642,6 @@ fn add_pred_edges(
                 Dependence::ReadAfterWrite => reg.raw_edges += 1,
                 Dependence::WriteAfterRead => reg.war_edges += 1,
                 Dependence::WriteAfterWrite => reg.waw_edges += 1,
-                Dependence::None => {}
             }
             if record_edges {
                 edge_list.push(EdgeRecord {
@@ -657,18 +663,11 @@ mod tests {
     use super::shard::{Retirement, TrackerShard};
     use super::*;
     use crate::access::{Access, AccessKind};
-    use crate::task::{ChildTracker, TaskPriority, TaskState};
+    use crate::task::TaskState;
     use proptest::prelude::*;
 
     fn node_with(accesses: Vec<Access>) -> Arc<TaskNode> {
-        TaskNode::new(
-            None,
-            TaskPriority::default(),
-            accesses.into_iter().collect(),
-            |_ctx| {},
-            ChildTracker::new(),
-            &mut false,
-        )
+        crate::task::tests::test_node(None, None, 0, accesses.into_iter().collect())
     }
 
     fn region(alloc: u64, chunk: u32, range: std::ops::Range<usize>) -> Region {
@@ -1389,21 +1388,11 @@ mod tests {
 
     #[test]
     fn a_drain_parks_released_nodes_in_the_slab() {
-        let slab = Arc::new(TaskSlab::new(8, 0));
+        let slab = Arc::new(TaskSlab::new(8));
         let mut tr = tracker(1);
         tr.set_recycler(slab.clone());
-        let w = slab.acquire(
-            None,
-            None,
-            TaskPriority::default(),
-            [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect(),
-            Vec::new(),
-            |_ctx| {},
-            ChildTracker::new(),
-            0,
-            None,
-            &mut false,
-        );
+        let accesses = [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect();
+        let w = crate::task::tests::test_node(Some(&slab), None, 0, accesses);
         tr.register(&w, false);
         finish_registration(&w);
         let _ = w.body.lock().take();
@@ -1412,7 +1401,7 @@ mod tests {
         tr.retire(&w);
         // The worker's own hand-back fails — history still pins the node —
         // and it moves on.
-        slab.try_recycle(w, None);
+        slab.try_recycle(w);
         assert_eq!((slab.diagnostics().free, slab.diagnostics().outstanding), (0, 1));
         drop(hold);
         // The drain dropped the last reference: parked, not freed.

@@ -197,8 +197,7 @@ pub(crate) fn build_frozen_plan(
                     Dependence::ReadAfterWrite => plan.baked_raw += 1,
                     Dependence::WriteAfterRead => plan.baked_war += 1,
                     Dependence::WriteAfterWrite => plan.baked_waw += 1,
-                    Dependence::None => {}
-                }
+                    }
             }
             plan.baked_preds += preds.preds.len();
         }

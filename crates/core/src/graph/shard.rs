@@ -72,7 +72,7 @@ pub(super) type Recycler = Option<Arc<TaskSlab>>;
 pub(super) fn release_node(node: Arc<TaskNode>, recycler: &Recycler) {
     if let Some(slab) = recycler {
         if node.is_completed() {
-            slab.try_recycle(node, None);
+            slab.try_recycle(node);
         }
     }
 }
@@ -258,13 +258,12 @@ impl TrackerShard {
             return 0;
         };
         let later = access.kind;
-        // Statistics classification. This deliberately diverges from
-        // `access::classify` for read-modify-writes: an `inout` (or
-        // `concurrent`) after a writer *reads* the written data, so
-        // the edge carries a genuine data flow and is counted RAW —
-        // it is not serialisation that renaming could remove. WAR and
-        // WAW are reserved for edges where the successor overwrites
-        // without reading (the renameable false dependences).
+        // Statistics classification. A read-modify-write counts as a
+        // read: an `inout` (or `concurrent`) after a writer *reads* the
+        // written data, so the edge carries a genuine data flow and is
+        // counted RAW — it is not serialisation that renaming could
+        // remove. WAR and WAW are reserved for edges where the successor
+        // overwrites without reading (the renameable false dependences).
         let vs_writer = if later.reads() {
             Dependence::ReadAfterWrite
         } else {

@@ -104,11 +104,10 @@ pub mod task;
 pub mod trace;
 mod worker;
 
-pub use access::{Access, AccessKind};
+pub use access::AccessKind;
 pub use alloc_count::CountingAllocator;
-pub use barrier::{BarrierKind, BarrierWait, TaskBarrier};
+pub use barrier::{BarrierKind, TaskBarrier};
 pub use capture::{CaptureScope, CapturedTaskBuilder, GraphTemplate, ReplayBindings};
-pub use critical::CriticalSections;
 pub use dcheck::{AuditReport, AuditViolation, RaceReport};
 pub use error::{Error, Result};
 pub use failpoint::{FaultClass, FaultPlan};
@@ -118,15 +117,9 @@ pub use handle::{
     WriteGuard,
 };
 pub use pipeline::RenameRing;
-pub use region::{Region, RegionId};
-pub use rename::{RenameEvent, RenamePool};
-pub use runtime::{
-    CancelToken, Runtime, RuntimeConfig, TaskBuilder, TaskContext, DEFAULT_TRACKER_GC_INTERVAL,
-};
-pub use scheduler::{IdlePolicy, SchedulerPolicy};
+pub use region::Region;
+pub use runtime::{CancelToken, Runtime, RuntimeConfig, TaskBuilder, TaskContext};
+pub use scheduler::SchedulerPolicy;
 pub use stats::RuntimeStats;
-pub use task::{TaskId, TaskPriority, TaskSlabDiagnostics, TaskState};
-pub use trace::{TraceEvent, TraceRecorder};
-
-/// Crate version string (mirrors `CARGO_PKG_VERSION`).
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+pub use task::{TaskId, TaskSlabDiagnostics};
+pub use trace::TraceEvent;

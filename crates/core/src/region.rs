@@ -121,68 +121,6 @@ impl Region {
     }
 }
 
-/// A set of regions, used to describe everything a task touches.
-///
-/// The set is kept small (tasks rarely declare more than a handful of
-/// accesses), so a plain vector with linear scans is faster in practice than
-/// hash-based structures and keeps iteration order deterministic — which the
-/// dependence builder relies on for reproducible graphs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegionSet {
-    regions: Vec<Region>,
-}
-
-impl RegionSet {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of regions in the set.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether the set contains no regions.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
-    /// Add a region to the set (duplicates by `RegionId` are ignored).
-    pub fn insert(&mut self, region: Region) {
-        if !self.regions.iter().any(|r| r.id == region.id) {
-            self.regions.push(region);
-        }
-    }
-
-    /// Whether any region in the set overlaps `region`.
-    pub fn overlaps_region(&self, region: &Region) -> bool {
-        self.regions.iter().any(|r| r.overlaps(region))
-    }
-
-    /// Whether any region of `self` overlaps any region of `other`.
-    pub fn overlaps_set(&self, other: &RegionSet) -> bool {
-        self.regions
-            .iter()
-            .any(|r| other.regions.iter().any(|o| o.overlaps(r)))
-    }
-
-    /// Iterate over the regions.
-    pub fn iter(&self) -> impl Iterator<Item = &Region> {
-        self.regions.iter()
-    }
-}
-
-impl FromIterator<Region> for RegionSet {
-    fn from_iter<T: IntoIterator<Item = Region>>(iter: T) -> Self {
-        let mut set = RegionSet::new();
-        for r in iter {
-            set.insert(r);
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,31 +189,6 @@ mod tests {
     fn region_display() {
         let r = region(7, 3, 0..1);
         assert_eq!(r.id.to_string(), "r7.3");
-    }
-
-    #[test]
-    fn region_set_dedups_by_id() {
-        let mut s = RegionSet::new();
-        s.insert(region(1, 0, 0..10));
-        s.insert(region(1, 0, 0..10));
-        s.insert(region(1, 1, 10..20));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn region_set_overlap_queries() {
-        let s: RegionSet = vec![region(1, 0, 0..10), region(1, 1, 50..60)]
-            .into_iter()
-            .collect();
-        assert!(s.overlaps_region(&region(1, 9, 5..7)));
-        assert!(!s.overlaps_region(&region(1, 9, 20..30)));
-        assert!(!s.overlaps_region(&region(2, 0, 0..100)));
-
-        let t: RegionSet = vec![region(1, 2, 55..58)].into_iter().collect();
-        assert!(s.overlaps_set(&t));
-        let u: RegionSet = vec![region(1, 3, 100..200)].into_iter().collect();
-        assert!(!s.overlaps_set(&u));
-        assert!(!RegionSet::new().overlaps_set(&s));
     }
 
     proptest! {

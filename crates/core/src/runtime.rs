@@ -7,7 +7,7 @@
 //! nested task creation.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -29,7 +29,7 @@ use crate::rename::{
     RenameCx, RenameEvent, RenamePool, ResolvedAccess, DEFAULT_RENAME_MAX_VERSIONS,
     DEFAULT_RENAME_MEMORY_CAP, DEFAULT_RENAME_POOL_DEPTH,
 };
-use crate::scheduler::{IdlePolicy, SchedState, SchedulerPolicy};
+use crate::scheduler::{SchedState, SchedulerPolicy};
 use crate::stats::{RuntimeStats, StatCounters, StatField};
 use crate::task::{
     ChildTracker, TaskId, TaskNode, TaskPriority, TaskSlab, TaskSlabDiagnostics,
@@ -50,8 +50,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Ready-task scheduling policy.
     pub policy: SchedulerPolicy,
-    /// Behaviour of idle workers.
-    pub idle: IdlePolicy,
     /// Whether to record an execution trace.
     pub tracing: bool,
     /// Whether `output` accesses on versioned handles rename automatically
@@ -122,7 +120,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers,
             policy: SchedulerPolicy::default(),
-            idle: IdlePolicy::default(),
             tracing: false,
             renaming: true,
             rename_memory_cap: DEFAULT_RENAME_MEMORY_CAP,
@@ -149,12 +146,6 @@ impl RuntimeConfig {
     /// Set the scheduling policy.
     pub fn with_policy(mut self, policy: SchedulerPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Set the idle-worker behaviour.
-    pub fn with_idle(mut self, idle: IdlePolicy) -> Self {
-        self.idle = idle;
         self
     }
 
@@ -285,7 +276,6 @@ pub(crate) struct RuntimeInner {
     /// First poison origin observed since the last `try_taskwait` — the
     /// panicked or cancelled task a subsequent typed error points at.
     poison_note: Mutex<Option<TaskId>>,
-    spawn_count: AtomicU64,
 }
 
 impl RuntimeInner {
@@ -302,18 +292,16 @@ impl RuntimeInner {
     /// `batch` yields the nodes by value — all children of one parent — and
     /// each reference is dropped or queued the moment its node's sentinel is
     /// released, so a worker retiring the node finds it uniquely held and
-    /// the recycler keeps feeding the slab. `renames[i]` are node `i`'s
-    /// rename events, for the trace. `registered` runs after the
+    /// the recycler keeps feeding the slab; a ready node goes to its
+    /// spawner's queue (`local`) at that moment too. `renames[i]` are node
+    /// `i`'s rename events, for the trace. `registered` runs after the
     /// `Spawned`/`Edge`/`Renamed` events of a traced insertion, before any
-    /// node can start (replay's marker events). A lone ready node goes
-    /// straight to its spawner's queue (`local`); a batch collects its
-    /// roots in `ready`, so the scheduler is told once.
+    /// node can start (replay's marker events).
     pub(crate) fn insert<B>(
         &self,
         batch: B,
         renames: &[Vec<RenameEvent>],
         local: Option<&WorkerDeque<Arc<TaskNode>>>,
-        ready: &mut Vec<Arc<TaskNode>>,
         register: impl FnOnce(&[Arc<TaskNode>], bool) -> graph::Registration,
         registered: impl FnOnce(&[Arc<TaskNode>]),
     ) where
@@ -333,7 +321,7 @@ impl RuntimeInner {
             spills += u64::from(node.accesses.spilled());
         }
         // Counted before the batch can start executing.
-        self.stats.add(StatField::TasksSpawned, total as u64);
+        let spawned_before = self.stats.add(StatField::TasksSpawned, total as u64);
         // Only the rare spill is counted; inline hits are derived as
         // `tasks_spawned - spills` at snapshot time, so the common case
         // adds no extra shared-line RMW to the spawn path.
@@ -418,32 +406,18 @@ impl RuntimeInner {
                     at_ns: self.trace.now_ns(),
                 });
             }
-            if total == 1 {
-                self.sched.push_spawn(node, local);
-            } else {
-                ready.push(node);
-            }
+            self.sched.push(node, local, false);
         }
-        self.sched.push_spawn_batch(ready);
         if immediately_ready != 0 {
             self.stats.add(StatField::ImmediatelyReady, immediately_ready);
         }
-        // GC cadence after every lock is released — the sweep takes each
-        // shard's gate itself.
-        if self.note_batch_spawned(total as u64) {
+        // The periodic tracker GC, when this batch took the spawn count
+        // across a multiple of the interval — after every lock is released:
+        // the sweep takes each shard's gate itself.
+        let interval = self.config.tracker_gc_interval;
+        if interval != 0 && (spawned_before + total as u64) / interval != spawned_before / interval {
             self.tracker.garbage_collect();
         }
-    }
-
-    /// Advance the spawn counter by a whole inserted batch at once and
-    /// report whether the periodic tracker-GC cadence was crossed inside it.
-    fn note_batch_spawned(&self, n: u64) -> bool {
-        let gc_interval = self.config.tracker_gc_interval;
-        if gc_interval == 0 {
-            return false;
-        }
-        let after = self.spawn_count.fetch_add(n, Ordering::Relaxed) + n;
-        (after / gc_interval) != ((after - n) / gc_interval)
     }
     // lint: hot-path-end
 
@@ -657,15 +631,12 @@ impl Runtime {
             .collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let tracker_shards = config.effective_tracker_shards();
-        let sched = SchedState::new(config.policy, config.idle, stealers);
-        let slab = Arc::new(TaskSlab::new(
-            if config.task_recycler {
-                DEFAULT_TASK_SLAB_CAPACITY
-            } else {
-                0
-            },
-            config.workers,
-        ));
+        let sched = SchedState::new(config.policy, stealers);
+        let slab = Arc::new(TaskSlab::new(if config.task_recycler {
+            DEFAULT_TASK_SLAB_CAPACITY
+        } else {
+            0
+        }));
         let mut tracker = ShardedTracker::new(tracker_shards);
         tracker.set_recycler(slab.clone());
         if let Some(plan) = config.fault_plan.clone() {
@@ -688,7 +659,6 @@ impl Runtime {
                 .dcheck
                 .then(|| crate::dcheck::DcheckState::new(config.workers)),
             poison_note: Mutex::new(None),
-            spawn_count: AtomicU64::new(0),
             config,
         });
         let mut threads = Vec::with_capacity(inner.config.workers);
@@ -702,11 +672,6 @@ impl Runtime {
             );
         }
         Ok(Runtime { inner, threads })
-    }
-
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.inner.config.workers
     }
 
     /// The scheduling policy in use.
@@ -775,18 +740,9 @@ impl Runtime {
     }
 
     /// Like [`Runtime::versioned_data`] with an explicit initialiser for
-    /// fresh versions (for types without a useful `Default`).
-    pub fn versioned_data_with<T: Send + 'static>(
-        &self,
-        value: T,
-        make: impl Fn() -> T + Send + Sync + 'static,
-    ) -> Data<T> {
-        Data::versioned_with(value, make)
-    }
-
-    /// Like [`Runtime::versioned_data_with`], additionally declaring the
-    /// **deep** size of one version (heap payload included) so the rename
-    /// byte budget accounts heap-backed types correctly. See
+    /// fresh versions (for types without a useful `Default`), additionally
+    /// declaring the **deep** size of one version (heap payload included) so
+    /// the rename byte budget accounts heap-backed types correctly. See
     /// [`Data::versioned_with_size`].
     pub fn versioned_data_with_size<T: Send + 'static>(
         &self,
@@ -820,17 +776,6 @@ impl Runtime {
         PartitionedData::versioned(data, chunk_len)
     }
 
-    /// Like [`Runtime::versioned_partitioned`] with an explicit initialiser
-    /// for fresh chunk versions (called with the chunk length).
-    pub fn versioned_partitioned_with<T: Send + 'static>(
-        &self,
-        data: Vec<T>,
-        chunk_len: usize,
-        make: impl Fn(usize) -> Vec<T> + Send + Sync + 'static,
-    ) -> PartitionedData<T> {
-        PartitionedData::versioned_with(data, chunk_len, make)
-    }
-
     /// Begin building a task spawned from the main program context. The task
     /// inherits the calling thread's cancel scope, if one is active (see
     /// [`Runtime::with_cancel_scope`]).
@@ -838,7 +783,6 @@ impl Runtime {
         TaskBuilder::new(
             &self.inner,
             self.inner.root_children.clone(),
-            None,
             None,
             current_cancel_scope(),
         )
@@ -880,9 +824,12 @@ impl Runtime {
     /// execute on the thread that waits for it.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        help_while(&self.inner, None, || {
-            self.inner.root_children.live_children() > 0 || !self.inner.quiescent()
-        });
+        // One condition serves the main context's children and global
+        // quiescence alike: a task enters `in_flight` before it is counted
+        // among its parent's children (`insert`) and reports `child_done`
+        // before it leaves `in_flight` (`worker::retire_node`), so
+        // `in_flight == 0` implies the root has no live child either.
+        help_while(&self.inner, None, || !self.inner.quiescent());
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
         // tracks nothing (see `Runtime::tracker_diagnostics`).
@@ -921,12 +868,10 @@ impl Runtime {
     }
 
     /// Full task barrier: wait for global quiescence (all in-flight tasks,
-    /// regardless of spawning context).
+    /// regardless of spawning context) — which is what [`Runtime::taskwait`]
+    /// waits for.
     pub fn barrier(&self) {
-        self.inner.stats.add(StatField::Taskwaits, 1);
-        help_while(&self.inner, None, || !self.inner.quiescent());
-        self.inner.tracker.garbage_collect();
-        self.inner.dcheck_quiescent_pass();
+        self.taskwait();
     }
 
     /// Execute `f` under the named critical section (the `#pragma omp
@@ -1101,15 +1046,6 @@ impl Runtime {
         self.inner.audit_inner()
     }
 
-    /// Copy of the race reports the [`dcheck`](crate::dcheck) oracle has
-    /// accumulated (always empty when dcheck is off).
-    pub fn dcheck_reports(&self) -> Vec<RaceReport> {
-        self.inner
-            .dcheck
-            .as_ref()
-            .map_or_else(Vec::new, |d| d.reports())
-    }
-
     /// Drain the race reports the [`dcheck`](crate::dcheck) oracle has
     /// accumulated (always empty when dcheck is off).
     pub fn take_dcheck_reports(&self) -> Vec<RaceReport> {
@@ -1174,7 +1110,6 @@ impl Runtime {
     fn shutdown_impl(&mut self) {
         self.barrier();
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.sched.wake_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1254,7 +1189,6 @@ pub struct TaskBuilder<'r> {
     inner: &'r Arc<RuntimeInner>,
     parent_children: Arc<ChildTracker>,
     deque: Option<&'r WorkerDeque<Arc<TaskNode>>>,
-    worker: Option<usize>,
     name: Option<Arc<str>>,
     priority: TaskPriority,
     /// The clauses declared so far, resolved. Dropping the builder without
@@ -1270,14 +1204,12 @@ impl<'r> TaskBuilder<'r> {
         inner: &'r Arc<RuntimeInner>,
         parent_children: Arc<ChildTracker>,
         deque: Option<&'r WorkerDeque<Arc<TaskNode>>>,
-        worker: Option<usize>,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Self {
         TaskBuilder {
             inner,
             parent_children,
             deque,
-            worker,
             name: None,
             priority: TaskPriority::default(),
             clauses: ClauseSet::default(),
@@ -1343,7 +1275,6 @@ impl<'r> TaskBuilder<'r> {
         // ≤2-access spawn allocates nothing here at all.
         let mut spilled = false;
         let node = inner.slab.acquire(
-            self.worker,
             self.name,
             self.priority,
             bound.accesses,
@@ -1362,7 +1293,6 @@ impl<'r> TaskBuilder<'r> {
             [node],
             std::slice::from_ref(&bound.renamed),
             self.deque,
-            &mut Vec::new(),
             |nodes, record_edges| inner.tracker.register(&nodes[0], record_edges),
             |_| {},
         );
@@ -1564,11 +1494,6 @@ impl<'a> TaskContext<'a> {
         self.worker
     }
 
-    /// Name of the executing task, if it was given one.
-    pub fn task_name(&self) -> Option<&str> {
-        self.node.name.as_deref()
-    }
-
     /// 1-based replay pass of the [`GraphTemplate`](crate::GraphTemplate)
     /// batch this task was stamped by, or `0` for an ordinary spawn —
     /// including the capture iteration itself, which executes through the
@@ -1764,31 +1689,19 @@ impl<'a> TaskContext<'a> {
     /// [`TaskContext::read_chunk`] per chunk, or
     /// [`TaskContext::gather_whole`] for a copied-out contiguous view.
     pub fn read_whole<'d, T: Send + 'static>(&self, whole: &'d Whole<T>) -> SliceReadGuard<'d, T> {
-        self.try_read_whole(whole).expect(
+        assert!(
+            !whole.is_versioned(),
             "read_whole needs contiguous storage; a versioned partition's chunks \
              live in independent version buffers — use read_chunk or gather_whole",
-        )
-    }
-
-    /// Fallible [`TaskContext::read_whole`]: returns
-    /// [`Error::VersionedWhole`] instead of panicking when the partition is
-    /// versioned (its chunks live in independent version buffers, so no
-    /// contiguous slice exists).
-    pub fn try_read_whole<'d, T: Send + 'static>(
-        &self,
-        whole: &'d Whole<T>,
-    ) -> Result<SliceReadGuard<'d, T>> {
-        if whole.is_versioned() {
-            return Err(Error::VersionedWhole);
-        }
+        );
         self.check_access(&whole.region(), false, "array");
         let (ptr, len) = whole.slice_ptr();
-        Ok(SliceReadGuard {
+        SliceReadGuard {
             // SAFETY: `(ptr, len)` is the plain partition's whole backing
             // array; `check_access` verified the declared access, and the
             // tracker orders conflicting writers around this task.
             slice: unsafe { std::slice::from_raw_parts(ptr, len) },
-        })
+        }
     }
 
     /// Obtain exclusive access to the whole partitioned vector as one
@@ -1802,29 +1715,18 @@ impl<'a> TaskContext<'a> {
         &self,
         whole: &'d Whole<T>,
     ) -> SliceWriteGuard<'d, T> {
-        self.try_write_whole(whole).expect(
+        assert!(
+            !whole.is_versioned(),
             "write_whole needs contiguous storage; a versioned partition's chunks \
              live in independent version buffers — use write_chunk or scatter_whole",
-        )
-    }
-
-    /// Fallible [`TaskContext::write_whole`]: returns
-    /// [`Error::VersionedWhole`] instead of panicking when the partition is
-    /// versioned (see [`TaskContext::try_read_whole`]).
-    pub fn try_write_whole<'d, T: Send + 'static>(
-        &self,
-        whole: &'d Whole<T>,
-    ) -> Result<SliceWriteGuard<'d, T>> {
-        if whole.is_versioned() {
-            return Err(Error::VersionedWhole);
-        }
+        );
         self.check_access(&whole.region(), true, "array");
         let (ptr, len) = whole.slice_ptr();
-        Ok(SliceWriteGuard {
-            // SAFETY: as in `try_read_whole`, and the mutation-capable
-            // declared access makes this task the array's sole writer.
+        SliceWriteGuard {
+            // SAFETY: as in `read_whole`, and the mutation-capable declared
+            // access makes this task the array's sole writer.
             slice: unsafe { std::slice::from_raw_parts_mut(ptr, len) },
-        })
+        }
     }
 
     /// Copy the whole partitioned vector out into one contiguous `Vec`,
@@ -1879,7 +1781,6 @@ impl<'a> TaskContext<'a> {
             self.inner,
             self.node.children.clone(),
             self.deque,
-            self.worker,
             self.node.cancel.clone(),
         )
     }
@@ -1899,20 +1800,9 @@ impl<'a> TaskContext<'a> {
     /// still in flight.
     pub fn taskwait_on(&self, handle: &impl Accessible) {
         self.inner.stats.add(StatField::TaskwaitOns, 1);
-        let helper_id = self.worker.unwrap_or(0);
-        let mut ready = Vec::new();
         for region in handle.sync_regions() {
-            let touching = self.inner.tracker.tasks_touching(&region);
-            for task in touching {
-                let mut spins = 0u32;
-                while !task.is_completed() {
-                    if let Some(t) = self.inner.sched.pop(helper_id, None) {
-                        worker::execute_task(self.inner, t, self.worker, None, &mut ready);
-                        spins = 0;
-                    } else {
-                        backoff(&mut spins);
-                    }
-                }
+            for task in self.inner.tracker.tasks_touching(&region) {
+                help_while(self.inner, self.worker, || !task.is_completed());
             }
         }
     }

@@ -22,13 +22,18 @@
 //! Independently of the policy, tasks with a non-zero priority go to a global
 //! priority heap that every worker checks first (the OmpSs `priority`
 //! clause).
+//!
+//! Every ready task — freshly spawned, a replayed root, or woken by a
+//! completing predecessor — is queued by the one [`SchedState::push`], the
+//! moment it becomes ready. Idle workers poll ([`SchedState::idle_wait`]), as
+//! the Nanos++ workers of the paper do: "all used cores are always fully
+//! loaded even if there is insufficient work".
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::task::TaskNode;
@@ -44,21 +49,6 @@ pub enum SchedulerPolicy {
     /// on the waking worker's deque for producer→consumer cache locality.
     #[default]
     LocalityWorkStealing,
-}
-
-/// What idle workers do while no task is ready.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdlePolicy {
-    /// Spin (with `yield_now` backoff). This is what the Nanos++ runtime of
-    /// the paper does: "all used cores are always fully loaded even if there
-    /// is insufficient work".
-    #[default]
-    Polling,
-    /// Block on a condition variable until work is pushed. Cheaper for the
-    /// system, slower to react. No harness selects it (`barrier_ablation`
-    /// compares barrier kinds, not idle policies); `tests/runtime_semantics.rs`
-    /// pins that a blocking pool drains like a polling one.
-    Blocking,
 }
 
 /// Scheduler statistics counters (all monotonically increasing).
@@ -108,144 +98,71 @@ impl Ord for PrioEntry {
 /// The shared scheduler state.
 pub(crate) struct SchedState {
     policy: SchedulerPolicy,
-    idle: IdlePolicy,
     injector: Injector<Arc<TaskNode>>,
     prio: Mutex<BinaryHeap<PrioEntry>>,
     stealers: Vec<Stealer<Arc<TaskNode>>>,
     prio_seq: AtomicU64,
-    /// Number of ready-but-not-yet-executing tasks.
-    ready_count: AtomicUsize,
-    /// Number of workers currently parked in [`SchedState::idle_wait`]
-    /// (always zero under [`IdlePolicy::Polling`]). Pushers consult it
-    /// *before* touching `sleep_lock`, so the spawn/replay hot path pays no
-    /// mutex round-trip while every worker is busy. The store-buffer race
-    /// (pusher misses a just-parking sleeper) is closed by `SeqCst` on both
-    /// sides: if the pusher reads no sleepers, the parking worker's
-    /// ready-count re-check under the lock sees the pushed work and skips
-    /// the wait.
-    sleepers: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
     /// Counters for statistics.
     pub(crate) counters: SchedCounters,
 }
 
 impl SchedState {
     /// Create scheduler state for `stealers.len()` workers.
-    pub(crate) fn new(
-        policy: SchedulerPolicy,
-        idle: IdlePolicy,
-        stealers: Vec<Stealer<Arc<TaskNode>>>,
-    ) -> Self {
+    pub(crate) fn new(policy: SchedulerPolicy, stealers: Vec<Stealer<Arc<TaskNode>>>) -> Self {
         SchedState {
             policy,
-            idle,
             injector: Injector::new(),
             prio: Mutex::new(BinaryHeap::new()),
             stealers,
             prio_seq: AtomicU64::new(0),
-            ready_count: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
             counters: SchedCounters::default(),
         }
     }
 
-    /// Number of ready tasks currently queued.
-    #[cfg(test)]
-    pub(crate) fn ready_tasks(&self) -> usize {
-        self.ready_count.load(Ordering::SeqCst)
-    }
+    // lint: hot-path-begin — every ready task is queued through here; no
+    // panicking calls allowed (see `cargo xtask lint`).
 
-    fn note_push(&self) {
-        self.ready_count.fetch_add(1, Ordering::SeqCst);
-        if self.idle == IdlePolicy::Blocking && self.sleepers.load(Ordering::SeqCst) != 0 {
-            let _g = self.sleep_lock.lock();
-            self.sleep_cv.notify_one();
-        }
-    }
-
-    fn note_pop(&self) {
-        self.ready_count.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn push_priority(&self, node: Arc<TaskNode>) {
-        let seq = self.prio_seq.fetch_add(1, Ordering::Relaxed);
-        self.prio.lock().push(PrioEntry {
-            priority: node.priority.0,
-            seq,
-            node,
-        });
-    }
-
-    /// Queue a freshly spawned (already ready) task. `local` is the deque of
-    /// the worker doing the spawning, when spawning from inside a task.
-    pub(crate) fn push_spawn(&self, node: Arc<TaskNode>, local: Option<&WorkerDeque<Arc<TaskNode>>>) {
-        self.note_push();
-        if node.priority.0 != 0 {
-            self.push_priority(node);
-            return;
-        }
-        match self.policy {
-            SchedulerPolicy::Fifo => self.injector.push(node),
-            SchedulerPolicy::WorkStealing | SchedulerPolicy::LocalityWorkStealing => match local {
-                Some(dq) => dq.push(node),
-                None => self.injector.push(node),
-            },
-        }
-    }
-
-    /// Queue a whole batch of freshly stamped, already-ready tasks (the
-    /// roots of a template replay) with batched bookkeeping: one
-    /// `ready_count` bump for the whole batch and — under
-    /// [`IdlePolicy::Blocking`] — a single `notify_all` after every node is
-    /// queued, instead of a lock/notify round trip per task. The buffer is
-    /// drained in place so its capacity stays with the caller's reusable
-    /// replay scratch. Replays run from non-worker threads, so there is no
-    /// local deque: non-priority nodes go to the shared injector.
-    pub(crate) fn push_spawn_batch(&self, nodes: &mut Vec<Arc<TaskNode>>) {
-        if nodes.is_empty() {
-            return;
-        }
-        self.ready_count.fetch_add(nodes.len(), Ordering::SeqCst);
-        for node in nodes.drain(..) {
-            if node.priority.0 != 0 {
-                self.push_priority(node);
-                continue;
-            }
-            self.injector.push(node);
-        }
-        if self.idle == IdlePolicy::Blocking && self.sleepers.load(Ordering::SeqCst) != 0 {
-            let _g = self.sleep_lock.lock();
-            self.sleep_cv.notify_all();
-        }
-    }
-
-    /// Queue a task that became ready because one of its predecessors
-    /// completed. `local` is the deque of the worker that completed the
-    /// predecessor.
-    pub(crate) fn push_wakeup(
+    /// Queue a ready task: priority heap first, then by policy the pushing
+    /// worker's own deque or the shared injector. `local` is the deque of the
+    /// worker doing the push — spawning from inside a task body, or
+    /// completing the predecessor that woke `node` — and `None` on any other
+    /// thread. `woken` tells the two apart: a spawned task goes to its
+    /// spawner's deque under either stealing policy, a woken one only under
+    /// [`SchedulerPolicy::LocalityWorkStealing`] (the Section 4 locality
+    /// claim is about successors), and only wakeups are counted.
+    pub(crate) fn push(
         &self,
         node: Arc<TaskNode>,
         local: Option<&WorkerDeque<Arc<TaskNode>>>,
+        woken: bool,
     ) {
-        self.note_push();
         if node.priority.0 != 0 {
-            self.push_priority(node);
+            let seq = self.prio_seq.fetch_add(1, Ordering::Relaxed);
+            self.prio.lock().push(PrioEntry {
+                priority: node.priority.0,
+                seq,
+                node,
+            });
             return;
         }
-        match (self.policy, local) {
-            (SchedulerPolicy::LocalityWorkStealing, Some(dq)) => {
-                self.counters.local_wakeups.fetch_add(1, Ordering::Relaxed);
-                dq.push(node);
-            }
-            _ => {
-                self.counters.global_wakeups.fetch_add(1, Ordering::Relaxed);
-                self.injector.push(node);
-            }
+        let local = match self.policy {
+            SchedulerPolicy::Fifo => None,
+            SchedulerPolicy::WorkStealing if woken => None,
+            SchedulerPolicy::WorkStealing | SchedulerPolicy::LocalityWorkStealing => local,
+        };
+        if woken {
+            let counter = match local {
+                Some(_) => &self.counters.local_wakeups,
+                None => &self.counters.global_wakeups,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        match local {
+            Some(dq) => dq.push(node),
+            None => self.injector.push(node),
         }
     }
+    // lint: hot-path-end
 
     /// Try to obtain a ready task for worker `worker_id`. `local` is the
     /// worker's own deque when called from a worker loop; helpers (nested
@@ -261,7 +178,6 @@ impl SchedState {
             if let Some(entry) = heap.pop() {
                 drop(heap);
                 self.counters.priority_pops.fetch_add(1, Ordering::Relaxed);
-                self.note_pop();
                 return Some(entry.node);
             }
         }
@@ -269,7 +185,6 @@ impl SchedState {
         if let Some(dq) = local {
             if let Some(node) = dq.pop() {
                 self.counters.local_pops.fetch_add(1, Ordering::Relaxed);
-                self.note_pop();
                 return Some(node);
             }
         }
@@ -278,8 +193,7 @@ impl SchedState {
             match self.injector.steal() {
                 Steal::Success(node) => {
                     self.counters.global_pops.fetch_add(1, Ordering::Relaxed);
-                    self.note_pop();
-                    return Some(node);
+                        return Some(node);
                 }
                 Steal::Empty => break,
                 Steal::Retry => continue,
@@ -296,8 +210,7 @@ impl SchedState {
                 match self.stealers[victim].steal() {
                     Steal::Success(node) => {
                         self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                        self.note_pop();
-                        return Some(node);
+                                return Some(node);
                     }
                     Steal::Empty => break,
                     Steal::Retry => continue,
@@ -307,35 +220,11 @@ impl SchedState {
         None
     }
 
-    /// Called by an idle worker after `pop` returned `None`. Under
-    /// [`IdlePolicy::Polling`] this spins briefly; under
-    /// [`IdlePolicy::Blocking`] it parks until new work is pushed (or a
-    /// short timeout elapses so shutdown is always noticed).
+    /// Called by an idle worker after `pop` returned `None`: the paper's
+    /// polling loop — give the core away for a moment, then look again.
     pub(crate) fn idle_wait(&self) {
-        match self.idle {
-            IdlePolicy::Polling => {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-            IdlePolicy::Blocking => {
-                let mut guard = self.sleep_lock.lock();
-                // Announce the park *before* re-checking for work (see the
-                // `sleepers` field docs); the short timeout bounds any
-                // missed wakeup and keeps shutdown responsive.
-                self.sleepers.fetch_add(1, Ordering::SeqCst);
-                if self.ready_count.load(Ordering::SeqCst) == 0 {
-                    self.sleep_cv
-                        .wait_for(&mut guard, Duration::from_millis(1));
-                }
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Wake every parked worker (used at shutdown).
-    pub(crate) fn wake_all(&self) {
-        let _g = self.sleep_lock.lock();
-        self.sleep_cv.notify_all();
+        std::hint::spin_loop();
+        std::thread::yield_now();
     }
 }
 
@@ -343,48 +232,39 @@ impl SchedState {
 mod tests {
     use super::*;
     use crate::access::AccessVec;
-    use crate::task::{ChildTracker, TaskPriority};
+    use std::time::Duration;
 
     fn node(priority: i32) -> Arc<TaskNode> {
-        TaskNode::new(
-            None,
-            TaskPriority(priority),
-            AccessVec::new(),
-            |_| {},
-            ChildTracker::new(),
-            &mut false,
-        )
+        crate::task::tests::test_node(None, None, priority, AccessVec::new())
     }
 
     fn sched(policy: SchedulerPolicy, workers: usize) -> (SchedState, Vec<WorkerDeque<Arc<TaskNode>>>) {
         let deques: Vec<WorkerDeque<Arc<TaskNode>>> =
             (0..workers).map(|_| WorkerDeque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
-        (SchedState::new(policy, IdlePolicy::Polling, stealers), deques)
+        (SchedState::new(policy, stealers), deques)
     }
 
     #[test]
     fn fifo_policy_preserves_order() {
         let (s, _d) = sched(SchedulerPolicy::Fifo, 1);
         let (a, b, c) = (node(0), node(0), node(0));
-        s.push_spawn(a.clone(), None);
-        s.push_spawn(b.clone(), None);
-        s.push_wakeup(c.clone(), None);
-        assert_eq!(s.ready_tasks(), 3);
+        s.push(a.clone(), None, false);
+        s.push(b.clone(), None, false);
+        s.push(c.clone(), None, true);
         assert_eq!(s.pop(0, None).unwrap().id, a.id);
         assert_eq!(s.pop(0, None).unwrap().id, b.id);
         assert_eq!(s.pop(0, None).unwrap().id, c.id);
         assert!(s.pop(0, None).is_none());
-        assert_eq!(s.ready_tasks(), 0);
     }
 
     #[test]
     fn priority_tasks_jump_the_queue() {
         let (s, _d) = sched(SchedulerPolicy::Fifo, 1);
         let (a, hi, b) = (node(0), node(5), node(0));
-        s.push_spawn(a.clone(), None);
-        s.push_spawn(hi.clone(), None);
-        s.push_spawn(b.clone(), None);
+        s.push(a.clone(), None, false);
+        s.push(hi.clone(), None, false);
+        s.push(b.clone(), None, false);
         assert_eq!(s.pop(0, None).unwrap().id, hi.id);
         assert_eq!(s.pop(0, None).unwrap().id, a.id);
         assert_eq!(s.pop(0, None).unwrap().id, b.id);
@@ -394,8 +274,8 @@ mod tests {
     fn equal_priority_is_fifo_among_priority_tasks() {
         let (s, _d) = sched(SchedulerPolicy::Fifo, 1);
         let (p1, p2) = (node(3), node(3));
-        s.push_spawn(p1.clone(), None);
-        s.push_spawn(p2.clone(), None);
+        s.push(p1.clone(), None, false);
+        s.push(p2.clone(), None, false);
         assert_eq!(s.pop(0, None).unwrap().id, p1.id);
         assert_eq!(s.pop(0, None).unwrap().id, p2.id);
     }
@@ -404,7 +284,7 @@ mod tests {
     fn locality_wakeups_go_to_local_deque() {
         let (s, deques) = sched(SchedulerPolicy::LocalityWorkStealing, 2);
         let w = node(0);
-        s.push_wakeup(w.clone(), Some(&deques[0]));
+        s.push(w.clone(), Some(&deques[0]), true);
         assert_eq!(s.counters.local_wakeups.load(Ordering::Relaxed), 1);
         // Worker 0 finds it in its own deque.
         let got = s.pop(0, Some(&deques[0])).unwrap();
@@ -416,11 +296,16 @@ mod tests {
     fn plain_work_stealing_wakeups_go_global() {
         let (s, deques) = sched(SchedulerPolicy::WorkStealing, 2);
         let w = node(0);
-        s.push_wakeup(w.clone(), Some(&deques[0]));
+        s.push(w.clone(), Some(&deques[0]), true);
         assert_eq!(s.counters.global_wakeups.load(Ordering::Relaxed), 1);
         // Worker 1 can grab it from the injector without stealing.
         let got = s.pop(1, Some(&deques[1])).unwrap();
         assert_eq!(got.id, w.id);
+        // A task worker 0 *spawns* stays on its own deque all the same.
+        let spawned = node(0);
+        s.push(spawned.clone(), Some(&deques[0]), false);
+        assert_eq!(deques[0].pop().unwrap().id, spawned.id);
+        assert_eq!(s.counters.global_wakeups.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -428,7 +313,7 @@ mod tests {
         let (s, deques) = sched(SchedulerPolicy::LocalityWorkStealing, 2);
         let w = node(0);
         // Task sits in worker 0's deque; worker 1 must steal it.
-        s.push_spawn(w.clone(), Some(&deques[0]));
+        s.push(w.clone(), Some(&deques[0]), false);
         let got = s.pop(1, Some(&deques[1])).unwrap();
         assert_eq!(got.id, w.id);
         assert_eq!(s.counters.steals.load(Ordering::Relaxed), 1);
@@ -438,7 +323,7 @@ mod tests {
     fn helper_without_local_deque_can_still_pop() {
         let (s, deques) = sched(SchedulerPolicy::LocalityWorkStealing, 1);
         let w = node(0);
-        s.push_spawn(w.clone(), Some(&deques[0]));
+        s.push(w.clone(), Some(&deques[0]), false);
         // A helper (None local) steals from worker 0.
         let got = s.pop(0, None).unwrap();
         assert_eq!(got.id, w.id);
@@ -450,26 +335,5 @@ mod tests {
         let start = std::time::Instant::now();
         s.idle_wait();
         assert!(start.elapsed() < Duration::from_millis(100));
-    }
-
-    #[test]
-    fn idle_wait_blocking_wakes_on_push() {
-        let deques: Vec<WorkerDeque<Arc<TaskNode>>> = vec![WorkerDeque::new_lifo()];
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
-        let s = Arc::new(SchedState::new(
-            SchedulerPolicy::Fifo,
-            IdlePolicy::Blocking,
-            stealers,
-        ));
-        let s2 = s.clone();
-        let handle = std::thread::spawn(move || {
-            // Either wakes on notify or on the internal timeout; both fine.
-            s2.idle_wait();
-        });
-        std::thread::sleep(Duration::from_millis(2));
-        s.push_spawn(node(0), None);
-        s.wake_all();
-        handle.join().unwrap();
-        assert_eq!(s.ready_tasks(), 1);
     }
 }

@@ -46,8 +46,9 @@ pub(crate) struct StatCounters {
 }
 
 impl StatCounters {
-    pub(crate) fn add(&self, field: StatField, n: u64) {
-        self.counter(field).fetch_add(n, Ordering::Relaxed);
+    /// Add `n` to `field`; returns the value before the addition.
+    pub(crate) fn add(&self, field: StatField, n: u64) -> u64 {
+        self.counter(field).fetch_add(n, Ordering::Relaxed)
     }
 
     pub(crate) fn get(&self, field: StatField) -> u64 {

@@ -360,10 +360,9 @@ pub(crate) struct TaskNode {
     /// `Arc::get_mut` before publication, like the other per-spawn fields;
     /// checked by the worker at execute time.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Slab-accounting token: present while the node is checked out of (or
-    /// was never in) a slab's free list, dropped — decrementing the slab's
-    /// outstanding count — when the node returns to the free list or is
-    /// deallocated. `None` for nodes built outside a slab (tests, benches).
+    /// Slab-accounting token: present while the node is checked out of its
+    /// slab's free list, dropped — decrementing the slab's outstanding count
+    /// — when the node returns to the free list or is deallocated.
     live_token: Option<LiveToken>,
     /// Dense per-epoch index assigned by the race oracle
     /// ([`crate::dcheck`]) at registration; [`crate::dcheck::NO_INDEX`]
@@ -389,54 +388,19 @@ unsafe impl Send for TaskNode {}
 unsafe impl Sync for TaskNode {}
 
 impl TaskNode {
-    /// Create a fresh node with the registration sentinel held (pending = 1).
-    /// `spilled` reports whether the body missed the inline buffer. The
-    /// runtime builds its nodes through the slab; unit tests use this.
-    #[cfg(test)]
-    pub(crate) fn new<F>(
-        name: Option<Arc<str>>,
-        priority: TaskPriority,
-        accesses: AccessVec,
-        body: F,
-        parent_children: Arc<ChildTracker>,
-        spilled: &mut bool,
-    ) -> Arc<Self>
-    where
-        F: FnOnce(&TaskContext<'_>) + Send + 'static,
-    {
-        Arc::new(Self::build(
-            name,
-            priority,
-            accesses,
-            body,
-            parent_children,
-            spilled,
-        ))
-    }
-
-    /// Build a fresh node as a plain value, for callers (the slab's
-    /// fresh-allocation path) that still need to set owner-only fields
-    /// before sharing the node behind an `Arc`.
-    pub(crate) fn build<F>(
-        name: Option<Arc<str>>,
-        priority: TaskPriority,
-        accesses: AccessVec,
-        body: F,
-        parent_children: Arc<ChildTracker>,
-        spilled: &mut bool,
-    ) -> Self
-    where
-        F: FnOnce(&TaskContext<'_>) + Send + 'static,
-    {
-        let mut slot = BodySlot::default();
-        *spilled = slot.set(body);
+    /// A node with no task in it: the registration sentinel held
+    /// (pending = 1), nothing armed, `detached` standing in for a parent —
+    /// the state [`TaskNode::reset_for_reuse`] returns a retired node to, so
+    /// [`TaskNode::arm`] is the one way a task gets into a node, fresh or
+    /// recycled.
+    fn blank(detached: &Arc<ChildTracker>) -> Self {
         TaskNode {
-            id: TaskId::fresh(),
-            name,
-            priority,
-            accesses,
+            id: TaskId(0),
+            name: None,
+            priority: TaskPriority::default(),
+            accesses: AccessVec::new(),
             generation: 0,
-            body: Mutex::new(slot),
+            body: Mutex::new(BodySlot::default()),
             pending: AtomicUsize::new(1),
             // A little successor capacity from birth: `complete_into` drains
             // in place and recycling keeps the buffer, so this makes the
@@ -448,7 +412,7 @@ impl TaskNode {
                 successors: Vec::with_capacity(4),
             }),
             children: ChildTracker::new(),
-            parent_children,
+            parent_children: detached.clone(),
             state: AtomicU8::new(TaskState::WaitingDeps as u8),
             in_edges: AtomicUsize::new(0),
             replay_pass: 0,
@@ -461,13 +425,13 @@ impl TaskNode {
         }
     }
 
-    /// Re-arm a recycled node for its next task. The caller holds the only
-    /// reference (`&mut` through `Arc::get_mut`), so plain field writes are
-    /// unique; the node was reset by [`TaskSlab::try_recycle`] before it
-    /// entered the free list. (One argument per re-armed field — splitting
+    /// Arm a blank or recycled node for its next task. The caller holds the
+    /// only reference (a plain value, or `&mut` through `Arc::get_mut`), so
+    /// plain field writes are unique. `spilled` reports whether the body
+    /// missed the inline buffer. (One argument per armed field — splitting
     /// the parameter list would only add a struct the hot path then builds.)
     #[allow(clippy::too_many_arguments)]
-    fn reinit<F>(
+    fn arm<F>(
         &mut self,
         name: Option<Arc<str>>,
         priority: TaskPriority,
@@ -475,6 +439,8 @@ impl TaskNode {
         tickets: Vec<Box<dyn VersionTicket>>,
         body: F,
         parent_children: Arc<ChildTracker>,
+        replay_pass: u64,
+        cancel: Option<Arc<AtomicBool>>,
         live_token: LiveToken,
         spilled: &mut bool,
     ) where
@@ -489,8 +455,8 @@ impl TaskNode {
         self.accesses = accesses;
         *spilled = self.body.get_mut().set(body);
         if !tickets.is_empty() {
-            // Move the hooks into the node-resident vector, which kept its
-            // capacity across the in-place release at last completion.
+            // Move the hooks into the node-resident vector, which keeps its
+            // capacity across the in-place release at each completion.
             self.tickets.get_mut().extend(tickets);
         }
         self.parent_children = parent_children;
@@ -502,11 +468,13 @@ impl TaskNode {
         } else {
             self.children = ChildTracker::new();
         }
+        self.replay_pass = replay_pass;
+        self.cancel = cancel;
         self.live_token = Some(live_token);
     }
 
     /// Reset a just-completed node for reuse. The successor-list capacity is
-    /// kept warm (it survives `reinit` — the wakeup path drains it in
+    /// kept warm (it survives `arm` — the wakeup path drains it in
     /// place); the access and ticket storage is merely dropped here, since
     /// the next task moves its own builder-owned vectors in. Called with
     /// the only reference; `detached` replaces the stale parent pointer so
@@ -637,12 +605,6 @@ pub(crate) const DEFAULT_TASK_SLAB_CAPACITY: usize = 4096;
 /// [`TaskSlab::acquire`].
 const WARM_STOCK_SHARE: usize = 16;
 
-/// Bound on each worker-local free stack. Small on purpose: the local stack
-/// only has to cover a worker's spawn-from-body burst between completions;
-/// everything beyond overflows to the shared injector, which is what keeps
-/// spawner threads (which never recycle) fed.
-pub(crate) const LOCAL_FREE_STACK_CAP: usize = 64;
-
 /// Shared slab accounting counters (separate from the slab so each node can
 /// hold a handle and decrement on its final drop).
 #[derive(Debug, Default)]
@@ -707,13 +669,6 @@ impl TaskSlabDiagnostics {
 /// reuse safe without any interior mutability.
 pub(crate) struct TaskSlab {
     free: Injector<Arc<TaskNode>>,
-    /// Per-worker free stacks, indexed by worker id: a worker recycles into
-    /// (and its in-body spawns acquire from) its own stack first, touching no
-    /// shared line. Each mutex is taken by its own worker on the hot path and
-    /// only by rare diagnostics reads otherwise, so it is uncontended in
-    /// steady state; overflow goes to the shared `free` injector, mirroring
-    /// the deque/injector split of the scheduler.
-    locals: Box<[Mutex<Vec<Arc<TaskNode>>>]>,
     /// Bound on the free list; 0 disables recycling entirely
     /// ([`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
     capacity: usize,
@@ -721,8 +676,7 @@ pub(crate) struct TaskSlab {
     /// (`capacity / WARM_STOCK_SHARE`).
     warm_stock: u64,
     /// Approximate free-list length (push/pop race only costs a slot or two
-    /// of the bound). Tracks the shared injector only; the locals are bounded
-    /// by `LOCAL_FREE_STACK_CAP` each.
+    /// of the bound).
     free_len: AtomicUsize,
     allocated: AtomicU64,
     recycled: AtomicU64,
@@ -737,18 +691,10 @@ pub(crate) struct TaskSlab {
 
 impl TaskSlab {
     /// Create a slab keeping at most `capacity` retired nodes (0 = recycling
-    /// off), with one local free stack per worker.
-    pub(crate) fn new(capacity: usize, workers: usize) -> Self {
-        // Stacks are allocated at their bound up front so a push during a
-        // steady-state measurement window never grows the vector
-        // (`tests/spawn_alloc.rs` counts every heap allocation).
-        let locals = (0..if capacity == 0 { 0 } else { workers })
-            .map(|_| Mutex::new(Vec::with_capacity(LOCAL_FREE_STACK_CAP)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    /// off).
+    pub(crate) fn new(capacity: usize) -> Self {
         TaskSlab {
             free: Injector::new(),
-            locals,
             capacity,
             warm_stock: (capacity / WARM_STOCK_SHARE) as u64,
             free_len: AtomicUsize::new(0),
@@ -760,42 +706,29 @@ impl TaskSlab {
         }
     }
 
-    /// Take a parked node: from the calling worker's local stack, then the
-    /// shared free list, then — the miss path only — any other worker's
-    /// stack. A main-thread (or off-worker) spawner never feeds the local
-    /// stacks itself, so without the raid the workers would hoard every
-    /// recycled node and the producer thread would allocate forever.
-    fn pop_parked(&self, worker: Option<usize>) -> Option<Arc<TaskNode>> {
-        if let Some(node) = worker
-            .and_then(|w| self.locals.get(w))
-            .and_then(|stack| stack.lock().pop())
-        {
-            return Some(node);
-        }
+    /// Take a parked node off the free list.
+    fn pop_free(&self) -> Option<Arc<TaskNode>> {
         loop {
             match self.free.steal() {
                 Steal::Success(node) => {
                     self.free_len.fetch_sub(1, Ordering::Relaxed);
                     return Some(node);
                 }
-                Steal::Empty => break,
+                Steal::Empty => return None,
                 Steal::Retry => continue,
             }
         }
-        self.locals.iter().find_map(|stack| stack.lock().pop())
     }
 
-    /// Obtain a node armed for `body` — recycled from the calling worker's
-    /// local stack when `worker` is set, then from the shared free list,
-    /// freshly allocated otherwise. The node has the registration sentinel
-    /// held (pending = 1) and a fresh [`TaskId`]. `spilled` reports whether
-    /// the body missed the inline buffer (the `spawn_body_spills` counter).
+    /// Obtain a node armed for `body` — recycled from the free list, freshly
+    /// allocated otherwise. The node has the registration sentinel held
+    /// (pending = 1) and a fresh [`TaskId`]. `spilled` reports whether the
+    /// body missed the inline buffer (the `spawn_body_spills` counter).
     /// `replay_pass` and `cancel` are stamped here, while the node is still
     /// provably unshared, so no caller has to reach back into it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn acquire<F>(
         &self,
-        worker: Option<usize>,
         name: Option<Arc<str>>,
         priority: TaskPriority,
         accesses: AccessVec,
@@ -813,6 +746,20 @@ impl TaskSlab {
             counters: self.counters.clone(),
         };
         token.counters.outstanding.fetch_add(1, Ordering::Relaxed);
+        let arm = |n: &mut TaskNode| {
+            n.arm(
+                name,
+                priority,
+                accesses,
+                tickets,
+                body,
+                parent_children,
+                replay_pass,
+                cancel,
+                token,
+                spilled,
+            )
+        };
         // Until the stock has reached its floor, allocate even when a parked
         // node is on offer. How many nodes a spawner needs at once depends
         // on how far it runs ahead of the workers, which is a race that
@@ -821,24 +768,13 @@ impl TaskSlab {
         // record. Building a fixed stock first makes "warm" a property of
         // the spawn count, not of the schedule.
         let parked = if self.allocated.load(Ordering::Relaxed) >= self.warm_stock {
-            self.pop_parked(worker)
+            self.pop_free()
         } else {
             None
         };
         if let Some(mut node) = parked {
             if let Some(n) = Arc::get_mut(&mut node) {
-                n.reinit(
-                    name,
-                    priority,
-                    accesses,
-                    tickets,
-                    body,
-                    parent_children,
-                    token,
-                    spilled,
-                );
-                n.replay_pass = replay_pass;
-                n.cancel = cancel;
+                arm(n);
                 self.recycled.fetch_add(1, Ordering::Relaxed);
                 return node;
             }
@@ -848,55 +784,36 @@ impl TaskSlab {
             debug_assert!(false, "shared node in the slab free list");
         }
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        // Built as a plain value and only then shared: the owner-only field
-        // writes below need no `Arc::get_mut` (hot-path code must not carry
-        // a panicking unwrap — enforced by `cargo xtask lint`).
-        let mut n = TaskNode::build(
-            name,
-            priority,
-            accesses,
-            body,
-            parent_children,
-            spilled,
-        );
-        if !tickets.is_empty() {
-            *n.tickets.get_mut() = tickets;
-        }
-        n.replay_pass = replay_pass;
-        n.cancel = cancel;
-        n.live_token = Some(token);
+        // Armed as a plain value and only then shared: no `Arc::get_mut`,
+        // so no panicking unwrap on the hot path (`cargo xtask lint`).
+        let mut n = TaskNode::blank(&self.detached);
+        arm(&mut n);
         Arc::new(n)
     }
 
     /// Return a completed node to the free list, if the caller holds the
-    /// last reference and the slab has room: the recycling worker's local
-    /// stack first (up to [`LOCAL_FREE_STACK_CAP`]), the shared injector on
-    /// overflow or when recycling off-worker. Nodes still referenced
+    /// last reference and the slab has room. Nodes still referenced
     /// elsewhere (a `taskwait_on` spinner, a trace reader, tracker history
     /// awaiting a deferred retirement) simply drop normally — correctness
     /// never depends on recycling succeeding.
     ///
     /// A node whose retirement was deferred has several holders letting go
     /// at about the same time: the worker that completed it, the tracker
-    /// drain that tombstones its history reference (which calls this with
-    /// `worker = None`), possibly a registration that borrowed it as a
-    /// predecessor. If each ran "not unique, so drop" unsynchronised, all of
-    /// them could see another's reference and the node would be freed
-    /// although one of them was its last holder. So a *failed* uniqueness
-    /// check is repeated under `handback`, and the drop happens under it
-    /// too: of any number of racing holders the last finds the node unique
-    /// and parks it. The lock is never taken on the common path (first
-    /// check succeeds) and only ever held for these few instructions.
+    /// drain that tombstones its history reference, possibly a registration
+    /// that borrowed it as a predecessor. If each ran "not unique, so drop"
+    /// unsynchronised, all of them could see another's reference and the
+    /// node would be freed although one of them was its last holder. So a
+    /// *failed* uniqueness check is repeated under `handback`, and the drop
+    /// happens under it too: of any number of racing holders the last finds
+    /// the node unique and parks it. The lock is never taken on the common
+    /// path (first check succeeds) and only ever held for these few
+    /// instructions.
     ///
     /// Returns the node's parent child-tracker in every case (the worker
     /// still owes it a `child_done`): taken out of the node when it is
     /// parked, cloned only on the non-recycling paths — so the steady state
     /// adds no refcount traffic on the sibling-shared tracker line.
-    pub(crate) fn try_recycle(
-        &self,
-        mut node: Arc<TaskNode>,
-        worker: Option<usize>,
-    ) -> Arc<ChildTracker> {
+    pub(crate) fn try_recycle(&self, mut node: Arc<TaskNode>) -> Arc<ChildTracker> {
         if self.capacity == 0 {
             return node.parent_children.clone();
         }
@@ -906,15 +823,6 @@ impl TaskSlab {
             None
         };
         if let Some(n) = Arc::get_mut(&mut node) {
-            if let Some(stack) = worker.and_then(|w| self.locals.get(w)) {
-                let mut stack = stack.lock();
-                if stack.len() < LOCAL_FREE_STACK_CAP {
-                    let (token, parent) = n.reset_for_reuse(&self.detached);
-                    drop(token);
-                    stack.push(node);
-                    return parent;
-                }
-            }
             if self.free_len.load(Ordering::Relaxed) < self.capacity {
                 let (token, parent) = n.reset_for_reuse(&self.detached);
                 drop(token);
@@ -932,14 +840,12 @@ impl TaskSlab {
         parent
     }
 
-    /// Current accounting snapshot. `free` counts the shared injector plus
-    /// every worker-local stack.
+    /// Current accounting snapshot.
     pub(crate) fn diagnostics(&self) -> TaskSlabDiagnostics {
-        let local_free: usize = self.locals.iter().map(|s| s.lock().len()).sum();
         TaskSlabDiagnostics {
             allocated: self.allocated.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
-            free: self.free_len.load(Ordering::Relaxed) + local_free,
+            free: self.free_len.load(Ordering::Relaxed),
             outstanding: self.counters.outstanding.load(Ordering::Relaxed),
         }
     }
@@ -956,27 +862,21 @@ impl TaskSlab {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn dummy_node() -> Arc<TaskNode> {
-        TaskNode::new(
-            Some("dummy".into()),
-            TaskPriority(2),
-            AccessVec::new(),
-            |_ctx| {},
-            ChildTracker::new(),
-            &mut false,
-        )
-    }
-
-    /// `TaskSlab::acquire` with the boilerplate arguments filled in.
-    fn acquire_plain(slab: &TaskSlab, worker: Option<usize>) -> Arc<TaskNode> {
-        slab.acquire(
-            worker,
-            None,
-            TaskPriority::default(),
-            AccessVec::new(),
+    /// A node with an empty body for unit tests, acquired like any other (from
+    /// `slab`, or from a throwaway non-recycling slab).
+    pub(crate) fn test_node(
+        slab: Option<&TaskSlab>,
+        name: Option<&str>,
+        priority: i32,
+        accesses: AccessVec,
+    ) -> Arc<TaskNode> {
+        slab.unwrap_or(&TaskSlab::new(0)).acquire(
+            name.map(Arc::from),
+            TaskPriority(priority),
+            accesses,
             Vec::new(),
             |_ctx| {},
             ChildTracker::new(),
@@ -984,6 +884,14 @@ mod tests {
             None,
             &mut false,
         )
+    }
+
+    fn dummy_node() -> Arc<TaskNode> {
+        test_node(None, Some("dummy"), 2, AccessVec::new())
+    }
+
+    fn acquire_plain(slab: &TaskSlab) -> Arc<TaskNode> {
+        test_node(Some(slab), None, 0, AccessVec::new())
     }
 
     /// Complete a node by hand so `try_recycle` accepts it.
@@ -1014,14 +922,7 @@ mod tests {
 
     #[test]
     fn unnamed_node_displays_id() {
-        let n = TaskNode::new(
-            None,
-            TaskPriority::default(),
-            AccessVec::new(),
-            |_ctx| {},
-            ChildTracker::new(),
-            &mut false,
-        );
+        let n = acquire_plain(&TaskSlab::new(0));
         assert_eq!(n.display_name(), format!("{}", n.id));
     }
 
@@ -1125,18 +1026,18 @@ mod tests {
 
     #[test]
     fn slab_recycles_the_same_storage_with_bumped_generation() {
-        let slab = TaskSlab::new(8, 0);
-        let n1 = acquire_plain(&slab, None);
+        let slab = TaskSlab::new(8);
+        let n1 = acquire_plain(&slab);
         let first_id = n1.id;
         assert_eq!(n1.generation, 0);
         let d = slab.diagnostics();
         assert_eq!((d.allocated, d.recycled, d.outstanding), (1, 0, 1));
         finish_by_hand(&n1);
         let raw = Arc::as_ptr(&n1);
-        slab.try_recycle(n1, None);
+        slab.try_recycle(n1);
         let d = slab.diagnostics();
         assert_eq!((d.free, d.outstanding), (1, 0));
-        let n2 = acquire_plain(&slab, None);
+        let n2 = acquire_plain(&slab);
         assert_eq!(Arc::as_ptr(&n2), raw, "storage reused");
         assert_eq!(n2.generation, 1, "generation bumped on recycle");
         assert!(n2.id.raw() > first_id.raw(), "fresh id per reuse");
@@ -1147,12 +1048,12 @@ mod tests {
 
     #[test]
     fn shared_nodes_and_disabled_slabs_are_never_recycled() {
-        let slab = TaskSlab::new(8, 0);
-        let n = acquire_plain(&slab, None);
+        let slab = TaskSlab::new(8);
+        let n = acquire_plain(&slab);
         let _ = n.body.lock().take();
         n.links.lock().completed = true;
         let held = n.clone();
-        slab.try_recycle(n, None); // shared: plain drop path
+        slab.try_recycle(n); // shared: plain drop path
         assert_eq!(slab.diagnostics().free, 0);
         drop(held);
         assert_eq!(
@@ -1160,58 +1061,12 @@ mod tests {
             0,
             "final drop released the accounting token"
         );
-        let off = TaskSlab::new(0, 2);
-        let n = acquire_plain(&off, Some(0));
+        let off = TaskSlab::new(0);
+        let n = acquire_plain(&off);
         let _ = n.body.lock().take();
         n.links.lock().completed = true;
-        off.try_recycle(n, Some(0));
+        off.try_recycle(n);
         assert_eq!(off.diagnostics().free, 0, "capacity 0 disables recycling");
         assert_eq!(off.diagnostics().outstanding, 0);
-    }
-
-    #[test]
-    fn worker_local_stack_recycles_without_touching_the_shared_list() {
-        let slab = TaskSlab::new(8, 2);
-        let local = acquire_plain(&slab, Some(1));
-        let shared = acquire_plain(&slab, Some(1));
-        finish_by_hand(&local);
-        finish_by_hand(&shared);
-        let raw_local = Arc::as_ptr(&local);
-        let raw_shared = Arc::as_ptr(&shared);
-        // A worker-side recycle parks on the worker's private stack, an
-        // off-worker recycle on the shared injector.
-        slab.try_recycle(local, Some(1));
-        assert_eq!(
-            slab.free_len.load(Ordering::Relaxed),
-            0,
-            "worker-local recycle bypasses the shared injector"
-        );
-        slab.try_recycle(shared, None);
-        let d = slab.diagnostics();
-        assert_eq!((d.free, d.outstanding), (2, 0));
-        assert_eq!(slab.free_len.load(Ordering::Relaxed), 1);
-        // The owning worker prefers its private stack even with the
-        // injector stocked.
-        let own = acquire_plain(&slab, Some(1));
-        assert_eq!(Arc::as_ptr(&own), raw_local, "owning worker reuses its stack");
-        finish_by_hand(&own);
-        slab.try_recycle(own, Some(1));
-        // A different worker takes the shared injector first…
-        let other = acquire_plain(&slab, Some(0));
-        assert_eq!(
-            Arc::as_ptr(&other),
-            raw_shared,
-            "a foreign worker drains the shared list before raiding"
-        );
-        // …and raids foreign local stacks only once the injector is empty,
-        // so an off-stack producer never allocates while workers hoard
-        // recycled nodes.
-        let raided = acquire_plain(&slab, Some(0));
-        assert_eq!(
-            Arc::as_ptr(&raided),
-            raw_local,
-            "the raid tier serves misses from foreign local stacks"
-        );
-        assert_eq!(slab.diagnostics().free, 0);
     }
 }

@@ -216,16 +216,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of all events recorded so far, in recording order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.events.lock().clone()
@@ -262,21 +252,6 @@ impl TraceRecorder {
             }
         }
         busy
-    }
-
-    /// Count of tasks executed per worker.
-    pub fn tasks_per_worker(&self) -> Vec<u64> {
-        let events = self.events.lock();
-        let mut counts: Vec<u64> = Vec::new();
-        for ev in events.iter() {
-            if let TraceEvent::Finished { worker, .. } = ev {
-                if counts.len() <= *worker {
-                    counts.resize(worker + 1, 0);
-                }
-                counts[*worker] += 1;
-            }
-        }
-        counts
     }
 
     /// Export the execution intervals as a Chrome-tracing (`chrome://tracing`
@@ -360,7 +335,7 @@ mod tests {
             task: tid(1),
             at_ns: 5,
         });
-        assert!(r.is_empty());
+        assert!(r.snapshot().is_empty());
         assert!(!r.is_enabled());
     }
 
@@ -378,8 +353,8 @@ mod tests {
             task: tid(1),
             at_ns: 2,
         });
-        assert_eq!(r.len(), 2);
         let snap = r.snapshot();
+        assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].task(), tid(1));
         assert_eq!(snap[0].at_ns(), 1);
         assert_eq!(snap[1].at_ns(), 2);
@@ -440,7 +415,6 @@ mod tests {
         });
         let busy = r.busy_ns_per_worker();
         assert_eq!(busy, vec![200, 100]);
-        assert_eq!(r.tasks_per_worker(), vec![1, 1]);
     }
 
     #[test]
@@ -454,7 +428,6 @@ mod tests {
         });
         let busy = r.busy_ns_per_worker();
         assert!(busy.iter().all(|&b| b == 0));
-        assert_eq!(r.tasks_per_worker(), vec![0, 0, 0, 1]);
     }
 
     #[test]

@@ -69,11 +69,11 @@ pub(crate) fn execute_task(
     // exact same tracker/ticket tail as an executed task — only the body is
     // skipped — so diagnostics still drain to zero and versions recycle.
     if let Some(origin) = node.poison_origin() {
-        retire_without_run(inner, node, worker, deque, ready, Some(origin));
+        retire_without_run(inner, node, deque, ready, Some(origin));
         return;
     }
     if node.is_cancelled() {
-        retire_without_run(inner, node, worker, deque, ready, None);
+        retire_without_run(inner, node, deque, ready, None);
         return;
     }
 
@@ -165,7 +165,7 @@ pub(crate) fn execute_task(
     graph::complete_into(&node, ready, panicked.then_some(task_id), dcheck);
 
     inner.stats.add(StatField::TasksExecuted, 1);
-    retire_node(inner, node, worker, deque, ready, task_id, generation);
+    retire_node(inner, node, deque, ready, task_id, generation);
 }
 
 /// Retire a poisoned or cancelled task without running its body.
@@ -180,7 +180,6 @@ pub(crate) fn execute_task(
 fn retire_without_run(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
-    worker: Option<usize>,
     deque: Option<&WorkerDeque<Arc<TaskNode>>>,
     ready: &mut Vec<Arc<TaskNode>>,
     poisoned_by: Option<TaskId>,
@@ -218,7 +217,7 @@ fn retire_without_run(
 
     debug_assert!(ready.is_empty());
     graph::complete_into(&node, ready, Some(origin), inner.dcheck.as_ref());
-    retire_node(inner, node, worker, deque, ready, task_id, generation);
+    retire_node(inner, node, deque, ready, task_id, generation);
 }
 
 /// The shared completion tail: wake (already-drained-into-`ready`)
@@ -229,7 +228,6 @@ fn retire_without_run(
 fn retire_node(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
-    worker: Option<usize>,
     deque: Option<&WorkerDeque<Arc<TaskNode>>>,
     ready: &mut Vec<Arc<TaskNode>>,
     task_id: TaskId,
@@ -243,7 +241,7 @@ fn retire_node(
                 at_ns: inner.trace.now_ns(),
             });
         }
-        inner.sched.push_wakeup(succ, deque);
+        inner.sched.push(succ, deque, true);
     }
 
     // Retire the task's dependence history through the sharded router: its
@@ -285,12 +283,15 @@ fn retire_node(
     // `task_slab_diagnostics().outstanding == 0` is a firm post-drain
     // invariant, not a race. The parent tracker comes back out of the node
     // (the worker still owes it the `child_done` below).
-    let parent_children = inner.slab.try_recycle(node, worker);
+    let parent_children = inner.slab.try_recycle(node);
 
     parent_children.child_done();
     inner.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
+/// The recorded [`Error::TaskPanicked`] message. `service.rs` has a function
+/// of the same name on purpose: that one words a job's failure reason, and
+/// the two crates share no private home.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

@@ -32,15 +32,6 @@ pub enum AdmissionError {
     },
     /// No tenant with this id is registered.
     UnknownTenant(TenantId),
-    /// The job's [`deadline`](crate::JobSpec::with_deadline) had already
-    /// passed when a dispatcher dequeued it; it was shed without running.
-    /// Hard: the deadline is gone, retrying the same spec cannot help.
-    DeadlineExpired {
-        /// The tenant whose job expired.
-        tenant: TenantId,
-        /// How far past the deadline the dequeue happened.
-        late_by: Duration,
-    },
     /// The service is shutting down and no longer admits jobs.
     ShuttingDown,
 }
@@ -71,9 +62,6 @@ impl std::fmt::Display for AdmissionError {
             ),
             AdmissionError::UnknownTenant(tenant) => {
                 write!(f, "{tenant} is not registered")
-            }
-            AdmissionError::DeadlineExpired { tenant, late_by } => {
-                write!(f, "{tenant} job deadline expired {late_by:?} before dequeue")
             }
             AdmissionError::ShuttingDown => f.write_str("service is shutting down"),
         }
@@ -187,11 +175,6 @@ mod tests {
         }
         .is_soft());
         assert!(!AdmissionError::UnknownTenant(TenantId(9)).is_soft());
-        assert!(!AdmissionError::DeadlineExpired {
-            tenant: TenantId(2),
-            late_by: Duration::from_millis(3),
-        }
-        .is_soft());
         assert!(!AdmissionError::ShuttingDown.is_soft());
     }
 

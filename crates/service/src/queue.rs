@@ -110,16 +110,22 @@ impl IngestQueue {
     }
 
     /// Push onto the lane `latency` selects. On success returns the new
-    /// depth; at capacity the job is handed back for the caller to shed.
-    pub(crate) fn push(&self, job: QueuedJob, latency: bool) -> Result<usize, QueuedJob> {
+    /// depth; at capacity the job is handed back for the caller to shed,
+    /// with the depth the queue held when it refused (read under the lane
+    /// lock — below capacity when the refusal was an injected fault).
+    pub(crate) fn push(
+        &self,
+        job: QueuedJob,
+        latency: bool,
+    ) -> Result<usize, (QueuedJob, usize)> {
         let mut lanes = self.lanes.lock();
         let depth = lanes.len();
         if depth >= self.capacity {
-            return Err(job);
+            return Err((job, depth));
         }
         if let Some(plan) = &self.fault {
             if plan.roll_next(FaultClass::QueueFull) {
-                return Err(job);
+                return Err((job, depth));
             }
         }
         if latency {
@@ -197,7 +203,7 @@ mod tests {
         assert!(q.push(job(&t, 0), false).is_ok());
         assert!(q.push(job(&t, 1), true).is_ok());
         let back = q.push(job(&t, 2), false);
-        assert!(back.is_err());
+        assert!(matches!(back, Err((_, 2))), "refused at the depth it held");
         assert_eq!(q.depth(), 2);
         assert_eq!(q.peak(), 2);
     }
@@ -237,7 +243,11 @@ mod tests {
         for i in 0..64 {
             match q.push(job(&t, i), false) {
                 Ok(_) => ok += 1,
-                Err(_) => shed += 1,
+                Err((back, depth)) => {
+                    assert_eq!(back.affinity, i, "the refused job comes back");
+                    assert_eq!(depth, ok, "with the depth at refusal, not the capacity");
+                    shed += 1;
+                }
             }
         }
         assert!(ok > 0 && shed > 0, "ok={ok} shed={shed}");

@@ -272,7 +272,7 @@ impl JobService {
                 state.counters.accepted.fetch_add(1, Ordering::SeqCst);
                 Ok(ticket)
             }
-            Err(back) => {
+            Err((back, depth)) => {
                 state.release_in_flight();
                 c.rejected_queue_full.fetch_add(1, Ordering::SeqCst);
                 state
@@ -286,7 +286,7 @@ impl JobService {
                         deadline: deadline_spec,
                     },
                     error: AdmissionError::QueueFull {
-                        depth: self.inner.queue.capacity(),
+                        depth,
                         capacity: self.inner.queue.capacity(),
                     },
                 })
@@ -475,18 +475,9 @@ fn run_job(inner: &ServiceInner, job: QueuedJob) {
         finish(inner, &tenant, &ticket, JobStatus::Cancelled);
         return;
     }
-    if let Some(d) = deadline {
-        let now = Instant::now();
-        if now >= d {
-            // The typed reason exists for callers/logs; the ticket carries
-            // the terminal state.
-            let _shed_as = AdmissionError::DeadlineExpired {
-                tenant: tenant.id,
-                late_by: now.duration_since(d),
-            };
-            finish(inner, &tenant, &ticket, JobStatus::Expired);
-            return;
-        }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        finish(inner, &tenant, &ticket, JobStatus::Expired);
+        return;
     }
     ticket.set(JobStatus::Running);
     let kind_counter = match &kind {
@@ -678,6 +669,9 @@ fn execute(kind: JobKind, entry: &crate::tenant::PoolEntry) -> Result<(), String
     }
 }
 
+/// A panicked job's failure reason. `ompss`'s `worker.rs` has a function of
+/// the same name on purpose: that one renders a task's panic message bare,
+/// and the two crates share no private home.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("job panicked: {s}")

@@ -451,6 +451,27 @@ fn unknown_tenant_is_a_hard_rejection() {
     svc.shutdown();
 }
 
+/// A `QueueFull` rejection reports the depth the queue held, not its
+/// capacity: a fault plan that refuses every push refuses this one at an
+/// empty queue.
+#[test]
+fn injected_queue_full_reports_the_depth_it_saw() {
+    let svc = JobService::new(
+        ServiceConfig::default()
+            .with_dispatchers(1)
+            .with_fault_plan(ompss::FaultPlan::seeded(1).queue_full_one_in(1)),
+    );
+    let tenant = svc.register_tenant(TenantSpec::new("t")).unwrap();
+    match svc.submit(tenant, JobSpec::spawn(|_cx| {})).unwrap_err().error {
+        AdmissionError::QueueFull { depth, capacity } => {
+            assert_eq!(depth, 0, "nothing was queued");
+            assert!(depth < capacity);
+        }
+        other => panic!("expected QueueFull, got {other}"),
+    }
+    svc.shutdown();
+}
+
 /// Tiny ordered log used by the lane test (Mutex<Vec>, snapshot at the end).
 mod parking_lot_order {
     use parking_lot::Mutex;

@@ -17,7 +17,8 @@
 //!    the per-task execution path: all of `worker.rs` and `task.rs`, and the
 //!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of every
 //!    other file of `crates/core/src` (the tracker under `graph/`, clause
-//!    resolution and the insertion tail in `runtime.rs`). `#[cfg(test)]`
+//!    resolution and the insertion tail in `runtime.rs`, the one ready-queue
+//!    push in `scheduler.rs`). `#[cfg(test)]`
 //!    modules are exempt; a deliberate site can
 //!    carry `// lint: allow(panic)` on the line itself or the line above
 //!    (used exactly once, for the injected-fault panic in `worker.rs`).
@@ -238,7 +239,7 @@ struct Line<'a> {
 /// Split source into lines, separating code from comments. String literals
 /// are not tracked (no lint pattern appears in any first-party literal);
 /// block comments are tracked across lines.
-fn classify(src: &str) -> Vec<Line<'_>> {
+fn split_lines(src: &str) -> Vec<Line<'_>> {
     let mut out = Vec::new();
     let mut in_block = false;
     for raw in src.lines() {
@@ -312,9 +313,12 @@ fn test_lines(lines: &[Line<'_>]) -> Vec<bool> {
                 }
                 break;
             }
+            // `mod`, `pub mod`, `pub(crate) mod`: a test module may share a
+            // helper with its siblings.
             if j < lines.len()
-                && (lines[j].code.trim().starts_with("mod ")
-                    || lines[j].code.trim().starts_with("pub mod "))
+                && ["mod ", "pub mod ", "pub(crate) mod "]
+                    .iter()
+                    .any(|m| lines[j].code.trim().starts_with(m))
             {
                 let mut depth = 0i64;
                 let mut opened = false;
@@ -357,7 +361,7 @@ const WALLCLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
 
 /// Apply `rules` to one file.
 pub fn lint_file(path: &Path, src: &str, rules: FileRules) -> Vec<Violation> {
-    let lines = classify(src);
+    let lines = split_lines(src);
     let tests = test_lines(&lines);
     let mut violations = Vec::new();
     let mut in_hot = rules.panic == PanicScope::Everywhere;
@@ -536,7 +540,9 @@ mod tests {
             let rel = format!("crates/core/src/graph/{file}");
             assert!(scope(&rel) == Some(PanicScope::MarkedRegions), "{rel}");
         }
+        // All of `worker.rs` and `task.rs` (node arming, the slab).
         assert!(scope("crates/core/src/worker.rs") == Some(PanicScope::Everywhere));
+        assert!(scope("crates/core/src/task.rs") == Some(PanicScope::Everywhere));
         assert!(scope("crates/core/src/runtime.rs") == Some(PanicScope::MarkedRegions));
         assert!(scope("crates/core/src/capture.rs") == Some(PanicScope::MarkedRegions));
         assert!(scope("crates/service/src/service.rs") == Some(PanicScope::Off));
@@ -547,10 +553,14 @@ mod tests {
         let rules = rules_for(&root, &gate).expect("graph files are linted");
         let v = lint_file(&gate, src, rules);
         assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3], "{v:?}");
-        // And the real files do mark their hot paths: the gate, and what
-        // every task crosses before it (clause resolution, the insertion
-        // tail).
-        for rel in ["crates/core/src/graph/gate.rs", "crates/core/src/runtime.rs"] {
+        // And the real files do mark their hot paths: the gate, what every
+        // task crosses before it (clause resolution, the insertion tail) and
+        // after it (the ready-queue push).
+        for rel in [
+            "crates/core/src/graph/gate.rs",
+            "crates/core/src/runtime.rs",
+            "crates/core/src/scheduler.rs",
+        ] {
             let real = std::fs::read_to_string(root.join(rel)).expect("source readable");
             assert!(real.contains("lint: hot-path-begin"), "{rel}");
         }
@@ -565,8 +575,10 @@ mod tests {
 
     #[test]
     fn cfg_test_modules_are_exempt_from_panic_rule() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
-        let v = lint_file(Path::new("t.rs"), src, FileRules::all());
-        assert!(v.is_empty(), "{v:?}");
+        for vis in ["", "pub ", "pub(crate) "] {
+            let src = format!("#[cfg(test)]\n{vis}mod tests {{\n    fn f() {{ x.unwrap(); }}\n}}\n");
+            let v = lint_file(Path::new("t.rs"), &src, FileRules::all());
+            assert!(v.is_empty(), "{vis:?}: {v:?}");
+        }
     }
 }

@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ompss::{
-    IdlePolicy, RenameRing, Runtime, RuntimeConfig, SchedulerPolicy,
-};
+use ompss::{RenameRing, Runtime, RuntimeConfig, SchedulerPolicy};
 
 fn runtime(workers: usize) -> Runtime {
     Runtime::new(RuntimeConfig::default().with_workers(workers))
@@ -315,6 +313,102 @@ fn nested_tasks_and_nested_taskwait() {
     assert_eq!(rt.into_inner(total), (1..=8u64).map(|i| i * 10).sum());
 }
 
+/// Spawning from inside task bodies, at volume. No workload, bin or example
+/// does it, so this is the one place where worker threads acquire task nodes
+/// and push their own spawns, thousands of times, while other workers retire
+/// and recycle — under every policy, one tracker shard and several.
+#[test]
+fn nested_spawn_storm_drains_and_recycles() {
+    const ROOTS: usize = 4;
+    const CHILDREN: usize = 2_000;
+    fn step(x: u64, i: u64) -> u64 {
+        x.wrapping_mul(31).wrapping_add(i)
+    }
+    for policy in [
+        SchedulerPolicy::Fifo,
+        SchedulerPolicy::WorkStealing,
+        SchedulerPolicy::LocalityWorkStealing,
+    ] {
+        for shards in [1, 7] {
+            let rt = Runtime::new(
+                RuntimeConfig::default()
+                    .with_workers(3)
+                    .with_policy(policy)
+                    .with_tracker_shards(shards)
+                    .with_dcheck(true),
+            );
+            let cells: Vec<_> = (0..ROOTS).map(|_| rt.data(0u64)).collect();
+            let slots: Vec<_> = (0..ROOTS)
+                .map(|_| rt.partitioned(vec![0u64; CHILDREN / 2], 1))
+                .collect();
+            for (r, (cell, part)) in cells.iter().zip(&slots).enumerate() {
+                let (cell, part) = (cell.clone(), part.clone());
+                rt.task().spawn(move |ctx| {
+                    // Even children chain on the root's cell (an order-
+                    // sensitive update), odd ones each fill a chunk of their
+                    // own.
+                    let chained = Arc::new(AtomicUsize::new(0));
+                    let finished = Arc::new(AtomicUsize::new(0));
+                    for i in 0..CHILDREN {
+                        let (chained, finished) = (chained.clone(), finished.clone());
+                        if i % 2 == 0 {
+                            let cell = cell.clone();
+                            ctx.task().inout(&cell).spawn(move |c| {
+                                let mut v = c.write(&cell);
+                                *v = step(*v, i as u64);
+                                chained.fetch_add(1, Ordering::SeqCst);
+                                finished.fetch_add(1, Ordering::SeqCst);
+                            });
+                        } else {
+                            let chunk = part.chunk(i / 2);
+                            ctx.task().output(&chunk).spawn(move |c| {
+                                c.write_chunk(&chunk)[0] = i as u64;
+                                finished.fetch_add(1, Ordering::SeqCst);
+                            });
+                        }
+                    }
+                    if r % 2 == 0 {
+                        ctx.taskwait();
+                        assert_eq!(finished.load(Ordering::SeqCst), CHILDREN);
+                    } else {
+                        ctx.taskwait_on(&cell);
+                        assert_eq!(chained.load(Ordering::SeqCst), CHILDREN / 2);
+                    }
+                });
+            }
+            rt.try_taskwait().expect("no task of the storm failed");
+            let what = format!("{policy:?}, {shards} shard(s)");
+            assert!(rt.take_panics().is_empty(), "{what}: a nested wait returned early");
+            let races = rt.take_dcheck_reports();
+            assert!(races.is_empty(), "{what}: {} race(s), first {:?}", races.len(), races.first());
+            assert!(rt.take_dcheck_audit_violations().is_empty(), "{what}");
+            rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
+            assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "{what}");
+            let stats = rt.stats();
+            assert_eq!(stats.tasks_executed as usize, ROOTS * (CHILDREN + 1), "{what}");
+            // The storm stocked the slab (how much of it was reused on the
+            // way depends on how soon the first child ran): now a task that
+            // spawns from its body is served from the free list, every time.
+            rt.task().spawn(|ctx| {
+                for _ in 0..64 {
+                    ctx.task().spawn(|_| {});
+                }
+                ctx.taskwait();
+            });
+            rt.taskwait();
+            let reused = rt.stats().task_nodes_recycled - stats.task_nodes_recycled;
+            assert_eq!(reused, 65, "{what}: a warm slab allocated for a nested spawn");
+            assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "{what}");
+            let chain = (0..CHILDREN as u64).step_by(2).fold(0, step);
+            let filled: Vec<u64> = (0..CHILDREN as u64).skip(1).step_by(2).collect();
+            for (cell, part) in cells.into_iter().zip(slots) {
+                assert_eq!(rt.into_inner(cell), chain, "{what}");
+                assert_eq!(rt.into_vec(part), filled, "{what}");
+            }
+        }
+    }
+}
+
 #[test]
 fn taskwait_runs_ready_tasks_on_the_waiting_thread() {
     // The one worker is held by a task that ends only once a later task has
@@ -378,9 +472,15 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
     let rt = runtime(2);
     let data = rt.data(0u32);
     let boom_id;
+    // Poison travels along live edges: the failing task is held until its
+    // dependant is registered behind it.
+    let dependant_spawned = Arc::new(AtomicBool::new(false));
     {
-        let data = data.clone();
+        let (data, go) = (data.clone(), dependant_spawned.clone());
         boom_id = rt.task().name("boom").inout(&data).spawn(move |_ctx| {
+            while !go.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             panic!("injected failure");
         });
     }
@@ -392,6 +492,7 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
             *ctx.write(&data) = 99;
         });
     }
+    dependant_spawned.store(true, Ordering::SeqCst);
     // The graph drains rather than hanging, and the typed error names the
     // panicking task as the poison origin.
     match rt.try_taskwait() {
@@ -448,24 +549,6 @@ fn all_scheduler_policies_run_the_same_program() {
         let out = rt.into_vec(data);
         assert!(out.iter().all(|&v| v == 5), "policy {policy:?} lost writes");
     }
-}
-
-#[test]
-fn blocking_idle_policy_works() {
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_idle(IdlePolicy::Blocking),
-    );
-    let d = rt.data(0u64);
-    for _ in 0..20 {
-        let d = d.clone();
-        rt.task().inout(&d).spawn(move |ctx| {
-            *ctx.write(&d) += 1;
-        });
-    }
-    rt.taskwait();
-    assert_eq!(rt.into_inner(d), 20);
 }
 
 #[test]
