@@ -43,22 +43,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            filter: FilterConfig {
-                particles: 2_048,
-                joints: 12,
-                layers: 4,
-                base_noise: 0.1,
-                beta: 40.0,
-            },
-            frames: 30,
-            chunk: 128,
-            seed: 13,
-        }
-    }
-
     /// The per-frame observations.
     pub fn observations(&self) -> Vec<Vec<f32>> {
         body_observations(self.frames, self.filter.joints, self.seed)

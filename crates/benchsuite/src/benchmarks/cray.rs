@@ -27,15 +27,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            width: 256,
-            height: 192,
-            spheres: 24,
-        }
-    }
-
     fn scene(&self) -> Scene {
         Scene::demo(self.spheres)
     }

@@ -47,18 +47,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            points: 20_000,
-            dim: 8,
-            k: 16,
-            iterations: 12,
-            chunk: 1_000,
-            seed: 21,
-        }
-    }
-
     /// The input points (flattened).
     pub fn input(&self) -> Vec<f32> {
         clustered_points(self.points, self.dim, self.k, self.seed)

@@ -27,15 +27,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            buffers: 512,
-            buffer_size: 16_384,
-            seed: 77,
-        }
-    }
-
     /// The input buffers.
     pub fn input(&self) -> Vec<Vec<u8>> {
         md5_buffers(self.buffers, self.buffer_size, self.seed)

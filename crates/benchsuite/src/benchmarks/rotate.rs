@@ -34,17 +34,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            width: 512,
-            height: 384,
-            angle: 0.41,
-            band_rows: 16,
-            seed: 11,
-        }
-    }
-
     /// The synthetic source image.
     pub fn input(&self) -> ImageRgb {
         synthetic_rgb_image(self.width, self.height, self.seed)

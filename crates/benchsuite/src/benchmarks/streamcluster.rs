@@ -42,19 +42,6 @@ impl Params {
         }
     }
 
-    /// Larger instance for timing runs.
-    pub fn large() -> Self {
-        Params {
-            points: 8_000,
-            dim: 8,
-            facility_cost: 20.0,
-            stride: 97,
-            max_centers: 32,
-            chunk: 500,
-            seed: 31,
-        }
-    }
-
     /// The input points (flattened).
     pub fn input(&self) -> Vec<f32> {
         clustered_points(self.points, self.dim, self.max_centers.max(4), self.seed)

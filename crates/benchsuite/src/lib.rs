@@ -17,8 +17,10 @@
 //! methodology; only the way that parallelism is expressed and scheduled
 //! differs.
 //!
-//! [`runner`] provides a uniform entry point used by the examples, the
-//! integration tests and the benchmark harness.
+//! [`runner`] dispatches a benchmark name and variant to its implementation
+//! and returns the output checksum; the integration tests use it to check
+//! the variants against each other. Nothing is timed here — every measured
+//! number comes from `ledger/`, which drives [`benchmarks`] directly.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,6 +29,5 @@ pub mod benchmarks;
 pub mod runner;
 
 pub use runner::{
-    benchmark_names, captured_benchmark_names, run_benchmark, verify_benchmark, RunResult,
-    Variant, WorkloadSize,
+    benchmark_names, captured_benchmark_names, run_benchmark, verify_benchmark, Variant,
 };

@@ -1,7 +1,5 @@
 //! Uniform entry point for running any benchmark in any variant.
 
-use std::time::{Duration, Instant};
-
 use ompss::{Runtime, RuntimeConfig};
 
 use crate::benchmarks::*;
@@ -15,46 +13,6 @@ pub enum Variant {
     Pthreads,
     /// Task annotations on the OmpSs-style runtime.
     Ompss,
-}
-
-impl Variant {
-    /// All variants, in the order the paper discusses them.
-    pub fn all() -> [Variant; 3] {
-        [Variant::Sequential, Variant::Pthreads, Variant::Ompss]
-    }
-
-    /// Short label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Sequential => "seq",
-            Variant::Pthreads => "pthreads",
-            Variant::Ompss => "ompss",
-        }
-    }
-}
-
-/// Which problem size to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadSize {
-    /// Small inputs for correctness tests and quick demos.
-    Small,
-    /// Larger inputs for timing runs.
-    Large,
-}
-
-/// Result of one benchmark execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// Benchmark name (as in Table 1).
-    pub name: String,
-    /// Which variant ran.
-    pub variant: Variant,
-    /// Number of threads / workers used (1 for the sequential variant).
-    pub threads: usize,
-    /// Wall-clock duration of the run.
-    pub duration: Duration,
-    /// Checksum of the benchmark output (identical across variants).
-    pub checksum: u64,
 }
 
 /// Names of the 10 benchmarks, in Table 1 order.
@@ -87,11 +45,8 @@ pub fn captured_benchmark_names() -> Vec<&'static str> {
 /// row).
 macro_rules! dispatch_fns {
     ($module:ident, $seq:ident, $pthreads:ident, $ompss:ident,
-     $variant:expr, $threads:expr, $size:expr) => {{
-        let params = match $size {
-            WorkloadSize::Small => $module::Params::small(),
-            WorkloadSize::Large => $module::Params::large(),
-        };
+     $variant:expr, $threads:expr) => {{
+        let params = $module::Params::small();
         match $variant {
             Variant::Sequential => $module::$seq(&params),
             Variant::Pthreads => $module::$pthreads(&params, $threads),
@@ -106,38 +61,38 @@ macro_rules! dispatch_fns {
 }
 
 macro_rules! dispatch {
-    ($module:ident, $variant:expr, $threads:expr, $size:expr) => {
+    ($module:ident, $variant:expr, $threads:expr) => {
         dispatch_fns!(
             $module,
             run_seq,
             run_pthreads,
             run_ompss,
             $variant,
-            $threads,
-            $size
+            $threads
         )
     };
 }
 
-/// Run `name` in the given variant with `threads` workers and the given
-/// problem size, measuring wall-clock time.
+/// Run `name` in the given variant with `threads` workers on its small
+/// (correctness-test) input and return the checksum of the output, which is
+/// identical across variants.
 ///
 /// # Panics
-/// Panics if `name` is not one of [`benchmark_names`] or `threads == 0`.
-pub fn run_benchmark(name: &str, variant: Variant, threads: usize, size: WorkloadSize) -> RunResult {
+/// Panics if `name` is not one of [`benchmark_names`] or
+/// [`captured_benchmark_names`], or if `threads == 0`.
+pub fn run_benchmark(name: &str, variant: Variant, threads: usize) -> u64 {
     assert!(threads > 0, "need at least one thread");
-    let start = Instant::now();
-    let checksum = match name {
-        "c-ray" => dispatch!(cray, variant, threads, size),
-        "rotate" => dispatch!(rotate, variant, threads, size),
-        "rgbcmy" => dispatch!(rgbcmy, variant, threads, size),
-        "md5" => dispatch!(md5, variant, threads, size),
-        "kmeans" => dispatch!(kmeans, variant, threads, size),
-        "ray-rot" => dispatch!(rayrot, variant, threads, size),
-        "rot-cc" => dispatch!(rotcc, variant, threads, size),
-        "streamcluster" => dispatch!(streamcluster, variant, threads, size),
-        "bodytrack" => dispatch!(bodytrack, variant, threads, size),
-        "h264dec" => dispatch!(h264dec, variant, threads, size),
+    match name {
+        "c-ray" => dispatch!(cray, variant, threads),
+        "rotate" => dispatch!(rotate, variant, threads),
+        "rgbcmy" => dispatch!(rgbcmy, variant, threads),
+        "md5" => dispatch!(md5, variant, threads),
+        "kmeans" => dispatch!(kmeans, variant, threads),
+        "ray-rot" => dispatch!(rayrot, variant, threads),
+        "rot-cc" => dispatch!(rotcc, variant, threads),
+        "streamcluster" => dispatch!(streamcluster, variant, threads),
+        "bodytrack" => dispatch!(bodytrack, variant, threads),
+        "h264dec" => dispatch!(h264dec, variant, threads),
         // The captured-replay companions. `rotate-cap` sweeps the rotation
         // CAPTURE_SWEEPS times in every variant (isolating per-sweep
         // insertion); `h264dec-cap` decodes the same stream as `h264dec`,
@@ -148,8 +103,7 @@ pub fn run_benchmark(name: &str, variant: Variant, threads: usize, size: Workloa
             run_pthreads_captured,
             run_ompss_captured,
             variant,
-            threads,
-            size
+            threads
         ),
         "h264dec-cap" => dispatch_fns!(
             h264dec,
@@ -157,38 +111,30 @@ pub fn run_benchmark(name: &str, variant: Variant, threads: usize, size: Workloa
             run_pthreads,
             run_ompss_captured,
             variant,
-            threads,
-            size
+            threads
         ),
         other => panic!("unknown benchmark {other}"),
-    };
-    RunResult {
-        name: name.to_string(),
-        variant,
-        threads,
-        duration: start.elapsed(),
-        checksum,
     }
 }
 
-/// Run all three variants of `name` on the small size and check that they
-/// produce identical output. Returns the common checksum.
+/// Run all three variants of `name` and check that they produce identical
+/// output. Returns the common checksum.
 ///
 /// # Panics
 /// Panics if the variants disagree.
 pub fn verify_benchmark(name: &str, threads: usize) -> u64 {
-    let seq = run_benchmark(name, Variant::Sequential, 1, WorkloadSize::Small);
-    let pthreads = run_benchmark(name, Variant::Pthreads, threads, WorkloadSize::Small);
-    let ompss = run_benchmark(name, Variant::Ompss, threads, WorkloadSize::Small);
+    let seq = run_benchmark(name, Variant::Sequential, 1);
+    let pthreads = run_benchmark(name, Variant::Pthreads, threads);
+    let ompss = run_benchmark(name, Variant::Ompss, threads);
     assert_eq!(
-        seq.checksum, pthreads.checksum,
+        seq, pthreads,
         "{name}: pthreads variant diverges from sequential"
     );
     assert_eq!(
-        seq.checksum, ompss.checksum,
+        seq, ompss,
         "{name}: ompss variant diverges from sequential"
     );
-    seq.checksum
+    seq
 }
 
 #[cfg(test)]
@@ -207,25 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn variant_labels() {
-        assert_eq!(Variant::Sequential.label(), "seq");
-        assert_eq!(Variant::Pthreads.label(), "pthreads");
-        assert_eq!(Variant::Ompss.label(), "ompss");
-        assert_eq!(Variant::all().len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown benchmark")]
     fn unknown_name_panics() {
-        let _ = run_benchmark("doom3", Variant::Sequential, 1, WorkloadSize::Small);
+        let _ = run_benchmark("doom3", Variant::Sequential, 1);
     }
 
     #[test]
     fn run_benchmark_produces_a_result() {
-        let r = run_benchmark("md5", Variant::Sequential, 1, WorkloadSize::Small);
-        assert_eq!(r.name, "md5");
-        assert_eq!(r.threads, 1);
-        assert!(r.checksum != 0);
+        let checksum = run_benchmark("md5", Variant::Sequential, 1);
+        assert!(checksum != 0);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::deque::Worker as WorkerDeque;
 use parking_lot::{Condvar, Mutex};
 
 use crate::access::{Access, AccessKind};
@@ -292,16 +291,17 @@ impl RuntimeInner {
     /// `batch` yields the nodes by value — all children of one parent — and
     /// each reference is dropped or queued the moment its node's sentinel is
     /// released, so a worker retiring the node finds it uniquely held and
-    /// the recycler keeps feeding the slab; a ready node goes to its
-    /// spawner's queue (`local`) at that moment too. `renames[i]` are node
-    /// `i`'s rename events, for the trace. `registered` runs after the
+    /// the recycler keeps feeding the slab; a ready node is queued at that
+    /// moment too, by `worker` when a worker spawned the batch from a task
+    /// body. `renames[i]` are node `i`'s rename events, for the trace.
+    /// `registered` runs after the
     /// `Spawned`/`Edge`/`Renamed` events of a traced insertion, before any
     /// node can start (replay's marker events).
     pub(crate) fn insert<B>(
         &self,
         batch: B,
         renames: &[Vec<RenameEvent>],
-        local: Option<&WorkerDeque<Arc<TaskNode>>>,
+        worker: Option<usize>,
         register: impl FnOnce(&[Arc<TaskNode>], bool) -> graph::Registration,
         registered: impl FnOnce(&[Arc<TaskNode>]),
     ) where
@@ -333,8 +333,12 @@ impl RuntimeInner {
 
         let trace_enabled = self.trace.is_enabled();
         let registration = register(nodes, trace_enabled);
-        self.stats
-            .add(StatField::EdgesAdded, registration.edges as u64);
+        // Every edge is exactly one of RAW / WAR / WAW, so the total is not
+        // counted a second time: `Runtime::stats` derives it.
+        debug_assert_eq!(
+            registration.edges,
+            registration.raw_edges + registration.war_edges + registration.waw_edges
+        );
         self.stats
             .add(StatField::EdgesRaw, registration.raw_edges as u64);
         self.stats
@@ -406,7 +410,7 @@ impl RuntimeInner {
                     at_ns: self.trace.now_ns(),
                 });
             }
-            self.sched.push(node, local, false);
+            self.sched.push(node, worker, false);
         }
         if immediately_ready != 0 {
             self.stats.add(StatField::ImmediatelyReady, immediately_ready);
@@ -626,12 +630,8 @@ impl Runtime {
                 "at least one worker thread is required".into(),
             ));
         }
-        let deques: Vec<WorkerDeque<Arc<TaskNode>>> = (0..config.workers)
-            .map(|_| WorkerDeque::new_lifo())
-            .collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let tracker_shards = config.effective_tracker_shards();
-        let sched = SchedState::new(config.policy, stealers);
+        let sched = SchedState::new(config.policy, config.workers);
         let slab = Arc::new(TaskSlab::new(if config.task_recycler {
             DEFAULT_TASK_SLAB_CAPACITY
         } else {
@@ -662,12 +662,12 @@ impl Runtime {
             config,
         });
         let mut threads = Vec::with_capacity(inner.config.workers);
-        for (id, deque) in deques.into_iter().enumerate() {
+        for id in 0..inner.config.workers {
             let inner = inner.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ompss-worker-{id}"))
-                    .spawn(move || worker::worker_loop(inner, deque, id))
+                    .spawn(move || worker::worker_loop(inner, id))
                     .expect("failed to spawn worker thread"),
             );
         }
@@ -981,6 +981,9 @@ impl Runtime {
         let c = &self.inner.stats;
         let s = &self.inner.sched.counters;
         let rename = &self.inner.rename;
+        let raw_edges = c.get(StatField::EdgesRaw);
+        let war_edges = c.get(StatField::EdgesWar);
+        let waw_edges = c.get(StatField::EdgesWaw);
         RuntimeStats {
             workers: self.inner.config.workers,
             tasks_spawned: c.get(StatField::TasksSpawned),
@@ -988,10 +991,10 @@ impl Runtime {
             tasks_panicked: c.get(StatField::TasksPanicked),
             tasks_poisoned: c.get(StatField::TasksPoisoned),
             tasks_cancelled: c.get(StatField::TasksCancelled),
-            edges_added: c.get(StatField::EdgesAdded),
-            raw_edges: c.get(StatField::EdgesRaw),
-            war_edges: c.get(StatField::EdgesWar),
-            waw_edges: c.get(StatField::EdgesWaw),
+            edges_added: raw_edges + war_edges + waw_edges,
+            raw_edges,
+            war_edges,
+            waw_edges,
             dependences_seen: c.get(StatField::DependencesSeen),
             renames: rename.renames(),
             chunk_renames: rename.chunk_renames(),
@@ -1156,9 +1159,9 @@ fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn
     let mut spins = 0u32;
     let mut ready = Vec::new();
     while pending() {
-        match inner.sched.pop(worker.unwrap_or(0), None) {
+        match inner.sched.pop(worker) {
             Some(task) => {
-                worker::execute_task(inner, task, worker, None, &mut ready);
+                worker::execute_task(inner, task, worker, &mut ready);
                 spins = 0;
             }
             None => backoff(&mut spins),
@@ -1188,7 +1191,8 @@ fn backoff(spins: &mut u32) {
 pub struct TaskBuilder<'r> {
     inner: &'r Arc<RuntimeInner>,
     parent_children: Arc<ChildTracker>,
-    deque: Option<&'r WorkerDeque<Arc<TaskNode>>>,
+    /// The worker whose task body is spawning, if one is.
+    worker: Option<usize>,
     name: Option<Arc<str>>,
     priority: TaskPriority,
     /// The clauses declared so far, resolved. Dropping the builder without
@@ -1203,13 +1207,13 @@ impl<'r> TaskBuilder<'r> {
     pub(crate) fn new(
         inner: &'r Arc<RuntimeInner>,
         parent_children: Arc<ChildTracker>,
-        deque: Option<&'r WorkerDeque<Arc<TaskNode>>>,
+        worker: Option<usize>,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Self {
         TaskBuilder {
             inner,
             parent_children,
-            deque,
+            worker,
             name: None,
             priority: TaskPriority::default(),
             clauses: ClauseSet::default(),
@@ -1292,7 +1296,7 @@ impl<'r> TaskBuilder<'r> {
         inner.insert(
             [node],
             std::slice::from_ref(&bound.renamed),
-            self.deque,
+            self.worker,
             |nodes, record_edges| inner.tracker.register(&nodes[0], record_edges),
             |_| {},
         );
@@ -1479,7 +1483,6 @@ pub struct TaskContext<'a> {
     pub(crate) inner: &'a Arc<RuntimeInner>,
     pub(crate) node: &'a Arc<TaskNode>,
     pub(crate) worker: Option<usize>,
-    pub(crate) deque: Option<&'a WorkerDeque<Arc<TaskNode>>>,
 }
 
 impl<'a> TaskContext<'a> {
@@ -1780,7 +1783,7 @@ impl<'a> TaskContext<'a> {
         TaskBuilder::new(
             self.inner,
             self.node.children.clone(),
-            self.deque,
+            self.worker,
             self.node.cancel.clone(),
         )
     }

@@ -5,76 +5,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Pads a counter to its own cache-line pair so relaxed increments from
 /// different threads never bounce one line between cores. 128 bytes covers
 /// the common 64-byte line plus the adjacent-line spatial prefetcher of x86
-/// parts (the same sizing crossbeam's `CachePadded` uses).
+/// parts.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub(crate) struct CachePadded<T>(pub(crate) T);
 
-/// Internal atomic counters, updated by workers and the spawn path.
+/// Internal atomic counters, updated by workers and the spawn path: one per
+/// [`StatField`], indexed by it.
 #[derive(Debug, Default)]
-pub(crate) struct StatCounters {
-    pub tasks_spawned: AtomicU64,
-    pub tasks_executed: AtomicU64,
-    pub tasks_panicked: AtomicU64,
-    pub edges_added: AtomicU64,
-    pub edges_raw: AtomicU64,
-    pub edges_war: AtomicU64,
-    pub edges_waw: AtomicU64,
-    pub dependences_seen: AtomicU64,
-    pub taskwaits: AtomicU64,
-    pub taskwait_ons: AtomicU64,
-    pub immediately_ready: AtomicU64,
-    /// Spawns whose access list spilled past the inline capacity. Only the
-    /// rare spill is counted on the hot path; inline hits are derived as
-    /// `tasks_spawned - spills` when stats are snapshotted.
-    pub access_inline_spills: AtomicU64,
-    /// Spawns whose body closure spilled past the node's inline body buffer
-    /// into a `Box`.
-    pub spawn_body_spills: AtomicU64,
-    /// Template passes stamped through `Runtime::replay` / `replay_fused`
-    /// (a fused super-batch counts each of its iterations).
-    pub replay_passes: AtomicU64,
-    /// Tasks stamped by template replay, a subset of `tasks_spawned`.
-    pub replay_tasks: AtomicU64,
-    /// Tasks retired without running because a failing predecessor (panic or
-    /// cancellation) poisoned them. Disjoint from `tasks_executed`.
-    pub tasks_poisoned: AtomicU64,
-    /// Tasks retired without running because their cancel scope was
-    /// cancelled before they started. Disjoint from `tasks_executed` and
-    /// `tasks_poisoned`.
-    pub tasks_cancelled: AtomicU64,
-}
+pub(crate) struct StatCounters([AtomicU64; StatField::COUNT]);
 
 impl StatCounters {
     /// Add `n` to `field`; returns the value before the addition.
     pub(crate) fn add(&self, field: StatField, n: u64) -> u64 {
-        self.counter(field).fetch_add(n, Ordering::Relaxed)
+        self.0[field as usize].fetch_add(n, Ordering::Relaxed)
     }
 
     pub(crate) fn get(&self, field: StatField) -> u64 {
-        self.counter(field).load(Ordering::Relaxed)
-    }
-
-    fn counter(&self, field: StatField) -> &AtomicU64 {
-        match field {
-            StatField::TasksSpawned => &self.tasks_spawned,
-            StatField::TasksExecuted => &self.tasks_executed,
-            StatField::TasksPanicked => &self.tasks_panicked,
-            StatField::EdgesAdded => &self.edges_added,
-            StatField::EdgesRaw => &self.edges_raw,
-            StatField::EdgesWar => &self.edges_war,
-            StatField::EdgesWaw => &self.edges_waw,
-            StatField::DependencesSeen => &self.dependences_seen,
-            StatField::Taskwaits => &self.taskwaits,
-            StatField::TaskwaitOns => &self.taskwait_ons,
-            StatField::ImmediatelyReady => &self.immediately_ready,
-            StatField::AccessInlineSpills => &self.access_inline_spills,
-            StatField::SpawnBodySpills => &self.spawn_body_spills,
-            StatField::ReplayPasses => &self.replay_passes,
-            StatField::ReplayTasks => &self.replay_tasks,
-            StatField::TasksPoisoned => &self.tasks_poisoned,
-            StatField::TasksCancelled => &self.tasks_cancelled,
-        }
+        self.0[field as usize].load(Ordering::Relaxed)
     }
 }
 
@@ -173,13 +121,14 @@ impl TrackerCounters {
     }
 }
 
-/// Names of the counters tracked by the runtime.
+/// Names of the counters tracked by the runtime. The total edge count is
+/// not among them: every edge is one of RAW / WAR / WAW, so
+/// [`RuntimeStats::edges_added`] is their sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StatField {
     TasksSpawned,
     TasksExecuted,
     TasksPanicked,
-    EdgesAdded,
     EdgesRaw,
     EdgesWar,
     EdgesWaw,
@@ -187,12 +136,30 @@ pub(crate) enum StatField {
     Taskwaits,
     TaskwaitOns,
     ImmediatelyReady,
+    /// Spawns whose access list spilled past the inline capacity. Only the
+    /// rare spill is counted on the hot path; inline hits are derived as
+    /// `tasks_spawned - spills` when stats are snapshotted.
     AccessInlineSpills,
+    /// Spawns whose body closure spilled past the node's inline body buffer
+    /// into a `Box`.
     SpawnBodySpills,
+    /// Template passes stamped through `Runtime::replay` / `replay_fused`
+    /// (a fused super-batch counts each of its iterations).
     ReplayPasses,
+    /// Tasks stamped by template replay, a subset of `TasksSpawned`.
     ReplayTasks,
+    /// Tasks retired without running because a failing predecessor (panic or
+    /// cancellation) poisoned them. Disjoint from `TasksExecuted`.
     TasksPoisoned,
+    /// Tasks retired without running because their cancel scope was
+    /// cancelled before they started. Disjoint from `TasksExecuted` and
+    /// `TasksPoisoned`.
     TasksCancelled,
+}
+
+impl StatField {
+    /// Number of variants; `TasksCancelled` is the last.
+    pub(crate) const COUNT: usize = StatField::TasksCancelled as usize + 1;
 }
 
 /// A point-in-time snapshot of runtime statistics, obtained from
@@ -447,9 +414,9 @@ mod tests {
         let c = StatCounters::default();
         c.add(StatField::TasksSpawned, 3);
         c.add(StatField::TasksSpawned, 2);
-        c.add(StatField::EdgesAdded, 7);
+        c.add(StatField::EdgesRaw, 7);
         assert_eq!(c.get(StatField::TasksSpawned), 5);
-        assert_eq!(c.get(StatField::EdgesAdded), 7);
+        assert_eq!(c.get(StatField::EdgesRaw), 7);
         assert_eq!(c.get(StatField::TasksExecuted), 0);
     }
 

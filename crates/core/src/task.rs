@@ -22,8 +22,8 @@
 //!   the executing worker holds the *last* reference to a completed node
 //!   (verified with `Arc::get_mut`, so reuse is provably exclusive), the
 //!   node is reset — the successor-list capacity staying warm for its next
-//!   life — and pushed onto a lock-free free list (the vendored crossbeam
-//!   `Injector`). The next spawn pops it back instead of allocating. A node
+//!   life — and pushed onto the slab's free list (a mutex-protected FIFO).
+//!   The next spawn pops it back instead of allocating. A node
 //!   whose retirement was deferred (see [`crate::graph`], "Retirement") is
 //!   still referenced by tracker history when its worker lets go; whoever
 //!   drops that reference later hands the node in the same way, and
@@ -39,11 +39,11 @@
 //! recycle, that the worker asserts against mid-execution and the trace
 //! records per spawn.
 
+use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::deque::{Injector, Steal};
 use parking_lot::Mutex;
 
 use crate::access::AccessVec;
@@ -600,6 +600,12 @@ impl std::fmt::Debug for TaskNode {
 /// Default bound on the number of retired nodes a runtime keeps for reuse.
 pub(crate) const DEFAULT_TASK_SLAB_CAPACITY: usize = 4096;
 
+/// Slots the free list starts with (or the slab's capacity, if smaller):
+/// enough that a list of a few hundred parked nodes never regrows it, so
+/// `tests/spawn_alloc.rs`, which counts steady-state allocations, does not
+/// depend on how long the list happened to get while the runtime warmed up.
+const FREE_LIST_INITIAL_CAP: usize = 512;
+
 /// The share of a slab's capacity it builds up as stock before it starts
 /// reusing nodes: one sixteenth — 256 nodes at the default capacity. See
 /// [`TaskSlab::acquire`].
@@ -661,23 +667,19 @@ impl TaskSlabDiagnostics {
 
 /// The per-runtime task-node recycler: a bounded free list of retired nodes.
 ///
-/// The free list is the (vendored) crossbeam `Injector`, so pushes and pops
-/// are lock-free with the real crate and remain correct with the in-tree
-/// mutex stand-in. Every `Arc` in the free list is *unique* by construction
-/// — a node is only pushed after `Arc::get_mut` proved the worker held the
-/// last reference — which is what makes re-initialising plain fields on
-/// reuse safe without any interior mutability.
+/// The free list is a mutex-protected FIFO, bounded exactly: its length is
+/// read under the lock a push takes anyway. Every `Arc` in it is *unique* by
+/// construction — a node is only pushed after `Arc::get_mut` proved the
+/// worker held the last reference — which is what makes re-initialising
+/// plain fields on reuse safe without any interior mutability.
 pub(crate) struct TaskSlab {
-    free: Injector<Arc<TaskNode>>,
+    free: Mutex<VecDeque<Arc<TaskNode>>>,
     /// Bound on the free list; 0 disables recycling entirely
     /// ([`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
     capacity: usize,
     /// Nodes allocated before parked ones are reused
     /// (`capacity / WARM_STOCK_SHARE`).
     warm_stock: u64,
-    /// Approximate free-list length (push/pop race only costs a slot or two
-    /// of the bound).
-    free_len: AtomicUsize,
     allocated: AtomicU64,
     recycled: AtomicU64,
     counters: Arc<SlabCounters>,
@@ -694,29 +696,14 @@ impl TaskSlab {
     /// off).
     pub(crate) fn new(capacity: usize) -> Self {
         TaskSlab {
-            free: Injector::new(),
+            free: Mutex::new(VecDeque::with_capacity(FREE_LIST_INITIAL_CAP.min(capacity))),
             capacity,
             warm_stock: (capacity / WARM_STOCK_SHARE) as u64,
-            free_len: AtomicUsize::new(0),
             allocated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
             counters: Arc::new(SlabCounters::default()),
             detached: ChildTracker::new(),
             handback: Mutex::new(()),
-        }
-    }
-
-    /// Take a parked node off the free list.
-    fn pop_free(&self) -> Option<Arc<TaskNode>> {
-        loop {
-            match self.free.steal() {
-                Steal::Success(node) => {
-                    self.free_len.fetch_sub(1, Ordering::Relaxed);
-                    return Some(node);
-                }
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
         }
     }
 
@@ -768,7 +755,7 @@ impl TaskSlab {
         // record. Building a fixed stock first makes "warm" a property of
         // the spawn count, not of the schedule.
         let parked = if self.allocated.load(Ordering::Relaxed) >= self.warm_stock {
-            self.pop_free()
+            self.free.lock().pop_front()
         } else {
             None
         };
@@ -823,17 +810,20 @@ impl TaskSlab {
             None
         };
         if let Some(n) = Arc::get_mut(&mut node) {
-            if self.free_len.load(Ordering::Relaxed) < self.capacity {
-                let (token, parent) = n.reset_for_reuse(&self.detached);
-                drop(token);
-                self.free_len.fetch_add(1, Ordering::Relaxed);
-                self.free.push(node);
-                return parent;
+            // Reset before the list's lock is taken, so the lock covers the
+            // bound check and the push and nothing else.
+            let (token, parent) = n.reset_for_reuse(&self.detached);
+            drop(token);
+            let mut free = self.free.lock();
+            if free.len() < self.capacity {
+                free.push_back(node);
             }
+            // A full list refuses the node: it deallocates on return.
+            return parent;
         }
-        // Recycling refused (full, or the node is still shared): the node —
-        // and its accounting token, via Drop — deallocates when the last
-        // reference goes. Ours goes here, before `serial` is released.
+        // Recycling refused (the node is still shared): the node — and its
+        // accounting token, via Drop — deallocates when the last reference
+        // goes. Ours goes here, before `serial` is released.
         let parent = node.parent_children.clone();
         drop(node);
         drop(serial);
@@ -845,7 +835,7 @@ impl TaskSlab {
         TaskSlabDiagnostics {
             allocated: self.allocated.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
-            free: self.free_len.load(Ordering::Relaxed),
+            free: self.free.lock().len(),
             outstanding: self.counters.outstanding.load(Ordering::Relaxed),
         }
     }
@@ -1068,5 +1058,20 @@ pub(crate) mod tests {
         off.try_recycle(n);
         assert_eq!(off.diagnostics().free, 0, "capacity 0 disables recycling");
         assert_eq!(off.diagnostics().outstanding, 0);
+    }
+
+    #[test]
+    fn free_list_bound_is_exact() {
+        const CAPACITY: usize = 3;
+        let slab = TaskSlab::new(CAPACITY);
+        let nodes: Vec<_> = (0..=CAPACITY).map(|_| acquire_plain(&slab)).collect();
+        for (parked, n) in nodes.into_iter().enumerate() {
+            assert_eq!(slab.diagnostics().free, parked);
+            finish_by_hand(&n);
+            slab.try_recycle(n);
+        }
+        let d = slab.diagnostics();
+        assert_eq!(d.free, CAPACITY, "the capacity + 1-th node is refused");
+        assert_eq!(d.outstanding, 0, "and deallocated, not leaked");
     }
 }

@@ -4,8 +4,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam::deque::Worker as WorkerDeque;
-
 use crate::error::Error;
 use crate::failpoint::FaultClass;
 use crate::graph;
@@ -24,20 +22,16 @@ const WAKEUP_BUFFER_CAPACITY: usize = 64;
 /// only terminates once the runtime has been shut down *and* no task is in
 /// flight — mirroring the always-polling Nanos++ workers described in the
 /// paper.
-pub(crate) fn worker_loop(
-    inner: Arc<RuntimeInner>,
-    deque: WorkerDeque<Arc<TaskNode>>,
-    worker_id: usize,
-) {
+pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker_id: usize) {
     // Reused across every task this worker executes, so the steady-state
     // wakeup path allocates nothing (see `graph::complete_into`). Sized up
     // front: whether a worker ever wakes a successor while a program warms
     // up depends on how far the spawner runs ahead of it.
     let mut ready = Vec::with_capacity(WAKEUP_BUFFER_CAPACITY);
     loop {
-        match inner.sched.pop(worker_id, Some(&deque)) {
+        match inner.sched.pop(Some(worker_id)) {
             Some(node) => {
-                execute_task(&inner, node, Some(worker_id), Some(&deque), &mut ready);
+                execute_task(&inner, node, Some(worker_id), &mut ready);
             }
             None => {
                 if inner.shutdown.load(Ordering::SeqCst)
@@ -54,26 +48,25 @@ pub(crate) fn worker_loop(
 /// Execute one task: run the body, notify successors, update counters, and
 /// hand the node back to the slab when this worker held its last reference.
 ///
-/// Also used by nested `taskwait` helpers (with `deque = None`), in which
-/// case woken successors go to the global queue instead of a local deque.
-/// `ready` is the caller's reusable wakeup buffer; it is drained before
-/// returning.
+/// Also used by threads that help while they wait: `worker` is `None` for
+/// one that is not a worker (the main thread at a task barrier), whose woken
+/// successors go to the shared queue. `ready` is the caller's reusable wakeup
+/// buffer; it is drained before returning.
 pub(crate) fn execute_task(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
     worker: Option<usize>,
-    deque: Option<&WorkerDeque<Arc<TaskNode>>>,
     ready: &mut Vec<Arc<TaskNode>>,
 ) {
     // Poison / cancellation short-circuit: the node is retired through the
     // exact same tracker/ticket tail as an executed task — only the body is
     // skipped — so diagnostics still drain to zero and versions recycle.
     if let Some(origin) = node.poison_origin() {
-        retire_without_run(inner, node, deque, ready, Some(origin));
+        retire_without_run(inner, node, worker, ready, Some(origin));
         return;
     }
     if node.is_cancelled() {
-        retire_without_run(inner, node, deque, ready, None);
+        retire_without_run(inner, node, worker, ready, None);
         return;
     }
 
@@ -110,7 +103,6 @@ pub(crate) fn execute_task(
             inner,
             node: &node,
             worker,
-            deque,
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
@@ -165,7 +157,7 @@ pub(crate) fn execute_task(
     graph::complete_into(&node, ready, panicked.then_some(task_id), dcheck);
 
     inner.stats.add(StatField::TasksExecuted, 1);
-    retire_node(inner, node, deque, ready, task_id, generation);
+    retire_node(inner, node, worker, ready, task_id, generation);
 }
 
 /// Retire a poisoned or cancelled task without running its body.
@@ -180,7 +172,7 @@ pub(crate) fn execute_task(
 fn retire_without_run(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
-    deque: Option<&WorkerDeque<Arc<TaskNode>>>,
+    worker: Option<usize>,
     ready: &mut Vec<Arc<TaskNode>>,
     poisoned_by: Option<TaskId>,
 ) {
@@ -217,7 +209,7 @@ fn retire_without_run(
 
     debug_assert!(ready.is_empty());
     graph::complete_into(&node, ready, Some(origin), inner.dcheck.as_ref());
-    retire_node(inner, node, deque, ready, task_id, generation);
+    retire_node(inner, node, worker, ready, task_id, generation);
 }
 
 /// The shared completion tail: wake (already-drained-into-`ready`)
@@ -228,7 +220,7 @@ fn retire_without_run(
 fn retire_node(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
-    deque: Option<&WorkerDeque<Arc<TaskNode>>>,
+    worker: Option<usize>,
     ready: &mut Vec<Arc<TaskNode>>,
     task_id: TaskId,
     generation: u32,
@@ -241,7 +233,7 @@ fn retire_node(
                 at_ns: inner.trace.now_ns(),
             });
         }
-        inner.sched.push(succ, deque, true);
+        inner.sched.push(succ, worker, true);
     }
 
     // Retire the task's dependence history through the sharded router: its

@@ -17,8 +17,8 @@
 //!    the per-task execution path: all of `worker.rs` and `task.rs`, and the
 //!    `// lint: hot-path-begin` … `// lint: hot-path-end` regions of every
 //!    other file of `crates/core/src` (the tracker under `graph/`, clause
-//!    resolution and the insertion tail in `runtime.rs`, the one ready-queue
-//!    push in `scheduler.rs`). `#[cfg(test)]`
+//!    resolution and the insertion tail in `runtime.rs`, the ready-queue
+//!    push and pop in `scheduler.rs`). `#[cfg(test)]`
 //!    modules are exempt; a deliberate site can
 //!    carry `// lint: allow(panic)` on the line itself or the line above
 //!    (used exactly once, for the injected-fault panic in `worker.rs`).
@@ -555,7 +555,7 @@ mod tests {
         assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3], "{v:?}");
         // And the real files do mark their hot paths: the gate, what every
         // task crosses before it (clause resolution, the insertion tail) and
-        // after it (the ready-queue push).
+        // after it (the ready-queue push and pop).
         for rel in [
             "crates/core/src/graph/gate.rs",
             "crates/core/src/runtime.rs",

@@ -13,6 +13,9 @@
 //!    else. Without this test, an oracle that never fires would pass every
 //!    other suite.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ompss::{Error, ReplayBindings, Runtime, RuntimeConfig};
@@ -276,9 +279,15 @@ fn poisoned_graph_audits_clean_under_dcheck() {
             *ctx.write(&d) += 1;
         });
     }
+    // Poison travels along live edges: the failing task is held until the
+    // whole chain is registered behind it.
+    let chain_spawned = Arc::new(AtomicBool::new(false));
     {
-        let d = data.clone();
+        let (d, go) = (data.clone(), chain_spawned.clone());
         rt.task().inout(&d).spawn(move |_ctx| {
+            while !go.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             panic!("dcheck poison probe");
         });
     }
@@ -288,6 +297,7 @@ fn poisoned_graph_audits_clean_under_dcheck() {
             *ctx.write(&d) += 1;
         });
     }
+    chain_spawned.store(true, Ordering::SeqCst);
     let err = rt.try_taskwait().expect_err("panicked chain must poison");
     assert!(matches!(err, Error::Poisoned { .. }), "got {err}");
     assert_eq!(rt.take_panics().len(), 1);

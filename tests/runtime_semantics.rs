@@ -451,6 +451,46 @@ fn taskwait_runs_ready_tasks_on_the_waiting_thread() {
     );
 }
 
+/// A worker that waits in a nested `taskwait` is still that worker: the
+/// successor it wakes while it helps goes to its own deque (the Section 4
+/// locality rule), not to the shared queue.
+#[test]
+fn nested_taskwait_keeps_the_waiting_workers_deque() {
+    let rt = Runtime::new(
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_policy(SchedulerPolicy::LocalityWorkStealing),
+    );
+    let cell = rt.data(0u64);
+    let done = Arc::new(AtomicBool::new(false));
+    {
+        let (cell, done) = (cell.clone(), done.clone());
+        rt.task().spawn(move |ctx| {
+            // The one worker is here, so neither link starts before the
+            // `taskwait` below: B registers behind a live A and is woken by
+            // A's completion, on the worker that waits.
+            let (a, b) = (cell.clone(), cell.clone());
+            ctx.task().output(&a).spawn(move |c| *c.write(&a) = 7);
+            ctx.task().input(&b).spawn(move |c| assert_eq!(*c.read(&b), 7));
+            ctx.taskwait();
+            done.store(true, Ordering::SeqCst);
+        });
+    }
+    // Not `rt.taskwait()`: a waiting root thread would help, and the chain
+    // must run on worker 0 alone.
+    while !done.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty());
+    let stats = rt.stats();
+    assert_eq!(
+        (stats.sched_local_wakeups, stats.sched_global_wakeups),
+        (1, 0),
+        "the woken link stayed on the waiting worker's deque"
+    );
+}
+
 #[test]
 fn critical_sections_protect_hidden_state() {
     let rt = runtime(4);

@@ -2,7 +2,7 @@
 //! variants must produce exactly the output of the sequential variant
 //! (the property the paper's methodology relies on).
 
-use benchsuite::{run_benchmark, verify_benchmark, Variant, WorkloadSize};
+use benchsuite::{run_benchmark, verify_benchmark, Variant};
 
 #[test]
 fn every_benchmark_has_three_agreeing_variants() {
@@ -32,8 +32,8 @@ fn every_captured_benchmark_has_three_agreeing_variants() {
 #[test]
 fn captured_ompss_worker_count_does_not_change_output() {
     for name in benchsuite::captured_benchmark_names() {
-        let a = run_benchmark(name, Variant::Ompss, 1, WorkloadSize::Small).checksum;
-        let b = run_benchmark(name, Variant::Ompss, 4, WorkloadSize::Small).checksum;
+        let a = run_benchmark(name, Variant::Ompss, 1);
+        let b = run_benchmark(name, Variant::Ompss, 4);
         assert_eq!(a, b, "{name}: ompss output depends on worker count");
     }
 }
@@ -41,8 +41,8 @@ fn captured_ompss_worker_count_does_not_change_output() {
 #[test]
 fn thread_count_does_not_change_any_benchmark_output() {
     for name in benchsuite::benchmark_names() {
-        let one = run_benchmark(name, Variant::Pthreads, 1, WorkloadSize::Small).checksum;
-        let many = run_benchmark(name, Variant::Pthreads, 4, WorkloadSize::Small).checksum;
+        let one = run_benchmark(name, Variant::Pthreads, 1);
+        let many = run_benchmark(name, Variant::Pthreads, 4);
         assert_eq!(one, many, "{name}: pthreads output depends on thread count");
     }
 }
@@ -50,8 +50,8 @@ fn thread_count_does_not_change_any_benchmark_output() {
 #[test]
 fn ompss_worker_count_does_not_change_output() {
     for name in ["c-ray", "rot-cc", "kmeans", "h264dec"] {
-        let a = run_benchmark(name, Variant::Ompss, 1, WorkloadSize::Small).checksum;
-        let b = run_benchmark(name, Variant::Ompss, 4, WorkloadSize::Small).checksum;
+        let a = run_benchmark(name, Variant::Ompss, 1);
+        let b = run_benchmark(name, Variant::Ompss, 4);
         assert_eq!(a, b, "{name}: ompss output depends on worker count");
     }
 }
@@ -97,8 +97,8 @@ fn kmeans_ompss_is_not_pathologically_slower_than_seq() {
 #[test]
 fn results_are_reproducible_across_runs() {
     for name in ["md5", "streamcluster", "bodytrack"] {
-        let a = run_benchmark(name, Variant::Ompss, 2, WorkloadSize::Small).checksum;
-        let b = run_benchmark(name, Variant::Ompss, 2, WorkloadSize::Small).checksum;
+        let a = run_benchmark(name, Variant::Ompss, 2);
+        let b = run_benchmark(name, Variant::Ompss, 2);
         assert_eq!(a, b, "{name}: non-deterministic output");
     }
 }
