@@ -39,7 +39,7 @@
 //! The tracker is the insertion-side critical path: every spawned task takes
 //! it to register, and every completed task takes it again to retire its
 //! history. A single map behind a single lock serialises all of that, so the
-//! tracker is **sharded by allocation id**: [`ShardedTracker`] routes every
+//! tracker is **sharded by allocation id**: `ShardedTracker` routes every
 //! region to the shard `alloc_id % num_shards`, and each `TrackerShard`
 //! owns its own gate, `entries` map, `by_alloc` overlap index and retire
 //! inbox. Renaming gives every data version a fresh allocation id, so shards
@@ -79,7 +79,7 @@
 //! pins this.
 //!
 //! Every registration runs the same three passes per task
-//! ([`ShardedTracker::register_node`]): collect the conflicting predecessors
+//! (`ShardedTracker::register_node`): collect the conflicting predecessors
 //! of every access (deduplicated in constant time — see `PredSet`), add an
 //! edge from each live one, record the accesses. A fresh spawn registers a
 //! batch of one node; a template replay registers its whole batch under one
@@ -149,7 +149,7 @@
 //! Tombstones keep `predecessors_seen` deterministic (a
 //! completed-but-conflicting predecessor is still *seen*) while releasing
 //! the task node itself — closures, successor lists, version tickets — as
-//! soon as the task finishes. [`TrackerShard::garbage_collect`] then drops
+//! soon as the task finishes. `TrackerShard::garbage_collect` then drops
 //! tombstoned entries and their index spans, so fully retired allocations
 //! leave both maps; it runs per shard, periodically from the spawn path and
 //! at every quiescent `taskwait`.
@@ -175,7 +175,7 @@
 //!
 //! The invariants this keeps, each load-bearing elsewhere:
 //!
-//! * **(a) Hand-off happens-before ticket release.** [`ShardedTracker::retire`]
+//! * **(a) Hand-off happens-before ticket release.** `ShardedTracker::retire`
 //!   returns with every access tombstoned or in an inbox, and only then does
 //!   the worker release the task's version tickets. A spawner that observes
 //!   a binding count of zero (and elides a rename, see [`crate::rename`])

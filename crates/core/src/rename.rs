@@ -52,7 +52,7 @@
 //! when the write elides, silently degrading to `inout`-like in-place
 //! semantics. The task builder detects this pattern at bind time — an
 //! `input` clause arriving after an elided `output` on an overlapping
-//! sub-region — and **un-elides** the write ([`VersionTicket::unelide`]):
+//! sub-region — and **un-elides** the write (`VersionTicket::unelide`):
 //! the output binding is transferred to a freshly allocated (or
 //! pool-recycled) version before the task is inserted, so the read keeps
 //! observing the pre-task value whatever the clause order. Only when
@@ -84,7 +84,7 @@
 //! `taskwait` therefore sees the final version "committed back" as the value
 //! of the handle. Superseded versions are reclaimed as soon as their last
 //! in-flight task completes: the storage returns to the handle's recycle
-//! pool (bounded by [`RuntimeConfig::rename_pool_depth`]) or is dropped.
+//! pool (bounded by [`RuntimeConfig::rename_pool_depth`](crate::RuntimeConfig::rename_pool_depth)) or is dropped.
 //!
 //! ## Fresh versions hold fresh values
 //!
@@ -109,12 +109,12 @@
 //! renaming is purely a scheduling optimisation — and the fallback is
 //! counted in [`RuntimeStats::rename_fallbacks`](crate::RuntimeStats).
 //!
-//! * **Per-handle version count** ([`RuntimeConfig::rename_max_versions`],
+//! * **Per-handle version count** ([`RuntimeConfig::rename_max_versions`](crate::RuntimeConfig::rename_max_versions),
 //!   default 16): at most this many versions of one handle may be live at
 //!   once. This is the bound that matters for heap-backed types — it limits
 //!   a handle's footprint to `max_versions` deep copies, playing the role
 //!   of Listing 1's ring depth `N`.
-//! * **Global byte budget** ([`RuntimeConfig::rename_memory_cap`], default
+//! * **Global byte budget** ([`RuntimeConfig::rename_memory_cap`](crate::RuntimeConfig::rename_memory_cap), default
 //!   256 MiB): all extra versions are accounted against it. Versioned
 //!   partitions account the **deep** payload of each chunk version
 //!   (`chunk_len * size_of::<T>()`), and scalar handles accept a per-handle
@@ -124,8 +124,7 @@
 //!   shallow `size_of::<T>()`, in which case the version-count bound is the
 //!   effective limit.
 //!
-//! Disabling renaming entirely ([`RuntimeConfig::with_renaming(false)`]
-//! [`crate::RuntimeConfig::with_renaming`]) makes every versioned handle
+//! Disabling renaming entirely ([`RuntimeConfig::with_renaming(false)`](crate::RuntimeConfig::with_renaming)) makes every versioned handle
 //! behave like a plain one: all accesses bind the single current version and
 //! WAR/WAW edges serialise tasks, which is the configuration the
 //! `rename_ablation` harness compares against.
@@ -395,7 +394,7 @@ impl<'a> RenameCx<'a> {
 /// and records rename statistics. One clause usually resolves to one concrete
 /// access, but a whole-array clause on a versioned partition resolves to one
 /// binding **per chunk chain** — hence the vectors. The default value is the
-/// empty resolution, to [`bind`](ResolvedAccess::bind) versions into.
+/// empty resolution, to `bind` versions into.
 #[derive(Default)]
 pub struct ResolvedAccess {
     /// The concrete accesses (region of each bound version + access kind).

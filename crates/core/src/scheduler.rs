@@ -34,8 +34,8 @@
 //! outside this file sees a queue.
 //!
 //! Every ready task — freshly spawned, a replayed root, or woken by a
-//! completing predecessor — is queued by the one [`SchedState::push`], the
-//! moment it becomes ready. Idle workers poll ([`SchedState::idle_wait`]), as
+//! completing predecessor — is queued by the one `SchedState::push`, the
+//! moment it becomes ready. Idle workers poll (`SchedState::idle_wait`), as
 //! the Nanos++ workers of the paper do: "all used cores are always fully
 //! loaded even if there is insufficient work".
 

@@ -344,65 +344,6 @@ impl RuntimeStats {
             Some(self.tracker_fast_path_hits as f64 / total as f64)
         }
     }
-
-    /// Fold another runtime's snapshot into this one — the aggregation a
-    /// multi-runtime pool (one tenant of the service frontend, say) uses to
-    /// report a single per-tenant figure. Every counter is summed; worker
-    /// and shard counts add up; `tracker_shard_hits` are added element-wise
-    /// when both pools have the same shard count and concatenated otherwise
-    /// (the per-shard split is only meaningful within one tracker).
-    pub fn merge(&mut self, other: &RuntimeStats) {
-        self.workers += other.workers;
-        self.tasks_spawned += other.tasks_spawned;
-        self.tasks_executed += other.tasks_executed;
-        self.tasks_panicked += other.tasks_panicked;
-        self.edges_added += other.edges_added;
-        self.raw_edges += other.raw_edges;
-        self.war_edges += other.war_edges;
-        self.waw_edges += other.waw_edges;
-        self.dependences_seen += other.dependences_seen;
-        self.renames += other.renames;
-        self.chunk_renames += other.chunk_renames;
-        self.renames_recycled += other.renames_recycled;
-        self.rename_fallbacks += other.rename_fallbacks;
-        self.renames_elided += other.renames_elided;
-        self.rename_bytes_held += other.rename_bytes_held;
-        self.immediately_ready += other.immediately_ready;
-        self.taskwaits += other.taskwaits;
-        self.taskwait_ons += other.taskwait_ons;
-        self.sched_local_pops += other.sched_local_pops;
-        self.sched_global_pops += other.sched_global_pops;
-        self.sched_steals += other.sched_steals;
-        self.sched_local_wakeups += other.sched_local_wakeups;
-        self.sched_global_wakeups += other.sched_global_wakeups;
-        self.sched_priority_pops += other.sched_priority_pops;
-        self.task_nodes_recycled += other.task_nodes_recycled;
-        self.task_nodes_allocated += other.task_nodes_allocated;
-        self.access_inline_hits += other.access_inline_hits;
-        self.access_inline_spills += other.access_inline_spills;
-        self.spawn_body_spills += other.spawn_body_spills;
-        self.replay_passes += other.replay_passes;
-        self.replay_tasks += other.replay_tasks;
-        self.tasks_poisoned += other.tasks_poisoned;
-        self.tasks_cancelled += other.tasks_cancelled;
-        self.tracker_shards += other.tracker_shards;
-        self.tracker_lock_contention += other.tracker_lock_contention;
-        self.tracker_fast_path_hits += other.tracker_fast_path_hits;
-        self.tracker_fast_path_fallbacks += other.tracker_fast_path_fallbacks;
-        self.tracker_entries_scanned += other.tracker_entries_scanned;
-        if self.tracker_shard_hits.len() == other.tracker_shard_hits.len() {
-            for (mine, theirs) in self
-                .tracker_shard_hits
-                .iter_mut()
-                .zip(&other.tracker_shard_hits)
-            {
-                *mine += theirs;
-            }
-        } else {
-            self.tracker_shard_hits
-                .extend_from_slice(&other.tracker_shard_hits);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -447,39 +388,6 @@ mod tests {
         };
         assert!((s.tracker_fast_path_rate().unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(RuntimeStats::default().tracker_fast_path_rate(), None);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_shard_hits() {
-        let mut a = RuntimeStats {
-            workers: 2,
-            tasks_spawned: 10,
-            replay_passes: 3,
-            tracker_shards: 2,
-            tracker_shard_hits: vec![4, 6],
-            ..Default::default()
-        };
-        let b = RuntimeStats {
-            workers: 1,
-            tasks_spawned: 5,
-            replay_passes: 1,
-            tracker_shards: 2,
-            tracker_shard_hits: vec![1, 2],
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.workers, 3);
-        assert_eq!(a.tasks_spawned, 15);
-        assert_eq!(a.replay_passes, 4);
-        assert_eq!(a.tracker_shards, 4);
-        assert_eq!(a.tracker_shard_hits, vec![5, 8]);
-        // Mismatched shard counts concatenate instead.
-        let c = RuntimeStats {
-            tracker_shard_hits: vec![7],
-            ..Default::default()
-        };
-        a.merge(&c);
-        assert_eq!(a.tracker_shard_hits, vec![5, 8, 7]);
     }
 
     #[test]

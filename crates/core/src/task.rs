@@ -2,7 +2,7 @@
 //!
 //! A *task* in OmpSs is a deferred function call annotated with the data
 //! accesses it performs. Internally every spawned task is represented by a
-//! [`TaskNode`] that carries the closure to run, the declared accesses, a
+//! `TaskNode` that carries the closure to run, the declared accesses, a
 //! count of unresolved predecessors, and the list of successors to wake up on
 //! completion.
 //!
@@ -14,11 +14,11 @@
 //! handles **allocation-free** (versioned bindings still box one version
 //! ticket each):
 //!
-//! * **Inline storage.** Accesses live in an [`AccessVec`] (≤2 inline, heap
-//!   beyond), and small task closures (≤ [`INLINE_BODY_BYTES`] bytes,
-//!   alignment ≤ 16) are written into a [`BodySlot`] buffer inside the node
+//! * **Inline storage.** Accesses live in an `AccessVec` (≤2 inline, heap
+//!   beyond), and small task closures (≤ `INLINE_BODY_BYTES` bytes,
+//!   alignment ≤ 16) are written into a `BodySlot` buffer inside the node
 //!   itself instead of a fresh `Box`.
-//! * **Recycling.** Retired nodes return to a per-runtime [`TaskSlab`]: when
+//! * **Recycling.** Retired nodes return to a per-runtime `TaskSlab`: when
 //!   the executing worker holds the *last* reference to a completed node
 //!   (verified with `Arc::get_mut`, so reuse is provably exclusive), the
 //!   node is reset — the successor-list capacity staying warm for its next
@@ -27,15 +27,15 @@
 //!   whose retirement was deferred (see [`crate::graph`], "Retirement") is
 //!   still referenced by tracker history when its worker lets go; whoever
 //!   drops that reference later hands the node in the same way, and
-//!   [`TaskSlab::try_recycle`] settles which of several simultaneous
+//!   `TaskSlab::try_recycle` settles which of several simultaneous
 //!   holders is the last. The slab builds a fixed stock before it reuses
-//!   anything ([`TaskSlab::acquire`]), so whether a runtime is warm does not
+//!   anything (`TaskSlab::acquire`), so whether a runtime is warm does not
 //!   depend on how far its spawner happened to run ahead of the workers.
 //!
 //! Staleness is guarded twice over: [`TaskId`]s are minted from a global
 //! never-reused serial (an id can therefore never alias across reuses —
 //! tracker tombstones and trace events stay ABA-proof), and each node
-//! carries a [`TaskNode::generation`] reuse counter, bumped on every
+//! carries a `TaskNode::generation` reuse counter, bumped on every
 //! recycle, that the worker asserts against mid-execution and the trace
 //! records per spawn.
 

@@ -9,21 +9,21 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::tenant::TemplateSlots;
 
-/// What a [`JobSpec::spawn`] body sees: the tenant's routed [`Runtime`] and
-/// the template slots attached to it. A capture job builds a template with
-/// `cx.runtime.capture()` and parks it in `cx.templates`; later
-/// [`JobSpec::replay`] jobs with the same affinity key find it there.
+/// What a [`JobSpec::spawn`] body sees: the tenant's [`Runtime`] and the
+/// template slots attached to it. A capture job builds a template with
+/// `cx.runtime.capture()` and parks it in `cx.templates`; the tenant's later
+/// [`JobSpec::replay`] jobs find it there.
 pub struct TenantCx<'a> {
-    /// The pooled runtime this job was routed to.
+    /// The tenant's runtime.
     pub runtime: &'a Runtime,
-    /// The template slots of that runtime.
+    /// The tenant's template slots.
     pub templates: &'a TemplateSlots,
 }
 
 /// A fresh-spawn job body.
 pub type SpawnFn = Box<dyn FnOnce(&TenantCx<'_>) + Send + 'static>;
 
-/// The three job shapes the service executes.
+/// The two job shapes the service executes.
 pub enum JobKind {
     /// Run an arbitrary closure against the tenant's runtime (spawn tasks,
     /// capture templates, …). The dispatcher calls `taskwait()` afterwards,
@@ -32,18 +32,10 @@ pub enum JobKind {
     Spawn(SpawnFn),
     /// Replay the template in `slot` for `passes` re-stamped passes.
     Replay {
-        /// Template slot to look up on the routed runtime.
+        /// Template slot to look up in the tenant's slots.
         slot: u32,
         /// Number of replay passes.
         passes: u32,
-    },
-    /// Fused replay of the template in `slot`: one super-batch covering
-    /// `iterations` passes.
-    ReplayFused {
-        /// Template slot to look up on the routed runtime.
-        slot: u32,
-        /// Number of passes fused into the super-batch.
-        iterations: u32,
     },
 }
 
@@ -56,33 +48,25 @@ impl std::fmt::Debug for JobKind {
                 .field("slot", slot)
                 .field("passes", passes)
                 .finish(),
-            JobKind::ReplayFused { slot, iterations } => f
-                .debug_struct("ReplayFused")
-                .field("slot", slot)
-                .field("iterations", iterations)
-                .finish(),
         }
     }
 }
 
-/// One unit of client work: a job kind plus the affinity key that picks
-/// which runtime of the tenant's pool it lands on.
+/// One unit of client work: a job kind plus an optional deadline.
 #[derive(Debug)]
 pub struct JobSpec {
     pub(crate) kind: JobKind,
-    pub(crate) affinity: u32,
     pub(crate) deadline: Option<Duration>,
 }
 
 impl JobSpec {
-    /// A fresh-spawn job running `f` against the routed runtime.
+    /// A fresh-spawn job running `f` against the tenant's runtime.
     pub fn spawn<F>(f: F) -> Self
     where
         F: FnOnce(&TenantCx<'_>) + Send + 'static,
     {
         JobSpec {
             kind: JobKind::Spawn(Box::new(f)),
-            affinity: 0,
             deadline: None,
         }
     }
@@ -92,27 +76,8 @@ impl JobSpec {
     pub fn replay(slot: u32, passes: u32) -> Self {
         JobSpec {
             kind: JobKind::Replay { slot, passes },
-            affinity: 0,
             deadline: None,
         }
-    }
-
-    /// A fused-replay job: one super-batch covering `iterations` passes of
-    /// the template in `slot`.
-    pub fn replay_fused(slot: u32, iterations: u32) -> Self {
-        JobSpec {
-            kind: JobKind::ReplayFused { slot, iterations },
-            affinity: 0,
-            deadline: None,
-        }
-    }
-
-    /// Set the affinity key (default 0). Jobs with equal keys route to the
-    /// same runtime of the tenant's pool — required for replay jobs to find
-    /// the template their capture job stored.
-    pub fn with_affinity(mut self, affinity: u32) -> Self {
-        self.affinity = affinity;
-        self
     }
 
     /// Give the job a deadline, measured from admission. A job still queued

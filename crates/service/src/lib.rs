@@ -2,16 +2,18 @@
 //!
 //! The core crate executes task graphs for **one** program; this crate wraps
 //! it in a runtime-as-a-service frontend that serves **many concurrent
-//! clients**: clients submit streams of task-graph *jobs* (fresh spawns,
-//! template replays, fused replays) over an in-process channel API, and the
-//! service executes each job on its tenant's private [`Runtime`] pool.
+//! clients**: clients submit streams of task-graph *jobs* (fresh spawns and
+//! template replays) over an in-process channel API, and the service
+//! executes each job on its tenant's private [`Runtime`](ompss::Runtime).
 //!
 //! The moving parts, front to back:
 //!
-//! * **Tenants** ([`TenantSpec`] → [`TenantId`]): each tenant owns a pool of
-//!   one or more isolated `Runtime`s (its task graphs, versions and tracker
-//!   state never mix with another tenant's) plus per-runtime
-//!   [`TemplateSlots`] for captured graph templates. A tenant's [`Lane`]
+//! * **Tenants** ([`TenantSpec`] → [`TenantId`]): each tenant owns one
+//!   isolated `Runtime` (its task graphs, versions and tracker state never
+//!   mix with another tenant's) plus the [`TemplateSlots`] for templates
+//!   captured on it. A tenant's jobs run one at a time: the runtime's poison
+//!   note, panic sink and `taskwait` are runtime-global, so two interleaved
+//!   jobs would be charged each other's failures. A tenant's [`Lane`]
 //!   decides which ingest lane its jobs queue on.
 //! * **Ingest queue** with **admission control**: a bounded two-lane queue
 //!   ([`Lane::Latency`] drains strictly before [`Lane::Bulk`]). Submissions
@@ -21,14 +23,13 @@
 //!   without bound. Soft rejections can be retried with bounded backoff
 //!   ([`JobService::submit_with_retry`], [`RetryPolicy`]).
 //! * **Dispatchers**: a small pool of threads pops admitted jobs and runs
-//!   each to quiescence on the tenant's runtime, routing by the job's
-//!   affinity key so template-replay jobs land on the runtime that captured
-//!   their template. Job-body panics are caught and reported through the
+//!   each to quiescence on the tenant's runtime. Job-body panics are caught and reported through the
 //!   job's [`JobTicket`] — a misbehaving tenant fails its own job, never the
 //!   process.
 //! * **Metrics** ([`ServiceMetrics`] / [`TenantMetrics`]): queue depth and
-//!   peak, per-tenant accept/reject/complete counters, dispatcher
-//!   utilisation, and per-tenant runtime statistics (spawns, replays,
+//!   peak, per-tenant accept/reject/complete counters (the service-wide
+//!   figures are their sums), dispatcher utilisation, and per-tenant
+//!   runtime statistics (spawns, replays,
 //!   renames, steals) snapshotted from the core crate's
 //!   [`RuntimeStats`](ompss::RuntimeStats)/`TrackerDiagnostics` plumbing.
 //! * **Failure semantics**: jobs carry optional

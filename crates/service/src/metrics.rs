@@ -7,26 +7,27 @@ use ompss::RuntimeStats;
 
 use crate::tenant::{Lane, TenantId};
 
-/// What the stall watchdog saw when per-tenant task progress flatlined while
-/// jobs were still marked running: which tenant owns the oldest stuck job,
-/// how stuck, and a dependence-tracker snapshot to tell "deadlocked graph"
-/// from "tracker leak" at a glance.
+/// What the stall watchdog saw when task progress flatlined while jobs were
+/// still marked running: which tenant owns the oldest stuck job, how stuck,
+/// and a dependence-tracker snapshot of that tenant's runtime to tell
+/// "deadlocked graph" from "tracker leak" at a glance.
 #[derive(Debug, Clone)]
 pub struct StallReport {
     /// Tenant owning the oldest running job at detection time.
     pub tenant: TenantId,
-    /// Jobs marked running service-wide when the stall was declared.
+    /// Jobs marked running service-wide when the stall was declared (at
+    /// most one per tenant: a tenant's jobs run one at a time).
     pub stuck_jobs: usize,
     /// Age of the oldest running job.
     pub oldest_age: Duration,
-    /// Tasks still in flight across the stuck tenant's runtime pool.
+    /// Tasks still in flight on the stuck tenant's runtime.
     pub in_flight_tasks: usize,
-    /// Regions the stuck tenant's dependence trackers still hold.
+    /// Regions the stuck tenant's dependence tracker still holds.
     pub tracked_regions: usize,
-    /// Lifetime tracker allocations for the stuck tenant's pool.
+    /// Lifetime tracker allocations of the stuck tenant's runtime.
     pub tracked_allocs: usize,
     /// First bookkeeping-identity violation found by auditing the stuck
-    /// tenant's runtimes ([`ompss::Runtime::audit`]), if any. `Some`
+    /// tenant's runtime ([`ompss::Runtime::audit`]), if any. `Some`
     /// separates ledger corruption (a runtime bug) from a genuine stall
     /// (slow or livelocked but internally consistent — `None`).
     pub audit: Option<ompss::AuditViolation>,
@@ -135,14 +136,12 @@ pub struct TenantMetrics {
     pub spawn_jobs: u64,
     /// Completed-or-failed jobs that were template replays.
     pub replay_jobs: u64,
-    /// Completed-or-failed jobs that were fused replays.
-    pub fused_jobs: u64,
-    /// Core-runtime counters merged over the tenant's whole pool
-    /// (tasks spawned, renames, scheduler steals, replay passes/tasks…).
+    /// The tenant runtime's core counters (tasks spawned, renames,
+    /// scheduler steals, replay passes/tasks…).
     pub runtime: RuntimeStats,
-    /// Regions the pool's dependence trackers currently track (summed).
+    /// Regions the tenant runtime's dependence tracker currently tracks.
     pub tracked_regions: usize,
-    /// Tracker allocations across the pool's lifetime (summed).
+    /// Tracker allocations over the tenant runtime's lifetime.
     pub tracked_allocs: usize,
 }
 

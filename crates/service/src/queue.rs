@@ -22,7 +22,6 @@ use crate::tenant::TenantState;
 pub(crate) struct QueuedJob {
     pub(crate) tenant: Arc<TenantState>,
     pub(crate) kind: JobKind,
-    pub(crate) affinity: u32,
     pub(crate) ticket: JobTicket,
     /// Absolute deadline, stamped at admission from
     /// [`JobSpec::with_deadline`](crate::JobSpec::with_deadline).
@@ -34,7 +33,6 @@ impl std::fmt::Debug for QueuedJob {
         f.debug_struct("QueuedJob")
             .field("tenant", &self.tenant.id)
             .field("kind", &self.kind)
-            .field("affinity", &self.affinity)
             .finish()
     }
 }
@@ -179,16 +177,20 @@ mod tests {
     use super::*;
     use crate::tenant::{TenantId, TenantSpec};
 
-    fn job(tenant: &Arc<TenantState>, affinity: u32) -> QueuedJob {
+    /// A job tagged by its replay slot, so tests can tell jobs apart.
+    fn job(tenant: &Arc<TenantState>, slot: u32) -> QueuedJob {
         QueuedJob {
             tenant: Arc::clone(tenant),
-            kind: JobKind::Replay {
-                slot: 0,
-                passes: 1,
-            },
-            affinity,
+            kind: JobKind::Replay { slot, passes: 1 },
             ticket: JobTicket::new(),
             deadline: None,
+        }
+    }
+
+    fn tag(job: &QueuedJob) -> u32 {
+        match job.kind {
+            JobKind::Replay { slot, .. } => slot,
+            JobKind::Spawn(_) => unreachable!("test jobs are replays"),
         }
     }
 
@@ -215,7 +217,7 @@ mod tests {
         q.push(job(&t, 0), false).unwrap();
         q.push(job(&t, 1), false).unwrap();
         q.push(job(&t, 2), true).unwrap();
-        let order: Vec<u32> = (0..3).map(|_| q.pop().unwrap().affinity).collect();
+        let order: Vec<u32> = (0..3).map(|_| tag(&q.pop().unwrap())).collect();
         assert_eq!(order, vec![2, 0, 1]);
         assert_eq!(q.active(), 3);
         for _ in 0..3 {
@@ -230,7 +232,7 @@ mod tests {
         let t = tenant();
         q.push(job(&t, 7), false).unwrap();
         q.close();
-        assert_eq!(q.pop().unwrap().affinity, 7);
+        assert_eq!(tag(&q.pop().unwrap()), 7);
         assert!(q.pop().is_none());
     }
 
@@ -244,7 +246,7 @@ mod tests {
             match q.push(job(&t, i), false) {
                 Ok(_) => ok += 1,
                 Err((back, depth)) => {
-                    assert_eq!(back.affinity, i, "the refused job comes back");
+                    assert_eq!(tag(&back), i, "the refused job comes back");
                     assert_eq!(depth, ok, "with the depth at refusal, not the capacity");
                     shed += 1;
                 }
@@ -260,7 +262,7 @@ mod tests {
         let t = tenant();
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop().map(|j| j.affinity))
+            std::thread::spawn(move || q.pop().map(|j| tag(&j)))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.push(job(&t, 3), false).unwrap();

@@ -84,27 +84,21 @@ impl ServiceConfig {
     }
 }
 
+/// The counters no tenant owns. Every other service-wide figure is a sum
+/// over the tenants' counters, taken in [`JobService::metrics`].
 #[derive(Default)]
 struct ServiceCounters {
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    expired: AtomicU64,
     retries: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_budget: AtomicU64,
     rejected_shutdown: AtomicU64,
     rejected_unknown: AtomicU64,
     stalls: AtomicU64,
 }
 
-/// A job a dispatcher is executing right now, registered so the watchdog
-/// can reach it (deadline cancellation, stall attribution).
-struct RunningJob {
-    id: u64,
-    tenant: Arc<TenantState>,
+/// The job a tenant's dispatcher is executing right now, parked on the
+/// tenant so the watchdog can reach it (deadline cancellation, stall
+/// attribution).
+#[derive(Clone)]
+pub(crate) struct RunningJob {
     ticket: JobTicket,
     deadline: Option<Instant>,
     started: Instant,
@@ -118,33 +112,8 @@ struct ServiceInner {
     shutting_down: AtomicBool,
     drain_lock: Mutex<()>,
     drain_cv: Condvar,
-    running: Mutex<Vec<RunningJob>>,
-    next_running_id: AtomicU64,
     last_stall: Mutex<Option<StallReport>>,
     watchdog_stop: AtomicBool,
-}
-
-impl ServiceInner {
-    fn register_running(
-        &self,
-        tenant: &Arc<TenantState>,
-        ticket: &JobTicket,
-        deadline: Option<Instant>,
-    ) -> u64 {
-        let id = self.next_running_id.fetch_add(1, Ordering::SeqCst);
-        self.running.lock().push(RunningJob {
-            id,
-            tenant: Arc::clone(tenant),
-            ticket: ticket.clone(),
-            deadline,
-            started: Instant::now(),
-        });
-        id
-    }
-
-    fn deregister_running(&self, id: u64) {
-        self.running.lock().retain(|r| r.id != id);
-    }
 }
 
 /// The multi-tenant job frontend. See the [crate docs](crate) for the
@@ -174,8 +143,6 @@ impl JobService {
             shutting_down: AtomicBool::new(false),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
-            running: Mutex::new(Vec::new()),
-            next_running_id: AtomicU64::new(0),
             last_stall: Mutex::new(None),
             watchdog_stop: AtomicBool::new(false),
         });
@@ -203,7 +170,7 @@ impl JobService {
         }
     }
 
-    /// Register a tenant, creating its private runtime pool. Tenants cannot
+    /// Register a tenant, creating its private runtime. Tenants cannot
     /// be registered once shutdown has begun.
     pub fn register_tenant(&self, spec: TenantSpec) -> Result<TenantId, AdmissionError> {
         if self.inner.shutting_down.load(Ordering::SeqCst) {
@@ -222,7 +189,6 @@ impl JobService {
     /// rebuilding the job.
     pub fn submit(&self, tenant: TenantId, job: JobSpec) -> Result<JobTicket, Rejected> {
         let c = &self.inner.counters;
-        c.submitted.fetch_add(1, Ordering::SeqCst);
         let state = match self.tenant_state(tenant) {
             Some(state) => state,
             None => {
@@ -242,7 +208,6 @@ impl JobService {
             });
         }
         if let Err(in_flight) = state.try_claim_in_flight() {
-            c.rejected_budget.fetch_add(1, Ordering::SeqCst);
             state.counters.rejected_budget.fetch_add(1, Ordering::SeqCst);
             return Err(Rejected {
                 job,
@@ -258,7 +223,6 @@ impl JobService {
         let queued = QueuedJob {
             tenant: Arc::clone(&state),
             kind: job.kind,
-            affinity: job.affinity,
             ticket: ticket.clone(),
             deadline: deadline_spec.map(|d| Instant::now() + d),
         };
@@ -268,13 +232,11 @@ impl JobService {
             .push(queued, matches!(state.lane, Lane::Latency))
         {
             Ok(_) => {
-                c.accepted.fetch_add(1, Ordering::SeqCst);
                 state.counters.accepted.fetch_add(1, Ordering::SeqCst);
                 Ok(ticket)
             }
             Err((back, depth)) => {
                 state.release_in_flight();
-                c.rejected_queue_full.fetch_add(1, Ordering::SeqCst);
                 state
                     .counters
                     .rejected_queue_full
@@ -282,7 +244,6 @@ impl JobService {
                 Err(Rejected {
                     job: JobSpec {
                         kind: back.kind,
-                        affinity: back.affinity,
                         deadline: deadline_spec,
                     },
                     error: AdmissionError::QueueFull {
@@ -331,33 +292,37 @@ impl JobService {
         }
     }
 
-    /// Snapshot service- and per-tenant metrics.
+    /// Snapshot service- and per-tenant metrics. The service-wide job
+    /// counters are sums over the tenant snapshots; a submission naming an
+    /// unregistered tenant is the one kind no tenant counts.
     pub fn metrics(&self) -> ServiceMetrics {
         let inner = &self.inner;
         let c = &inner.counters;
-        let tenants = inner
+        let tenants: Vec<TenantMetrics> = inner
             .tenants
             .lock()
             .iter()
             .map(|state| tenant_metrics(state))
             .collect();
+        let sum = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
+        let rejected_unknown_tenant = c.rejected_unknown.load(Ordering::SeqCst);
         ServiceMetrics {
             ingest_queue_depth: inner.queue.depth(),
             peak_queue_depth: inner.queue.peak(),
             queue_capacity: inner.queue.capacity(),
             dispatchers: inner.dispatcher_count,
             active_dispatchers: inner.queue.active(),
-            submitted: c.submitted.load(Ordering::SeqCst),
-            accepted: c.accepted.load(Ordering::SeqCst),
-            completed: c.completed.load(Ordering::SeqCst),
-            failed: c.failed.load(Ordering::SeqCst),
-            cancelled: c.cancelled.load(Ordering::SeqCst),
-            expired: c.expired.load(Ordering::SeqCst),
+            submitted: sum(|t| t.submitted) + rejected_unknown_tenant,
+            accepted: sum(|t| t.accepted),
+            completed: sum(|t| t.completed),
+            failed: sum(|t| t.failed),
+            cancelled: sum(|t| t.cancelled),
+            expired: sum(|t| t.expired),
             retries: c.retries.load(Ordering::SeqCst),
-            rejected_queue_full: c.rejected_queue_full.load(Ordering::SeqCst),
-            rejected_tenant_budget: c.rejected_budget.load(Ordering::SeqCst),
+            rejected_queue_full: sum(|t| t.rejected_queue_full),
+            rejected_tenant_budget: sum(|t| t.rejected_budget),
             rejected_shutdown: c.rejected_shutdown.load(Ordering::SeqCst),
-            rejected_unknown_tenant: c.rejected_unknown.load(Ordering::SeqCst),
+            rejected_unknown_tenant,
             stalls_detected: c.stalls.load(Ordering::SeqCst),
             last_stall: inner.last_stall.lock().clone(),
             tenants,
@@ -412,15 +377,7 @@ impl std::fmt::Debug for JobService {
 }
 
 fn tenant_metrics(state: &TenantState) -> TenantMetrics {
-    let mut runtime = ompss::RuntimeStats::default();
-    let mut tracked_regions = 0;
-    let mut tracked_allocs = 0;
-    for entry in &state.pool {
-        runtime.merge(&entry.runtime.stats());
-        let diag = entry.runtime.tracker_diagnostics();
-        tracked_regions += diag.total_regions();
-        tracked_allocs += diag.total_allocs();
-    }
+    let diag = state.runtime.tracker_diagnostics();
     let c = &state.counters;
     TenantMetrics {
         tenant: state.id,
@@ -437,16 +394,15 @@ fn tenant_metrics(state: &TenantState) -> TenantMetrics {
         rejected_budget: c.rejected_budget.load(Ordering::SeqCst),
         spawn_jobs: c.spawn_jobs.load(Ordering::SeqCst),
         replay_jobs: c.replay_jobs.load(Ordering::SeqCst),
-        fused_jobs: c.fused_jobs.load(Ordering::SeqCst),
-        runtime,
-        tracked_regions,
-        tracked_allocs,
+        runtime: state.runtime.stats(),
+        tracked_regions: diag.total_regions(),
+        tracked_allocs: diag.total_allocs(),
     }
 }
 
 fn dispatcher_loop(inner: &ServiceInner) {
     while let Some(job) = inner.queue.pop() {
-        run_job(inner, job);
+        run_job(job);
         inner.queue.finish_active();
         // Taken and dropped so a drain() between the check and the wait
         // still sees the notify.
@@ -455,57 +411,58 @@ fn dispatcher_loop(inner: &ServiceInner) {
     }
 }
 
-fn run_job(inner: &ServiceInner, job: QueuedJob) {
+fn run_job(job: QueuedJob) {
     let QueuedJob {
         tenant,
         kind,
-        affinity,
         ticket,
         deadline,
     } = job;
-    // Serialize on the routed runtime first: time spent waiting for a
-    // pool-mate job counts against the deadline check below, exactly like
-    // time spent queued.
-    let entry = tenant.route(affinity);
-    let _job_guard = entry.busy.lock();
+    // Serialize on the tenant's runtime first: time spent waiting for the
+    // tenant's previous job counts against the deadline check below,
+    // exactly like time spent queued.
+    let _job_guard = tenant.busy.lock();
     // Shed at dequeue: a cancel request or an already-passed deadline means
     // no work runs at all — the ticket resolves terminal without touching
     // the tenant's runtime.
     if ticket.cancel_requested() {
-        finish(inner, &tenant, &ticket, JobStatus::Cancelled);
+        finish(&tenant, &ticket, JobStatus::Cancelled);
         return;
     }
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        finish(inner, &tenant, &ticket, JobStatus::Expired);
+        finish(&tenant, &ticket, JobStatus::Expired);
         return;
     }
     ticket.set(JobStatus::Running);
     let kind_counter = match &kind {
         JobKind::Spawn(_) => &tenant.counters.spawn_jobs,
         JobKind::Replay { .. } => &tenant.counters.replay_jobs,
-        JobKind::ReplayFused { .. } => &tenant.counters.fused_jobs,
     };
     kind_counter.fetch_add(1, Ordering::SeqCst);
 
     // Every task the job spawns joins this cancel scope, so a mid-run
     // `JobTicket::cancel()` or watchdog deadline hit retires the job's
     // not-yet-started tasks without running them.
-    let token = entry.runtime.cancel_scope();
+    let token = tenant.runtime.cancel_scope();
     ticket.register_scope(token.clone());
-    let running_id = inner.register_running(&tenant, &ticket, deadline);
+    *tenant.running.lock() = Some(RunningJob {
+        ticket: ticket.clone(),
+        deadline,
+        started: Instant::now(),
+    });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        entry.runtime.with_cancel_scope(&token, || execute(kind, entry))
+        tenant.runtime.with_cancel_scope(&token, || execute(kind, &tenant))
     }));
-    inner.deregister_running(running_id);
+    *tenant.running.lock() = None;
     ticket.clear_scope();
     // Quiesce the runtime (a panicked body may have left a half-spawned
     // graph) and *consume* any poison note so neither can leak into the
-    // tenant's next job on this pooled runtime.
-    let poison = match catch_unwind(AssertUnwindSafe(|| entry.runtime.try_taskwait())) {
+    // tenant's next job.
+    let poison = match catch_unwind(AssertUnwindSafe(|| tenant.runtime.try_taskwait())) {
         Ok(result) => result.err(),
         Err(_) => None,
     };
-    let panics = entry.runtime.take_panics();
+    let panics = tenant.runtime.take_panics();
     let status = if ticket.deadline_expired() {
         JobStatus::Expired
     } else if ticket.cancel_requested() {
@@ -528,103 +485,82 @@ fn run_job(inner: &ServiceInner, job: QueuedJob) {
             Err(payload) => JobStatus::Failed(panic_message(payload.as_ref())),
         }
     };
-    finish(inner, &tenant, &ticket, status);
+    finish(&tenant, &ticket, status);
 }
 
 /// Resolve the ticket, release the tenant's budget and settle exactly one of
-/// the four terminal ledger counters — the ledger invariant
+/// the tenant's four terminal ledger counters — the ledger invariant
 /// `completed + failed + cancelled + expired == accepted` lives here.
-fn finish(inner: &ServiceInner, tenant: &TenantState, ticket: &JobTicket, status: JobStatus) {
-    let (svc, ten) = match &status {
-        JobStatus::Completed => (&inner.counters.completed, &tenant.counters.completed),
-        JobStatus::Failed(_) => (&inner.counters.failed, &tenant.counters.failed),
-        JobStatus::Cancelled => (&inner.counters.cancelled, &tenant.counters.cancelled),
-        JobStatus::Expired => (&inner.counters.expired, &tenant.counters.expired),
+fn finish(tenant: &TenantState, ticket: &JobTicket, status: JobStatus) {
+    let counter = match &status {
+        JobStatus::Completed => &tenant.counters.completed,
+        JobStatus::Failed(_) => &tenant.counters.failed,
+        JobStatus::Cancelled => &tenant.counters.cancelled,
+        JobStatus::Expired => &tenant.counters.expired,
         JobStatus::Queued | JobStatus::Running => {
             unreachable!("finish() with non-terminal status")
         }
     };
-    ticket.set(status.clone());
+    ticket.set(status);
     tenant.release_in_flight();
-    ten.fetch_add(1, Ordering::SeqCst);
-    svc.fetch_add(1, Ordering::SeqCst);
+    counter.fetch_add(1, Ordering::SeqCst);
 }
 
-/// Sum of every tenant runtime's retired-task counters — the progress
-/// signal the stall detector watches. Poisoned and cancelled retirements
-/// count: a draining poisoned graph is progress, not a stall.
-fn total_progress(inner: &ServiceInner) -> u64 {
-    let tenants = inner.tenants.lock();
-    let mut progress = 0u64;
-    for tenant in tenants.iter() {
-        for entry in &tenant.pool {
-            let stats = entry.runtime.stats();
-            progress += stats.tasks_executed + stats.tasks_poisoned + stats.tasks_cancelled;
-        }
-    }
-    progress
+/// A tenant runtime's retired-task count — the progress signal the stall
+/// detector watches. Poisoned and cancelled retirements count: a draining
+/// poisoned graph is progress, not a stall.
+fn progress(tenant: &TenantState) -> u64 {
+    let stats = tenant.runtime.stats();
+    stats.tasks_executed + stats.tasks_poisoned + stats.tasks_cancelled
 }
 
 fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
-    let mut last_progress = total_progress(inner);
+    // No tenant is registered before the watchdog starts.
+    let mut last_progress = 0;
     let mut last_change = Instant::now();
     while !inner.watchdog_stop.load(Ordering::SeqCst) {
         std::thread::sleep(interval);
         let now = Instant::now();
-        // Deadline enforcement: cancel the task-graph scope of any running
-        // job whose deadline has passed. Cloned out so no lock is held while
-        // poking tickets.
-        let snapshot: Vec<(Arc<TenantState>, JobTicket, Option<Instant>, Instant)> = inner
-            .running
-            .lock()
-            .iter()
-            .map(|r| (Arc::clone(&r.tenant), r.ticket.clone(), r.deadline, r.started))
-            .collect();
-        for (_, ticket, deadline, _) in &snapshot {
-            if let Some(d) = deadline {
-                if now >= *d && !ticket.deadline_expired() {
-                    ticket.expire();
-                }
+        let mut total_progress = 0;
+        let mut stuck_jobs = 0;
+        let mut oldest: Option<(Arc<TenantState>, Instant)> = None;
+        for tenant in inner.tenants.lock().iter() {
+            total_progress += progress(tenant);
+            // Cloned out so no lock is held while poking the ticket.
+            let Some(job) = tenant.running.lock().clone() else {
+                continue;
+            };
+            // Deadline enforcement: cancel the task-graph scope of a running
+            // job whose deadline has passed.
+            if job.deadline.is_some_and(|d| now >= d) && !job.ticket.deadline_expired() {
+                job.ticket.expire();
+            }
+            stuck_jobs += 1;
+            if oldest.as_ref().is_none_or(|(_, started)| job.started < *started) {
+                oldest = Some((Arc::clone(tenant), job.started));
             }
         }
         // Stall detection: progress flatlined for a full window while jobs
         // are marked running.
-        let progress = total_progress(inner);
-        if snapshot.is_empty() || progress != last_progress {
-            last_progress = progress;
+        let Some((tenant, started)) = oldest.filter(|_| total_progress == last_progress) else {
+            last_progress = total_progress;
             last_change = now;
             continue;
-        }
+        };
         if now.duration_since(last_change) >= window {
-            let (tenant, _, _, started) = snapshot
-                .iter()
-                .min_by_key(|(_, _, _, started)| *started)
-                .expect("snapshot checked non-empty");
-            let mut in_flight_tasks = 0;
-            let mut tracked_regions = 0;
-            let mut tracked_allocs = 0;
-            let mut audit = None;
-            for entry in &tenant.pool {
-                in_flight_tasks += entry.runtime.in_flight_tasks();
-                let diag = entry.runtime.tracker_diagnostics();
-                tracked_regions += diag.total_regions();
-                tracked_allocs += diag.total_allocs();
-                // Separate ledger corruption from genuine slowness: a
-                // mid-run audit only checks identities that must hold while
-                // tasks are in flight, so any violation here is a real bug,
-                // not an artefact of the stall.
-                if audit.is_none() {
-                    audit = entry.runtime.audit().err();
-                }
-            }
+            let diag = tenant.runtime.tracker_diagnostics();
             *inner.last_stall.lock() = Some(StallReport {
                 tenant: tenant.id,
-                stuck_jobs: snapshot.len(),
-                oldest_age: now.duration_since(*started),
-                in_flight_tasks,
-                tracked_regions,
-                tracked_allocs,
-                audit,
+                stuck_jobs,
+                oldest_age: now.duration_since(started),
+                in_flight_tasks: tenant.runtime.in_flight_tasks(),
+                tracked_regions: diag.total_regions(),
+                tracked_allocs: diag.total_allocs(),
+                // Separate ledger corruption from genuine slowness: a mid-run
+                // audit only checks identities that must hold while tasks
+                // are in flight, so any violation here is a real bug, not an
+                // artefact of the stall.
+                audit: tenant.runtime.audit().err(),
             });
             inner.counters.stalls.fetch_add(1, Ordering::SeqCst);
             // Re-arm: report again only after another silent window, not
@@ -634,36 +570,27 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
     }
 }
 
-fn execute(kind: JobKind, entry: &crate::tenant::PoolEntry) -> Result<(), String> {
+fn execute(kind: JobKind, tenant: &TenantState) -> Result<(), String> {
     match kind {
         JobKind::Spawn(body) => {
             let cx = TenantCx {
-                runtime: &entry.runtime,
-                templates: &entry.templates,
+                runtime: &tenant.runtime,
+                templates: &tenant.templates,
             };
             body(&cx);
-            entry.runtime.taskwait();
+            tenant.runtime.taskwait();
             Ok(())
         }
         JobKind::Replay { slot, passes } => {
-            let template = entry
+            let template = tenant
                 .templates
                 .get(slot)
                 .ok_or_else(|| format!("no template in slot {slot}"))?;
             let bindings = ReplayBindings::new();
             for _ in 0..passes {
-                entry.runtime.replay(&template, &bindings);
+                tenant.runtime.replay(&template, &bindings);
             }
-            entry.runtime.taskwait();
-            Ok(())
-        }
-        JobKind::ReplayFused { slot, iterations } => {
-            let template = entry
-                .templates
-                .get(slot)
-                .ok_or_else(|| format!("no template in slot {slot}"))?;
-            entry.runtime.replay_fused(&template, iterations as usize);
-            entry.runtime.taskwait();
+            tenant.runtime.taskwait();
             Ok(())
         }
     }

@@ -1,4 +1,4 @@
-//! Tenant identity, configuration and per-tenant runtime pools.
+//! Tenant identity, configuration and the runtime each tenant owns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use ompss::{GraphTemplate, Runtime, RuntimeConfig};
 use parking_lot::Mutex;
+
+use crate::service::RunningJob;
 
 /// Identifies a registered tenant (index into the service's registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,28 +41,22 @@ pub struct TenantSpec {
     pub name: String,
     /// Ingest lane of this tenant's jobs.
     pub lane: Lane,
-    /// Number of `Runtime`s in the tenant's pool. Jobs route to
-    /// `pool[affinity % pool_size]`, so jobs sharing an affinity key share a
-    /// runtime (and its template slots).
-    pub pool_size: usize,
     /// Maximum number of this tenant's jobs queued or executing at once;
     /// submissions beyond it are shed with
     /// [`AdmissionError::TenantBudget`](crate::AdmissionError::TenantBudget).
     pub in_flight_budget: usize,
-    /// Configuration of each pooled runtime (worker count, renaming knobs…).
+    /// Configuration of the tenant's runtime (worker count, renaming knobs…).
     pub runtime: RuntimeConfig,
 }
 
 impl TenantSpec {
-    /// A tenant with the default single-runtime pool, bulk lane and a
-    /// 64-job in-flight budget; each pooled runtime gets one worker thread
-    /// (tenants share the machine — size pools deliberately, not by
-    /// `available_parallelism`).
+    /// A tenant on the bulk lane with a 64-job in-flight budget; its runtime
+    /// gets one worker thread (tenants share the machine — size runtimes
+    /// deliberately, not by `available_parallelism`).
     pub fn new(name: &str) -> Self {
         TenantSpec {
             name: name.to_string(),
             lane: Lane::default(),
-            pool_size: 1,
             in_flight_budget: 64,
             runtime: RuntimeConfig::default().with_workers(1),
         }
@@ -72,31 +68,24 @@ impl TenantSpec {
         self
     }
 
-    /// Set the runtime-pool size (clamped to at least 1).
-    pub fn with_pool_size(mut self, pool_size: usize) -> Self {
-        self.pool_size = pool_size.max(1);
-        self
-    }
-
     /// Set the in-flight job budget (clamped to at least 1).
     pub fn with_in_flight_budget(mut self, budget: usize) -> Self {
         self.in_flight_budget = budget.max(1);
         self
     }
 
-    /// Set the configuration of each pooled runtime.
+    /// Set the configuration of the tenant's runtime.
     pub fn with_runtime_config(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
         self
     }
 }
 
-/// Per-runtime store of captured [`GraphTemplate`]s, keyed by small slot
+/// A tenant's store of captured [`GraphTemplate`]s, keyed by small slot
 /// numbers the client picks. A capture job stores the template it captured;
-/// later replay jobs with the same affinity key find it here. Templates are
+/// the tenant's later replay jobs find it here. Templates are
 /// runtime-specific (replaying on another runtime panics in the core
-/// crate), which is exactly why the slots live on the pool entry rather
-/// than on the tenant.
+/// crate), which is why the slots live beside the tenant's one runtime.
 #[derive(Default)]
 pub struct TemplateSlots {
     slots: Mutex<HashMap<u32, Arc<GraphTemplate>>>,
@@ -111,11 +100,6 @@ impl TemplateSlots {
     /// The template in `slot`, if a capture job has stored one.
     pub fn get(&self, slot: u32) -> Option<Arc<GraphTemplate>> {
         self.slots.lock().get(&slot).cloned()
-    }
-
-    /// Remove and return the template in `slot`.
-    pub fn take(&self, slot: u32) -> Option<Arc<GraphTemplate>> {
-        self.slots.lock().remove(&slot)
     }
 
     /// Number of occupied slots.
@@ -137,20 +121,6 @@ impl std::fmt::Debug for TemplateSlots {
     }
 }
 
-/// One entry of a tenant's runtime pool: the runtime plus its template
-/// slots.
-pub(crate) struct PoolEntry {
-    pub(crate) runtime: Runtime,
-    pub(crate) templates: TemplateSlots,
-    /// Serializes jobs on this runtime. A runtime's poison note, panic
-    /// sink and `taskwait` are runtime-global: two jobs interleaved on one
-    /// runtime would misattribute each other's failures (one job resolving
-    /// `Completed` with another job's panic charged to it). Dispatchers
-    /// hold this for the whole execute-and-quiesce span, so failure
-    /// attribution is exact per job.
-    pub(crate) busy: Mutex<()>,
-}
-
 /// Per-tenant service-side counters (all monotonic except `in_flight`).
 #[derive(Default)]
 pub(crate) struct TenantCounters {
@@ -164,7 +134,6 @@ pub(crate) struct TenantCounters {
     pub(crate) rejected_budget: AtomicU64,
     pub(crate) spawn_jobs: AtomicU64,
     pub(crate) replay_jobs: AtomicU64,
-    pub(crate) fused_jobs: AtomicU64,
 }
 
 /// The service-side state of one registered tenant.
@@ -173,7 +142,18 @@ pub(crate) struct TenantState {
     pub(crate) name: String,
     pub(crate) lane: Lane,
     pub(crate) in_flight_budget: usize,
-    pub(crate) pool: Vec<PoolEntry>,
+    pub(crate) runtime: Runtime,
+    pub(crate) templates: TemplateSlots,
+    /// Serializes the tenant's jobs. A runtime's poison note, panic
+    /// sink and `taskwait` are runtime-global: two jobs interleaved on one
+    /// runtime would misattribute each other's failures (one job resolving
+    /// `Completed` with another job's panic charged to it). Dispatchers
+    /// hold this for the whole execute-and-quiesce span, so failure
+    /// attribution is exact per job.
+    pub(crate) busy: Mutex<()>,
+    /// The job holding `busy`, if any; set and cleared under `busy`, so the
+    /// watchdog can reach it (deadline cancellation, stall attribution).
+    pub(crate) running: Mutex<Option<RunningJob>>,
     /// Jobs queued or executing right now (admission-controlled).
     pub(crate) in_flight: AtomicUsize,
     pub(crate) counters: TenantCounters,
@@ -181,19 +161,15 @@ pub(crate) struct TenantState {
 
 impl TenantState {
     pub(crate) fn new(id: TenantId, spec: TenantSpec) -> Self {
-        let pool = (0..spec.pool_size)
-            .map(|_| PoolEntry {
-                runtime: Runtime::new(spec.runtime.clone()),
-                templates: TemplateSlots::default(),
-                busy: Mutex::new(()),
-            })
-            .collect();
         TenantState {
             id,
             name: spec.name,
             lane: spec.lane,
             in_flight_budget: spec.in_flight_budget,
-            pool,
+            runtime: Runtime::new(spec.runtime),
+            templates: TemplateSlots::default(),
+            busy: Mutex::new(()),
+            running: Mutex::new(None),
             in_flight: AtomicUsize::new(0),
             counters: TenantCounters::default(),
         }
@@ -216,11 +192,6 @@ impl TenantState {
         let prev = self.in_flight.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "in-flight release without a claim");
     }
-
-    /// The pool entry a job with `affinity` routes to.
-    pub(crate) fn route(&self, affinity: u32) -> &PoolEntry {
-        &self.pool[affinity as usize % self.pool.len()]
-    }
 }
 
 #[cfg(test)]
@@ -241,15 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn routing_wraps_over_the_pool() {
-        let state = TenantState::new(TenantId(0), TenantSpec::new("t").with_pool_size(2));
-        assert!(std::ptr::eq(state.route(0), state.route(2)));
-        assert!(std::ptr::eq(state.route(1), state.route(3)));
-        assert!(!std::ptr::eq(state.route(0), state.route(1)));
-    }
-
-    #[test]
-    fn template_slots_store_and_take() {
+    fn template_slots_store_and_get() {
         let rt = Runtime::new(RuntimeConfig::default().with_workers(1));
         let slots = TemplateSlots::default();
         assert!(slots.is_empty());
@@ -258,7 +221,5 @@ mod tests {
         assert_eq!(slots.len(), 1);
         assert!(slots.get(7).is_some());
         assert!(slots.get(8).is_none());
-        assert!(slots.take(7).is_some());
-        assert!(slots.is_empty());
     }
 }

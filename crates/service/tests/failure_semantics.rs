@@ -334,7 +334,7 @@ proptest! {
     /// tenants' runtimes — plus queue-full bursts at the service edge —
     /// driven through the full stack. Every admitted ticket reaches a
     /// terminal state, the ledger balances, completed jobs' effects are
-    /// exactly intact, and the tenants' pools drain clean.
+    /// exactly intact, and the tenant's runtime drains clean.
     #[test]
     fn prop_chaos_plan_loses_no_tickets(
         seed in 0u64..1_000_000,
@@ -356,7 +356,6 @@ proptest! {
             .register_tenant(
                 TenantSpec::new("chaos")
                     .with_in_flight_budget(256)
-                    .with_pool_size(2)
                     .with_runtime_config(
                         RuntimeConfig::default()
                             .with_workers(2)
@@ -368,7 +367,7 @@ proptest! {
         const TASKS_PER_JOB: u64 = 6;
         let mut jobs = Vec::new();
         let mut shed = 0u64;
-        for j in 0..n_jobs {
+        for _ in 0..n_jobs {
             let effect = Arc::new(AtomicU64::new(0));
             let ticket = {
                 let effect = Arc::clone(&effect);
@@ -384,8 +383,7 @@ proptest! {
                                 *ctx.write(&h) += 1;
                             });
                         }
-                    })
-                    .with_affinity(j as u32),
+                    }),
                 )
             };
             match ticket {
@@ -424,7 +422,7 @@ proptest! {
             "ledger must balance"
         );
         let t = &m.tenants[0];
-        prop_assert_eq!(t.tracked_regions, 0, "pools must drain their trackers");
+        prop_assert_eq!(t.tracked_regions, 0, "the runtime must drain its tracker");
         prop_assert_eq!(t.in_flight, 0, "no job may be left in flight");
         let rs = &t.runtime;
         prop_assert_eq!(

@@ -81,7 +81,7 @@ fn latency_lane_is_not_starved_by_bulk_backlog() {
 }
 
 /// Capture and replay through the frontend: a capture job stores a template
-/// in a slot, replay and fused-replay jobs stamp it, and the tenant's
+/// in a slot, a replay job stamps it, and the tenant's
 /// metrics expose the replay passes/tasks counted by the core runtime.
 #[test]
 fn capture_then_replay_jobs_share_a_template_slot() {
@@ -117,17 +117,12 @@ fn capture_then_replay_jobs_share_a_template_slot() {
     assert!(replay.wait().is_completed());
     assert_eq!(counter.load(Ordering::SeqCst), 3 + 4 * 3);
 
-    let fused = svc.submit(tenant, JobSpec::replay_fused(5, 2)).unwrap();
-    assert!(fused.wait().is_completed());
-    assert_eq!(counter.load(Ordering::SeqCst), 3 + 4 * 3 + 2 * 3);
-
     let m = svc.shutdown();
     let tm = &m.tenants[0];
     assert_eq!(tm.replay_jobs, 1);
-    assert_eq!(tm.fused_jobs, 1);
     assert_eq!(tm.spawn_jobs, 1);
-    assert_eq!(tm.runtime.replay_passes, 4 + 2);
-    assert_eq!(tm.runtime.replay_tasks, (4 + 2) * 3);
+    assert_eq!(tm.runtime.replay_passes, 4);
+    assert_eq!(tm.runtime.replay_tasks, 4 * 3);
 }
 
 /// A replay job naming an empty slot fails with a message, not a panic —
@@ -182,6 +177,69 @@ fn panicking_job_does_not_poison_the_service() {
     let retry = svc.submit(bad, JobSpec::spawn(|_cx| {})).unwrap();
     assert!(retry.wait().is_completed());
     svc.shutdown();
+}
+
+/// A tenant's jobs run one at a time even with a dispatcher free to start
+/// the next one: job B is popped while job A is still running, waits for A,
+/// and the task panic A's body caused is charged to A alone.
+#[test]
+fn one_tenants_jobs_never_overlap_and_failures_stay_their_own() {
+    let svc = JobService::new(ServiceConfig::default().with_dispatchers(2));
+    let tenant = svc.register_tenant(TenantSpec::new("acme")).unwrap();
+    let running = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+
+    let a = {
+        let (running, release) = (Arc::clone(&running), Arc::clone(&release));
+        svc.submit(
+            tenant,
+            JobSpec::spawn(move |cx| {
+                running.fetch_add(1, Ordering::SeqCst);
+                cx.runtime.task().spawn(|_| panic!("job A's task"));
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap()
+    };
+    while running.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+
+    let max_seen = Arc::new(AtomicUsize::new(0));
+    let b = {
+        let (running, max_seen) = (Arc::clone(&running), Arc::clone(&max_seen));
+        svc.submit(
+            tenant,
+            JobSpec::spawn(move |_cx| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                max_seen.fetch_max(now, Ordering::SeqCst);
+                running.fetch_sub(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap()
+    };
+    // Both dispatchers hold a job before A is let go, so B had every chance
+    // to overlap A.
+    while svc.metrics().active_dispatchers < 2 {
+        std::thread::yield_now();
+    }
+    release.store(true, Ordering::SeqCst);
+
+    match a.wait() {
+        JobStatus::Failed(msg) => {
+            assert!(msg.starts_with("1 task panic(s)"), "message {msg}");
+            assert!(msg.contains("job A's task"), "message {msg}");
+        }
+        other => panic!("job A: expected failure, got {other:?}"),
+    }
+    assert!(b.wait().is_completed(), "job B was charged A's panic");
+    assert_eq!(max_seen.load(Ordering::SeqCst), 1, "jobs A and B overlapped");
+    let m = svc.shutdown();
+    assert_eq!((m.failed, m.completed), (1, 1));
+    assert_eq!(m.tenants[0].runtime.tasks_panicked, 1);
 }
 
 /// `submit_with_retry` rides out transient budget pressure that a plain
@@ -274,9 +332,8 @@ fn shutdown_rejects_new_work_and_drains_admitted_work() {
 }
 
 /// Overload from many threads at once: 8 client threads stream jobs at 4
-/// tenants (a latency tenant, two bulk tenants — one with a 2-runtime pool —
-/// and a "flood" tenant whose budget of 1 is held by a plug job, so every
-/// job aimed at it sheds) through 2 dispatchers. No accepted job is lost or
+/// tenants (a latency tenant, two bulk tenants and a "flood" tenant whose
+/// budget of 1 is held by a plug job, so every job aimed at it sheds) through 2 dispatchers. No accepted job is lost or
 /// run twice, the queue never exceeds its capacity, admission control
 /// engages, and the ledgers balance at service and tenant level.
 #[test]
@@ -298,12 +355,8 @@ fn overload_from_many_clients_loses_nothing() {
         .unwrap(),
         svc.register_tenant(TenantSpec::new("batch-a").with_in_flight_budget(8))
             .unwrap(),
-        svc.register_tenant(
-            TenantSpec::new("batch-b")
-                .with_pool_size(2)
-                .with_in_flight_budget(8),
-        )
-        .unwrap(),
+        svc.register_tenant(TenantSpec::new("batch-b").with_in_flight_budget(8))
+            .unwrap(),
         svc.register_tenant(TenantSpec::new("flood").with_in_flight_budget(1))
             .unwrap(),
     ];
@@ -349,8 +402,7 @@ fn overload_from_many_clients_loses_nothing() {
                             *tc.write(&h) = weight;
                             sum.fetch_add(weight, Ordering::SeqCst);
                         });
-                    })
-                    .with_affinity(j as u32);
+                    });
                     // Even clients retry soft rejections; odd clients shed
                     // immediately — both paths must keep the ledger exact.
                     let outcome = if c % 2 == 0 {

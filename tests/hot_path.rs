@@ -835,12 +835,26 @@ fn multi_shard_spans_always_fall_back() {
         after.tracker_fast_path_fallbacks >= before.tracker_fast_path_fallbacks + 10,
         "every multi-shard span falls back to the mutex path"
     );
-    // And single-allocation spawns on the same runtime still hit.
+    // And single-allocation spawns on the same runtime still hit. Link 0 is
+    // held until the whole chain is registered: a worker retiring link k-1
+    // holds `c`'s shard gate, so link k would legitimately miss the first
+    // try and fall back.
     let c = rt.data(0u64);
-    for _ in 0..10 {
+    let chain_spawned = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    {
+        let (c, go) = (c.clone(), chain_spawned.clone());
+        rt.task().inout(&c).spawn(move |ctx| {
+            while !go.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            *ctx.write(&c) += 1;
+        });
+    }
+    for _ in 1..10 {
         let c = c.clone();
         rt.task().inout(&c).spawn(move |ctx| *ctx.write(&c) += 1);
     }
+    chain_spawned.store(true, Ordering::SeqCst);
     rt.taskwait();
     let hits_after = rt.stats();
     assert!(hits_after.tracker_fast_path_hits >= after.tracker_fast_path_hits + 10);
