@@ -9,14 +9,15 @@
 //!    barrier or (hypothetically) the cheap polling barrier — the speedup
 //!    difference isolates the barrier cost.
 //! 2. **Measured** (host scale): the raw per-episode cost of the two barrier
-//!    flavours from the `ompss` crate, measured directly.
+//!    flavours from `threadkit` — a spinning barrier that polls a generation
+//!    word and a blocking, condvar-based one — measured directly.
 
 use std::time::Instant;
 
-use ompss::{BarrierKind, TaskBarrier};
 use simsched::machine::MachineParams;
 use simsched::workloads::{workload, Structure};
 use simsched::{ompss as sim_ompss, pthreads as sim_pthreads};
+use threadkit::{BlockingBarrier, SpinBarrier};
 
 fn main() {
     println!("=== Barrier ablation (rgbcmy, Section 4) ===\n");
@@ -63,25 +64,27 @@ fn main() {
         .max(2);
     let episodes = 2_000;
     println!("\nmeasured barrier cost on this host ({threads} threads, {episodes} episodes):");
-    for kind in [BarrierKind::Polling, BarrierKind::Blocking] {
-        let barrier = TaskBarrier::new(threads, kind);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let b = barrier.clone();
-                scope.spawn(move || {
-                    for _ in 0..episodes {
-                        b.wait();
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-        println!(
-            "  {:?}: {:>10.2?} total, {:>8.0} ns per episode",
-            kind,
-            elapsed,
-            elapsed.as_nanos() as f64 / episodes as f64
-        );
-    }
+    let spin = SpinBarrier::new(threads);
+    let blocking = BlockingBarrier::new(threads);
+    time_episodes("polling (spin)", threads, episodes, || spin.wait());
+    time_episodes("blocking", threads, episodes, || blocking.wait());
+}
+
+/// Run `episodes` barrier episodes on `threads` threads and print the cost.
+fn time_episodes(label: &str, threads: usize, episodes: usize, wait: impl Fn() -> bool + Sync) {
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                for _ in 0..episodes {
+                    wait();
+                }
+            });
+        }
+    });
+    let elapsed = start.elapsed();
+    println!(
+        "  {label:<15}{elapsed:>10.2?} total, {:>8.0} ns per episode",
+        elapsed.as_nanos() as f64 / episodes as f64
+    );
 }

@@ -170,8 +170,8 @@ pub fn run_pthreads_captured(p: &Params, threads: usize) -> u64 {
 /// OmpSs variant of `rotate-cap`: the band sweep is spawned **once** inside
 /// a capture scope, then re-stamped — one resolved `replay` pass (which
 /// freezes the template: the output partition's chunks are disjoint plain
-/// regions, so resolution is pass-invariant) and one fused super-batch for
-/// the remaining sweeps, riding the pre-wired plan. Inter-sweep WAW chains
+/// regions, so resolution is pass-invariant) and one pre-wired `replay` per
+/// remaining sweep, riding the frozen plan. Inter-sweep WAW chains
 /// on each chunk carry the ordering; no taskwait separates the sweeps.
 pub fn run_ompss_captured(p: &Params, rt: &Runtime) -> u64 {
     let src = rt.data(p.input());
@@ -197,8 +197,9 @@ pub fn run_ompss_captured(p: &Params, rt: &Runtime) -> u64 {
     }
     let template = scope.finish();
     let bindings = ompss::ReplayBindings::new();
-    rt.replay(&template, &bindings);
-    rt.replay_fused(&template, CAPTURE_SWEEPS - 2);
+    for _ in 1..CAPTURE_SWEEPS {
+        rt.replay(&template, &bindings);
+    }
     rt.taskwait();
     debug_assert!(
         template.is_frozen(),

@@ -32,8 +32,8 @@ pub fn benchmark_names() -> Vec<&'static str> {
 }
 
 /// Captured-replay companions of the Table-1 rows: same kernels, but the
-/// OmpSs variant stamps its task graph through `Runtime::replay` /
-/// `Runtime::replay_fused` instead of fresh per-task spawns. They run
+/// OmpSs variant stamps its task graph through `Runtime::replay` instead of
+/// fresh per-task spawns. They run
 /// through [`run_benchmark`] / [`verify_benchmark`] like any other name; the
 /// ledger's `table1.*` workloads time them next to their fresh-spawn rows.
 pub fn captured_benchmark_names() -> Vec<&'static str> {

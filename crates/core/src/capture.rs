@@ -98,12 +98,10 @@
 //! removes WAR/WAW serialisation, pre-wiring removes bookkeeping from
 //! graphs that have no false dependences left to remove.
 //!
-//! [`Runtime::replay_fused`] stamps K iterations as **one super-batch**
-//! under a single gate acquisition: because
-//! every task's history update lands in batch order, iteration *m*'s
-//! frontier scan (or, resolved, every scan) picks up iteration *m−1*'s
-//! writers — the carried inter-iteration dependences — with no barrier
-//! between iterations. Replays also run **concurrently**: scratch buffers
+//! Consecutive replays need no barrier between them: every task's history
+//! update lands in batch order, so pass *m*'s frontier scan (or, resolved,
+//! every scan) picks up pass *m−1*'s writers — the carried inter-iteration
+//! dependences. Replays also run **concurrently**: scratch buffers
 //! are leased from a pool rather than held under one template-wide mutex,
 //! so two templates — or two disjoint-binding replays of one template —
 //! stamp in parallel and serialise only at the tracker gates, like any two
@@ -142,7 +140,7 @@
 //!
 //! Equivalence with fresh spawning is pinned by
 //! `tests/replay_equivalence.rs` (edge multisets and final values across
-//! shard counts and recycler settings) and the replay extension of
+//! shard counts) and the replay extension of
 //! `tests/property_runtime.rs` (sequential-semantics oracle).
 
 use std::cell::Cell;
@@ -354,7 +352,7 @@ struct ReplayScratch {
 }
 
 /// A recorded batch of task recipes, produced by [`CaptureScope::finish`]
-/// and re-stamped by [`Runtime::replay`] / [`Runtime::replay_fused`]. See
+/// and re-stamped by [`Runtime::replay`]. See
 /// the [module docs](self) for the capture/replay semantics, the
 /// freeze → pre-wired state machine and the invalidation rules.
 pub struct GraphTemplate {
@@ -383,7 +381,7 @@ impl GraphTemplate {
     }
 
     /// Number of replay passes stamped so far (the capture itself is pass
-    /// 0 and is not counted; a fused replay of K iterations counts K).
+    /// 0 and is not counted).
     pub fn passes(&self) -> u64 {
         self.passes.load(Ordering::Relaxed)
     }
@@ -511,62 +509,25 @@ impl Runtime {
     /// if a binding substitution produces a write clash a fresh spawn would
     /// also reject (see [`TaskBuilder`]'s clause documentation).
     pub fn replay(&self, template: &GraphTemplate, bindings: &ReplayBindings) -> u64 {
-        self.replay_inner(template, bindings, 1)
-    }
-
-    /// Re-stamp `iterations` passes of a captured batch as **one fused
-    /// super-batch**: one scratch lease and one tracker multi-gate
-    /// acquisition for all K·n tasks. Inter-iteration
-    /// dependences are carried exactly as K sequential [`Runtime::replay`]
-    /// calls would carry them — every task's history update lands in batch
-    /// order, so iteration *m*'s scans see iteration *m−1*'s writers —
-    /// which `tests/replay_equivalence.rs` pins structurally. Bindings are
-    /// empty (per-iteration substitution would defeat the fusion); bodies
-    /// that need per-iteration state key off
-    /// [`TaskContext::replay_pass`](crate::TaskContext::replay_pass), which
-    /// still increments per fused iteration. Returns the pass number of the
-    /// last iteration stamped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations` is zero or the template was captured on a
-    /// different [`Runtime`].
-    pub fn replay_fused(&self, template: &GraphTemplate, iterations: usize) -> u64 {
-        self.replay_inner(template, &ReplayBindings::new(), iterations)
-    }
-
-    fn replay_inner(
-        &self,
-        template: &GraphTemplate,
-        bindings: &ReplayBindings,
-        iterations: usize,
-    ) -> u64 {
         let inner = &self.inner;
         assert!(
             template.owner.ptr_eq(&Arc::downgrade(inner)),
             "GraphTemplate was captured on a different Runtime than it is replayed on"
         );
-        assert!(iterations >= 1, "a replay stamps at least one iteration");
-        let base = template.passes.fetch_add(iterations as u64, Ordering::Relaxed);
-        let last = base + iterations as u64;
+        let pass = template.passes.fetch_add(1, Ordering::Relaxed) + 1;
         let trace_enabled = inner.trace.is_enabled();
-        let n = template.tasks.len();
-        inner
-            .stats
-            .add(StatField::ReplayPasses, iterations as u64);
-        if n == 0 {
+        inner.stats.add(StatField::ReplayPasses, 1);
+        if template.tasks.is_empty() {
             if trace_enabled {
-                for m in 0..iterations as u64 {
-                    inner.trace.record(TraceEvent::Replayed {
-                        task: TaskId(0),
-                        tasks: 0,
-                        pass: base + m + 1,
-                        prewired: false,
-                        at_ns: inner.trace.now_ns(),
-                    });
-                }
+                inner.trace.record(TraceEvent::Replayed {
+                    task: TaskId(0),
+                    tasks: 0,
+                    pass,
+                    prewired: false,
+                    at_ns: inner.trace.now_ns(),
+                });
             }
-            return last;
+            return pass;
         }
         // Replayed tasks join the replaying thread's cancel scope, exactly
         // as fresh root spawns do — a cancelled job's queued replay batches
@@ -596,9 +557,9 @@ impl Runtime {
         let mut body_spills = 0u64;
         let mut clash = None;
 
-        // Phase 1 — arm one slab node per recipe, in capture order
-        // (iteration major). Pre-wired: no clause resolution — freezing
-        // proved it pass-invariant, so the accesses are the plan's copies
+        // Phase 1 — arm one slab node per recipe, in capture order.
+        // Pre-wired: no clause resolution — freezing proved it
+        // pass-invariant, so the accesses are the plan's copies
         // (no tickets, no renames by construction). Resolved: the recipe's
         // clauses go through a `ClauseSet` against current version state
         // (bindings substituting handles), exactly as a `TaskBuilder`'s do,
@@ -607,53 +568,51 @@ impl Runtime {
         // fresh-spawn loop this replay stands for: the recipes before it are
         // inserted below, its own bindings are released with its set.
         let cx = inner.rename_cx();
-        'stamp: for m in 0..iterations {
-            for (t, recipe) in template.tasks.iter().enumerate() {
-                let (accesses, tickets) = if let Some(plan) = &plan {
-                    (plan.accesses[t].clone(), Vec::new())
-                } else {
-                    let mut clauses = ClauseSet::default();
-                    for clause in &recipe.clauses {
-                        let handle: &dyn Accessible = match bindings.lookup(clause.key) {
-                            Some(h) => h,
-                            None => &*clause.handle,
-                        };
-                        if let Err(c) = clauses.declare(clause.kind, handle, &cx) {
-                            clash = Some(c);
-                            break 'stamp;
-                        }
+        'stamp: for (t, recipe) in template.tasks.iter().enumerate() {
+            let (accesses, tickets) = if let Some(plan) = &plan {
+                (plan.accesses[t].clone(), Vec::new())
+            } else {
+                let mut clauses = ClauseSet::default();
+                for clause in &recipe.clauses {
+                    let handle: &dyn Accessible = match bindings.lookup(clause.key) {
+                        Some(h) => h,
+                        None => &*clause.handle,
+                    };
+                    if let Err(c) = clauses.declare(clause.kind, handle, &cx) {
+                        clash = Some(c);
+                        break 'stamp;
                     }
-                    let bound = clauses.commit(&inner.rename);
-                    // Any version machinery at all disqualifies freezing:
-                    // resolution is only pass-invariant for plain handles.
-                    pure &= bound.tickets.is_empty();
-                    for access in bound.accesses.iter() {
-                        sids.push(inner.tracker.shard_of(access.region.id.alloc));
-                    }
-                    if trace_enabled {
-                        renames_per_task.push(bound.renamed);
-                    }
-                    (bound.accesses, bound.tickets)
-                };
-                let run = recipe.body.clone();
-                let mut spilled = false;
-                nodes.push(inner.slab.acquire(
-                    recipe.name.clone(),
-                    recipe.priority,
-                    accesses,
-                    tickets,
-                    move |ctx: &TaskContext<'_>| run(ctx),
-                    inner.root_children.clone(),
-                    base + m as u64 + 1,
-                    cancel.clone(),
-                    &mut spilled,
-                ));
-                body_spills += u64::from(spilled);
-            }
+                }
+                let bound = clauses.commit(&inner.rename);
+                // Any version machinery at all disqualifies freezing:
+                // resolution is only pass-invariant for plain handles.
+                pure &= bound.tickets.is_empty();
+                for access in bound.accesses.iter() {
+                    sids.push(inner.tracker.shard_of(access.region.id.alloc));
+                }
+                if trace_enabled {
+                    renames_per_task.push(bound.renamed);
+                }
+                (bound.accesses, bound.tickets)
+            };
+            let run = recipe.body.clone();
+            let mut spilled = false;
+            nodes.push(inner.slab.acquire(
+                recipe.name.clone(),
+                recipe.priority,
+                accesses,
+                tickets,
+                move |ctx: &TaskContext<'_>| run(ctx),
+                inner.root_children.clone(),
+                pass,
+                cancel.clone(),
+                &mut spilled,
+            ));
+            body_spills += u64::from(spilled);
         }
         if let Some(plan) = &plan {
             // The baked interior edges are wired in before any gate is taken.
-            graph::prewire_batch(nodes, plan, iterations);
+            graph::prewire_batch(nodes, plan);
         } else {
             sids.sort_unstable();
             sids.dedup();
@@ -664,7 +623,7 @@ impl Runtime {
         if pure && clash.is_none() {
             let mut frozen = template.frozen.lock();
             if frozen.is_none() {
-                *frozen = graph::build_frozen_plan(&nodes[..n], &inner.tracker).map(Arc::new);
+                *frozen = graph::build_frozen_plan(nodes, &inner.tracker).map(Arc::new);
             }
         }
 
@@ -674,7 +633,7 @@ impl Runtime {
         }
 
         // Phase 2 — the insertion every task goes through, with one gate
-        // acquisition for the whole (super-)batch as its registration.
+        // acquisition for the whole batch as its registration.
         let prewired = Cell::new(false);
         inner.insert(
             nodes.drain(..),
@@ -687,7 +646,7 @@ impl Runtime {
                 if let Some(batch) =
                     inner
                         .tracker
-                        .register_batch_prewired(nodes, plan, iterations, record_edges)
+                        .register_batch_prewired(nodes, plan, record_edges)
                 {
                     prewired.set(true);
                     return batch;
@@ -706,32 +665,42 @@ impl Runtime {
                 // The live edges are out; a pre-wired pass adds its baked
                 // ones.
                 if let (true, Some(plan)) = (prewired.get(), &plan) {
-                    for pass in nodes.chunks(n) {
-                        for e in &plan.edges {
-                            inner.trace.record(TraceEvent::Edge {
-                                task: pass[e.succ].id,
-                                from: pass[e.pred].id,
-                                shard: e.shard,
-                                fast_path: false,
-                                at_ns: inner.trace.now_ns(),
-                            });
-                        }
+                    for e in &plan.edges {
+                        inner.trace.record(TraceEvent::Edge {
+                            task: nodes[e.succ].id,
+                            from: nodes[e.pred].id,
+                            shard: e.shard,
+                            fast_path: false,
+                            at_ns: inner.trace.now_ns(),
+                        });
                     }
                 }
-                for (m, pass) in nodes.chunks(n).enumerate() {
-                    inner.trace.record(TraceEvent::Replayed {
-                        task: pass[0].id,
-                        tasks: pass.len(),
-                        pass: base + m as u64 + 1,
-                        prewired: prewired.get(),
-                        at_ns: inner.trace.now_ns(),
-                    });
-                }
+                inner.trace.record(TraceEvent::Replayed {
+                    task: nodes[0].id,
+                    tasks: nodes.len(),
+                    pass,
+                    prewired: prewired.get(),
+                    at_ns: inner.trace.now_ns(),
+                });
             },
         );
         template.scratch.lock().push(scratch);
         if let Some(clash) = clash {
             clash.raise();
+        }
+        pass
+    }
+
+    /// `k` sequential [`Runtime::replay`]s with empty bindings;
+    /// returns the last pass number. Exists only for the ledger's
+    /// `capture.replay_fused_ns_per_task` probe (`ledger/src/probes.rs`) and
+    /// goes with that probe.
+    #[doc(hidden)]
+    pub fn replay_fused(&self, template: &GraphTemplate, k: usize) -> u64 {
+        let bindings = ReplayBindings::new();
+        let mut last = 0;
+        for _ in 0..k {
+            last = self.replay(template, &bindings);
         }
         last
     }

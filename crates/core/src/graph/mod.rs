@@ -316,15 +316,6 @@ pub struct TrackerDiagnostics {
     pub regions_per_shard: Vec<usize>,
     /// Allocations currently indexed in `by_alloc`, per shard.
     pub allocs_per_shard: Vec<usize>,
-    /// Single-shard registrations whose gate fell to the first, polite try
-    /// (monotonic; see the module docs).
-    pub fast_path_hits: u64,
-    /// Registrations that spanned several shards or had to wait for their
-    /// gate (contention, GC in progress).
-    pub fast_path_fallbacks: u64,
-    /// Overlap-index spans examined by registrations so far (monotonic; see
-    /// [`RuntimeStats::tracker_entries_scanned`](crate::RuntimeStats::tracker_entries_scanned)).
-    pub entries_scanned: u64,
 }
 
 impl TrackerDiagnostics {
@@ -568,7 +559,8 @@ impl ShardedTracker {
         self.shards.iter().position(ShardSlot::is_held)
     }
 
-    /// Current per-shard map sizes plus the monotonic counters. Reading
+    /// Current per-shard map sizes (the monotonic counters are
+    /// [`ShardedTracker::counters`], surfaced through `RuntimeStats`). Reading
     /// diagnostics leaves the hit counters untouched (see
     /// [`ShardedTracker::garbage_collect`]); like every acquisition it
     /// applies pending deferred retirements first.
@@ -584,9 +576,6 @@ impl ShardedTracker {
         TrackerDiagnostics {
             regions_per_shard: regions,
             allocs_per_shard: allocs,
-            fast_path_hits: self.counters.fast_hits(),
-            fast_path_fallbacks: self.counters.fast_fallbacks(),
-            entries_scanned: self.counters.entries_scanned(),
         }
     }
 
@@ -1027,15 +1016,15 @@ mod tests {
         ]);
         assert!(!tr.register(&c, false).fast_path);
         finish_registration(&c);
-        let diag = tr.diagnostics();
-        assert_eq!(diag.fast_path_hits, 2);
-        assert_eq!(diag.fast_path_fallbacks, 1);
+        let c = tr.counters();
+        assert_eq!(c.fast_hits(), 2);
+        assert_eq!(c.fast_fallbacks(), 1);
         // Access-free tasks neither hit nor fall back.
         let free = node_with(vec![]);
         tr.register(&free, false);
         finish_registration(&free);
-        let diag = tr.diagnostics();
-        assert_eq!((diag.fast_path_hits, diag.fast_path_fallbacks), (2, 1));
+        let c = tr.counters();
+        assert_eq!((c.fast_hits(), c.fast_fallbacks()), (2, 1));
     }
 
     #[test]
@@ -1044,9 +1033,9 @@ mod tests {
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         assert!(!tr.register(&a, false).fast_path);
         finish_registration(&a);
-        let diag = tr.diagnostics();
+        let c = tr.counters();
         assert_eq!(
-            (diag.fast_path_hits, diag.fast_path_fallbacks),
+            (c.fast_hits(), c.fast_fallbacks()),
             (0, 1),
             "a forced fallback counts as a fallback"
         );
@@ -1070,8 +1059,8 @@ mod tests {
             assert!(!reg.fast_path, "the gate was held: the try must fail");
         });
         finish_registration(&a);
-        let diag = tr.diagnostics();
-        assert_eq!((diag.fast_path_hits, diag.fast_path_fallbacks), (0, 1));
+        let c = tr.counters();
+        assert_eq!((c.fast_hits(), c.fast_fallbacks()), (0, 1));
         assert_eq!(tr.counters().contention(), 1);
         // Gate released: the next registration takes it at the first try.
         let b = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
@@ -1239,30 +1228,30 @@ mod tests {
         let tr = tracker(2);
         let mut nodes = Vec::new();
         for c in 0..CHUNKS {
-            let before = tr.diagnostics().entries_scanned;
+            let before = tr.counters().entries_scanned();
             let start = c as usize * 48;
             let w = node_with(vec![acc(4, c + 1, start..start + 48, AccessKind::Output)]);
             tr.register(&w, false);
             finish_registration(&w);
             nodes.push(w);
             assert!(
-                tr.diagnostics().entries_scanned - before <= 2,
+                tr.counters().entries_scanned() - before <= 2,
                 "a chunk access examines its neighbours only"
             );
         }
-        let before = tr.diagnostics().entries_scanned;
+        let before = tr.counters().entries_scanned();
         let whole = node_with(vec![acc(4, 0, 0..CHUNKS as usize * 48, AccessKind::Input)]);
         let reg = tr.register(&whole, false);
         finish_registration(&whole);
-        assert_eq!(tr.diagnostics().entries_scanned - before, u64::from(CHUNKS));
+        assert_eq!(tr.counters().entries_scanned() - before, u64::from(CHUNKS));
         assert_eq!(reg.predecessors_seen, CHUNKS as usize);
         assert_eq!(reg.edges, CHUNKS as usize);
         // An empty access examines nothing and conflicts with nothing.
-        let before = tr.diagnostics().entries_scanned;
+        let before = tr.counters().entries_scanned();
         let empty = node_with(vec![acc(4, 9999, 100..100, AccessKind::Output)]);
         assert_eq!(tr.register(&empty, false).predecessors_seen, 0);
         finish_registration(&empty);
-        assert_eq!(tr.diagnostics().entries_scanned, before);
+        assert_eq!(tr.counters().entries_scanned(), before);
     }
 
     #[test]

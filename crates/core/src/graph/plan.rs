@@ -60,7 +60,7 @@ pub(crate) struct FrozenPlan {
     /// their history live (a later frontier scan may need the prefix);
     /// tasks at and after it — the interior tail — never touch the history
     /// maps per task at all: their net effect is applied by the per-region
-    /// bulk [`FrozenInstall`]s below, after each iteration's live prefix.
+    /// bulk [`FrozenInstall`]s below, after the live prefix.
     pub scan_upto: usize,
     /// Per-region bulk history installs (one per region the batch touches,
     /// when there is anything the live prefix did not already record).
@@ -103,7 +103,7 @@ impl FrozenPlan {
 /// no other kind — a task on a never-overwritten region is frontier by
 /// definition, hence inside the live prefix), and an overwrite rebuilds the
 /// region's history from scratch, so every install *replaces* the entry's
-/// lists with the batch's final state. Positions index into the iteration's
+/// lists with the batch's final state. Positions index into the pass's
 /// node slice.
 pub(crate) struct FrozenInstall {
     /// The region (carries the id; the range seeds a fresh entry).
@@ -262,31 +262,22 @@ pub(crate) fn build_frozen_plan(
     Some(plan)
 }
 
-/// Wire the baked edges of `plan` into `iterations` consecutive copies of
-/// the batch **before** any gate is taken: push each interior successor onto
-/// its predecessor's link list, bump its `pending`, and store the baked
-/// in-edge counts. Nothing here touches tracker state — the nodes are
-/// unpublished (their registration sentinel is still up), so no predecessor
-/// can complete out from under the wiring and `add_edge` semantics are
-/// preserved exactly.
-pub(crate) fn prewire_batch(nodes: &[Arc<TaskNode>], plan: &FrozenPlan, iterations: usize) {
-    let per = plan.len();
-    debug_assert_eq!(nodes.len(), per * iterations);
-    for m in 0..iterations {
-        let base = m * per;
-        for e in &plan.edges {
-            let succ = &nodes[base + e.succ];
-            nodes[base + e.pred]
-                .links
-                .lock()
-                .successors
-                .push(succ.clone());
-            succ.pending.fetch_add(1, Ordering::SeqCst);
-        }
-        for (t, &baked) in plan.baked_in.iter().enumerate() {
-            if !plan.frontier[t] {
-                nodes[base + t].in_edges.store(baked, Ordering::Relaxed);
-            }
+/// Wire the baked edges of `plan` into one pass of the batch **before** any
+/// gate is taken: push each interior successor onto its predecessor's link
+/// list, bump its `pending`, and store the baked in-edge counts. Nothing
+/// here touches tracker state — the nodes are unpublished (their
+/// registration sentinel is still up), so no predecessor can complete out
+/// from under the wiring and `add_edge` semantics are preserved exactly.
+pub(crate) fn prewire_batch(nodes: &[Arc<TaskNode>], plan: &FrozenPlan) {
+    debug_assert_eq!(nodes.len(), plan.len());
+    for e in &plan.edges {
+        let succ = &nodes[e.succ];
+        nodes[e.pred].links.lock().successors.push(succ.clone());
+        succ.pending.fetch_add(1, Ordering::SeqCst);
+    }
+    for (t, &baked) in plan.baked_in.iter().enumerate() {
+        if !plan.frontier[t] {
+            nodes[t].in_edges.store(baked, Ordering::Relaxed);
         }
     }
 }
@@ -306,19 +297,18 @@ pub(crate) fn unwire_batch(nodes: &[Arc<TaskNode>]) {
 // template passes through here; no panicking calls allowed (see
 // `cargo xtask lint`).
 impl ShardedTracker {
-    /// Register `iterations` consecutive copies of a [`FrozenPlan`] batch
-    /// whose interior edges were already wired by [`prewire_batch`]: under
-    /// one acquisition of the plan's shards, **validate** the plan against
-    /// live state, then stamp each iteration in two steps. The *live prefix*
-    /// — batch positions up to the last frontier task — runs the ordinary
-    /// scan/record interleave (frontier tasks scan live history; every
-    /// prefix task records its accesses, since a later frontier scan may
-    /// need them). The *interior tail* after it never touches the history
-    /// maps per task: the plan's baked [`FrozenInstall`]s publish the
-    /// iteration's net per-region effect in one pass, so the next
-    /// iteration's frontier scan picks up this iteration's final writers —
-    /// exactly the carried inter-iteration dependence of a fused replay.
-    /// Interior tasks' edges and counters come pre-summed from the plan.
+    /// Register one pass of a [`FrozenPlan`] batch whose interior edges were
+    /// already wired by [`prewire_batch`]: under one acquisition of the
+    /// plan's shards, **validate** the plan against live state, then stamp
+    /// the pass in two steps. The *live prefix* — batch positions up to the
+    /// last frontier task — runs the ordinary scan/record interleave
+    /// (frontier tasks scan live history; every prefix task records its
+    /// accesses, since a later frontier scan may need them). The *interior
+    /// tail* after it never touches the history maps per task: the plan's
+    /// baked [`FrozenInstall`]s publish the pass's net per-region effect in
+    /// one pass, so the next pass's frontier scan picks up this pass's final
+    /// writers. Interior tasks' edges and counters come pre-summed from the
+    /// plan.
     ///
     /// Validation: for each allocation the plan touches, the live overlap
     /// index must hold no region id outside the plan's (pairwise disjoint,
@@ -331,17 +321,15 @@ impl ShardedTracker {
         &self,
         nodes: &[Arc<TaskNode>],
         plan: &FrozenPlan,
-        iterations: usize,
         record_edges: bool,
     ) -> Option<Registration> {
-        let per = plan.len();
-        debug_assert_eq!(nodes.len(), per * iterations);
+        debug_assert_eq!(nodes.len(), plan.len());
         let mut reg = Registration {
-            edges: plan.edges.len() * iterations,
-            raw_edges: plan.baked_raw * iterations,
-            war_edges: plan.baked_war * iterations,
-            waw_edges: plan.baked_waw * iterations,
-            predecessors_seen: plan.baked_preds * iterations,
+            edges: plan.edges.len(),
+            raw_edges: plan.baked_raw,
+            war_edges: plan.baked_war,
+            waw_edges: plan.baked_waw,
+            predecessors_seen: plan.baked_preds,
             ..Registration::default()
         };
         let Some(&first) = plan.sids.first() else {
@@ -366,33 +354,25 @@ impl ShardedTracker {
             self.counters.hit(sid);
         }
         let mut preds = std::mem::take(&mut held.shard(first).scratch_preds);
-        for m in 0..iterations {
-            let base = m * per;
-            // Live prefix: up to (and including) the last frontier task,
-            // scan and record in batch order — a frontier task's scan may
-            // need any earlier prefix task's history entry.
-            for t in 0..plan.scan_upto {
-                let node = &nodes[base + t];
-                if plan.frontier[t] {
-                    self.register_node(node, base + t, &mut preds, &mut held, record_edges, &mut reg);
-                } else {
-                    for access in node.accesses.iter() {
-                        let sid = self.shard_of(access.region.id.alloc);
-                        held.shard(sid).record_access(access, node, &self.recycler);
-                    }
+        // Live prefix: up to (and including) the last frontier task, scan
+        // and record in batch order — a frontier task's scan may need any
+        // earlier prefix task's history entry.
+        for (t, node) in nodes[..plan.scan_upto].iter().enumerate() {
+            if plan.frontier[t] {
+                self.register_node(node, t, &mut preds, &mut held, record_edges, &mut reg);
+            } else {
+                for access in node.accesses.iter() {
+                    let sid = self.shard_of(access.region.id.alloc);
+                    held.shard(sid).record_access(access, node, &self.recycler);
                 }
             }
-            // Interior tail: no per-task history work at all — the baked
-            // installs publish the iteration's net effect per region, so the
-            // next iteration's frontier (and post-batch registrations) see
-            // exactly the state a full per-task interleave would have left.
-            for inst in &plan.installs {
-                held.shard(inst.shard).apply_install(
-                    inst,
-                    &nodes[base..base + per],
-                    &self.recycler,
-                );
-            }
+        }
+        // Interior tail: no per-task history work at all — the baked
+        // installs publish the pass's net effect per region, so the next
+        // pass's frontier (and later registrations) see exactly the state a
+        // full per-task interleave would have left.
+        for inst in &plan.installs {
+            held.shard(inst.shard).apply_install(inst, nodes, &self.recycler);
         }
         held.shard(first).scratch_preds = preds;
         self.counters.scanned(reg.scanned);

@@ -330,9 +330,9 @@ impl TrackerShard {
     /// the batch's baked net effect — exactly the state the per-task
     /// `record_access` interleave of a resolved registration would have left
     /// (an in-batch overwrite rebuilds the lists from scratch, so the final
-    /// state is a pure function of the batch). `nodes` is the current
-    /// iteration's node slice; the install's positions index into it. In the
-    /// warm steady state this allocates nothing: the entry, its list
+    /// state is a pure function of the batch). `nodes` is the pass's
+    /// node slice; the install's positions index into it. In the warm
+    /// steady state this allocates nothing: the entry, its list
     /// capacities and the index span all survive from the previous pass.
     pub(super) fn apply_install(
         &mut self,

@@ -21,7 +21,7 @@
 //! | `#pragma omp taskwait`                     | [`Runtime::taskwait`]                        |
 //! | `#pragma omp taskwait on (x)`              | [`Runtime::taskwait_on`]                     |
 //! | `#pragma omp critical`                     | [`critical::CriticalSections`]               |
-//! | task barrier (polling)                     | [`barrier::TaskBarrier`]                     |
+//! | task barrier (polling)                     | [`Runtime::taskwait`] (the waiter runs ready tasks) |
 //! | circular-buffer manual renaming (Listing 1)| [`pipeline::RenameRing`]                     |
 //! | automatic renaming (superscalar-style)     | [`Runtime::versioned_data`] + [`rename`]     |
 //! | per-chunk renaming (region granularity)    | [`Runtime::versioned_partitioned`]           |
@@ -86,7 +86,6 @@
 
 pub mod access;
 pub mod alloc_count;
-pub mod barrier;
 pub mod capture;
 pub mod critical;
 pub mod dcheck;
@@ -106,7 +105,6 @@ mod worker;
 
 pub use access::AccessKind;
 pub use alloc_count::CountingAllocator;
-pub use barrier::{BarrierKind, TaskBarrier};
 pub use capture::{CaptureScope, CapturedTaskBuilder, GraphTemplate, ReplayBindings};
 pub use dcheck::{AuditReport, AuditViolation, RaceReport};
 pub use error::{Error, Result};

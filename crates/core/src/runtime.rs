@@ -84,12 +84,6 @@ pub struct RuntimeConfig {
     /// gate in turn, so registrations on a shard being swept wait for the
     /// duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
     pub tracker_gc_interval: u64,
-    /// Whether retired task nodes are recycled through the per-runtime slab
-    /// (the spawn-side allocation diet: a steady-state ≤2-access spawn then
-    /// performs no heap allocation at all). Enabled by default; `false`
-    /// allocates every node fresh — a configuration of the equivalence
-    /// suite's matrix and the reference of `tests/spawn_alloc.rs`.
-    pub task_recycler: bool,
     /// Whether eligible [`GraphTemplate`](crate::GraphTemplate)s freeze into
     /// pre-wired form after a clean replay pass (see [`crate::capture`],
     /// "Pre-wired templates"). Enabled by default; `false` keeps every
@@ -127,7 +121,6 @@ impl Default for RuntimeConfig {
             tracker_shards: 0,
             rename_elision: true,
             tracker_gc_interval: DEFAULT_TRACKER_GC_INTERVAL,
-            task_recycler: true,
             replay_prewiring: true,
             fault_plan: None,
             dcheck: false,
@@ -206,15 +199,6 @@ impl RuntimeConfig {
     /// and of registrations waiting while their shard is swept.
     pub fn with_tracker_gc_interval(mut self, interval: u64) -> Self {
         self.tracker_gc_interval = interval;
-        self
-    }
-
-    /// Enable or disable the task-node recycler. With `false` every spawn
-    /// allocates a fresh node (the pre-recycler behaviour); the task-graph
-    /// semantics are identical either way — `tests/tracker_equivalence.rs`
-    /// pins the edge structure across both settings.
-    pub fn with_task_recycler(mut self, recycler: bool) -> Self {
-        self.task_recycler = recycler;
         self
     }
 
@@ -632,11 +616,7 @@ impl Runtime {
         }
         let tracker_shards = config.effective_tracker_shards();
         let sched = SchedState::new(config.policy, config.workers);
-        let slab = Arc::new(TaskSlab::new(if config.task_recycler {
-            DEFAULT_TASK_SLAB_CAPACITY
-        } else {
-            0
-        }));
+        let slab = Arc::new(TaskSlab::new(DEFAULT_TASK_SLAB_CAPACITY));
         let mut tracker = ShardedTracker::new(tracker_shards);
         tracker.set_recycler(slab.clone());
         if let Some(plan) = config.fault_plan.clone() {

@@ -143,8 +143,7 @@ pub(crate) enum StatField {
     /// Spawns whose body closure spilled past the node's inline body buffer
     /// into a `Box`.
     SpawnBodySpills,
-    /// Template passes stamped through `Runtime::replay` / `replay_fused`
-    /// (a fused super-batch counts each of its iterations).
+    /// Template passes stamped through `Runtime::replay`.
     ReplayPasses,
     /// Tasks stamped by template replay, a subset of `TasksSpawned`.
     ReplayTasks,
@@ -267,8 +266,7 @@ pub struct RuntimeStats {
     /// [`RuntimeStats::renames`].
     pub renames_elided: u64,
     /// Task-node acquisitions served from the runtime's slab free list
-    /// instead of the heap (the spawn-side allocation diet; see
-    /// [`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
+    /// instead of the heap (the spawn-side allocation diet).
     pub task_nodes_recycled: u64,
     /// Task nodes allocated fresh from the heap.
     pub task_nodes_allocated: u64,
@@ -282,9 +280,7 @@ pub struct RuntimeStats {
     /// the node's 64-byte inline body buffer and was boxed instead.
     pub spawn_body_spills: u64,
     /// Template passes stamped through
-    /// [`Runtime::replay`](crate::Runtime::replay) /
-    /// [`Runtime::replay_fused`](crate::Runtime::replay_fused) (a fused
-    /// super-batch counts each of its iterations as one pass).
+    /// [`Runtime::replay`](crate::Runtime::replay).
     pub replay_passes: u64,
     /// Tasks stamped by template replay — a subset of
     /// [`RuntimeStats::tasks_spawned`], which counts them too.

@@ -674,8 +674,7 @@ impl TaskSlabDiagnostics {
 /// plain fields on reuse safe without any interior mutability.
 pub(crate) struct TaskSlab {
     free: Mutex<VecDeque<Arc<TaskNode>>>,
-    /// Bound on the free list; 0 disables recycling entirely
-    /// ([`RuntimeConfig::with_task_recycler`](crate::RuntimeConfig::with_task_recycler)).
+    /// Bound on the free list.
     capacity: usize,
     /// Nodes allocated before parked ones are reused
     /// (`capacity / WARM_STOCK_SHARE`).
@@ -692,8 +691,7 @@ pub(crate) struct TaskSlab {
 }
 
 impl TaskSlab {
-    /// Create a slab keeping at most `capacity` retired nodes (0 = recycling
-    /// off).
+    /// Create a slab keeping at most `capacity` retired nodes.
     pub(crate) fn new(capacity: usize) -> Self {
         TaskSlab {
             free: Mutex::new(VecDeque::with_capacity(FREE_LIST_INITIAL_CAP.min(capacity))),
@@ -801,9 +799,6 @@ impl TaskSlab {
     /// parked, cloned only on the non-recycling paths — so the steady state
     /// adds no refcount traffic on the sibling-shared tracker line.
     pub(crate) fn try_recycle(&self, mut node: Arc<TaskNode>) -> Arc<ChildTracker> {
-        if self.capacity == 0 {
-            return node.parent_children.clone();
-        }
         let serial = if Arc::get_mut(&mut node).is_none() {
             Some(self.handback.lock())
         } else {
@@ -1037,7 +1032,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shared_nodes_and_disabled_slabs_are_never_recycled() {
+    fn shared_nodes_are_never_recycled() {
         let slab = TaskSlab::new(8);
         let n = acquire_plain(&slab);
         let _ = n.body.lock().take();
@@ -1051,13 +1046,6 @@ pub(crate) mod tests {
             0,
             "final drop released the accounting token"
         );
-        let off = TaskSlab::new(0);
-        let n = acquire_plain(&off);
-        let _ = n.body.lock().take();
-        n.links.lock().completed = true;
-        off.try_recycle(n);
-        assert_eq!(off.diagnostics().free, 0, "capacity 0 disables recycling");
-        assert_eq!(off.diagnostics().outstanding, 0);
     }
 
     #[test]

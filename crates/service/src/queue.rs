@@ -147,8 +147,10 @@ impl IngestQueue {
         let mut lanes = self.lanes.lock();
         loop {
             if let Some(job) = lanes.latency.pop_front().or_else(|| lanes.bulk.pop_front()) {
-                self.depth.store(lanes.len(), Ordering::SeqCst);
+                // Active before depth: `drain` reads depth then active, so
+                // a popped job is never invisible to both.
                 self.active.fetch_add(1, Ordering::SeqCst);
+                self.depth.store(lanes.len(), Ordering::SeqCst);
                 return Some(job);
             }
             if lanes.closed {

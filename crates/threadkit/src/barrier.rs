@@ -195,23 +195,26 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_leader_per_episode_blocking() {
-        let b = BlockingBarrier::new(3);
-        let leaders = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let b = b.clone();
-                let leaders = leaders.clone();
-                scope.spawn(move || {
-                    for _ in 0..30 {
-                        if b.wait() {
-                            leaders.fetch_add(1, Ordering::SeqCst);
+    fn exactly_one_leader_per_episode() {
+        fn count_leaders(wait: impl Fn() -> bool + Sync) -> u64 {
+            let leaders = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    scope.spawn(|| {
+                        for _ in 0..30 {
+                            if wait() {
+                                leaders.fetch_add(1, Ordering::SeqCst);
+                            }
                         }
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::SeqCst), 30);
+                    });
+                }
+            });
+            leaders.into_inner()
+        }
+        let blocking = BlockingBarrier::new(3);
+        assert_eq!(count_leaders(|| blocking.wait()), 30, "blocking");
+        let spin = SpinBarrier::new(3);
+        assert_eq!(count_leaders(|| spin.wait()), 30, "spin");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Two directions, both required for the oracle to mean anything:
 //!
 //! 1. **Soundness on correct schedules** — random task programs (plain and
-//!    versioned handles, spawned, replayed and fused-replayed) run under
-//!    `with_dcheck(true)` and must produce *zero* race reports and a clean
-//!    audit: the runtime's tracker orders every conflicting pair, and the
+//!    versioned handles, spawned, and replayed with and without drains) run
+//!    under `with_dcheck(true)` and must produce *zero* race reports and a
+//!    clean audit: the runtime's tracker orders every conflicting pair, and the
 //!    oracle must agree.
 //! 2. **Sensitivity to a missed edge** — a seeded mutation suppresses the
 //!    clock merge of exactly one RAW edge, simulating a tracker that lost a
@@ -212,14 +212,15 @@ proptest! {
         prop_assert!(oracle.audit.is_ok());
     }
 
-    /// A captured program replayed normally and fused must stay race-free
-    /// through every pass: replays re-stamp the same nodes, so the oracle's
-    /// per-epoch clocks have to be rebuilt correctly each drain.
+    /// A captured program replayed with a drain after each pass, then
+    /// several passes back to back, must stay race-free through every pass:
+    /// replays re-stamp the same nodes, so the oracle's per-epoch clocks
+    /// have to be rebuilt correctly each drain.
     #[test]
     fn replayed_and_fused_programs_are_race_free_under_dcheck(
         ops in proptest::collection::vec(op_strategy(4), 1..24),
         replays in 1usize..3,
-        fused in 2usize..4,
+        back_to_back in 2usize..4,
     ) {
         let rt = Runtime::new(
             RuntimeConfig::default().with_workers(3).with_dcheck(true),
@@ -236,10 +237,9 @@ proptest! {
             prop_assert_eq!(rt.replay(&template, &bindings), pass as u64 + 1);
             rt.taskwait();
         }
-        prop_assert_eq!(
-            rt.replay_fused(&template, fused),
-            (replays + fused) as u64
-        );
+        for pass in replays..replays + back_to_back {
+            prop_assert_eq!(rt.replay(&template, &bindings), pass as u64 + 1);
+        }
         rt.taskwait();
 
         // Oracle verdict over every pass (each drain ran its own check).
@@ -249,9 +249,9 @@ proptest! {
         let report = oracle.audit.expect("drained replay runtime must audit clean");
         prop_assert!(report.quiescent);
 
-        // Values: capture pass + replays + fused iterations, all sequential.
+        // Values: capture pass + every replay, all sequential.
         let mut v = vec![0u64; 4];
-        for _ in 0..(1 + replays + fused) {
+        for _ in 0..(1 + replays + back_to_back) {
             for op in &ops {
                 match *op {
                     Op::Set { dst, value } => v[dst] = value,

@@ -217,7 +217,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// However a graph is randomly poisoned (injected panics) and/or
-    /// cancelled, across tracker shard counts and recycler settings: the
+    /// cancelled, across tracker shard counts: the
     /// graph drains (no in-flight tasks, no outstanding slab nodes, no
     /// tracked regions), the retirement ledger balances
     /// (`executed + poisoned + cancelled == spawned`), and the committed
@@ -229,7 +229,7 @@ proptest! {
         panic_one_in in 2u64..12,
         cancel in proptest::bool::ANY,
     ) {
-        for (shards, recycler) in [(1usize, true), (2, false), (7, true), (16, false)] {
+        for shards in [1usize, 2, 7, 16] {
             let plan = FaultPlan::seeded(seed)
                 .panic_one_in(panic_one_in)
                 .delay_one_in(5, 8);
@@ -237,7 +237,6 @@ proptest! {
                 RuntimeConfig::default()
                     .with_workers(2)
                     .with_tracker_shards(shards)
-                    .with_task_recycler(recycler)
                     .with_fault_plan(plan),
             );
             let token = rt.cancel_scope();
@@ -253,7 +252,7 @@ proptest! {
             }
             let _ = rt.try_taskwait();
             let stats = rt.stats();
-            prop_assert_eq!(rt.in_flight_tasks(), 0, "shards={} recycler={}", shards, recycler);
+            prop_assert_eq!(rt.in_flight_tasks(), 0, "shards={}", shards);
             prop_assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
             prop_assert_eq!(rt.tracker_diagnostics().total_regions(), 0);
             prop_assert_eq!(

@@ -4,8 +4,7 @@
 //! for any captured program, every replay pass must discover exactly the
 //! dependence structure that spawning the same tasks freshly through
 //! `TaskBuilder` discovers, and execution must produce exactly the values of
-//! repeating the program sequentially — across shard counts {1, 2, 7, 16}
-//! and with the task-node recycler on and off.
+//! repeating the program sequentially — across shard counts {1, 2, 7, 16}.
 //!
 //! The measurement idiom mirrors `tests/tracker_equivalence.rs`: task bodies
 //! are *gated* on a shared flag, so nothing completes (and nothing retires)
@@ -206,12 +205,11 @@ struct InsertionStructure {
     counters: (u64, u64, u64, u64, u64, u64),
 }
 
-fn runtime_for(shards: usize, recycler: bool) -> Runtime {
+fn runtime_for(shards: usize) -> Runtime {
     Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
             .with_tracker_shards(shards)
-            .with_task_recycler(recycler)
             .with_tracing(true),
     )
 }
@@ -262,53 +260,48 @@ fn segment_structure(
     }
 }
 
-/// Run `rounds` gated fresh iterations of the program; return the structure
-/// of the final iteration and the final cell values.
+/// Run `drained` fresh iterations of the program, each drained, then
+/// `undrained` gated iterations with no drain between them as one measured
+/// segment; return the segment's structure and the final cell values.
 fn fresh(
     shards: usize,
-    recycler: bool,
     cells: usize,
     ops: &[Op],
-    rounds: usize,
+    drained: usize,
+    undrained: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+    let rt = runtime_for(shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
-    let gate = Arc::new(AtomicBool::new(false));
-    let mut structure = None;
-    for round in 0..rounds {
-        gate.store(false, Ordering::Release);
-        let skip = rt.trace().len();
-        let before = rt.stats();
+    let gate = Arc::new(AtomicBool::new(true));
+    for _ in 0..drained {
         spawn_program(&rt, &handles, ops, &gate);
-        if round == rounds - 1 {
-            let after = rt.stats();
-            let trace = rt.trace();
-            structure = Some(segment_structure(
-                &trace[skip..],
-                ops.len(),
-                shards,
-                &before,
-                &after,
-            ));
-        }
-        gate.store(true, Ordering::Release);
         rt.taskwait();
     }
+    gate.store(false, Ordering::Release);
+    let skip = rt.trace().len();
+    let before = rt.stats();
+    for _ in 0..undrained {
+        spawn_program(&rt, &handles, ops, &gate);
+    }
+    let after = rt.stats();
+    let structure = segment_structure(
+        &rt.trace()[skip..],
+        ops.len() * undrained,
+        shards,
+        &before,
+        &after,
+    );
+    gate.store(true, Ordering::Release);
+    rt.taskwait();
     let values = handles.iter().map(|h| rt.fetch(h)).collect();
     rt.shutdown();
-    (structure.expect("at least one round"), values)
+    (structure, values)
 }
 
 /// Capture one gated iteration, then run `replays` gated replay passes;
 /// return the structure of the final pass and the final cell values.
-fn replayed(
-    shards: usize,
-    recycler: bool,
-    cells: usize,
-    ops: &[Op],
-    replays: usize,
-) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+fn replayed(shards: usize, cells: usize, ops: &[Op], replays: usize) -> (InsertionStructure, Vec<u64>) {
+    let rt = runtime_for(shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -364,33 +357,21 @@ fn demo_ops() -> Vec<Op> {
     ]
 }
 
-/// The full configuration grid: shard counts {1, 2, 7, 16} × recycler
-/// {on, off}. The final replay pass must discover byte-identical edge
-/// multisets, per-task dependence counts, and counter deltas as the final
-/// fresh iteration, and both must end in the sequential values.
+/// Every shard count {1, 2, 7, 16}: the final replay pass must discover
+/// byte-identical edge multisets, per-task dependence counts, and counter
+/// deltas as the final fresh iteration, and both must end in the sequential
+/// values.
 #[test]
 fn replay_structure_and_values_match_fresh_across_grid() {
     let ops = demo_ops();
     let rounds = 3; // capture + 2 replays on the replay side
     let expected = run_sequential_rounds(4, &ops, rounds);
     for shards in SHARD_COUNTS {
-        for recycler in [true, false] {
-            let (fresh_structure, fresh_values) = fresh(shards, recycler, 4, &ops, rounds);
-            let (replay_structure, replay_values) =
-                replayed(shards, recycler, 4, &ops, rounds - 1);
-            assert_eq!(
-                replay_structure, fresh_structure,
-                "shards = {shards}, recycler = {recycler}"
-            );
-            assert_eq!(
-                fresh_values, expected,
-                "fresh values, shards = {shards}, recycler = {recycler}"
-            );
-            assert_eq!(
-                replay_values, expected,
-                "replay values, shards = {shards}, recycler = {recycler}"
-            );
-        }
+        let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, rounds - 1, 1);
+        let (replay_structure, replay_values) = replayed(shards, 4, &ops, rounds - 1);
+        assert_eq!(replay_structure, fresh_structure, "shards = {shards}");
+        assert_eq!(fresh_values, expected, "fresh values, shards = {shards}");
+        assert_eq!(replay_values, expected, "replay values, shards = {shards}");
     }
 }
 
@@ -406,8 +387,8 @@ proptest! {
     ) {
         let expected = run_sequential_rounds(4, &ops, 3);
         for shards in [1usize, 7] {
-            let (fresh_structure, fresh_values) = fresh(shards, true, 4, &ops, 3);
-            let (replay_structure, replay_values) = replayed(shards, true, 4, &ops, 2);
+            let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, 2, 1);
+            let (replay_structure, replay_values) = replayed(shards, 4, &ops, 2);
             prop_assert_eq!(&replay_structure, &fresh_structure, "shards = {}", shards);
             prop_assert_eq!(&fresh_values, &expected, "fresh, shards = {}", shards);
             prop_assert_eq!(&replay_values, &expected, "replay, shards = {}", shards);
@@ -540,27 +521,25 @@ fn rename_ring_rebind_rotates_replayed_slots() {
 
 /// Capture the program, optionally run one warm (drained) replay so the
 /// template freezes, then stamp `k` more passes gated as one measured
-/// segment — either one [`Runtime::replay_fused`] super-batch or `k`
-/// sequential [`Runtime::replay`] calls with no drain between them — and
+/// segment — `k` [`Runtime::replay`] calls with no drain between them — and
 /// return the segment's structure plus the final cell values.
-fn replayed_multi(
+fn replayed_undrained(
     shards: usize,
-    recycler: bool,
     cells: usize,
     ops: &[Op],
     k: usize,
-    fused: bool,
     warm: bool,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+    let rt = runtime_for(shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
     gate.store(true, Ordering::Release);
     rt.taskwait();
     assert!(!template.is_frozen(), "capture alone must not freeze");
+    let bindings = ReplayBindings::new();
     if warm {
-        rt.replay(&template, &ReplayBindings::new());
+        rt.replay(&template, &bindings);
         rt.taskwait();
         assert!(
             template.is_frozen(),
@@ -571,19 +550,12 @@ fn replayed_multi(
     gate.store(false, Ordering::Release);
     let skip = rt.trace().len();
     let before = rt.stats();
-    if fused {
-        let last = rt.replay_fused(&template, k);
-        assert_eq!(last, warm as u64 + k as u64, "fused passes number from 1");
-    } else {
-        let bindings = ReplayBindings::new();
-        for _ in 0..k {
-            rt.replay(&template, &bindings);
-        }
+    for _ in 0..k {
+        rt.replay(&template, &bindings);
     }
     let after = rt.stats();
-    let trace = rt.trace();
     let structure = segment_structure(
-        &trace[skip..],
+        &rt.trace()[skip..],
         ops.len() * k,
         shards,
         &before,
@@ -597,38 +569,25 @@ fn replayed_multi(
     (structure, values)
 }
 
-/// One `replay_fused(k)` super-batch must discover byte-identical structure
-/// (edge multiset over all k·n tasks, per-task dependence counts, counter
-/// deltas) to `k` sequential `replay` calls with no drain between them —
-/// including the carried inter-iteration dependences — across the full
-/// shard × recycler grid, both before the template freezes (fused resolved
-/// insertion) and after (fused pre-wired insertion).
+/// `k` replays with no drain between them must discover byte-identical
+/// structure (edge multiset over all k·n tasks, per-task dependence counts,
+/// counter deltas) to `k` undrained fresh iterations — including the carried
+/// inter-iteration dependences — on every shard count, both before the
+/// template freezes (resolved insertion) and after (pre-wired insertion).
 #[test]
-fn fused_replay_matches_sequential_replays_across_grid() {
+fn undrained_replays_match_fresh_spawns_across_grid() {
     let ops = demo_ops();
     let k = 2;
     for warm in [false, true] {
-        let rounds = 1 + usize::from(warm) + k; // capture + warm + measured
-        let expected = run_sequential_rounds(4, &ops, rounds);
+        let drained = 1 + usize::from(warm); // capture + warm
+        let expected = run_sequential_rounds(4, &ops, drained + k);
         for shards in SHARD_COUNTS {
-            for recycler in [true, false] {
-                let (seq_structure, seq_values) =
-                    replayed_multi(shards, recycler, 4, &ops, k, false, warm);
-                let (fused_structure, fused_values) =
-                    replayed_multi(shards, recycler, 4, &ops, k, true, warm);
-                assert_eq!(
-                    fused_structure, seq_structure,
-                    "shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-                assert_eq!(
-                    seq_values, expected,
-                    "sequential values, shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-                assert_eq!(
-                    fused_values, expected,
-                    "fused values, shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-            }
+            let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, drained, k);
+            let (replay_structure, replay_values) = replayed_undrained(shards, 4, &ops, k, warm);
+            let tag = format!("shards = {shards}, warm = {warm}");
+            assert_eq!(replay_structure, fresh_structure, "{tag}");
+            assert_eq!(fresh_values, expected, "fresh values, {tag}");
+            assert_eq!(replay_values, expected, "replay values, {tag}");
         }
     }
 }

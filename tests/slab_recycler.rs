@@ -151,19 +151,3 @@ fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
     assert!(stats.access_inline_hits > stats.access_inline_spills);
     rt.shutdown();
 }
-
-#[test]
-fn recycler_disabled_behaves_identically_with_zero_recycles() {
-    let (rt, total) = run_churn(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8)
-            .with_task_recycler(false),
-    );
-    let diag = rt.task_slab_diagnostics();
-    assert_eq!(diag.outstanding, 0, "nodes leaked: {diag:?}");
-    assert_eq!(diag.recycled, 0, "recycler off must never reuse");
-    assert_eq!(diag.free, 0);
-    assert!(diag.allocated >= total);
-    rt.shutdown();
-}

@@ -168,18 +168,11 @@ struct EdgeStructure {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn edge_structure(
-    shards: usize,
-    fast_path: bool,
-    recycler: bool,
-    cells: usize,
-    ops: &[Op],
-) -> EdgeStructure {
+fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
     let rt = Runtime::new(
         tracker_config(fast_path)
             .with_workers(2)
             .with_tracker_shards(shards)
-            .with_task_recycler(recycler)
             .with_tracing(true),
     );
     assert_eq!(rt.tracker_shards(), shards);
@@ -240,12 +233,11 @@ fn edge_structure(
     }
 }
 
-fn final_values(shards: usize, fast_path: bool, recycler: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
+fn final_values(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
     let rt = Runtime::new(
         tracker_config(fast_path)
             .with_workers(3)
-            .with_tracker_shards(shards)
-            .with_task_recycler(recycler),
+            .with_tracker_shards(shards),
     );
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     spawn_program(&rt, &handles, ops, None);
@@ -262,47 +254,37 @@ proptest! {
     /// optimistic fast path enabled — discovers exactly the edge multiset,
     /// per-task dependence counts and edge-class counters of the
     /// forced-locked single-shard tracker, for every shard count; the
-    /// forced-locked configuration agrees at every shard count too, and the
-    /// task-node recycler is invisible to the structure at every shard
-    /// count ({recycler on, off} × shards).
+    /// forced-locked configuration agrees at every shard count too.
     #[test]
     fn sharded_edge_structure_equals_single_shard(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
-        // Reference: 1 shard, forced-locked (the historical tracker),
-        // recycler on (the default).
-        let reference = edge_structure(1, false, true, 4, &ops);
+        // Reference: 1 shard, forced-locked (the historical tracker).
+        let reference = edge_structure(1, false, 4, &ops);
         prop_assert_eq!(reference.edges.len() as u64, reference.counters.0);
         for shards in SHARD_COUNTS {
-            let optimistic = edge_structure(shards, true, true, 4, &ops);
+            let optimistic = edge_structure(shards, true, 4, &ops);
             prop_assert_eq!(&optimistic, &reference, "optimistic, shards = {}", shards);
-            let no_recycler = edge_structure(shards, true, false, 4, &ops);
-            prop_assert_eq!(&no_recycler, &reference, "recycler off, shards = {}", shards);
         }
         for shards in &SHARD_COUNTS[1..] {
-            let locked = edge_structure(*shards, false, true, 4, &ops);
+            let locked = edge_structure(*shards, false, 4, &ops);
             prop_assert_eq!(&locked, &reference, "forced-locked, shards = {}", shards);
         }
     }
 
     /// Ungated execution on every shard count — optimistic and
-    /// forced-locked, recycler on and off — ends in exactly the sequential
-    /// final values.
+    /// forced-locked — ends in exactly the sequential final values.
     #[test]
     fn sharded_execution_matches_sequential_semantics(
         ops in proptest::collection::vec(op_strategy(5), 1..48),
     ) {
         let expected = run_sequential_matching_tasks(5, &ops);
         for shards in SHARD_COUNTS {
-            let got = final_values(shards, true, true, 5, &ops);
+            let got = final_values(shards, true, 5, &ops);
             prop_assert_eq!(&got, &expected, "optimistic, shards = {}", shards);
         }
-        let got = final_values(7, false, true, 5, &ops);
+        let got = final_values(7, false, 5, &ops);
         prop_assert_eq!(&got, &expected, "forced-locked, shards = 7");
-        for shards in [1usize, 16] {
-            let got = final_values(shards, true, false, 5, &ops);
-            prop_assert_eq!(&got, &expected, "recycler off, shards = {}", shards);
-        }
     }
 }
 
@@ -311,7 +293,6 @@ proptest! {
 fn final_values_dcheck(
     shards: usize,
     fast_path: bool,
-    recycler: bool,
     cells: usize,
     ops: &[Op],
 ) -> (Vec<u64>, Vec<ompss::RaceReport>, bool) {
@@ -319,7 +300,6 @@ fn final_values_dcheck(
         tracker_config(fast_path)
             .with_workers(3)
             .with_tracker_shards(shards)
-            .with_task_recycler(recycler)
             .with_dcheck(true),
     );
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
@@ -337,10 +317,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The full tracker matrix under the dcheck race oracle: every shard
-    /// count × {optimistic, forced-locked} × {recycler on, off} runs random
-    /// programs with zero race reports and a clean audit — the sharded
-    /// tracker orders every conflicting pair no matter which registration
-    /// path or node-reuse policy is active, and the oracle agrees.
+    /// count × {optimistic, forced-locked} runs random programs with zero
+    /// race reports and a clean audit — the sharded tracker orders every
+    /// conflicting pair no matter which registration path is active, and
+    /// the oracle agrees.
     #[test]
     fn tracker_matrix_is_race_free_under_dcheck(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
@@ -348,16 +328,11 @@ proptest! {
         let expected = run_sequential_matching_tasks(4, &ops);
         for shards in SHARD_COUNTS {
             for fast_path in [true, false] {
-                for recycler in [true, false] {
-                    let (got, races, audit_ok) =
-                        final_values_dcheck(shards, fast_path, recycler, 4, &ops);
-                    let tag = format!(
-                        "shards = {shards}, fast_path = {fast_path}, recycler = {recycler}"
-                    );
-                    prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
-                    prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
-                    prop_assert!(audit_ok, "audit violation under {}", tag);
-                }
+                let (got, races, audit_ok) = final_values_dcheck(shards, fast_path, 4, &ops);
+                let tag = format!("shards = {shards}, fast_path = {fast_path}");
+                prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
+                prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
+                prop_assert!(audit_ok, "audit violation under {}", tag);
             }
         }
     }
