@@ -603,7 +603,7 @@ impl Runtime {
                 accesses,
                 tickets,
                 move |ctx: &TaskContext<'_>| run(ctx),
-                inner.root_children.clone(),
+                None,
                 pass,
                 cancel.clone(),
                 &mut spilled,

@@ -6,7 +6,7 @@
 //! Under [`RuntimeConfig::with_dcheck`](crate::RuntimeConfig::with_dcheck)
 //! every spawned task carries a *vector clock*, represented as a dense
 //! happens-before bitset over the tasks of the current epoch (the window
-//! since the last quiescent `taskwait`/`barrier`). The clock is built from
+//! since the last quiescent `taskwait`). The clock is built from
 //! exactly two sources, both independent of the dependence tracker's own
 //! edge bookkeeping:
 //!
@@ -32,7 +32,7 @@
 //! to a per-worker shadow log: the bound version's region — renamed versions
 //! carry fresh allocation ids, so "same version" falls out of the region
 //! identity — the access direction, and whether the declared access was
-//! `concurrent`. At a quiescent `taskwait`/`barrier` the checker verifies
+//! `concurrent`. At a quiescent `taskwait` the checker verifies
 //! that every conflicting pair of records (W-W, W-R, R-W on overlapping
 //! byte ranges of the same allocation, not both `concurrent`) is ordered by
 //! the happens-before relation above, reporting a [`RaceReport`] for every
@@ -66,7 +66,7 @@
 //! every tracker shard gate even at quiescence, tombstones and by-alloc
 //! maps scrubbed after GC, slab `outstanding == 0`, and version-ticket
 //! bind/release balance. Under dcheck the audit runs automatically at every
-//! quiescent `taskwait`/`barrier`; the service layer's stall watchdog calls
+//! quiescent `taskwait`; the service layer's stall watchdog calls
 //! it on stuck runtimes to separate ledger corruption from genuine
 //! slowness (a non-quiescent audit checks the one direction that must hold
 //! mid-run: the completion ledger never overtakes the spawn counter).

@@ -35,9 +35,16 @@ use crate::task::TaskNode;
 /// shard's history and the gate of the next share a line, and a worker
 /// retiring on shard *k* slows whoever CASes the gate of shard *k + 1*
 /// (measured: 8 % of `insert.storm`'s replay round time).
-#[repr(align(128))]
+///
+/// `hits` sits right after the gate, on the line every acquirer has just
+/// taken with its CAS: counting an acquisition moves no further line between
+/// the spawner registering on a shard and the worker retiring on it.
+#[repr(C, align(128))]
 pub(super) struct ShardSlot {
     gate: AtomicU64,
+    /// Gate acquisitions by registrations, retirements and `taskwait on`
+    /// lookups (`RuntimeStats::tracker_shard_hits`).
+    hits: AtomicU64,
     inbox_len: AtomicUsize,
     inbox: Mutex<Vec<Retirement>>,
     data: UnsafeCell<TrackerShard>,
@@ -79,6 +86,7 @@ impl ShardSlot {
     pub(super) fn new() -> Self {
         ShardSlot {
             gate: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
             inbox_len: AtomicUsize::new(0),
             inbox: Mutex::new(Vec::with_capacity(INBOX_CAPACITY)),
             data: UnsafeCell::new(TrackerShard {
@@ -86,6 +94,16 @@ impl ShardSlot {
                 ..TrackerShard::default()
             }),
         }
+    }
+
+    /// Count one acquisition of this shard's gate.
+    pub(super) fn hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Acquisitions counted so far.
+    pub(super) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Whether some mutator holds the gate right now. The waiter flag is
@@ -398,7 +416,7 @@ impl ShardedTracker {
                 if !forced {
                     held = Held::try_one(self, sid);
                     if held.is_some() {
-                        self.counters.hit(sid);
+                        self.shards[sid].hit();
                     }
                 }
             }

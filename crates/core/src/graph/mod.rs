@@ -225,7 +225,7 @@ use shard::{PredRef, PredSet, Recycler};
 
 use crate::access::Dependence;
 use crate::region::{AllocId, Region};
-use crate::stats::TrackerCounters;
+use crate::stats::{CachePadded, TrackerCounters};
 use crate::task::{TaskId, TaskNode, TaskSlab};
 
 /// A cheap multiply–xorshift hasher for the tracker's id-keyed maps.
@@ -343,7 +343,9 @@ pub(crate) struct ShardedTracker {
     /// `0..shards.len()`: the slice a guard over the single shard `sid`
     /// borrows its id from (see [`ShardedTracker::one`]).
     shard_ids: Box<[usize]>,
-    counters: TrackerCounters,
+    /// Written by every registration; on a line pair of its own so that the
+    /// router fields beside it, which every retiring worker reads, stay put.
+    counters: CachePadded<TrackerCounters>,
     /// Chaos-test hook: when set, individual gate acquisitions may be forced
     /// to skip the polite try and individual retirements through the inbox
     /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
@@ -362,7 +364,7 @@ impl ShardedTracker {
         ShardedTracker {
             shards: (0..shards).map(|_| ShardSlot::new()).collect(),
             shard_ids: (0..shards).collect(),
-            counters: TrackerCounters::new(shards),
+            counters: CachePadded::default(),
             fault: None,
             recycler: None,
         }
@@ -510,7 +512,7 @@ impl ShardedTracker {
         let mut held = Held::acquire(self, sids);
         reg.fast_path = sids.len() == 1 && held.tried();
         for &sid in sids {
-            self.counters.hit(sid);
+            self.shards[sid].hit();
         }
         // The scratch set of the first involved shard is borrowed for the
         // whole registration (its gate is held, so it is exclusively ours),
@@ -529,8 +531,14 @@ impl ShardedTracker {
     /// `region` (used by `taskwait on`). A region lives in exactly one shard.
     pub(crate) fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
         let sid = self.shard_of(region.id.alloc);
-        self.counters.hit(sid);
+        self.shards[sid].hit();
         self.hold_one(sid).shard(sid).tasks_touching(region)
+    }
+
+    /// Gate acquisitions per shard by registrations, retirements and
+    /// `taskwait on` lookups.
+    pub(crate) fn shard_hits(&self) -> Vec<u64> {
+        self.shards.iter().map(ShardSlot::hits).collect()
     }
 
     /// Garbage-collect every shard (one gate at a time): drop tombstones,
@@ -1127,7 +1135,7 @@ mod tests {
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
-        let hits: u64 = tr.counters().hits().iter().sum();
+        let hits: u64 = tr.shard_hits().iter().sum();
         assert!(hits >= 1);
         // Single-threaded use never contends.
         assert_eq!(tr.counters().contention(), 0);

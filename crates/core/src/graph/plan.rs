@@ -351,7 +351,7 @@ impl ShardedTracker {
             }
         }
         for &sid in &plan.sids {
-            self.counters.hit(sid);
+            self.shards[sid].hit();
         }
         let mut preds = std::mem::take(&mut held.shard(first).scratch_preds);
         // Live prefix: up to (and including) the last frontier task, scan

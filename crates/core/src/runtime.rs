@@ -29,7 +29,7 @@ use crate::rename::{
     DEFAULT_RENAME_MEMORY_CAP, DEFAULT_RENAME_POOL_DEPTH,
 };
 use crate::scheduler::{SchedState, SchedulerPolicy};
-use crate::stats::{RuntimeStats, StatCounters, StatField};
+use crate::stats::{CachePadded, RuntimeStats, StatCounters, StatField};
 use crate::task::{
     ChildTracker, TaskId, TaskNode, TaskPriority, TaskSlab, TaskSlabDiagnostics,
     DEFAULT_TASK_SLAB_CAPACITY,
@@ -79,7 +79,7 @@ pub struct RuntimeConfig {
     pub rename_elision: bool,
     /// How often (in spawned tasks) the dependence tracker is garbage
     /// collected from the spawn path; `0` disables the periodic sweep
-    /// entirely (quiescent `taskwait`/`barrier` and explicit
+    /// entirely (quiescent `taskwait` and explicit
     /// [`Runtime::tracker_gc`] still collect). The sweep holds each shard's
     /// gate in turn, so registrations on a shard being swept wait for the
     /// duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
@@ -98,7 +98,7 @@ pub struct RuntimeConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Whether the [`dcheck`](crate::dcheck) race oracle is armed: every
     /// task carries a vector clock, bind-time accesses append to per-worker
-    /// shadow logs, and each quiescent `taskwait`/`barrier` runs the
+    /// shadow logs, and each quiescent `taskwait` runs the
     /// happens-before checker plus [`Runtime::audit`]. Off by default —
     /// when off every hook is a single `Option` check and the spawn path
     /// stays allocation-free.
@@ -236,12 +236,47 @@ impl RuntimeConfig {
     }
 }
 
+/// The tasks in flight, as two monotone counts on cache-line pairs of their
+/// own: `entered` is bumped by whoever inserts tasks — the spawner — and
+/// `left` by whoever retires one — a worker. A single count that the spawner
+/// incremented and the workers decremented was one line every spawn and
+/// every completion took away from the other side.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    entered: CachePadded<AtomicUsize>,
+    left: CachePadded<AtomicUsize>,
+}
+
+impl InFlight {
+    /// `n` tasks enter, before any of them can start.
+    pub(crate) fn enter(&self, n: usize) {
+        self.entered.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// One task leaves, after its retirement, recycling and parent
+    /// bookkeeping are done.
+    pub(crate) fn leave(&self) {
+        self.left.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The tasks in flight right now. `left` is read first: every task that
+    /// had left by then had entered before it, so the later read of
+    /// `entered` is never smaller, and a zero means that at the moment
+    /// `left` was read every task that had entered had also left — the
+    /// runtime was quiescent. Reading that zero synchronises with every
+    /// retirement (the SeqCst increments), as reading the single count's
+    /// last decrement did.
+    pub(crate) fn count(&self) -> usize {
+        let left = self.left.load(Ordering::SeqCst);
+        self.entered.load(Ordering::SeqCst).wrapping_sub(left)
+    }
+}
+
 pub(crate) struct RuntimeInner {
     pub(crate) config: RuntimeConfig,
     pub(crate) sched: SchedState,
     pub(crate) tracker: ShardedTracker,
-    pub(crate) root_children: Arc<ChildTracker>,
-    pub(crate) in_flight: AtomicUsize,
+    pub(crate) in_flight: InFlight,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: StatCounters,
     pub(crate) trace: TraceRecorder,
@@ -312,8 +347,10 @@ impl RuntimeInner {
         if spills != 0 {
             self.stats.add(StatField::AccessInlineSpills, spills);
         }
-        self.in_flight.fetch_add(total, Ordering::SeqCst);
-        first.parent_children.add_children(total);
+        self.in_flight.enter(total);
+        if let Some(parent) = &first.parent_children {
+            parent.add_children(total);
+        }
 
         let trace_enabled = self.trace.is_enabled();
         let registration = register(nodes, trace_enabled);
@@ -447,10 +484,10 @@ impl RuntimeInner {
     }
 
     fn quiescent(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) == 0
+        self.in_flight.count() == 0
     }
 
-    /// The dcheck work done at every quiescent `taskwait`/`barrier`: run the
+    /// The dcheck work done at every quiescent `taskwait`: run the
     /// happens-before checker over the epoch's shadow logs, then the full
     /// invariant audit, recording any violation. No-op when dcheck is off.
     pub(crate) fn dcheck_quiescent_pass(&self) {
@@ -467,10 +504,10 @@ impl RuntimeInner {
         &self,
     ) -> std::result::Result<crate::AuditReport, crate::AuditViolation> {
         use crate::{AuditReport, AuditViolation};
-        // The SeqCst `in_flight` read first: observing zero synchronises
-        // with every retirement's final decrement, so the counters read
-        // below are the settled post-drain values.
-        let in_flight = self.in_flight.load(Ordering::SeqCst) as u64;
+        // The in-flight count first: observing zero synchronises with every
+        // retirement, so the counters read below are the settled post-drain
+        // values.
+        let in_flight = self.in_flight.count() as u64;
         let quiescent = in_flight == 0;
         if quiescent {
             // Deterministically drop tombstoned history before checking for
@@ -625,8 +662,7 @@ impl Runtime {
         let inner = Arc::new(RuntimeInner {
             sched,
             tracker,
-            root_children: ChildTracker::new(),
-            in_flight: AtomicUsize::new(0),
+            in_flight: InFlight::default(),
             shutdown: AtomicBool::new(false),
             stats: StatCounters::default(),
             trace: TraceRecorder::new(config.tracing),
@@ -693,7 +729,7 @@ impl Runtime {
     /// so allocation-regression tests can poll it inside their measurement
     /// window.
     pub fn in_flight_tasks(&self) -> usize {
-        self.inner.in_flight.load(Ordering::SeqCst)
+        self.inner.in_flight.count()
     }
 
     /// Test support: hold tracker shard `shard` (its gate) until
@@ -760,12 +796,7 @@ impl Runtime {
     /// inherits the calling thread's cancel scope, if one is active (see
     /// [`Runtime::with_cancel_scope`]).
     pub fn task(&self) -> TaskBuilder<'_> {
-        TaskBuilder::new(
-            &self.inner,
-            self.inner.root_children.clone(),
-            None,
-            current_cancel_scope(),
-        )
+        TaskBuilder::new(&self.inner, None, None, current_cancel_scope())
     }
 
     /// Mint a fresh [`CancelToken`]. Pair with
@@ -804,11 +835,10 @@ impl Runtime {
     /// execute on the thread that waits for it.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        // One condition serves the main context's children and global
-        // quiescence alike: a task enters `in_flight` before it is counted
-        // among its parent's children (`insert`) and reports `child_done`
-        // before it leaves `in_flight` (`worker::retire_node`), so
-        // `in_flight == 0` implies the root has no live child either.
+        // The main context's tasks are counted nowhere but in `in_flight`
+        // (they carry no parent child tracker), so waiting for them is
+        // waiting for quiescence: a nested task enters `in_flight` before
+        // its parent can leave it.
         help_while(&self.inner, None, || !self.inner.quiescent());
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
@@ -845,13 +875,6 @@ impl Runtime {
                 }
             }
         }
-    }
-
-    /// Full task barrier: wait for global quiescence (all in-flight tasks,
-    /// regardless of spawning context) — which is what [`Runtime::taskwait`]
-    /// waits for.
-    pub fn barrier(&self) {
-        self.taskwait();
     }
 
     /// Execute `f` under the named critical section (the `#pragma omp
@@ -1001,7 +1024,7 @@ impl Runtime {
             replay_passes: c.get(StatField::ReplayPasses),
             replay_tasks: c.get(StatField::ReplayTasks),
             tracker_shards: self.inner.tracker.num_shards(),
-            tracker_shard_hits: self.inner.tracker.counters().hits(),
+            tracker_shard_hits: self.inner.tracker.shard_hits(),
             tracker_lock_contention: self.inner.tracker.counters().contention(),
             tracker_fast_path_hits: self.inner.tracker.counters().fast_hits(),
             tracker_fast_path_fallbacks: self.inner.tracker.counters().fast_fallbacks(),
@@ -1022,7 +1045,7 @@ impl Runtime {
     /// the service layer's stall watchdog uses this to separate ledger
     /// corruption from genuine slowness.
     ///
-    /// Runs automatically at every quiescent `taskwait`/`barrier` when
+    /// Runs automatically at every quiescent `taskwait` when
     /// dcheck is armed; violations found there are reported by
     /// [`Runtime::take_dcheck_audit_violations`].
     pub fn audit(&self) -> std::result::Result<AuditReport, AuditViolation> {
@@ -1039,7 +1062,7 @@ impl Runtime {
     }
 
     /// Drain the violations found by the automatic quiescent audits dcheck
-    /// runs at every `taskwait`/`barrier` (always empty when dcheck is off).
+    /// runs at every `taskwait` (always empty when dcheck is off).
     pub fn take_dcheck_audit_violations(&self) -> Vec<AuditViolation> {
         self.inner
             .dcheck
@@ -1091,7 +1114,7 @@ impl Runtime {
     }
 
     fn shutdown_impl(&mut self) {
-        self.barrier();
+        self.taskwait();
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1112,7 +1135,7 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("workers", &self.inner.config.workers)
             .field("policy", &self.inner.config.policy)
-            .field("in_flight", &self.inner.in_flight.load(Ordering::SeqCst))
+            .field("in_flight", &self.inner.in_flight.count())
             .finish()
     }
 }
@@ -1170,7 +1193,8 @@ fn backoff(spins: &mut u32) {
 /// of this task or of later tasks — binds the renamed version.
 pub struct TaskBuilder<'r> {
     inner: &'r Arc<RuntimeInner>,
-    parent_children: Arc<ChildTracker>,
+    /// The spawning task's child tracker; `None` from the main context.
+    parent_children: Option<Arc<ChildTracker>>,
     /// The worker whose task body is spawning, if one is.
     worker: Option<usize>,
     name: Option<Arc<str>>,
@@ -1186,7 +1210,7 @@ pub struct TaskBuilder<'r> {
 impl<'r> TaskBuilder<'r> {
     pub(crate) fn new(
         inner: &'r Arc<RuntimeInner>,
-        parent_children: Arc<ChildTracker>,
+        parent_children: Option<Arc<ChildTracker>>,
         worker: Option<usize>,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Self {
@@ -1472,7 +1496,7 @@ impl<'a> TaskContext<'a> {
     }
 
     /// Index of the worker executing this task; `None` on a thread that runs
-    /// it while waiting in [`Runtime::taskwait`] or [`Runtime::barrier`].
+    /// it while waiting in [`Runtime::taskwait`].
     pub fn worker_id(&self) -> Option<usize> {
         self.worker
     }
@@ -1762,7 +1786,7 @@ impl<'a> TaskContext<'a> {
     pub fn task(&self) -> TaskBuilder<'a> {
         TaskBuilder::new(
             self.inner,
-            self.node.children.clone(),
+            Some(self.node.children.clone()),
             self.worker,
             self.node.cancel.clone(),
         )
@@ -1802,5 +1826,27 @@ impl std::fmt::Debug for TaskContext<'_> {
             .field("task", &self.node.id)
             .field("worker", &self.worker)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::InFlight;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn in_flight_is_entered_minus_left_on_separate_lines() {
+        let f = InFlight::default();
+        assert_eq!(f.count(), 0);
+        f.enter(3);
+        f.leave();
+        f.leave();
+        assert_eq!(f.count(), 1);
+        f.enter(1);
+        f.leave();
+        f.leave();
+        assert_eq!(f.count(), 0);
+        let at = |count: &AtomicUsize| count as *const _ as usize;
+        assert!(at(&f.entered).abs_diff(at(&f.left)) >= 128);
     }
 }

@@ -31,7 +31,10 @@
 //! The queues are plain mutex-protected `VecDeque`s: the workspace builds
 //! without a crate registry, so there is no lock-free deque to depend on.
 //! The seam for one is `SchedState::push` / `SchedState::pop` — nothing
-//! outside this file sees a queue.
+//! outside this file sees a queue. The shared queue carries a count of what
+//! it holds, which a polling worker reads before it takes the lock: an idle
+//! worker finding it empty writes nothing to the line every fresh task from
+//! a non-worker thread is pushed through.
 //!
 //! Every ready task — freshly spawned, a replayed root, or woken by a
 //! completing predecessor — is queued by the one `SchedState::push`, the
@@ -40,7 +43,7 @@
 //! loaded even if there is insufficient work".
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -127,15 +130,46 @@ struct Shared {
     seq: u64,
 }
 
+impl Shared {
+    fn len(&self) -> usize {
+        self.prio.len() + self.fifo.len()
+    }
+}
+
+/// The shared ready queue behind its lock, and how many tasks it holds —
+/// stored by every push and pop under the lock, read without it. An idle
+/// worker polls the shared queue on every round; reading the count instead
+/// of taking the lock when it is zero keeps the polling workers from
+/// writing the line that a spawner on another thread pushes every fresh
+/// task through. A stale zero only delays a poll by one round: the count
+/// publishes no data (the lock does).
+struct SharedQueue {
+    queued: AtomicUsize,
+    queue: Mutex<Shared>,
+}
+
+impl SharedQueue {
+    /// Take the lock, run `f` on the queue, and store the length it leaves.
+    fn with<R>(&self, f: impl FnOnce(&mut Shared) -> R) -> R {
+        let mut shared = self.queue.lock();
+        let result = f(&mut shared);
+        self.queued.store(shared.len(), Ordering::Relaxed);
+        result
+    }
+}
+
 /// The scheduler state shared by every executor.
 pub(crate) struct SchedState {
     policy: SchedulerPolicy,
     /// One deque per worker, each on its own cache-line pair: a worker
     /// pushing and popping its own deque shares no line with its neighbour.
     local: Box<[CachePadded<Mutex<ReadyQueue>>]>,
-    shared: Mutex<Shared>,
-    /// Counters for statistics.
-    pub(crate) counters: SchedCounters,
+    /// On a line pair of its own: the spawner's pushes go through it, and
+    /// nothing else the spawner reads (policy, deque table) or the workers
+    /// count (`counters`) may sit beside it.
+    shared: CachePadded<SharedQueue>,
+    /// Counters for statistics, written by the executors as they pop.
+    pub(crate) counters: CachePadded<SchedCounters>,
 }
 
 impl SchedState {
@@ -146,12 +180,15 @@ impl SchedState {
             local: (0..workers)
                 .map(|_| CachePadded(Mutex::new(ReadyQueue::with_capacity(LOCAL_INITIAL_CAP))))
                 .collect(),
-            shared: Mutex::new(Shared {
-                prio: BinaryHeap::new(),
-                fifo: ReadyQueue::with_capacity(SHARED_INITIAL_CAP),
-                seq: 0,
+            shared: CachePadded(SharedQueue {
+                queued: AtomicUsize::new(0),
+                queue: Mutex::new(Shared {
+                    prio: BinaryHeap::new(),
+                    fifo: ReadyQueue::with_capacity(SHARED_INITIAL_CAP),
+                    seq: 0,
+                }),
             }),
-            counters: SchedCounters::default(),
+            counters: CachePadded::default(),
         }
     }
 
@@ -168,13 +205,14 @@ impl SchedState {
     /// locality claim is about successors), and only wakeups are counted.
     pub(crate) fn push(&self, node: Arc<TaskNode>, from: Option<usize>, woken: bool) {
         if node.priority.0 != 0 {
-            let mut shared = self.shared.lock();
-            let seq = shared.seq;
-            shared.seq += 1;
-            shared.prio.push(PrioEntry {
-                priority: node.priority.0,
-                seq,
-                node,
+            self.shared.with(|shared| {
+                let seq = shared.seq;
+                shared.seq += 1;
+                shared.prio.push(PrioEntry {
+                    priority: node.priority.0,
+                    seq,
+                    node,
+                });
             });
             return;
         }
@@ -194,7 +232,7 @@ impl SchedState {
         }
         match own {
             Some(deque) => deque.0.lock().push_back(node),
-            None => self.shared.lock().fifo.push_back(node),
+            None => self.shared.with(|shared| shared.fifo.push_back(node)),
         }
     }
 
@@ -209,17 +247,18 @@ impl SchedState {
                 return Some(node);
             }
         }
-        // 2. The shared queue: prioritised tasks, then arrival order.
-        {
-            let mut shared = self.shared.lock();
-            if let Some(entry) = shared.prio.pop() {
-                drop(shared);
-                self.counters.priority_pops.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.node);
-            }
-            if let Some(node) = shared.fifo.pop_front() {
-                drop(shared);
-                self.counters.global_pops.fetch_add(1, Ordering::Relaxed);
+        // 2. The shared queue: prioritised tasks, then arrival order — only
+        //    locked when its count says it holds any.
+        if self.shared.queued.load(Ordering::Relaxed) != 0 {
+            let popped = self.shared.with(|shared| match shared.prio.pop() {
+                Some(entry) => Some((entry.node, &self.counters.priority_pops)),
+                None => shared
+                    .fifo
+                    .pop_front()
+                    .map(|node| (node, &self.counters.global_pops)),
+            });
+            if let Some((node, counter)) = popped {
+                counter.fetch_add(1, Ordering::Relaxed);
                 return Some(node);
             }
         }
@@ -275,12 +314,18 @@ mod tests {
     fn priority_tasks_jump_the_queue() {
         let s = SchedState::new(SchedulerPolicy::Fifo, 1);
         let (a, hi, b) = (node(0), node(5), node(0));
+        let queued = || s.shared.queued.load(Ordering::Relaxed);
         s.push(a.clone(), None, false);
         s.push(hi.clone(), None, false);
         s.push(b.clone(), None, false);
+        // The count a poller reads without the lock covers both parts.
+        assert_eq!(queued(), 3);
         assert_eq!(s.pop(None).unwrap().id, hi.id);
         assert_eq!(s.pop(None).unwrap().id, a.id);
+        assert_eq!(queued(), 1);
         assert_eq!(s.pop(None).unwrap().id, b.id);
+        assert_eq!(queued(), 0);
+        assert!(s.pop(None).is_none());
     }
 
     #[test]

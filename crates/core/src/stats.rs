@@ -10,15 +10,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub(crate) struct CachePadded<T>(pub(crate) T);
 
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Internal atomic counters, updated by workers and the spawn path: one per
-/// [`StatField`], indexed by it.
+/// [`StatField`], indexed by it, each on its own cache-line pair. The spawner
+/// counts spawns, edges and immediately-ready tasks while the workers count
+/// executions; packed into one array, every spawn and every completion took
+/// the same line away from the other side.
 #[derive(Debug, Default)]
-pub(crate) struct StatCounters([AtomicU64; StatField::COUNT]);
+pub(crate) struct StatCounters([CachePadded<AtomicU64>; StatField::COUNT]);
 
 impl StatCounters {
-    /// Add `n` to `field`; returns the value before the addition.
+    /// Add `n` to `field`; returns the value before the addition. Adding
+    /// zero writes nothing.
     pub(crate) fn add(&self, field: StatField, n: u64) -> u64 {
-        self.0[field as usize].fetch_add(n, Ordering::Relaxed)
+        let counter = &self.0[field as usize];
+        if n == 0 {
+            return counter.load(Ordering::Relaxed);
+        }
+        counter.fetch_add(n, Ordering::Relaxed)
     }
 
     pub(crate) fn get(&self, field: StatField) -> u64 {
@@ -26,24 +41,17 @@ impl StatCounters {
     }
 }
 
-/// Counters of the sharded dependence tracker: one hit counter per shard
-/// plus a global contention counter. Owned by the tracker router
-/// ([`crate::graph`]) and snapshotted into [`RuntimeStats`].
+/// Tracker-wide counters of the sharded dependence tracker. Owned by the
+/// tracker router ([`crate::graph`]) and snapshotted into [`RuntimeStats`];
+/// the per-shard hit counters live in the shard slots, beside each gate.
 ///
 /// Shard gates are acquired try-first: a successful try is an uncontended
 /// hit; an acquirer that has to wait bumps `lock_contention` if it finds the
 /// gate held at that point. `lock_contention / sum(shard_hits)` is therefore
 /// the fraction of tracker accesses that waited behind a holder — the number
 /// sharding is meant to drive to zero.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct TrackerCounters {
-    /// One hit counter per shard, each padded to its own cache-line pair:
-    /// shards are hit concurrently by independent spawners, and a dense
-    /// `[AtomicU64]` made adjacent shards' relaxed increments bounce one
-    /// line between every spawning core (measured as pure overhead at 8
-    /// spawners — the counters are statistics, they must not *create*
-    /// contention the shards were built to remove).
-    shard_hits: Box<[CachePadded<AtomicU64>]>,
     lock_contention: AtomicU64,
     fast_path_hits: AtomicU64,
     fast_path_fallbacks: AtomicU64,
@@ -51,23 +59,6 @@ pub(crate) struct TrackerCounters {
 }
 
 impl TrackerCounters {
-    pub(crate) fn new(shards: usize) -> Self {
-        TrackerCounters {
-            shard_hits: (0..shards)
-                .map(|_| CachePadded(AtomicU64::new(0)))
-                .collect(),
-            lock_contention: AtomicU64::new(0),
-            fast_path_hits: AtomicU64::new(0),
-            fast_path_fallbacks: AtomicU64::new(0),
-            entries_scanned: AtomicU64::new(0),
-        }
-    }
-
-    /// Record an acquisition of `shard`'s gate.
-    pub(crate) fn hit(&self, shard: usize) {
-        self.shard_hits[shard].0.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a waiting acquisition that found the gate held.
     pub(crate) fn contended(&self) {
         self.lock_contention.fetch_add(1, Ordering::Relaxed);
@@ -90,14 +81,6 @@ impl TrackerCounters {
         if spans != 0 {
             self.entries_scanned.fetch_add(spans, Ordering::Relaxed);
         }
-    }
-
-    /// Per-shard hit counts.
-    pub(crate) fn hits(&self) -> Vec<u64> {
-        self.shard_hits
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Total contended acquisitions.
@@ -355,22 +338,28 @@ mod tests {
         assert_eq!(c.get(StatField::TasksSpawned), 5);
         assert_eq!(c.get(StatField::EdgesRaw), 7);
         assert_eq!(c.get(StatField::TasksExecuted), 0);
+        assert_eq!(
+            c.add(StatField::EdgesRaw, 0),
+            7,
+            "adding zero reads the count"
+        );
+        // What the spawner counts and what the workers count never share a
+        // line pair.
+        let at = |field: StatField| &c.0[field as usize] as *const _ as usize;
+        assert!(at(StatField::TasksSpawned).abs_diff(at(StatField::TasksExecuted)) >= 128);
+        assert_eq!(at(StatField::TasksSpawned) % 128, 0);
     }
 
     #[test]
-    fn tracker_counters_count_hits_and_contention() {
-        let c = TrackerCounters::new(4);
-        c.hit(0);
-        c.hit(0);
-        c.hit(3);
+    fn tracker_counters_count_contention() {
+        let c = TrackerCounters::default();
         c.contended();
-        assert_eq!(c.hits(), vec![2, 0, 0, 1]);
         assert_eq!(c.contention(), 1);
     }
 
     #[test]
     fn fast_path_counters_and_rate() {
-        let c = TrackerCounters::new(2);
+        let c = TrackerCounters::default();
         c.fast_hit();
         c.fast_hit();
         c.fast_hit();

@@ -49,6 +49,7 @@ use parking_lot::Mutex;
 use crate::access::AccessVec;
 use crate::rename::VersionTicket;
 use crate::runtime::TaskContext;
+use crate::stats::CachePadded;
 
 /// Globally unique task identifier (monotonically increasing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -328,9 +329,11 @@ pub(crate) struct TaskNode {
     pub links: Mutex<NodeLinks>,
     /// Live direct children of this task (for nested `taskwait`).
     pub children: Arc<ChildTracker>,
-    /// The child tracker of whoever spawned this task; decremented on
-    /// completion.
-    pub parent_children: Arc<ChildTracker>,
+    /// The child tracker of the task that spawned this one, decremented on
+    /// completion; `None` for a task of the main program context, whose wait
+    /// is for quiescence and counts nothing per parent — so a root spawn and
+    /// its completion share no parent line.
+    pub parent_children: Option<Arc<ChildTracker>>,
     /// Coarse state for introspection / assertions.
     pub state: AtomicU8,
     /// Number of predecessor edges that were actually registered (stats).
@@ -360,10 +363,9 @@ pub(crate) struct TaskNode {
     /// `Arc::get_mut` before publication, like the other per-spawn fields;
     /// checked by the worker at execute time.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Slab-accounting token: present while the node is checked out of its
-    /// slab's free list, dropped — decrementing the slab's outstanding count
-    /// — when the node returns to the free list or is deallocated.
-    live_token: Option<LiveToken>,
+    /// The node's tie to the slab that allocated it, for the slab's
+    /// outstanding-node count.
+    link: SlabLink,
     /// Dense per-epoch index assigned by the race oracle
     /// ([`crate::dcheck`]) at registration; [`crate::dcheck::NO_INDEX`]
     /// when dcheck is off or the node was recycled since. All clock state
@@ -389,11 +391,11 @@ unsafe impl Sync for TaskNode {}
 
 impl TaskNode {
     /// A node with no task in it: the registration sentinel held
-    /// (pending = 1), nothing armed, `detached` standing in for a parent —
-    /// the state [`TaskNode::reset_for_reuse`] returns a retired node to, so
-    /// [`TaskNode::arm`] is the one way a task gets into a node, fresh or
-    /// recycled.
-    fn blank(detached: &Arc<ChildTracker>) -> Self {
+    /// (pending = 1), nothing armed, no parent, tied to the slab whose
+    /// discard count is `discarded` — the state [`TaskNode::reset_for_reuse`]
+    /// returns a retired node to, so [`TaskNode::arm`] is the one way a task
+    /// gets into a node, fresh or recycled.
+    fn blank(discarded: Arc<AtomicU64>) -> Self {
         TaskNode {
             id: TaskId(0),
             name: None,
@@ -412,7 +414,7 @@ impl TaskNode {
                 successors: Vec::with_capacity(4),
             }),
             children: ChildTracker::new(),
-            parent_children: detached.clone(),
+            parent_children: None,
             state: AtomicU8::new(TaskState::WaitingDeps as u8),
             in_edges: AtomicUsize::new(0),
             replay_pass: 0,
@@ -420,7 +422,10 @@ impl TaskNode {
             retired: AtomicBool::new(false),
             poison: AtomicU64::new(0),
             cancel: None,
-            live_token: None,
+            link: SlabLink {
+                discarded,
+                checked_out: false,
+            },
             dcheck_index: AtomicU64::new(crate::dcheck::NO_INDEX),
         }
     }
@@ -438,10 +443,9 @@ impl TaskNode {
         accesses: AccessVec,
         tickets: Vec<Box<dyn VersionTicket>>,
         body: F,
-        parent_children: Arc<ChildTracker>,
+        parent_children: Option<Arc<ChildTracker>>,
         replay_pass: u64,
         cancel: Option<Arc<AtomicBool>>,
-        live_token: LiveToken,
         spilled: &mut bool,
     ) where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
@@ -449,6 +453,8 @@ impl TaskNode {
         debug_assert_eq!(self.pending.load(Ordering::Relaxed), 1);
         debug_assert_eq!(self.task_state(), TaskState::WaitingDeps);
         debug_assert!(self.body.get_mut().is_empty());
+        debug_assert!(!self.link.checked_out, "arming a node that is checked out");
+        self.link.checked_out = true;
         self.id = TaskId::fresh();
         self.name = name;
         self.priority = priority;
@@ -470,30 +476,26 @@ impl TaskNode {
         }
         self.replay_pass = replay_pass;
         self.cancel = cancel;
-        self.live_token = Some(live_token);
     }
 
     /// Reset a just-completed node for reuse. The successor-list capacity is
     /// kept warm (it survives `arm` — the wakeup path drains it in
     /// place); the access and ticket storage is merely dropped here, since
     /// the next task moves its own builder-owned vectors in. Called with
-    /// the only reference; `detached` replaces the stale parent pointer so
-    /// a parked node pins nothing of its previous task. Returns the
-    /// accounting token to drop.
-    fn reset_for_reuse(&mut self, detached: &Arc<ChildTracker>) -> (Option<LiveToken>, Arc<ChildTracker>) {
+    /// the only reference. Returns the parent's child tracker, taken out so
+    /// a parked node pins nothing of its previous task (the worker still
+    /// owes it a `child_done`). The node stays checked out: parking it is
+    /// what checks it in.
+    fn reset_for_reuse(&mut self) -> Option<Arc<ChildTracker>> {
         debug_assert!(self.retired.load(Ordering::Relaxed) || self.accesses.is_empty());
         self.name = None;
         self.accesses.clear();
         self.body.get_mut().clear();
         debug_assert!(self.tickets.get_mut().is_empty(), "tickets released at completion");
         self.tickets.get_mut().clear();
-        // Hand the previous parent's child tracker back to the caller (the
-        // worker still owes it a `child_done`) and point the parked node at
-        // the slab's detached placeholder: the free list must not keep a
-        // real parent's tracker alive, nor keep the parent's own node from
-        // reusing it via `Arc::get_mut`. The placeholder clone touches only
-        // slab-private state, so no sibling-contended line is involved.
-        let parent = std::mem::replace(&mut self.parent_children, detached.clone());
+        // The free list must not keep a real parent's tracker alive, nor keep
+        // the parent's own node from reusing it via `Arc::get_mut`.
+        let parent = self.parent_children.take();
         let links = self.links.get_mut();
         debug_assert!(links.completed, "recycling a node that never completed");
         debug_assert!(links.successors.is_empty(), "successors drained at completion");
@@ -509,7 +511,7 @@ impl TaskNode {
         self.dcheck_index
             .store(crate::dcheck::NO_INDEX, Ordering::Relaxed);
         self.generation = self.generation.wrapping_add(1);
-        (self.live_token.take(), parent)
+        parent
     }
 
     /// Claim the right to retire this task from the dependence history.
@@ -611,25 +613,24 @@ const FREE_LIST_INITIAL_CAP: usize = 512;
 /// [`TaskSlab::acquire`].
 const WARM_STOCK_SHARE: usize = 16;
 
-/// Shared slab accounting counters (separate from the slab so each node can
-/// hold a handle and decrement on its final drop).
-#[derive(Debug, Default)]
-struct SlabCounters {
-    /// Nodes currently checked out: acquired and neither returned to the
-    /// free list nor deallocated.
-    outstanding: AtomicUsize,
+/// A node's tie to the slab that allocated it: made once, when the node is
+/// allocated, and kept across every reuse. Checking the node out and parking
+/// it again are plain writes to `checked_out` under the unique ownership the
+/// slab proves anyway, so acquiring a node — the spawner's side — writes no
+/// line that parking one — the workers' side — writes too.
+struct SlabLink {
+    /// The slab's count of nodes deallocated while checked out.
+    discarded: Arc<AtomicU64>,
+    /// Acquired, and not parked since.
+    checked_out: bool,
 }
 
-/// RAII share of a slab's outstanding-node count: created per acquisition,
-/// dropped when the node returns to the free list or is deallocated.
-struct LiveToken {
-    counters: Arc<SlabCounters>,
-}
-
-impl Drop for LiveToken {
+impl Drop for SlabLink {
+    /// A node deallocated while checked out has left the slab for good.
     fn drop(&mut self) {
-        let prev = self.counters.outstanding.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "slab outstanding count underflow");
+        if self.checked_out {
+            self.discarded.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -665,6 +666,22 @@ impl TaskSlabDiagnostics {
     }
 }
 
+/// The free list, with the count of every node ever parked in it: both
+/// written under the one lock a park takes anyway.
+struct FreeList {
+    nodes: VecDeque<Arc<TaskNode>>,
+    parked: u64,
+}
+
+/// Acquisitions, counted by whichever thread spawns.
+#[derive(Default)]
+struct Acquisitions {
+    /// Served by a fresh heap allocation.
+    allocated: AtomicU64,
+    /// Served from the free list.
+    recycled: AtomicU64,
+}
+
 /// The per-runtime task-node recycler: a bounded free list of retired nodes.
 ///
 /// The free list is a mutex-protected FIFO, bounded exactly: its length is
@@ -672,19 +689,23 @@ impl TaskSlabDiagnostics {
 /// construction — a node is only pushed after `Arc::get_mut` proved the
 /// worker held the last reference — which is what makes re-initialising
 /// plain fields on reuse safe without any interior mutability.
+///
+/// The outstanding-node count is derived, never kept: acquisitions (counted
+/// by the spawner, on a line pair of their own) minus parks (counted by the
+/// parking worker under the free-list lock) minus nodes deallocated while
+/// checked out (counted by their [`SlabLink`]). A count kept up to date by
+/// both sides was one line every acquisition and every park took from the
+/// other, plus a reference-count round trip per node.
 pub(crate) struct TaskSlab {
-    free: Mutex<VecDeque<Arc<TaskNode>>>,
+    free: Mutex<FreeList>,
     /// Bound on the free list.
     capacity: usize,
     /// Nodes allocated before parked ones are reused
     /// (`capacity / WARM_STOCK_SHARE`).
     warm_stock: u64,
-    allocated: AtomicU64,
-    recycled: AtomicU64,
-    counters: Arc<SlabCounters>,
-    /// Placeholder parent tracker parked nodes point at, so the free list
-    /// never pins a real parent's `ChildTracker`.
-    detached: Arc<ChildTracker>,
+    acquired: CachePadded<Acquisitions>,
+    /// Nodes deallocated while checked out (see [`SlabLink`]).
+    discarded: Arc<AtomicU64>,
     /// Serialises "not unique, so drop" between the holders of a shared
     /// node (see [`TaskSlab::try_recycle`]).
     handback: Mutex<()>,
@@ -694,13 +715,14 @@ impl TaskSlab {
     /// Create a slab keeping at most `capacity` retired nodes.
     pub(crate) fn new(capacity: usize) -> Self {
         TaskSlab {
-            free: Mutex::new(VecDeque::with_capacity(FREE_LIST_INITIAL_CAP.min(capacity))),
+            free: Mutex::new(FreeList {
+                nodes: VecDeque::with_capacity(FREE_LIST_INITIAL_CAP.min(capacity)),
+                parked: 0,
+            }),
             capacity,
             warm_stock: (capacity / WARM_STOCK_SHARE) as u64,
-            allocated: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            counters: Arc::new(SlabCounters::default()),
-            detached: ChildTracker::new(),
+            acquired: CachePadded::default(),
+            discarded: Arc::default(),
             handback: Mutex::new(()),
         }
     }
@@ -719,7 +741,7 @@ impl TaskSlab {
         accesses: AccessVec,
         tickets: Vec<Box<dyn VersionTicket>>,
         body: F,
-        parent_children: Arc<ChildTracker>,
+        parent_children: Option<Arc<ChildTracker>>,
         replay_pass: u64,
         cancel: Option<Arc<AtomicBool>>,
         spilled: &mut bool,
@@ -727,10 +749,6 @@ impl TaskSlab {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        let token = LiveToken {
-            counters: self.counters.clone(),
-        };
-        token.counters.outstanding.fetch_add(1, Ordering::Relaxed);
         let arm = |n: &mut TaskNode| {
             n.arm(
                 name,
@@ -741,7 +759,6 @@ impl TaskSlab {
                 parent_children,
                 replay_pass,
                 cancel,
-                token,
                 spilled,
             )
         };
@@ -752,15 +769,16 @@ impl TaskSlab {
         // lead seen so far allocates again whenever a burst sets a new
         // record. Building a fixed stock first makes "warm" a property of
         // the spawn count, not of the schedule.
-        let parked = if self.allocated.load(Ordering::Relaxed) >= self.warm_stock {
-            self.free.lock().pop_front()
+        let acquired = &self.acquired;
+        let parked = if acquired.allocated.load(Ordering::Relaxed) >= self.warm_stock {
+            self.free.lock().nodes.pop_front()
         } else {
             None
         };
         if let Some(mut node) = parked {
             if let Some(n) = Arc::get_mut(&mut node) {
                 arm(n);
-                self.recycled.fetch_add(1, Ordering::Relaxed);
+                acquired.recycled.fetch_add(1, Ordering::Relaxed);
                 return node;
             }
             // Unreachable by construction (parked entries are unique);
@@ -768,10 +786,10 @@ impl TaskSlab {
             // risking shared re-init.
             debug_assert!(false, "shared node in the slab free list");
         }
-        self.allocated.fetch_add(1, Ordering::Relaxed);
+        acquired.allocated.fetch_add(1, Ordering::Relaxed);
         // Armed as a plain value and only then shared: no `Arc::get_mut`,
         // so no panicking unwrap on the hot path (`cargo xtask lint`).
-        let mut n = TaskNode::blank(&self.detached);
+        let mut n = TaskNode::blank(self.discarded.clone());
         arm(&mut n);
         Arc::new(n)
     }
@@ -794,11 +812,11 @@ impl TaskSlab {
     /// path (first check succeeds) and only ever held for these few
     /// instructions.
     ///
-    /// Returns the node's parent child-tracker in every case (the worker
-    /// still owes it a `child_done`): taken out of the node when it is
-    /// parked, cloned only on the non-recycling paths — so the steady state
-    /// adds no refcount traffic on the sibling-shared tracker line.
-    pub(crate) fn try_recycle(&self, mut node: Arc<TaskNode>) -> Arc<ChildTracker> {
+    /// Returns the node's parent child-tracker, if it has one, in every case
+    /// (the worker still owes it a `child_done`): taken out of the node when
+    /// it is parked, cloned only on the non-recycling paths — so the steady
+    /// state adds no refcount traffic on the sibling-shared tracker line.
+    pub(crate) fn try_recycle(&self, mut node: Arc<TaskNode>) -> Option<Arc<ChildTracker>> {
         let serial = if Arc::get_mut(&mut node).is_none() {
             Some(self.handback.lock())
         } else {
@@ -807,13 +825,15 @@ impl TaskSlab {
         if let Some(n) = Arc::get_mut(&mut node) {
             // Reset before the list's lock is taken, so the lock covers the
             // bound check and the push and nothing else.
-            let (token, parent) = n.reset_for_reuse(&self.detached);
-            drop(token);
+            let parent = n.reset_for_reuse();
             let mut free = self.free.lock();
-            if free.len() < self.capacity {
-                free.push_back(node);
+            if free.nodes.len() < self.capacity {
+                n.link.checked_out = false;
+                free.parked += 1;
+                free.nodes.push_back(node);
             }
-            // A full list refuses the node: it deallocates on return.
+            // A full list refuses the node: it deallocates on return, still
+            // checked out, and its link counts it as discarded.
             return parent;
         }
         // Recycling refused (the node is still shared): the node — and its
@@ -825,24 +845,32 @@ impl TaskSlab {
         parent
     }
 
-    /// Current accounting snapshot.
+    /// Current accounting snapshot. Exact once the runtime is quiescent;
+    /// mid-run the three counts are read at slightly different moments, so
+    /// `outstanding` is approximate there (and saturates at zero).
     pub(crate) fn diagnostics(&self) -> TaskSlabDiagnostics {
+        let (free, parked) = {
+            let list = self.free.lock();
+            (list.nodes.len(), list.parked)
+        };
+        let discarded = self.discarded.load(Ordering::Relaxed);
+        let (allocated, recycled) = (self.allocated_count(), self.recycled_count());
         TaskSlabDiagnostics {
-            allocated: self.allocated.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-            free: self.free.lock().len(),
-            outstanding: self.counters.outstanding.load(Ordering::Relaxed),
+            allocated,
+            recycled,
+            free,
+            outstanding: (allocated + recycled).saturating_sub(parked + discarded) as usize,
         }
     }
 
     /// Total acquisitions served from the free list (stats).
     pub(crate) fn recycled_count(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
+        self.acquired.recycled.load(Ordering::Relaxed)
     }
 
     /// Total fresh heap allocations (stats).
     pub(crate) fn allocated_count(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
+        self.acquired.allocated.load(Ordering::Relaxed)
     }
 }
 
@@ -864,7 +892,7 @@ pub(crate) mod tests {
             accesses,
             Vec::new(),
             |_ctx| {},
-            ChildTracker::new(),
+            None,
             0,
             None,
             &mut false,

@@ -77,7 +77,7 @@ pub enum TraceEvent {
         /// Task id.
         task: TaskId,
         /// Executing worker index; the number of workers for a thread that
-        /// ran the task while waiting in `taskwait` or `barrier`.
+        /// ran the task while waiting in `taskwait`.
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -87,7 +87,7 @@ pub enum TraceEvent {
         /// Task id.
         task: TaskId,
         /// Executing worker index; the number of workers for a thread that
-        /// ran the task while waiting in `taskwait` or `barrier`.
+        /// ran the task while waiting in `taskwait`.
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,

@@ -34,9 +34,7 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker_id: usize) {
                 execute_task(&inner, node, Some(worker_id), &mut ready);
             }
             None => {
-                if inner.shutdown.load(Ordering::SeqCst)
-                    && inner.in_flight.load(Ordering::SeqCst) == 0
-                {
+                if inner.shutdown.load(Ordering::SeqCst) && inner.in_flight.count() == 0 {
                     break;
                 }
                 inner.sched.idle_wait();
@@ -273,12 +271,12 @@ fn retire_node(
     // the thread doing it tick over, so once `taskwait` observes a drained
     // runtime every node really is parked or freed —
     // `task_slab_diagnostics().outstanding == 0` is a firm post-drain
-    // invariant, not a race. The parent tracker comes back out of the node
-    // (the worker still owes it the `child_done` below).
-    let parent_children = inner.slab.try_recycle(node);
-
-    parent_children.child_done();
-    inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+    // invariant, not a race. The parent tracker of a nested task comes back
+    // out of the node (the worker still owes it the `child_done` below).
+    if let Some(parent) = inner.slab.try_recycle(node) {
+        parent.child_done();
+    }
+    inner.in_flight.leave();
 }
 
 /// The recorded [`Error::TaskPanicked`] message. `service.rs` has a function

@@ -184,8 +184,8 @@ fn retired_allocations_leave_by_alloc() {
             *d += 1;
         });
     }
-    rt.barrier();
-    // Everything completed and retired; the quiescent barrier ran a GC.
+    rt.taskwait();
+    // Everything completed and retired; the quiescent taskwait ran a GC.
     let diag = rt.tracker_diagnostics();
     assert_eq!(
         (diag.total_regions(), diag.total_allocs()),
