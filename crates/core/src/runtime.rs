@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::access::{Access, AccessKind};
 use crate::critical::CriticalSections;
@@ -863,17 +863,21 @@ impl Runtime {
 
     /// Wait only for the in-flight tasks that access (a region overlapping)
     /// `handle` — the `#pragma omp taskwait on (x)` of Listing 1. For a
-    /// versioned handle this covers every version still in flight.
+    /// versioned handle this covers every version still in flight. Like
+    /// [`Runtime::taskwait`], the waiting thread runs ready tasks meanwhile,
+    /// so the task it waits for may run on it.
     pub fn taskwait_on(&self, handle: &impl Accessible) {
-        self.inner.stats.add(StatField::TaskwaitOns, 1);
-        for region in handle.sync_regions() {
-            let touching = self.inner.tracker.tasks_touching(&region);
-            for task in touching {
-                let mut spins = 0u32;
-                while !task.is_completed() {
-                    backoff(&mut spins);
-                }
-            }
+        wait_on(&self.inner, None, handle);
+    }
+
+    /// Wait on `handle`, then refuse data a poisoned run may have left torn
+    /// (a poisoned task's renamed output committed at spawn time). The note
+    /// is only peeked; `try_taskwait` is the call that consumes it.
+    fn settle<H: Accessible>(&self, handle: H) -> std::result::Result<H, (H, Error)> {
+        self.taskwait_on(&handle);
+        match self.inner.peek_poison_note() {
+            Some(origin) => Err((handle, Error::Poisoned { origin })),
+            None => Ok(handle),
         }
     }
 
@@ -886,42 +890,28 @@ impl Runtime {
 
     /// Read back a copy of the value behind `data`, respecting dependences:
     /// the copy observes every task spawned before this call that writes
-    /// `data`.
+    /// `data`. A reader task copies it out while this thread waits on `data`
+    /// as [`Runtime::taskwait_on`] does. Panics naming the origin after a
+    /// poisoned run (the reader may never have run), as
+    /// [`Runtime::into_inner`] does.
     pub fn fetch<T: Clone + Send + 'static>(&self, data: &Data<T>) -> T {
-        let slot: Arc<(Mutex<Option<T>>, Condvar)> = Arc::new((Mutex::new(None), Condvar::new()));
-        {
-            let slot = slot.clone();
-            let data = data.clone();
-            self.task()
-                .name("ompss::fetch")
-                .input(&data)
-                .spawn(move |ctx| {
-                    let value = ctx.read(&data).clone();
-                    let (lock, cv) = &*slot;
-                    *lock.lock() = Some(value);
-                    cv.notify_all();
-                });
-        }
-        let (lock, cv) = &*slot;
-        let mut guard = lock.lock();
-        while guard.is_none() {
-            cv.wait(&mut guard);
-        }
-        guard.take().expect("fetch task stored a value")
+        let slot = Arc::new(Mutex::new(None));
+        let (reader_slot, reader_data) = (slot.clone(), data.clone());
+        self.task()
+            .name("ompss::fetch")
+            .input(data)
+            .spawn(move |ctx| *reader_slot.lock() = Some(ctx.read(&reader_data).clone()));
+        or_panic(self.settle(data.clone()), "try_taskwait");
+        let value = slot.lock().take();
+        value.expect("the fetch task ran")
     }
 
     /// Wait for all tasks touching `data`, then unwrap the value. Panics if
-    /// other clones of the handle are still alive — multi-tenant callers
-    /// that must not crash a shared process use
-    /// [`Runtime::try_into_inner`] instead.
+    /// other clones of the handle are still alive, or naming the origin after
+    /// a poisoned run — multi-tenant callers that must not crash a shared
+    /// process use [`Runtime::try_into_inner`] instead.
     pub fn into_inner<T: Send + 'static>(&self, data: Data<T>) -> T {
-        match self.try_into_inner(data) {
-            Ok(v) => v,
-            Err((_, Error::Poisoned { origin })) => {
-                panic!("cannot unwrap data after a poisoned run (origin {origin}); use try_into_inner")
-            }
-            Err((_, _)) => panic!("Data handle is still shared; drop the other clones first"),
-        }
+        or_panic(self.try_into_inner(data), "try_into_inner")
     }
 
     /// Fallible [`Runtime::into_inner`]: wait for all tasks touching
@@ -929,54 +919,35 @@ impl Runtime {
     /// are still alive, returns [`Error::StillShared`] together with the
     /// handle (unharmed — the caller can drop the stray clones and retry)
     /// instead of panicking, so a misbehaving service tenant cannot take
-    /// down the shared process.
+    /// down the shared process. The wait is [`Runtime::taskwait_on`]'s (the
+    /// waiting thread runs ready tasks); after a poisoned run it returns
+    /// [`Error::Poisoned`] naming the origin instead of torn data.
     pub fn try_into_inner<T: Send + 'static>(
         &self,
         data: Data<T>,
     ) -> std::result::Result<T, (Data<T>, Error)> {
-        self.taskwait_on(&data);
-        // Refuse to unwrap after a poisoned run: a poisoned task's renamed
-        // output committed at spawn time, so the current version may hold
-        // junk the unrun body never filled in — surface the origin instead
-        // of silently handing torn data out. The note is only *peeked* here;
-        // `try_taskwait` is the acknowledging (consuming) call.
-        if let Some(origin) = self.inner.peek_poison_note() {
-            return Err((data, Error::Poisoned { origin }));
-        }
-        data.try_into_inner().map_err(|d| (d, Error::StillShared))
+        self.settle(data)?.try_into_inner().map_err(|d| (d, Error::StillShared))
     }
 
     /// Wait for all tasks touching the partitioned vector, then unwrap it.
-    /// Panics if other clones of the handle (or of any chunk) are alive —
-    /// see [`Runtime::try_into_vec`] for the non-panicking variant.
+    /// Panics if other clones of the handle (or of any chunk) are alive, or
+    /// after a poisoned run — see [`Runtime::try_into_vec`] for the
+    /// non-panicking variant.
     pub fn into_vec<T: Send + 'static>(&self, data: PartitionedData<T>) -> Vec<T> {
-        match self.try_into_vec(data) {
-            Ok(v) => v,
-            Err((_, Error::Poisoned { origin })) => {
-                panic!("cannot unwrap data after a poisoned run (origin {origin}); use try_into_vec")
-            }
-            Err((_, _)) => {
-                panic!("PartitionedData handle is still shared; drop the other clones first")
-            }
-        }
+        or_panic(self.try_into_vec(data), "try_into_vec")
     }
 
     /// Fallible [`Runtime::into_vec`]: wait for all tasks touching the
     /// partitioned vector, then try to unwrap it. If other clones of the
     /// handle (or of any chunk) are still alive, returns
     /// [`Error::StillShared`] together with the handle instead of
-    /// panicking.
+    /// panicking. Waits and refuses poisoned data as
+    /// [`Runtime::try_into_inner`] does.
     pub fn try_into_vec<T: Send + 'static>(
         &self,
         data: PartitionedData<T>,
     ) -> std::result::Result<Vec<T>, (PartitionedData<T>, Error)> {
-        self.taskwait_on(&data.whole());
-        // As in `try_into_inner`: never hand out data a poisoned run may
-        // have left torn.
-        if let Some(origin) = self.inner.peek_poison_note() {
-            return Err((data, Error::Poisoned { origin }));
-        }
-        data.try_into_vec().map_err(|d| (d, Error::StillShared))
+        self.settle(data)?.try_into_vec().map_err(|d| (d, Error::StillShared))
     }
 
     /// Snapshot of the runtime statistics.
@@ -1149,15 +1120,33 @@ fn access_mode(write: bool) -> &'static str {
     }
 }
 
+/// The panicking face of `Runtime::settle` and the fallible unwraps;
+/// `fallible` names the call that reports instead.
+fn or_panic<T, H>(result: std::result::Result<T, (H, Error)>, fallible: &str) -> T {
+    match result {
+        Ok(value) => value,
+        Err((_, Error::Poisoned { origin })) => {
+            panic!("cannot read data back after a poisoned run (origin {origin}); see {fallible}")
+        }
+        Err((_, err)) => panic!("{err}; drop the other clones first"),
+    }
+}
+
 /// Poll until `pending` turns false, running ready tasks in between: a
 /// thread waiting for tasks is one more executor of them, as the paper's
 /// master thread is at a task barrier, and a nested `taskwait` that only
 /// spun could deadlock the pool. It is also what keeps one program at one
 /// speed: a waiter that only spins holds a core to itself while the workers
 /// share the others, so whether the drain runs on every core or on one
-/// fewer is decided by where the OS put the threads. `taskwait_on` does not
-/// come here from outside a task: it waits for one region, and a helper
-/// that picked up an unrelated long task would overshoot it.
+/// fewer is decided by where the OS put the threads. Every wait comes here:
+/// `taskwait`, `taskwait on` and `fetch`, from the main context or inside a
+/// task.
+///
+/// Back-off is chosen by role: a waiter spins, then yields (`backoff`); an
+/// idle worker yields after every empty poll (`SchedState::idle_wait`). One
+/// back-off for every thread loses a workload either way (ledger, 2-vCPU
+/// host): all on `idle_wait`, `service.closed` `fresh_time_ms` +4.7 %; all
+/// on `backoff`, `insert.storm` +5.8 % and `service.closed` +5.2 %.
 fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn() -> bool) {
     let mut spins = 0u32;
     let mut ready = Vec::new();
@@ -1168,6 +1157,19 @@ fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn
                 spins = 0;
             }
             None => backoff(&mut spins),
+        }
+    }
+}
+
+/// The one `taskwait on` body, from the main context (`worker == None`) or
+/// inside a task. The waiter lets go of each node as every holder does, so
+/// the last one parks it in the slab (its worker owes the `child_done`).
+fn wait_on(inner: &Arc<RuntimeInner>, worker: Option<usize>, handle: &impl Accessible) {
+    inner.stats.add(StatField::TaskwaitOns, 1);
+    for region in handle.sync_regions() {
+        for task in inner.tracker.tasks_touching(&region) {
+            help_while(inner, worker, || !task.is_completed());
+            inner.slab.try_recycle(task);
         }
     }
 }
@@ -1806,12 +1808,7 @@ impl<'a> TaskContext<'a> {
     /// tasks meanwhile). For a versioned handle this covers every version
     /// still in flight.
     pub fn taskwait_on(&self, handle: &impl Accessible) {
-        self.inner.stats.add(StatField::TaskwaitOns, 1);
-        for region in handle.sync_regions() {
-            for task in self.inner.tracker.tasks_touching(&region) {
-                help_while(self.inner, self.worker, || !task.is_completed());
-            }
-        }
+        wait_on(self.inner, self.worker, handle);
     }
 
     /// Execute `f` under the named critical section.

@@ -54,7 +54,9 @@ use crate::task::TaskNode;
 /// Scheduling policy for ready tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerPolicy {
-    /// Single global FIFO queue.
+    /// Single global FIFO queue. Kept as the no-locality baseline of the
+    /// paper's Section 4 locality claim: `locality_ablation` is its only
+    /// caller outside the tests.
     Fifo,
     /// Per-worker deques + work stealing, no locality hint for wakeups.
     WorkStealing,

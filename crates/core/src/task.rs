@@ -796,9 +796,10 @@ impl TaskSlab {
 
     /// Return a completed node to the free list, if the caller holds the
     /// last reference and the slab has room. Nodes still referenced
-    /// elsewhere (a `taskwait_on` spinner, a trace reader, tracker history
-    /// awaiting a deferred retirement) simply drop normally — correctness
-    /// never depends on recycling succeeding.
+    /// elsewhere (a `taskwait on` waiter, tracker history awaiting a
+    /// deferred retirement) simply drop normally here; a waiter or a history
+    /// drain that lets go last parks the node — correctness never depends
+    /// on recycling succeeding.
     ///
     /// A node whose retirement was deferred has several holders letting go
     /// at about the same time: the worker that completed it, the tracker

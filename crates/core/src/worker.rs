@@ -263,12 +263,11 @@ fn retire_node(
 
     // Retired, tickets released, bookkeeping done: if this worker holds the
     // last reference, the node's storage goes back to the slab for the next
-    // spawn (transient holders — a `taskwait_on` spinner, a fetch — simply
-    // make it drop normally; recycling is best-effort). After a *deferred*
-    // retirement the history still references the node, so the hand-back
-    // here fails and the inbox drain that drops the last reference parks
-    // the node instead. Either happens *before* the completion counters of
-    // the thread doing it tick over, so once `taskwait` observes a drained
+    // spawn (best-effort). If a `taskwait on` waiter or the history of a
+    // *deferred* retirement still references the node, the hand-back fails
+    // and the waiter or the inbox drain that drops the last reference parks
+    // the node instead. A worker or a drain does this *before* the completion
+    // counters of its thread tick over, so once `taskwait` observes a drained
     // runtime every node really is parked or freed —
     // `task_slab_diagnostics().outstanding == 0` is a firm post-drain
     // invariant, not a race. The parent tracker of a nested task comes back

@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ompss::{FaultClass, FaultPlan, RuntimeConfig};
 use proptest::prelude::*;
@@ -238,6 +238,83 @@ fn wait_timeout_observes_progress() {
     assert!(plug_ticket.wait().is_completed());
     assert!(ticket.wait_timeout(Duration::from_secs(30)).is_completed());
     svc.shutdown();
+}
+
+/// A job that reads back data its own panicked task poisoned fails; it does
+/// not wedge its dispatcher. The same dispatcher then runs the tenant's
+/// next job, and the service shuts down.
+#[test]
+fn fetch_after_a_task_panic_fails_the_job_not_the_dispatcher() {
+    let svc = JobService::new(ServiceConfig::default().with_dispatchers(1));
+    let tenant = svc
+        .register_tenant(
+            TenantSpec::new("t")
+                .with_in_flight_budget(8)
+                .with_runtime_config(RuntimeConfig::default().with_workers(1)),
+        )
+        .unwrap();
+    // A wedged dispatcher would make `shutdown` (or the drop) join it
+    // forever: leak the service and fail instead.
+    let wait = |svc: JobService, ticket: &service::JobTicket| {
+        let status = ticket.wait_timeout(Duration::from_secs(10));
+        if !status.is_terminal() {
+            std::mem::forget(svc);
+            panic!("the job had not resolved after 10 s: {status:?}");
+        }
+        (svc, status)
+    };
+
+    let poisoned = svc
+        .submit(
+            tenant,
+            JobSpec::spawn(|cx| {
+                // The writer goes down once the task queued after it has run.
+                // Until the fetching thread helps, the tenant's one worker
+                // can run only the writer (queued first), so the fetch's
+                // reader is in flight behind the writer when it panics.
+                let a = cx.runtime.data(0u64);
+                let released = Arc::new(AtomicBool::new(false));
+                {
+                    let (h, released) = (a.clone(), released.clone());
+                    cx.runtime.task().output(&h).spawn(move |_| {
+                        let start = Instant::now();
+                        while !released.load(Ordering::SeqCst)
+                            && start.elapsed() < Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                        panic!("writer goes down")
+                    });
+                }
+                cx.runtime
+                    .task()
+                    .spawn(move |_| released.store(true, Ordering::SeqCst));
+                cx.runtime.fetch(&a);
+            }),
+        )
+        .unwrap();
+    let (svc, status) = wait(svc, &poisoned);
+    match status {
+        JobStatus::Failed(msg) => assert!(msg.contains("poisoned run (origin"), "message {msg}"),
+        other => panic!("expected failure, got {other:?}"),
+    }
+
+    let next = svc
+        .submit(
+            tenant,
+            JobSpec::spawn(|cx| {
+                let a = cx.runtime.data(1u64);
+                let h = a.clone();
+                cx.runtime.task().inout(&h).spawn(move |tc| *tc.write(&h) += 1);
+                assert_eq!(cx.runtime.fetch(&a), 2);
+            }),
+        )
+        .unwrap();
+    let (svc, status) = wait(svc, &next);
+    assert!(status.is_completed(), "got {status:?}");
+    let m = svc.shutdown();
+    assert_eq!((m.completed, m.failed), (1, 1));
+    assert_ledger(&m);
 }
 
 /// A job whose graph stops making progress trips the stall watchdog: a

@@ -4,7 +4,8 @@
 //! poisoned or cancelled, every node retires, every diagnostic returns to
 //! zero, and unaffected results stay exact.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use ompss::{Error, FaultClass, FaultPlan, Runtime, RuntimeConfig};
 use proptest::prelude::*;
@@ -207,6 +208,89 @@ fn poisoned_replay_batch_leaves_template_usable() {
     assert_eq!(rt.in_flight_tasks(), 0);
     assert_eq!(rt.into_inner(data), 2, "passes 0 and 2 committed, pass 1 did not");
     rt.shutdown();
+}
+
+/// Run `f` on a helper thread and return its panic message, failing instead
+/// of hanging if it has not returned within 10 s. The runtime is then
+/// leaked: dropping it would join workers the blocked helper still uses.
+fn panic_message_within_10s(
+    rt: Arc<Runtime>,
+    f: impl FnOnce(&Runtime) + Send + 'static,
+) -> String {
+    let (done_tx, done_rx) = mpsc::channel();
+    let helper = {
+        let rt = rt.clone();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&rt)));
+            let _ = done_tx.send(outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        })
+    };
+    match done_rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(message) => {
+            helper.join().expect("the helper caught the call's panic");
+            message.expect("the call must panic")
+        }
+        Err(_) => {
+            std::mem::forget(rt);
+            panic!("the call had not returned after 10 s");
+        }
+    }
+}
+
+/// `fetch` after a panicked writer refuses the torn value, as `into_inner`
+/// does: its reader task is poisoned and never runs, so the call panics
+/// naming the origin instead of waiting for it forever.
+#[test]
+fn fetch_after_a_poisoned_write_panics_naming_the_origin() {
+    let rt = Arc::new(Runtime::new(RuntimeConfig::default().with_workers(2)));
+    let data = rt.data(0u64);
+    {
+        // The writer goes down only once the fetch's reader is in flight
+        // behind it, so the reader is poisoned rather than run.
+        let (h, rt) = (data.clone(), rt.clone());
+        rt.clone().task().output(&h).spawn(move |_| {
+            let start = std::time::Instant::now();
+            while rt.in_flight_tasks() < 2 && start.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+            panic!("writer goes down");
+        });
+    }
+    let message = panic_message_within_10s(rt.clone(), move |rt| {
+        rt.fetch(&data);
+    });
+    let Err(Error::Poisoned { origin }) = rt.try_taskwait() else {
+        panic!("the writer's panic must poison the run");
+    };
+    assert!(message.contains(&format!("origin {origin}")), "message: {message}");
+    assert_eq!(rt.take_panics().len(), 1);
+    assert_eq!(rt.in_flight_tasks(), 0);
+}
+
+/// `fetch` inside a cancelled scope: its reader task is cancelled before it
+/// starts, becomes the poison origin, and the call panics naming it.
+#[test]
+fn fetch_in_a_cancelled_scope_panics_naming_the_origin() {
+    let rt = Arc::new(Runtime::new(RuntimeConfig::default().with_workers(2)));
+    let data = rt.data(7u64);
+    let token = rt.cancel_scope();
+    token.cancel();
+    let message = panic_message_within_10s(rt.clone(), move |rt| {
+        rt.with_cancel_scope(&token, || rt.fetch(&data));
+    });
+    let Err(Error::Poisoned { origin }) = rt.try_taskwait() else {
+        panic!("the cancelled reader must poison the run");
+    };
+    assert!(message.contains(&format!("origin {origin}")), "message: {message}");
+    let stats = rt.stats();
+    assert_eq!((stats.tasks_executed, stats.tasks_cancelled), (0, 1));
+    assert!(rt.take_panics().is_empty(), "cancellation is not a panic");
 }
 
 // ---------------------------------------------------------------------------

@@ -414,41 +414,53 @@ fn taskwait_runs_ready_tasks_on_the_waiting_thread() {
     // The one worker is held by a task that ends only once a later task has
     // run. A waiter that merely polled would leave that task queued; the
     // hold gives up after 10 s so that such a runtime fails here, not hangs.
-    let rt = Runtime::new(RuntimeConfig::default().with_workers(1).with_tracing(true));
-    let held = Arc::new(AtomicBool::new(false));
-    let released = Arc::new(AtomicBool::new(false));
-    {
-        let (held, released) = (held.clone(), released.clone());
-        rt.task().spawn(move |_| {
-            held.store(true, Ordering::SeqCst);
-            let start = Instant::now();
-            while !released.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
-                std::thread::yield_now();
-            }
-        });
+    // Both root waits help: `taskwait`, and `taskwait on` a datum the
+    // releasing task writes.
+    for wait_on in [false, true] {
+        let what = if wait_on { "taskwait on" } else { "taskwait" };
+        let rt = Runtime::new(RuntimeConfig::default().with_workers(1).with_tracing(true));
+        let held = Arc::new(AtomicBool::new(false));
+        let released = Arc::new(AtomicBool::new(false));
+        {
+            let (held, released) = (held.clone(), released.clone());
+            rt.task().spawn(move |_| {
+                held.store(true, Ordering::SeqCst);
+                let start = Instant::now();
+                while !released.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        while !held.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let ran_on = Arc::new(std::sync::Mutex::new(None));
+        let x = rt.data(0u64);
+        {
+            let (released, ran_on, x) = (released.clone(), ran_on.clone(), x.clone());
+            rt.task().output(&x).spawn(move |ctx| {
+                *ran_on.lock().unwrap() = Some((std::thread::current().id(), ctx.worker_id()));
+                *ctx.write(&x) = 1;
+                released.store(true, Ordering::SeqCst);
+            });
+        }
+        if wait_on {
+            rt.taskwait_on(&x);
+        } else {
+            rt.taskwait();
+        }
+        assert_eq!(
+            *ran_on.lock().unwrap(),
+            Some((std::thread::current().id(), None)),
+            "{what}: the queued task ran on the thread that waited for it"
+        );
+        assert_eq!(
+            rt.busy_ns_per_worker().len(),
+            2,
+            "{what}: and is traced in the slot after the one worker's"
+        );
     }
-    while !held.load(Ordering::SeqCst) {
-        std::thread::yield_now();
-    }
-    let ran_on = Arc::new(std::sync::Mutex::new(None));
-    {
-        let (released, ran_on) = (released.clone(), ran_on.clone());
-        rt.task().spawn(move |ctx| {
-            *ran_on.lock().unwrap() = Some((std::thread::current().id(), ctx.worker_id()));
-            released.store(true, Ordering::SeqCst);
-        });
-    }
-    rt.taskwait();
-    assert_eq!(
-        *ran_on.lock().unwrap(),
-        Some((std::thread::current().id(), None)),
-        "the queued task ran on the thread that waited for it"
-    );
-    assert_eq!(
-        rt.busy_ns_per_worker().len(),
-        2,
-        "and is traced in the slot after the one worker's"
-    );
 }
 
 /// A worker that waits in a nested `taskwait` is still that worker: the

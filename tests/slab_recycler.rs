@@ -151,3 +151,24 @@ fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
     assert!(stats.access_inline_hits > stats.access_inline_spills);
     rt.shutdown();
 }
+
+/// A thread waiting in `taskwait on` (or in `fetch`, which waits the same
+/// way) holds the nodes it waits for. Whoever lets go of a node last parks
+/// it in the slab, so after the drain every node ever allocated is parked:
+/// none went back to the heap.
+#[test]
+fn waited_for_nodes_go_back_to_the_slab() {
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(1));
+    let x = rt.data(0u64);
+    for round in 1..=32 {
+        let h = x.clone();
+        rt.task().inout(&h).spawn(move |ctx| *ctx.write(&h) += 1);
+        rt.taskwait_on(&x);
+        assert_eq!(rt.fetch(&x), round);
+    }
+    rt.taskwait();
+    let diag = rt.task_slab_diagnostics();
+    assert_eq!(diag.outstanding, 0);
+    assert_eq!(diag.free as u64, diag.allocated, "a waited-for node was freed: {diag:?}");
+    rt.shutdown();
+}
