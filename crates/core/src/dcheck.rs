@@ -66,10 +66,12 @@
 //! every tracker shard gate even at quiescence, tombstones and by-alloc
 //! maps scrubbed after GC, slab `outstanding == 0`, and version-ticket
 //! bind/release balance. Under dcheck the audit runs automatically at every
-//! quiescent `taskwait`; the service layer's stall watchdog calls
-//! it on stuck runtimes to separate ledger corruption from genuine
-//! slowness (a non-quiescent audit checks the one direction that must hold
-//! mid-run: the completion ledger never overtakes the spawn counter).
+//! quiescent `taskwait`. A non-quiescent audit checks the one direction that
+//! must hold mid-run: the completion ledger never overtakes the spawn
+//! counter. The identities are drain-time facts, so the verdict holds only
+//! while no other thread is spawning — a spawn half-way through (tickets
+//! committed, a slab node taken, the task not yet inserted) reads as a
+//! violation.
 //!
 //! When dcheck is off the runtime carries a single `Option` check per hook
 //! site and no allocations — the steady-state spawn path stays

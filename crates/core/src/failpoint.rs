@@ -22,7 +22,7 @@
 //! Inject a panic into roughly 1 in 50 task bodies and delay 1 in 20
 //! completions, then assert the failure semantics: the graph drains (no
 //! stranded successor hangs the `taskwait`), poisoned work never commits,
-//! and the tracker/slab diagnostics return to zero.
+//! and the runtime audits clean: nothing left in the tracker or the slab.
 //!
 //! ```
 //! use ompss::{FaultClass, FaultPlan, Runtime, RuntimeConfig};
@@ -47,8 +47,8 @@
 //! let poisoned = rt.try_taskwait().is_err();
 //! assert_eq!(poisoned, plan.injected(FaultClass::TaskPanic) > 0);
 //! assert_eq!(rt.in_flight_tasks(), 0);
-//! assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
-//! assert!(rt.tracker_diagnostics().total_regions() == 0);
+//! let report = rt.audit().expect("a poisoned graph still drains");
+//! assert_eq!((report.tracked_regions, report.slab_outstanding), (0, 0));
 //! rt.shutdown();
 //! ```
 

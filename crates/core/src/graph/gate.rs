@@ -250,7 +250,7 @@ impl std::ops::Deref for ShardIds {
 /// Exclusive access to a set of shards: the proof that the gate of every
 /// shard in `sids` is held (odd), and the only way to reach shard data.
 /// Every tracker operation — a registration of one node or of a whole replay
-/// batch, a retirement, a GC sweep, a diagnostics read, a `taskwait on`
+/// batch, a retirement, a GC sweep, a residue read, a `taskwait on`
 /// lookup — works through one of these. Dropping it releases every gate (so
 /// a panic while holding cannot wedge a shard).
 pub(super) struct Held<'a> {

@@ -90,9 +90,9 @@
 //! Each shard carries a seqlock-style **sequence gate** (`AtomicU64`; even =
 //! quiescent, odd = a mutator holds the shard), and the gate is the only
 //! lock there is. Every operation — registering one node or a replay batch,
-//! retiring, garbage collection, diagnostics, `taskwait on` — goes through
-//! one guard type (`gate::Held`) over an ascending, deduplicated set of shard
-//! ids, acquired one way:
+//! retiring, garbage collection, the audit's residue read, `taskwait on` —
+//! goes through one guard type (`gate::Held`) over an ascending,
+//! deduplicated set of shard ids, acquired one way:
 //!
 //! 1. **Try.** Per gate, in order: one CAS if the gate is free and nobody is
 //!    waiting for it, repeated for a bounded number of spins while a holder
@@ -188,8 +188,8 @@
 //!   registration returns) or the observing thread itself, so once
 //!   `in_flight == 0` is observed no inbox holds anything: "no history
 //!   residue after GC, no held gate, slab `outstanding == 0`" remain
-//!   post-drain facts for `taskwait`, `Runtime::audit` and
-//!   `Runtime::tracker_diagnostics` (which drain on acquisition anyway).
+//!   post-drain facts for `taskwait` and `Runtime::audit` (whose residue
+//!   read drains on acquisition anyway).
 //! * **(c) Deferral does not cost the recycler.** The deferring worker's own
 //!   hand-back to the slab fails (history still references the node), so
 //!   history may now hold a completed task's *last* reference. Every place
@@ -305,36 +305,6 @@ pub(crate) struct EdgeRecord {
     pub shard: usize,
 }
 
-/// Shard-count-aware diagnostics of the dependence tracker, from
-/// [`Runtime::tracker_diagnostics`](crate::Runtime::tracker_diagnostics).
-/// Counts *currently tracked* state — after a quiescent `taskwait` (which
-/// garbage-collects) everything should read zero; a monotonically growing
-/// count across quiescent points is a leak.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerDiagnostics {
-    /// Regions currently tracked, per shard.
-    pub regions_per_shard: Vec<usize>,
-    /// Allocations currently indexed in `by_alloc`, per shard.
-    pub allocs_per_shard: Vec<usize>,
-}
-
-impl TrackerDiagnostics {
-    /// Number of tracker shards.
-    pub fn shards(&self) -> usize {
-        self.regions_per_shard.len()
-    }
-
-    /// Total regions tracked across all shards.
-    pub fn total_regions(&self) -> usize {
-        self.regions_per_shard.iter().sum()
-    }
-
-    /// Total allocations indexed across all shards.
-    pub fn total_allocs(&self) -> usize {
-        self.allocs_per_shard.iter().sum()
-    }
-}
-
 /// The sharded dependence tracker: routes every allocation to one shard and
 /// runs registrations, retirements and sweeps under the shard gates. See the
 /// module docs.
@@ -413,7 +383,7 @@ impl ShardedTracker {
         &self.shard_ids[sid..=sid]
     }
 
-    /// Hold shard `sid` alone (sweeps, diagnostics, lookups).
+    /// Hold shard `sid` alone (sweeps, residue reads, lookups).
     fn hold_one(&self, sid: usize) -> Held<'_> {
         Held::acquire(self, self.one(sid))
     }
@@ -567,30 +537,25 @@ impl ShardedTracker {
         self.shards.iter().position(ShardSlot::is_held)
     }
 
-    /// Current per-shard map sizes (the monotonic counters are
-    /// [`ShardedTracker::counters`], surfaced through `RuntimeStats`). Reading
-    /// diagnostics leaves the hit counters untouched (see
+    /// What the tracker still holds, `(regions, allocs)`: the history
+    /// entries and the allocations indexed in `by_alloc`, summed over the
+    /// shards. After a quiescent `taskwait` (which garbage-collects) both
+    /// read zero; anything else is a retire-path leak. Takes each shard's
+    /// gate in turn and leaves the hit counters untouched (see
     /// [`ShardedTracker::garbage_collect`]); like every acquisition it
     /// applies pending deferred retirements first.
-    pub(crate) fn diagnostics(&self) -> TrackerDiagnostics {
-        let mut regions = Vec::with_capacity(self.shards.len());
-        let mut allocs = Vec::with_capacity(self.shards.len());
-        for sid in 0..self.shards.len() {
+    pub(crate) fn residue(&self) -> (usize, usize) {
+        (0..self.shards.len()).fold((0, 0), |(regions, allocs), sid| {
             let mut held = self.hold_one(sid);
             let shard = held.shard(sid);
-            regions.push(shard.entries.len());
-            allocs.push(shard.by_alloc.len());
-        }
-        TrackerDiagnostics {
-            regions_per_shard: regions,
-            allocs_per_shard: allocs,
-        }
+            (regions + shard.entries.len(), allocs + shard.by_alloc.len())
+        })
     }
 
     /// Number of regions currently tracked across all shards.
     #[cfg(test)]
     pub(crate) fn tracked_regions(&self) -> usize {
-        self.diagnostics().total_regions()
+        self.residue().0
     }
 
     /// Test support: hold `shard`'s gate until the returned guard drops, so
@@ -908,25 +873,19 @@ mod tests {
                 w
             })
             .collect();
-        let diag = tr.diagnostics();
-        assert_eq!(diag.total_regions(), 6);
-        assert_eq!(diag.total_allocs(), 6);
-        assert_eq!(diag.shards(), 3);
+        assert_eq!(tr.residue(), (6, 6));
+        assert_eq!(tr.num_shards(), 3);
         for n in &nodes {
             finish(n);
             tr.retire(n);
         }
         // Tombstones keep the maps populated (deterministic counting) …
-        assert_eq!(tr.diagnostics().total_regions(), 6);
+        assert_eq!(tr.tracked_regions(), 6);
         tr.garbage_collect();
         // … and GC must empty both maps in every shard.
-        let diag = tr.diagnostics();
-        assert_eq!(diag.total_regions(), 0, "entries leak after full retire");
-        assert_eq!(
-            diag.total_allocs(),
-            0,
-            "by_alloc holds stale region ids after full retire"
-        );
+        let (regions, allocs) = tr.residue();
+        assert_eq!(regions, 0, "entries leak after full retire");
+        assert_eq!(allocs, 0, "by_alloc holds stale region ids after full retire");
     }
 
     #[test]
@@ -944,8 +903,7 @@ mod tests {
         finish(&w2);
         tr.retire(&w2);
         tr.garbage_collect();
-        let diag = tr.diagnostics();
-        assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0));
+        assert_eq!(tr.residue(), (0, 0));
     }
 
     #[test]
@@ -1371,7 +1329,7 @@ mod tests {
         tr.garbage_collect();
         assert_eq!(Arc::strong_count(&w), 1, "GC drained");
         assert_eq!(tr.tracked_regions(), 0);
-        // `taskwait on` lookups and diagnostics.
+        // `taskwait on` lookups and residue reads.
         let tr = tracker(2);
         let w = completed_writer(&tr);
         defer(&tr, &w);
@@ -1379,8 +1337,8 @@ mod tests {
         assert_eq!(Arc::strong_count(&w), 1, "lookup drained");
         let w2 = completed_writer(&tr);
         defer(&tr, &w2);
-        tr.diagnostics();
-        assert_eq!(Arc::strong_count(&w2), 1, "diagnostics drained");
+        tr.residue();
+        assert_eq!(Arc::strong_count(&w2), 1, "the residue read drained");
     }
 
     #[test]
@@ -1399,10 +1357,10 @@ mod tests {
         // The worker's own hand-back fails — history still pins the node —
         // and it moves on.
         slab.try_recycle(w);
-        assert_eq!((slab.diagnostics().free, slab.diagnostics().outstanding), (0, 1));
+        assert_eq!(slab.gauges(), (0, 1));
         drop(hold);
         // The drain dropped the last reference: parked, not freed.
-        assert_eq!((slab.diagnostics().free, slab.diagnostics().outstanding), (1, 0));
+        assert_eq!(slab.gauges(), (1, 0));
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub use capture::{CaptureScope, CapturedTaskBuilder, GraphTemplate, ReplayBindin
 pub use dcheck::{AuditReport, AuditViolation, RaceReport};
 pub use error::{Error, Result};
 pub use failpoint::{FaultClass, FaultPlan};
-pub use graph::TrackerDiagnostics;
 pub use handle::{
     Accessible, Chunk, Data, PartitionedData, ReadGuard, SliceReadGuard, SliceWriteGuard, Whole,
     WriteGuard,
@@ -119,5 +118,5 @@ pub use region::Region;
 pub use runtime::{CancelToken, Runtime, RuntimeConfig, TaskBuilder, TaskContext};
 pub use scheduler::SchedulerPolicy;
 pub use stats::RuntimeStats;
-pub use task::{TaskId, TaskSlabDiagnostics};
+pub use task::TaskId;
 pub use trace::TraceEvent;

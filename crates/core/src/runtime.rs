@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
@@ -18,7 +18,7 @@ use crate::critical::CriticalSections;
 use crate::dcheck::{AuditReport, AuditViolation, RaceReport};
 use crate::error::{Error, Result};
 use crate::failpoint::FaultPlan;
-use crate::graph::{self, ShardedTracker, TrackerDiagnostics};
+use crate::graph::{self, ShardedTracker};
 use crate::handle::{
     Accessible, Chunk, Data, PartitionedData, ReadGuard, SliceReadGuard, SliceWriteGuard, Whole,
     WriteGuard,
@@ -31,8 +31,7 @@ use crate::rename::{
 use crate::scheduler::{SchedState, SchedulerPolicy};
 use crate::stats::{CachePadded, RuntimeStats, StatCounters, StatField};
 use crate::task::{
-    ChildTracker, TaskId, TaskNode, TaskPriority, TaskSlab, TaskSlabDiagnostics,
-    DEFAULT_TASK_SLAB_CAPACITY,
+    ChildTracker, TaskId, TaskNode, TaskPriority, TaskSlab, DEFAULT_TASK_SLAB_CAPACITY,
 };
 use crate::trace::{TraceEvent, TraceRecorder};
 use crate::worker;
@@ -99,9 +98,10 @@ pub struct RuntimeConfig {
     /// Whether the [`dcheck`](crate::dcheck) race oracle is armed: every
     /// task carries a vector clock, bind-time accesses append to per-worker
     /// shadow logs, and each quiescent `taskwait` runs the
-    /// happens-before checker plus [`Runtime::audit`]. Off by default —
-    /// when off every hook is a single `Option` check and the spawn path
-    /// stays allocation-free.
+    /// happens-before checker plus [`Runtime::audit`] (see
+    /// [`RuntimeConfig::with_dcheck`] for when its verdict holds). Off by
+    /// default — when off every hook is a single `Option` check and the
+    /// spawn path stays allocation-free.
     pub dcheck: bool,
 }
 
@@ -220,19 +220,13 @@ impl RuntimeConfig {
     }
 
     /// Arm the [`dcheck`](crate::dcheck) vector-clock race oracle and the
-    /// automatic quiescent audit (see [`RuntimeConfig::dcheck`]).
+    /// automatic quiescent audit (see [`RuntimeConfig::dcheck`]). That pass
+    /// runs [`Runtime::audit`]'s checks after a `taskwait`, so its verdicts
+    /// hold only while no other thread is spawning: with two root spawners,
+    /// one's `taskwait` can audit the other's spawn half-way through.
     pub fn with_dcheck(mut self, dcheck: bool) -> Self {
         self.dcheck = dcheck;
         self
-    }
-
-    /// The shard count a runtime built from this configuration will use.
-    pub fn effective_tracker_shards(&self) -> usize {
-        if self.tracker_shards == 0 {
-            (self.workers * 2).max(1)
-        } else {
-            self.tracker_shards
-        }
     }
 }
 
@@ -520,8 +514,7 @@ impl RuntimeInner {
         // Spawned is read *after* the completion-side counters: the
         // completion ledger can then never spuriously overtake it mid-run.
         let spawned = self.stats.get(StatField::TasksSpawned);
-        let diag = self.tracker.diagnostics();
-        let slab = self.slab.diagnostics();
+        let (tracked_regions, tracked_allocs) = self.tracker.residue();
         let report = AuditReport {
             quiescent,
             spawned,
@@ -529,9 +522,9 @@ impl RuntimeInner {
             poisoned,
             cancelled,
             in_flight,
-            tracked_regions: diag.total_regions(),
-            tracked_allocs: diag.total_allocs(),
-            slab_outstanding: slab.outstanding,
+            tracked_regions,
+            tracked_allocs,
+            slab_outstanding: self.slab.gauges().1,
             ticket_refs_bound: self.rename.ticket_refs_bound(),
             ticket_refs_released: self.rename.ticket_refs_released(),
         };
@@ -644,14 +637,18 @@ impl Runtime {
         Self::try_new(config).expect("invalid runtime configuration")
     }
 
-    /// Create a runtime with the given configuration.
+    /// Create a runtime with the given configuration. Returns once every
+    /// worker thread has started and entered its polling loop.
     pub fn try_new(config: RuntimeConfig) -> Result<Self> {
         if config.workers == 0 {
             return Err(Error::InvalidConfig(
                 "at least one worker thread is required".into(),
             ));
         }
-        let tracker_shards = config.effective_tracker_shards();
+        let tracker_shards = match config.tracker_shards {
+            0 => config.workers * 2,
+            shards => shards,
+        };
         let sched = SchedState::new(config.policy, config.workers);
         let slab = Arc::new(TaskSlab::new(DEFAULT_TASK_SLAB_CAPACITY));
         let mut tracker = ShardedTracker::new(tracker_shards);
@@ -678,26 +675,25 @@ impl Runtime {
             config,
         });
         let mut threads = Vec::with_capacity(inner.config.workers);
+        let started = Arc::new(Barrier::new(inner.config.workers + 1));
         for id in 0..inner.config.workers {
             let inner = inner.clone();
+            let started = started.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ompss-worker-{id}"))
-                    .spawn(move || worker::worker_loop(inner, id))
+                    .spawn(move || worker::worker_loop(inner, id, started))
                     .expect("failed to spawn worker thread"),
             );
         }
+        // Return a started runtime: every worker is in its loop.
+        started.wait();
         Ok(Runtime { inner, threads })
     }
 
     /// The scheduling policy in use.
     pub fn policy(&self) -> SchedulerPolicy {
         self.inner.config.policy
-    }
-
-    /// Number of dependence-tracker shards in use.
-    pub fn tracker_shards(&self) -> usize {
-        self.inner.tracker.num_shards()
     }
 
     /// Garbage-collect the dependence tracker now: drop retired-task
@@ -707,21 +703,6 @@ impl Runtime {
     /// the explicit entry point exists for leak tests and long-idle services.
     pub fn tracker_gc(&self) {
         self.inner.tracker.garbage_collect();
-    }
-
-    /// Sizes of the tracker's per-shard maps right now. After a
-    /// [`Runtime::taskwait`] with no other threads spawning, every count is
-    /// zero — anything else is a retire-path leak.
-    pub fn tracker_diagnostics(&self) -> TrackerDiagnostics {
-        self.inner.tracker.diagnostics()
-    }
-
-    /// Accounting of the task-node slab (allocations, recycles, free-list
-    /// depth, outstanding nodes). After a [`Runtime::taskwait`] with no
-    /// other threads spawning, `outstanding` is zero — anything else is a
-    /// node leak.
-    pub fn task_slab_diagnostics(&self) -> TaskSlabDiagnostics {
-        self.inner.slab.diagnostics()
     }
 
     /// Number of tasks spawned but not yet finished executing, right now.
@@ -737,7 +718,8 @@ impl Runtime {
     /// shard cannot retire in place and hands its retirement to the shard's
     /// inbox instead — which is how the protocol tests make that path
     /// deterministic. The holding thread must not register, `taskwait` or
-    /// read diagnostics meanwhile (those take the same shard).
+    /// `audit` meanwhile (those take the same shard); [`Runtime::stats`]
+    /// takes no shard.
     #[doc(hidden)]
     pub fn hold_tracker_shard(&self, shard: usize) -> graph::ShardHold<'_> {
         self.inner.tracker.hold_shard(shard)
@@ -842,7 +824,7 @@ impl Runtime {
         help_while(&self.inner, None, || !self.inner.quiescent());
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
-        // tracks nothing (see `Runtime::tracker_diagnostics`).
+        // tracks nothing (see `Runtime::audit`).
         self.inner.tracker.garbage_collect();
         self.inner.dcheck_quiescent_pass();
     }
@@ -950,7 +932,10 @@ impl Runtime {
         self.settle(data)?.try_into_vec().map_err(|d| (d, Error::StillShared))
     }
 
-    /// Snapshot of the runtime statistics.
+    /// Snapshot of the runtime statistics: the counters, plus the task-node
+    /// slab's two gauges (read under its free-list lock). Takes no tracker
+    /// gate, so it is safe to call while a shard is held, and never checks
+    /// anything — [`Runtime::audit`] does.
     pub fn stats(&self) -> RuntimeStats {
         let c = &self.inner.stats;
         let s = &self.inner.sched.counters;
@@ -958,6 +943,7 @@ impl Runtime {
         let raw_edges = c.get(StatField::EdgesRaw);
         let war_edges = c.get(StatField::EdgesWar);
         let waw_edges = c.get(StatField::EdgesWaw);
+        let (task_nodes_free, task_nodes_outstanding) = self.inner.slab.gauges();
         RuntimeStats {
             workers: self.inner.config.workers,
             tasks_spawned: c.get(StatField::TasksSpawned),
@@ -987,6 +973,8 @@ impl Runtime {
             sched_priority_pops: s.priority_pops.load(Ordering::Relaxed),
             task_nodes_recycled: self.inner.slab.recycled_count(),
             task_nodes_allocated: self.inner.slab.allocated_count(),
+            task_nodes_free,
+            task_nodes_outstanding,
             access_inline_hits: c
                 .get(StatField::TasksSpawned)
                 .saturating_sub(c.get(StatField::AccessInlineSpills)),
@@ -1003,18 +991,25 @@ impl Runtime {
         }
     }
 
-    /// Audit the runtime's cross-layer bookkeeping identities (see
-    /// [`crate::dcheck`], "The invariant auditor").
+    /// What the runtime still holds, checked against its cross-layer
+    /// bookkeeping identities (see [`crate::dcheck`], "The invariant
+    /// auditor") — the one view of tracker residue, slab nodes and version
+    /// tickets.
     ///
-    /// At quiescence (`in_flight == 0` — e.g. right after a
-    /// [`Runtime::taskwait`]) the full set of drain-time identities is
-    /// checked: `executed + poisoned + cancelled == spawned`, every tracker
-    /// shard gate even, no tracked history residue after GC, slab
-    /// `outstanding == 0`, and version-ticket bind/release balance. While
+    /// At quiescence (`in_flight == 0`) the full set of drain-time
+    /// identities is checked: `executed + poisoned + cancelled == spawned`,
+    /// every tracker shard gate even, no tracked history residue after GC,
+    /// slab `outstanding == 0`, and version-ticket bind/release balance. While
     /// tasks are in flight only the direction that must hold mid-run is
-    /// checked (the completion ledger never overtakes the spawn counter) —
-    /// the service layer's stall watchdog uses this to separate ledger
-    /// corruption from genuine slowness.
+    /// checked (the completion ledger never overtakes the spawn counter).
+    ///
+    /// **Call it only while no other thread can spawn** — for example right
+    /// after the caller's own [`Runtime::taskwait`]. Quiescence is decided
+    /// from one `in_flight` read, and the counters, tracker, slab and
+    /// tickets are read after it; a spawn running meanwhile (it commits
+    /// tickets, then takes a slab node, then inserts the task) breaks the
+    /// drain-time identities of a correct program, and the audit reports a
+    /// violation that is not there.
     ///
     /// Runs automatically at every quiescent `taskwait` when
     /// dcheck is armed; violations found there are reported by

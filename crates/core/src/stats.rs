@@ -253,6 +253,13 @@ pub struct RuntimeStats {
     pub task_nodes_recycled: u64,
     /// Task nodes allocated fresh from the heap.
     pub task_nodes_allocated: u64,
+    /// Gauge: task nodes parked in the slab's free list right now.
+    pub task_nodes_free: usize,
+    /// Gauge: task nodes checked out of the slab right now — allocated or
+    /// recycled, and neither back in the free list nor deallocated. Exact
+    /// only at quiescence, where it reads zero (an invariant
+    /// [`Runtime::audit`](crate::Runtime::audit) checks).
+    pub task_nodes_outstanding: usize,
     /// Spawned tasks whose declared accesses fit the node's inline access
     /// storage (≤2 accesses — no access-list heap allocation).
     pub access_inline_hits: u64,
@@ -300,15 +307,6 @@ impl RuntimeStats {
         } else {
             self.edges_added as f64 / self.tasks_spawned as f64
         }
-    }
-
-    /// Tasks still in flight (spawned but not yet executed, poisoned or
-    /// cancelled).
-    pub fn tasks_in_flight(&self) -> u64 {
-        self.tasks_spawned
-            .saturating_sub(self.tasks_executed)
-            .saturating_sub(self.tasks_poisoned)
-            .saturating_sub(self.tasks_cancelled)
     }
 
     /// Fraction of registrations that touched a single shard and took its
@@ -392,10 +390,8 @@ mod tests {
             edges_added: 25,
             ..Default::default()
         };
-        assert_eq!(s.tasks_in_flight(), 3);
         assert!((s.mean_edges_per_task() - 2.5).abs() < 1e-12);
         let empty = RuntimeStats::default();
         assert_eq!(empty.mean_edges_per_task(), 0.0);
-        assert_eq!(empty.tasks_in_flight(), 0);
     }
 }

@@ -634,38 +634,6 @@ impl Drop for SlabLink {
     }
 }
 
-/// Point-in-time accounting of a runtime's task-node slab, from
-/// [`Runtime::task_slab_diagnostics`](crate::Runtime::task_slab_diagnostics).
-/// After a quiescent `taskwait` with no other threads spawning,
-/// `outstanding` reads zero — anything else is a node leak (the
-/// tracker-diagnostics drain check, applied to nodes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskSlabDiagnostics {
-    /// Nodes allocated fresh from the heap (monotonic).
-    pub allocated: u64,
-    /// Acquisitions served from the free list instead of the heap
-    /// (monotonic).
-    pub recycled: u64,
-    /// Nodes currently parked in the free list.
-    pub free: usize,
-    /// Nodes checked out right now: allocated or recycled, and neither back
-    /// in the free list nor deallocated. Zero after a drained `taskwait`.
-    pub outstanding: usize,
-}
-
-impl TaskSlabDiagnostics {
-    /// Fraction of acquisitions served from the free list. `None` before the
-    /// first acquisition.
-    pub fn recycle_rate(&self) -> Option<f64> {
-        let total = self.allocated + self.recycled;
-        if total == 0 {
-            None
-        } else {
-            Some(self.recycled as f64 / total as f64)
-        }
-    }
-}
-
 /// The free list, with the count of every node ever parked in it: both
 /// written under the one lock a park takes anyway.
 struct FreeList {
@@ -846,22 +814,20 @@ impl TaskSlab {
         parent
     }
 
-    /// Current accounting snapshot. Exact once the runtime is quiescent;
-    /// mid-run the three counts are read at slightly different moments, so
-    /// `outstanding` is approximate there (and saturates at zero).
-    pub(crate) fn diagnostics(&self) -> TaskSlabDiagnostics {
+    /// The slab's two gauges, `(free, outstanding)`: nodes parked in the
+    /// free list, and nodes checked out — allocated or recycled, and neither
+    /// back in the free list nor deallocated. Exact once the runtime is
+    /// quiescent, when `outstanding` is zero; mid-run the counts are read at
+    /// slightly different moments, so `outstanding` is approximate there
+    /// (and saturates at zero).
+    pub(crate) fn gauges(&self) -> (usize, usize) {
         let (free, parked) = {
             let list = self.free.lock();
             (list.nodes.len(), list.parked)
         };
         let discarded = self.discarded.load(Ordering::Relaxed);
-        let (allocated, recycled) = (self.allocated_count(), self.recycled_count());
-        TaskSlabDiagnostics {
-            allocated,
-            recycled,
-            free,
-            outstanding: (allocated + recycled).saturating_sub(parked + discarded) as usize,
-        }
+        let acquired = self.allocated_count() + self.recycled_count();
+        (free, acquired.saturating_sub(parked + discarded) as usize)
     }
 
     /// Total acquisitions served from the free list (stats).
@@ -1044,20 +1010,17 @@ pub(crate) mod tests {
         let n1 = acquire_plain(&slab);
         let first_id = n1.id;
         assert_eq!(n1.generation, 0);
-        let d = slab.diagnostics();
-        assert_eq!((d.allocated, d.recycled, d.outstanding), (1, 0, 1));
+        let counts = (slab.allocated_count(), slab.recycled_count());
+        assert_eq!((counts, slab.gauges().1), ((1, 0), 1));
         finish_by_hand(&n1);
         let raw = Arc::as_ptr(&n1);
         slab.try_recycle(n1);
-        let d = slab.diagnostics();
-        assert_eq!((d.free, d.outstanding), (1, 0));
+        assert_eq!(slab.gauges(), (1, 0));
         let n2 = acquire_plain(&slab);
         assert_eq!(Arc::as_ptr(&n2), raw, "storage reused");
         assert_eq!(n2.generation, 1, "generation bumped on recycle");
         assert!(n2.id.raw() > first_id.raw(), "fresh id per reuse");
-        let d = slab.diagnostics();
-        assert_eq!((d.allocated, d.recycled), (1, 1));
-        assert!(d.recycle_rate().unwrap() > 0.49);
+        assert_eq!((slab.allocated_count(), slab.recycled_count()), (1, 1));
     }
 
     #[test]
@@ -1068,10 +1031,10 @@ pub(crate) mod tests {
         n.links.lock().completed = true;
         let held = n.clone();
         slab.try_recycle(n); // shared: plain drop path
-        assert_eq!(slab.diagnostics().free, 0);
+        assert_eq!(slab.gauges().0, 0);
         drop(held);
         assert_eq!(
-            slab.diagnostics().outstanding,
+            slab.gauges().1,
             0,
             "final drop released the accounting token"
         );
@@ -1083,12 +1046,12 @@ pub(crate) mod tests {
         let slab = TaskSlab::new(CAPACITY);
         let nodes: Vec<_> = (0..=CAPACITY).map(|_| acquire_plain(&slab)).collect();
         for (parked, n) in nodes.into_iter().enumerate() {
-            assert_eq!(slab.diagnostics().free, parked);
+            assert_eq!(slab.gauges().0, parked);
             finish_by_hand(&n);
             slab.try_recycle(n);
         }
-        let d = slab.diagnostics();
-        assert_eq!(d.free, CAPACITY, "the capacity + 1-th node is refused");
-        assert_eq!(d.outstanding, 0, "and deallocated, not leaked");
+        let (free, outstanding) = slab.gauges();
+        assert_eq!(free, CAPACITY, "the capacity + 1-th node is refused");
+        assert_eq!(outstanding, 0, "and deallocated, not leaked");
     }
 }

@@ -2,7 +2,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use crate::error::Error;
 use crate::failpoint::FaultClass;
@@ -22,12 +22,16 @@ const WAKEUP_BUFFER_CAPACITY: usize = 64;
 /// only terminates once the runtime has been shut down *and* no task is in
 /// flight — mirroring the always-polling Nanos++ workers described in the
 /// paper.
-pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker_id: usize) {
+pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker_id: usize, started: Arc<Barrier>) {
     // Reused across every task this worker executes, so the steady-state
     // wakeup path allocates nothing (see `graph::complete_into`). Sized up
     // front: whether a worker ever wakes a successor while a program warms
     // up depends on how far the spawner runs ahead of it.
     let mut ready = Vec::with_capacity(WAKEUP_BUFFER_CAPACITY);
+    // `Runtime::try_new` returns once every worker got here: its thread's
+    // start-up allocations are behind it, and nothing a caller times or
+    // counts after `new` includes them.
+    started.wait();
     loop {
         match inner.sched.pop(Some(worker_id)) {
             Some(node) => {
@@ -58,7 +62,7 @@ pub(crate) fn execute_task(
 ) {
     // Poison / cancellation short-circuit: the node is retired through the
     // exact same tracker/ticket tail as an executed task — only the body is
-    // skipped — so diagnostics still drain to zero and versions recycle.
+    // skipped — so the tracker still drains to zero and versions recycle.
     if let Some(origin) = node.poison_origin() {
         retire_without_run(inner, node, worker, ready, Some(origin));
         return;
@@ -165,7 +169,7 @@ pub(crate) fn execute_task(
 /// latter case this node becomes the poison origin for everything
 /// downstream. Either way the node takes the exact same completion tail as
 /// an executed task (poison-propagate → retire → release tickets →
-/// recycle), which is what keeps `in_flight`, the tracker diagnostics and
+/// recycle), which is what keeps `in_flight`, the tracker's residue and
 /// the slab ledger balanced after a failed run.
 fn retire_without_run(
     inner: &Arc<RuntimeInner>,
@@ -268,9 +272,9 @@ fn retire_node(
     // and the waiter or the inbox drain that drops the last reference parks
     // the node instead. A worker or a drain does this *before* the completion
     // counters of its thread tick over, so once `taskwait` observes a drained
-    // runtime every node really is parked or freed —
-    // `task_slab_diagnostics().outstanding == 0` is a firm post-drain
-    // invariant, not a race. The parent tracker of a nested task comes back
+    // runtime every node really is parked or freed — the slab's
+    // `outstanding == 0` (`Runtime::audit`, `RuntimeStats`) is a firm
+    // post-drain invariant, not a race. The parent tracker of a nested task comes back
     // out of the node (the worker still owes it the `child_done` below).
     if let Some(parent) = inner.slab.try_recycle(node) {
         parent.child_done();

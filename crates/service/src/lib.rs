@@ -29,9 +29,10 @@
 //! * **Metrics** ([`ServiceMetrics`] / [`TenantMetrics`]): queue depth and
 //!   peak, per-tenant accept/reject/complete counters (the service-wide
 //!   figures are their sums), dispatcher utilisation, and per-tenant
-//!   runtime statistics (spawns, replays,
-//!   renames, steals) snapshotted from the core crate's
-//!   [`RuntimeStats`](ompss::RuntimeStats)/`TrackerDiagnostics` plumbing.
+//!   runtime statistics (spawns, replays, renames, steals, task-node
+//!   gauges) snapshotted from the core crate's
+//!   [`RuntimeStats`](ompss::RuntimeStats). A snapshot takes no tracker
+//!   gate.
 //! * **Failure semantics**: jobs carry optional
 //!   [`deadlines`](JobSpec::with_deadline) (expired jobs are shed at
 //!   dequeue or cancelled mid-run by the watchdog thread, resolving
@@ -39,8 +40,9 @@
 //!   job at any point ([`JobStatus::Cancelled`]); a task panic inside a job
 //!   poisons that job's remaining tasks (they retire without running — see
 //!   the core crate's `failpoint` and poison docs) and fails only that job;
-//!   the watchdog publishes a [`StallReport`] when task progress flatlines
-//!   with jobs still running. The terminal ledger always balances:
+//!   the watchdog publishes a [`StallReport`] (who is stuck, for how long,
+//!   with how many tasks in flight) when task progress flatlines with jobs
+//!   still running. The terminal ledger always balances:
 //!   `completed + failed + cancelled + expired == accepted`.
 //!
 //! ## Quick start

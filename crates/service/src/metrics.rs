@@ -8,9 +8,9 @@ use ompss::RuntimeStats;
 use crate::tenant::{Lane, TenantId};
 
 /// What the stall watchdog saw when task progress flatlined while jobs were
-/// still marked running: which tenant owns the oldest stuck job, how stuck,
-/// and a dependence-tracker snapshot of that tenant's runtime to tell
-/// "deadlocked graph" from "tracker leak" at a glance.
+/// still marked running: which tenant owns the oldest stuck job, and how
+/// stuck. It checks nothing: the stuck job may spawn at any moment, and
+/// [`ompss::Runtime::audit`]'s verdict holds only while nothing spawns.
 #[derive(Debug, Clone)]
 pub struct StallReport {
     /// Tenant owning the oldest running job at detection time.
@@ -22,15 +22,6 @@ pub struct StallReport {
     pub oldest_age: Duration,
     /// Tasks still in flight on the stuck tenant's runtime.
     pub in_flight_tasks: usize,
-    /// Regions the stuck tenant's dependence tracker still holds.
-    pub tracked_regions: usize,
-    /// Lifetime tracker allocations of the stuck tenant's runtime.
-    pub tracked_allocs: usize,
-    /// First bookkeeping-identity violation found by auditing the stuck
-    /// tenant's runtime ([`ompss::Runtime::audit`]), if any. `Some`
-    /// separates ledger corruption (a runtime bug) from a genuine stall
-    /// (slow or livelocked but internally consistent — `None`).
-    pub audit: Option<ompss::AuditViolation>,
 }
 
 /// A point-in-time snapshot of the whole service, returned by
@@ -137,12 +128,11 @@ pub struct TenantMetrics {
     /// Completed-or-failed jobs that were template replays.
     pub replay_jobs: u64,
     /// The tenant runtime's core counters (tasks spawned, renames,
-    /// scheduler steals, replay passes/tasks…).
+    /// scheduler steals, replay passes/tasks…) and task-node gauges. What
+    /// the runtime still holds is for [`ompss::Runtime::audit`] to say,
+    /// called where nothing else spawns: for a tenant, from inside one of
+    /// its jobs before the job spawns.
     pub runtime: RuntimeStats,
-    /// Regions the tenant runtime's dependence tracker currently tracks.
-    pub tracked_regions: usize,
-    /// Tracker allocations over the tenant runtime's lifetime.
-    pub tracked_allocs: usize,
 }
 
 #[cfg(test)]

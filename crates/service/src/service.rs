@@ -377,7 +377,6 @@ impl std::fmt::Debug for JobService {
 }
 
 fn tenant_metrics(state: &TenantState) -> TenantMetrics {
-    let diag = state.runtime.tracker_diagnostics();
     let c = &state.counters;
     TenantMetrics {
         tenant: state.id,
@@ -395,8 +394,6 @@ fn tenant_metrics(state: &TenantState) -> TenantMetrics {
         spawn_jobs: c.spawn_jobs.load(Ordering::SeqCst),
         replay_jobs: c.replay_jobs.load(Ordering::SeqCst),
         runtime: state.runtime.stats(),
-        tracked_regions: diag.total_regions(),
-        tracked_allocs: diag.total_allocs(),
     }
 }
 
@@ -548,19 +545,11 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
             continue;
         };
         if now.duration_since(last_change) >= window {
-            let diag = tenant.runtime.tracker_diagnostics();
             *inner.last_stall.lock() = Some(StallReport {
                 tenant: tenant.id,
                 stuck_jobs,
                 oldest_age: now.duration_since(started),
                 in_flight_tasks: tenant.runtime.in_flight_tasks(),
-                tracked_regions: diag.total_regions(),
-                tracked_allocs: diag.total_allocs(),
-                // Separate ledger corruption from genuine slowness: a mid-run
-                // audit only checks identities that must hold while tasks
-                // are in flight, so any violation here is a real bug, not an
-                // artefact of the stall.
-                audit: tenant.runtime.audit().err(),
             });
             inner.counters.stalls.fetch_add(1, Ordering::SeqCst);
             // Re-arm: report again only after another silent window, not

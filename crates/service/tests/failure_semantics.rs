@@ -489,17 +489,36 @@ proptest! {
             }
         }
 
+        // The runtime drained clean: one follow-up job audits it before it
+        // spawns anything. A tenant runs one job at a time and each ends in a
+        // `taskwait`, so nothing spawns meanwhile and the verdict holds —
+        // no tracked regions or allocations, no slab node out, tickets
+        // balanced, every gate free, the task ledger closed.
+        let audit_job = || {
+            JobSpec::spawn(|cx| {
+                let report = cx.runtime.audit().expect("the tenant's runtime drains clean");
+                assert!(report.quiescent, "no task may be left in flight: {report:?}");
+            })
+        };
+        let audit = loop {
+            match svc.submit(tenant, audit_job()) {
+                Ok(ticket) => break ticket,
+                Err(_) => shed += 1,
+            }
+        };
+        let status = audit.wait();
+        prop_assert!(status.is_completed(), "audit job: {:?}", status);
+
         let m = svc.shutdown();
-        prop_assert_eq!(m.accepted, jobs.len() as u64);
+        prop_assert_eq!(m.accepted, jobs.len() as u64 + 1);
         prop_assert_eq!(m.rejected_queue_full, shed);
-        prop_assert_eq!(m.completed, completed);
+        prop_assert_eq!(m.completed, completed + 1);
         prop_assert_eq!(
             m.completed + m.failed + m.cancelled + m.expired,
             m.accepted,
             "ledger must balance"
         );
         let t = &m.tenants[0];
-        prop_assert_eq!(t.tracked_regions, 0, "the runtime must drain its tracker");
         prop_assert_eq!(t.in_flight, 0, "no job may be left in flight");
         let rs = &t.runtime;
         prop_assert_eq!(

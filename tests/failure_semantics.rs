@@ -52,7 +52,7 @@ fn cancel_scope_retires_pending_tasks_without_running_them() {
     assert_eq!(stats.tasks_cancelled, 1, "the first pending task was cancelled");
     assert_eq!(stats.tasks_poisoned, 18, "its successors were poisoned");
     assert_eq!(rt.in_flight_tasks(), 0);
-    assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
+    rt.audit().expect("a cancelled graph leaves no node outstanding");
     assert!(rt.take_panics().is_empty(), "cancellation is not a panic");
     assert_eq!(rt.into_inner(data), 1, "only the running task committed");
     rt.shutdown();
@@ -337,8 +337,7 @@ proptest! {
             let _ = rt.try_taskwait();
             let stats = rt.stats();
             prop_assert_eq!(rt.in_flight_tasks(), 0, "shards={}", shards);
-            prop_assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
-            prop_assert_eq!(rt.tracker_diagnostics().total_regions(), 0);
+            rt.audit().expect("no node outstanding, no region tracked");
             prop_assert_eq!(
                 stats.tasks_executed + stats.tasks_poisoned + stats.tasks_cancelled,
                 n_tasks as u64,
@@ -397,7 +396,7 @@ proptest! {
             }
             prop_assert_eq!(rt.in_flight_tasks(), 0);
         }
-        prop_assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
+        rt.audit().expect("no node outstanding after the bursts");
         rt.shutdown();
     }
 }

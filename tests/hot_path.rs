@@ -775,8 +775,7 @@ fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss:
         after_fetch.tasks_spawned,
     );
     rt.taskwait();
-    let diag = rt.tracker_diagnostics();
-    assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0), "clean drain");
+    assert!(rt.audit().expect("clean drain").quiescent);
     rt.shutdown();
     stats
 }
@@ -814,7 +813,7 @@ fn multi_shard_spans_always_fall_back() {
     // different shards (shard = alloc id % shard count, pinned by the graph
     // docs) and span them.
     let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracker_shards(4));
-    let shards = rt.tracker_shards() as u64;
+    let shards = rt.stats().tracker_shards as u64;
     let a = rt.data(1u64);
     let b = loop {
         let b = rt.data(2u64);

@@ -46,7 +46,8 @@ fn independent_tasks_all_run() {
     assert_eq!(counter.load(Ordering::SeqCst), 500);
     let stats = rt.stats();
     assert_eq!(stats.tasks_executed, 500);
-    assert_eq!(stats.tasks_in_flight(), 0);
+    assert_eq!(stats.tasks_spawned, stats.tasks_executed);
+    assert_eq!(rt.in_flight_tasks(), 0);
 }
 
 #[test]
@@ -383,7 +384,6 @@ fn nested_spawn_storm_drains_and_recycles() {
             assert!(races.is_empty(), "{what}: {} race(s), first {:?}", races.len(), races.first());
             assert!(rt.take_dcheck_audit_violations().is_empty(), "{what}");
             rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
-            assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "{what}");
             let stats = rt.stats();
             assert_eq!(stats.tasks_executed as usize, ROOTS * (CHILDREN + 1), "{what}");
             // The storm stocked the slab (how much of it was reused on the
@@ -398,7 +398,7 @@ fn nested_spawn_storm_drains_and_recycles() {
             rt.taskwait();
             let reused = rt.stats().task_nodes_recycled - stats.task_nodes_recycled;
             assert_eq!(reused, 65, "{what}: a warm slab allocated for a nested spawn");
-            assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "{what}");
+            rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
             let chain = (0..CHILDREN as u64).step_by(2).fold(0, step);
             let filled: Vec<u64> = (0..CHILDREN as u64).skip(1).step_by(2).collect();
             for (cell, part) in cells.into_iter().zip(slots) {
@@ -574,7 +574,7 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
     rt.try_taskwait().expect("clean round after a consumed poison");
     assert_eq!(rt.into_inner(fresh), 7);
     assert_eq!(rt.in_flight_tasks(), 0);
-    assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
+    rt.audit().expect("a consumed poison leaves no node outstanding");
 }
 
 #[test]

@@ -11,10 +11,10 @@
 //!   once.
 //! * **Values** — per-thread `inout` chains count exactly their own tasks;
 //!   a lost wakeup or double execution would change the count.
-//! * **No node leak** — after a drained `taskwait`,
-//!   [`Runtime::task_slab_diagnostics`] reports zero outstanding nodes
-//!   (every node is either parked in the free list or deallocated), the
-//!   tracker maps are empty, and the recycler was actually exercised.
+//! * **No node leak** — after a drained `taskwait`, [`Runtime::audit`]
+//!   finds zero outstanding nodes (every node is either parked in the free
+//!   list or deallocated) and empty tracker maps, and the recycler was
+//!   actually exercised.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,12 +126,11 @@ fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
             .with_tracker_shards(8),
     );
     // The fetch tasks of the per-thread asserts also went through the slab;
-    // only the drained end state has to balance.
-    let diag = rt.task_slab_diagnostics();
-    assert_eq!(
-        diag.outstanding, 0,
-        "nodes leaked after a drained taskwait: {diag:?}"
-    );
+    // only the drained end state has to balance: no node outstanding, no
+    // tracker residue (the audit's `SlabLeak` and `TrackerResidue` checks).
+    let report = rt.audit().expect("nodes leaked after a drained taskwait");
+    assert!(report.quiescent);
+    let stats = rt.stats();
     // Fresh allocations happen only while the first flood fills the slab
     // (bounded by the peak in-flight count, which the periodic per-chain
     // quiescence keeps far below the task total); everything after runs
@@ -139,14 +138,10 @@ fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
     // 1-core host lets every spawner run its full inter-quiescence window
     // ahead of the workers.
     assert!(
-        diag.recycled >= total / 3,
-        "the churn barely exercised the recycler: {diag:?}"
+        stats.task_nodes_recycled >= total / 3,
+        "the churn barely exercised the recycler: {stats:?}"
     );
-    assert!(diag.allocated + diag.recycled >= total);
-    let tracker = rt.tracker_diagnostics();
-    assert_eq!((tracker.total_regions(), tracker.total_allocs()), (0, 0));
-    let stats = rt.stats();
-    assert_eq!(stats.task_nodes_recycled, diag.recycled);
+    assert!(stats.task_nodes_allocated + stats.task_nodes_recycled >= total);
     assert!(stats.access_inline_spills > 0, "3-access tasks spilled");
     assert!(stats.access_inline_hits > stats.access_inline_spills);
     rt.shutdown();
@@ -167,8 +162,11 @@ fn waited_for_nodes_go_back_to_the_slab() {
         assert_eq!(rt.fetch(&x), round);
     }
     rt.taskwait();
-    let diag = rt.task_slab_diagnostics();
-    assert_eq!(diag.outstanding, 0);
-    assert_eq!(diag.free as u64, diag.allocated, "a waited-for node was freed: {diag:?}");
+    assert!(rt.audit().expect("no node outstanding").quiescent);
+    let stats = rt.stats();
+    assert_eq!(
+        stats.task_nodes_free as u64, stats.task_nodes_allocated,
+        "a waited-for node was freed: {stats:?}"
+    );
     rt.shutdown();
 }

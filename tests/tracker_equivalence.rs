@@ -175,7 +175,6 @@ fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> E
             .with_tracker_shards(shards)
             .with_tracing(true),
     );
-    assert_eq!(rt.tracker_shards(), shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let ids = spawn_program(&rt, &handles, ops, Some(&gate));
@@ -418,17 +417,13 @@ fn pipeline_edges_identical_and_spread_across_shards() {
 /// as-is; the runtime reports the effective count.
 #[test]
 fn tracker_shard_configuration_is_reported() {
-    let auto = Runtime::new(RuntimeConfig::default().with_workers(3));
-    assert_eq!(auto.tracker_shards(), 6);
-    auto.shutdown();
-    let explicit = Runtime::new(RuntimeConfig::default().with_workers(3).with_tracker_shards(7));
-    assert_eq!(explicit.tracker_shards(), 7);
-    assert_eq!(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(0)
-            .effective_tracker_shards(),
-        4
-    );
-    explicit.shutdown();
+    let shards = |config: RuntimeConfig| {
+        let rt = Runtime::new(config);
+        let shards = rt.stats().tracker_shards;
+        rt.shutdown();
+        shards
+    };
+    assert_eq!(shards(RuntimeConfig::default().with_workers(3)), 6);
+    assert_eq!(shards(RuntimeConfig::default().with_workers(3).with_tracker_shards(7)), 7);
+    assert_eq!(shards(RuntimeConfig::default().with_workers(2).with_tracker_shards(0)), 4);
 }

@@ -114,11 +114,10 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     assert_eq!(shared_sum, total, "shared concurrent accumulators");
 
     // Clean drain: the retire path plus the quiescent-taskwait GC leave the
-    // tracker empty — entries *and* the by_alloc overlap index.
+    // tracker empty — entries *and* the by_alloc overlap index (the audit's
+    // `TrackerResidue` check).
     rt.taskwait();
-    let diag = rt.tracker_diagnostics();
-    assert_eq!(diag.total_regions(), 0, "tracked regions leak after drain");
-    assert_eq!(diag.total_allocs(), 0, "by_alloc leaks after drain");
+    assert!(rt.audit().expect("clean drain after the storm").quiescent);
 
     // The tracker was exercised: every gate acquisition counted a hit on
     // its shard.
@@ -185,16 +184,13 @@ fn retired_allocations_leave_by_alloc() {
         });
     }
     rt.taskwait();
-    // Everything completed and retired; the quiescent taskwait ran a GC.
-    let diag = rt.tracker_diagnostics();
-    assert_eq!(
-        (diag.total_regions(), diag.total_allocs()),
-        (0, 0),
-        "fully-retired allocations must leave entries and by_alloc: {diag:?}"
-    );
+    // Everything completed and retired: fully-retired allocations must leave
+    // entries and by_alloc (the audit's `TrackerResidue` check).
+    let report = rt.audit().expect("fully-retired allocations leave the tracker");
+    assert!(report.quiescent);
     // The explicit entry point is idempotent on an empty tracker.
     rt.tracker_gc();
-    assert_eq!(rt.tracker_diagnostics().total_allocs(), 0);
+    assert!(rt.audit().expect("still empty after an explicit GC").quiescent);
     rt.shutdown();
 }
 
@@ -264,13 +260,9 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
     assert_eq!(torn_reads.load(Ordering::Relaxed), 0, "a reader overlapped a writer");
     assert!(rt.take_panics().is_empty());
 
-    // Post-drain facts, in the order a leak would surface: the auditor
-    // (ledger, gates, residue, slab, tickets), then the raw diagnostics.
+    // Post-drain facts: the auditor checks the ledger, gates, tracker
+    // residue, slab and tickets.
     rt.audit().expect("audit after the deferred-retire storm");
-    let diag = rt.tracker_diagnostics();
-    assert_eq!(diag.regions_per_shard.iter().sum::<usize>(), 0, "{diag:?}");
-    assert_eq!(diag.allocs_per_shard.iter().sum::<usize>(), 0, "{diag:?}");
-    assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "a node stayed pinned");
 
     let writes = total - (SPAWNERS * (per_thread / 16)) as u64;
     let data = rt.into_vec(part);
@@ -394,9 +386,6 @@ fn run_opposite_order_span_stress(config: RuntimeConfig) {
 
     rt.taskwait();
     rt.audit().expect("audit after the opposite-order span storm");
-    let diag = rt.tracker_diagnostics();
-    assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0), "{diag:?}");
-    assert_eq!(rt.task_slab_diagnostics().outstanding, 0, "a node stayed pinned");
     drop(template);
     rt.shutdown();
 }
