@@ -126,10 +126,7 @@ impl JobStatus {
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
-            JobStatus::Completed
-                | JobStatus::Failed(_)
-                | JobStatus::Cancelled
-                | JobStatus::Expired
+            JobStatus::Completed | JobStatus::Failed(_) | JobStatus::Cancelled | JobStatus::Expired
         )
     }
 }
@@ -187,7 +184,9 @@ impl JobTicket {
         let mut state = self.inner.state.lock();
         while !state.is_terminal() {
             let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
+            let Some(remaining) = deadline
+                .checked_duration_since(now)
+                .filter(|d| !d.is_zero())
             else {
                 break;
             };

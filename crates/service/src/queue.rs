@@ -111,11 +111,7 @@ impl IngestQueue {
     /// depth; at capacity the job is handed back for the caller to shed,
     /// with the depth the queue held when it refused (read under the lane
     /// lock — below capacity when the refusal was an injected fault).
-    pub(crate) fn push(
-        &self,
-        job: QueuedJob,
-        latency: bool,
-    ) -> Result<usize, (QueuedJob, usize)> {
+    pub(crate) fn push(&self, job: QueuedJob, latency: bool) -> Result<usize, (QueuedJob, usize)> {
         let mut lanes = self.lanes.lock();
         let depth = lanes.len();
         if depth >= self.capacity {

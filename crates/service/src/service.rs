@@ -208,7 +208,10 @@ impl JobService {
             });
         }
         if let Err(in_flight) = state.try_claim_in_flight() {
-            state.counters.rejected_budget.fetch_add(1, Ordering::SeqCst);
+            state
+                .counters
+                .rejected_budget
+                .fetch_add(1, Ordering::SeqCst);
             return Err(Rejected {
                 job,
                 error: AdmissionError::TenantBudget {
@@ -448,7 +451,9 @@ fn run_job(job: QueuedJob) {
         started: Instant::now(),
     });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        tenant.runtime.with_cancel_scope(&token, || execute(kind, &tenant))
+        tenant
+            .runtime
+            .with_cancel_scope(&token, || execute(kind, &tenant))
     }));
     *tenant.running.lock() = None;
     ticket.clear_scope();
@@ -468,10 +473,7 @@ fn run_job(job: QueuedJob) {
         match outcome {
             Ok(Ok(())) => {
                 if let Some(first) = panics.first() {
-                    JobStatus::Failed(format!(
-                        "{} task panic(s), first: {first}",
-                        panics.len()
-                    ))
+                    JobStatus::Failed(format!("{} task panic(s), first: {first}", panics.len()))
                 } else if let Some(err) = poison {
                     JobStatus::Failed(err.to_string())
                 } else {
@@ -533,7 +535,10 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
                 job.ticket.expire();
             }
             stuck_jobs += 1;
-            if oldest.as_ref().is_none_or(|(_, started)| job.started < *started) {
+            if oldest
+                .as_ref()
+                .is_none_or(|(_, started)| job.started < *started)
+            {
                 oldest = Some((Arc::clone(tenant), job.started));
             }
         }

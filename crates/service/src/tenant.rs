@@ -200,10 +200,7 @@ mod tests {
 
     #[test]
     fn budget_claims_are_exact() {
-        let state = TenantState::new(
-            TenantId(0),
-            TenantSpec::new("t").with_in_flight_budget(2),
-        );
+        let state = TenantState::new(TenantId(0), TenantSpec::new("t").with_in_flight_budget(2));
         assert_eq!(state.try_claim_in_flight(), Ok(0));
         assert_eq!(state.try_claim_in_flight(), Ok(1));
         assert_eq!(state.try_claim_in_flight(), Err(2));

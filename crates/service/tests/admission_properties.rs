@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use service::{
-    JobService, JobSpec, JobStatus, JobTicket, ServiceConfig, TenantSpec,
-};
+use service::{JobService, JobSpec, JobStatus, JobTicket, ServiceConfig, TenantSpec};
 
 /// One randomly generated submission: which tenant, how many tasks the job
 /// spawns, and how much fake work each task does (spin iterations — real

@@ -305,7 +305,10 @@ fn fetch_after_a_task_panic_fails_the_job_not_the_dispatcher() {
             JobSpec::spawn(|cx| {
                 let a = cx.runtime.data(1u64);
                 let h = a.clone();
-                cx.runtime.task().inout(&h).spawn(move |tc| *tc.write(&h) += 1);
+                cx.runtime
+                    .task()
+                    .inout(&h)
+                    .spawn(move |tc| *tc.write(&h) += 1);
                 assert_eq!(cx.runtime.fetch(&a), 2);
             }),
         )
@@ -365,7 +368,10 @@ fn watchdog_reports_stall_for_wedged_job() {
     assert!(stalled, "watchdog never reported the wedged job");
 
     gate.store(true, Ordering::SeqCst);
-    assert!(ticket.wait().is_completed(), "a stall is a report, not a kill");
+    assert!(
+        ticket.wait().is_completed(),
+        "a stall is a report, not a kill"
+    );
     let m = svc.shutdown();
     assert!(m.stalls_detected >= 1);
     assert_ledger(&m);

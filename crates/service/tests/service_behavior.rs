@@ -137,9 +137,7 @@ fn replay_of_an_empty_slot_fails_cleanly() {
         other => panic!("expected failure, got {other:?}"),
     }
     // The service is still healthy for the next job.
-    let ok = svc
-        .submit(tenant, JobSpec::spawn(|_cx| {}))
-        .unwrap();
+    let ok = svc.submit(tenant, JobSpec::spawn(|_cx| {})).unwrap();
     assert!(ok.wait().is_completed());
     let m = svc.shutdown();
     assert_eq!(m.failed, 1);
@@ -158,13 +156,19 @@ fn panicking_job_does_not_poison_the_service() {
         .submit(bad, JobSpec::spawn(|_cx| panic!("tenant bug")))
         .unwrap();
     let fine = svc
-        .submit(good, JobSpec::spawn(|cx| {
-            let h = cx.runtime.data(1u64);
-            let hh = h.clone();
-            cx.runtime.task().inout(&hh).spawn(move |tc| *tc.write(&hh) += 1);
-            cx.runtime.taskwait();
-            assert_eq!(cx.runtime.fetch(&h), 2);
-        }))
+        .submit(
+            good,
+            JobSpec::spawn(|cx| {
+                let h = cx.runtime.data(1u64);
+                let hh = h.clone();
+                cx.runtime
+                    .task()
+                    .inout(&hh)
+                    .spawn(move |tc| *tc.write(&hh) += 1);
+                cx.runtime.taskwait();
+                assert_eq!(cx.runtime.fetch(&h), 2);
+            }),
+        )
         .unwrap();
 
     match boom.wait() {
@@ -236,7 +240,11 @@ fn one_tenants_jobs_never_overlap_and_failures_stay_their_own() {
         other => panic!("job A: expected failure, got {other:?}"),
     }
     assert!(b.wait().is_completed(), "job B was charged A's panic");
-    assert_eq!(max_seen.load(Ordering::SeqCst), 1, "jobs A and B overlapped");
+    assert_eq!(
+        max_seen.load(Ordering::SeqCst),
+        1,
+        "jobs A and B overlapped"
+    );
     let m = svc.shutdown();
     assert_eq!((m.failed, m.completed), (1, 1));
     assert_eq!(m.tenants[0].runtime.tasks_panicked, 1);
@@ -461,7 +469,11 @@ fn overload_from_many_clients_loses_nothing() {
     // times contributes R+1 submissions, R+[finally shed] rejections, and R
     // retries — so the client-side job count reconciles through `retries`.
     let jobs_offered = (CLIENTS * JOBS_PER_CLIENT) as u64 + 1; // + plug
-    assert_eq!(m.submitted, jobs_offered + m.retries, "ledger lost submissions");
+    assert_eq!(
+        m.submitted,
+        jobs_offered + m.retries,
+        "ledger lost submissions"
+    );
     assert_eq!(m.submitted, m.accepted + m.rejected());
     assert_eq!(m.accepted, accepted.len() as u64 + 1);
     assert_eq!(m.rejected(), client_rejected + m.retries);
@@ -484,7 +496,11 @@ fn overload_from_many_clients_loses_nothing() {
             "tenant {} ledger does not balance",
             tm.name
         );
-        assert_eq!(tm.in_flight, 0, "tenant {} still has in-flight jobs", tm.name);
+        assert_eq!(
+            tm.in_flight, 0,
+            "tenant {} still has in-flight jobs",
+            tm.name
+        );
     }
 }
 
@@ -514,7 +530,11 @@ fn injected_queue_full_reports_the_depth_it_saw() {
             .with_fault_plan(ompss::FaultPlan::seeded(1).queue_full_one_in(1)),
     );
     let tenant = svc.register_tenant(TenantSpec::new("t")).unwrap();
-    match svc.submit(tenant, JobSpec::spawn(|_cx| {})).unwrap_err().error {
+    match svc
+        .submit(tenant, JobSpec::spawn(|_cx| {}))
+        .unwrap_err()
+        .error
+    {
         AdmissionError::QueueFull { depth, capacity } => {
             assert_eq!(depth, 0, "nothing was queued");
             assert!(depth < capacity);
