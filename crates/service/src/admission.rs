@@ -34,6 +34,10 @@ pub enum AdmissionError {
     UnknownTenant(TenantId),
     /// The service is shutting down and no longer admits jobs.
     ShuttingDown,
+    /// [`JobService::register_tenant`](crate::JobService::register_tenant)
+    /// could not build the tenant's runtime from its spec (the runtime's
+    /// error, e.g. zero workers).
+    InvalidTenant(String),
 }
 
 impl AdmissionError {
@@ -64,6 +68,7 @@ impl std::fmt::Display for AdmissionError {
                 write!(f, "{tenant} is not registered")
             }
             AdmissionError::ShuttingDown => f.write_str("service is shutting down"),
+            AdmissionError::InvalidTenant(reason) => write!(f, "invalid tenant spec: {reason}"),
         }
     }
 }
@@ -176,6 +181,7 @@ mod tests {
         .is_soft());
         assert!(!AdmissionError::UnknownTenant(TenantId(9)).is_soft());
         assert!(!AdmissionError::ShuttingDown.is_soft());
+        assert!(!AdmissionError::InvalidTenant("no workers".into()).is_soft());
     }
 
     #[test]

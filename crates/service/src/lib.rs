@@ -11,21 +11,23 @@
 //! * **Tenants** ([`TenantSpec`] → [`TenantId`]): each tenant owns one
 //!   isolated `Runtime` (its task graphs, versions and tracker state never
 //!   mix with another tenant's) plus the [`TemplateSlots`] for templates
-//!   captured on it. A tenant's jobs run one at a time: the runtime's poison
-//!   note, panic sink and `taskwait` are runtime-global, so two interleaved
-//!   jobs would be charged each other's failures. A tenant's [`Lane`]
-//!   decides which ingest lane its jobs queue on.
-//! * **Ingest queue** with **admission control**: a bounded two-lane queue
-//!   ([`Lane::Latency`] drains strictly before [`Lane::Bulk`]). Submissions
-//!   are rejected with a typed [`AdmissionError`] when the queue is at
-//!   capacity or the tenant's in-flight budget is exhausted — *shedding*,
-//!   the backpressure a service under overload applies instead of growing
-//!   without bound. Soft rejections can be retried with bounded backoff
+//!   captured on it. A tenant's jobs run one at a time and in order: the
+//!   runtime's poison note, panic sink and `taskwait` are runtime-global, so
+//!   two interleaved jobs would be charged each other's failures.
+//! * **Ingest queue** with **admission control**: one slot per tenant (its
+//!   FIFO of admitted jobs) and two lanes of tenants with a job to run
+//!   ([`Lane::Latency`] drains strictly before [`Lane::Bulk`]; within a lane
+//!   tenants take turns). Submissions are rejected with a typed
+//!   [`AdmissionError`] when the queue is at capacity or the tenant's
+//!   in-flight budget is exhausted — *shedding*, the backpressure a service
+//!   under overload applies instead of growing without bound. Soft
+//!   rejections can be retried with bounded backoff
 //!   ([`JobService::submit_with_retry`], [`RetryPolicy`]).
-//! * **Dispatchers**: a small pool of threads pops admitted jobs and runs
-//!   each to quiescence on the tenant's runtime. Job-body panics are caught and reported through the
-//!   job's [`JobTicket`] — a misbehaving tenant fails its own job, never the
-//!   process.
+//! * **Dispatchers**: a small pool of threads pops tenants, not jobs, and
+//!   runs the tenant's next job to quiescence on its runtime, so no
+//!   dispatcher waits for a busy tenant while another has work. Job-body
+//!   panics are caught and reported through the job's [`JobTicket`] — a
+//!   misbehaving tenant fails its own job, never the process.
 //! * **Metrics** ([`ServiceMetrics`] / [`TenantMetrics`]): queue depth and
 //!   peak, per-tenant accept/reject/complete counters (the service-wide
 //!   figures are their sums), dispatcher utilisation, and per-tenant

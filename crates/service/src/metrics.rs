@@ -15,8 +15,9 @@ use crate::tenant::{Lane, TenantId};
 pub struct StallReport {
     /// Tenant owning the oldest running job at detection time.
     pub tenant: TenantId,
-    /// Jobs marked running service-wide when the stall was declared (at
-    /// most one per tenant: a tenant's jobs run one at a time).
+    /// Jobs running service-wide when the stall was declared: at most one
+    /// per tenant, since a tenant's jobs run one at a time. Jobs queued
+    /// behind them are not counted.
     pub stuck_jobs: usize,
     /// Age of the oldest running job.
     pub oldest_age: Duration,

@@ -1,26 +1,28 @@
-//! The bounded two-lane ingest queue dispatchers pop from.
-//!
-//! Not `threadkit::BoundedQueue` with extras: `push` never blocks — at
-//! capacity it hands the job back so admission can shed it with a typed
-//! rejection — there are two lanes under one bound, depth / peak / active are
-//! kept under the lane mutex so "drained" has no window, and `push` carries
-//! the `QueueFull` fault hook. What the two share is a `VecDeque` behind a
-//! mutex and a condvar.
+//! The ingest queue: one slot per tenant — its FIFO of admitted jobs and its
+//! state, `Idle`, `Queued` or `Running` — and two lanes of `Queued` tenants,
+//! all under one mutex. Dispatchers schedule tenants, not jobs: one pops a
+//! tenant (latency lane strictly first) and runs its front job; when the job
+//! ends, the same lock re-queues the tenant at the end of its lane if its
+//! FIFO is not empty, or marks it `Idle`. So a tenant's jobs run one at a
+//! time and in order, no dispatcher waits for a tenant, and within a lane
+//! tenants take turns. Admission is checked under the same lock; depth, peak
+//! and the running count are plain fields under it, so "drained" has no
+//! window.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use ompss::{FaultClass, FaultPlan};
 use parking_lot::{Condvar, Mutex};
 
+use crate::admission::AdmissionError;
 use crate::job::{JobKind, JobTicket};
-use crate::tenant::TenantState;
+use crate::tenant::{TenantId, TenantState};
 
-/// An admitted job, parked in the queue until a dispatcher pops it.
+/// An admitted job, parked in its tenant's FIFO until a dispatcher takes it.
+#[derive(Debug)]
 pub(crate) struct QueuedJob {
-    pub(crate) tenant: Arc<TenantState>,
     pub(crate) kind: JobKind,
     pub(crate) ticket: JobTicket,
     /// Absolute deadline, stamped at admission from
@@ -28,157 +30,248 @@ pub(crate) struct QueuedJob {
     pub(crate) deadline: Option<Instant>,
 }
 
-impl std::fmt::Debug for QueuedJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueuedJob")
-            .field("tenant", &self.tenant.id)
-            .field("kind", &self.kind)
-            .finish()
+/// The job a tenant is running, kept in its slot so the watchdog can reach
+/// it (deadline cancellation, stall attribution).
+#[derive(Clone)]
+pub(crate) struct RunningJob {
+    pub(crate) ticket: JobTicket,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) started: Instant,
+}
+
+enum SlotState {
+    /// Nothing queued, nothing running.
+    Idle,
+    /// On its lane, waiting for a dispatcher.
+    Queued,
+    Running(RunningJob),
+}
+
+struct Slot {
+    tenant: Arc<TenantState>,
+    fifo: VecDeque<QueuedJob>,
+    state: SlotState,
+}
+
+impl Slot {
+    /// Jobs queued or running: what the tenant's budget bounds.
+    fn in_flight(&self) -> usize {
+        self.fifo.len() + usize::from(matches!(self.state, SlotState::Running(_)))
     }
 }
 
+#[derive(Default)]
 struct Lanes {
-    latency: VecDeque<QueuedJob>,
-    bulk: VecDeque<QueuedJob>,
+    slots: Vec<Slot>,
+    /// `Queued` tenants, indexed by [`Lane`](crate::Lane): latency first.
+    lanes: [VecDeque<TenantId>; 2],
+    /// Jobs in the FIFOs, and its high-water mark.
+    depth: usize,
+    peak: usize,
+    /// Slots in the `Running` state: one per busy dispatcher.
+    running: usize,
     closed: bool,
 }
 
-impl Lanes {
-    fn len(&self) -> usize {
-        self.latency.len() + self.bulk.len()
-    }
+/// One tenant as [`IngestQueue::snapshot`] saw it.
+pub(crate) struct TenantView {
+    pub(crate) tenant: Arc<TenantState>,
+    pub(crate) in_flight: usize,
+    pub(crate) running: Option<RunningJob>,
 }
 
-/// Bounded MPMC queue with two priority lanes. `capacity` bounds the lanes
-/// *combined*, and both the capacity check and the depth/peak bookkeeping
-/// happen under the lane mutex, so the recorded peak depth can never exceed
-/// the capacity — the invariant the overload test asserts.
+/// The queue at one instant, read under one lock.
+pub(crate) struct QueueSnapshot {
+    pub(crate) depth: usize,
+    pub(crate) peak: usize,
+    pub(crate) running: usize,
+    pub(crate) tenants: Vec<TenantView>,
+}
+
+/// The tenant slots and lanes, bounded by `capacity` queued jobs in total;
+/// the recorded peak depth can never exceed it — the invariant the overload
+/// test asserts.
 pub(crate) struct IngestQueue {
     lanes: Mutex<Lanes>,
-    cv: Condvar,
-    capacity: usize,
+    /// Dispatchers wait here while no tenant is queued.
+    ready: Condvar,
+    /// `wait_drained` waits here while a job is queued or running.
+    drained: Condvar,
+    pub(crate) capacity: usize,
     /// Deterministic fault injection: a `QueueFull` roll makes `push` hand
-    /// the job back exactly as if the lanes were at capacity, exercising the
+    /// the job back exactly as if the queue were at capacity, exercising the
     /// shed/retry path without needing a real burst. `None` in production.
     fault: Option<FaultPlan>,
-    depth: AtomicUsize,
-    peak: AtomicUsize,
-    /// Jobs popped but not yet finished by a dispatcher. Incremented under
-    /// the lane mutex at pop time so `depth == 0 && active == 0` means
-    /// truly drained — no window where a job is in neither count.
-    active: AtomicUsize,
 }
 
 impl IngestQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize, fault: Option<FaultPlan>) -> Self {
         IngestQueue {
-            lanes: Mutex::new(Lanes {
-                latency: VecDeque::new(),
-                bulk: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
+            lanes: Mutex::default(),
+            ready: Condvar::new(),
+            drained: Condvar::new(),
             capacity: capacity.max(1),
-            fault: None,
-            depth: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
+            fault,
         }
     }
 
-    /// Install a fault plan before the queue is shared (construction time).
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn active(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Push onto the lane `latency` selects. On success returns the new
-    /// depth; at capacity the job is handed back for the caller to shed,
-    /// with the depth the queue held when it refused (read under the lane
-    /// lock — below capacity when the refusal was an injected fault).
-    pub(crate) fn push(&self, job: QueuedJob, latency: bool) -> Result<usize, (QueuedJob, usize)> {
+    /// Give a new tenant an idle slot; `None` once the queue is closed.
+    pub(crate) fn register(&self, make: impl FnOnce(TenantId) -> TenantState) -> Option<TenantId> {
         let mut lanes = self.lanes.lock();
-        let depth = lanes.len();
-        if depth >= self.capacity {
-            return Err((job, depth));
+        if lanes.closed {
+            return None;
         }
-        if let Some(plan) = &self.fault {
-            if plan.roll_next(FaultClass::QueueFull) {
-                return Err((job, depth));
+        let id = TenantId(lanes.slots.len() as u32);
+        lanes.slots.push(Slot {
+            tenant: Arc::new(make(id)),
+            fifo: VecDeque::new(),
+            state: SlotState::Idle,
+        });
+        Some(id)
+    }
+
+    pub(crate) fn tenant(&self, id: TenantId) -> Option<Arc<TenantState>> {
+        let lanes = self.lanes.lock();
+        lanes
+            .slots
+            .get(id.0 as usize)
+            .map(|slot| Arc::clone(&slot.tenant))
+    }
+
+    /// Admit `job` to the FIFO of `id` (a registered tenant), or hand it
+    /// back with the reason: the queue is closed, the tenant's budget is
+    /// full, the queue is at capacity, or an injected `QueueFull` — checked
+    /// in that order. A `QueueFull` carries the depth the queue held when it
+    /// refused (below capacity when the refusal was an injected fault).
+    pub(crate) fn push(
+        &self,
+        id: TenantId,
+        job: QueuedJob,
+    ) -> Result<(), (QueuedJob, AdmissionError)> {
+        let mut guard = self.lanes.lock();
+        let lanes = &mut *guard;
+        let slot = &mut lanes.slots[id.0 as usize];
+        let (in_flight, budget) = (slot.in_flight(), slot.tenant.in_flight_budget);
+        let (depth, capacity) = (lanes.depth, self.capacity);
+        let roll = |plan: &FaultPlan| plan.roll_next(FaultClass::QueueFull);
+        let refusal = if lanes.closed {
+            Some(AdmissionError::ShuttingDown)
+        } else if in_flight >= budget {
+            Some(AdmissionError::TenantBudget {
+                tenant: id,
+                in_flight,
+                budget,
+            })
+        } else if depth >= capacity || self.fault.as_ref().is_some_and(roll) {
+            Some(AdmissionError::QueueFull { depth, capacity })
+        } else {
+            None
+        };
+        if let Some(error) = refusal {
+            return Err((job, error));
+        }
+        slot.fifo.push_back(job);
+        lanes.depth += 1;
+        lanes.peak = lanes.peak.max(lanes.depth);
+        if matches!(slot.state, SlotState::Idle) {
+            slot.state = SlotState::Queued;
+            lanes.lanes[slot.tenant.lane as usize].push_back(id);
+            drop(guard);
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Hand back the slot of `finished` (the tenant whose job the caller
+    /// just ended), then take the next job: the front job of the first
+    /// queued tenant, latency lane strictly first. Blocks while no tenant is
+    /// queued; returns `None` only once the queue is closed and no tenant is
+    /// queued, so every admitted job reaches some dispatcher even during
+    /// shutdown.
+    ///
+    /// Handing back wakes no dispatcher: a tenant it re-queues is counted
+    /// against the caller, which takes a tenant right after. Only `push`
+    /// turns an idle tenant into a queued one for a waiting dispatcher.
+    pub(crate) fn next(&self, finished: Option<TenantId>) -> Option<(Arc<TenantState>, QueuedJob)> {
+        let mut guard = self.lanes.lock();
+        if let Some(id) = finished {
+            let lanes = &mut *guard;
+            let slot = &mut lanes.slots[id.0 as usize];
+            slot.state = if slot.fifo.is_empty() {
+                SlotState::Idle
+            } else {
+                lanes.lanes[slot.tenant.lane as usize].push_back(id);
+                SlotState::Queued
+            };
+            lanes.running -= 1;
+            if lanes.running == 0 && lanes.depth == 0 {
+                self.drained.notify_all();
             }
         }
-        if latency {
-            lanes.latency.push_back(job);
-        } else {
-            lanes.bulk.push_back(job);
-        }
-        let depth = depth + 1;
-        self.depth.store(depth, Ordering::SeqCst);
-        self.peak.fetch_max(depth, Ordering::SeqCst);
-        drop(lanes);
-        self.cv.notify_one();
-        Ok(depth)
-    }
-
-    /// Pop the next job, latency lane strictly first. Blocks while both
-    /// lanes are empty; returns `None` only once the queue is closed *and*
-    /// empty, so every admitted job is handed to some dispatcher even
-    /// during shutdown.
-    pub(crate) fn pop(&self) -> Option<QueuedJob> {
-        let mut lanes = self.lanes.lock();
         loop {
-            if let Some(job) = lanes.latency.pop_front().or_else(|| lanes.bulk.pop_front()) {
-                // Active before depth: `drain` reads depth then active, so
-                // a popped job is never invisible to both.
-                self.active.fetch_add(1, Ordering::SeqCst);
-                self.depth.store(lanes.len(), Ordering::SeqCst);
-                return Some(job);
+            let lanes = &mut *guard;
+            if let Some(id) = lanes.lanes.iter_mut().find_map(VecDeque::pop_front) {
+                let slot = &mut lanes.slots[id.0 as usize];
+                let job = slot.fifo.pop_front().expect("a queued tenant has a job");
+                slot.state = SlotState::Running(RunningJob {
+                    ticket: job.ticket.clone(),
+                    deadline: job.deadline,
+                    started: Instant::now(),
+                });
+                lanes.depth -= 1;
+                lanes.running += 1;
+                return Some((Arc::clone(&slot.tenant), job));
             }
             if lanes.closed {
                 return None;
             }
-            self.cv.wait(&mut lanes);
+            self.ready.wait(&mut guard);
         }
     }
 
-    /// A dispatcher finished the job it popped.
-    pub(crate) fn finish_active(&self) {
-        let prev = self.active.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "finish_active without a pop");
+    /// Block until no job is queued and none is running.
+    pub(crate) fn wait_drained(&self) {
+        let mut lanes = self.lanes.lock();
+        while lanes.depth + lanes.running > 0 {
+            self.drained.wait(&mut lanes);
+        }
     }
 
-    /// Stop admitting and wake every blocked dispatcher so they drain the
+    pub(crate) fn snapshot(&self) -> QueueSnapshot {
+        let lanes = self.lanes.lock();
+        let view = |slot: &Slot| TenantView {
+            tenant: Arc::clone(&slot.tenant),
+            in_flight: slot.in_flight(),
+            running: match &slot.state {
+                SlotState::Running(job) => Some(job.clone()),
+                SlotState::Idle | SlotState::Queued => None,
+            },
+        };
+        QueueSnapshot {
+            depth: lanes.depth,
+            peak: lanes.peak,
+            running: lanes.running,
+            tenants: lanes.slots.iter().map(view).collect(),
+        }
+    }
+
+    /// Stop admitting and wake every waiting dispatcher so they drain the
     /// remaining jobs and exit.
     pub(crate) fn close(&self) {
         self.lanes.lock().closed = true;
-        self.cv.notify_all();
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::{TenantId, TenantSpec};
+    use crate::tenant::{Lane, TenantSpec};
+    use ompss::Runtime;
 
     /// A job tagged by its replay slot, so tests can tell jobs apart.
-    fn job(tenant: &Arc<TenantState>, slot: u32) -> QueuedJob {
+    fn job(slot: u32) -> QueuedJob {
         QueuedJob {
-            tenant: Arc::clone(tenant),
             kind: JobKind::Replay { slot, passes: 1 },
             ticket: JobTicket::new(),
             deadline: None,
@@ -192,78 +285,173 @@ mod tests {
         }
     }
 
-    fn tenant() -> Arc<TenantState> {
-        Arc::new(TenantState::new(TenantId(0), TenantSpec::new("t")))
+    fn state(id: TenantId, spec: TenantSpec) -> TenantState {
+        let runtime = Runtime::new(spec.runtime.clone());
+        TenantState::new(id, spec, runtime)
+    }
+
+    fn tenant(q: &IngestQueue, spec: TenantSpec) -> TenantId {
+        q.register(|id| state(id, spec))
+            .expect("an open queue registers")
+    }
+
+    /// Take the next job, handing back the tenant of the previous one.
+    fn take(q: &IngestQueue, finished: &mut Option<TenantId>) -> (TenantId, u32) {
+        let (t, job) = q.next(finished.take()).expect("a job is queued");
+        *finished = Some(t.id);
+        (t.id, tag(&job))
     }
 
     #[test]
     fn capacity_bounds_both_lanes_combined() {
-        let q = IngestQueue::new(2);
-        let t = tenant();
-        assert!(q.push(job(&t, 0), false).is_ok());
-        assert!(q.push(job(&t, 1), true).is_ok());
-        let back = q.push(job(&t, 2), false);
-        assert!(matches!(back, Err((_, 2))), "refused at the depth it held");
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.peak(), 2);
+        let q = IngestQueue::new(2, None);
+        let bulk = tenant(&q, TenantSpec::new("b"));
+        let latency = tenant(&q, TenantSpec::new("l").with_lane(Lane::Latency));
+        assert!(q.push(bulk, job(0)).is_ok());
+        assert!(q.push(latency, job(1)).is_ok());
+        let back = q.push(bulk, job(2));
+        assert!(
+            matches!(
+                back,
+                Err((
+                    _,
+                    AdmissionError::QueueFull {
+                        depth: 2,
+                        capacity: 2
+                    }
+                ))
+            ),
+            "refused at the depth it held"
+        );
+        let s = q.snapshot();
+        assert_eq!((s.depth, s.peak), (2, 2));
+    }
+
+    #[test]
+    fn budget_bounds_queued_plus_running_jobs() {
+        let q = IngestQueue::new(8, None);
+        let t = tenant(&q, TenantSpec::new("t").with_in_flight_budget(2));
+        assert!(q.push(t, job(0)).is_ok());
+        assert!(q.push(t, job(1)).is_ok());
+        let back = q.push(t, job(2));
+        let budget = AdmissionError::TenantBudget {
+            tenant: t,
+            in_flight: 2,
+            budget: 2,
+        };
+        assert!(matches!(back, Err((_, ref e)) if *e == budget));
+        // A running job still counts; once it ends, a job is admitted again.
+        let mut finished = None;
+        assert_eq!(take(&q, &mut finished), (t, 0));
+        assert!(q.push(t, job(3)).is_err());
+        assert_eq!(take(&q, &mut finished), (t, 1));
+        assert!(q.push(t, job(4)).is_ok());
+        assert_eq!(q.snapshot().tenants[0].in_flight, 2);
     }
 
     #[test]
     fn latency_lane_drains_first() {
-        let q = IngestQueue::new(8);
-        let t = tenant();
-        q.push(job(&t, 0), false).unwrap();
-        q.push(job(&t, 1), false).unwrap();
-        q.push(job(&t, 2), true).unwrap();
-        let order: Vec<u32> = (0..3).map(|_| tag(&q.pop().unwrap())).collect();
-        assert_eq!(order, vec![2, 0, 1]);
-        assert_eq!(q.active(), 3);
-        for _ in 0..3 {
-            q.finish_active();
+        let q = IngestQueue::new(8, None);
+        let bulk = tenant(&q, TenantSpec::new("b"));
+        let latency = tenant(&q, TenantSpec::new("l").with_lane(Lane::Latency));
+        q.push(bulk, job(0)).unwrap();
+        q.push(bulk, job(1)).unwrap();
+        q.push(latency, job(2)).unwrap();
+        q.push(latency, job(3)).unwrap();
+        let mut finished = None;
+        let order: Vec<u32> = (0..4).map(|_| take(&q, &mut finished).1).collect();
+        assert_eq!(order, vec![2, 3, 0, 1]);
+        assert_eq!(q.snapshot().running, 1);
+        q.close();
+        assert!(q.next(finished).is_none(), "nothing is left");
+        let s = q.snapshot();
+        assert_eq!((s.depth, s.running), (0, 0));
+    }
+
+    #[test]
+    fn tenants_in_a_lane_take_turns_and_keep_their_order() {
+        let q = IngestQueue::new(8, None);
+        let a = tenant(&q, TenantSpec::new("a"));
+        let b = tenant(&q, TenantSpec::new("b"));
+        for slot in [0, 1, 2] {
+            q.push(a, job(slot)).unwrap();
         }
-        assert_eq!(q.active(), 0);
+        q.push(b, job(10)).unwrap();
+        q.push(b, job(11)).unwrap();
+        let mut finished = None;
+        let order: Vec<(TenantId, u32)> = (0..5).map(|_| take(&q, &mut finished)).collect();
+        assert_eq!(order, vec![(a, 0), (b, 10), (a, 1), (b, 11), (a, 2)]);
+    }
+
+    #[test]
+    fn a_running_tenant_is_not_handed_out_twice() {
+        let q = IngestQueue::new(8, None);
+        let a = tenant(&q, TenantSpec::new("a"));
+        let b = tenant(&q, TenantSpec::new("b"));
+        q.push(a, job(0)).unwrap();
+        q.push(a, job(1)).unwrap();
+        q.push(b, job(10)).unwrap();
+        // Two dispatchers: the second skips `a`, which is running.
+        let (first, second) = (q.next(None).unwrap(), q.next(None).unwrap());
+        assert_eq!((tag(&first.1), tag(&second.1)), (0, 10));
+        let s = q.snapshot();
+        assert_eq!((s.depth, s.running), (1, 2));
+        // `b` ends first: nothing else may run until `a` is handed back.
+        q.close();
+        assert!(q.next(Some(b)).is_none());
+        let (t, next) = q.next(Some(a)).unwrap();
+        assert_eq!((t.id, tag(&next)), (a, 1));
     }
 
     #[test]
     fn close_drains_then_returns_none() {
-        let q = IngestQueue::new(8);
-        let t = tenant();
-        q.push(job(&t, 7), false).unwrap();
+        let q = IngestQueue::new(8, None);
+        let t = tenant(&q, TenantSpec::new("t"));
+        q.push(t, job(7)).unwrap();
         q.close();
-        assert_eq!(tag(&q.pop().unwrap()), 7);
-        assert!(q.pop().is_none());
+        assert!(matches!(
+            q.push(t, job(8)),
+            Err((_, AdmissionError::ShuttingDown))
+        ));
+        assert!(q
+            .register(|id| state(id, TenantSpec::new("late")))
+            .is_none());
+        let (_, popped) = q.next(None).unwrap();
+        assert_eq!(tag(&popped), 7);
+        assert!(q.next(Some(t)).is_none());
+        q.wait_drained();
     }
 
     #[test]
     fn injected_queue_full_hands_the_job_back() {
-        let mut q = IngestQueue::new(64);
-        q.set_fault_plan(FaultPlan::seeded(7).queue_full_one_in(2));
-        let t = tenant();
+        let q = IngestQueue::new(64, Some(FaultPlan::seeded(7).queue_full_one_in(2)));
+        let t = tenant(&q, TenantSpec::new("t").with_in_flight_budget(64));
         let (mut ok, mut shed) = (0, 0);
         for i in 0..64 {
-            match q.push(job(&t, i), false) {
-                Ok(_) => ok += 1,
-                Err((back, depth)) => {
+            match q.push(t, job(i)) {
+                Ok(()) => ok += 1,
+                Err((back, AdmissionError::QueueFull { depth, .. })) => {
                     assert_eq!(tag(&back), i, "the refused job comes back");
                     assert_eq!(depth, ok, "with the depth at refusal, not the capacity");
                     shed += 1;
                 }
+                Err((_, other)) => panic!("unexpected refusal {other}"),
             }
         }
         assert!(ok > 0 && shed > 0, "ok={ok} shed={shed}");
-        assert_eq!(q.depth(), ok);
+        assert_eq!(q.snapshot().depth, ok);
     }
 
     #[test]
-    fn pop_blocks_until_push() {
-        let q = Arc::new(IngestQueue::new(4));
-        let t = tenant();
+    fn next_blocks_until_push() {
+        let q = Arc::new(IngestQueue::new(4, None));
+        let t = tenant(&q, TenantSpec::new("t"));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop().map(|j| tag(&j)))
+            std::thread::spawn(move || q.next(None).map(|(_, j)| tag(&j)))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
-        q.push(job(&t, 3), false).unwrap();
+        q.push(t, job(3)).unwrap();
         assert_eq!(popper.join().unwrap(), Some(3));
     }
 }

@@ -6,21 +6,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ompss::{FaultPlan, ReplayBindings};
-use parking_lot::{Condvar, Mutex};
+use ompss::{FaultPlan, ReplayBindings, Runtime};
+use parking_lot::Mutex;
 
 use crate::admission::{AdmissionError, Rejected, RetryPolicy};
 use crate::job::{JobKind, JobSpec, JobStatus, JobTicket, TenantCx};
 use crate::metrics::{ServiceMetrics, StallReport, TenantMetrics};
-use crate::queue::{IngestQueue, QueuedJob};
-use crate::tenant::{Lane, TenantId, TenantSpec, TenantState};
+use crate::queue::{IngestQueue, QueuedJob, TenantView};
+use crate::tenant::{TenantId, TenantSpec, TenantState};
 
 /// Service-wide knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Ingest-queue capacity, bounding both lanes combined (default 256).
     pub queue_capacity: usize,
-    /// Dispatcher threads popping and executing jobs (default 2).
+    /// Dispatcher threads popping and executing jobs (default 2; at least
+    /// one is started whatever this says).
     pub dispatchers: usize,
     /// How often the watchdog thread samples running jobs: it cancels jobs
     /// whose [`deadline`](JobSpec::with_deadline) has passed mid-run and
@@ -94,24 +95,12 @@ struct ServiceCounters {
     stalls: AtomicU64,
 }
 
-/// The job a tenant's dispatcher is executing right now, parked on the
-/// tenant so the watchdog can reach it (deadline cancellation, stall
-/// attribution).
-#[derive(Clone)]
-pub(crate) struct RunningJob {
-    ticket: JobTicket,
-    deadline: Option<Instant>,
-    started: Instant,
-}
-
+/// Everything the service's threads share. The tenants live in the queue's
+/// slots, and "shutting down" is the queue being closed.
 struct ServiceInner {
     queue: IngestQueue,
-    tenants: Mutex<Vec<Arc<TenantState>>>,
     counters: ServiceCounters,
     dispatcher_count: usize,
-    shutting_down: AtomicBool,
-    drain_lock: Mutex<()>,
-    drain_cv: Condvar,
     last_stall: Mutex<Option<StallReport>>,
     watchdog_stop: AtomicBool,
 }
@@ -129,29 +118,23 @@ pub struct JobService {
 
 impl JobService {
     /// Start the service: the ingest queue plus `config.dispatchers`
-    /// dispatcher threads, all idle until tenants register and submit.
+    /// dispatcher threads (at least one), all idle until tenants register
+    /// and submit.
     pub fn new(config: ServiceConfig) -> Self {
-        let mut queue = IngestQueue::new(config.queue_capacity);
-        if let Some(plan) = config.fault_plan.clone() {
-            queue.set_fault_plan(plan);
-        }
+        let dispatcher_count = config.dispatchers.max(1);
         let inner = Arc::new(ServiceInner {
-            queue,
-            tenants: Mutex::new(Vec::new()),
+            queue: IngestQueue::new(config.queue_capacity, config.fault_plan),
             counters: ServiceCounters::default(),
-            dispatcher_count: config.dispatchers,
-            shutting_down: AtomicBool::new(false),
-            drain_lock: Mutex::new(()),
-            drain_cv: Condvar::new(),
+            dispatcher_count,
             last_stall: Mutex::new(None),
             watchdog_stop: AtomicBool::new(false),
         });
-        let dispatchers = (0..config.dispatchers)
+        let dispatchers = (0..dispatcher_count)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("svc-dispatch-{i}"))
-                    .spawn(move || dispatcher_loop(&inner))
+                    .spawn(move || dispatcher_loop(&inner.queue))
                     .expect("spawn dispatcher thread")
             })
             .collect();
@@ -170,89 +153,59 @@ impl JobService {
         }
     }
 
-    /// Register a tenant, creating its private runtime. Tenants cannot
-    /// be registered once shutdown has begun.
+    /// Register a tenant, creating its private runtime. A spec whose
+    /// runtime cannot be built is refused with
+    /// [`AdmissionError::InvalidTenant`]; once shutdown has begun, every
+    /// spec is refused with [`AdmissionError::ShuttingDown`].
     pub fn register_tenant(&self, spec: TenantSpec) -> Result<TenantId, AdmissionError> {
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
-            return Err(AdmissionError::ShuttingDown);
-        }
-        let mut tenants = self.inner.tenants.lock();
-        let id = TenantId(tenants.len() as u32);
-        tenants.push(Arc::new(TenantState::new(id, spec)));
-        Ok(id)
+        let runtime = Runtime::try_new(spec.runtime.clone())
+            .map_err(|err| AdmissionError::InvalidTenant(err.to_string()))?;
+        self.inner
+            .queue
+            .register(|id| TenantState::new(id, spec, runtime))
+            .ok_or(AdmissionError::ShuttingDown)
     }
 
-    /// Submit one job for `tenant`. On admission the job is queued on the
-    /// tenant's lane and a [`JobTicket`] tracks it to completion; on
+    /// Submit one job for `tenant`. On admission the job is queued behind
+    /// the tenant's earlier jobs and a [`JobTicket`] tracks it to completion; on
     /// rejection the job comes back inside [`Rejected`] together with the
     /// typed reason, so soft rejections can be resubmitted without
     /// rebuilding the job.
     pub fn submit(&self, tenant: TenantId, job: JobSpec) -> Result<JobTicket, Rejected> {
         let c = &self.inner.counters;
-        let state = match self.tenant_state(tenant) {
-            Some(state) => state,
-            None => {
-                c.rejected_unknown.fetch_add(1, Ordering::SeqCst);
-                return Err(Rejected {
-                    job,
-                    error: AdmissionError::UnknownTenant(tenant),
-                });
-            }
+        let Some(state) = self.inner.queue.tenant(tenant) else {
+            c.rejected_unknown.fetch_add(1, Ordering::SeqCst);
+            return Err(Rejected {
+                job,
+                error: AdmissionError::UnknownTenant(tenant),
+            });
         };
         state.counters.submitted.fetch_add(1, Ordering::SeqCst);
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
-            c.rejected_shutdown.fetch_add(1, Ordering::SeqCst);
-            return Err(Rejected {
-                job,
-                error: AdmissionError::ShuttingDown,
-            });
-        }
-        if let Err(in_flight) = state.try_claim_in_flight() {
-            state
-                .counters
-                .rejected_budget
-                .fetch_add(1, Ordering::SeqCst);
-            return Err(Rejected {
-                job,
-                error: AdmissionError::TenantBudget {
-                    tenant,
-                    in_flight,
-                    budget: state.in_flight_budget,
-                },
-            });
-        }
         let ticket = JobTicket::new();
         let deadline_spec = job.deadline;
         let queued = QueuedJob {
-            tenant: Arc::clone(&state),
             kind: job.kind,
             ticket: ticket.clone(),
             deadline: deadline_spec.map(|d| Instant::now() + d),
         };
-        match self
-            .inner
-            .queue
-            .push(queued, matches!(state.lane, Lane::Latency))
-        {
-            Ok(_) => {
+        match self.inner.queue.push(tenant, queued) {
+            Ok(()) => {
                 state.counters.accepted.fetch_add(1, Ordering::SeqCst);
                 Ok(ticket)
             }
-            Err((back, depth)) => {
-                state.release_in_flight();
-                state
-                    .counters
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::SeqCst);
+            Err((back, error)) => {
+                let counter = match error {
+                    AdmissionError::ShuttingDown => &c.rejected_shutdown,
+                    AdmissionError::TenantBudget { .. } => &state.counters.rejected_budget,
+                    _ => &state.counters.rejected_queue_full,
+                };
+                counter.fetch_add(1, Ordering::SeqCst);
                 Err(Rejected {
                     job: JobSpec {
                         kind: back.kind,
                         deadline: deadline_spec,
                     },
-                    error: AdmissionError::QueueFull {
-                        depth,
-                        capacity: self.inner.queue.capacity(),
-                    },
+                    error,
                 })
             }
         }
@@ -287,12 +240,7 @@ impl JobService {
     /// dispatcher mid-job). New submissions arriving while draining extend
     /// the wait.
     pub fn drain(&self) {
-        let mut guard = self.inner.drain_lock.lock();
-        while self.inner.queue.depth() != 0 || self.inner.queue.active() != 0 {
-            self.inner
-                .drain_cv
-                .wait_for(&mut guard, Duration::from_millis(1));
-        }
+        self.inner.queue.wait_drained();
     }
 
     /// Snapshot service- and per-tenant metrics. The service-wide job
@@ -301,20 +249,16 @@ impl JobService {
     pub fn metrics(&self) -> ServiceMetrics {
         let inner = &self.inner;
         let c = &inner.counters;
-        let tenants: Vec<TenantMetrics> = inner
-            .tenants
-            .lock()
-            .iter()
-            .map(|state| tenant_metrics(state))
-            .collect();
+        let queue = inner.queue.snapshot();
+        let tenants: Vec<TenantMetrics> = queue.tenants.iter().map(tenant_metrics).collect();
         let sum = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
         let rejected_unknown_tenant = c.rejected_unknown.load(Ordering::SeqCst);
         ServiceMetrics {
-            ingest_queue_depth: inner.queue.depth(),
-            peak_queue_depth: inner.queue.peak(),
-            queue_capacity: inner.queue.capacity(),
+            ingest_queue_depth: queue.depth,
+            peak_queue_depth: queue.peak,
+            queue_capacity: inner.queue.capacity,
             dispatchers: inner.dispatcher_count,
-            active_dispatchers: inner.queue.active(),
+            active_dispatchers: queue.running,
             submitted: sum(|t| t.submitted) + rejected_unknown_tenant,
             accepted: sum(|t| t.accepted),
             completed: sum(|t| t.completed),
@@ -341,7 +285,6 @@ impl JobService {
     }
 
     fn begin_shutdown(&mut self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
         self.inner.queue.close();
         for handle in self.dispatchers.drain(..) {
             let _ = handle.join();
@@ -353,14 +296,6 @@ impl JobService {
             let _ = handle.join();
         }
     }
-
-    fn tenant_state(&self, tenant: TenantId) -> Option<Arc<TenantState>> {
-        self.inner
-            .tenants
-            .lock()
-            .get(tenant.0 as usize)
-            .map(Arc::clone)
-    }
 }
 
 impl Drop for JobService {
@@ -371,21 +306,23 @@ impl Drop for JobService {
 
 impl std::fmt::Debug for JobService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let queue = self.inner.queue.snapshot();
         f.debug_struct("JobService")
             .field("dispatchers", &self.inner.dispatcher_count)
-            .field("queue_depth", &self.inner.queue.depth())
-            .field("tenants", &self.inner.tenants.lock().len())
+            .field("queue_depth", &queue.depth)
+            .field("tenants", &queue.tenants.len())
             .finish()
     }
 }
 
-fn tenant_metrics(state: &TenantState) -> TenantMetrics {
+fn tenant_metrics(view: &TenantView) -> TenantMetrics {
+    let state = &view.tenant;
     let c = &state.counters;
     TenantMetrics {
         tenant: state.id,
         name: state.name.clone(),
         lane: state.lane,
-        in_flight: state.in_flight.load(Ordering::SeqCst),
+        in_flight: view.in_flight,
         submitted: c.submitted.load(Ordering::SeqCst),
         accepted: c.accepted.load(Ordering::SeqCst),
         completed: c.completed.load(Ordering::SeqCst),
@@ -400,37 +337,30 @@ fn tenant_metrics(state: &TenantState) -> TenantMetrics {
     }
 }
 
-fn dispatcher_loop(inner: &ServiceInner) {
-    while let Some(job) = inner.queue.pop() {
-        run_job(job);
-        inner.queue.finish_active();
-        // Taken and dropped so a drain() between the check and the wait
-        // still sees the notify.
-        drop(inner.drain_lock.lock());
-        inner.drain_cv.notify_all();
+fn dispatcher_loop(queue: &IngestQueue) {
+    let mut finished = None;
+    while let Some((tenant, job)) = queue.next(finished) {
+        run_job(&tenant, job);
+        finished = Some(tenant.id);
     }
 }
 
-fn run_job(job: QueuedJob) {
+fn run_job(tenant: &TenantState, job: QueuedJob) {
     let QueuedJob {
-        tenant,
         kind,
         ticket,
         deadline,
     } = job;
-    // Serialize on the tenant's runtime first: time spent waiting for the
-    // tenant's previous job counts against the deadline check below,
-    // exactly like time spent queued.
-    let _job_guard = tenant.busy.lock();
     // Shed at dequeue: a cancel request or an already-passed deadline means
     // no work runs at all — the ticket resolves terminal without touching
-    // the tenant's runtime.
+    // the tenant's runtime. Time spent behind the tenant's earlier jobs in
+    // its FIFO counts against the deadline, exactly like time in the lane.
     if ticket.cancel_requested() {
-        finish(&tenant, &ticket, JobStatus::Cancelled);
+        finish(tenant, &ticket, JobStatus::Cancelled);
         return;
     }
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        finish(&tenant, &ticket, JobStatus::Expired);
+        finish(tenant, &ticket, JobStatus::Expired);
         return;
     }
     ticket.set(JobStatus::Running);
@@ -445,17 +375,11 @@ fn run_job(job: QueuedJob) {
     // not-yet-started tasks without running them.
     let token = tenant.runtime.cancel_scope();
     ticket.register_scope(token.clone());
-    *tenant.running.lock() = Some(RunningJob {
-        ticket: ticket.clone(),
-        deadline,
-        started: Instant::now(),
-    });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         tenant
             .runtime
-            .with_cancel_scope(&token, || execute(kind, &tenant))
+            .with_cancel_scope(&token, || execute(kind, tenant))
     }));
-    *tenant.running.lock() = None;
     ticket.clear_scope();
     // Quiesce the runtime (a panicked body may have left a half-spawned
     // graph) and *consume* any poison note so neither can leak into the
@@ -484,12 +408,13 @@ fn run_job(job: QueuedJob) {
             Err(payload) => JobStatus::Failed(panic_message(payload.as_ref())),
         }
     };
-    finish(&tenant, &ticket, status);
+    finish(tenant, &ticket, status);
 }
 
-/// Resolve the ticket, release the tenant's budget and settle exactly one of
-/// the tenant's four terminal ledger counters — the ledger invariant
-/// `completed + failed + cancelled + expired == accepted` lives here.
+/// Resolve the ticket and settle exactly one of the tenant's four terminal
+/// ledger counters — the ledger invariant
+/// `completed + failed + cancelled + expired == accepted` lives here. The
+/// dispatcher hands the tenant's slot back, freeing its budget, after this.
 fn finish(tenant: &TenantState, ticket: &JobTicket, status: JobStatus) {
     let counter = match &status {
         JobStatus::Completed => &tenant.counters.completed,
@@ -501,7 +426,6 @@ fn finish(tenant: &TenantState, ticket: &JobTicket, status: JobStatus) {
         }
     };
     ticket.set(status);
-    tenant.release_in_flight();
     counter.fetch_add(1, Ordering::SeqCst);
 }
 
@@ -522,11 +446,16 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
         let now = Instant::now();
         let mut total_progress = 0;
         let mut stuck_jobs = 0;
-        let mut oldest: Option<(Arc<TenantState>, Instant)> = None;
-        for tenant in inner.tenants.lock().iter() {
+        let mut oldest: Option<(&TenantState, Instant)> = None;
+        // Read under the queue lock once; no lock is held while poking the
+        // tickets.
+        let queue = inner.queue.snapshot();
+        for TenantView {
+            tenant, running, ..
+        } in &queue.tenants
+        {
             total_progress += progress(tenant);
-            // Cloned out so no lock is held while poking the ticket.
-            let Some(job) = tenant.running.lock().clone() else {
+            let Some(job) = running else {
                 continue;
             };
             // Deadline enforcement: cancel the task-graph scope of a running
@@ -539,7 +468,7 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
                 .as_ref()
                 .is_none_or(|(_, started)| job.started < *started)
             {
-                oldest = Some((Arc::clone(tenant), job.started));
+                oldest = Some((tenant, job.started));
             }
         }
         // Stall detection: progress flatlined for a full window while jobs

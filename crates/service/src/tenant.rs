@@ -1,13 +1,11 @@
 //! Tenant identity, configuration and the runtime each tenant owns.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use ompss::{GraphTemplate, Runtime, RuntimeConfig};
 use parking_lot::Mutex;
-
-use crate::service::RunningJob;
 
 /// Identifies a registered tenant (index into the service's registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -121,7 +119,7 @@ impl std::fmt::Debug for TemplateSlots {
     }
 }
 
-/// Per-tenant service-side counters (all monotonic except `in_flight`).
+/// Per-tenant service-side counters, all monotonic.
 #[derive(Default)]
 pub(crate) struct TenantCounters {
     pub(crate) submitted: AtomicU64,
@@ -136,7 +134,8 @@ pub(crate) struct TenantCounters {
     pub(crate) replay_jobs: AtomicU64,
 }
 
-/// The service-side state of one registered tenant.
+/// The service-side state of one registered tenant. What it has queued or
+/// running lives in its slot of the ingest queue.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     pub(crate) name: String,
@@ -144,69 +143,27 @@ pub(crate) struct TenantState {
     pub(crate) in_flight_budget: usize,
     pub(crate) runtime: Runtime,
     pub(crate) templates: TemplateSlots,
-    /// Serializes the tenant's jobs. A runtime's poison note, panic
-    /// sink and `taskwait` are runtime-global: two jobs interleaved on one
-    /// runtime would misattribute each other's failures (one job resolving
-    /// `Completed` with another job's panic charged to it). Dispatchers
-    /// hold this for the whole execute-and-quiesce span, so failure
-    /// attribution is exact per job.
-    pub(crate) busy: Mutex<()>,
-    /// The job holding `busy`, if any; set and cleared under `busy`, so the
-    /// watchdog can reach it (deadline cancellation, stall attribution).
-    pub(crate) running: Mutex<Option<RunningJob>>,
-    /// Jobs queued or executing right now (admission-controlled).
-    pub(crate) in_flight: AtomicUsize,
     pub(crate) counters: TenantCounters,
 }
 
 impl TenantState {
-    pub(crate) fn new(id: TenantId, spec: TenantSpec) -> Self {
+    /// `runtime` is the one built from `spec.runtime`.
+    pub(crate) fn new(id: TenantId, spec: TenantSpec, runtime: Runtime) -> Self {
         TenantState {
             id,
             name: spec.name,
             lane: spec.lane,
             in_flight_budget: spec.in_flight_budget,
-            runtime: Runtime::new(spec.runtime),
+            runtime,
             templates: TemplateSlots::default(),
-            busy: Mutex::new(()),
-            running: Mutex::new(None),
-            in_flight: AtomicUsize::new(0),
             counters: TenantCounters::default(),
         }
-    }
-
-    /// Atomically claim one unit of the in-flight budget. Returns the
-    /// pre-claim count on success, or the observed count when the budget is
-    /// exhausted (the caller sheds). A compare-exchange loop, so the budget
-    /// is an exact bound however many clients submit concurrently.
-    pub(crate) fn try_claim_in_flight(&self) -> Result<usize, usize> {
-        self.in_flight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                (v < self.in_flight_budget).then_some(v + 1)
-            })
-    }
-
-    /// Release one unit of the in-flight budget (job completed, or its
-    /// queue push was rejected after the claim).
-    pub(crate) fn release_in_flight(&self) {
-        let prev = self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "in-flight release without a claim");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_claims_are_exact() {
-        let state = TenantState::new(TenantId(0), TenantSpec::new("t").with_in_flight_budget(2));
-        assert_eq!(state.try_claim_in_flight(), Ok(0));
-        assert_eq!(state.try_claim_in_flight(), Ok(1));
-        assert_eq!(state.try_claim_in_flight(), Err(2));
-        state.release_in_flight();
-        assert_eq!(state.try_claim_in_flight(), Ok(1));
-    }
 
     #[test]
     fn template_slots_store_and_get() {

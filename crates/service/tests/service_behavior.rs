@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ompss::RuntimeConfig;
 use service::{
     AdmissionError, JobService, JobSpec, JobStatus, Lane, RetryPolicy, ServiceConfig, TenantSpec,
 };
@@ -184,8 +185,8 @@ fn panicking_job_does_not_poison_the_service() {
 }
 
 /// A tenant's jobs run one at a time even with a dispatcher free to start
-/// the next one: job B is popped while job A is still running, waits for A,
-/// and the task panic A's body caused is charged to A alone.
+/// the next one: job B stays queued while job A is still running, and the
+/// task panic A's body caused is charged to A alone.
 #[test]
 fn one_tenants_jobs_never_overlap_and_failures_stay_their_own() {
     let svc = JobService::new(ServiceConfig::default().with_dispatchers(2));
@@ -225,9 +226,13 @@ fn one_tenants_jobs_never_overlap_and_failures_stay_their_own() {
         )
         .unwrap()
     };
-    // Both dispatchers hold a job before A is let go, so B had every chance
-    // to overlap A.
-    while svc.metrics().active_dispatchers < 2 {
+    // B is queued while A runs and the second dispatcher is free before A
+    // is let go, so B had every chance to overlap A.
+    loop {
+        let m = svc.metrics();
+        if m.ingest_queue_depth == 1 && m.active_dispatchers == 1 {
+            break;
+        }
         std::thread::yield_now();
     }
     release.store(true, Ordering::SeqCst);
@@ -502,6 +507,117 @@ fn overload_from_many_clients_loses_nothing() {
             tm.name
         );
     }
+}
+
+/// Wait up to 10 s for `ticket`; on a timeout leak the service (its
+/// dispatchers may be stuck, so dropping it could hang) and fail.
+fn wait_or_leak(svc: JobService, ticket: &service::JobTicket, what: &str) -> JobService {
+    let status = ticket.wait_timeout(Duration::from_secs(10));
+    if !status.is_terminal() {
+        std::mem::forget(svc);
+        panic!("{what} had not resolved after 10 s: {status:?}");
+    }
+    svc
+}
+
+/// No dispatcher waits for a busy tenant while another tenant has work: with
+/// two dispatchers and one lane, tenant A's first job is held, A's second
+/// job waits behind it, and tenant B's job, submitted last, starts while A's
+/// first job is still held.
+#[test]
+fn another_tenants_job_is_not_stuck_behind_a_busy_tenant() {
+    let svc = JobService::new(ServiceConfig::default().with_dispatchers(2));
+    let a = svc.register_tenant(TenantSpec::new("a")).unwrap();
+    let b = svc.register_tenant(TenantSpec::new("b")).unwrap();
+    let (started, release) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+
+    let a1 = {
+        let (started, release) = (Arc::clone(&started), Arc::clone(&release));
+        svc.submit(
+            a,
+            JobSpec::spawn(move |_cx| {
+                started.store(true, Ordering::SeqCst);
+                let start = std::time::Instant::now();
+                while !release.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(20) {
+                    std::thread::yield_now();
+                }
+            }),
+        )
+        .unwrap()
+    };
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let a2 = svc.submit(a, JobSpec::spawn(|_cx| {})).unwrap();
+    let b1_ran_while_a1_held = Arc::new(AtomicBool::new(false));
+    let b1 = {
+        let (seen, release) = (Arc::clone(&b1_ran_while_a1_held), Arc::clone(&release));
+        svc.submit(
+            b,
+            JobSpec::spawn(move |_cx| {
+                seen.store(!release.load(Ordering::SeqCst), Ordering::SeqCst)
+            }),
+        )
+        .unwrap()
+    };
+
+    let svc = wait_or_leak(svc, &b1, "tenant B's job, with A's first job held");
+    assert!(b1.status().is_completed());
+    assert!(b1_ran_while_a1_held.load(Ordering::SeqCst));
+    assert!(
+        !a2.status().is_terminal(),
+        "A's second job overtook its first"
+    );
+    release.store(true, Ordering::SeqCst);
+    let svc = wait_or_leak(svc, &a2, "tenant A's second job");
+    assert!(a1.status().is_completed() && a2.status().is_completed());
+    let m = svc.shutdown();
+    assert_eq!(m.completed, 3);
+}
+
+/// A spec whose runtime cannot be built is a hard typed rejection, not a
+/// panic, and the service goes on registering and running other tenants.
+#[test]
+fn an_unbuildable_tenant_is_rejected_and_the_service_carries_on() {
+    let svc = JobService::new(ServiceConfig::default().with_dispatchers(1));
+    let bad = TenantSpec::new("bad").with_runtime_config(RuntimeConfig::default().with_workers(0));
+    match svc.register_tenant(bad) {
+        Err(err @ AdmissionError::InvalidTenant(_)) => {
+            assert!(!err.is_soft());
+            assert!(err.to_string().contains("worker"), "message {err}");
+        }
+        other => panic!("expected InvalidTenant, got {other:?}"),
+    }
+    let good = svc.register_tenant(TenantSpec::new("good")).unwrap();
+    assert_eq!(good, service::TenantId(0), "the refused spec took no id");
+    let ticket = svc.submit(good, JobSpec::spawn(|_cx| {})).unwrap();
+    assert!(ticket.wait().is_completed());
+    let m = svc.shutdown();
+    assert_eq!(m.tenants.len(), 1);
+}
+
+/// `dispatchers: 0` set on the field directly still starts one dispatcher,
+/// so admitted jobs run and `drain` returns.
+#[test]
+fn zero_dispatchers_still_runs_jobs() {
+    let config = ServiceConfig {
+        dispatchers: 0,
+        ..ServiceConfig::default()
+    };
+    let svc = JobService::new(config);
+    let tenant = svc.register_tenant(TenantSpec::new("t")).unwrap();
+    let ticket = svc.submit(tenant, JobSpec::spawn(|_cx| {})).unwrap();
+    let svc = wait_or_leak(
+        svc,
+        &ticket,
+        "a job on a service configured with no dispatchers",
+    );
+    assert!(ticket.status().is_completed());
+    svc.drain();
+    assert_eq!(svc.shutdown().dispatchers, 1);
 }
 
 /// Submitting to an unknown tenant is a hard typed error.
