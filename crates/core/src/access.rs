@@ -66,12 +66,18 @@ pub enum AccessKind {
 impl AccessKind {
     /// Does this access read the previous contents of the region?
     pub fn reads(self) -> bool {
-        matches!(self, AccessKind::Input | AccessKind::InOut | AccessKind::Concurrent)
+        matches!(
+            self,
+            AccessKind::Input | AccessKind::InOut | AccessKind::Concurrent
+        )
     }
 
     /// Does this access (potentially) modify the region?
     pub fn writes(self) -> bool {
-        matches!(self, AccessKind::Output | AccessKind::InOut | AccessKind::Concurrent)
+        matches!(
+            self,
+            AccessKind::Output | AccessKind::InOut | AccessKind::Concurrent
+        )
     }
 
     /// Whether the task body is allowed to obtain a mutable guard for data
@@ -321,9 +327,7 @@ impl AccessVec {
         } else {
             // SAFETY: elements 0..len are initialised, and
             // `MaybeUninit<Access>` has the same layout as `Access`.
-            unsafe {
-                std::slice::from_raw_parts(self.inline.as_ptr() as *const Access, self.len)
-            }
+            unsafe { std::slice::from_raw_parts(self.inline.as_ptr() as *const Access, self.len) }
         }
     }
 

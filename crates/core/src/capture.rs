@@ -659,7 +659,9 @@ impl Runtime {
                 // plan is kept: the conflict is usually a transient
                 // tombstone the next GC sweep drops.
                 graph::unwire_batch(nodes);
-                inner.tracker.register_batch(nodes, &plan.sids, record_edges)
+                inner
+                    .tracker
+                    .register_batch(nodes, &plan.sids, record_edges)
             },
             |nodes| {
                 // The live edges are out; a pre-wired pass adds its baked

@@ -466,8 +466,7 @@ impl DcheckState {
                     {
                         continue;
                     }
-                    let overlap =
-                        a.bytes.start.max(b.bytes.start)..a.bytes.end.min(b.bytes.end);
+                    let overlap = a.bytes.start.max(b.bytes.start)..a.bytes.end.min(b.bytes.end);
                     if overlap.start >= overlap.end {
                         continue;
                     }

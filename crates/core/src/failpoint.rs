@@ -242,8 +242,12 @@ mod tests {
     fn rolls_are_deterministic_in_seed_class_serial() {
         let a = FaultPlan::seeded(7).panic_one_in(10);
         let b = FaultPlan::seeded(7).panic_one_in(10);
-        let decisions_a: Vec<bool> = (0..1000).map(|s| a.roll(FaultClass::TaskPanic, s)).collect();
-        let decisions_b: Vec<bool> = (0..1000).map(|s| b.roll(FaultClass::TaskPanic, s)).collect();
+        let decisions_a: Vec<bool> = (0..1000)
+            .map(|s| a.roll(FaultClass::TaskPanic, s))
+            .collect();
+        let decisions_b: Vec<bool> = (0..1000)
+            .map(|s| b.roll(FaultClass::TaskPanic, s))
+            .collect();
         assert_eq!(decisions_a, decisions_b);
         assert_eq!(
             a.injected(FaultClass::TaskPanic),
@@ -276,7 +280,9 @@ mod tests {
     #[test]
     fn roll_next_advances_the_class_serial() {
         let plan = FaultPlan::seeded(3).queue_full_one_in(2);
-        let first: Vec<bool> = (0..100).map(|_| plan.roll_next(FaultClass::QueueFull)).collect();
+        let first: Vec<bool> = (0..100)
+            .map(|_| plan.roll_next(FaultClass::QueueFull))
+            .collect();
         assert!(first.iter().any(|&h| h) && first.iter().any(|&h| !h));
         // Re-seeded plan replays the same stream.
         let replay = FaultPlan::seeded(3).queue_full_one_in(2);

@@ -81,7 +81,11 @@ impl AllocIndex {
 
     /// Call `hit(chunk)` for every indexed region overlapping `bytes`, in
     /// index order, and return how many spans were examined.
-    pub(super) fn for_each_overlap(&self, bytes: &std::ops::Range<usize>, mut hit: impl FnMut(u32)) -> u64 {
+    pub(super) fn for_each_overlap(
+        &self,
+        bytes: &std::ops::Range<usize>,
+        mut hit: impl FnMut(u32),
+    ) -> u64 {
         let (s, e) = (bytes.start, bytes.end);
         if e <= s {
             return 0;

@@ -205,7 +205,6 @@
 //!
 //! [`crate::rename`]: crate::rename
 
-
 mod complete;
 mod gate;
 mod index;
@@ -885,7 +884,10 @@ mod tests {
         // … and GC must empty both maps in every shard.
         let (regions, allocs) = tr.residue();
         assert_eq!(regions, 0, "entries leak after full retire");
-        assert_eq!(allocs, 0, "by_alloc holds stale region ids after full retire");
+        assert_eq!(
+            allocs, 0,
+            "by_alloc holds stale region ids after full retire"
+        );
     }
 
     #[test]
@@ -917,7 +919,10 @@ mod tests {
                 acc(11, 0, 0..64, AccessKind::Input),
                 acc(12, 0, 0..64, AccessKind::Output),
             ],
-            vec![acc(12, 0, 0..64, AccessKind::InOut), acc(13, 0, 0..8, AccessKind::Output)],
+            vec![
+                acc(12, 0, 0..64, AccessKind::InOut),
+                acc(13, 0, 0..8, AccessKind::Output),
+            ],
             vec![acc(11, 0, 0..64, AccessKind::Output)],
             vec![
                 acc(13, 0, 0..8, AccessKind::Concurrent),
@@ -945,14 +950,25 @@ mod tests {
             let index_of = |id: TaskId| nodes.iter().position(|n| n.id == id).unwrap();
             out.into_iter()
                 .map(|(e, r, w, ww, seen, preds)| {
-                    (e, r, w, ww, seen, preds.into_iter().map(index_of).collect::<Vec<_>>())
+                    (
+                        e,
+                        r,
+                        w,
+                        ww,
+                        seen,
+                        preds.into_iter().map(index_of).collect::<Vec<_>>(),
+                    )
                 })
                 .collect::<Vec<_>>()
         };
         // Reference: single shard, forced-locked (the historical tracker).
         let reference = outcome(tracker_locked(1));
         for shards in [1, 2, 3, 7, 16] {
-            assert_eq!(outcome(tracker(shards)), reference, "optimistic, shards = {shards}");
+            assert_eq!(
+                outcome(tracker(shards)),
+                reference,
+                "optimistic, shards = {shards}"
+            );
             assert_eq!(
                 outcome(tracker_locked(shards)),
                 reference,
@@ -971,7 +987,10 @@ mod tests {
             acc(1, 1, 0..4, AccessKind::Output),
         ]);
         assert!(tr.register(&a, false).fast_path);
-        assert!(tr.register(&b, false).fast_path, "same-shard two-access task");
+        assert!(
+            tr.register(&b, false).fast_path,
+            "same-shard two-access task"
+        );
         finish_registration(&a);
         finish_registration(&b);
         // A span over two shards counts as a fallback.
@@ -1159,11 +1178,11 @@ mod tests {
         // whatever order the regions were recorded in.
         let program = |order: &[usize]| {
             let regions = [
-                region(3, 7, 0..100),  // class 7, the "whole" region
-                region(3, 1, 40..50),  // class 4
-                region(3, 2, 10..20),  // class 4
-                region(3, 9, 10..20),  // same range as chunk 2
-                region(3, 4, 12..14),  // class 2, nested in chunks 2 and 9
+                region(3, 7, 0..100),   // class 7, the "whole" region
+                region(3, 1, 40..50),   // class 4
+                region(3, 2, 10..20),   // class 4
+                region(3, 9, 10..20),   // same range as chunk 2
+                region(3, 4, 12..14),   // class 2, nested in chunks 2 and 9
                 region(3, 5, 300..310), // disjoint from the query
             ];
             let tr = tracker(1);
@@ -1238,7 +1257,12 @@ mod tests {
         finish_registration(&spanning);
         let mut readers = Vec::new();
         for c in (0..CHUNKS).rev() {
-            let r = node_with(vec![acc(6, c as u32 + 1, c * 10..c * 10 + 10, AccessKind::Input)]);
+            let r = node_with(vec![acc(
+                6,
+                c as u32 + 1,
+                c * 10..c * 10 + 10,
+                AccessKind::Input,
+            )]);
             tr.register(&r, false);
             finish_registration(&r);
             readers.push(r);
@@ -1385,7 +1409,11 @@ mod tests {
                 ready.push_back(r);
             }
         }
-        assert_eq!(executed, nodes.len(), "every task must execute exactly once");
+        assert_eq!(
+            executed,
+            nodes.len(),
+            "every task must execute exactly once"
+        );
         for n in &nodes {
             assert!(n.is_completed());
         }
@@ -1395,8 +1423,14 @@ mod tests {
     /// tracked one (garbage collection's effect on the index).
     #[derive(Debug, Clone)]
     enum IndexOp {
-        Insert { alloc: u64, start: usize, len: usize },
-        Remove { nth: usize },
+        Insert {
+            alloc: u64,
+            start: usize,
+            len: usize,
+        },
+        Remove {
+            nth: usize,
+        },
     }
 
     fn index_op() -> impl Strategy<Value = IndexOp> {
@@ -1416,9 +1450,8 @@ mod tests {
                 start: slot * 16,
                 len,
             }),
-            (1u64..4, 0usize..1024, 1usize..9).prop_map(|(alloc, start, len)| {
-                IndexOp::Insert { alloc, start, len }
-            }),
+            (1u64..4, 0usize..1024, 1usize..9)
+                .prop_map(|(alloc, start, len)| { IndexOp::Insert { alloc, start, len } }),
             (0usize..64).prop_map(|nth| IndexOp::Remove { nth }),
         ]
     }

@@ -197,7 +197,7 @@ pub(crate) fn build_frozen_plan(
                     Dependence::ReadAfterWrite => plan.baked_raw += 1,
                     Dependence::WriteAfterRead => plan.baked_war += 1,
                     Dependence::WriteAfterWrite => plan.baked_waw += 1,
-                    }
+                }
             }
             plan.baked_preds += preds.preds.len();
         }
@@ -372,7 +372,8 @@ impl ShardedTracker {
         // pass's frontier (and later registrations) see exactly the state a
         // full per-task interleave would have left.
         for inst in &plan.installs {
-            held.shard(inst.shard).apply_install(inst, nodes, &self.recycler);
+            held.shard(inst.shard)
+                .apply_install(inst, nodes, &self.recycler);
         }
         held.shard(first).scratch_preds = preds;
         self.counters.scanned(reg.scanned);

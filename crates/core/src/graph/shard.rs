@@ -308,7 +308,10 @@ impl TrackerShard {
         match self.entries.entry(region.id) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                self.by_alloc.entry(region.id.alloc).or_default().insert(region);
+                self.by_alloc
+                    .entry(region.id.alloc)
+                    .or_default()
+                    .insert(region);
                 v.insert(RegionEntry::default())
             }
         }
@@ -316,7 +319,12 @@ impl TrackerShard {
 
     /// Pass 3 of registration: record `access` of `node` in this shard's
     /// history so that future tasks depend on `node` where required.
-    pub(super) fn record_access(&mut self, access: &Access, node: &Arc<TaskNode>, recycler: &Recycler) {
+    pub(super) fn record_access(
+        &mut self,
+        access: &Access,
+        node: &Arc<TaskNode>,
+        recycler: &Recycler,
+    ) {
         let entry = self.entry_mut(&access.region);
         if matches!(access.kind, AccessKind::Output | AccessKind::InOut) {
             entry.clear(recycler);

@@ -194,7 +194,13 @@ trait ChainOwner: Send + Sync + 'static {
         kind: AccessKind,
     ) -> Access {
         let (ptr, len) = self.cell_ptr(i, cell);
-        Access::bound_to(self.version_region(i, alloc), kind, self.canonical(i), ptr, len)
+        Access::bound_to(
+            self.version_region(i, alloc),
+            kind,
+            self.canonical(i),
+            ptr,
+            len,
+        )
     }
 
     /// Region of the current version of chain `i`.
@@ -722,7 +728,9 @@ impl<T> PartInner<T> {
     fn versioned(&self) -> &PartChains<T> {
         match &self.storage {
             PartStorage::Versioned(chains) => chains,
-            PartStorage::Plain(_) => unreachable!("version chains only exist on versioned partitions"),
+            PartStorage::Plain(_) => {
+                unreachable!("version chains only exist on versioned partitions")
+            }
         }
     }
 
@@ -817,7 +825,11 @@ impl<T: Send + 'static> ChainOwner for PartInner<T> {
 
     fn make(&self, i: usize) -> Vec<T> {
         let fresh = (self.versioned().make)(self.chunks[i].len());
-        debug_assert_eq!(fresh.len(), self.chunks[i].len(), "make() returned the wrong length");
+        debug_assert_eq!(
+            fresh.len(),
+            self.chunks[i].len(),
+            "make() returned the wrong length"
+        );
         fresh
     }
 
@@ -1401,8 +1413,15 @@ mod tests {
             assert_eq!(d.region(), before, "uncommitted rename is invisible");
             commit(&mut resolved);
             let after = d.region();
-            assert_ne!(before.id.alloc, after.id.alloc, "rename advanced the current version");
-            assert_eq!(resolved.access().region, after, "output bound the fresh version");
+            assert_ne!(
+                before.id.alloc, after.id.alloc,
+                "rename advanced the current version"
+            );
+            assert_eq!(
+                resolved.access().region,
+                after,
+                "output bound the fresh version"
+            );
             assert_eq!(resolved.access().root_alloc(), d.root_alloc());
             assert!(!before.overlaps(&after), "versions never conflict");
             assert_eq!(pool.renames(), 1);
@@ -1459,7 +1478,11 @@ mod tests {
             let cx = cx(&pool, false);
             let a = d.resolve(AccessKind::Output, &cx);
             let b = d.resolve(AccessKind::Output, &cx);
-            assert_eq!(a.access().region, b.access().region, "no renaming: same version");
+            assert_eq!(
+                a.access().region,
+                b.access().region,
+                "no renaming: same version"
+            );
             assert_eq!(d.live_versions(), 1);
             assert_eq!(pool.renames(), 0);
         }
@@ -1537,7 +1560,11 @@ mod tests {
             let before = d.region();
             let w = d.resolve(AccessKind::Output, &cx_eliding(&pool));
             // Bound in place: same version, no rename, no commit needed.
-            assert_eq!(w.access().region, before, "elided write binds the current version");
+            assert_eq!(
+                w.access().region,
+                before,
+                "elided write binds the current version"
+            );
             assert!(w.renamed.is_empty());
             assert_eq!(pool.renames(), 0);
             assert_eq!(pool.elided(), 1);
@@ -1617,7 +1644,11 @@ mod tests {
                 "untouched chunk keeps its version"
             );
             assert_eq!(w.accesses.len(), 1);
-            assert_eq!(w.access().region, p.chunk(0).region(), "fresh version is current");
+            assert_eq!(
+                w.access().region,
+                p.chunk(0).region(),
+                "fresh version is current"
+            );
             assert_eq!(w.renamed.len(), 1);
             assert_eq!(w.renamed[0].chunk, Some(0), "rename recorded per chunk");
             assert_eq!(pool.renames(), 1);

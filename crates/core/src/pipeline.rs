@@ -124,7 +124,10 @@ mod tests {
         for i in 0..4 {
             for j in (i + 1)..4 {
                 assert!(
-                    !ring.slot_by_index(i).region().overlaps(&ring.slot_by_index(j).region()),
+                    !ring
+                        .slot_by_index(i)
+                        .region()
+                        .overlaps(&ring.slot_by_index(j).region()),
                     "slots {i} and {j} must be independent"
                 );
             }

@@ -428,13 +428,15 @@ impl RuntimeInner {
             self.sched.push(node, worker, false);
         }
         if immediately_ready != 0 {
-            self.stats.add(StatField::ImmediatelyReady, immediately_ready);
+            self.stats
+                .add(StatField::ImmediatelyReady, immediately_ready);
         }
         // The periodic tracker GC, when this batch took the spawn count
         // across a multiple of the interval — after every lock is released:
         // the sweep takes each shard's gate itself.
         let interval = self.config.tracker_gc_interval;
-        if interval != 0 && (spawned_before + total as u64) / interval != spawned_before / interval {
+        if interval != 0 && (spawned_before + total as u64) / interval != spawned_before / interval
+        {
             self.tracker.garbage_collect();
         }
     }
@@ -908,7 +910,9 @@ impl Runtime {
         &self,
         data: Data<T>,
     ) -> std::result::Result<T, (Data<T>, Error)> {
-        self.settle(data)?.try_into_inner().map_err(|d| (d, Error::StillShared))
+        self.settle(data)?
+            .try_into_inner()
+            .map_err(|d| (d, Error::StillShared))
     }
 
     /// Wait for all tasks touching the partitioned vector, then unwrap it.
@@ -929,7 +933,9 @@ impl Runtime {
         &self,
         data: PartitionedData<T>,
     ) -> std::result::Result<Vec<T>, (PartitionedData<T>, Error)> {
-        self.settle(data)?.try_into_vec().map_err(|d| (d, Error::StillShared))
+        self.settle(data)?
+            .try_into_vec()
+            .map_err(|d| (d, Error::StillShared))
     }
 
     /// Snapshot of the runtime statistics: the counters, plus the task-node
@@ -1538,7 +1544,11 @@ impl<'a> TaskContext<'a> {
             panic!(
                 "task `{}` accessed {subject} without declaring a matching {} access",
                 self.node.display_name(),
-                if write { "output/inout/concurrent" } else { "input/inout" },
+                if write {
+                    "output/inout/concurrent"
+                } else {
+                    "input/inout"
+                },
             );
         };
         if let Some(d) = &self.inner.dcheck {

@@ -419,14 +419,20 @@ mod tests {
         // is a local pop, and an empty poll ends after the other deques.
         s.push(own_old.clone(), Some(0), false);
         assert_eq!(s.pop(Some(0)).unwrap().id, own_old.id);
-        assert_eq!((count(&s.counters.local_pops), count(&s.counters.steals)), (3, 1));
+        assert_eq!(
+            (count(&s.counters.local_pops), count(&s.counters.steals)),
+            (3, 1)
+        );
 
         // A helper owns no deque: it sees the shared queue before it steals.
         s.push(theirs.clone(), Some(1), false);
         s.push(plain.clone(), None, false);
         assert_eq!(s.pop(None).unwrap().id, plain.id);
         assert_eq!(s.pop(None).unwrap().id, theirs.id);
-        assert_eq!((count(&s.counters.global_pops), count(&s.counters.steals)), (2, 2));
+        assert_eq!(
+            (count(&s.counters.global_pops), count(&s.counters.steals)),
+            (2, 2)
+        );
         assert!(s.pop(None).is_none());
     }
 

@@ -491,14 +491,20 @@ impl TaskNode {
         self.name = None;
         self.accesses.clear();
         self.body.get_mut().clear();
-        debug_assert!(self.tickets.get_mut().is_empty(), "tickets released at completion");
+        debug_assert!(
+            self.tickets.get_mut().is_empty(),
+            "tickets released at completion"
+        );
         self.tickets.get_mut().clear();
         // The free list must not keep a real parent's tracker alive, nor keep
         // the parent's own node from reusing it via `Arc::get_mut`.
         let parent = self.parent_children.take();
         let links = self.links.get_mut();
         debug_assert!(links.completed, "recycling a node that never completed");
-        debug_assert!(links.successors.is_empty(), "successors drained at completion");
+        debug_assert!(
+            links.successors.is_empty(),
+            "successors drained at completion"
+        );
         links.completed = false;
         links.successors.clear();
         self.pending.store(1, Ordering::Relaxed);
@@ -955,21 +961,17 @@ pub(crate) mod tests {
     fn small_bodies_store_inline_large_bodies_box() {
         let mut slot = BodySlot::default();
         let small = [7u64; 2];
-        let spilled = slot.set(
-            move |_ctx: &TaskContext<'_>| {
-                std::hint::black_box(small);
-            },
-        );
+        let spilled = slot.set(move |_ctx: &TaskContext<'_>| {
+            std::hint::black_box(small);
+        });
         assert!(!spilled);
         assert!(slot.is_inline());
         slot.clear();
         assert!(slot.is_empty());
         let big = [0u64; 32]; // 256 bytes: over the inline bound
-        let spilled = slot.set(
-            move |_ctx: &TaskContext<'_>| {
-                std::hint::black_box(big);
-            },
-        );
+        let spilled = slot.set(move |_ctx: &TaskContext<'_>| {
+            std::hint::black_box(big);
+        });
         assert!(spilled);
         assert!(!slot.is_inline());
         assert!(!slot.is_empty());
@@ -983,11 +985,9 @@ pub(crate) mod tests {
         let marker = Arc::new(());
         let mut slot = BodySlot::default();
         let held = marker.clone();
-        slot.set(
-            move |_ctx: &TaskContext<'_>| {
-                let _ = &held;
-            },
-        );
+        slot.set(move |_ctx: &TaskContext<'_>| {
+            let _ = &held;
+        });
         assert!(slot.is_inline());
         let taken = slot.take().expect("armed");
         assert_eq!(Arc::strong_count(&marker), 2);
@@ -995,11 +995,9 @@ pub(crate) mod tests {
         assert_eq!(Arc::strong_count(&marker), 1, "captures dropped unrun");
         // And clearing an armed slot drops the captures too.
         let held = marker.clone();
-        slot.set(
-            move |_ctx: &TaskContext<'_>| {
-                let _ = &held;
-            },
-        );
+        slot.set(move |_ctx: &TaskContext<'_>| {
+            let _ = &held;
+        });
         slot.clear();
         assert_eq!(Arc::strong_count(&marker), 1);
     }

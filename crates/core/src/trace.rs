@@ -232,7 +232,11 @@ impl TraceRecorder {
         let mut busy: Vec<u64> = Vec::new();
         for ev in events.iter() {
             match ev {
-                TraceEvent::Started { task, worker, at_ns } => {
+                TraceEvent::Started {
+                    task,
+                    worker,
+                    at_ns,
+                } => {
                     start_of.insert((*worker, *task), *at_ns);
                 }
                 TraceEvent::Finished {
@@ -272,7 +276,11 @@ impl TraceRecorder {
                 TraceEvent::Spawned { task, name, .. } => {
                     names.insert(*task, name.clone());
                 }
-                TraceEvent::Started { task, worker, at_ns } => {
+                TraceEvent::Started {
+                    task,
+                    worker,
+                    at_ns,
+                } => {
                     let name = names.get(task).cloned().flatten();
                     start_of.insert((*worker, *task), (*at_ns, name));
                 }
