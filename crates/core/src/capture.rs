@@ -583,7 +583,7 @@ impl Runtime {
                         break 'stamp;
                     }
                 }
-                let bound = clauses.commit(&inner.rename);
+                let bound = clauses.commit(&inner.stats);
                 // Any version machinery at all disqualifies freezing:
                 // resolution is only pass-invariant for plain handles.
                 pure &= bound.tickets.is_empty();
@@ -641,12 +641,14 @@ impl Runtime {
             None,
             |nodes, record_edges| {
                 let Some(plan) = &plan else {
-                    return inner.tracker.register_batch(nodes, sids, record_edges);
+                    return inner
+                        .tracker
+                        .register_batch(nodes, sids, record_edges, &inner.stats);
                 };
                 if let Some(batch) =
                     inner
                         .tracker
-                        .register_batch_prewired(nodes, plan, record_edges)
+                        .register_batch_prewired(nodes, plan, record_edges, &inner.stats)
                 {
                     prewired.set(true);
                     return batch;
@@ -661,7 +663,7 @@ impl Runtime {
                 graph::unwire_batch(nodes);
                 inner
                     .tracker
-                    .register_batch(nodes, &plan.sids, record_edges)
+                    .register_batch(nodes, &plan.sids, record_edges, &inner.stats)
             },
             |nodes| {
                 // The live edges are out; a pre-wired pass adds its baked

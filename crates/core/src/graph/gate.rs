@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use super::shard::{release_node, Retirement, TrackerShard};
 use super::ShardedTracker;
 use crate::access::Access;
-use crate::stats::TrackerCounters;
+use crate::stats::{StatCounters, StatField};
 use crate::task::TaskNode;
 
 /// One shard cell of the tracker: the history data, the gate protecting it,
@@ -146,10 +146,10 @@ impl ShardSlot {
     /// by a stream of short publications. Several waiters may spin here at
     /// once and whichever acquires clears the flag, so each re-raises it on
     /// every failed iteration.
-    fn wait_acquire(&self, counters: &TrackerCounters) {
+    fn wait_acquire(&self, stats: &StatCounters) {
         let mut seq = self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
         if seq & 1 == 1 {
-            counters.contended();
+            stats.add(StatField::TrackerLockContention, 1);
         }
         let mut spins = 0u32;
         loop {
@@ -269,8 +269,12 @@ impl<'a> Held<'a> {
     /// acquisition off the try), the waiter-flag wait. Each shard's retire
     /// inbox is applied as its gate is taken, so no holder ever reads
     /// history with a retirement pending that was handed over before it
-    /// acquired.
-    pub(super) fn acquire(tracker: &'a ShardedTracker, sids: &'a [usize]) -> Self {
+    /// acquired. A wait that finds a gate held is counted into `stats`.
+    pub(super) fn acquire(
+        tracker: &'a ShardedTracker,
+        sids: &'a [usize],
+        stats: &StatCounters,
+    ) -> Self {
         let try_first = !tracker.forced_fallback();
         debug_assert!(
             sids.windows(2).all(|w| w[0] < w[1]),
@@ -286,7 +290,7 @@ impl<'a> Held<'a> {
             let slot = &tracker.shards[sid];
             if !(try_first && slot.try_acquire_spinning()) {
                 held.tried = false;
-                slot.wait_acquire(&tracker.counters);
+                slot.wait_acquire(stats);
             }
             held.sids = &sids[..=i];
             held.drain_inbox(sid);

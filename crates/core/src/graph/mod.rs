@@ -224,7 +224,7 @@ use shard::{PredRef, PredSet, Recycler};
 
 use crate::access::Dependence;
 use crate::region::{AllocId, Region};
-use crate::stats::{CachePadded, TrackerCounters};
+use crate::stats::{StatCounters, StatField};
 use crate::task::{TaskId, TaskNode, TaskSlab};
 
 /// A cheap multiply–xorshift hasher for the tracker's id-keyed maps.
@@ -307,14 +307,19 @@ pub(crate) struct EdgeRecord {
 /// The sharded dependence tracker: routes every allocation to one shard and
 /// runs registrations, retirements and sweeps under the shard gates. See the
 /// module docs.
+///
+/// Every registration and every retiring worker reads the router fields, so
+/// they sit on a cache-line pair of their own (the sizing of
+/// [`CachePadded`](crate::stats::CachePadded)): packed beside the runtime's
+/// other fields, they shared a line with the critical-section registry's
+/// lock, and `table1.fine` replayed 4.8 % slower (2-vCPU host, 10
+/// alternating benchmark pairs).
+#[repr(align(128))]
 pub(crate) struct ShardedTracker {
     shards: Box<[ShardSlot]>,
     /// `0..shards.len()`: the slice a guard over the single shard `sid`
     /// borrows its id from (see [`ShardedTracker::one`]).
     shard_ids: Box<[usize]>,
-    /// Written by every registration; on a line pair of its own so that the
-    /// router fields beside it, which every retiring worker reads, stay put.
-    counters: CachePadded<TrackerCounters>,
     /// Chaos-test hook: when set, individual gate acquisitions may be forced
     /// to skip the polite try and individual retirements through the inbox
     /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
@@ -333,7 +338,6 @@ impl ShardedTracker {
         ShardedTracker {
             shards: (0..shards).map(|_| ShardSlot::new()).collect(),
             shard_ids: (0..shards).collect(),
-            counters: CachePadded::default(),
             fault: None,
             recycler: None,
         }
@@ -372,19 +376,14 @@ impl ShardedTracker {
         (alloc.raw() % self.shards.len() as u64) as usize
     }
 
-    /// Per-shard hit / contention counters.
-    pub(crate) fn counters(&self) -> &TrackerCounters {
-        &self.counters
-    }
-
     /// The one-element id set `[sid]`.
     fn one(&self, sid: usize) -> &[usize] {
         &self.shard_ids[sid..=sid]
     }
 
     /// Hold shard `sid` alone (sweeps, residue reads, lookups).
-    fn hold_one(&self, sid: usize) -> Held<'_> {
-        Held::acquire(self, self.one(sid))
+    fn hold_one(&self, sid: usize, stats: &StatCounters) -> Held<'_> {
+        Held::acquire(self, self.one(sid), stats)
     }
 
     // lint: hot-path-begin — registration: every spawned task and every
@@ -435,15 +434,21 @@ impl ShardedTracker {
     /// shard, gate taken at the first try) or fallback (several shards, a
     /// wait, or a try the fault plan forced off). `record_edges` asks for
     /// [`EdgeRecord`]s (only the tracing path wants them).
-    pub(crate) fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
+    pub(crate) fn register(
+        &self,
+        node: &Arc<TaskNode>,
+        record_edges: bool,
+        stats: &StatCounters,
+    ) -> Registration {
         let sids = ShardIds::of(self, &node.accesses);
-        let reg = self.register_batch(std::slice::from_ref(node), &sids, record_edges);
+        let reg = self.register_batch(std::slice::from_ref(node), &sids, record_edges, stats);
         if !sids.is_empty() {
-            if reg.fast_path {
-                self.counters.fast_hit();
+            let field = if reg.fast_path {
+                StatField::TrackerFastPathHits
             } else {
-                self.counters.fast_fallback();
-            }
+                StatField::TrackerFastPathFallbacks
+            };
+            stats.add(field, 1);
         }
         reg
     }
@@ -463,12 +468,14 @@ impl ShardedTracker {
     /// Equivalence with per-task registration: the batch is one legal
     /// linearization of the same per-node pass sequence, and gate exclusion
     /// makes it atomic against concurrent registrations and retirements on
-    /// the involved shards.
+    /// the involved shards. Gate waits and the spans scanned are counted
+    /// into `stats`.
     pub(crate) fn register_batch(
         &self,
         nodes: &[Arc<TaskNode>],
         sids: &[usize],
         record_edges: bool,
+        stats: &StatCounters,
     ) -> Registration {
         let mut reg = Registration::default();
         let Some(&first) = sids.first() else {
@@ -478,7 +485,7 @@ impl ShardedTracker {
             }
             return reg;
         };
-        let mut held = Held::acquire(self, sids);
+        let mut held = Held::acquire(self, sids, stats);
         reg.fast_path = sids.len() == 1 && held.tried();
         for &sid in sids {
             self.shards[sid].hit();
@@ -491,17 +498,21 @@ impl ShardedTracker {
             self.register_node(node, i, &mut preds, &mut held, record_edges, &mut reg);
         }
         held.shard(first).scratch_preds = preds;
-        self.counters.scanned(reg.scanned);
+        stats.add(StatField::TrackerEntriesScanned, reg.scanned);
         reg
     }
     // lint: hot-path-end
 
     /// All in-flight tasks that currently access a region overlapping
     /// `region` (used by `taskwait on`). A region lives in exactly one shard.
-    pub(crate) fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
+    pub(crate) fn tasks_touching(
+        &self,
+        region: &Region,
+        stats: &StatCounters,
+    ) -> Vec<Arc<TaskNode>> {
         let sid = self.shard_of(region.id.alloc);
         self.shards[sid].hit();
-        self.hold_one(sid).shard(sid).tasks_touching(region)
+        self.hold_one(sid, stats).shard(sid).tasks_touching(region)
     }
 
     /// Gate acquisitions per shard by registrations, retirements and
@@ -520,9 +531,9 @@ impl ShardedTracker {
     /// touching every shard would drown the signal. Registrations on a shard
     /// being swept wait behind the sweep — which drains the shard's retire
     /// inbox first, like every acquisition.
-    pub(crate) fn garbage_collect(&self) {
+    pub(crate) fn garbage_collect(&self, stats: &StatCounters) {
         for sid in 0..self.shards.len() {
-            self.hold_one(sid)
+            self.hold_one(sid, stats)
                 .shard(sid)
                 .garbage_collect(&self.recycler);
         }
@@ -543,25 +554,19 @@ impl ShardedTracker {
     /// gate in turn and leaves the hit counters untouched (see
     /// [`ShardedTracker::garbage_collect`]); like every acquisition it
     /// applies pending deferred retirements first.
-    pub(crate) fn residue(&self) -> (usize, usize) {
+    pub(crate) fn residue(&self, stats: &StatCounters) -> (usize, usize) {
         (0..self.shards.len()).fold((0, 0), |(regions, allocs), sid| {
-            let mut held = self.hold_one(sid);
+            let mut held = self.hold_one(sid, stats);
             let shard = held.shard(sid);
             (regions + shard.entries.len(), allocs + shard.by_alloc.len())
         })
     }
 
-    /// Number of regions currently tracked across all shards.
-    #[cfg(test)]
-    pub(crate) fn tracked_regions(&self) -> usize {
-        self.residue().0
-    }
-
     /// Test support: hold `shard`'s gate until the returned guard drops, so
     /// a test can make completions on that shard defer their retirements
     /// deterministically.
-    pub(crate) fn hold_shard(&self, shard: usize) -> ShardHold<'_> {
-        ShardHold(self.hold_one(shard))
+    pub(crate) fn hold_shard(&self, shard: usize, stats: &StatCounters) -> ShardHold<'_> {
+        ShardHold(self.hold_one(shard, stats))
     }
 }
 
@@ -639,14 +644,85 @@ mod tests {
         Access::new(region(alloc, chunk, range), kind)
     }
 
-    fn tracker(shards: usize) -> ShardedTracker {
-        ShardedTracker::new(shards)
+    /// A tracker and the counters its registrations and gate waits tally
+    /// into, as a runtime lends them.
+    struct Tracker {
+        tr: ShardedTracker,
+        stats: StatCounters,
+    }
+
+    impl Tracker {
+        fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
+            self.tr.register(node, record_edges, &self.stats)
+        }
+
+        fn register_batch(
+            &self,
+            nodes: &[Arc<TaskNode>],
+            sids: &[usize],
+            record_edges: bool,
+        ) -> Registration {
+            self.tr
+                .register_batch(nodes, sids, record_edges, &self.stats)
+        }
+
+        fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
+            self.tr.tasks_touching(region, &self.stats)
+        }
+
+        fn garbage_collect(&self) {
+            self.tr.garbage_collect(&self.stats);
+        }
+
+        fn residue(&self) -> (usize, usize) {
+            self.tr.residue(&self.stats)
+        }
+
+        fn tracked_regions(&self) -> usize {
+            self.residue().0
+        }
+
+        fn hold_shard(&self, shard: usize) -> ShardHold<'_> {
+            self.tr.hold_shard(shard, &self.stats)
+        }
+
+        fn count(&self, field: StatField) -> u64 {
+            self.stats.get(field)
+        }
+
+        /// Fast-path hits and fallbacks so far.
+        fn fast_path(&self) -> (u64, u64) {
+            (
+                self.count(StatField::TrackerFastPathHits),
+                self.count(StatField::TrackerFastPathFallbacks),
+            )
+        }
+    }
+
+    impl std::ops::Deref for Tracker {
+        type Target = ShardedTracker;
+        fn deref(&self) -> &ShardedTracker {
+            &self.tr
+        }
+    }
+
+    impl std::ops::DerefMut for Tracker {
+        fn deref_mut(&mut self) -> &mut ShardedTracker {
+            &mut self.tr
+        }
+    }
+
+    fn tracker(shards: usize) -> Tracker {
+        Tracker {
+            tr: ShardedTracker::new(shards),
+            stats: StatCounters::default(),
+        }
     }
 
     /// The reference configuration: every gate acquisition forced off the
     /// polite try, every retirement through the inbox.
-    fn tracker_locked(shards: usize) -> ShardedTracker {
-        let mut tr = ShardedTracker::new(shards);
+    fn tracker_locked(shards: usize) -> Tracker {
+        let mut tr = tracker(shards);
         tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
         tr
     }
@@ -929,7 +1005,7 @@ mod tests {
                 acc(11, 0, 0..64, AccessKind::Input),
             ],
         ];
-        let outcome = |tr: ShardedTracker| {
+        let outcome = |tr: Tracker| {
             let mut out = Vec::new();
             let mut nodes = Vec::new();
             for accesses in &program {
@@ -1001,15 +1077,12 @@ mod tests {
         ]);
         assert!(!tr.register(&c, false).fast_path);
         finish_registration(&c);
-        let c = tr.counters();
-        assert_eq!(c.fast_hits(), 2);
-        assert_eq!(c.fast_fallbacks(), 1);
+        assert_eq!(tr.fast_path(), (2, 1));
         // Access-free tasks neither hit nor fall back.
         let free = node_with(vec![]);
         tr.register(&free, false);
         finish_registration(&free);
-        let c = tr.counters();
-        assert_eq!((c.fast_hits(), c.fast_fallbacks()), (2, 1));
+        assert_eq!(tr.fast_path(), (2, 1));
     }
 
     #[test]
@@ -1018,9 +1091,8 @@ mod tests {
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         assert!(!tr.register(&a, false).fast_path);
         finish_registration(&a);
-        let c = tr.counters();
         assert_eq!(
-            (c.fast_hits(), c.fast_fallbacks()),
+            tr.fast_path(),
             (0, 1),
             "a forced fallback counts as a fallback"
         );
@@ -1036,7 +1108,7 @@ mod tests {
             // The registration's try ran out of spins and it now waits: it
             // found the gate held, which is what the contention counter
             // counts. Only then let it through.
-            while tr.counters().contention() == 0 {
+            while tr.count(StatField::TrackerLockContention) == 0 {
                 std::thread::yield_now();
             }
             drop(hold);
@@ -1044,9 +1116,8 @@ mod tests {
             assert!(!reg.fast_path, "the gate was held: the try must fail");
         });
         finish_registration(&a);
-        let c = tr.counters();
-        assert_eq!((c.fast_hits(), c.fast_fallbacks()), (0, 1));
-        assert_eq!(tr.counters().contention(), 1);
+        assert_eq!(tr.fast_path(), (0, 1));
+        assert_eq!(tr.count(StatField::TrackerLockContention), 1);
         // Gate released: the next registration takes it at the first try.
         let b = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
         assert!(tr.register(&b, false).fast_path);
@@ -1115,7 +1186,7 @@ mod tests {
         let hits: u64 = tr.shard_hits().iter().sum();
         assert!(hits >= 1);
         // Single-threaded use never contends.
-        assert_eq!(tr.counters().contention(), 0);
+        assert_eq!(tr.count(StatField::TrackerLockContention), 0);
     }
 
     #[test]
@@ -1213,30 +1284,33 @@ mod tests {
         let tr = tracker(2);
         let mut nodes = Vec::new();
         for c in 0..CHUNKS {
-            let before = tr.counters().entries_scanned();
+            let before = tr.count(StatField::TrackerEntriesScanned);
             let start = c as usize * 48;
             let w = node_with(vec![acc(4, c + 1, start..start + 48, AccessKind::Output)]);
             tr.register(&w, false);
             finish_registration(&w);
             nodes.push(w);
             assert!(
-                tr.counters().entries_scanned() - before <= 2,
+                tr.count(StatField::TrackerEntriesScanned) - before <= 2,
                 "a chunk access examines its neighbours only"
             );
         }
-        let before = tr.counters().entries_scanned();
+        let before = tr.count(StatField::TrackerEntriesScanned);
         let whole = node_with(vec![acc(4, 0, 0..CHUNKS as usize * 48, AccessKind::Input)]);
         let reg = tr.register(&whole, false);
         finish_registration(&whole);
-        assert_eq!(tr.counters().entries_scanned() - before, u64::from(CHUNKS));
+        assert_eq!(
+            tr.count(StatField::TrackerEntriesScanned) - before,
+            u64::from(CHUNKS)
+        );
         assert_eq!(reg.predecessors_seen, CHUNKS as usize);
         assert_eq!(reg.edges, CHUNKS as usize);
         // An empty access examines nothing and conflicts with nothing.
-        let before = tr.counters().entries_scanned();
+        let before = tr.count(StatField::TrackerEntriesScanned);
         let empty = node_with(vec![acc(4, 9999, 100..100, AccessKind::Output)]);
         assert_eq!(tr.register(&empty, false).predecessors_seen, 0);
         finish_registration(&empty);
-        assert_eq!(tr.counters().entries_scanned(), before);
+        assert_eq!(tr.count(StatField::TrackerEntriesScanned), before);
     }
 
     #[test]
@@ -1319,7 +1393,7 @@ mod tests {
                 kind: a.kind,
             });
         };
-        let completed_writer = |tr: &ShardedTracker| {
+        let completed_writer = |tr: &Tracker| {
             let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
             tr.register(&w, false);
             finish_registration(&w);

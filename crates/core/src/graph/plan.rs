@@ -11,6 +11,7 @@ use super::shard::{HistoryRef, PredSet, TrackerShard};
 use super::{IdBuildHasher, Registration, ShardedTracker};
 use crate::access::{AccessKind, AccessVec, Dependence};
 use crate::region::{AllocId, Region, RegionId};
+use crate::stats::{StatCounters, StatField};
 use crate::task::{TaskId, TaskNode};
 
 /// One pre-resolved intra-batch dependence edge of a [`FrozenPlan`]: both
@@ -322,6 +323,7 @@ impl ShardedTracker {
         nodes: &[Arc<TaskNode>],
         plan: &FrozenPlan,
         record_edges: bool,
+        stats: &StatCounters,
     ) -> Option<Registration> {
         debug_assert_eq!(nodes.len(), plan.len());
         let mut reg = Registration {
@@ -337,7 +339,7 @@ impl ShardedTracker {
             // pre-wiring already stored every (zero) in-edge count.
             return Some(reg);
         };
-        let mut held = Held::acquire(self, &plan.sids);
+        let mut held = Held::acquire(self, &plan.sids, stats);
         for (alloc, rids) in &plan.allocs {
             let sid = self.shard_of(*alloc);
             if let Some(index) = held.shard(sid).by_alloc.get(alloc) {
@@ -376,7 +378,7 @@ impl ShardedTracker {
                 .apply_install(inst, nodes, &self.recycler);
         }
         held.shard(first).scratch_preds = preds;
-        self.counters.scanned(reg.scanned);
+        stats.add(StatField::TrackerEntriesScanned, reg.scanned);
         Some(reg)
     }
 }

@@ -44,6 +44,7 @@ use parking_lot::Mutex;
 use crate::access::{Access, AccessKind};
 use crate::region::{AllocId, Region, RegionId};
 use crate::rename::{RenameCx, RenameEvent, Reservation, ResolvedAccess, VersionTicket};
+use crate::stats::StatField;
 
 /// Trait of everything that can appear in an access clause.
 pub trait Accessible {
@@ -270,7 +271,7 @@ impl<O: ChainOwner> VersionTicket for ChainTicket<O> {
         // until the commit at insertion.
         debug_assert!(st.slots[idx].refs > 0, "elided binding already released");
         st.slots[idx].refs -= 1;
-        cx.pool().note_unelision();
+        cx.stats.undo(StatField::RenamesElided);
         self.alloc = event.to;
         self.uncommitted = true;
         Some((access, event))
@@ -322,7 +323,7 @@ fn rename<O: ChainOwner>(
             .map(|res| (Box::new(UnsafeCell::new(owner.make(i))), Some(res), false))
     };
     let Some((cell, reservation, recycled)) = storage else {
-        cx.pool().note_fallback();
+        cx.stats.add(StatField::RenameFallbacks, 1);
         return None;
     };
     let alloc = AllocId::fresh();
@@ -340,7 +341,11 @@ fn rename<O: ChainOwner>(
         reservation,
     });
     let chunk = owner.chunk(i);
-    cx.pool().note_rename(recycled, chunk.is_some());
+    cx.stats.add(StatField::Renames, 1);
+    cx.stats
+        .add(StatField::ChunkRenames, u64::from(chunk.is_some()));
+    cx.stats
+        .add(StatField::RenamesRecycled, u64::from(recycled));
     let event = RenameEvent {
         from,
         to: alloc,
@@ -375,7 +380,7 @@ fn resolve_chains<O: ChainOwner>(
         // the same sub-region follows (the output-before-input corner).
         let elide = writes_fresh && cx.elision_enabled() && st.slots[st.current].refs == 0;
         if elide {
-            cx.pool().note_elision();
+            cx.stats.add(StatField::RenamesElided, 1);
         }
         // `output`: rename; if the version bound or the byte budget refuses,
         // fall back to the current version, serialising like the
@@ -1269,23 +1274,64 @@ mod tests {
         }
     }
 
+    /// A rename budget and the counters resolutions against it tally into,
+    /// as a runtime lends them.
+    struct Budget {
+        pool: Arc<RenamePool>,
+        stats: crate::stats::StatCounters,
+    }
+
+    impl Budget {
+        fn new(cap: usize) -> Self {
+            Budget {
+                pool: Arc::new(RenamePool::new(cap)),
+                stats: Default::default(),
+            }
+        }
+
+        fn bytes_held(&self) -> usize {
+            self.pool.bytes_held()
+        }
+
+        fn renames(&self) -> u64 {
+            self.stats.get(StatField::Renames)
+        }
+
+        fn chunk_renames(&self) -> u64 {
+            self.stats.get(StatField::ChunkRenames)
+        }
+
+        fn recycled(&self) -> u64 {
+            self.stats.get(StatField::RenamesRecycled)
+        }
+
+        fn fallbacks(&self) -> u64 {
+            self.stats.get(StatField::RenameFallbacks)
+        }
+
+        fn elided(&self) -> u64 {
+            self.stats.get(StatField::RenamesElided)
+        }
+    }
+
     /// A context with elision *off*, so the long-standing rename tests keep
     /// exercising the allocate-a-fresh-version path; `cx_eliding` opts in.
-    fn cx(pool: &Arc<RenamePool>, enabled: bool) -> RenameCx<'_> {
+    fn cx(budget: &Budget, enabled: bool) -> RenameCx<'_> {
         RenameCx {
             enabled,
             elision: false,
-            pool,
+            pool: &budget.pool,
+            stats: &budget.stats,
             pool_depth: 4,
             max_versions: 16,
             fault: None,
         }
     }
 
-    fn cx_eliding(pool: &Arc<RenamePool>) -> RenameCx<'_> {
+    fn cx_eliding(budget: &Budget) -> RenameCx<'_> {
         RenameCx {
             elision: true,
-            ..cx(pool, true)
+            ..cx(budget, true)
         }
     }
 
@@ -1404,7 +1450,7 @@ mod tests {
 
         #[test]
         fn output_renames_to_a_fresh_region() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(0u64);
             let before = d.region();
             let mut resolved = d.resolve(AccessKind::Output, &cx(&pool, true));
@@ -1432,7 +1478,7 @@ mod tests {
 
         #[test]
         fn uncommitted_rename_leaves_the_value_untouched() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(42u64);
             let r = d.resolve(AccessKind::Output, &cx(&pool, true));
             // Abandon: release the binding without committing (what
@@ -1444,7 +1490,7 @@ mod tests {
 
         #[test]
         fn reads_bind_the_current_version() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(7u64);
             let r = d.resolve(AccessKind::Input, &cx(&pool, true));
             assert_eq!(r.access().region, d.region());
@@ -1454,7 +1500,7 @@ mod tests {
 
         #[test]
         fn ticket_release_recycles_superseded_versions() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(0u64);
             let cx = cx(&pool, true);
             // Reader pins version 0; writer renames to version 1.
@@ -1473,7 +1519,7 @@ mod tests {
 
         #[test]
         fn renaming_disabled_keeps_one_version() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(0u64);
             let cx = cx(&pool, false);
             let a = d.resolve(AccessKind::Output, &cx);
@@ -1489,11 +1535,12 @@ mod tests {
 
         #[test]
         fn version_count_bound_falls_back_to_serialising() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let cx = RenameCx {
                 enabled: true,
                 elision: false,
-                pool: &pool,
+                pool: &pool.pool,
+                stats: &pool.stats,
                 pool_depth: 0,
                 max_versions: 3,
                 fault: None,
@@ -1517,7 +1564,7 @@ mod tests {
 
         #[test]
         fn exhausted_budget_falls_back_to_serialising() {
-            let pool = Arc::new(RenamePool::new(0));
+            let pool = Budget::new(0);
             let d = Data::versioned(0u64);
             let cx = cx(&pool, true);
             // size_of::<u64>() > 0-byte budget: no rename possible.
@@ -1529,7 +1576,7 @@ mod tests {
 
         #[test]
         fn into_inner_returns_the_final_version() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(1u64);
             let cx = cx(&pool, true);
             let mut w = d.resolve(AccessKind::Output, &cx);
@@ -1544,7 +1591,7 @@ mod tests {
 
         #[test]
         fn versioned_with_initialises_fresh_versions() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned_with(5u32, || 99);
             let cx = cx(&pool, true);
             let w = d.resolve(AccessKind::Output, &cx);
@@ -1555,7 +1602,7 @@ mod tests {
 
         #[test]
         fn unreferenced_output_elides_the_rename() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(5u64);
             let before = d.region();
             let w = d.resolve(AccessKind::Output, &cx_eliding(&pool));
@@ -1575,7 +1622,7 @@ mod tests {
 
         #[test]
         fn in_flight_binding_blocks_elision() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(0u64);
             let cx = cx_eliding(&pool);
             let reader = d.resolve(AccessKind::Input, &cx);
@@ -1596,7 +1643,7 @@ mod tests {
 
         #[test]
         fn elided_write_overwrites_in_place() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(3u64);
             let w = d.resolve(AccessKind::Output, &cx_eliding(&pool));
             let ptr = d.ptr_for_alloc(w.access().region.id.alloc).unwrap();
@@ -1608,7 +1655,7 @@ mod tests {
 
         #[test]
         fn sync_regions_cover_all_live_versions() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let d = Data::versioned(0u64);
             let cx = cx(&pool, true);
             let _r = d.resolve(AccessKind::Input, &cx);
@@ -1632,7 +1679,7 @@ mod tests {
 
         #[test]
         fn chunk_output_renames_only_that_chunk() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned((0..8u32).collect::<Vec<_>>(), 4);
             assert!(p.is_versioned());
             let before_other = p.chunk(1).region();
@@ -1658,7 +1705,7 @@ mod tests {
 
         #[test]
         fn renamed_chunks_conflict_with_nothing() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![0u64; 6], 3);
             let cx = cx(&pool, true);
             let reader = p.chunk(0).resolve(AccessKind::Input, &cx);
@@ -1680,7 +1727,7 @@ mod tests {
 
         #[test]
         fn whole_access_binds_every_chunk_chain() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![0u8; 10], 4);
             let cx = cx(&pool, true);
             let r = p.whole().resolve(AccessKind::Input, &cx);
@@ -1696,7 +1743,7 @@ mod tests {
 
         #[test]
         fn reservations_cover_the_chunk_payload() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![0u64; 100], 25);
             let w = p.chunk(0).resolve(AccessKind::Output, &cx(&pool, true));
             assert_eq!(
@@ -1710,7 +1757,7 @@ mod tests {
         #[test]
         fn exhausted_budget_serialises_the_chunk() {
             // Budget fits one extra 4-element u64 chunk but not two.
-            let pool = Arc::new(RenamePool::new(40));
+            let pool = Budget::new(40);
             let p = PartitionedData::versioned(vec![0u64; 8], 4);
             let cx = cx(&pool, true);
             let a = p.chunk(0).resolve(AccessKind::Output, &cx);
@@ -1725,7 +1772,7 @@ mod tests {
 
         #[test]
         fn try_into_vec_reassembles_current_versions() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![1u32; 6], 2);
             let cx = cx(&pool, true);
             // Rename chunk 1 and write through the fresh version.
@@ -1745,7 +1792,7 @@ mod tests {
 
         #[test]
         fn uncommitted_chunk_rename_leaves_the_array_untouched() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![9u8; 4], 2);
             let r = p.chunk(0).resolve(AccessKind::Output, &cx(&pool, true));
             release(r); // abandon without committing
@@ -1755,7 +1802,7 @@ mod tests {
 
         #[test]
         fn sync_regions_cover_all_chunk_versions() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![0u16; 9], 3);
             let cx = cx(&pool, true);
             assert_eq!(p.whole().sync_regions().len(), 3, "one region per chunk");
@@ -1771,7 +1818,7 @@ mod tests {
 
         #[test]
         fn versioned_with_controls_fresh_chunk_contents() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned_with(vec![0u8; 4], 2, |len| vec![0xAB; len]);
             let w = p.chunk(0).resolve(AccessKind::Output, &cx(&pool, true));
             let (ptr, len) = w.access().bound_ptr().unwrap();
@@ -1784,7 +1831,7 @@ mod tests {
 
         #[test]
         fn unreferenced_chunk_output_elides_per_chunk() {
-            let pool = Arc::new(RenamePool::new(1 << 20));
+            let pool = Budget::new(1 << 20);
             let p = PartitionedData::versioned(vec![1u32; 6], 3);
             let cx = cx_eliding(&pool);
             // Chunk 1 is pinned by a reader; chunk 0 is free.

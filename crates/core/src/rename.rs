@@ -145,10 +145,11 @@
 //! renames), and only then does the chosen handle's chain decide the
 //! concrete version.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::region::AllocId;
+use crate::stats::StatCounters;
 
 /// Default global memory budget for renamed versions (bytes).
 pub const DEFAULT_RENAME_MEMORY_CAP: usize = 256 * 1024 * 1024;
@@ -164,106 +165,31 @@ pub const DEFAULT_RENAME_MAX_VERSIONS: usize = 16;
 ///
 /// The pool does not own any storage; it is a budget. Version storage is
 /// owned by the handles, each extra version holding a [`Reservation`] that
-/// returns its bytes to the budget when the storage is dropped.
+/// returns its bytes to the budget when the storage is dropped. What renaming
+/// does is counted in the runtime's statistics, not here.
 #[derive(Debug)]
-pub struct RenamePool {
+pub(crate) struct RenamePool {
     cap: usize,
     held: AtomicUsize,
-    renames: AtomicU64,
-    chunk_renames: AtomicU64,
-    recycled: AtomicU64,
-    fallbacks: AtomicU64,
-    elided: AtomicU64,
-    /// Version tickets moved into spawned task nodes (bind side of the
-    /// ticket ledger audited by [`crate::Runtime::audit`]).
-    ticket_refs_bound: AtomicU64,
-    /// Version tickets released by retired task nodes (release side; at
-    /// quiescence the two sides must balance — an imbalance means some
-    /// retirement path leaked or double-released a binding).
-    ticket_refs_released: AtomicU64,
 }
 
 impl RenamePool {
     /// Create a pool with the given byte budget.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         RenamePool {
             cap,
             held: AtomicUsize::new(0),
-            renames: AtomicU64::new(0),
-            chunk_renames: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            elided: AtomicU64::new(0),
-            ticket_refs_bound: AtomicU64::new(0),
-            ticket_refs_released: AtomicU64::new(0),
         }
     }
 
-    /// The configured byte budget.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Bytes currently held by renamed versions (live and pooled).
-    pub fn bytes_held(&self) -> usize {
+    pub(crate) fn bytes_held(&self) -> usize {
         self.held.load(Ordering::Relaxed)
-    }
-
-    /// Renames performed (fresh or recycled versions).
-    pub fn renames(&self) -> u64 {
-        self.renames.load(Ordering::Relaxed)
-    }
-
-    /// Renames performed at sub-region (chunk) granularity — a subset of
-    /// [`RenamePool::renames`].
-    pub fn chunk_renames(&self) -> u64 {
-        self.chunk_renames.load(Ordering::Relaxed)
-    }
-
-    /// Renames served from a handle's recycle pool.
-    pub fn recycled(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
-    }
-
-    /// `output` accesses that fell back to serialising because either the
-    /// byte budget was exhausted or the handle was already at its
-    /// live-version bound.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// `output` accesses whose rename was **elided**: the current version
-    /// had no in-flight bindings (every earlier bound task completed and
-    /// retired), so it was bound in place — a first-write that allocates
-    /// nothing and still serialises on nothing (the retired history can take
-    /// no edge). Disjoint from [`RenamePool::renames`].
-    pub fn elided(&self) -> u64 {
-        self.elided.load(Ordering::Relaxed)
-    }
-
-    /// Version tickets moved into spawned task nodes so far.
-    pub fn ticket_refs_bound(&self) -> u64 {
-        self.ticket_refs_bound.load(Ordering::Relaxed)
-    }
-
-    /// Version tickets released by retired task nodes so far.
-    pub fn ticket_refs_released(&self) -> u64 {
-        self.ticket_refs_released.load(Ordering::Relaxed)
-    }
-
-    /// Account `n` version tickets entering a spawned task node.
-    pub(crate) fn note_tickets_bound(&self, n: u64) {
-        self.ticket_refs_bound.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Account `n` version tickets released at task retirement.
-    pub(crate) fn note_tickets_released(&self, n: u64) {
-        self.ticket_refs_released.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Try to reserve `bytes` for a new version. Returns the reservation, or
     /// `None` when the budget would be exceeded (backpressure).
-    pub fn try_reserve(self: &Arc<Self>, bytes: usize) -> Option<Reservation> {
+    pub(crate) fn try_reserve(self: &Arc<Self>, bytes: usize) -> Option<Reservation> {
         let mut held = self.held.load(Ordering::Relaxed);
         loop {
             if held.saturating_add(bytes) > self.cap {
@@ -285,38 +211,12 @@ impl RenamePool {
             }
         }
     }
-
-    pub(crate) fn note_rename(&self, recycled: bool, chunked: bool) {
-        self.renames.fetch_add(1, Ordering::Relaxed);
-        if chunked {
-            self.chunk_renames.fetch_add(1, Ordering::Relaxed);
-        }
-        if recycled {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn note_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_elision(&self) {
-        self.elided.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Undo one [`RenamePool::note_elision`]: the builder converted the
-    /// elided binding back into a real rename (output-before-input corner),
-    /// so `elided` and `renames` stay disjoint and each access is counted
-    /// exactly once.
-    pub(crate) fn note_unelision(&self) {
-        self.elided.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// RAII share of the rename budget: created by [`RenamePool::try_reserve`],
 /// returns its bytes on drop.
 #[derive(Debug)]
-pub struct Reservation {
+pub(crate) struct Reservation {
     pool: Arc<RenamePool>,
     bytes: usize,
 }
@@ -328,13 +228,16 @@ impl Drop for Reservation {
 }
 
 /// Context a handle needs to resolve an access to a concrete version:
-/// whether renaming is enabled and which budget to draw from. Built by the
-/// runtime for every [`TaskBuilder`](crate::TaskBuilder) access clause.
+/// whether renaming is enabled, which budget to draw from and where to count
+/// what it did. Built by the runtime for every
+/// [`TaskBuilder`](crate::TaskBuilder) access clause.
 #[derive(Clone)]
 pub struct RenameCx<'a> {
     pub(crate) enabled: bool,
     pub(crate) elision: bool,
     pub(crate) pool: &'a Arc<RenamePool>,
+    /// The runtime's counters: renames, recycles, fallbacks and elisions.
+    pub(crate) stats: &'a StatCounters,
     pub(crate) pool_depth: usize,
     pub(crate) max_versions: usize,
     /// Fault-injection plan, if one is installed: may force a reservation to
@@ -355,11 +258,6 @@ impl<'a> RenameCx<'a> {
         self.elision
     }
 
-    /// The budget renamed versions are accounted against.
-    pub fn pool(&self) -> &'a Arc<RenamePool> {
-        self.pool
-    }
-
     /// Bound on each handle's recycle pool.
     pub fn pool_depth(&self) -> usize {
         self.pool_depth
@@ -375,7 +273,7 @@ impl<'a> RenameCx<'a> {
     /// [`FaultPlan`](crate::failpoint::FaultPlan) may force the reservation
     /// to report exhaustion, driving the access down the documented
     /// serialise-in-place backpressure path with the budget untouched.
-    pub fn try_reserve(&self, bytes: usize) -> Option<Reservation> {
+    pub(crate) fn try_reserve(&self, bytes: usize) -> Option<Reservation> {
         if let Some(plan) = self.fault {
             if plan.roll_next(crate::failpoint::FaultClass::RenameExhaustion) {
                 // The caller counts the fallback, exactly as for a genuine
@@ -511,21 +409,5 @@ mod tests {
         let pool = Arc::new(RenamePool::new(0));
         assert!(pool.try_reserve(1).is_none());
         assert!(pool.try_reserve(0).is_some());
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let pool = Arc::new(RenamePool::new(10));
-        pool.note_rename(false, false);
-        pool.note_rename(true, true);
-        pool.note_fallback();
-        pool.note_elision();
-        pool.note_elision();
-        assert_eq!(pool.renames(), 2);
-        assert_eq!(pool.chunk_renames(), 1);
-        assert_eq!(pool.recycled(), 1);
-        assert_eq!(pool.fallbacks(), 1);
-        assert_eq!(pool.elided(), 2);
-        assert_eq!(pool.cap(), 10);
     }
 }

@@ -425,7 +425,7 @@ impl RuntimeInner {
                     at_ns: self.trace.now_ns(),
                 });
             }
-            self.sched.push(node, worker, false);
+            self.sched.push(node, worker, false, &self.stats);
         }
         if immediately_ready != 0 {
             self.stats
@@ -437,7 +437,7 @@ impl RuntimeInner {
         let interval = self.config.tracker_gc_interval;
         if interval != 0 && (spawned_before + total as u64) / interval != spawned_before / interval
         {
-            self.tracker.garbage_collect();
+            self.tracker.garbage_collect(&self.stats);
         }
     }
     // lint: hot-path-end
@@ -473,6 +473,7 @@ impl RuntimeInner {
             enabled: self.config.renaming,
             elision: self.config.rename_elision,
             pool: &self.rename,
+            stats: &self.stats,
             pool_depth: self.config.rename_pool_depth,
             max_versions: self.config.rename_max_versions,
             fault: self.fault.as_ref(),
@@ -508,7 +509,7 @@ impl RuntimeInner {
         if quiescent {
             // Deterministically drop tombstoned history before checking for
             // residue, exactly as a quiescent `taskwait` does.
-            self.tracker.garbage_collect();
+            self.tracker.garbage_collect(&self.stats);
         }
         let executed = self.stats.get(StatField::TasksExecuted);
         let poisoned = self.stats.get(StatField::TasksPoisoned);
@@ -516,7 +517,7 @@ impl RuntimeInner {
         // Spawned is read *after* the completion-side counters: the
         // completion ledger can then never spuriously overtake it mid-run.
         let spawned = self.stats.get(StatField::TasksSpawned);
-        let (tracked_regions, tracked_allocs) = self.tracker.residue();
+        let (tracked_regions, tracked_allocs) = self.tracker.residue(&self.stats);
         let report = AuditReport {
             quiescent,
             spawned,
@@ -527,8 +528,8 @@ impl RuntimeInner {
             tracked_regions,
             tracked_allocs,
             slab_outstanding: self.slab.gauges().1,
-            ticket_refs_bound: self.rename.ticket_refs_bound(),
-            ticket_refs_released: self.rename.ticket_refs_released(),
+            ticket_refs_bound: self.stats.get(StatField::TicketRefsBound),
+            ticket_refs_released: self.stats.get(StatField::TicketRefsReleased),
         };
         let drained = executed + poisoned + cancelled;
         if (quiescent && drained != spawned) || (!quiescent && drained > spawned) {
@@ -704,7 +705,7 @@ impl Runtime {
     /// every few hundred spawns and at every quiescent [`Runtime::taskwait`];
     /// the explicit entry point exists for leak tests and long-idle services.
     pub fn tracker_gc(&self) {
-        self.inner.tracker.garbage_collect();
+        self.inner.tracker.garbage_collect(&self.inner.stats);
     }
 
     /// Number of tasks spawned but not yet finished executing, right now.
@@ -724,7 +725,7 @@ impl Runtime {
     /// takes no shard.
     #[doc(hidden)]
     pub fn hold_tracker_shard(&self, shard: usize) -> graph::ShardHold<'_> {
-        self.inner.tracker.hold_shard(shard)
+        self.inner.tracker.hold_shard(shard, &self.inner.stats)
     }
 
     /// Register a value with the runtime, obtaining a dependence handle.
@@ -827,7 +828,7 @@ impl Runtime {
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
         // tracks nothing (see `Runtime::audit`).
-        self.inner.tracker.garbage_collect();
+        self.inner.tracker.garbage_collect(&self.inner.stats);
         self.inner.dcheck_quiescent_pass();
     }
 
@@ -938,14 +939,13 @@ impl Runtime {
             .map_err(|d| (d, Error::StillShared))
     }
 
-    /// Snapshot of the runtime statistics: the counters, plus the task-node
-    /// slab's two gauges (read under its free-list lock). Takes no tracker
-    /// gate, so it is safe to call while a shard is held, and never checks
-    /// anything — [`Runtime::audit`] does.
+    /// Snapshot of the runtime statistics: every event count (one place, see
+    /// [`crate::stats`]), plus the per-shard hits, the rename bytes held and
+    /// the task-node slab's counts and gauges (read under its free-list
+    /// lock). Takes no tracker gate, so it is safe to call while a shard is
+    /// held, and never checks anything — [`Runtime::audit`] does.
     pub fn stats(&self) -> RuntimeStats {
         let c = &self.inner.stats;
-        let s = &self.inner.sched.counters;
-        let rename = &self.inner.rename;
         let raw_edges = c.get(StatField::EdgesRaw);
         let war_edges = c.get(StatField::EdgesWar);
         let waw_edges = c.get(StatField::EdgesWaw);
@@ -962,21 +962,21 @@ impl Runtime {
             war_edges,
             waw_edges,
             dependences_seen: c.get(StatField::DependencesSeen),
-            renames: rename.renames(),
-            chunk_renames: rename.chunk_renames(),
-            renames_recycled: rename.recycled(),
-            rename_fallbacks: rename.fallbacks(),
-            renames_elided: rename.elided(),
-            rename_bytes_held: rename.bytes_held() as u64,
+            renames: c.get(StatField::Renames),
+            chunk_renames: c.get(StatField::ChunkRenames),
+            renames_recycled: c.get(StatField::RenamesRecycled),
+            rename_fallbacks: c.get(StatField::RenameFallbacks),
+            renames_elided: c.get(StatField::RenamesElided),
+            rename_bytes_held: self.inner.rename.bytes_held() as u64,
             immediately_ready: c.get(StatField::ImmediatelyReady),
             taskwaits: c.get(StatField::Taskwaits),
             taskwait_ons: c.get(StatField::TaskwaitOns),
-            sched_local_pops: s.local_pops.load(Ordering::Relaxed),
-            sched_global_pops: s.global_pops.load(Ordering::Relaxed),
-            sched_steals: s.steals.load(Ordering::Relaxed),
-            sched_local_wakeups: s.local_wakeups.load(Ordering::Relaxed),
-            sched_global_wakeups: s.global_wakeups.load(Ordering::Relaxed),
-            sched_priority_pops: s.priority_pops.load(Ordering::Relaxed),
+            sched_local_pops: c.get(StatField::SchedLocalPops),
+            sched_global_pops: c.get(StatField::SchedGlobalPops),
+            sched_steals: c.get(StatField::SchedSteals),
+            sched_local_wakeups: c.get(StatField::SchedLocalWakeups),
+            sched_global_wakeups: c.get(StatField::SchedGlobalWakeups),
+            sched_priority_pops: c.get(StatField::SchedPriorityPops),
             task_nodes_recycled: self.inner.slab.recycled_count(),
             task_nodes_allocated: self.inner.slab.allocated_count(),
             task_nodes_free,
@@ -990,10 +990,10 @@ impl Runtime {
             replay_tasks: c.get(StatField::ReplayTasks),
             tracker_shards: self.inner.tracker.num_shards(),
             tracker_shard_hits: self.inner.tracker.shard_hits(),
-            tracker_lock_contention: self.inner.tracker.counters().contention(),
-            tracker_fast_path_hits: self.inner.tracker.counters().fast_hits(),
-            tracker_fast_path_fallbacks: self.inner.tracker.counters().fast_fallbacks(),
-            tracker_entries_scanned: self.inner.tracker.counters().entries_scanned(),
+            tracker_lock_contention: c.get(StatField::TrackerLockContention),
+            tracker_fast_path_hits: c.get(StatField::TrackerFastPathHits),
+            tracker_fast_path_fallbacks: c.get(StatField::TrackerFastPathFallbacks),
+            tracker_entries_scanned: c.get(StatField::TrackerEntriesScanned),
         }
     }
 
@@ -1152,7 +1152,7 @@ fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn
     let mut spins = 0u32;
     let mut ready = Vec::new();
     while pending() {
-        match inner.sched.pop(worker) {
+        match inner.sched.pop(worker, &inner.stats) {
             Some(task) => {
                 worker::execute_task(inner, task, worker, &mut ready);
                 spins = 0;
@@ -1168,7 +1168,7 @@ fn help_while(inner: &Arc<RuntimeInner>, worker: Option<usize>, pending: impl Fn
 fn wait_on(inner: &Arc<RuntimeInner>, worker: Option<usize>, handle: &impl Accessible) {
     inner.stats.add(StatField::TaskwaitOns, 1);
     for region in handle.sync_regions() {
-        for task in inner.tracker.tasks_touching(&region) {
+        for task in inner.tracker.tasks_touching(&region, &inner.stats) {
             help_while(inner, worker, || !task.is_completed());
             inner.slab.try_recycle(task);
         }
@@ -1279,7 +1279,7 @@ impl<'r> TaskBuilder<'r> {
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
         let inner = self.inner;
-        let bound = self.clauses.commit(&inner.rename);
+        let bound = self.clauses.commit(&inner.stats);
         // The node comes from the runtime's slab: recycled storage when a
         // retired node is available, a fresh allocation otherwise. Small
         // bodies are written into the node's inline buffer — a steady-state
@@ -1304,7 +1304,11 @@ impl<'r> TaskBuilder<'r> {
             [node],
             std::slice::from_ref(&bound.renamed),
             self.worker,
-            |nodes, record_edges| inner.tracker.register(&nodes[0], record_edges),
+            |nodes, record_edges| {
+                inner
+                    .tracker
+                    .register(&nodes[0], record_edges, &inner.stats)
+            },
             |_| {},
         );
         id
@@ -1457,7 +1461,7 @@ impl ClauseSet {
     /// the bind side of the ticket ledger (release side: the worker's retire
     /// tail; [`Runtime::audit`] checks the two balance at quiescence) — and
     /// the rename events for the trace.
-    pub(crate) fn commit(mut self, pool: &RenamePool) -> ResolvedAccess {
+    pub(crate) fn commit(mut self, stats: &StatCounters) -> ResolvedAccess {
         let mut bound = std::mem::take(&mut self.bound);
         if !bound.renamed.is_empty() {
             for ticket in &mut bound.tickets {
@@ -1465,7 +1469,7 @@ impl ClauseSet {
             }
         }
         if !bound.tickets.is_empty() {
-            pool.note_tickets_bound(bound.tickets.len() as u64);
+            stats.add(StatField::TicketRefsBound, bound.tickets.len() as u64);
         }
         bound
     }

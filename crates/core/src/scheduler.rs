@@ -43,12 +43,12 @@
 //! loaded even if there is insufficient work".
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::stats::CachePadded;
+use crate::stats::{CachePadded, StatCounters, StatField};
 use crate::task::TaskNode;
 
 /// Scheduling policy for ready tasks.
@@ -64,23 +64,6 @@ pub enum SchedulerPolicy {
     /// on the waking worker's deque for producer→consumer cache locality.
     #[default]
     LocalityWorkStealing,
-}
-
-/// Scheduler statistics counters (all monotonically increasing).
-#[derive(Debug, Default)]
-pub struct SchedCounters {
-    /// Tasks popped from the worker's own deque.
-    pub local_pops: AtomicU64,
-    /// Tasks obtained from the shared queue.
-    pub global_pops: AtomicU64,
-    /// Tasks stolen from another worker's deque.
-    pub steals: AtomicU64,
-    /// Wakeups pushed to a local deque (locality hits at scheduling time).
-    pub local_wakeups: AtomicU64,
-    /// Wakeups pushed to the shared queue.
-    pub global_wakeups: AtomicU64,
-    /// Tasks scheduled through the priority heap.
-    pub priority_pops: AtomicU64,
 }
 
 struct PrioEntry {
@@ -167,11 +150,9 @@ pub(crate) struct SchedState {
     /// pushing and popping its own deque shares no line with its neighbour.
     local: Box<[CachePadded<Mutex<ReadyQueue>>]>,
     /// On a line pair of its own: the spawner's pushes go through it, and
-    /// nothing else the spawner reads (policy, deque table) or the workers
-    /// count (`counters`) may sit beside it.
+    /// nothing else the spawner reads (policy, deque table) may sit beside
+    /// it.
     shared: CachePadded<SharedQueue>,
-    /// Counters for statistics, written by the executors as they pop.
-    pub(crate) counters: CachePadded<SchedCounters>,
 }
 
 impl SchedState {
@@ -190,7 +171,6 @@ impl SchedState {
                     seq: 0,
                 }),
             }),
-            counters: CachePadded::default(),
         }
     }
 
@@ -204,8 +184,15 @@ impl SchedState {
     /// any other thread. `woken` tells the two apart: a spawned task goes to
     /// its spawner's deque under either stealing policy, a woken one only
     /// under [`SchedulerPolicy::LocalityWorkStealing`] (the Section 4
-    /// locality claim is about successors), and only wakeups are counted.
-    pub(crate) fn push(&self, node: Arc<TaskNode>, from: Option<usize>, woken: bool) {
+    /// locality claim is about successors), and only wakeups are counted,
+    /// into `stats`.
+    pub(crate) fn push(
+        &self,
+        node: Arc<TaskNode>,
+        from: Option<usize>,
+        woken: bool,
+        stats: &StatCounters,
+    ) {
         if node.priority.0 != 0 {
             self.shared.with(|shared| {
                 let seq = shared.seq;
@@ -226,11 +213,11 @@ impl SchedState {
             }
         };
         if woken {
-            let counter = match own {
-                Some(_) => &self.counters.local_wakeups,
-                None => &self.counters.global_wakeups,
+            let field = match own {
+                Some(_) => StatField::SchedLocalWakeups,
+                None => StatField::SchedGlobalWakeups,
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            stats.add(field, 1);
         }
         match own {
             Some(deque) => deque.0.lock().push_back(node),
@@ -240,12 +227,13 @@ impl SchedState {
 
     /// Try to obtain a ready task for executor `me`: a worker's index, or
     /// `None` for a thread that helps while it waits (the main thread at a
-    /// task barrier) and owns no deque.
-    pub(crate) fn pop(&self, me: Option<usize>) -> Option<Arc<TaskNode>> {
+    /// task barrier) and owns no deque. Where the task came from is counted
+    /// into `stats`.
+    pub(crate) fn pop(&self, me: Option<usize>, stats: &StatCounters) -> Option<Arc<TaskNode>> {
         // 1. Own deque, newest first.
         if let Some(deque) = me.and_then(|w| self.local.get(w)) {
             if let Some(node) = deque.0.lock().pop_back() {
-                self.counters.local_pops.fetch_add(1, Ordering::Relaxed);
+                stats.add(StatField::SchedLocalPops, 1);
                 return Some(node);
             }
         }
@@ -253,14 +241,14 @@ impl SchedState {
         //    locked when its count says it holds any.
         if self.shared.queued.load(Ordering::Relaxed) != 0 {
             let popped = self.shared.with(|shared| match shared.prio.pop() {
-                Some(entry) => Some((entry.node, &self.counters.priority_pops)),
+                Some(entry) => Some((entry.node, StatField::SchedPriorityPops)),
                 None => shared
                     .fifo
                     .pop_front()
-                    .map(|node| (node, &self.counters.global_pops)),
+                    .map(|node| (node, StatField::SchedGlobalPops)),
             });
-            if let Some((node, counter)) = popped {
-                counter.fetch_add(1, Ordering::Relaxed);
+            if let Some((node, field)) = popped {
+                stats.add(field, 1);
                 return Some(node);
             }
         }
@@ -273,7 +261,7 @@ impl SchedState {
                 continue;
             }
             if let Some(node) = self.local[victim].0.lock().pop_front() {
-                self.counters.steals.fetch_add(1, Ordering::Relaxed);
+                stats.add(StatField::SchedSteals, 1);
                 return Some(node);
             }
         }
@@ -299,9 +287,43 @@ mod tests {
         crate::task::tests::test_node(None, None, priority, AccessVec::new())
     }
 
+    /// A scheduler and the counters its pushes and pops tally into.
+    struct Sched {
+        state: SchedState,
+        stats: StatCounters,
+    }
+
+    impl Sched {
+        fn new(policy: SchedulerPolicy, workers: usize) -> Self {
+            Sched {
+                state: SchedState::new(policy, workers),
+                stats: StatCounters::default(),
+            }
+        }
+
+        fn push(&self, node: Arc<TaskNode>, from: Option<usize>, woken: bool) {
+            self.state.push(node, from, woken, &self.stats);
+        }
+
+        fn pop(&self, me: Option<usize>) -> Option<Arc<TaskNode>> {
+            self.state.pop(me, &self.stats)
+        }
+
+        fn count(&self, field: StatField) -> u64 {
+            self.stats.get(field)
+        }
+    }
+
+    impl std::ops::Deref for Sched {
+        type Target = SchedState;
+        fn deref(&self) -> &SchedState {
+            &self.state
+        }
+    }
+
     #[test]
     fn fifo_policy_preserves_order() {
-        let s = SchedState::new(SchedulerPolicy::Fifo, 1);
+        let s = Sched::new(SchedulerPolicy::Fifo, 1);
         let (a, b, c) = (node(0), node(0), node(0));
         s.push(a.clone(), None, false);
         s.push(b.clone(), None, false);
@@ -314,7 +336,7 @@ mod tests {
 
     #[test]
     fn priority_tasks_jump_the_queue() {
-        let s = SchedState::new(SchedulerPolicy::Fifo, 1);
+        let s = Sched::new(SchedulerPolicy::Fifo, 1);
         let (a, hi, b) = (node(0), node(5), node(0));
         let queued = || s.shared.queued.load(Ordering::Relaxed);
         s.push(a.clone(), None, false);
@@ -332,7 +354,7 @@ mod tests {
 
     #[test]
     fn equal_priority_is_fifo_among_priority_tasks() {
-        let s = SchedState::new(SchedulerPolicy::Fifo, 1);
+        let s = Sched::new(SchedulerPolicy::Fifo, 1);
         let (p1, p2) = (node(3), node(3));
         s.push(p1.clone(), None, false);
         s.push(p2.clone(), None, false);
@@ -342,22 +364,22 @@ mod tests {
 
     #[test]
     fn locality_wakeups_go_to_local_deque() {
-        let s = SchedState::new(SchedulerPolicy::LocalityWorkStealing, 2);
+        let s = Sched::new(SchedulerPolicy::LocalityWorkStealing, 2);
         let w = node(0);
         s.push(w.clone(), Some(0), true);
-        assert_eq!(s.counters.local_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(s.count(StatField::SchedLocalWakeups), 1);
         // Worker 0 finds it in its own deque.
         let got = s.pop(Some(0)).unwrap();
         assert_eq!(got.id, w.id);
-        assert_eq!(s.counters.local_pops.load(Ordering::Relaxed), 1);
+        assert_eq!(s.count(StatField::SchedLocalPops), 1);
     }
 
     #[test]
     fn plain_work_stealing_wakeups_go_global() {
-        let s = SchedState::new(SchedulerPolicy::WorkStealing, 2);
+        let s = Sched::new(SchedulerPolicy::WorkStealing, 2);
         let w = node(0);
         s.push(w.clone(), Some(0), true);
-        assert_eq!(s.counters.global_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(s.count(StatField::SchedGlobalWakeups), 1);
         // Worker 1 can grab it from the shared queue without stealing.
         let got = s.pop(Some(1)).unwrap();
         assert_eq!(got.id, w.id);
@@ -365,23 +387,23 @@ mod tests {
         let spawned = node(0);
         s.push(spawned.clone(), Some(0), false);
         assert_eq!(s.local[0].0.lock().pop_back().unwrap().id, spawned.id);
-        assert_eq!(s.counters.global_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(s.count(StatField::SchedGlobalWakeups), 1);
     }
 
     #[test]
     fn stealing_from_other_worker() {
-        let s = SchedState::new(SchedulerPolicy::LocalityWorkStealing, 2);
+        let s = Sched::new(SchedulerPolicy::LocalityWorkStealing, 2);
         let w = node(0);
         // Task sits in worker 0's deque; worker 1 must steal it.
         s.push(w.clone(), Some(0), false);
         let got = s.pop(Some(1)).unwrap();
         assert_eq!(got.id, w.id);
-        assert_eq!(s.counters.steals.load(Ordering::Relaxed), 1);
+        assert_eq!(s.count(StatField::SchedSteals), 1);
     }
 
     #[test]
     fn helper_without_local_deque_can_still_pop() {
-        let s = SchedState::new(SchedulerPolicy::LocalityWorkStealing, 1);
+        let s = Sched::new(SchedulerPolicy::LocalityWorkStealing, 1);
         let w = node(0);
         s.push(w.clone(), Some(0), false);
         // A helper (no deque of its own) steals from worker 0.
@@ -391,28 +413,27 @@ mod tests {
 
     #[test]
     fn own_deque_then_shared_priority_then_fifo_then_steal() {
-        let s = SchedState::new(SchedulerPolicy::LocalityWorkStealing, 2);
-        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let s = Sched::new(SchedulerPolicy::LocalityWorkStealing, 2);
         let (own_old, own_new, hi, plain, theirs) = (node(0), node(0), node(7), node(0), node(0));
         s.push(plain.clone(), None, false);
         s.push(hi.clone(), Some(0), true); // prioritised: shared, uncounted
         s.push(own_old.clone(), Some(0), false);
         s.push(own_new.clone(), Some(0), true);
         s.push(theirs.clone(), Some(1), false);
-        assert_eq!(count(&s.counters.local_wakeups), 1);
-        assert_eq!(count(&s.counters.global_wakeups), 0);
+        assert_eq!(s.count(StatField::SchedLocalWakeups), 1);
+        assert_eq!(s.count(StatField::SchedGlobalWakeups), 0);
         // Worker 0: its own deque newest first, ahead even of a priority…
         assert_eq!(s.pop(Some(0)).unwrap().id, own_new.id);
         assert_eq!(s.pop(Some(0)).unwrap().id, own_old.id);
-        assert_eq!(count(&s.counters.local_pops), 2);
+        assert_eq!(s.count(StatField::SchedLocalPops), 2);
         // …then the shared queue, priority before arrival order…
         assert_eq!(s.pop(Some(0)).unwrap().id, hi.id);
-        assert_eq!(count(&s.counters.priority_pops), 1);
+        assert_eq!(s.count(StatField::SchedPriorityPops), 1);
         assert_eq!(s.pop(Some(0)).unwrap().id, plain.id);
-        assert_eq!(count(&s.counters.global_pops), 1);
+        assert_eq!(s.count(StatField::SchedGlobalPops), 1);
         // …then worker 1's deque.
         assert_eq!(s.pop(Some(0)).unwrap().id, theirs.id);
-        assert_eq!(count(&s.counters.steals), 1);
+        assert_eq!(s.count(StatField::SchedSteals), 1);
         assert!(s.pop(Some(0)).is_none());
 
         // A worker never steals from itself: what it finds in its own deque
@@ -420,7 +441,10 @@ mod tests {
         s.push(own_old.clone(), Some(0), false);
         assert_eq!(s.pop(Some(0)).unwrap().id, own_old.id);
         assert_eq!(
-            (count(&s.counters.local_pops), count(&s.counters.steals)),
+            (
+                s.count(StatField::SchedLocalPops),
+                s.count(StatField::SchedSteals)
+            ),
             (3, 1)
         );
 
@@ -430,7 +454,10 @@ mod tests {
         assert_eq!(s.pop(None).unwrap().id, plain.id);
         assert_eq!(s.pop(None).unwrap().id, theirs.id);
         assert_eq!(
-            (count(&s.counters.global_pops), count(&s.counters.steals)),
+            (
+                s.count(StatField::SchedGlobalPops),
+                s.count(StatField::SchedSteals)
+            ),
             (2, 2)
         );
         assert!(s.pop(None).is_none());
@@ -438,7 +465,7 @@ mod tests {
 
     #[test]
     fn idle_wait_polling_returns_quickly() {
-        let s = SchedState::new(SchedulerPolicy::Fifo, 1);
+        let s = Sched::new(SchedulerPolicy::Fifo, 1);
         let start = std::time::Instant::now();
         s.idle_wait();
         assert!(start.elapsed() < Duration::from_millis(100));

@@ -1,4 +1,26 @@
 //! Aggregated runtime statistics.
+//!
+//! Every monotone event count the runtime keeps — spawns and retirements,
+//! edges, scheduler pops and wakeups, tracker gate traffic, renames and the
+//! version-ticket ledger — is one `StatField` of one `StatCounters`, owned
+//! by the runtime and lent by reference to the layer that counts (the
+//! scheduler's `push`/`pop`, the tracker's registrations and gate waits, the
+//! rename context of clause resolution). [`Runtime::stats`](crate::Runtime::stats)
+//! and [`Runtime::audit`](crate::Runtime::audit) read every tally from there.
+//!
+//! Three counts live elsewhere, each because it is part of the state it
+//! counts rather than a tally beside it:
+//!
+//! * the per-shard hits (`tracker_shard_hits`) sit beside each shard's gate,
+//!   on the line the acquiring CAS has just taken, so counting a hit moves
+//!   no further line — and the number of shards is a runtime setting, not a
+//!   field;
+//! * the task-node slab's acquisition, park and discard counts derive its
+//!   `outstanding` gauge: a park is counted under the free-list lock it
+//!   takes anyway, and the slab reads the three together;
+//! * the rename pool's held bytes are the rename budget itself: a
+//!   reservation is a compare-exchange against the cap, so the count must
+//!   be the number the cap is checked against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,8 +44,14 @@ impl<T> std::ops::Deref for CachePadded<T> {
 /// counts spawns, edges and immediately-ready tasks while the workers count
 /// executions; packed into one array, every spawn and every completion took
 /// the same line away from the other side.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct StatCounters([CachePadded<AtomicU64>; StatField::COUNT]);
+
+impl Default for StatCounters {
+    fn default() -> Self {
+        StatCounters(std::array::from_fn(|_| CachePadded::default()))
+    }
+}
 
 impl StatCounters {
     /// Add `n` to `field`; returns the value before the addition. Adding
@@ -36,71 +64,14 @@ impl StatCounters {
         counter.fetch_add(n, Ordering::Relaxed)
     }
 
+    /// Take back one count of `field`: an elided rename the clause set
+    /// turned into a real one, so each access is counted exactly once.
+    pub(crate) fn undo(&self, field: StatField) {
+        self.0[field as usize].fetch_sub(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn get(&self, field: StatField) -> u64 {
         self.0[field as usize].load(Ordering::Relaxed)
-    }
-}
-
-/// Tracker-wide counters of the sharded dependence tracker. Owned by the
-/// tracker router ([`crate::graph`]) and snapshotted into [`RuntimeStats`];
-/// the per-shard hit counters live in the shard slots, beside each gate.
-///
-/// Shard gates are acquired try-first: a successful try is an uncontended
-/// hit; an acquirer that has to wait bumps `lock_contention` if it finds the
-/// gate held at that point. `lock_contention / sum(shard_hits)` is therefore
-/// the fraction of tracker accesses that waited behind a holder — the number
-/// sharding is meant to drive to zero.
-#[derive(Debug, Default)]
-pub(crate) struct TrackerCounters {
-    lock_contention: AtomicU64,
-    fast_path_hits: AtomicU64,
-    fast_path_fallbacks: AtomicU64,
-    entries_scanned: AtomicU64,
-}
-
-impl TrackerCounters {
-    /// Record a waiting acquisition that found the gate held.
-    pub(crate) fn contended(&self) {
-        self.lock_contention.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a single-shard registration whose gate fell to the first try.
-    pub(crate) fn fast_hit(&self) {
-        self.fast_path_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a registration that spanned several shards or had to wait for
-    /// its gate (contention, GC in progress).
-    pub(crate) fn fast_fallback(&self) {
-        self.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the overlap-index spans one registration (or one replay
-    /// batch) examined — added once per registration, not per span.
-    pub(crate) fn scanned(&self, spans: u64) {
-        if spans != 0 {
-            self.entries_scanned.fetch_add(spans, Ordering::Relaxed);
-        }
-    }
-
-    /// Total contended acquisitions.
-    pub(crate) fn contention(&self) -> u64 {
-        self.lock_contention.load(Ordering::Relaxed)
-    }
-
-    /// Total fast-path registrations.
-    pub(crate) fn fast_hits(&self) -> u64 {
-        self.fast_path_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total fast-path fallbacks.
-    pub(crate) fn fast_fallbacks(&self) -> u64 {
-        self.fast_path_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Total overlap-index spans examined by registrations.
-    pub(crate) fn entries_scanned(&self) -> u64 {
-        self.entries_scanned.load(Ordering::Relaxed)
     }
 }
 
@@ -137,11 +108,48 @@ pub(crate) enum StatField {
     /// cancelled before they started. Disjoint from `TasksExecuted` and
     /// `TasksPoisoned`.
     TasksCancelled,
+    /// Tasks popped from a worker's own deque.
+    SchedLocalPops,
+    /// Unprioritised tasks taken from the shared queue.
+    SchedGlobalPops,
+    /// Prioritised tasks taken from the shared queue.
+    SchedPriorityPops,
+    /// Tasks taken from another worker's deque.
+    SchedSteals,
+    /// Woken successors pushed onto the waking worker's own deque.
+    SchedLocalWakeups,
+    /// Woken successors pushed onto the shared queue.
+    SchedGlobalWakeups,
+    /// Tracker gate acquisitions that had to wait and found the gate held.
+    TrackerLockContention,
+    /// Single-shard registrations whose gate fell to the first try.
+    TrackerFastPathHits,
+    /// Registrations that spanned several shards or waited for their gate.
+    TrackerFastPathFallbacks,
+    /// Overlap-index spans registrations examined, added once per
+    /// registration (or replay batch).
+    TrackerEntriesScanned,
+    /// Versions allocated by renaming, fresh or recycled.
+    Renames,
+    /// Renames of one chunk of a versioned partition, a subset of `Renames`.
+    ChunkRenames,
+    /// Renames served from a handle's recycle pool, a subset of `Renames`.
+    RenamesRecycled,
+    /// `output` accesses that wanted to rename and serialised instead.
+    RenameFallbacks,
+    /// `output` accesses bound in place because nobody held the current
+    /// version; taken back by an un-elision, so disjoint from `Renames`.
+    RenamesElided,
+    /// Version tickets moved into spawned task nodes (bind side of the
+    /// ticket ledger [`Runtime::audit`](crate::Runtime::audit) balances).
+    TicketRefsBound,
+    /// Version tickets released by retired task nodes (release side).
+    TicketRefsReleased,
 }
 
 impl StatField {
-    /// Number of variants; `TasksCancelled` is the last.
-    pub(crate) const COUNT: usize = StatField::TasksCancelled as usize + 1;
+    /// Number of variants; `TicketRefsReleased` is the last.
+    pub(crate) const COUNT: usize = StatField::TicketRefsReleased as usize + 1;
 }
 
 /// A point-in-time snapshot of runtime statistics, obtained from
@@ -349,21 +357,15 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counters_count_contention() {
-        let c = TrackerCounters::default();
-        c.contended();
-        assert_eq!(c.contention(), 1);
+    fn undo_takes_back_one_count() {
+        let c = StatCounters::default();
+        c.add(StatField::RenamesElided, 2);
+        c.undo(StatField::RenamesElided);
+        assert_eq!(c.get(StatField::RenamesElided), 1);
     }
 
     #[test]
-    fn fast_path_counters_and_rate() {
-        let c = TrackerCounters::default();
-        c.fast_hit();
-        c.fast_hit();
-        c.fast_hit();
-        c.fast_fallback();
-        assert_eq!(c.fast_hits(), 3);
-        assert_eq!(c.fast_fallbacks(), 1);
+    fn fast_path_rate() {
         let s = RuntimeStats {
             tracker_fast_path_hits: 3,
             tracker_fast_path_fallbacks: 1,

@@ -182,7 +182,7 @@ impl TraceEvent {
 }
 
 /// Collects trace events from all workers.
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     enabled: bool,
     epoch: Instant,
     events: Mutex<Vec<TraceEvent>>,
@@ -191,7 +191,7 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     /// Create a recorder; when `enabled` is false all recording calls are
     /// no-ops (and cost one branch).
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         TraceRecorder {
             enabled,
             epoch: Instant::now(),
@@ -200,24 +200,24 @@ impl TraceRecorder {
     }
 
     /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Nanoseconds elapsed since the recorder was created.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         duration_to_ns(self.epoch.elapsed())
     }
 
     /// Record an event (no-op when disabled).
-    pub fn record(&self, event: TraceEvent) {
+    pub(crate) fn record(&self, event: TraceEvent) {
         if self.enabled {
             self.events.lock().push(event);
         }
     }
 
     /// Snapshot of all events recorded so far, in recording order.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {
         self.events.lock().clone()
     }
 
@@ -225,7 +225,7 @@ impl TraceRecorder {
     /// from Started/Finished pairs. The returned vector is indexed by worker
     /// id and sized to the largest worker index seen; threads that ran tasks
     /// while waiting in `taskwait` share one more slot after the workers'.
-    pub fn busy_ns_per_worker(&self) -> Vec<u64> {
+    pub(crate) fn busy_ns_per_worker(&self) -> Vec<u64> {
         let events = self.events.lock();
         let mut start_of: std::collections::HashMap<(usize, TaskId), u64> =
             std::collections::HashMap::new();
@@ -262,7 +262,7 @@ impl TraceRecorder {
     /// / Perfetto) JSON array: one complete ("X") event per executed task,
     /// with the worker index as the thread id. The output plays the role the
     /// Paraver traces play in the original OmpSs toolchain.
-    pub fn to_chrome_trace(&self) -> String {
+    pub(crate) fn to_chrome_trace(&self) -> String {
         type StartInfo = (u64, Option<Arc<str>>);
         let events = self.events.lock();
         let mut start_of: std::collections::HashMap<(usize, TaskId), StartInfo> =

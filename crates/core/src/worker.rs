@@ -33,7 +33,7 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker_id: usize, started: A
     // counts after `new` includes them.
     started.wait();
     loop {
-        match inner.sched.pop(Some(worker_id)) {
+        match inner.sched.pop(Some(worker_id), &inner.stats) {
             Some(node) => {
                 execute_task(&inner, node, Some(worker_id), &mut ready);
             }
@@ -235,7 +235,7 @@ fn retire_node(
                 at_ns: inner.trace.now_ns(),
             });
         }
-        inner.sched.push(succ, worker, true);
+        inner.sched.push(succ, worker, true, &inner.stats);
     }
 
     // Retire the task's dependence history through the sharded router: its
@@ -257,7 +257,9 @@ fn retire_node(
     // no WAR/WAW edge.
     let released = node.release_tickets();
     if released != 0 {
-        inner.rename.note_tickets_released(released as u64);
+        inner
+            .stats
+            .add(StatField::TicketRefsReleased, released as u64);
     }
 
     debug_assert!(

@@ -1,6 +1,5 @@
 //! Job descriptions, tickets and the context a job body runs with.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -132,18 +131,15 @@ impl JobStatus {
 }
 
 struct TicketInner {
-    state: Mutex<JobStatus>,
+    /// The job's status, and why it was asked to stop, if it was: the
+    /// terminal status a stop request resolves to ([`JobStatus::Cancelled`]
+    /// or [`JobStatus::Expired`]).
+    state: Mutex<(JobStatus, Option<JobStatus>)>,
     cv: Condvar,
-    /// Set by [`JobTicket::cancel`]; observed by the dispatcher at dequeue
-    /// (shed before running) and after execution (maps the outcome to
-    /// [`JobStatus::Cancelled`]).
-    cancel_requested: AtomicBool,
-    /// Set by the service watchdog when the job's deadline passes mid-run;
-    /// takes precedence over `cancel_requested` in the outcome mapping.
-    deadline_expired: AtomicBool,
-    /// The core-runtime cancel token of the running job, parked here so
-    /// `cancel()` (and the deadline watchdog) can reach into the task graph.
-    scope: Mutex<Option<CancelToken>>,
+    /// The job's cancel scope, minted at admission: every task the job
+    /// spawns joins it, so a stop request reaches into the task graph
+    /// whenever it comes.
+    token: CancelToken,
 }
 
 /// A clonable handle to one admitted job's status; returned by
@@ -154,14 +150,12 @@ pub struct JobTicket {
 }
 
 impl JobTicket {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(token: CancelToken) -> Self {
         JobTicket {
             inner: Arc::new(TicketInner {
-                state: Mutex::new(JobStatus::Queued),
+                state: Mutex::new((JobStatus::Queued, None)),
                 cv: Condvar::new(),
-                cancel_requested: AtomicBool::new(false),
-                deadline_expired: AtomicBool::new(false),
-                scope: Mutex::new(None),
+                token,
             }),
         }
     }
@@ -169,10 +163,10 @@ impl JobTicket {
     /// Block until the job reaches a terminal state and return it.
     pub fn wait(&self) -> JobStatus {
         let mut state = self.inner.state.lock();
-        while !state.is_terminal() {
+        while !state.0.is_terminal() {
             self.inner.cv.wait(&mut state);
         }
-        state.clone()
+        state.0.clone()
     }
 
     /// Block until the job reaches a terminal state or `timeout` elapses,
@@ -182,7 +176,7 @@ impl JobTicket {
     pub fn wait_timeout(&self, timeout: Duration) -> JobStatus {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.inner.state.lock();
-        while !state.is_terminal() {
+        while !state.0.is_terminal() {
             let now = std::time::Instant::now();
             let Some(remaining) = deadline
                 .checked_duration_since(now)
@@ -192,7 +186,7 @@ impl JobTicket {
             };
             self.inner.cv.wait_for(&mut state, remaining);
         }
-        state.clone()
+        state.0.clone()
     }
 
     /// Request cancellation. Cooperative, never blocking: a still-queued job
@@ -201,58 +195,45 @@ impl JobTicket {
     /// core crate's `CancelToken`) and resolves [`JobStatus::Cancelled`]. A
     /// job that already reached a terminal state is unaffected. Idempotent.
     pub fn cancel(&self) {
-        self.inner.cancel_requested.store(true, Ordering::SeqCst);
-        if let Some(token) = self.inner.scope.lock().as_ref() {
-            token.cancel();
-        }
+        self.stop(|reason| {
+            reason.get_or_insert(JobStatus::Cancelled);
+        });
     }
 
     /// The job's current status, without blocking.
     pub fn status(&self) -> JobStatus {
-        self.inner.state.lock().clone()
+        self.inner.state.lock().0.clone()
     }
 
-    pub(crate) fn cancel_requested(&self) -> bool {
-        self.inner.cancel_requested.load(Ordering::SeqCst)
-    }
-
-    /// Mark the deadline as expired mid-run and cancel the task-graph scope
-    /// (watchdog side).
+    /// Mark the deadline as passed mid-run and cancel the job's task-graph
+    /// scope (watchdog side). Wins over an earlier cancel.
     pub(crate) fn expire(&self) {
-        self.inner.deadline_expired.store(true, Ordering::SeqCst);
-        if let Some(token) = self.inner.scope.lock().as_ref() {
-            token.cancel();
+        self.stop(|reason| *reason = Some(JobStatus::Expired));
+    }
+
+    /// Record a stop reason and cancel the job's scope, unless the job has
+    /// already finished.
+    fn stop(&self, record: impl FnOnce(&mut Option<JobStatus>)) {
+        let mut state = self.inner.state.lock();
+        if !state.0.is_terminal() {
+            record(&mut state.1);
+            self.inner.token.cancel();
         }
     }
 
-    pub(crate) fn deadline_expired(&self) -> bool {
-        self.inner.deadline_expired.load(Ordering::SeqCst)
+    /// What the job was asked to stop for, if anything: the terminal status
+    /// it resolves to instead of its own outcome.
+    pub(crate) fn stop_reason(&self) -> Option<JobStatus> {
+        self.inner.state.lock().1.clone()
     }
 
-    /// Park the running job's cancel token where `cancel()`/`expire()` can
-    /// reach it. If a cancel or expiry raced in before registration, the
-    /// token is cancelled on the spot — the request is never lost.
-    pub(crate) fn register_scope(&self, token: CancelToken) {
-        *self.inner.scope.lock() = Some(token);
-        if self.inner.cancel_requested.load(Ordering::SeqCst)
-            || self.inner.deadline_expired.load(Ordering::SeqCst)
-        {
-            if let Some(token) = self.inner.scope.lock().as_ref() {
-                token.cancel();
-            }
-        }
-    }
-
-    /// Drop the parked cancel token (job finished; the scope must not leak
-    /// into the runtime's next job).
-    pub(crate) fn clear_scope(&self) {
-        *self.inner.scope.lock() = None;
+    /// The cancel scope the job's tasks run in.
+    pub(crate) fn token(&self) -> &CancelToken {
+        &self.inner.token
     }
 
     pub(crate) fn set(&self, status: JobStatus) {
-        let mut state = self.inner.state.lock();
-        *state = status;
-        drop(state);
+        self.inner.state.lock().0 = status;
         self.inner.cv.notify_all();
     }
 }
@@ -266,12 +247,18 @@ impl std::fmt::Debug for JobTicket {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A queued ticket whose scope comes from a one-worker runtime.
+    pub(crate) fn ticket() -> JobTicket {
+        let runtime = Runtime::new(ompss::RuntimeConfig::default().with_workers(1));
+        JobTicket::new(runtime.cancel_scope())
+    }
 
     #[test]
     fn ticket_wait_sees_terminal_state() {
-        let ticket = JobTicket::new();
+        let ticket = ticket();
         assert_eq!(ticket.status(), JobStatus::Queued);
         let waiter = {
             let t = ticket.clone();
@@ -287,5 +274,24 @@ mod tests {
         let s = JobStatus::Failed("boom".into());
         assert!(s.is_terminal());
         assert!(!s.is_completed());
+    }
+
+    #[test]
+    fn expiry_wins_over_cancel_and_neither_changes_a_terminal_status() {
+        let t = ticket();
+        t.cancel();
+        assert_eq!(t.stop_reason(), Some(JobStatus::Cancelled));
+        assert!(t.token().is_cancelled());
+        t.expire();
+        t.cancel();
+        assert_eq!(t.stop_reason(), Some(JobStatus::Expired));
+
+        let done = ticket();
+        done.set(JobStatus::Completed);
+        done.cancel();
+        done.expire();
+        assert_eq!(done.status(), JobStatus::Completed);
+        assert_eq!(done.stop_reason(), None);
+        assert!(!done.token().is_cancelled());
     }
 }

@@ -273,7 +273,7 @@ mod tests {
     fn job(slot: u32) -> QueuedJob {
         QueuedJob {
             kind: JobKind::Replay { slot, passes: 1 },
-            ticket: JobTicket::new(),
+            ticket: crate::job::tests::ticket(),
             deadline: None,
         }
     }

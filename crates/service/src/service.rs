@@ -181,7 +181,7 @@ impl JobService {
             });
         };
         state.counters.submitted.fetch_add(1, Ordering::SeqCst);
-        let ticket = JobTicket::new();
+        let ticket = JobTicket::new(state.runtime.cancel_scope());
         let deadline_spec = job.deadline;
         let queued = QueuedJob {
             kind: job.kind,
@@ -355,8 +355,8 @@ fn run_job(tenant: &TenantState, job: QueuedJob) {
     // no work runs at all — the ticket resolves terminal without touching
     // the tenant's runtime. Time spent behind the tenant's earlier jobs in
     // its FIFO counts against the deadline, exactly like time in the lane.
-    if ticket.cancel_requested() {
-        finish(tenant, &ticket, JobStatus::Cancelled);
+    if let Some(stop) = ticket.stop_reason() {
+        finish(tenant, &ticket, stop);
         return;
     }
     if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -370,17 +370,14 @@ fn run_job(tenant: &TenantState, job: QueuedJob) {
     };
     kind_counter.fetch_add(1, Ordering::SeqCst);
 
-    // Every task the job spawns joins this cancel scope, so a mid-run
-    // `JobTicket::cancel()` or watchdog deadline hit retires the job's
-    // not-yet-started tasks without running them.
-    let token = tenant.runtime.cancel_scope();
-    ticket.register_scope(token.clone());
+    // Every task the job spawns joins the ticket's cancel scope, so a
+    // mid-run `JobTicket::cancel()` or watchdog deadline hit retires the
+    // job's not-yet-started tasks without running them.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         tenant
             .runtime
-            .with_cancel_scope(&token, || execute(kind, tenant))
+            .with_cancel_scope(ticket.token(), || execute(kind, tenant))
     }));
-    ticket.clear_scope();
     // Quiesce the runtime (a panicked body may have left a half-spawned
     // graph) and *consume* any poison note so neither can leak into the
     // tenant's next job.
@@ -389,25 +386,20 @@ fn run_job(tenant: &TenantState, job: QueuedJob) {
         Err(_) => None,
     };
     let panics = tenant.runtime.take_panics();
-    let status = if ticket.deadline_expired() {
-        JobStatus::Expired
-    } else if ticket.cancel_requested() {
-        JobStatus::Cancelled
-    } else {
-        match outcome {
-            Ok(Ok(())) => {
-                if let Some(first) = panics.first() {
-                    JobStatus::Failed(format!("{} task panic(s), first: {first}", panics.len()))
-                } else if let Some(err) = poison {
-                    JobStatus::Failed(err.to_string())
-                } else {
-                    JobStatus::Completed
-                }
+    // A stop request decides the status; expiry has won over a cancel.
+    let status = ticket.stop_reason().unwrap_or_else(|| match outcome {
+        Ok(Ok(())) => {
+            if let Some(first) = panics.first() {
+                JobStatus::Failed(format!("{} task panic(s), first: {first}", panics.len()))
+            } else if let Some(err) = poison {
+                JobStatus::Failed(err.to_string())
+            } else {
+                JobStatus::Completed
             }
-            Ok(Err(msg)) => JobStatus::Failed(msg),
-            Err(payload) => JobStatus::Failed(panic_message(payload.as_ref())),
         }
-    };
+        Ok(Err(msg)) => JobStatus::Failed(msg),
+        Err(payload) => JobStatus::Failed(panic_message(payload.as_ref())),
+    });
     finish(tenant, &ticket, status);
 }
 
@@ -460,7 +452,7 @@ fn watchdog_loop(inner: &ServiceInner, interval: Duration, window: Duration) {
             };
             // Deadline enforcement: cancel the task-graph scope of a running
             // job whose deadline has passed.
-            if job.deadline.is_some_and(|d| now >= d) && !job.ticket.deadline_expired() {
+            if job.deadline.is_some_and(|d| now >= d) {
                 job.ticket.expire();
             }
             stuck_jobs += 1;

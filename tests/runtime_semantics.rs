@@ -577,6 +577,94 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
     rt.audit().expect("a consumed poison leaves no node outstanding");
 }
 
+/// The scheduler's counts, read through `Runtime::stats`, account for every
+/// task at quiescence. Each retired task — run, poisoned or cancelled — left
+/// a queue exactly once: popped from its worker's deque, taken from the
+/// shared queue (prioritised or not) or stolen. With no `priority` clause in
+/// the program each spawned task also entered one exactly once: at spawn if
+/// it was ready, else when its last predecessor woke it onto that worker's
+/// deque or the shared queue. Fresh spawns and replayed passes alike.
+#[test]
+fn scheduler_counts_account_for_every_task() {
+    fn check(rt: &Runtime, what: &str) {
+        let s = rt.stats();
+        assert_eq!(
+            s.sched_local_pops + s.sched_global_pops + s.sched_priority_pops + s.sched_steals,
+            s.tasks_executed + s.tasks_poisoned + s.tasks_cancelled,
+            "{what}: every retired task was popped once ({s:?})"
+        );
+        assert_eq!(
+            s.sched_local_wakeups + s.sched_global_wakeups + s.immediately_ready,
+            s.tasks_spawned,
+            "{what}: every spawned task was queued once ({s:?})"
+        );
+    }
+    for workers in [1, 2] {
+        let rt = runtime(workers);
+        let cells: Vec<_> = (0..4).map(|_| rt.data(0u64)).collect();
+        // Chains on every cell, joined pairwise: some tasks are ready when
+        // spawned, the others are woken by a predecessor.
+        for i in 0..64 {
+            let (d, s) = (cells[i % 4].clone(), cells[(i + 1) % 4].clone());
+            rt.task().inout(&d).input(&s).spawn(move |ctx| {
+                let add = *ctx.read(&s);
+                let mut d = ctx.write(&d);
+                *d = d.wrapping_add(add + 1);
+            });
+        }
+        // A child spawned onto a worker's own deque while that worker spins
+        // until the child ran: another executor must steal it. The main
+        // thread helps only once the parent runs, so a worker runs it.
+        let started = Arc::new(AtomicBool::new(false));
+        let flag = started.clone();
+        rt.task().spawn(move |ctx| {
+            let ran = Arc::new(AtomicBool::new(false));
+            let child_ran = ran.clone();
+            ctx.task()
+                .spawn(move |_| child_ran.store(true, Ordering::SeqCst));
+            flag.store(true, Ordering::SeqCst);
+            while !ran.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // A cancelled scope: its tasks are queued and retired unrun.
+        let token = rt.cancel_scope();
+        token.cancel();
+        let spare = rt.data(0u64);
+        rt.with_cancel_scope(&token, || {
+            for _ in 0..3 {
+                let d = spare.clone();
+                rt.task().inout(&d).spawn(move |ctx| *ctx.write(&d) = 1);
+            }
+        });
+        let _ = rt.try_taskwait();
+        let s = rt.stats();
+        assert!(s.tasks_cancelled + s.tasks_poisoned == 3 && s.tasks_executed == 66);
+        assert!(s.sched_steals >= 1, "the spinning worker's child was stolen");
+        check(&rt, &format!("fresh, {workers} worker(s)"));
+
+        let mut scope = rt.capture();
+        for i in 0..8 {
+            let (d, s) = (cells[i % 4].clone(), cells[(i + 1) % 4].clone());
+            scope.task().inout(&d).input(&s).spawn(move |ctx| {
+                let add = *ctx.read(&s);
+                let mut d = ctx.write(&d);
+                *d = d.wrapping_add(add + 1);
+            });
+        }
+        let template = scope.finish();
+        for _ in 0..16 {
+            rt.replay(&template, &ompss::ReplayBindings::new());
+        }
+        rt.taskwait();
+        assert_eq!(rt.stats().replay_tasks, 16 * 8);
+        check(&rt, &format!("replayed, {workers} worker(s)"));
+    }
+}
+
 #[test]
 fn all_scheduler_policies_run_the_same_program() {
     for policy in [
