@@ -195,9 +195,7 @@ impl JobTicket {
     /// core crate's `CancelToken`) and resolves [`JobStatus::Cancelled`]. A
     /// job that already reached a terminal state is unaffected. Idempotent.
     pub fn cancel(&self) {
-        self.stop(|reason| {
-            reason.get_or_insert(JobStatus::Cancelled);
-        });
+        self.stop(JobStatus::Cancelled);
     }
 
     /// The job's current status, without blocking.
@@ -208,17 +206,21 @@ impl JobTicket {
     /// Mark the deadline as passed mid-run and cancel the job's task-graph
     /// scope (watchdog side). Wins over an earlier cancel.
     pub(crate) fn expire(&self) {
-        self.stop(|reason| *reason = Some(JobStatus::Expired));
+        self.stop(JobStatus::Expired);
     }
 
-    /// Record a stop reason and cancel the job's scope, unless the job has
-    /// already finished.
-    fn stop(&self, record: impl FnOnce(&mut Option<JobStatus>)) {
+    /// Record why the job must stop and cancel its scope, unless the job has
+    /// already finished. An expiry replaces a cancel; nothing replaces an
+    /// expiry.
+    fn stop(&self, reason: JobStatus) {
         let mut state = self.inner.state.lock();
-        if !state.0.is_terminal() {
-            record(&mut state.1);
-            self.inner.token.cancel();
+        if state.0.is_terminal() {
+            return;
         }
+        if state.1 != Some(JobStatus::Expired) {
+            state.1 = Some(reason);
+        }
+        self.inner.token.cancel();
     }
 
     /// What the job was asked to stop for, if anything: the terminal status
