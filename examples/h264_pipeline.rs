@@ -73,7 +73,10 @@ fn main() {
     );
 
     assert_eq!(seq, pth, "pthreads output differs from sequential");
-    assert_eq!(seq, omp_manual, "manual ompss output differs from sequential");
+    assert_eq!(
+        seq, omp_manual,
+        "manual ompss output differs from sequential"
+    );
     assert_eq!(seq, omp, "ompss output differs from sequential");
     println!("all variants decoded identical video (checksum {seq:#018x})");
 

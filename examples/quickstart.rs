@@ -78,7 +78,10 @@ fn main() {
         stats.tasks_spawned, stats.edges_added, stats.immediately_ready
     );
     if let Some(rate) = stats.locality_hit_rate() {
-        println!("locality hit rate of dependent-task wakeups: {:.0} %", rate * 100.0);
+        println!(
+            "locality hit rate of dependent-task wakeups: {:.0} %",
+            rate * 100.0
+        );
     }
     println!("per-worker busy time (ns): {:?}", rt.busy_ns_per_worker());
 }

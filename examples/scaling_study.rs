@@ -15,7 +15,10 @@ fn main() {
     let simulated = simulate_table1(&machine);
     let paper = paper_table1();
 
-    println!("{}", simulated.render("Simulated Table 1 (this reproduction)"));
+    println!(
+        "{}",
+        simulated.render("Simulated Table 1 (this reproduction)")
+    );
     println!("{}", paper.render("Published Table 1 (paper)"));
 
     println!("Headline claims:");

@@ -303,13 +303,24 @@ fn poisoned_graph_audits_clean_under_dcheck() {
     assert_eq!(rt.take_panics().len(), 1);
 
     let oracle = oracle_outcome(&rt);
-    assert!(oracle.races.is_empty(), "poison is not a race: {:?}", oracle.races);
-    assert!(oracle.auto_audit.is_empty(), "auto audit: {:?}", oracle.auto_audit);
+    assert!(
+        oracle.races.is_empty(),
+        "poison is not a race: {:?}",
+        oracle.races
+    );
+    assert!(
+        oracle.auto_audit.is_empty(),
+        "auto audit: {:?}",
+        oracle.auto_audit
+    );
     let report = oracle.audit.expect("poisoned drain must still audit clean");
     assert!(report.quiescent);
     assert_eq!(report.spawned, 8);
     assert_eq!(report.executed + report.poisoned + report.cancelled, 8);
-    assert_eq!(report.poisoned, 6, "the panicking task's successors poisoned");
+    assert_eq!(
+        report.poisoned, 6,
+        "the panicking task's successors poisoned"
+    );
     rt.shutdown();
 }
 
@@ -380,7 +391,10 @@ fn epoch_reset_clears_the_mutation() {
         });
     }
     rt.taskwait();
-    assert!(rt.take_dcheck_reports().is_empty(), "post-mutation epoch is clean");
+    assert!(
+        rt.take_dcheck_reports().is_empty(),
+        "post-mutation epoch is clean"
+    );
     assert!(rt.audit().is_ok());
     assert_eq!(rt.into_inner(data), 10);
     rt.shutdown();

@@ -45,14 +45,20 @@ fn cancel_scope_retires_pending_tasks_without_running_them() {
     token.cancel();
     go_tx.send(()).unwrap();
 
-    let err = rt.try_taskwait().expect_err("cancelled graph must surface poison");
+    let err = rt
+        .try_taskwait()
+        .expect_err("cancelled graph must surface poison");
     assert!(matches!(err, Error::Poisoned { .. }), "got {err}");
     let stats = rt.stats();
     assert_eq!(stats.tasks_executed, 1, "only the gate task ran");
-    assert_eq!(stats.tasks_cancelled, 1, "the first pending task was cancelled");
+    assert_eq!(
+        stats.tasks_cancelled, 1,
+        "the first pending task was cancelled"
+    );
     assert_eq!(stats.tasks_poisoned, 18, "its successors were poisoned");
     assert_eq!(rt.in_flight_tasks(), 0);
-    rt.audit().expect("a cancelled graph leaves no node outstanding");
+    rt.audit()
+        .expect("a cancelled graph leaves no node outstanding");
     assert!(rt.take_panics().is_empty(), "cancellation is not a panic");
     assert_eq!(rt.into_inner(data), 1, "only the running task committed");
     rt.shutdown();
@@ -201,22 +207,24 @@ fn poisoned_replay_batch_leaves_template_usable() {
     assert_eq!(rt.take_panics().len(), 1);
 
     rt.replay(&template, &bindings); // pass 2: the template still works
-    rt.try_taskwait().expect("poison does not outlive its batch");
+    rt.try_taskwait()
+        .expect("poison does not outlive its batch");
     drop(template); // the template owns a clone of the data handle
     let stats = rt.stats();
     assert_eq!(stats.tasks_panicked, 1);
     assert_eq!(rt.in_flight_tasks(), 0);
-    assert_eq!(rt.into_inner(data), 2, "passes 0 and 2 committed, pass 1 did not");
+    assert_eq!(
+        rt.into_inner(data),
+        2,
+        "passes 0 and 2 committed, pass 1 did not"
+    );
     rt.shutdown();
 }
 
 /// Run `f` on a helper thread and return its panic message, failing instead
 /// of hanging if it has not returned within 10 s. The runtime is then
 /// leaked: dropping it would join workers the blocked helper still uses.
-fn panic_message_within_10s(
-    rt: Arc<Runtime>,
-    f: impl FnOnce(&Runtime) + Send + 'static,
-) -> String {
+fn panic_message_within_10s(rt: Arc<Runtime>, f: impl FnOnce(&Runtime) + Send + 'static) -> String {
     let (done_tx, done_rx) = mpsc::channel();
     let helper = {
         let rt = rt.clone();
@@ -268,7 +276,10 @@ fn fetch_after_a_poisoned_write_panics_naming_the_origin() {
     let Err(Error::Poisoned { origin }) = rt.try_taskwait() else {
         panic!("the writer's panic must poison the run");
     };
-    assert!(message.contains(&format!("origin {origin}")), "message: {message}");
+    assert!(
+        message.contains(&format!("origin {origin}")),
+        "message: {message}"
+    );
     assert_eq!(rt.take_panics().len(), 1);
     assert_eq!(rt.in_flight_tasks(), 0);
 }
@@ -287,7 +298,10 @@ fn fetch_in_a_cancelled_scope_panics_naming_the_origin() {
     let Err(Error::Poisoned { origin }) = rt.try_taskwait() else {
         panic!("the cancelled reader must poison the run");
     };
-    assert!(message.contains(&format!("origin {origin}")), "message: {message}");
+    assert!(
+        message.contains(&format!("origin {origin}")),
+        "message: {message}"
+    );
     let stats = rt.stats();
     assert_eq!((stats.tasks_executed, stats.tasks_cancelled), (0, 1));
     assert!(rt.take_panics().is_empty(), "cancellation is not a panic");

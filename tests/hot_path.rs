@@ -190,7 +190,10 @@ impl Clauses {
     /// Whether the task reads the subject (and folds it into the
     /// accumulator).
     fn reads(self) -> bool {
-        matches!(self, Clauses::In | Clauses::InThenOut(_) | Clauses::OutThenIn(_))
+        matches!(
+            self,
+            Clauses::In | Clauses::InThenOut(_) | Clauses::OutThenIn(_)
+        )
     }
 
     /// The value a writing task leaves in the subject, given the one it
@@ -275,7 +278,11 @@ fn run_parity<H: Subject>(
             Clauses::InThenOut(_) => builder.input(&x).output(&x),
             Clauses::OutThenIn(_) => builder.output(&x).input(&x),
         };
-        let builder = if clauses.reads() { builder.inout(&acc) } else { builder };
+        let builder = if clauses.reads() {
+            builder.inout(&acc)
+        } else {
+            builder
+        };
         if step.abandoned {
             drop(builder);
         } else {
@@ -313,7 +320,9 @@ fn run_parity<H: Subject>(
     let value = Arc::new(AtomicU64::new(0));
     {
         let (x, value) = (x.clone(), value.clone());
-        rt.task().input(&x).spawn(move |ctx| value.store(x.get(ctx), Ordering::Release));
+        rt.task()
+            .input(&x)
+            .spawn(move |ctx| value.store(x.get(ctx), Ordering::Release));
     }
     rt.taskwait();
     let outcome = ParityOutcome {
@@ -408,8 +417,15 @@ fn single_pass_chunk_writes_elide_every_rename() {
     rt.taskwait();
     let stats = rt.stats();
     assert_eq!(stats.renames, 0, "single-pass writes allocate no versions");
-    assert_eq!(stats.renames_elided, 8, "every chunk write elided its rename");
-    assert_eq!(stats.war_edges + stats.waw_edges, 0, "elision adds no false dependence");
+    assert_eq!(
+        stats.renames_elided, 8,
+        "every chunk write elided its rename"
+    );
+    assert_eq!(
+        stats.war_edges + stats.waw_edges,
+        0,
+        "elision adds no false dependence"
+    );
     assert_eq!(stats.rename_bytes_held, 0);
     let expected: u64 = (0..64).map(|i| 7 + i).sum();
     assert_eq!(rt.into_inner(sum), expected);
@@ -440,7 +456,10 @@ fn output_before_input_unelides_instead_of_aliasing() {
     rt.taskwait();
     assert!(rt.take_panics().is_empty(), "body assertions all held");
     let stats = rt.stats();
-    assert_eq!(stats.renames, 1, "the elided output was converted to a rename");
+    assert_eq!(
+        stats.renames, 1,
+        "the elided output was converted to a rename"
+    );
     assert_eq!(stats.renames_elided, 0, "the elision was un-counted");
     assert_eq!(stats.tasks_panicked, 0);
     assert_eq!(rt.into_inner(x), 100, "the fresh version was committed");
@@ -455,18 +474,15 @@ fn chunk_output_before_whole_input_unelides_just_that_chunk() {
     let part = rt.versioned_partitioned(vec![1u64; 12], 4);
     let chunk0 = part.chunk(0);
     let whole = part.whole();
-    rt.task()
-        .output(&chunk0)
-        .input(&whole)
-        .spawn(move |ctx| {
-            ctx.write_chunk(&chunk0).fill(9);
-            let snapshot = ctx.gather_whole(&whole);
-            assert_eq!(
-                snapshot,
-                vec![1u64; 12],
-                "the whole-array read sees every pre-task chunk value"
-            );
-        });
+    rt.task().output(&chunk0).input(&whole).spawn(move |ctx| {
+        ctx.write_chunk(&chunk0).fill(9);
+        let snapshot = ctx.gather_whole(&whole);
+        assert_eq!(
+            snapshot,
+            vec![1u64; 12],
+            "the whole-array read sees every pre-task chunk value"
+        );
+    });
     rt.taskwait();
     assert!(rt.take_panics().is_empty());
     let stats = rt.stats();
@@ -509,18 +525,28 @@ fn replay_reruns_unelision_instead_of_baking_in_the_aliased_write() {
         rt.replay(&template, &ompss::ReplayBindings::new());
         rt.taskwait();
     }
-    assert!(rt.take_panics().is_empty(), "body assertions held on every pass");
+    assert!(
+        rt.take_panics().is_empty(),
+        "body assertions held on every pass"
+    );
     let stats = rt.stats();
     assert_eq!(
         stats.renames, 4,
         "capture + each of the 3 replays un-elided its output into a rename"
     );
-    assert_eq!(stats.renames_elided, 0, "no pass left the aliasing elision in place");
+    assert_eq!(
+        stats.renames_elided, 0,
+        "no pass left the aliasing elision in place"
+    );
     assert_eq!(stats.tasks_panicked, 0);
     // The template holds clause/body clones of `x`; release them first so
     // the handle can be unwrapped.
     drop(template);
-    assert_eq!(rt.into_inner(x), 103, "the last pass's fresh version was committed");
+    assert_eq!(
+        rt.into_inner(x),
+        103,
+        "the last pass's fresh version was committed"
+    );
     rt.shutdown();
 }
 
@@ -545,7 +571,10 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
     let stats = rt.stats();
     assert_eq!(stats.renames, 0);
     assert_eq!(stats.renames_elided, 1, "the elision stays counted");
-    assert!(stats.rename_fallbacks >= 1, "the refused un-elide is a fallback");
+    assert!(
+        stats.rename_fallbacks >= 1,
+        "the refused un-elide is a fallback"
+    );
     assert_eq!(rt.into_inner(x), 50);
     rt.shutdown();
 }
@@ -567,7 +596,10 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
 fn wait_until(what: &str, done: impl Fn() -> bool) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     while !done() {
-        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
         std::thread::yield_now();
     }
 }
@@ -588,8 +620,13 @@ fn one_shard_runtime() -> Runtime {
 fn finish_with_deferred_retirement(rt: &Runtime, go: &std::sync::atomic::AtomicBool) {
     let hold = rt.hold_tracker_shard(0);
     go.store(true, Ordering::Release);
-    wait_until("tasks to finish under a held gate", || rt.in_flight_tasks() == 0);
-    assert!(hold.deferred_retirements() >= 1, "the retirement was deferred");
+    wait_until("tasks to finish under a held gate", || {
+        rt.in_flight_tasks() == 0
+    });
+    assert!(
+        hold.deferred_retirements() >= 1,
+        "the retirement was deferred"
+    );
     drop(hold);
 }
 
@@ -614,7 +651,11 @@ fn output_before_input_unelides_behind_a_deferred_retirement() {
     let (w, r) = (x.clone(), x.clone());
     rt.task().output(&w).input(&r).spawn(move |ctx| {
         *ctx.write(&w) = 100;
-        assert_eq!(*ctx.read(&r), 42, "input must observe the predecessor's value");
+        assert_eq!(
+            *ctx.read(&r),
+            42,
+            "input must observe the predecessor's value"
+        );
     });
     let registered = rt.stats();
     assert_eq!(
@@ -625,7 +666,10 @@ fn output_before_input_unelides_behind_a_deferred_retirement() {
     rt.taskwait();
     assert!(rt.take_panics().is_empty(), "body assertions all held");
     let stats = rt.stats();
-    assert_eq!(stats.renames, 1, "the elided output was converted to a rename");
+    assert_eq!(
+        stats.renames, 1,
+        "the elided output was converted to a rename"
+    );
     assert_eq!(stats.renames_elided, 0, "the elision was un-counted");
     assert_eq!(rt.into_inner(x), 100, "the fresh version was committed");
     rt.shutdown();
@@ -651,23 +695,23 @@ fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
     assert_eq!((before.renames, before.renames_elided), (0, 3));
     let chunk0 = part.chunk(0);
     let whole = part.whole();
-    rt.task()
-        .output(&chunk0)
-        .input(&whole)
-        .spawn(move |ctx| {
-            ctx.write_chunk(&chunk0).fill(9);
-            let snapshot = ctx.gather_whole(&whole);
-            assert_eq!(
-                snapshot,
-                vec![1u64; 12],
-                "the whole-array read sees every pre-task chunk value"
-            );
-        });
+    rt.task().output(&chunk0).input(&whole).spawn(move |ctx| {
+        ctx.write_chunk(&chunk0).fill(9);
+        let snapshot = ctx.gather_whole(&whole);
+        assert_eq!(
+            snapshot,
+            vec![1u64; 12],
+            "the whole-array read sees every pre-task chunk value"
+        );
+    });
     rt.taskwait();
     assert!(rt.take_panics().is_empty());
     let stats = rt.stats();
     assert_eq!(stats.chunk_renames, 1, "only the written chunk renamed");
-    assert_eq!(stats.renames_elided, 3, "the un-elided write was un-counted");
+    assert_eq!(
+        stats.renames_elided, 3,
+        "the un-elided write was un-counted"
+    );
     assert_eq!(stats.war_edges + stats.waw_edges, 0);
     let out = rt.into_vec(part);
     assert_eq!(out[..4], [9, 9, 9, 9]);
@@ -708,21 +752,33 @@ fn replay_reruns_unelision_behind_deferred_retirements() {
         }
         let hold = rt.hold_tracker_shard(0);
         released.store(pass + 1, Ordering::Release);
-        wait_until("the pass to finish under a held gate", || rt.in_flight_tasks() == 0);
+        wait_until("the pass to finish under a held gate", || {
+            rt.in_flight_tasks() == 0
+        });
         assert!(hold.deferred_retirements() >= 1);
         drop(hold);
     }
     rt.taskwait();
-    assert!(rt.take_panics().is_empty(), "body assertions held on every pass");
+    assert!(
+        rt.take_panics().is_empty(),
+        "body assertions held on every pass"
+    );
     let stats = rt.stats();
     assert_eq!(
         stats.renames, 4,
         "capture + each of the 3 replays un-elided its output into a rename"
     );
-    assert_eq!(stats.renames_elided, 0, "no pass left the aliasing elision in place");
+    assert_eq!(
+        stats.renames_elided, 0,
+        "no pass left the aliasing elision in place"
+    );
     assert_eq!(stats.war_edges + stats.waw_edges, 0);
     drop(template);
-    assert_eq!(rt.into_inner(x), 103, "the last pass's fresh version was committed");
+    assert_eq!(
+        rt.into_inner(x),
+        103,
+        "the last pass's fresh version was committed"
+    );
     rt.shutdown();
 }
 
@@ -812,7 +868,11 @@ fn multi_shard_spans_always_fall_back() {
     // the single-shard fast path. Find two handles that provably map to
     // different shards (shard = alloc id % shard count, pinned by the graph
     // docs) and span them.
-    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracker_shards(4));
+    let rt = Runtime::new(
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_tracker_shards(4),
+    );
     let shards = rt.stats().tracker_shards as u64;
     let a = rt.data(1u64);
     let b = loop {
@@ -867,7 +927,9 @@ fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
     // disables the periodic sweep entirely (quiescent taskwait still
     // collects, so the drain check inside gc_storm stays valid).
     gc_storm(
-        RuntimeConfig::default().with_workers(4).with_tracker_shards(8),
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_tracker_shards(8),
         4,
         storm_tasks(),
     );

@@ -61,12 +61,7 @@ fn run_tasked(cells: usize, ops: &[Op], workers: usize, policy: SchedulerPolicy)
 
 /// Like [`run_tasked`], with full control over the runtime configuration and
 /// the choice of plain vs versioned (renaming-capable) handles.
-fn run_tasked_with(
-    cells: usize,
-    ops: &[Op],
-    config: RuntimeConfig,
-    versioned: bool,
-) -> Vec<u64> {
+fn run_tasked_with(cells: usize, ops: &[Op], config: RuntimeConfig, versioned: bool) -> Vec<u64> {
     let rt = Runtime::new(config);
     let handles: Vec<_> = (0..cells)
         .map(|_| {
@@ -670,8 +665,6 @@ fn partitioned_data_random_chunk_writers() {
         });
     }
     rt.taskwait();
-    let expected: u64 = (0..16u64)
-        .flat_map(|_| (0..25u64).map(|i| 2000 + i))
-        .sum();
+    let expected: u64 = (0..16u64).flat_map(|_| (0..25u64).map(|i| 2000 + i)).sum();
     assert_eq!(rt.into_inner(sum), expected);
 }

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{Data, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig, TraceEvent};
+use ompss::{
+    Data, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig, TraceEvent,
+};
 
 /// The shard counts the suite compares (matching `tracker_equivalence`).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
@@ -55,9 +57,7 @@ fn run_sequential_rounds(cells: usize, ops: &[Op], rounds: usize) -> Vec<u64> {
         for op in ops {
             match *op {
                 Op::Set { dst, value } => v[dst] = value,
-                Op::AddFrom { dst, src } if dst != src => {
-                    v[dst] = v[dst].wrapping_add(v[src])
-                }
+                Op::AddFrom { dst, src } if dst != src => v[dst] = v[dst].wrapping_add(v[src]),
                 Op::AddFrom { dst, .. } => v[dst] = v[dst].wrapping_add(v[dst]),
                 Op::Scale { dst } => v[dst] = v[dst].wrapping_mul(3).wrapping_add(1),
                 Op::Accumulate { dst, k } => v[dst] = v[dst].wrapping_add(k),
@@ -235,7 +235,10 @@ fn segment_structure(
     let index_of = |id: ompss::TaskId| order.iter().position(|t| *t == id);
     let mut edges = Vec::new();
     for ev in seg {
-        if let TraceEvent::Edge { task, from, shard, .. } = ev {
+        if let TraceEvent::Edge {
+            task, from, shard, ..
+        } = ev
+        {
             assert!(*shard < shards, "edge shard id out of range");
             let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                 // The previous iteration fully drained, so its (retired)
@@ -300,7 +303,12 @@ fn fresh(
 
 /// Capture one gated iteration, then run `replays` gated replay passes;
 /// return the structure of the final pass and the final cell values.
-fn replayed(shards: usize, cells: usize, ops: &[Op], replays: usize) -> (InsertionStructure, Vec<u64>) {
+fn replayed(
+    shards: usize,
+    cells: usize,
+    ops: &[Op],
+    replays: usize,
+) -> (InsertionStructure, Vec<u64>) {
     let rt = runtime_for(shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
@@ -478,13 +486,10 @@ fn rename_ring_rebind_rotates_replayed_slots() {
     let mut scope = rt.capture();
     {
         let slots = slots.clone();
-        scope
-            .task()
-            .output(ring.slot(0))
-            .spawn(move |ctx| {
-                let k = ctx.replay_pass() as usize;
-                *ctx.write(&slots[k % 3]) = k as u64 * 10;
-            });
+        scope.task().output(ring.slot(0)).spawn(move |ctx| {
+            let k = ctx.replay_pass() as usize;
+            *ctx.write(&slots[k % 3]) = k as u64 * 10;
+        });
     }
     {
         let slots = slots.clone();
@@ -554,13 +559,7 @@ fn replayed_undrained(
         rt.replay(&template, &bindings);
     }
     let after = rt.stats();
-    let structure = segment_structure(
-        &rt.trace()[skip..],
-        ops.len() * k,
-        shards,
-        &before,
-        &after,
-    );
+    let structure = segment_structure(&rt.trace()[skip..], ops.len() * k, shards, &before, &after);
     gate.store(true, Ordering::Release);
     rt.taskwait();
     assert_eq!(template.passes(), warm as u64 + k as u64);
@@ -893,17 +892,26 @@ fn replay_write_clash_inserts_the_prefix_and_releases_the_rest() {
     rt.taskwait();
     {
         let (a, b, c) = (a.clone(), b.clone(), c.clone());
-        scope.task().input(&c).output(&a).output(&b).spawn(move |ctx| {
-            let v = *ctx.read(&c);
-            *ctx.write(&a) = v + 1;
-            *ctx.write(&b) = v + 2;
-        });
+        scope
+            .task()
+            .input(&c)
+            .output(&a)
+            .output(&b)
+            .spawn(move |ctx| {
+                let v = *ctx.read(&c);
+                *ctx.write(&a) = v + 1;
+                *ctx.write(&b) = v + 2;
+            });
     }
     let template = scope.finish();
     rt.taskwait();
     let mut expected = [1u64, 2, 3, 0];
     fold(&mut expected, 3);
-    assert_eq!(rt.stats().rename_bytes_held, 0, "the capture iteration elided");
+    assert_eq!(
+        rt.stats().rename_bytes_held,
+        0,
+        "the capture iteration elided"
+    );
 
     // `b` folded onto `a`: recipe 2 now declares `output(a)` twice. By then
     // its `input(c)` is bound and its first `output(a)` has renamed (recipe
@@ -926,14 +934,25 @@ fn replay_write_clash_inserts_the_prefix_and_releases_the_rest() {
     rt.taskwait();
     fold(&mut expected, 2);
     for (name, handle) in [("a", &a), ("b", &b), ("c", &c)] {
-        assert_eq!(handle.live_versions(), 1, "a version of `{name}` stayed pinned");
+        assert_eq!(
+            handle.live_versions(),
+            1,
+            "a version of `{name}` stayed pinned"
+        );
     }
     let stats = rt.stats();
-    assert_eq!(stats.rename_bytes_held, 0, "an uncommitted rename kept its bytes");
+    assert_eq!(
+        stats.rename_bytes_held, 0,
+        "an uncommitted rename kept its bytes"
+    );
     assert_eq!(stats.tasks_executed, stats.tasks_spawned);
     let report = rt.audit().expect("ledgers balance after the clash");
     assert_eq!(report.ticket_refs_bound, report.ticket_refs_released);
-    assert_eq!(rt.fetch(&total), expected[3], "recipes 0 and 1 were inserted and ran");
+    assert_eq!(
+        rt.fetch(&total),
+        expected[3],
+        "recipes 0 and 1 were inserted and ran"
+    );
     assert_eq!(rt.fetch(&a), expected[0], "recipe 2 never ran");
 
     // The template is untouched: an empty-binding pass is a whole pass.

@@ -94,7 +94,10 @@ fn rename_ring_removes_false_dependences() {
     rt.taskwait();
     for (i, slot) in ring.into_slots().into_iter().enumerate() {
         let values = slot.try_into_inner().expect("no other handles remain");
-        let expected: Vec<u64> = (0..32).filter(|k| (k % 4) as usize == i).map(|k| k as u64).collect();
+        let expected: Vec<u64> = (0..32)
+            .filter(|k| (k % 4) as usize == i)
+            .map(|k| k as u64)
+            .collect();
         assert_eq!(values, expected, "slot {i} saw writes out of order");
     }
 }
@@ -379,13 +382,25 @@ fn nested_spawn_storm_drains_and_recycles() {
             }
             rt.try_taskwait().expect("no task of the storm failed");
             let what = format!("{policy:?}, {shards} shard(s)");
-            assert!(rt.take_panics().is_empty(), "{what}: a nested wait returned early");
+            assert!(
+                rt.take_panics().is_empty(),
+                "{what}: a nested wait returned early"
+            );
             let races = rt.take_dcheck_reports();
-            assert!(races.is_empty(), "{what}: {} race(s), first {:?}", races.len(), races.first());
+            assert!(
+                races.is_empty(),
+                "{what}: {} race(s), first {:?}",
+                races.len(),
+                races.first()
+            );
             assert!(rt.take_dcheck_audit_violations().is_empty(), "{what}");
             rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
             let stats = rt.stats();
-            assert_eq!(stats.tasks_executed as usize, ROOTS * (CHILDREN + 1), "{what}");
+            assert_eq!(
+                stats.tasks_executed as usize,
+                ROOTS * (CHILDREN + 1),
+                "{what}"
+            );
             // The storm stocked the slab (how much of it was reused on the
             // way depends on how soon the first child ran): now a task that
             // spawns from its body is served from the free list, every time.
@@ -397,7 +412,10 @@ fn nested_spawn_storm_drains_and_recycles() {
             });
             rt.taskwait();
             let reused = rt.stats().task_nodes_recycled - stats.task_nodes_recycled;
-            assert_eq!(reused, 65, "{what}: a warm slab allocated for a nested spawn");
+            assert_eq!(
+                reused, 65,
+                "{what}: a warm slab allocated for a nested spawn"
+            );
             rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
             let chain = (0..CHILDREN as u64).step_by(2).fold(0, step);
             let filled: Vec<u64> = (0..CHILDREN as u64).skip(1).step_by(2).collect();
@@ -483,7 +501,9 @@ fn nested_taskwait_keeps_the_waiting_workers_deque() {
             // A's completion, on the worker that waits.
             let (a, b) = (cell.clone(), cell.clone());
             ctx.task().output(&a).spawn(move |c| *c.write(&a) = 7);
-            ctx.task().input(&b).spawn(move |c| assert_eq!(*c.read(&b), 7));
+            ctx.task()
+                .input(&b)
+                .spawn(move |c| assert_eq!(*c.read(&b), 7));
             ctx.taskwait();
             done.store(true, Ordering::SeqCst);
         });
@@ -569,12 +589,16 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
     let fresh = rt.data(0u32);
     {
         let fresh = fresh.clone();
-        rt.task().inout(&fresh).spawn(move |ctx| *ctx.write(&fresh) = 7);
+        rt.task()
+            .inout(&fresh)
+            .spawn(move |ctx| *ctx.write(&fresh) = 7);
     }
-    rt.try_taskwait().expect("clean round after a consumed poison");
+    rt.try_taskwait()
+        .expect("clean round after a consumed poison");
     assert_eq!(rt.into_inner(fresh), 7);
     assert_eq!(rt.in_flight_tasks(), 0);
-    rt.audit().expect("a consumed poison leaves no node outstanding");
+    rt.audit()
+        .expect("a consumed poison leaves no node outstanding");
 }
 
 /// The scheduler's counts, read through `Runtime::stats`, account for every
@@ -643,7 +667,10 @@ fn scheduler_counts_account_for_every_task() {
         let _ = rt.try_taskwait();
         let s = rt.stats();
         assert!(s.tasks_cancelled + s.tasks_poisoned == 3 && s.tasks_executed == 66);
-        assert!(s.sched_steals >= 1, "the spinning worker's child was stolen");
+        assert!(
+            s.sched_steals >= 1,
+            "the spinning worker's child was stolen"
+        );
         check(&rt, &format!("fresh, {workers} worker(s)"));
 
         let mut scope = rt.capture();
@@ -672,11 +699,7 @@ fn all_scheduler_policies_run_the_same_program() {
         SchedulerPolicy::WorkStealing,
         SchedulerPolicy::LocalityWorkStealing,
     ] {
-        let rt = Runtime::new(
-            RuntimeConfig::default()
-                .with_workers(3)
-                .with_policy(policy),
-        );
+        let rt = Runtime::new(RuntimeConfig::default().with_workers(3).with_policy(policy));
         let data = rt.partitioned(vec![0u64; 64], 8);
         for chunk in data.chunk_handles() {
             rt.task().output(&chunk).spawn(move |ctx| {
@@ -725,5 +748,8 @@ fn priorities_are_honoured_by_the_scheduler() {
     rt.taskwait();
     let order = order.lock().unwrap();
     assert_eq!(order.len(), 4);
-    assert_eq!(order[0], "high", "priority task must run first, got {order:?}");
+    assert_eq!(
+        order[0], "high",
+        "priority task must run first, got {order:?}"
+    );
 }

@@ -60,12 +60,16 @@ fn run_churn(config: RuntimeConfig) -> (Runtime, u64) {
                             let s = side.clone();
                             let s2 = side.clone();
                             let extra = rt.data(0u64);
-                            rt.task().inout(&c).input(&s).output(&extra).spawn(move |ctx| {
-                                bodies.fetch_add(1, Ordering::Relaxed);
-                                observed.lock().unwrap().push(ctx.task_id());
-                                let step = *ctx.read(&s2);
-                                *ctx.write(&c) += step;
-                            })
+                            rt.task()
+                                .inout(&c)
+                                .input(&s)
+                                .output(&extra)
+                                .spawn(move |ctx| {
+                                    bodies.fetch_add(1, Ordering::Relaxed);
+                                    observed.lock().unwrap().push(ctx.task_id());
+                                    let step = *ctx.read(&s2);
+                                    *ctx.write(&c) += step;
+                                })
                         } else if i % 16 == 15 {
                             let s = side.clone();
                             let s2 = side.clone();

@@ -20,7 +20,9 @@ fn every_captured_benchmark_has_three_agreeing_variants() {
         // A captured row reproduces its base row's output: replaying the
         // captured graph is an insertion-side optimisation, never a
         // semantic change.
-        let base = name.strip_suffix("-cap").expect("captured names end in -cap");
+        let base = name
+            .strip_suffix("-cap")
+            .expect("captured names end in -cap");
         assert_eq!(
             checksum,
             verify_benchmark(base, 3),

@@ -202,7 +202,9 @@ fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> E
     let mut deps = vec![usize::MAX; ids.len()];
     for ev in &trace {
         match ev {
-            TraceEvent::Edge { task, from, shard, .. } => {
+            TraceEvent::Edge {
+                task, from, shard, ..
+            } => {
                 assert!(*shard < shards, "edge shard id out of range");
                 let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                     panic!("edge references an unknown task");
@@ -218,7 +220,10 @@ fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> E
         }
     }
     edges.sort_unstable();
-    assert!(deps.iter().all(|&d| d != usize::MAX), "missing Spawned events");
+    assert!(
+        deps.iter().all(|&d| d != usize::MAX),
+        "missing Spawned events"
+    );
     EdgeStructure {
         edges,
         deps,
@@ -306,8 +311,7 @@ fn final_values_dcheck(
     rt.taskwait();
     let values = handles.iter().map(|h| rt.fetch(h)).collect();
     let races = rt.take_dcheck_reports();
-    let audit_ok =
-        rt.audit().is_ok() && rt.take_dcheck_audit_violations().is_empty();
+    let audit_ok = rt.audit().is_ok() && rt.take_dcheck_audit_violations().is_empty();
     rt.shutdown();
     (values, races, audit_ok)
 }
@@ -388,7 +392,10 @@ fn pipeline_edges_identical_and_spread_across_shards() {
         let mut edges = Vec::new();
         let mut shards_seen = std::collections::HashSet::new();
         for ev in &trace {
-            if let TraceEvent::Edge { task, from, shard, .. } = ev {
+            if let TraceEvent::Edge {
+                task, from, shard, ..
+            } = ev
+            {
                 edges.push((index_of(*from), index_of(*task)));
                 shards_seen.insert(*shard);
             }
@@ -424,6 +431,20 @@ fn tracker_shard_configuration_is_reported() {
         shards
     };
     assert_eq!(shards(RuntimeConfig::default().with_workers(3)), 6);
-    assert_eq!(shards(RuntimeConfig::default().with_workers(3).with_tracker_shards(7)), 7);
-    assert_eq!(shards(RuntimeConfig::default().with_workers(2).with_tracker_shards(0)), 4);
+    assert_eq!(
+        shards(
+            RuntimeConfig::default()
+                .with_workers(3)
+                .with_tracker_shards(7)
+        ),
+        7
+    );
+    assert_eq!(
+        shards(
+            RuntimeConfig::default()
+                .with_workers(2)
+                .with_tracker_shards(0)
+        ),
+        4
+    );
 }

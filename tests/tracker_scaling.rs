@@ -107,7 +107,11 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
     wait_until("the worker to finish under a held gate", || {
         rt.in_flight_tasks() == 0
     });
-    assert_eq!(hold.deferred_retirements(), 1, "the retirement waits in the inbox");
+    assert_eq!(
+        hold.deferred_retirements(),
+        1,
+        "the retirement waits in the inbox"
+    );
     // `stats` takes no gate, so it can look while the shard is held.
     assert_eq!(
         rt.stats().task_nodes_outstanding,
@@ -123,14 +127,17 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
     let before = rt.stats();
     {
         let x = x.clone();
-        rt.task().input(&x).spawn(move |ctx| assert_eq!(*ctx.read(&x), 1));
+        rt.task()
+            .input(&x)
+            .spawn(move |ctx| assert_eq!(*ctx.read(&x), 1));
     }
     let after = rt.stats();
     assert_eq!(after.dependences_seen - before.dependences_seen, 1);
     assert_eq!(after.edges_added, before.edges_added);
     rt.taskwait();
     assert!(rt.take_panics().is_empty());
-    rt.audit().expect("clean audit after the deferred retirement");
+    rt.audit()
+        .expect("clean audit after the deferred retirement");
     rt.shutdown();
 }
 

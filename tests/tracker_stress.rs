@@ -102,7 +102,10 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     assert_eq!(stats.tasks_spawned, total, "spawn count");
     assert_eq!(stats.tasks_executed, total, "every task ran exactly once");
     assert_eq!(bodies_run.load(Ordering::Relaxed), total, "bodies ran once");
-    assert_eq!(stats.tasks_panicked, 0, "no body panicked (double execution panics)");
+    assert_eq!(
+        stats.tasks_panicked, 0,
+        "no body panicked (double execution panics)"
+    );
     assert!(rt.take_panics().is_empty());
 
     // No lost edges: each chain counted its own tasks, the shared
@@ -122,7 +125,10 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     // The tracker was exercised: every gate acquisition counted a hit on
     // its shard.
     let hits: u64 = stats.tracker_shard_hits.iter().sum();
-    assert!(hits >= total, "every registration takes at least one shard gate");
+    assert!(
+        hits >= total,
+        "every registration takes at least one shard gate"
+    );
 
     rt.shutdown();
     stats
@@ -139,7 +145,11 @@ fn concurrent_spawn_stress_sharded() {
     // Handles are allocated round-robin across shards, so several shards
     // must have been hit.
     let active = stats.tracker_shard_hits.iter().filter(|&&h| h > 0).count();
-    assert!(active > 1, "sharded run concentrated on one shard: {:?}", stats.tracker_shard_hits);
+    assert!(
+        active > 1,
+        "sharded run concentrated on one shard: {:?}",
+        stats.tracker_shard_hits
+    );
 }
 
 #[test]
@@ -163,7 +173,11 @@ fn concurrent_spawn_stress_single_shard() {
 /// forever for programs spawning less than that.
 #[test]
 fn retired_allocations_leave_by_alloc() {
-    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracker_shards(4));
+    let rt = Runtime::new(
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_tracker_shards(4),
+    );
     // Far fewer than the periodic-GC threshold, so only the retire path and
     // the explicit / quiescent GC can clean up.
     let v = rt.versioned_data(0u64);
@@ -186,11 +200,17 @@ fn retired_allocations_leave_by_alloc() {
     rt.taskwait();
     // Everything completed and retired: fully-retired allocations must leave
     // entries and by_alloc (the audit's `TrackerResidue` check).
-    let report = rt.audit().expect("fully-retired allocations leave the tracker");
+    let report = rt
+        .audit()
+        .expect("fully-retired allocations leave the tracker");
     assert!(report.quiescent);
     // The explicit entry point is idempotent on an empty tracker.
     rt.tracker_gc();
-    assert!(rt.audit().expect("still empty after an explicit GC").quiescent);
+    assert!(
+        rt.audit()
+            .expect("still empty after an explicit GC")
+            .quiescent
+    );
     rt.shutdown();
 }
 
@@ -257,7 +277,11 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
     assert_eq!(stats.tasks_spawned, total);
     assert_eq!(stats.tasks_executed, total, "every task ran exactly once");
     assert_eq!(bodies_run.load(Ordering::Relaxed), total);
-    assert_eq!(torn_reads.load(Ordering::Relaxed), 0, "a reader overlapped a writer");
+    assert_eq!(
+        torn_reads.load(Ordering::Relaxed),
+        0,
+        "a reader overlapped a writer"
+    );
     assert!(rt.take_panics().is_empty());
 
     // Post-drain facts: the auditor checks the ledger, gates, tracker
@@ -266,7 +290,11 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
 
     let writes = total - (SPAWNERS * (per_thread / 16)) as u64;
     let data = rt.into_vec(part);
-    assert_eq!(data.iter().sum::<u64>(), writes * CHUNK_LEN as u64, "a chunk update was lost");
+    assert_eq!(
+        data.iter().sum::<u64>(),
+        writes * CHUNK_LEN as u64,
+        "a chunk update was lost"
+    );
     rt.shutdown();
 }
 
@@ -353,8 +381,9 @@ fn run_opposite_order_span_stress(config: RuntimeConfig) {
                 for i in 0..per_thread {
                     let base = t * 3 + i;
                     let span = if i % 3 == 2 { 3 } else { 2 };
-                    let mut handles: Vec<Data<u64>> =
-                        (0..span).map(|d| cells[(base + d) % CELLS].clone()).collect();
+                    let mut handles: Vec<Data<u64>> = (0..span)
+                        .map(|d| cells[(base + d) % CELLS].clone())
+                        .collect();
                     if t % 2 == 1 {
                         handles.reverse();
                     }
@@ -382,10 +411,14 @@ fn run_opposite_order_span_stress(config: RuntimeConfig) {
     assert_eq!(stats.tasks_executed, total, "every task ran exactly once");
     assert!(rt.take_panics().is_empty());
     let got: Vec<u64> = cells.iter().map(|c| rt.fetch(c)).collect();
-    assert_eq!(got, expected, "an edge between two spans on one cell was lost");
+    assert_eq!(
+        got, expected,
+        "an edge between two spans on one cell was lost"
+    );
 
     rt.taskwait();
-    rt.audit().expect("audit after the opposite-order span storm");
+    rt.audit()
+        .expect("audit after the opposite-order span storm");
     drop(template);
     rt.shutdown();
 }
