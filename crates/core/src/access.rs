@@ -183,7 +183,7 @@ impl Access {
 
 /// The class of a dependence edge from an earlier to a later access on
 /// overlapping regions (in program/spawn order), as the tracker counts it
-/// (`graph/shard.rs` decides which pairs are ordered, and how they count).
+/// (`graph/history.rs` decides which pairs are ordered, and how they count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Dependence {
     /// Later task reads data produced by the earlier task.

@@ -17,7 +17,7 @@
 //! * [`Runtime::replay`] re-stamps the whole batch: every recipe's clauses
 //!   are re-resolved (optionally substituted through [`ReplayBindings`]),
 //!   the nodes are acquired from the task slab, and the entire batch is
-//!   registered with the dependence tracker under **one** multi-gate
+//!   registered with the dependence tracker under **one** gate
 //!   acquisition instead of one per task, then each ready root is queued as
 //!   its registration sentinel is released.
 //!
@@ -104,7 +104,7 @@
 //! dependences. Replays also run **concurrently**: scratch buffers
 //! are leased from a pool rather than held under one template-wide mutex,
 //! so two templates — or two disjoint-binding replays of one template —
-//! stamp in parallel and serialise only at the tracker gates, like any two
+//! stamp in parallel and serialise only at the tracker gate, like any two
 //! spawning threads.
 //!
 //! # Bindings
@@ -139,8 +139,8 @@
 //! every pre-wired pass (falling back when it disagrees).
 //!
 //! Equivalence with fresh spawning is pinned by
-//! `tests/replay_equivalence.rs` (edge multisets and final values across
-//! shard counts) and the replay extension of
+//! `tests/replay_equivalence.rs` (edge multisets and final values, against
+//! the forced-fallback reference too) and the replay extension of
 //! `tests/property_runtime.rs` (sequential-semantics oracle).
 
 use std::cell::Cell;
@@ -340,17 +340,6 @@ impl CapturedTaskBuilder<'_, '_> {
     }
 }
 
-/// Reusable replay buffers: the acquired nodes of the pass being stamped and
-/// the sorted shard-id union.
-/// Kept in a lease pool inside the template (one entry per concurrent
-/// replay lane) so a warm replay allocates nothing and two passes never
-/// serialise on a buffer mutex.
-#[derive(Default)]
-struct ReplayScratch {
-    nodes: Vec<Arc<TaskNode>>,
-    sids: Vec<usize>,
-}
-
 /// A recorded batch of task recipes, produced by [`CaptureScope::finish`]
 /// and re-stamped by [`Runtime::replay`]. See
 /// the [module docs](self) for the capture/replay semantics, the
@@ -358,10 +347,12 @@ struct ReplayScratch {
 pub struct GraphTemplate {
     owner: Weak<RuntimeInner>,
     tasks: Vec<CapturedTask>,
-    /// Scratch lease pool: a replay pops a buffer set (or starts a fresh
-    /// one), stamps without holding any template-wide lock, and pushes the
-    /// buffers back — concurrent replays each get their own lease.
-    scratch: Mutex<Vec<ReplayScratch>>,
+    /// Scratch lease pool of node buffers, one per concurrent replay lane: a
+    /// replay pops one (or starts a fresh one), stamps the pass's acquired
+    /// nodes into it without holding any template-wide lock, and pushes it
+    /// back — so a warm replay allocates nothing and two passes never
+    /// serialise on a buffer mutex.
+    scratch: Mutex<Vec<Vec<Arc<TaskNode>>>>,
     /// The frozen pre-wired plan, once a pass has proven the batch is
     /// renaming-free (see the module docs). Replay passes clone the `Arc`
     /// out, so freezing never blocks a concurrent pass.
@@ -533,10 +524,8 @@ impl Runtime {
         // as fresh root spawns do — a cancelled job's queued replay batches
         // are retired without running, and the template stays reusable.
         let cancel = crate::runtime::current_cancel_scope();
-        let mut scratch = template.scratch.lock().pop().unwrap_or_default();
-        let ReplayScratch { nodes, sids } = &mut scratch;
+        let mut nodes = template.scratch.lock().pop().unwrap_or_default();
         nodes.clear();
-        sids.clear();
 
         // Mode select: a frozen plan is only usable when no binding
         // substitutes handles (substitution must re-resolve) and the config
@@ -587,9 +576,6 @@ impl Runtime {
                 // Any version machinery at all disqualifies freezing:
                 // resolution is only pass-invariant for plain handles.
                 pure &= bound.tickets.is_empty();
-                for access in bound.accesses.iter() {
-                    sids.push(inner.tracker.shard_of(access.region.id.alloc));
-                }
                 if trace_enabled {
                     renames_per_task.push(bound.renamed);
                 }
@@ -612,18 +598,15 @@ impl Runtime {
         }
         if let Some(plan) = &plan {
             // The baked interior edges are wired in before any gate is taken.
-            graph::prewire_batch(nodes, plan);
-        } else {
-            sids.sort_unstable();
-            sids.dedup();
+            graph::prewire_batch(&nodes, plan);
         }
         // Freeze attempt — a resolved pass with empty bindings that used no
         // version machinery proves the batch renaming-free; bake it. Done
-        // outside any gate (the shadow registration touches no live shard).
+        // outside the gate (the shadow registration touches no live history).
         if pure && clash.is_none() {
             let mut frozen = template.frozen.lock();
             if frozen.is_none() {
-                *frozen = graph::build_frozen_plan(nodes, &inner.tracker).map(Arc::new);
+                *frozen = graph::build_frozen_plan(&nodes).map(Arc::new);
             }
         }
 
@@ -643,7 +626,7 @@ impl Runtime {
                 let Some(plan) = &plan else {
                     return inner
                         .tracker
-                        .register_batch(nodes, sids, record_edges, &inner.stats);
+                        .register_batch(nodes, record_edges, &inner.stats);
                 };
                 if let Some(batch) =
                     inner
@@ -663,7 +646,7 @@ impl Runtime {
                 graph::unwire_batch(nodes);
                 inner
                     .tracker
-                    .register_batch(nodes, &plan.sids, record_edges, &inner.stats)
+                    .register_batch(nodes, record_edges, &inner.stats)
             },
             |nodes| {
                 // The live edges are out; a pre-wired pass adds its baked
@@ -673,7 +656,6 @@ impl Runtime {
                         inner.trace.record(TraceEvent::Edge {
                             task: nodes[e.succ].id,
                             from: nodes[e.pred].id,
-                            shard: e.shard,
                             fast_path: false,
                             at_ns: inner.trace.now_ns(),
                         });
@@ -688,7 +670,7 @@ impl Runtime {
                 });
             },
         );
-        template.scratch.lock().push(scratch);
+        template.scratch.lock().push(nodes);
         if let Some(clash) = clash {
             clash.raise();
         }

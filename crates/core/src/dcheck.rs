@@ -63,7 +63,7 @@
 //! [`Runtime::audit`](crate::Runtime::audit) unifies the drain-time
 //! identities that were previously asserted piecemeal across the test
 //! suites: the task ledger (`executed + poisoned + cancelled == spawned`),
-//! every tracker shard gate even at quiescence, tombstones and by-alloc
+//! the tracker gate even at quiescence, tombstones and by-alloc
 //! maps scrubbed after GC, slab `outstanding == 0`, and version-ticket
 //! bind/release balance. Under dcheck the audit runs automatically at every
 //! quiescent `taskwait`. A non-quiescent audit checks the one direction that
@@ -264,12 +264,9 @@ pub enum AuditViolation {
         /// Tasks in flight at audit time.
         in_flight: u64,
     },
-    /// A tracker shard's sequence gate read odd at quiescence — some
+    /// The tracker's sequence gate read odd at quiescence — some
     /// registration or retirement never released it.
-    GateHeld {
-        /// Index of the held shard.
-        shard: usize,
-    },
+    GateHeld,
     /// The tracker still holds region or allocation history after a
     /// quiescent GC sweep (tombstones or by-alloc entries leaked).
     TrackerResidue {

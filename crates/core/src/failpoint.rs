@@ -74,8 +74,8 @@ pub enum FaultClass {
     RenameExhaustion = 2,
     /// A tracker gate acquisition forced to skip the polite try (a fresh
     /// registration so forced counts as a fast-path fallback), or a
-    /// retirement forced through the shard's retire inbox. Serial: per-class
-    /// call counter.
+    /// retirement forced through the tracker's retire inbox. Serial:
+    /// per-class call counter.
     TrackerFallback = 3,
     /// An ingest-queue push forced to report the queue as full, shedding the
     /// job even below capacity. Serial: per-class call counter.

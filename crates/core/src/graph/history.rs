@@ -1,7 +1,7 @@
-//! One shard's dependence history: per-region reader/writer lists, the
-//! predecessor set a registration collects from them, and the passes that
-//! read and update them. Everything here expects the caller to hold the
-//! shard's gate (see [`super::gate`]).
+//! The dependence history: per-region reader/writer lists, the predecessor
+//! set a registration collects from them, and the passes that read and
+//! update them. Everything here expects the caller to hold the tracker's
+//! gate (see [`super::gate`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -132,18 +132,17 @@ impl RegionEntry {
     }
 }
 
-// lint: hot-path-begin — predecessor dedupe + per-shard history passes: every
+// lint: hot-path-begin — predecessor dedupe + history passes: every
 // access of every registration runs through here; no panicking calls allowed
 // (see `cargo xtask lint`).
 
 /// A predecessor discovered during registration: its identity, the live node
-/// (when an edge can still be added), the dependence class of the first
-/// conflict that introduced it, and the shard it was found in.
+/// (when an edge can still be added) and the dependence class of the first
+/// conflict that introduced it.
 pub(super) struct PredRef {
     pub(super) id: TaskId,
     pub(super) live: Option<Arc<TaskNode>>,
     pub(super) dependence: Dependence,
-    pub(super) shard: usize,
 }
 
 /// Up to this many collected predecessors a duplicate check is a linear scan
@@ -171,7 +170,7 @@ pub(super) struct PredSet {
 }
 
 impl PredSet {
-    fn push(&mut self, t: &HistoryRef, dependence: Dependence, shard: usize) {
+    fn push(&mut self, t: &HistoryRef, dependence: Dependence) {
         let id = t.id();
         if id.0 > self.max_id {
             self.max_id = id.0;
@@ -182,7 +181,6 @@ impl PredSet {
             id,
             live: t.live().cloned(),
             dependence,
-            shard,
         });
     }
 
@@ -219,7 +217,7 @@ impl PredSet {
     }
 }
 
-/// One retirement a worker handed to a shard's inbox because the gate was
+/// One retirement a worker handed to the retire inbox because the gate was
 /// held: "task `task` is done with its `kind` access on `rid`".
 pub(super) struct Retirement {
     pub(super) rid: RegionId,
@@ -227,32 +225,30 @@ pub(super) struct Retirement {
     pub(super) kind: AccessKind,
 }
 
-/// One shard of the dependence tracker: the region history and per-allocation
-/// index for every allocation routed to it. All methods expect the caller
-/// (the [`ShardedTracker`](super::ShardedTracker) router) to hold this shard's
-/// gate.
+/// The region history and per-allocation overlap index of every tracked
+/// allocation. All methods expect the caller (the
+/// [`Tracker`](super::Tracker)) to hold the gate.
 #[derive(Default)]
-pub(super) struct TrackerShard {
+pub(super) struct History {
     pub(super) entries: HashMap<RegionId, RegionEntry, IdBuildHasher>,
     /// The overlap index of every allocation with tracked regions. A region
     /// id is indexed exactly while it has an entry in `entries`.
     pub(super) by_alloc: HashMap<AllocId, AllocIndex, IdBuildHasher>,
-    /// Scratch predecessor set reused by every registration whose first
-    /// shard this is, so the steady-state registration allocates nothing.
-    /// Only ever touched while the shard's gate is held (exclusive access),
-    /// and always left empty.
+    /// Scratch predecessor set reused by every registration, so the
+    /// steady-state registration allocates nothing. Only ever touched while
+    /// the gate is held (exclusive access), and always left empty.
     pub(super) scratch_preds: PredSet,
     /// The buffer an inbox drain swaps the pending retirements into (see
     /// [`super::gate`]); always left empty.
     pub(super) scratch_inbox: Vec<Retirement>,
 }
 
-impl TrackerShard {
+impl History {
     /// Pass 1 of registration: collect the predecessors `access` conflicts
-    /// with from this shard's history into `preds`. Overlapping entries are
-    /// visited in index order (see [`AllocIndex`]). Returns the number of
-    /// index spans examined.
-    pub(super) fn collect_preds(&self, access: &Access, shard: usize, preds: &mut PredSet) -> u64 {
+    /// with from the history into `preds`. Overlapping entries are visited
+    /// in index order (see [`AllocIndex`]). Returns the number of index
+    /// spans examined.
+    pub(super) fn collect_preds(&self, access: &Access, preds: &mut PredSet) -> u64 {
         let alloc = access.region.id.alloc;
         let Some(index) = self.by_alloc.get(&alloc) else {
             return 0;
@@ -275,28 +271,28 @@ impl TrackerShard {
             };
             // Earlier writers always order later readers and writers.
             for w in &entry.writers {
-                preds.push(w, vs_writer, shard);
+                preds.push(w, vs_writer);
             }
             match later {
                 AccessKind::Input => {
                     // RAW only; concurrent accumulators count as writers.
                     for c in &entry.concurrent {
-                        preds.push(c, Dependence::ReadAfterWrite, shard);
+                        preds.push(c, Dependence::ReadAfterWrite);
                     }
                 }
                 AccessKind::Output | AccessKind::InOut => {
                     for r in &entry.readers {
-                        preds.push(r, Dependence::WriteAfterRead, shard);
+                        preds.push(r, Dependence::WriteAfterRead);
                     }
                     for c in &entry.concurrent {
-                        preds.push(c, vs_writer, shard);
+                        preds.push(c, vs_writer);
                     }
                 }
                 AccessKind::Concurrent => {
                     // Order against plain readers, not against other
                     // concurrent accesses.
                     for r in &entry.readers {
-                        preds.push(r, Dependence::WriteAfterRead, shard);
+                        preds.push(r, Dependence::WriteAfterRead);
                     }
                 }
             }
@@ -317,8 +313,8 @@ impl TrackerShard {
         }
     }
 
-    /// Pass 3 of registration: record `access` of `node` in this shard's
-    /// history so that future tasks depend on `node` where required.
+    /// Pass 3 of registration: record `access` of `node` in the history so
+    /// that future tasks depend on `node` where required.
     pub(super) fn record_access(
         &mut self,
         access: &Access,
@@ -393,8 +389,8 @@ impl TrackerShard {
         any
     }
 
-    /// All in-flight tasks in this shard currently accessing a region
-    /// overlapping `region` (used by `taskwait on`).
+    /// All in-flight tasks currently accessing a region overlapping
+    /// `region` (used by `taskwait on`).
     pub(super) fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
         let mut out: Vec<Arc<TaskNode>> = Vec::new();
         let alloc = region.id.alloc;

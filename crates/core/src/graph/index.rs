@@ -1,6 +1,6 @@
 //! The per-allocation overlap index: which recorded regions of an allocation
 //! overlap a byte range, in time proportional to the overlaps (see the
-//! [module docs](super), "Sharding and the overlap index").
+//! [module docs](super), "The overlap index").
 
 use crate::region::{AllocId, Region, RegionId};
 

@@ -34,26 +34,35 @@
 //! scheduling needs whole before it starts — a recorded trace is the bridge
 //! between the two (ROADMAP direction 5).
 //!
-//! ## Sharding and the overlap index
+//! ## One gate
 //!
 //! The tracker is the insertion-side critical path: every spawned task takes
 //! it to register, and every completed task takes it again to retire its
-//! history. A single map behind a single lock serialises all of that, so the
-//! tracker is **sharded by allocation id**: `ShardedTracker` routes every
-//! region to the shard `alloc_id % num_shards`, and each `TrackerShard`
-//! owns its own gate, `entries` map, `by_alloc` overlap index and retire
-//! inbox. Renaming gives every data version a fresh allocation id, so shards
-//! stay naturally balanced.
+//! history. It has **one** gate, one retire inbox and one history. A
+//! program in this model has one task-creating thread — the master thread
+//! running the sequential code — and so does every workload of the benchmark
+//! ledger (`ledger/`: the main thread in `table1.*`, the round loop in
+//! `insert.storm`, each tenant's running job in `service.closed`), so the
+//! gate is shared between that spawner and the workers retiring behind it.
+//! Routing allocations over `2 × workers` gates bought nothing there: with
+//! one gate instead, alternating benchmark pairs on a 2-vCPU host moved no
+//! end-to-end median by more than a few per cent either way, and the
+//! routing cost an ordered multi-gate acquisition on every registration
+//! that touched two allocations. Concurrent spawners (task bodies spawning
+//! children, several threads sharing one runtime) stay correct: they
+//! serialise on the gate.
 //!
-//! Within a shard, `by_alloc` holds one `AllocIndex` per allocation: the
-//! recorded regions ordered by **(size class, start offset, chunk id)**,
-//! where the size class is the bit length of the region's byte length. A
-//! region id is indexed when its history entry is created and leaves the
-//! index when garbage collection drops the entry — recording an access never
-//! reorders anything. "Which recorded regions overlap `[s, e)`" is one binary
-//! search plus a short forward walk per occupied size class (regions of
-//! class `c` are shorter than `2^c` bytes, so the ones reaching `s` start
-//! after `s - 2^c`): a chunk access on an N-chunk partition examines its
+//! ## The overlap index
+//!
+//! `by_alloc` holds one `AllocIndex` per allocation: the recorded regions
+//! ordered by **(size class, start offset, chunk id)**, where the size class
+//! is the bit length of the region's byte length. A region id is indexed
+//! when its history entry is created and leaves the index when garbage
+//! collection drops the entry — recording an access never reorders anything.
+//! "Which recorded regions overlap `[s, e)`" is one binary search plus a
+//! short forward walk per occupied size class (regions of class `c` are
+//! shorter than `2^c` bytes, so the ones reaching `s` start after
+//! `s - 2^c`): a chunk access on an N-chunk partition examines its
 //! neighbours, a `whole()` access the N chunks it really overlaps, nested
 //! and partially overlapping sub-ranges whatever is near them. The cost of a
 //! registration therefore follows what the task touches, not what the
@@ -66,38 +75,28 @@
 //! start, then by chunk id — and, across accesses, in declaration order.
 //! Predecessors (and so edge records and first-conflict RAW/WAR/WAW
 //! classification) come out in that order. It is a pure function of the set
-//! of tracked regions: not of the order they were recorded in, nor of the
-//! shard count, how the gates were acquired or the replay path.
-//!
-//! A registration that touches several allocations takes the gate of every
-//! involved shard **in canonical order** (ascending shard index) and holds
-//! them all for the whole registration, which keeps multi-shard registration
-//! atomic (the linearisation point of the spawn) and deadlock-free. Because
-//! regions of one allocation always live in exactly one shard, the
-//! per-registration outcome — predecessors discovered, edges added, and their
-//! order — is identical for every shard count; `tests/tracker_equivalence.rs`
-//! pins this.
+//! of tracked regions: not of the order they were recorded in, nor of how
+//! the gate was acquired or the replay path.
 //!
 //! Every registration runs the same three passes per task
-//! (`ShardedTracker::register_node`): collect the conflicting predecessors
-//! of every access (deduplicated in constant time — see `PredSet`), add an
-//! edge from each live one, record the accesses. A fresh spawn registers a
-//! batch of one node; a template replay registers its whole batch under one
+//! (`Tracker::register_node`): collect the conflicting predecessors of every
+//! access (deduplicated in constant time — see `PredSet`), add an edge from
+//! each live one, record the accesses. A fresh spawn registers a batch of
+//! one node; a template replay registers its whole batch under one
 //! acquisition.
 //!
-//! ## Exclusion: one gate protocol
+//! ## Exclusion: the gate protocol
 //!
-//! Each shard carries a seqlock-style **sequence gate** (`AtomicU64`; even =
-//! quiescent, odd = a mutator holds the shard), and the gate is the only
-//! lock there is. Every operation — registering one node or a replay batch,
+//! The gate is a seqlock-style **sequence word** (`AtomicU64`; even =
+//! quiescent, odd = a mutator holds the history), and it is the only lock
+//! there is. Every operation — registering one node or a replay batch,
 //! retiring, garbage collection, the audit's residue read, `taskwait on` —
-//! goes through one guard type (`gate::Held`) over an ascending,
-//! deduplicated set of shard ids, acquired one way:
+//! goes through one guard type (`gate::Held`), acquired one way:
 //!
-//! 1. **Try.** Per gate, in order: one CAS if the gate is free and nobody is
-//!    waiting for it, repeated for a bounded number of spins while a holder
-//!    is outwaited (a retirement, a one-region registration or an inbox
-//!    drain is gone long before the budget runs out). No blocking, no flag.
+//! 1. **Try.** One CAS if the gate is free and nobody is waiting for it,
+//!    repeated for a bounded number of spins while a holder is outwaited (a
+//!    retirement, a one-region registration or an inbox drain is gone long
+//!    before the budget runs out). No blocking, no flag.
 //! 2. **Wait.** If the try fails — the holder is slow (a wide registration,
 //!    a GC sweep) or another acquirer is already waiting — raise the waiter
 //!    flag in the gate word and spin, then yield, until the CAS succeeds.
@@ -105,61 +104,50 @@
 //!    by real mutator work and cannot be starved by a stream of short
 //!    publications; several waiters re-raise it in turn.
 //!
-//! The ids of a node's shards are computed on the registering thread's stack
-//! (inline for up to four distinct shards — always, for a node whose access
-//! list is inline), per-shard scratch buffers hold the predecessor set, and
-//! a replay batch passes its reusable sorted id list, so a warm registration
-//! allocates nothing whether it touches one shard or several.
+//! The history keeps the registration's scratch predecessor set, so a warm
+//! registration allocates nothing, whatever it touches.
 //!
-//! How often does a registration touch exactly one shard? Less often than
-//! this module once assumed. Measured on the benchmark ledger (`ledger/`,
-//! `--quick --trace 1`, 2 workers) the single-shard share of fresh
-//! registrations (`graph.fast_path_share`) is **0.20** on `insert.storm`,
-//! **0.29** on `table1.coarse`, **0.35** on `table1.fine` and **1.00** only
-//! on `service.closed` — most tasks read one allocation and write another —
-//! while a waiting acquirer finds the gate held
-//! (`graph.lock_contention_per_ktask`) less than once per three thousand
-//! tasks on every workload. So the multi-shard acquisition is the common
-//! case and gets the same cheap protocol as the single-shard one; there is
-//! no second, blocking tier.
-//!
-//! The counters keep their meaning across that history:
-//! `tracker_fast_path_hits` counts fresh registrations on a single shard
-//! whose try succeeded, `tracker_fast_path_fallbacks` those that spanned
-//! several shards or had to wait, and `tracker_lock_contention` waiting
+//! The counters: `tracker_fast_path_hits` counts fresh registrations whose
+//! gate fell to the try, `tracker_fast_path_fallbacks` those that waited or
+//! whose try a fault plan forced off, and `tracker_lock_contention` waiting
 //! acquisitions that found the gate held (all in
-//! [`RuntimeStats`](crate::RuntimeStats)); traced edges carry a `fast_path`
-//! flag. The equivalence suites' reference configuration is a fault plan
+//! [`RuntimeStats`](crate::RuntimeStats)). A fresh spawn without accesses
+//! takes no gate and counts in neither; nor does a replay batch. On the
+//! benchmark ledger (`--trace 1`) the hit share (`graph.fast_path_share`)
+//! reads ≈1.0; it read 0.155 while a registration over two allocations
+//! usually spanned two gates and counted as a fallback. Traced edges carry
+//! a `fast_path` flag. The equivalence suites' reference configuration is a
+//! fault plan
 //! ([`FaultPlan::tracker_fallback_one_in(1)`](crate::FaultPlan::tracker_fallback_one_in)):
 //! it skips step 1 everywhere (every acquisition waits, every fresh
 //! registration counts as a fallback) and sends every retirement through the
 //! inbox. Both configurations run the same passes on the same history maps,
 //! which is why the edge multiset is byte-identical between them;
-//! `tests/tracker_equivalence.rs` pins that too.
+//! `tests/tracker_equivalence.rs` pins that.
 //!
-//! **Every** acquisition first applies the retire inbox (below) of each shard
-//! it takes, so no holder ever reads history with a retirement pending that
-//! was handed over before it acquired.
+//! **Every** acquisition first applies the retire inbox (below), so no
+//! holder ever reads history with a retirement pending that was handed over
+//! before it acquired.
 //!
 //! ## Retirement
 //!
-//! When a task completes, the worker retires it through the router: each of
-//! its history references is replaced by a lightweight *tombstone* (its
+//! When a task completes, the worker retires it: each of its history
+//! references is replaced by a lightweight *tombstone* (its
 //! [`TaskId`]); only the list the access kind recorded into is searched.
 //! Tombstones keep `predecessors_seen` deterministic (a
 //! completed-but-conflicting predecessor is still *seen*) while releasing
 //! the task node itself — closures, successor lists, version tickets — as
-//! soon as the task finishes. `TrackerShard::garbage_collect` then drops
+//! soon as the task finishes. `History::garbage_collect` then drops
 //! tombstoned entries and their index spans, so fully retired allocations
-//! leave both maps; it runs per shard, periodically from the spawn path and
-//! at every quiescent `taskwait`.
+//! leave both maps; it runs periodically from the spawn path and at every
+//! quiescent `taskwait`.
 //!
-//! **A retirement never blocks the worker.** It takes the shard gate only if
-//! the gate is free right now (one CAS, no spinning). If the gate is held —
+//! **A retirement never blocks the worker.** It takes the gate only if the
+//! gate is free right now (one CAS, no spinning). If the gate is held —
 //! typically by a spawner in the middle of a long registration — or a fault
-//! plan forces it, the worker pushes `(region, task, access kind)` onto that
-//! shard's **retire inbox**, looks at the gate once more, and goes back to
-//! executing tasks.
+//! plan forces it, the worker pushes `(region, task, access kind)` for each
+//! access onto the **retire inbox**, looks at the gate once more, and goes
+//! back to executing tasks.
 //! Were it to wait instead, every worker would park behind the one long
 //! registration, nothing would complete, and each following registration
 //! would find *more* live predecessors and hold the gate longer still.
@@ -175,8 +163,8 @@
 //!
 //! The invariants this keeps, each load-bearing elsewhere:
 //!
-//! * **(a) Hand-off happens-before ticket release.** `ShardedTracker::retire`
-//!   returns with every access tombstoned or in an inbox, and only then does
+//! * **(a) Hand-off happens-before ticket release.** `Tracker::retire`
+//!   returns with every access tombstoned or in the inbox, and only then does
 //!   the worker release the task's version tickets. A spawner that observes
 //!   a binding count of zero (and elides a rename, see [`crate::rename`])
 //!   therefore observes the inbox entries too, and its registration drains
@@ -186,7 +174,7 @@
 //!   retirement is a task still counted in flight (a worker in its
 //!   completion tail, a spawner whose task cannot run before its
 //!   registration returns) or the observing thread itself, so once
-//!   `in_flight == 0` is observed no inbox holds anything: "no history
+//!   `in_flight == 0` is observed the inbox holds nothing: "no history
 //!   residue after GC, no held gate, slab `outstanding == 0`" remain
 //!   post-drain facts for `taskwait` and `Runtime::audit` (whose residue
 //!   read drains on acquisition anyway).
@@ -201,15 +189,15 @@
 //!   several holders let go at once) instead of freeing it.
 //! * **(d) The inbox is allocation-free when warm.** It is a pre-sized
 //!   vector behind a mutex held only for one push or one swap; a drain swaps
-//!   it with a per-shard scratch vector, so both keep their capacity.
+//!   it with a scratch vector in the history, so both keep their capacity.
 //!
 //! [`crate::rename`]: crate::rename
 
 mod complete;
 mod gate;
+mod history;
 mod index;
 mod plan;
-mod shard;
 
 #[cfg(test)]
 pub(crate) use complete::complete;
@@ -219,11 +207,11 @@ pub(crate) use plan::{build_frozen_plan, prewire_batch, unwire_batch, FrozenPlan
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gate::{Held, ShardIds, ShardSlot};
-use shard::{PredRef, PredSet, Recycler};
+use gate::{Gate, Held};
+use history::{History, PredRef, PredSet, Recycler};
 
 use crate::access::Dependence;
-use crate::region::{AllocId, Region};
+use crate::region::Region;
 use crate::stats::{StatCounters, StatField};
 use crate::task::{TaskId, TaskNode, TaskSlab};
 
@@ -282,44 +270,32 @@ pub(crate) struct Registration {
     /// garbage-collected), which makes it the right counter for tests and
     /// comparisons that must be deterministic under load.
     pub predecessors_seen: usize,
-    /// `(batch index, added edges)` per task, in batch order: predecessor id
-    /// plus the tracker shard the conflict was found in. Populated only when
-    /// the caller asked for edge records (tracing enabled); empty — and
-    /// allocation-free — otherwise. The pre-wired path records only the
-    /// *frontier* tasks here (interior edges come from the plan), so entries
-    /// are sparse: index by the stored batch position, not by vector offset.
-    pub per_task: Vec<(usize, Vec<EdgeRecord>)>,
-    /// Whether the registration touched a single shard and took its gate at
-    /// the first, polite try (see the module docs).
+    /// `(batch index, predecessors of the added edges)` per task, in batch
+    /// order. Populated only when the caller asked for edge records
+    /// (tracing enabled); empty — and allocation-free — otherwise. The
+    /// pre-wired path records only the *frontier* tasks here (interior edges
+    /// come from the plan), so entries are sparse: index by the stored batch
+    /// position, not by vector offset.
+    pub per_task: Vec<(usize, Vec<TaskId>)>,
+    /// Whether the registration took the gate at the first, polite try (see
+    /// the module docs).
     pub fast_path: bool,
     /// Overlap-index spans examined.
     scanned: u64,
 }
 
-/// One added dependence edge, as reported to the trace.
-pub(crate) struct EdgeRecord {
-    /// The predecessor task of the edge.
-    pub pred: TaskId,
-    /// Tracker shard in which the conflict was discovered.
-    pub shard: usize,
-}
-
-/// The sharded dependence tracker: routes every allocation to one shard and
-/// runs registrations, retirements and sweeps under the shard gates. See the
-/// module docs.
+/// The dependence tracker: one gate over one history, and what the gate
+/// holders need besides. See the module docs.
 ///
-/// Every registration and every retiring worker reads the router fields, so
-/// they sit on a cache-line pair of their own (the sizing of
-/// [`CachePadded`](crate::stats::CachePadded)): packed beside the runtime's
-/// other fields, they shared a line with the critical-section registry's
-/// lock, and `table1.fine` replayed 4.8 % slower (2-vCPU host, 10
-/// alternating benchmark pairs).
-#[repr(align(128))]
-pub(crate) struct ShardedTracker {
-    shards: Box<[ShardSlot]>,
-    /// `0..shards.len()`: the slice a guard over the single shard `sid`
-    /// borrows its id from (see [`ShardedTracker::one`]).
-    shard_ids: Box<[usize]>,
+/// Every registration and every retiring worker takes the gate, so the
+/// tracker starts a cache-line pair of its own (the sizing of
+/// [`CachePadded`](crate::stats::CachePadded)) and fills it: packed beside
+/// the runtime's other fields, the tracker's fields once shared a line with
+/// the critical-section registry's lock, and `table1.fine` replayed 4.8 %
+/// slower (2-vCPU host, 10 alternating benchmark pairs).
+#[repr(C, align(128))]
+pub(crate) struct Tracker {
+    gate: Gate,
     /// Chaos-test hook: when set, individual gate acquisitions may be forced
     /// to skip the polite try and individual retirements through the inbox
     /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
@@ -328,16 +304,14 @@ pub(crate) struct ShardedTracker {
     /// hot path.
     fault: Option<crate::failpoint::FaultPlan>,
     /// Where the node references history lets go of after their worker did
-    /// are parked (see `shard::release_node`).
+    /// are parked (see `history::release_node`).
     recycler: Recycler,
 }
 
-impl ShardedTracker {
-    pub(crate) fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "the tracker needs at least one shard");
-        ShardedTracker {
-            shards: (0..shards).map(|_| ShardSlot::new()).collect(),
-            shard_ids: (0..shards).collect(),
+impl Tracker {
+    pub(crate) fn new() -> Self {
+        Tracker {
+            gate: Gate::new(),
             fault: None,
             recycler: None,
         }
@@ -350,7 +324,7 @@ impl ShardedTracker {
     }
 
     /// Route the references history lets go of after their worker did (see
-    /// `shard::release_node`) back to `slab`. Called before the tracker is
+    /// `history::release_node`) back to `slab`. Called before the tracker is
     /// shared.
     pub(crate) fn set_recycler(&mut self, slab: Arc<TaskSlab>) {
         self.recycler = Some(slab);
@@ -364,36 +338,14 @@ impl ShardedTracker {
             .is_some_and(|p| p.roll_next(crate::failpoint::FaultClass::TrackerFallback))
     }
 
-    /// Number of shards.
-    pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard an allocation is routed to. Allocation ids are handed out
-    /// sequentially (and renaming mints a fresh one per version), so plain
-    /// modulo spreads concurrent workloads evenly.
-    pub(crate) fn shard_of(&self, alloc: AllocId) -> usize {
-        (alloc.raw() % self.shards.len() as u64) as usize
-    }
-
-    /// The one-element id set `[sid]`.
-    fn one(&self, sid: usize) -> &[usize] {
-        &self.shard_ids[sid..=sid]
-    }
-
-    /// Hold shard `sid` alone (sweeps, residue reads, lookups).
-    fn hold_one(&self, sid: usize, stats: &StatCounters) -> Held<'_> {
-        Held::acquire(self, self.one(sid), stats)
-    }
-
     // lint: hot-path-begin — registration: every spawned task and every
     // replayed batch passes through here; no panicking calls allowed (see
     // `cargo xtask lint`).
 
-    /// The three registration passes of one node against shards the caller
-    /// holds, shared by every registration (fresh, batch, pre-wired
-    /// frontier) so all of them produce byte-identical edge sets: collect
-    /// the conflicting predecessors from every overlapping region entry in
+    /// The three registration passes of one node against the held history,
+    /// shared by every registration (fresh, batch, pre-wired frontier) so
+    /// all of them produce byte-identical edge sets: collect the conflicting
+    /// predecessors from every overlapping region entry in
     /// access-declaration order (each remembered with the dependence class
     /// of the first conflict that introduced it), add an edge from every
     /// live one, then record the accesses on the *exact* region entries.
@@ -405,22 +357,20 @@ impl ShardedTracker {
         node: &Arc<TaskNode>,
         at: usize,
         preds: &mut PredSet,
-        held: &mut Held<'_>,
+        history: &mut History,
         record_edges: bool,
         reg: &mut Registration,
     ) {
         debug_assert!(preds.is_empty());
         for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            reg.scanned += held.shard(sid).collect_preds(access, sid, preds);
+            reg.scanned += history.collect_preds(access, preds);
         }
         let edge_list = add_pred_edges(&preds.preds, node, record_edges, reg);
         if record_edges {
             reg.per_task.push((at, edge_list));
         }
         for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            held.shard(sid).record_access(access, node, &self.recycler);
+            history.record_access(access, node, &self.recycler);
         }
         reg.predecessors_seen += preds.preds.len();
         preds.clear(&self.recycler);
@@ -429,20 +379,19 @@ impl ShardedTracker {
     /// Register the declared accesses of `node`, adding dependence edges from
     /// every conflicting in-flight task, and updating the per-region history
     /// so that future tasks depend on `node` where required: a
-    /// [`register_batch`](ShardedTracker::register_batch) of one node over
-    /// the shards its accesses touch, counted as a fast-path hit (single
-    /// shard, gate taken at the first try) or fallback (several shards, a
-    /// wait, or a try the fault plan forced off). `record_edges` asks for
-    /// [`EdgeRecord`]s (only the tracing path wants them).
+    /// [`register_batch`](Tracker::register_batch) of one node, counted as a
+    /// fast-path hit (gate taken at the first try) or fallback (a wait, or a
+    /// try the fault plan forced off) unless it has no access.
+    /// `record_edges` asks for edge records (only the tracing path wants
+    /// them).
     pub(crate) fn register(
         &self,
         node: &Arc<TaskNode>,
         record_edges: bool,
         stats: &StatCounters,
     ) -> Registration {
-        let sids = ShardIds::of(self, &node.accesses);
-        let reg = self.register_batch(std::slice::from_ref(node), &sids, record_edges, stats);
-        if !sids.is_empty() {
+        let reg = self.register_batch(std::slice::from_ref(node), record_edges, stats);
+        if !node.accesses.is_empty() {
             let field = if reg.fast_path {
                 StatField::TrackerFastPathHits
             } else {
@@ -454,129 +403,104 @@ impl ShardedTracker {
     }
 
     /// Register a batch — a template replay's, or a fresh spawn's one node —
-    /// under **one** acquisition:
-    /// every shard in `sids` (the sorted, deduplicated union of the shards
-    /// the batch's accesses touch — computed by the caller so the buffer can
-    /// be reused across replays) is gated once, then the three registration
-    /// passes run per node in batch order. Because pass 3 (history update)
-    /// of node *i* runs before pass 1 (predecessor collection) of node
-    /// *i+1*, intra-batch dependences fall out of the ordinary history scan
-    /// — the edges are re-derived, not copied from the template, so they
-    /// stay correct when per-replay renaming resolves clauses to different
+    /// under **one** gate acquisition, then run the three registration
+    /// passes per node in batch order. Because pass 3 (history update) of
+    /// node *i* runs before pass 1 (predecessor collection) of node *i+1*,
+    /// intra-batch dependences fall out of the ordinary history scan — the
+    /// edges are re-derived, not copied from the template, so they stay
+    /// correct when per-replay renaming resolves clauses to different
     /// versions than the captured iteration did.
     ///
     /// Equivalence with per-task registration: the batch is one legal
-    /// linearization of the same per-node pass sequence, and gate exclusion
-    /// makes it atomic against concurrent registrations and retirements on
-    /// the involved shards. Gate waits and the spans scanned are counted
-    /// into `stats`.
+    /// linearization of the same per-node pass sequence, and the gate makes
+    /// it atomic against concurrent registrations and retirements. A batch
+    /// without any access takes no gate. Gate waits and the spans scanned
+    /// are counted into `stats`.
     pub(crate) fn register_batch(
         &self,
         nodes: &[Arc<TaskNode>],
-        sids: &[usize],
         record_edges: bool,
         stats: &StatCounters,
     ) -> Registration {
         let mut reg = Registration::default();
-        let Some(&first) = sids.first() else {
+        if nodes.iter().all(|node| node.accesses.is_empty()) {
             // Access-free: nothing to track, nothing to gate.
             for node in nodes {
                 node.in_edges.store(0, Ordering::Relaxed);
             }
             return reg;
-        };
-        let mut held = Held::acquire(self, sids, stats);
-        reg.fast_path = sids.len() == 1 && held.tried();
-        for &sid in sids {
-            self.shards[sid].hit();
         }
-        // The scratch set of the first involved shard is borrowed for the
-        // whole registration (its gate is held, so it is exclusively ours),
-        // keeping a warm registration allocation-free.
-        let mut preds = std::mem::take(&mut held.shard(first).scratch_preds);
+        let mut held = Held::acquire(self, stats);
+        reg.fast_path = held.tried();
+        let history = held.history();
+        // The scratch set is borrowed for the whole registration (the gate
+        // is held, so it is exclusively ours), keeping a warm registration
+        // allocation-free.
+        let mut preds = std::mem::take(&mut history.scratch_preds);
         for (i, node) in nodes.iter().enumerate() {
-            self.register_node(node, i, &mut preds, &mut held, record_edges, &mut reg);
+            self.register_node(node, i, &mut preds, history, record_edges, &mut reg);
         }
-        held.shard(first).scratch_preds = preds;
+        history.scratch_preds = preds;
         stats.add(StatField::TrackerEntriesScanned, reg.scanned);
         reg
     }
     // lint: hot-path-end
 
     /// All in-flight tasks that currently access a region overlapping
-    /// `region` (used by `taskwait on`). A region lives in exactly one shard.
+    /// `region` (used by `taskwait on`).
     pub(crate) fn tasks_touching(
         &self,
         region: &Region,
         stats: &StatCounters,
     ) -> Vec<Arc<TaskNode>> {
-        let sid = self.shard_of(region.id.alloc);
-        self.shards[sid].hit();
-        self.hold_one(sid, stats).shard(sid).tasks_touching(region)
+        Held::acquire(self, stats).history().tasks_touching(region)
     }
 
-    /// Gate acquisitions per shard by registrations, retirements and
-    /// `taskwait on` lookups.
-    pub(crate) fn shard_hits(&self) -> Vec<u64> {
-        self.shards.iter().map(ShardSlot::hits).collect()
-    }
-
-    /// Garbage-collect every shard (one gate at a time): drop tombstones,
-    /// completed tasks, emptied entries and their index spans. Called
-    /// periodically from the spawn path (cadence:
+    /// Garbage-collect the history: drop tombstones, completed tasks,
+    /// emptied entries and their index spans. Called periodically from the
+    /// spawn path (cadence:
     /// [`RuntimeConfig::with_tracker_gc_interval`](crate::RuntimeConfig::with_tracker_gc_interval))
     /// and from quiescent `taskwait`s to bound memory on long-running
-    /// programs. Bypasses the hit counters: those attribute gate traffic to
-    /// the registration, retire and `taskwait on` paths only, and a sweep
-    /// touching every shard would drown the signal. Registrations on a shard
-    /// being swept wait behind the sweep — which drains the shard's retire
-    /// inbox first, like every acquisition.
+    /// programs. Registrations wait behind the sweep — which drains the
+    /// retire inbox first, like every acquisition.
     pub(crate) fn garbage_collect(&self, stats: &StatCounters) {
-        for sid in 0..self.shards.len() {
-            self.hold_one(sid, stats)
-                .shard(sid)
-                .garbage_collect(&self.recycler);
-        }
+        Held::acquire(self, stats)
+            .history()
+            .garbage_collect(&self.recycler);
     }
 
-    /// Index of the first shard whose gate is currently held by some
-    /// mutator, or `None` when every gate is quiescent. At runtime
-    /// quiescence no registration or retirement can be mid-publication, so
-    /// a held gate is an invariant violation (see [`crate::Runtime::audit`]).
-    pub(crate) fn first_held_gate(&self) -> Option<usize> {
-        self.shards.iter().position(ShardSlot::is_held)
+    /// Whether some mutator holds the gate right now. At runtime quiescence
+    /// no registration or retirement can be mid-publication, so a held gate
+    /// is an invariant violation (see [`crate::Runtime::audit`]).
+    pub(crate) fn gate_held(&self) -> bool {
+        self.gate.is_held()
     }
 
     /// What the tracker still holds, `(regions, allocs)`: the history
-    /// entries and the allocations indexed in `by_alloc`, summed over the
-    /// shards. After a quiescent `taskwait` (which garbage-collects) both
-    /// read zero; anything else is a retire-path leak. Takes each shard's
-    /// gate in turn and leaves the hit counters untouched (see
-    /// [`ShardedTracker::garbage_collect`]); like every acquisition it
-    /// applies pending deferred retirements first.
+    /// entries and the allocations indexed in `by_alloc`. After a quiescent
+    /// `taskwait` (which garbage-collects) both read zero; anything else is
+    /// a retire-path leak. Like every acquisition it applies pending
+    /// deferred retirements first.
     pub(crate) fn residue(&self, stats: &StatCounters) -> (usize, usize) {
-        (0..self.shards.len()).fold((0, 0), |(regions, allocs), sid| {
-            let mut held = self.hold_one(sid, stats);
-            let shard = held.shard(sid);
-            (regions + shard.entries.len(), allocs + shard.by_alloc.len())
-        })
+        let mut held = Held::acquire(self, stats);
+        let history = held.history();
+        (history.entries.len(), history.by_alloc.len())
     }
 
-    /// Test support: hold `shard`'s gate until the returned guard drops, so
-    /// a test can make completions on that shard defer their retirements
-    /// deterministically.
-    pub(crate) fn hold_shard(&self, shard: usize, stats: &StatCounters) -> ShardHold<'_> {
-        ShardHold(self.hold_one(shard, stats))
+    /// Test support: hold the gate until the returned guard drops, so a test
+    /// can make completions defer their retirements deterministically.
+    pub(crate) fn hold(&self, stats: &StatCounters) -> TrackerHold<'_> {
+        TrackerHold(Held::acquire(self, stats))
     }
 }
 
-/// A held tracker shard (test support; see
-/// [`Runtime::hold_tracker_shard`](crate::Runtime::hold_tracker_shard)).
+/// The held tracker gate (test support; see
+/// [`Runtime::hold_tracker`](crate::Runtime::hold_tracker)).
 #[doc(hidden)]
-pub struct ShardHold<'a>(Held<'a>);
+pub struct TrackerHold<'a>(Held<'a>);
 
-impl ShardHold<'_> {
-    /// Retirements currently waiting in the held shard's inbox.
+impl TrackerHold<'_> {
+    /// Retirements currently waiting in the inbox.
     pub fn deferred_retirements(&self) -> usize {
         self.0.pending_retirements()
     }
@@ -587,14 +511,14 @@ impl ShardHold<'_> {
 /// Pass 2 of registration, shared verbatim by every registration (so all
 /// produce byte-identical edge sets): add an edge from every live
 /// predecessor, classifying it RAW / WAR / WAW into `reg`, and store the
-/// node's in-edge count. Returns the edge records (empty unless
-/// `record_edges`).
+/// node's in-edge count. Returns the predecessors of the added edges (empty
+/// unless `record_edges`).
 fn add_pred_edges(
     preds: &[PredRef],
     node: &Arc<TaskNode>,
     record_edges: bool,
     reg: &mut Registration,
-) -> Vec<EdgeRecord> {
+) -> Vec<TaskId> {
     let mut edges = 0usize;
     let mut edge_list = Vec::new();
     for pred in preds {
@@ -610,10 +534,7 @@ fn add_pred_edges(
                 Dependence::WriteAfterWrite => reg.waw_edges += 1,
             }
             if record_edges {
-                edge_list.push(EdgeRecord {
-                    pred: pred.id,
-                    shard: pred.shard,
-                });
+                edge_list.push(pred.id);
             }
         }
     }
@@ -625,10 +546,11 @@ fn add_pred_edges(
 
 #[cfg(test)]
 mod tests {
+    use super::history::Retirement;
     use super::index::Span;
-    use super::shard::{Retirement, TrackerShard};
     use super::*;
     use crate::access::{Access, AccessKind};
+    use crate::region::AllocId;
     use crate::task::TaskState;
     use proptest::prelude::*;
 
@@ -646,24 +568,18 @@ mod tests {
 
     /// A tracker and the counters its registrations and gate waits tally
     /// into, as a runtime lends them.
-    struct Tracker {
-        tr: ShardedTracker,
+    struct TestTracker {
+        tr: Tracker,
         stats: StatCounters,
     }
 
-    impl Tracker {
+    impl TestTracker {
         fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
             self.tr.register(node, record_edges, &self.stats)
         }
 
-        fn register_batch(
-            &self,
-            nodes: &[Arc<TaskNode>],
-            sids: &[usize],
-            record_edges: bool,
-        ) -> Registration {
-            self.tr
-                .register_batch(nodes, sids, record_edges, &self.stats)
+        fn register_batch(&self, nodes: &[Arc<TaskNode>], record_edges: bool) -> Registration {
+            self.tr.register_batch(nodes, record_edges, &self.stats)
         }
 
         fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
@@ -682,8 +598,8 @@ mod tests {
             self.residue().0
         }
 
-        fn hold_shard(&self, shard: usize) -> ShardHold<'_> {
-            self.tr.hold_shard(shard, &self.stats)
+        fn hold(&self) -> TrackerHold<'_> {
+            self.tr.hold(&self.stats)
         }
 
         fn count(&self, field: StatField) -> u64 {
@@ -699,30 +615,30 @@ mod tests {
         }
     }
 
-    impl std::ops::Deref for Tracker {
-        type Target = ShardedTracker;
-        fn deref(&self) -> &ShardedTracker {
+    impl std::ops::Deref for TestTracker {
+        type Target = Tracker;
+        fn deref(&self) -> &Tracker {
             &self.tr
         }
     }
 
-    impl std::ops::DerefMut for Tracker {
-        fn deref_mut(&mut self) -> &mut ShardedTracker {
+    impl std::ops::DerefMut for TestTracker {
+        fn deref_mut(&mut self) -> &mut Tracker {
             &mut self.tr
         }
     }
 
-    fn tracker(shards: usize) -> Tracker {
-        Tracker {
-            tr: ShardedTracker::new(shards),
+    fn tracker() -> TestTracker {
+        TestTracker {
+            tr: Tracker::new(),
             stats: StatCounters::default(),
         }
     }
 
     /// The reference configuration: every gate acquisition forced off the
     /// polite try, every retirement through the inbox.
-    fn tracker_locked(shards: usize) -> Tracker {
-        let mut tr = tracker(shards);
+    fn tracker_locked() -> TestTracker {
+        let mut tr = tracker();
         tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
         tr
     }
@@ -734,13 +650,13 @@ mod tests {
 
     /// The edge records of a single-node registration made with
     /// `record_edges`.
-    fn edge_list(reg: &Registration) -> &[EdgeRecord] {
+    fn edge_list(reg: &Registration) -> &[TaskId] {
         &reg.per_task[0].1
     }
 
     #[test]
     fn raw_dependence_creates_edge() {
-        let tr = tracker(4);
+        let tr = tracker();
         let producer = node_with(vec![acc(1, 0, 0..100, AccessKind::Output)]);
         let consumer = node_with(vec![acc(1, 0, 0..100, AccessKind::Input)]);
 
@@ -761,7 +677,7 @@ mod tests {
 
     #[test]
     fn war_and_waw_serialise_without_renaming() {
-        let tr = tracker(2);
+        let tr = tracker();
         let reader = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let writer1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let writer2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
@@ -783,7 +699,7 @@ mod tests {
 
     #[test]
     fn independent_regions_do_not_serialise() {
-        let tr = tracker(3);
+        let tr = tracker();
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let b = node_with(vec![acc(1, 1, 10..20, AccessKind::Output)]);
         let c = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
@@ -797,7 +713,7 @@ mod tests {
 
     #[test]
     fn readers_do_not_serialise_with_each_other() {
-        let tr = tracker(1);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let r1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let r2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
@@ -815,7 +731,7 @@ mod tests {
 
     #[test]
     fn concurrent_accesses_commute_but_order_against_writers() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let c1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Concurrent)]);
         let c2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Concurrent)]);
@@ -836,7 +752,7 @@ mod tests {
 
     #[test]
     fn overlapping_chunk_and_whole_regions_serialise() {
-        let tr = tracker(4);
+        let tr = tracker();
         // Whole-array write, then chunk write, then whole read.
         let whole_w = node_with(vec![acc(1, 0, 0..100, AccessKind::Output)]);
         let chunk_w = node_with(vec![acc(1, 3, 20..30, AccessKind::Output)]);
@@ -856,7 +772,7 @@ mod tests {
 
     #[test]
     fn disjoint_chunk_writes_to_same_alloc_run_in_parallel() {
-        let tr = tracker(4);
+        let tr = tracker();
         let chunks: Vec<_> = (0..8u32)
             .map(|i| {
                 node_with(vec![acc(
@@ -875,7 +791,7 @@ mod tests {
 
     #[test]
     fn completed_predecessors_do_not_create_edges() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
@@ -889,7 +805,7 @@ mod tests {
 
     #[test]
     fn retired_predecessors_are_still_seen_until_gc() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
@@ -916,7 +832,7 @@ mod tests {
 
     #[test]
     fn retire_is_idempotent_and_skips_access_free_tasks() {
-        let tr = tracker(2);
+        let tr = tracker();
         let free = node_with(vec![]);
         finish_registration(&free);
         finish(&free);
@@ -938,8 +854,8 @@ mod tests {
         // allocation has retired and a GC ran, the allocation must be gone
         // from `entries` *and* from the `by_alloc` overlap index — a stale
         // `by_alloc` region id is a leak that also slows every future
-        // overlap scan on that shard.
-        let tr = tracker(3);
+        // overlap scan.
+        let tr = tracker();
         let nodes: Vec<_> = (0..6u64)
             .map(|a| {
                 let w = node_with(vec![acc(100 + a, 0, 0..10, AccessKind::Output)]);
@@ -949,7 +865,6 @@ mod tests {
             })
             .collect();
         assert_eq!(tr.residue(), (6, 6));
-        assert_eq!(tr.num_shards(), 3);
         for n in &nodes {
             finish(n);
             tr.retire(n);
@@ -957,7 +872,7 @@ mod tests {
         // Tombstones keep the maps populated (deterministic counting) …
         assert_eq!(tr.tracked_regions(), 6);
         tr.garbage_collect();
-        // … and GC must empty both maps in every shard.
+        // … and GC must empty both maps.
         let (regions, allocs) = tr.residue();
         assert_eq!(regions, 0, "entries leak after full retire");
         assert_eq!(
@@ -968,7 +883,7 @@ mod tests {
 
     #[test]
     fn writer_clear_plus_gc_cleans_by_alloc_of_superseded_history() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w1 = node_with(vec![acc(7, 0, 0..10, AccessKind::Output)]);
         tr.register(&w1, false);
         finish_registration(&w1);
@@ -985,10 +900,11 @@ mod tests {
     }
 
     #[test]
-    fn registration_outcome_is_shard_count_invariant() {
+    fn registration_outcome_is_the_same_tried_or_forced() {
         // The same program must produce identical registrations (edge count,
-        // classification, predecessors seen, and edge order) whatever the
-        // shard count — regions of one allocation live in exactly one shard.
+        // classification, predecessors seen, and edge order) whether the
+        // gate falls to the polite try or every acquisition is forced to
+        // wait.
         let program: Vec<Vec<Access>> = vec![
             vec![acc(11, 0, 0..64, AccessKind::Output)],
             vec![
@@ -1005,7 +921,7 @@ mod tests {
                 acc(11, 0, 0..64, AccessKind::Input),
             ],
         ];
-        let outcome = |tr: Tracker| {
+        let outcome = |tr: TestTracker| {
             let mut out = Vec::new();
             let mut nodes = Vec::new();
             for accesses in &program {
@@ -1017,7 +933,7 @@ mod tests {
                     reg.war_edges,
                     reg.waw_edges,
                     reg.predecessors_seen,
-                    edge_list(&reg).iter().map(|e| e.pred).collect::<Vec<_>>(),
+                    edge_list(&reg).to_vec(),
                 ));
                 finish_registration(&n);
                 nodes.push(n);
@@ -1037,57 +953,38 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        // Reference: single shard, forced-locked (the historical tracker).
-        let reference = outcome(tracker_locked(1));
-        for shards in [1, 2, 3, 7, 16] {
-            assert_eq!(
-                outcome(tracker(shards)),
-                reference,
-                "optimistic, shards = {shards}"
-            );
-            assert_eq!(
-                outcome(tracker_locked(shards)),
-                reference,
-                "forced-locked, shards = {shards}"
-            );
-        }
+        assert_eq!(outcome(tracker()), outcome(tracker_locked()));
     }
 
     #[test]
     fn fast_path_hits_and_fallbacks_are_counted() {
-        let tr = tracker(4);
-        // Single-allocation registrations take the fast path.
+        let tr = tracker();
+        // An uncontended gate falls to the first try, whatever the
+        // registration touches: one allocation or two.
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let b = node_with(vec![
             acc(1, 0, 0..10, AccessKind::Input),
             acc(1, 1, 0..4, AccessKind::Output),
         ]);
-        assert!(tr.register(&a, false).fast_path);
-        assert!(
-            tr.register(&b, false).fast_path,
-            "same-shard two-access task"
-        );
-        finish_registration(&a);
-        finish_registration(&b);
-        // A span over two shards counts as a fallback.
-        assert_ne!(tr.shard_of(AllocId(1)), tr.shard_of(AllocId(2)));
         let c = node_with(vec![
             acc(1, 0, 0..10, AccessKind::Input),
             acc(2, 0, 0..10, AccessKind::Output),
         ]);
-        assert!(!tr.register(&c, false).fast_path);
-        finish_registration(&c);
-        assert_eq!(tr.fast_path(), (2, 1));
+        for n in [&a, &b, &c] {
+            assert!(tr.register(n, false).fast_path);
+            finish_registration(n);
+        }
+        assert_eq!(tr.fast_path(), (3, 0));
         // Access-free tasks neither hit nor fall back.
         let free = node_with(vec![]);
         tr.register(&free, false);
         finish_registration(&free);
-        assert_eq!(tr.fast_path(), (2, 1));
+        assert_eq!(tr.fast_path(), (3, 0));
     }
 
     #[test]
     fn forced_locked_tracker_never_takes_the_fast_path() {
-        let tr = tracker_locked(4);
+        let tr = tracker_locked();
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         assert!(!tr.register(&a, false).fast_path);
         finish_registration(&a);
@@ -1100,9 +997,9 @@ mod tests {
 
     #[test]
     fn a_registration_waits_out_a_held_gate_and_counts_as_a_fallback() {
-        let tr = tracker(2);
+        let tr = tracker();
         let a = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
-        let hold = tr.hold_shard(tr.shard_of(AllocId(2))); // e.g. a GC sweep
+        let hold = tr.hold(); // e.g. a GC sweep
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| tr.register(&a, false));
             // The registration's try ran out of spins and it now waits: it
@@ -1125,28 +1022,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_id_sets_are_sorted_deduplicated_and_spill_past_four() {
-        let tr = tracker(16);
-        let ids = |allocs: &[u64]| -> Vec<usize> {
-            let accesses: Vec<Access> = allocs
-                .iter()
-                .map(|&a| acc(a, 0, 0..8, AccessKind::Input))
-                .collect();
-            ShardIds::of(&tr, &accesses).to_vec()
-        };
-        assert_eq!(ids(&[]), Vec::<usize>::new());
-        assert_eq!(ids(&[5, 5, 21]), vec![5], "same shard, listed once");
-        assert_eq!(ids(&[9, 3, 9, 1]), vec![1, 3, 9]);
-        assert_eq!(ids(&[4, 3, 2, 1]), vec![1, 2, 3, 4], "four fit in place");
-        assert_eq!(ids(&[7, 4, 3, 2, 1, 4, 15, 0]), vec![0, 1, 2, 3, 4, 7, 15]);
-    }
-
-    #[test]
-    fn multi_alloc_registration_spans_shards() {
-        let tr = tracker(4);
-        // Allocations 1 and 2 land in different shards; a task reading both
-        // must collect predecessors from both shards atomically.
-        assert_ne!(tr.shard_of(AllocId(1)), tr.shard_of(AllocId(2)));
+    fn multi_alloc_registration_collects_every_allocation() {
+        let tr = tracker();
+        // A task reading two allocations collects its predecessors from
+        // both, in declaration order.
         let w1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let w2 = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
         tr.register(&w1, false);
@@ -1154,44 +1033,27 @@ mod tests {
         finish_registration(&w1);
         finish_registration(&w2);
         let r = node_with(vec![
-            acc(1, 0, 0..10, AccessKind::Input),
             acc(2, 0, 0..10, AccessKind::Input),
+            acc(1, 0, 0..10, AccessKind::Input),
         ]);
         let reg = tr.register(&r, true);
         assert_eq!(reg.edges, 2);
-        let shards: Vec<usize> = edge_list(&reg).iter().map(|e| e.shard).collect();
-        assert_eq!(shards.len(), 2);
-        assert_ne!(shards[0], shards[1], "edges found in two distinct shards");
+        assert_eq!(edge_list(&reg), [w2.id, w1.id]);
         finish_registration(&r);
     }
 
     #[test]
-    fn shard_routing_covers_all_shards() {
-        let tr = tracker(5);
-        let mut hit = [false; 5];
-        for a in 1..=40u64 {
-            let s = tr.shard_of(AllocId(a));
-            assert!(s < 5);
-            hit[s] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "sequential ids reach every shard");
-    }
-
-    #[test]
-    fn shard_hit_and_contention_counters_accumulate() {
-        let tr = tracker(2);
+    fn single_threaded_registrations_never_contend() {
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
-        tr.register(&w, false);
+        assert!(tr.register(&w, false).fast_path);
         finish_registration(&w);
-        let hits: u64 = tr.shard_hits().iter().sum();
-        assert!(hits >= 1);
-        // Single-threaded use never contends.
         assert_eq!(tr.count(StatField::TrackerLockContention), 0);
     }
 
     #[test]
     fn taskwait_on_lists_only_incomplete_tasks() {
-        let tr = tracker(3);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let r = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         tr.register(&w, false);
@@ -1212,7 +1074,7 @@ mod tests {
 
     #[test]
     fn garbage_collect_drops_dead_entries() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let w2 = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
@@ -1230,7 +1092,7 @@ mod tests {
 
     #[test]
     fn self_dependence_is_ignored() {
-        let tr = tracker(2);
+        let tr = tracker();
         // A task that both reads and writes the same region through two
         // accesses must not depend on itself.
         let n = node_with(vec![
@@ -1256,7 +1118,7 @@ mod tests {
                 region(3, 4, 12..14),   // class 2, nested in chunks 2 and 9
                 region(3, 5, 300..310), // disjoint from the query
             ];
-            let tr = tracker(1);
+            let tr = tracker();
             let mut ids = Vec::new();
             for &i in order {
                 let w = node_with(vec![Access::new(regions[i].clone(), AccessKind::Output)]);
@@ -1269,7 +1131,7 @@ mod tests {
             finish_registration(&r);
             edge_list(&reg)
                 .iter()
-                .map(|e| ids.iter().find(|(_, id)| *id == e.pred).unwrap().0)
+                .map(|e| ids.iter().find(|(_, id)| id == e).unwrap().0)
                 .collect::<Vec<_>>()
         };
         let expected = vec![4, 2, 9, 1, 7];
@@ -1281,7 +1143,7 @@ mod tests {
     #[test]
     fn chunk_queries_scan_neighbours_not_the_allocation() {
         const CHUNKS: u32 = 512;
-        let tr = tracker(2);
+        let tr = tracker();
         let mut nodes = Vec::new();
         for c in 0..CHUNKS {
             let before = tr.count(StatField::TrackerEntriesScanned);
@@ -1321,7 +1183,7 @@ mod tests {
         // ids in *descending* order: every duplicate check leaves the
         // ascending shortcut, and past the linear window the hash index.
         const CHUNKS: usize = 64;
-        let tr = tracker(1);
+        let tr = tracker();
         let spanning = node_with(
             (0..CHUNKS)
                 .map(|c| acc(6, c as u32 + 1, c * 10..c * 10 + 10, AccessKind::Input))
@@ -1348,20 +1210,19 @@ mod tests {
         assert_eq!(reg.war_edges, CHUNKS + 1);
         // First-conflict order: the spanning task is met first (chunk 1's
         // entry lists it before that chunk's own reader).
-        assert_eq!(edge_list(&reg)[0].pred, spanning.id);
-        assert_eq!(edge_list(&reg)[1].pred, readers[CHUNKS - 1].id);
+        assert_eq!(edge_list(&reg)[0], spanning.id);
+        assert_eq!(edge_list(&reg)[1], readers[CHUNKS - 1].id);
     }
 
     #[test]
     fn retire_under_a_held_gate_defers_and_is_applied_before_the_next_scan() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
         finish(&w);
-        let sid = tr.shard_of(AllocId(2));
         {
-            let hold = tr.hold_shard(sid);
+            let hold = tr.hold();
             // Returns at once although this very thread holds the gate — a
             // blocking retire would deadlock right here.
             tr.retire(&w);
@@ -1384,16 +1245,16 @@ mod tests {
         // the race for the gate would, minus its own second look), then
         // check each way of taking the gate applies them before using the
         // history.
-        let defer = |tr: &ShardedTracker, node: &Arc<TaskNode>| {
+        let defer = |tr: &Tracker, node: &Arc<TaskNode>| {
             assert!(node.mark_retired());
             let a = &node.accesses[0];
-            tr.shards[tr.shard_of(a.region.id.alloc)].push_retirement(Retirement {
+            tr.gate.push_retirements(std::iter::once(Retirement {
                 rid: a.region.id,
                 task: node.id,
                 kind: a.kind,
-            });
+            }));
         };
-        let completed_writer = |tr: &Tracker| {
+        let completed_writer = |tr: &TestTracker| {
             let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
             tr.register(&w, false);
             finish_registration(&w);
@@ -1401,34 +1262,34 @@ mod tests {
             w
         };
         // Registration, gate taken at the first try.
-        let tr = tracker(2);
+        let tr = tracker();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
         assert!(tr.register(&r, false).fast_path);
         assert_eq!(Arc::strong_count(&w), 1, "tried gate drained");
         // Registration, waiting acquisition.
-        let tr = tracker_locked(2);
+        let tr = tracker_locked();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         tr.register(&node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]), false);
         assert_eq!(Arc::strong_count(&w), 1, "awaited gate drained");
         // Batch registration.
-        let tr = tracker(2);
+        let tr = tracker();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         let batch = [node_with(vec![acc(2, 0, 0..10, AccessKind::Input)])];
-        tr.register_batch(&batch, &[tr.shard_of(AllocId(2))], false);
+        tr.register_batch(&batch, false);
         assert_eq!(Arc::strong_count(&w), 1, "batch drained");
         // Garbage collection: drains, then drops the tombstone it produced.
-        let tr = tracker(2);
+        let tr = tracker();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         tr.garbage_collect();
         assert_eq!(Arc::strong_count(&w), 1, "GC drained");
         assert_eq!(tr.tracked_regions(), 0);
         // `taskwait on` lookups and residue reads.
-        let tr = tracker(2);
+        let tr = tracker();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         assert!(tr.tasks_touching(&region(2, 0, 0..10)).is_empty());
@@ -1442,7 +1303,7 @@ mod tests {
     #[test]
     fn a_drain_parks_released_nodes_in_the_slab() {
         let slab = Arc::new(TaskSlab::new(8));
-        let mut tr = tracker(1);
+        let mut tr = tracker();
         tr.set_recycler(slab.clone());
         let accesses = [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect();
         let w = crate::task::tests::test_node(Some(&slab), None, 0, accesses);
@@ -1450,7 +1311,7 @@ mod tests {
         finish_registration(&w);
         let _ = w.body.lock().take();
         finish(&w);
-        let hold = tr.hold_shard(0);
+        let hold = tr.hold();
         tr.retire(&w);
         // The worker's own hand-back fails — history still pins the node —
         // and it moves on.
@@ -1537,14 +1398,14 @@ mod tests {
         /// `Region::overlaps` scan over the tracked regions answers — after
         /// any sequence of inserts and removals, for nested, partially
         /// overlapping, touching, empty and duplicate-start regions on
-        /// several allocations of one shard — in index order, examining at
-        /// least what it returns.
+        /// several allocations — in index order, examining at least what it
+        /// returns.
         #[test]
         fn prop_overlap_index_matches_brute_force(
             ops in proptest::collection::vec(index_op(), 1..80),
             queries in proptest::collection::vec((1u64..4, 0usize..1100, 0usize..600), 1..12),
         ) {
-            let mut shard = TrackerShard::default();
+            let mut history = History::default();
             let mut model: Vec<Region> = Vec::new();
             let mut next_chunk = 0u32;
             for op in ops {
@@ -1552,8 +1413,8 @@ mod tests {
                     IndexOp::Insert { alloc, start, len } => {
                         let r = region(alloc, next_chunk, start..start + len);
                         next_chunk += 1;
-                        shard.entry_mut(&r);
-                        let _ = shard.entry_mut(&r); // idempotent per region id
+                        history.entry_mut(&r);
+                        let _ = history.entry_mut(&r); // idempotent per region id
                         model.push(r);
                     }
                     IndexOp::Remove { nth } => {
@@ -1562,16 +1423,16 @@ mod tests {
                         }
                         let victim = model.remove(nth % model.len());
                         // What GC does to an entry whose history emptied.
-                        shard.entries.remove(&victim.id);
-                        let index = shard.by_alloc.get_mut(&victim.id.alloc).unwrap();
+                        history.entries.remove(&victim.id);
+                        let index = history.by_alloc.get_mut(&victim.id.alloc).unwrap();
                         index.retain(|chunk| chunk != victim.id.chunk);
                         if index.spans.is_empty() {
-                            shard.by_alloc.remove(&victim.id.alloc);
+                            history.by_alloc.remove(&victim.id.alloc);
                         }
                     }
                 }
                 prop_assert_eq!(
-                    shard.by_alloc.values().map(|i| i.spans.len()).sum::<usize>(),
+                    history.by_alloc.values().map(|i| i.spans.len()).sum::<usize>(),
                     model.len()
                 );
                 for &(alloc, start, len) in &queries {
@@ -1583,21 +1444,20 @@ mod tests {
                         .collect();
                     expected.sort_by_key(Span::key);
                     let mut got = Vec::new();
-                    let scanned = shard
+                    let scanned = history
                         .by_alloc
                         .get(&AllocId(alloc))
                         .map_or(0, |index| index.for_each_overlap(&q.bytes, |c| got.push(c)));
                     prop_assert_eq!(&got, &expected.iter().map(|s| s.chunk).collect::<Vec<_>>());
                     prop_assert!(scanned >= got.len() as u64);
-                    prop_assert_eq!(shard.overlaps_any(&q), !expected.is_empty());
+                    prop_assert_eq!(history.overlaps_any(&q), !expected.is_empty());
                 }
             }
         }
 
         /// Random access patterns over a handful of regions always produce an
         /// acyclic graph in which every task eventually runs (liveness), and
-        /// tasks writing the same region are totally ordered — whatever the
-        /// shard count.
+        /// tasks writing the same region are totally ordered.
         #[test]
         fn prop_random_graphs_are_live(
             specs in proptest::collection::vec(
@@ -1609,9 +1469,8 @@ mod tests {
                 ]),
                 1..40,
             ),
-            shards in 1usize..9,
         ) {
-            let tr = tracker(shards);
+            let tr = tracker();
             let mut nodes = Vec::new();
             let mut ready = Vec::new();
             for (chunk, kind) in specs {
@@ -1625,8 +1484,8 @@ mod tests {
             run_to_completion(nodes, ready);
         }
 
-        /// Multi-access tasks over overlapping regions (and therefore over
-        /// multiple shards) also stay live.
+        /// Multi-access tasks over overlapping regions of several
+        /// allocations also stay live.
         #[test]
         fn prop_multi_access_graphs_are_live(
             specs in proptest::collection::vec(
@@ -1640,14 +1499,12 @@ mod tests {
                 ),
                 1..25,
             ),
-            shards in 1usize..9,
         ) {
-            let tr = tracker(shards);
+            let tr = tracker();
             let mut nodes = Vec::new();
             let mut ready = Vec::new();
             for (i, accesses) in specs.into_iter().enumerate() {
-                // Spread tasks over several allocations so registrations
-                // genuinely span shards.
+                // Spread tasks over several allocations.
                 let alloc = 7 + (i % 3) as u64;
                 let accs: Vec<Access> = accesses
                     .into_iter()

@@ -7,23 +7,20 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::gate::Held;
-use super::shard::{HistoryRef, PredSet, TrackerShard};
-use super::{IdBuildHasher, Registration, ShardedTracker};
+use super::history::{History, HistoryRef, PredSet};
+use super::{IdBuildHasher, Registration, Tracker};
 use crate::access::{AccessKind, AccessVec, Dependence};
 use crate::region::{AllocId, Region, RegionId};
 use crate::stats::{StatCounters, StatField};
 use crate::task::{TaskId, TaskNode};
 
 /// One pre-resolved intra-batch dependence edge of a [`FrozenPlan`]: both
-/// endpoints are batch positions (stable across passes — task ids are not),
-/// plus the shard label the live scan would have produced, so traces stay
-/// byte-identical with re-derivation. The dependence *class* is not stored
-/// per edge — the per-pass RAW/WAR/WAW contributions are pre-summed into
-/// the plan's counters at freeze time.
+/// endpoints are batch positions (stable across passes — task ids are not).
+/// The dependence *class* is not stored per edge — the per-pass RAW/WAR/WAW
+/// contributions are pre-summed into the plan's counters at freeze time.
 pub(crate) struct FrozenEdge {
     pub pred: usize,
     pub succ: usize,
-    pub shard: usize,
 }
 
 /// A replay batch frozen into pre-wired form by [`build_frozen_plan`]: the
@@ -31,7 +28,7 @@ pub(crate) struct FrozenEdge {
 /// with zero renames, tickets or binding substitutions, so every clause
 /// resolves to the same plain region every time), the intra-batch edges and
 /// dep counts of every *interior* task baked in, and the validation keys
-/// that let [`ShardedTracker::register_batch_prewired`] prove, under the
+/// that let [`Tracker::register_batch_prewired`] prove, under the
 /// gate, that the baked edges are still the edges a live scan would derive.
 ///
 /// A task is **interior** when every one of its accesses lands on a region
@@ -47,8 +44,6 @@ pub(crate) struct FrozenEdge {
 pub(crate) struct FrozenPlan {
     /// Resolved accesses per task, cloned into each pass's nodes.
     pub accesses: Vec<AccessVec>,
-    /// Sorted, deduplicated union of tracker shards the batch touches.
-    pub sids: Vec<usize>,
     /// The region ids the batch uses on each allocation it touches, each
     /// list **sorted** (validation binary-searches it) — pairwise
     /// **disjoint** by construction (chunked partitions qualify, sub-region
@@ -109,8 +104,6 @@ impl FrozenPlan {
 pub(crate) struct FrozenInstall {
     /// The region (carries the id; the range seeds a fresh entry).
     pub region: Region,
-    /// Live tracker shard of the region's allocation.
-    pub shard: usize,
     /// Final writer generation (a single position: the last overwriter).
     pub writers: Vec<usize>,
     /// Readers since the last writer generation, in batch order.
@@ -131,19 +124,16 @@ pub(crate) struct FrozenInstall {
 ///
 /// The plan is built by *shadow registration*: the batch runs the very same
 /// `collect_preds`/`record_access` passes a live registration runs, against
-/// a throwaway empty shard. For interior tasks the shadow history at their
+/// a throwaway empty history. For interior tasks the shadow history at their
 /// position equals the live history (both were rebuilt from scratch by the
 /// same in-batch writes), so the shadow edges are the real edges — the
 /// classification logic is shared with the live path, not re-implemented.
-pub(crate) fn build_frozen_plan(
-    nodes: &[Arc<TaskNode>],
-    tracker: &ShardedTracker,
-) -> Option<FrozenPlan> {
+pub(crate) fn build_frozen_plan(nodes: &[Arc<TaskNode>]) -> Option<FrozenPlan> {
     let n = nodes.len();
     if n == 0 {
         return None;
     }
-    let mut shadow = TrackerShard::default();
+    let mut shadow = History::default();
     // Regions fully overwritten by an earlier in-batch `output`/`inout`, in
     // first-overwrite order (keeps the install list deterministic across
     // freezes), plus the same ids as a set for the per-access lookups.
@@ -152,7 +142,6 @@ pub(crate) fn build_frozen_plan(
     let mut index_of: HashMap<TaskId, usize, IdBuildHasher> = HashMap::default();
     let mut plan = FrozenPlan {
         accesses: Vec::with_capacity(n),
-        sids: Vec::new(),
         allocs: Vec::new(),
         frontier: vec![false; n],
         scan_upto: 0,
@@ -174,11 +163,7 @@ pub(crate) fn build_frozen_plan(
         plan.frontier[i] = is_frontier;
         preds.clear(&None);
         for access in node.accesses.iter() {
-            let sid = tracker.shard_of(access.region.id.alloc);
-            plan.sids.push(sid);
-            // The shard label is the live shard of the access, not the
-            // shadow's — traces must match the live scan's labelling.
-            shadow.collect_preds(access, sid, &mut preds);
+            shadow.collect_preds(access, &mut preds);
         }
         if !is_frontier {
             for pred in &preds.preds {
@@ -188,11 +173,7 @@ pub(crate) fn build_frozen_plan(
                 let p = *index_of
                     .get(&pred.id)
                     .expect("shadow history only ever holds in-batch tasks");
-                plan.edges.push(FrozenEdge {
-                    pred: p,
-                    succ: i,
-                    shard: pred.shard,
-                });
+                plan.edges.push(FrozenEdge { pred: p, succ: i });
                 plan.baked_in[i] += 1;
                 match pred.dependence {
                     Dependence::ReadAfterWrite => plan.baked_raw += 1,
@@ -220,8 +201,6 @@ pub(crate) fn build_frozen_plan(
         }
         plan.accesses.push(node.accesses.clone());
     }
-    plan.sids.sort_unstable();
-    plan.sids.dedup();
     plan.scan_upto = plan.frontier.iter().rposition(|&f| f).map_or(0, |p| p + 1);
     // The validation keys: every region id the batch recorded, per
     // allocation, sorted.
@@ -249,7 +228,6 @@ pub(crate) fn build_frozen_plan(
             .expect("an overwritten region has a shadow entry");
         plan.installs.push(FrozenInstall {
             region: region.clone(),
-            shard: tracker.shard_of(region.id.alloc),
             writers: to_positions(&entry.writers),
             readers: to_positions(&entry.readers),
             concurrent: to_positions(&entry.concurrent),
@@ -285,7 +263,7 @@ pub(crate) fn prewire_batch(nodes: &[Arc<TaskNode>], plan: &FrozenPlan) {
 
 /// Undo [`prewire_batch`] after the plan failed live validation: drop the
 /// baked successor links and reset every node's registration sentinel so an
-/// ordinary [`ShardedTracker::register_batch`] can start from scratch.
+/// ordinary [`Tracker::register_batch`] can start from scratch.
 pub(crate) fn unwire_batch(nodes: &[Arc<TaskNode>]) {
     for node in nodes {
         node.links.lock().successors.clear();
@@ -297,10 +275,10 @@ pub(crate) fn unwire_batch(nodes: &[Arc<TaskNode>]) {
 // lint: hot-path-begin — pre-wired registration: every replay of a frozen
 // template passes through here; no panicking calls allowed (see
 // `cargo xtask lint`).
-impl ShardedTracker {
+impl Tracker {
     /// Register one pass of a [`FrozenPlan`] batch whose interior edges were
-    /// already wired by [`prewire_batch`]: under one acquisition of the
-    /// plan's shards, **validate** the plan against live state, then stamp
+    /// already wired by [`prewire_batch`]: under one gate acquisition,
+    /// **validate** the plan against live state, then stamp
     /// the pass in two steps. The *live prefix* — batch positions up to the
     /// last frontier task — runs the ordinary scan/record interleave
     /// (frontier tasks scan live history; every prefix task records its
@@ -317,7 +295,8 @@ impl ShardedTracker {
     /// sub-region access or a rename minted elsewhere since the freeze —
     /// would be visible to a live overlap scan but not to the baked edges,
     /// so the batch returns `None` (having touched nothing) and the caller
-    /// unwires and falls back to [`ShardedTracker::register_batch`].
+    /// unwires and falls back to [`Tracker::register_batch`]. A batch
+    /// without any access has nothing to validate and takes no gate.
     pub(crate) fn register_batch_prewired(
         &self,
         nodes: &[Arc<TaskNode>],
@@ -334,15 +313,15 @@ impl ShardedTracker {
             predecessors_seen: plan.baked_preds,
             ..Registration::default()
         };
-        let Some(&first) = plan.sids.first() else {
-            // Access-free batch: nothing to validate, nothing to gate; the
-            // pre-wiring already stored every (zero) in-edge count.
+        if plan.allocs.is_empty() {
+            // Access-free batch: the pre-wiring already stored every (zero)
+            // in-edge count.
             return Some(reg);
-        };
-        let mut held = Held::acquire(self, &plan.sids, stats);
+        }
+        let mut held = Held::acquire(self, stats);
+        let history = held.history();
         for (alloc, rids) in &plan.allocs {
-            let sid = self.shard_of(*alloc);
-            if let Some(index) = held.shard(sid).by_alloc.get(alloc) {
+            if let Some(index) = history.by_alloc.get(alloc) {
                 if index.spans.len() > rids.len()
                     || index
                         .region_ids(*alloc)
@@ -352,20 +331,16 @@ impl ShardedTracker {
                 }
             }
         }
-        for &sid in &plan.sids {
-            self.shards[sid].hit();
-        }
-        let mut preds = std::mem::take(&mut held.shard(first).scratch_preds);
+        let mut preds = std::mem::take(&mut history.scratch_preds);
         // Live prefix: up to (and including) the last frontier task, scan
         // and record in batch order — a frontier task's scan may need any
         // earlier prefix task's history entry.
         for (t, node) in nodes[..plan.scan_upto].iter().enumerate() {
             if plan.frontier[t] {
-                self.register_node(node, t, &mut preds, &mut held, record_edges, &mut reg);
+                self.register_node(node, t, &mut preds, history, record_edges, &mut reg);
             } else {
                 for access in node.accesses.iter() {
-                    let sid = self.shard_of(access.region.id.alloc);
-                    held.shard(sid).record_access(access, node, &self.recycler);
+                    history.record_access(access, node, &self.recycler);
                 }
             }
         }
@@ -374,10 +349,9 @@ impl ShardedTracker {
         // pass's frontier (and later registrations) see exactly the state a
         // full per-task interleave would have left.
         for inst in &plan.installs {
-            held.shard(inst.shard)
-                .apply_install(inst, nodes, &self.recycler);
+            history.apply_install(inst, nodes, &self.recycler);
         }
-        held.shard(first).scratch_preds = preds;
+        history.scratch_preds = preds;
         stats.add(StatField::TrackerEntriesScanned, reg.scanned);
         Some(reg)
     }

@@ -18,7 +18,7 @@ use crate::critical::CriticalSections;
 use crate::dcheck::{AuditReport, AuditViolation, RaceReport};
 use crate::error::{Error, Result};
 use crate::failpoint::FaultPlan;
-use crate::graph::{self, ShardedTracker};
+use crate::graph::{self, Tracker};
 use crate::handle::{
     Accessible, Chunk, Data, PartitionedData, ReadGuard, SliceReadGuard, SliceWriteGuard, Whole,
     WriteGuard,
@@ -65,12 +65,6 @@ pub struct RuntimeConfig {
     /// Bound on the number of live versions per handle; the effective
     /// in-flight window for heap-backed types (Listing 1's ring depth `N`).
     pub rename_max_versions: usize,
-    /// Number of shards of the dependence tracker; `0` (the default) picks
-    /// `2 × workers`. Task registration and completion-retirement on
-    /// disjoint allocations contend only within a shard, so more shards
-    /// buy insertion throughput under many concurrently spawning threads
-    /// at the cost of a little fixed memory. See [`crate::graph`].
-    pub tracker_shards: usize,
     /// Whether an `output` access on a versioned handle may **elide** its
     /// rename when the current version has no in-flight bindings, binding it
     /// in place instead of allocating a fresh version. Enabled by default;
@@ -79,9 +73,9 @@ pub struct RuntimeConfig {
     /// How often (in spawned tasks) the dependence tracker is garbage
     /// collected from the spawn path; `0` disables the periodic sweep
     /// entirely (quiescent `taskwait` and explicit
-    /// [`Runtime::tracker_gc`] still collect). The sweep holds each shard's
-    /// gate in turn, so registrations on a shard being swept wait for the
-    /// duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
+    /// [`Runtime::tracker_gc`] still collect). The sweep holds the
+    /// tracker's gate, so registrations wait for its duration. Default
+    /// [`DEFAULT_TRACKER_GC_INTERVAL`].
     pub tracker_gc_interval: u64,
     /// Whether eligible [`GraphTemplate`](crate::GraphTemplate)s freeze into
     /// pre-wired form after a clean replay pass (see [`crate::capture`],
@@ -118,7 +112,6 @@ impl Default for RuntimeConfig {
             rename_memory_cap: DEFAULT_RENAME_MEMORY_CAP,
             rename_pool_depth: DEFAULT_RENAME_POOL_DEPTH,
             rename_max_versions: DEFAULT_RENAME_MAX_VERSIONS,
-            tracker_shards: 0,
             rename_elision: true,
             tracker_gc_interval: DEFAULT_TRACKER_GC_INTERVAL,
             replay_prewiring: true,
@@ -175,15 +168,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the number of dependence-tracker shards explicitly; `0` restores
-    /// the default of `2 × workers`. Shard count 1 reproduces the historical
-    /// single-lock tracker, which the equivalence test suite uses as its
-    /// reference.
-    pub fn with_tracker_shards(mut self, shards: usize) -> Self {
-        self.tracker_shards = shards;
-        self
-    }
-
     /// Enable or disable first-write rename elision on versioned handles
     /// (see [`crate::rename`]). With `false`, every renaming-enabled
     /// `output` allocates (or pool-recycles) a fresh version even when the
@@ -196,7 +180,7 @@ impl RuntimeConfig {
     /// Set the tracker garbage-collection cadence in spawned tasks; `0`
     /// disables the periodic sweep (quiescent and explicit GC still run).
     /// Lower values bound history memory tighter at the cost of sweeping —
-    /// and of registrations waiting while their shard is swept.
+    /// and of registrations waiting while the tracker is swept.
     pub fn with_tracker_gc_interval(mut self, interval: u64) -> Self {
         self.tracker_gc_interval = interval;
         self
@@ -269,7 +253,7 @@ impl InFlight {
 pub(crate) struct RuntimeInner {
     pub(crate) config: RuntimeConfig,
     pub(crate) sched: SchedState,
-    pub(crate) tracker: ShardedTracker,
+    pub(crate) tracker: Tracker,
     pub(crate) in_flight: InFlight,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: StatCounters,
@@ -278,7 +262,7 @@ pub(crate) struct RuntimeInner {
     pub(crate) panics: Mutex<Vec<Error>>,
     pub(crate) rename: Arc<RenamePool>,
     /// Shared with the tracker, whose retire-inbox drains park released
-    /// nodes here (see [`ShardedTracker::set_recycler`]).
+    /// nodes here (see [`Tracker::set_recycler`]).
     pub(crate) slab: Arc<TaskSlab>,
     pub(crate) fault: Option<FaultPlan>,
     /// The race-oracle + auditor state, present only under
@@ -385,12 +369,11 @@ impl RuntimeInner {
             // Live edge records, indexed by the stored batch position: dense
             // (every task) except on the pre-wired path, which registers
             // only its frontier live.
-            for (i, edge_list) in &registration.per_task {
-                for edge in edge_list {
+            for (i, preds) in &registration.per_task {
+                for &from in preds {
                     self.trace.record(TraceEvent::Edge {
                         task: nodes[*i].id,
-                        from: edge.pred,
-                        shard: edge.shard,
+                        from,
                         fast_path: registration.fast_path,
                         at_ns: self.trace.now_ns(),
                     });
@@ -433,7 +416,7 @@ impl RuntimeInner {
         }
         // The periodic tracker GC, when this batch took the spawn count
         // across a multiple of the interval — after every lock is released:
-        // the sweep takes each shard's gate itself.
+        // the sweep takes the gate itself.
         let interval = self.config.tracker_gc_interval;
         if interval != 0 && (spawned_before + total as u64) / interval != spawned_before / interval
         {
@@ -546,8 +529,8 @@ impl RuntimeInner {
             // the identities legitimately hold state while tasks fly.
             return Ok(report);
         }
-        if let Some(shard) = self.tracker.first_held_gate() {
-            return Err(AuditViolation::GateHeld { shard });
+        if self.tracker.gate_held() {
+            return Err(AuditViolation::GateHeld);
         }
         if report.tracked_regions != 0 || report.tracked_allocs != 0 {
             return Err(AuditViolation::TrackerResidue {
@@ -648,13 +631,9 @@ impl Runtime {
                 "at least one worker thread is required".into(),
             ));
         }
-        let tracker_shards = match config.tracker_shards {
-            0 => config.workers * 2,
-            shards => shards,
-        };
         let sched = SchedState::new(config.policy, config.workers);
         let slab = Arc::new(TaskSlab::new(DEFAULT_TASK_SLAB_CAPACITY));
-        let mut tracker = ShardedTracker::new(tracker_shards);
+        let mut tracker = Tracker::new();
         tracker.set_recycler(slab.clone());
         if let Some(plan) = config.fault_plan.clone() {
             tracker.set_fault_plan(plan);
@@ -701,7 +680,7 @@ impl Runtime {
 
     /// Garbage-collect the dependence tracker now: drop retired-task
     /// tombstones, entries they emptied, and the `by_alloc` overlap-index
-    /// ids of dropped entries, shard by shard. This happens automatically
+    /// ids of dropped entries. This happens automatically
     /// every few hundred spawns and at every quiescent [`Runtime::taskwait`];
     /// the explicit entry point exists for leak tests and long-idle services.
     pub fn tracker_gc(&self) {
@@ -716,16 +695,15 @@ impl Runtime {
         self.inner.in_flight.count()
     }
 
-    /// Test support: hold tracker shard `shard` (its gate) until
-    /// the returned guard drops. While it is held, a task completing on that
-    /// shard cannot retire in place and hands its retirement to the shard's
-    /// inbox instead — which is how the protocol tests make that path
-    /// deterministic. The holding thread must not register, `taskwait` or
-    /// `audit` meanwhile (those take the same shard); [`Runtime::stats`]
-    /// takes no shard.
+    /// Test support: hold the dependence tracker's gate until the returned
+    /// guard drops. While it is held, a completing task cannot retire in
+    /// place and hands its retirement to the tracker's inbox instead — which
+    /// is how the protocol tests make that path deterministic. The holding
+    /// thread must not register, `taskwait` or `audit` meanwhile (those take
+    /// the gate); [`Runtime::stats`] takes no gate.
     #[doc(hidden)]
-    pub fn hold_tracker_shard(&self, shard: usize) -> graph::ShardHold<'_> {
-        self.inner.tracker.hold_shard(shard, &self.inner.stats)
+    pub fn hold_tracker(&self) -> graph::TrackerHold<'_> {
+        self.inner.tracker.hold(&self.inner.stats)
     }
 
     /// Register a value with the runtime, obtaining a dependence handle.
@@ -940,10 +918,10 @@ impl Runtime {
     }
 
     /// Snapshot of the runtime statistics: every event count (one place, see
-    /// [`crate::stats`]), plus the per-shard hits, the rename bytes held and
-    /// the task-node slab's counts and gauges (read under its free-list
-    /// lock). Takes no tracker gate, so it is safe to call while a shard is
-    /// held, and never checks anything — [`Runtime::audit`] does.
+    /// [`crate::stats`]), plus the rename bytes held and the task-node slab's
+    /// counts and gauges (read under its free-list lock). Takes no tracker
+    /// gate, so it is safe to call while the gate is held, and never checks
+    /// anything — [`Runtime::audit`] does.
     pub fn stats(&self) -> RuntimeStats {
         let c = &self.inner.stats;
         let raw_edges = c.get(StatField::EdgesRaw);
@@ -988,8 +966,6 @@ impl Runtime {
             spawn_body_spills: c.get(StatField::SpawnBodySpills),
             replay_passes: c.get(StatField::ReplayPasses),
             replay_tasks: c.get(StatField::ReplayTasks),
-            tracker_shards: self.inner.tracker.num_shards(),
-            tracker_shard_hits: self.inner.tracker.shard_hits(),
             tracker_lock_contention: c.get(StatField::TrackerLockContention),
             tracker_fast_path_hits: c.get(StatField::TrackerFastPathHits),
             tracker_fast_path_fallbacks: c.get(StatField::TrackerFastPathFallbacks),
@@ -1004,7 +980,7 @@ impl Runtime {
     ///
     /// At quiescence (`in_flight == 0`) the full set of drain-time
     /// identities is checked: `executed + poisoned + cancelled == spawned`,
-    /// every tracker shard gate even, no tracked history residue after GC,
+    /// the tracker gate even, no tracked history residue after GC,
     /// slab `outstanding == 0`, and version-ticket bind/release balance. While
     /// tasks are in flight only the direction that must hold mid-run is
     /// checked (the completion ledger never overtakes the spawn counter).

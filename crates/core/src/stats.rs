@@ -8,19 +8,23 @@
 //! rename context of clause resolution). [`Runtime::stats`](crate::Runtime::stats)
 //! and [`Runtime::audit`](crate::Runtime::audit) read every tally from there.
 //!
-//! Three counts live elsewhere, each because it is part of the state it
+//! Two counts live elsewhere, each because it is part of the state it
 //! counts rather than a tally beside it:
 //!
-//! * the per-shard hits (`tracker_shard_hits`) sit beside each shard's gate,
-//!   on the line the acquiring CAS has just taken, so counting a hit moves
-//!   no further line — and the number of shards is a runtime setting, not a
-//!   field;
 //! * the task-node slab's acquisition, park and discard counts derive its
 //!   `outstanding` gauge: a park is counted under the free-list lock it
 //!   takes anyway, and the slab reads the three together;
 //! * the rename pool's held bytes are the rename budget itself: a
 //!   reservation is a compare-exchange against the cap, so the count must
 //!   be the number the cap is checked against.
+//!
+//! The tracker's gate counts say how a registration took the gate (see
+//! [`crate::graph`]): `tracker_fast_path_hits` + `tracker_fast_path_fallbacks`
+//! is the number of fresh spawns with at least one access. With one gate a
+//! registration falls back only when it waits, so on the benchmark ledger
+//! (`--trace 1`) the hit share, `graph.fast_path_share`, reads ≈1.0; it read
+//! 0.155 while a registration over two allocations usually spanned two
+//! tracker gates and counted as a fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -122,9 +126,10 @@ pub(crate) enum StatField {
     SchedGlobalWakeups,
     /// Tracker gate acquisitions that had to wait and found the gate held.
     TrackerLockContention,
-    /// Single-shard registrations whose gate fell to the first try.
+    /// Fresh registrations whose gate fell to the first try.
     TrackerFastPathHits,
-    /// Registrations that spanned several shards or waited for their gate.
+    /// Fresh registrations that waited for the gate, or whose try a fault
+    /// plan forced off.
     TrackerFastPathFallbacks,
     /// Overlap-index spans registrations examined, added once per
     /// registration (or replay batch).
@@ -219,27 +224,19 @@ pub struct RuntimeStats {
     pub sched_global_wakeups: u64,
     /// Tasks that went through the priority heap.
     pub sched_priority_pops: u64,
-    /// Number of shards of the dependence tracker (see
-    /// [`RuntimeConfig::with_tracker_shards`](crate::RuntimeConfig::with_tracker_shards)).
-    pub tracker_shards: usize,
-    /// Gate acquisitions per tracker shard (registration, completion
-    /// retirement and `taskwait on` lookups), indexed by shard. Renamed
-    /// versions carry fresh allocation ids, so a balanced workload shows a
-    /// near-uniform distribution here.
-    pub tracker_shard_hits: Vec<u64>,
     /// Tracker gate acquisitions that had to wait and found the gate held by
-    /// another thread at that point. With one shard this counts the
-    /// spawn/spawn and spawn/sweep collisions that outlast the spin budget;
-    /// with enough shards it should stay near zero for tasks touching
-    /// disjoint allocations.
+    /// another thread at that point: the spawn/spawn, spawn/retire and
+    /// spawn/sweep collisions that outlast the spin budget.
     pub tracker_lock_contention: u64,
-    /// Registrations that touched a single shard and took its gate at the
-    /// first try, without waiting — see [`crate::graph`], "Exclusion: one
-    /// gate protocol".
+    /// Fresh spawns with at least one access whose registration took the
+    /// tracker gate at the first try, without waiting — see
+    /// [`crate::graph`], "Exclusion: the gate protocol". Access-free spawns
+    /// and replayed tasks count neither here nor in
+    /// [`RuntimeStats::tracker_fast_path_fallbacks`].
     pub tracker_fast_path_hits: u64,
-    /// Registrations that did not: the accesses spanned several shards, the
-    /// shard's gate was held (contention, a GC sweep) past the spin budget,
-    /// or a fault plan forced the acquisition off the try.
+    /// Fresh spawns with at least one access whose registration did not:
+    /// the gate was held (contention, a GC sweep) past the spin budget, or a
+    /// fault plan forced the acquisition off the try.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap
@@ -317,10 +314,9 @@ impl RuntimeStats {
         }
     }
 
-    /// Fraction of registrations that touched a single shard and took its
-    /// gate at the first try. `None` when no registration with
-    /// accesses happened (hits + fallbacks account for every such
-    /// registration while the fast path is enabled).
+    /// Fraction of fresh registrations that took the tracker gate at the
+    /// first try. `None` when no fresh spawn with accesses happened (hits +
+    /// fallbacks account for every such spawn).
     pub fn tracker_fast_path_rate(&self) -> Option<f64> {
         let total = self.tracker_fast_path_hits + self.tracker_fast_path_fallbacks;
         if total == 0 {

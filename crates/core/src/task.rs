@@ -348,7 +348,7 @@ pub(crate) struct TaskNode {
     /// access that resolved against a versioned handle); drained exactly
     /// once on completion.
     pub tickets: Mutex<Vec<Box<dyn VersionTicket>>>,
-    /// Set once the completion path has retired this task from the sharded
+    /// Set once the completion path has retired this task from the
     /// dependence tracker, making retirement idempotent (see
     /// [`TaskNode::mark_retired`]).
     pub retired: AtomicBool,
@@ -522,7 +522,7 @@ impl TaskNode {
 
     /// Claim the right to retire this task from the dependence history.
     /// Returns `true` exactly once; later callers see `false` and skip the
-    /// shard walk.
+    /// history walk.
     pub(crate) fn mark_retired(&self) -> bool {
         !self.retired.swap(true, Ordering::AcqRel)
     }

@@ -45,11 +45,8 @@ pub enum TraceEvent {
         task: TaskId,
         /// The predecessor the edge points from.
         from: TaskId,
-        /// Index of the dependence-tracker shard the conflict was found in
-        /// (see [`crate::graph`]).
-        shard: usize,
-        /// Whether the registration that discovered this edge went through
-        /// the optimistic single-shard fast path.
+        /// Whether the registration that discovered this edge took the
+        /// tracker gate at the first try (see [`crate::graph`]).
         fast_path: bool,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -369,12 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn edge_event_carries_shard_and_endpoints() {
+    fn edge_event_carries_endpoints() {
         let r = TraceRecorder::new(true);
         r.record(TraceEvent::Edge {
             task: tid(2),
             from: tid(1),
-            shard: 3,
             fast_path: true,
             at_ns: 7,
         });
@@ -383,13 +379,9 @@ mod tests {
         assert_eq!(snap[0].at_ns(), 7);
         match &snap[0] {
             TraceEvent::Edge {
-                from,
-                shard,
-                fast_path,
-                ..
+                from, fast_path, ..
             } => {
                 assert_eq!(*from, tid(1));
-                assert_eq!(*shard, 3);
                 assert!(*fast_path);
             }
             other => panic!("unexpected event {other:?}"),

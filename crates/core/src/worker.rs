@@ -238,9 +238,9 @@ fn retire_node(
         inner.sched.push(succ, worker, true, &inner.stats);
     }
 
-    // Retire the task's dependence history through the sharded router: its
-    // live references become tombstones — in place where the owning shard's
-    // gate is free, through that shard's retire inbox where it is held. The
+    // Retire the task's dependence history: its live references become
+    // tombstones — in place where the tracker's gate is free, through its
+    // retire inbox where it is held. The
     // call never waits for a gate: a worker parked behind a spawner's long
     // registration completes nothing, and the spawner's next registration
     // then finds even more live predecessors (see `graph`, "Retirement").

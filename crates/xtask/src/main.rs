@@ -536,7 +536,7 @@ mod tests {
     fn marked_region_rule_follows_the_core_crate() {
         let root = super::workspace_root();
         let scope = |rel: &str| rules_for(&root, &root.join(rel)).map(|r| r.panic);
-        for file in ["mod.rs", "gate.rs", "shard.rs", "index.rs", "complete.rs", "plan.rs"] {
+        for file in ["mod.rs", "gate.rs", "history.rs", "index.rs", "complete.rs", "plan.rs"] {
             let rel = format!("crates/core/src/graph/{file}");
             assert!(scope(&rel) == Some(PanicScope::MarkedRegions), "{rel}");
         }

@@ -153,15 +153,14 @@ fn forced_rename_exhaustion_falls_back_without_changing_results() {
     rt.shutdown();
 }
 
-/// Forcing the tracker's lock-free fast path to report contention exercises
-/// the mutex fallback on every registration; dependency order is identical.
+/// Forcing every tracker gate acquisition off its polite try exercises the
+/// waiting path on every registration; dependency order is identical.
 #[test]
 fn forced_tracker_fallback_keeps_dependency_order() {
     let plan = FaultPlan::seeded(23).tracker_fallback_one_in(1);
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(4)
             .with_fault_plan(plan),
     );
     let data = rt.data(0u64);
@@ -315,8 +314,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// However a graph is randomly poisoned (injected panics) and/or
-    /// cancelled, across tracker shard counts: the
-    /// graph drains (no in-flight tasks, no outstanding slab nodes, no
+    /// cancelled: the graph drains (no in-flight tasks, no outstanding slab nodes, no
     /// tracked regions), the retirement ledger balances
     /// (`executed + poisoned + cancelled == spawned`), and the committed
     /// value equals exactly the number of bodies that ran to completion.
@@ -327,44 +325,41 @@ proptest! {
         panic_one_in in 2u64..12,
         cancel in proptest::bool::ANY,
     ) {
-        for shards in [1usize, 2, 7, 16] {
-            let plan = FaultPlan::seeded(seed)
-                .panic_one_in(panic_one_in)
-                .delay_one_in(5, 8);
-            let rt = Runtime::new(
-                RuntimeConfig::default()
-                    .with_workers(2)
-                    .with_tracker_shards(shards)
-                    .with_fault_plan(plan),
-            );
-            let token = rt.cancel_scope();
-            let data = rt.data(0u64);
-            rt.with_cancel_scope(&token, || {
-                for _ in 0..n_tasks {
-                    let h = data.clone();
-                    rt.task().inout(&h).spawn(move |ctx| *ctx.write(&h) += 1);
-                }
-            });
-            if cancel {
-                token.cancel();
+        let plan = FaultPlan::seeded(seed)
+            .panic_one_in(panic_one_in)
+            .delay_one_in(5, 8);
+        let rt = Runtime::new(
+            RuntimeConfig::default()
+                .with_workers(2)
+                .with_fault_plan(plan),
+        );
+        let token = rt.cancel_scope();
+        let data = rt.data(0u64);
+        rt.with_cancel_scope(&token, || {
+            for _ in 0..n_tasks {
+                let h = data.clone();
+                rt.task().inout(&h).spawn(move |ctx| *ctx.write(&h) += 1);
             }
-            let _ = rt.try_taskwait();
-            let stats = rt.stats();
-            prop_assert_eq!(rt.in_flight_tasks(), 0, "shards={}", shards);
-            rt.audit().expect("no node outstanding, no region tracked");
-            prop_assert_eq!(
-                stats.tasks_executed + stats.tasks_poisoned + stats.tasks_cancelled,
-                n_tasks as u64,
-                "every spawned task must retire exactly once"
-            );
-            let committed = stats.tasks_executed - stats.tasks_panicked;
-            let _ = rt.take_panics();
-            let value = rt
-                .try_into_inner(data)
-                .expect("poison note was consumed by try_taskwait");
-            prop_assert_eq!(value, committed, "only completed bodies commit");
-            rt.shutdown();
+        });
+        if cancel {
+            token.cancel();
         }
+        let _ = rt.try_taskwait();
+        let stats = rt.stats();
+        prop_assert_eq!(rt.in_flight_tasks(), 0);
+        rt.audit().expect("no node outstanding, no region tracked");
+        prop_assert_eq!(
+            stats.tasks_executed + stats.tasks_poisoned + stats.tasks_cancelled,
+            n_tasks as u64,
+            "every spawned task must retire exactly once"
+        );
+        let committed = stats.tasks_executed - stats.tasks_panicked;
+        let _ = rt.take_panics();
+        let value = rt
+            .try_into_inner(data)
+            .expect("poison note was consumed by try_taskwait");
+        prop_assert_eq!(value, committed, "only completed bodies commit");
+        rt.shutdown();
     }
 
     /// Repeated cancelled/poisoned bursts on one runtime never leak: after

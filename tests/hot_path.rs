@@ -12,7 +12,7 @@
 //!    allocated, zero WAR/WAW edges — deterministically, because workers
 //!    release version bindings only after tracker retirement.
 //! 3. **Fallback under GC.** With the GC cadence forced to every spawn, the
-//!    optimistic path keeps falling back to the mutex path mid-storm; no
+//!    optimistic path keeps falling back to waiting for the gate mid-storm; no
 //!    edge may be lost and the tracker must drain clean.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -585,12 +585,12 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
 //
 // Elision binds a version in place when its binding count is zero, relying
 // on "count zero ⇒ every earlier task on the version is a tombstone". A
-// worker that finds the version's tracker shard held does not wait for it:
-// it leaves the retirement in the shard's inbox and releases its tickets.
-// The three regressions above are re-run with exactly that history — a
-// predecessor on the handle completes while this thread holds the (single)
-// shard — and must come out the same: whoever takes the gate next applies
-// the inbox before it reads history.
+// worker that finds the tracker gate held does not wait for it: it leaves
+// the retirement in the tracker's inbox and releases its tickets. The three
+// regressions above are re-run with exactly that history — a predecessor on
+// the handle completes while this thread holds the gate — and must come out
+// the same: whoever takes the gate next applies the inbox before it reads
+// history.
 
 /// Spin until `done()`, failing loudly instead of hanging.
 fn wait_until(what: &str, done: impl Fn() -> bool) {
@@ -604,21 +604,15 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// One tracker shard, so `hold_tracker_shard(0)` covers every allocation
-/// (renamed versions included).
-fn one_shard_runtime() -> Runtime {
-    Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(1),
-    )
+fn two_worker_runtime() -> Runtime {
+    Runtime::new(RuntimeConfig::default().with_workers(2))
 }
 
-/// Open `go` while this thread holds the tracker shard, wait for the tasks
+/// Open `go` while this thread holds the tracker gate, wait for the tasks
 /// blocked on it to finish completely, and check their retirements were
 /// deferred rather than applied.
 fn finish_with_deferred_retirement(rt: &Runtime, go: &std::sync::atomic::AtomicBool) {
-    let hold = rt.hold_tracker_shard(0);
+    let hold = rt.hold_tracker();
     go.store(true, Ordering::Release);
     wait_until("tasks to finish under a held gate", || {
         rt.in_flight_tasks() == 0
@@ -632,7 +626,7 @@ fn finish_with_deferred_retirement(rt: &Runtime, go: &std::sync::atomic::AtomicB
 
 #[test]
 fn output_before_input_unelides_behind_a_deferred_retirement() {
-    let rt = one_shard_runtime();
+    let rt = two_worker_runtime();
     let x = rt.versioned_data(41u64);
     let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
     {
@@ -677,7 +671,7 @@ fn output_before_input_unelides_behind_a_deferred_retirement() {
 
 #[test]
 fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
-    let rt = one_shard_runtime();
+    let rt = two_worker_runtime();
     let part = rt.versioned_partitioned(vec![0u64; 12], 4);
     let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
     for chunk in part.chunk_handles() {
@@ -722,9 +716,9 @@ fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
 #[test]
 fn replay_reruns_unelision_behind_deferred_retirements() {
     // Every pass — the capture iteration and each replay — completes while
-    // the shard is held, so every pass's bind-time analysis runs against a
+    // the gate is held, so every pass's bind-time analysis runs against a
     // predecessor whose retirement went through the inbox.
-    let rt = one_shard_runtime();
+    let rt = two_worker_runtime();
     let x = rt.versioned_data(42u64);
     let released = Arc::new(AtomicU64::new(0));
     let mut scope = rt.capture();
@@ -750,7 +744,7 @@ fn replay_reruns_unelision_behind_deferred_retirements() {
         if pass > 0 {
             rt.replay(&template, &ompss::ReplayBindings::new());
         }
-        let hold = rt.hold_tracker_shard(0);
+        let hold = rt.hold_tracker();
         released.store(pass + 1, Ordering::Release);
         wait_until("the pass to finish under a held gate", || {
             rt.in_flight_tasks() == 0
@@ -846,15 +840,14 @@ fn storm_tasks() -> usize {
 
 #[test]
 fn fast_path_survives_gc_every_spawn() {
-    // GC after every single spawn: each sweep locks every shard (holding the
-    // gates odd), so optimistic registrations keep colliding with sweeps and
-    // falling back mid-storm. Nothing may be lost. (Whether a given run
-    // records fallbacks depends on timing — the deterministic fallback
-    // check lives in `multi_shard_spans_always_fall_back`.)
+    // GC after every single spawn: each sweep holds the gate odd, so
+    // optimistic registrations keep colliding with sweeps and falling back
+    // mid-storm. Nothing may be lost. (Whether a given run records fallbacks
+    // depends on timing — the deterministic fallback check is the tracker's
+    // unit test `a_registration_waits_out_a_held_gate_and_counts_as_a_fallback`.)
     gc_storm(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(4)
             .with_tracker_gc_interval(1),
         4,
         storm_tasks(),
@@ -862,81 +855,14 @@ fn fast_path_survives_gc_every_spawn() {
 }
 
 #[test]
-fn multi_shard_spans_always_fall_back() {
-    use ompss::Accessible;
-    // A registration whose accesses live in different shards can never take
-    // the single-shard fast path. Find two handles that provably map to
-    // different shards (shard = alloc id % shard count, pinned by the graph
-    // docs) and span them.
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(4),
-    );
-    let shards = rt.stats().tracker_shards as u64;
-    let a = rt.data(1u64);
-    let b = loop {
-        let b = rt.data(2u64);
-        if b.region().id.alloc.raw() % shards != a.region().id.alloc.raw() % shards {
-            break b;
-        }
-    };
-    let before = rt.stats();
-    for _ in 0..10 {
-        let (a, b) = (a.clone(), b.clone());
-        rt.task().input(&a).input(&b).spawn(move |ctx| {
-            let _ = *ctx.read(&a) + *ctx.read(&b);
-        });
-    }
-    rt.taskwait();
-    let after = rt.stats();
-    assert!(
-        after.tracker_fast_path_fallbacks >= before.tracker_fast_path_fallbacks + 10,
-        "every multi-shard span falls back to the mutex path"
-    );
-    // And single-allocation spawns on the same runtime still hit. Link 0 is
-    // held until the whole chain is registered: a worker retiring link k-1
-    // holds `c`'s shard gate, so link k would legitimately miss the first
-    // try and fall back.
-    let c = rt.data(0u64);
-    let chain_spawned = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let (c, go) = (c.clone(), chain_spawned.clone());
-        rt.task().inout(&c).spawn(move |ctx| {
-            while !go.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            *ctx.write(&c) += 1;
-        });
-    }
-    for _ in 1..10 {
-        let c = c.clone();
-        rt.task().inout(&c).spawn(move |ctx| *ctx.write(&c) += 1);
-    }
-    chain_spawned.store(true, Ordering::SeqCst);
-    rt.taskwait();
-    let hits_after = rt.stats();
-    assert!(hits_after.tracker_fast_path_hits >= after.tracker_fast_path_hits + 10);
-    assert_eq!(rt.fetch(&c), 10);
-    rt.shutdown();
-}
-
-#[test]
 fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
     // Default cadence, and the cadence knob's edge cases: interval 0
     // disables the periodic sweep entirely (quiescent taskwait still
     // collects, so the drain check inside gc_storm stays valid).
-    gc_storm(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8),
-        4,
-        storm_tasks(),
-    );
+    gc_storm(RuntimeConfig::default().with_workers(4), 4, storm_tasks());
     gc_storm(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(2)
             .with_tracker_gc_interval(0),
         2,
         storm_tasks(),
@@ -959,7 +885,6 @@ fn forced_locked_storm_matches_invariants() {
     let stats = gc_storm(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(4)
             .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
             .with_tracker_gc_interval(64),
         4,

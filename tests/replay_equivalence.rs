@@ -4,7 +4,8 @@
 //! for any captured program, every replay pass must discover exactly the
 //! dependence structure that spawning the same tasks freshly through
 //! `TaskBuilder` discovers, and execution must produce exactly the values of
-//! repeating the program sequentially — across shard counts {1, 2, 7, 16}.
+//! repeating the program sequentially — with the tracker's optimistic gate
+//! acquisition and in its forced-locked reference configuration.
 //!
 //! The measurement idiom mirrors `tests/tracker_equivalence.rs`: task bodies
 //! are *gated* on a shared flag, so nothing completes (and nothing retires)
@@ -21,11 +22,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ompss::{
-    Data, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig, TraceEvent,
+    Data, FaultPlan, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig,
+    TraceEvent,
 };
 
-/// The shard counts the suite compares (matching `tracker_equivalence`).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
+/// The tracker configurations the suite compares (matching
+/// `tracker_equivalence`): the optimistic gate acquisition, and the
+/// forced-locked reference — every acquisition forced to wait, every
+/// retirement through the inbox.
+const FAST_PATH: [bool; 2] = [true, false];
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -205,13 +210,13 @@ struct InsertionStructure {
     counters: (u64, u64, u64, u64, u64, u64),
 }
 
-fn runtime_for(shards: usize) -> Runtime {
-    Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(shards)
-            .with_tracing(true),
-    )
+fn runtime_for(fast_path: bool) -> Runtime {
+    let config = RuntimeConfig::default().with_workers(2).with_tracing(true);
+    Runtime::new(if fast_path {
+        config
+    } else {
+        config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
+    })
 }
 
 /// Build the structure of one trace segment (events recorded between the
@@ -219,7 +224,6 @@ fn runtime_for(shards: usize) -> Runtime {
 fn segment_structure(
     seg: &[TraceEvent],
     expected_tasks: usize,
-    shards: usize,
     before: &ompss::RuntimeStats,
     after: &ompss::RuntimeStats,
 ) -> InsertionStructure {
@@ -235,11 +239,7 @@ fn segment_structure(
     let index_of = |id: ompss::TaskId| order.iter().position(|t| *t == id);
     let mut edges = Vec::new();
     for ev in seg {
-        if let TraceEvent::Edge {
-            task, from, shard, ..
-        } = ev
-        {
-            assert!(*shard < shards, "edge shard id out of range");
+        if let TraceEvent::Edge { task, from, .. } = ev {
             let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                 // The previous iteration fully drained, so its (retired)
                 // tasks must take no edges from this one.
@@ -267,13 +267,13 @@ fn segment_structure(
 /// `undrained` gated iterations with no drain between them as one measured
 /// segment; return the segment's structure and the final cell values.
 fn fresh(
-    shards: usize,
+    fast_path: bool,
     cells: usize,
     ops: &[Op],
     drained: usize,
     undrained: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards);
+    let rt = runtime_for(fast_path);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(true));
     for _ in 0..drained {
@@ -287,13 +287,7 @@ fn fresh(
         spawn_program(&rt, &handles, ops, &gate);
     }
     let after = rt.stats();
-    let structure = segment_structure(
-        &rt.trace()[skip..],
-        ops.len() * undrained,
-        shards,
-        &before,
-        &after,
-    );
+    let structure = segment_structure(&rt.trace()[skip..], ops.len() * undrained, &before, &after);
     gate.store(true, Ordering::Release);
     rt.taskwait();
     let values = handles.iter().map(|h| rt.fetch(h)).collect();
@@ -304,12 +298,12 @@ fn fresh(
 /// Capture one gated iteration, then run `replays` gated replay passes;
 /// return the structure of the final pass and the final cell values.
 fn replayed(
-    shards: usize,
+    fast_path: bool,
     cells: usize,
     ops: &[Op],
     replays: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards);
+    let rt = runtime_for(fast_path);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -331,7 +325,6 @@ fn replayed(
             structure = Some(segment_structure(
                 &trace[skip..],
                 ops.len(),
-                shards,
                 &before,
                 &after,
             ));
@@ -365,7 +358,7 @@ fn demo_ops() -> Vec<Op> {
     ]
 }
 
-/// Every shard count {1, 2, 7, 16}: the final replay pass must discover
+/// Both tracker configurations: the final replay pass must discover
 /// byte-identical edge multisets, per-task dependence counts, and counter
 /// deltas as the final fresh iteration, and both must end in the sequential
 /// values.
@@ -374,12 +367,13 @@ fn replay_structure_and_values_match_fresh_across_grid() {
     let ops = demo_ops();
     let rounds = 3; // capture + 2 replays on the replay side
     let expected = run_sequential_rounds(4, &ops, rounds);
-    for shards in SHARD_COUNTS {
-        let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, rounds - 1, 1);
-        let (replay_structure, replay_values) = replayed(shards, 4, &ops, rounds - 1);
-        assert_eq!(replay_structure, fresh_structure, "shards = {shards}");
-        assert_eq!(fresh_values, expected, "fresh values, shards = {shards}");
-        assert_eq!(replay_values, expected, "replay values, shards = {shards}");
+    for fast_path in FAST_PATH {
+        let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, rounds - 1, 1);
+        let (replay_structure, replay_values) = replayed(fast_path, 4, &ops, rounds - 1);
+        let tag = format!("fast_path = {fast_path}");
+        assert_eq!(replay_structure, fresh_structure, "{tag}");
+        assert_eq!(fresh_values, expected, "fresh values, {tag}");
+        assert_eq!(replay_values, expected, "replay values, {tag}");
     }
 }
 
@@ -387,19 +381,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random programs: the final replay pass matches the final fresh
-    /// iteration structurally, and both match sequential semantics, on a
-    /// single-shard and a multi-shard tracker.
+    /// iteration structurally, and both match sequential semantics, in both
+    /// tracker configurations.
     #[test]
     fn prop_replay_equals_fresh(
         ops in proptest::collection::vec(op_strategy(4), 1..24),
     ) {
         let expected = run_sequential_rounds(4, &ops, 3);
-        for shards in [1usize, 7] {
-            let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, 2, 1);
-            let (replay_structure, replay_values) = replayed(shards, 4, &ops, 2);
-            prop_assert_eq!(&replay_structure, &fresh_structure, "shards = {}", shards);
-            prop_assert_eq!(&fresh_values, &expected, "fresh, shards = {}", shards);
-            prop_assert_eq!(&replay_values, &expected, "replay, shards = {}", shards);
+        for fast_path in FAST_PATH {
+            let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, 2, 1);
+            let (replay_structure, replay_values) = replayed(fast_path, 4, &ops, 2);
+            prop_assert_eq!(&replay_structure, &fresh_structure, "fast_path = {}", fast_path);
+            prop_assert_eq!(&fresh_values, &expected, "fresh, fast_path = {}", fast_path);
+            prop_assert_eq!(&replay_values, &expected, "replay, fast_path = {}", fast_path);
         }
     }
 }
@@ -529,13 +523,13 @@ fn rename_ring_rebind_rotates_replayed_slots() {
 /// segment — `k` [`Runtime::replay`] calls with no drain between them — and
 /// return the segment's structure plus the final cell values.
 fn replayed_undrained(
-    shards: usize,
+    fast_path: bool,
     cells: usize,
     ops: &[Op],
     k: usize,
     warm: bool,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards);
+    let rt = runtime_for(fast_path);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -559,7 +553,7 @@ fn replayed_undrained(
         rt.replay(&template, &bindings);
     }
     let after = rt.stats();
-    let structure = segment_structure(&rt.trace()[skip..], ops.len() * k, shards, &before, &after);
+    let structure = segment_structure(&rt.trace()[skip..], ops.len() * k, &before, &after);
     gate.store(true, Ordering::Release);
     rt.taskwait();
     assert_eq!(template.passes(), warm as u64 + k as u64);
@@ -571,7 +565,7 @@ fn replayed_undrained(
 /// `k` replays with no drain between them must discover byte-identical
 /// structure (edge multiset over all k·n tasks, per-task dependence counts,
 /// counter deltas) to `k` undrained fresh iterations — including the carried
-/// inter-iteration dependences — on every shard count, both before the
+/// inter-iteration dependences — in both tracker configurations, both before the
 /// template freezes (resolved insertion) and after (pre-wired insertion).
 #[test]
 fn undrained_replays_match_fresh_spawns_across_grid() {
@@ -580,10 +574,10 @@ fn undrained_replays_match_fresh_spawns_across_grid() {
     for warm in [false, true] {
         let drained = 1 + usize::from(warm); // capture + warm
         let expected = run_sequential_rounds(4, &ops, drained + k);
-        for shards in SHARD_COUNTS {
-            let (fresh_structure, fresh_values) = fresh(shards, 4, &ops, drained, k);
-            let (replay_structure, replay_values) = replayed_undrained(shards, 4, &ops, k, warm);
-            let tag = format!("shards = {shards}, warm = {warm}");
+        for fast_path in FAST_PATH {
+            let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, drained, k);
+            let (replay_structure, replay_values) = replayed_undrained(fast_path, 4, &ops, k, warm);
+            let tag = format!("fast_path = {fast_path}, warm = {warm}");
             assert_eq!(replay_structure, fresh_structure, "{tag}");
             assert_eq!(fresh_values, expected, "fresh values, {tag}");
             assert_eq!(replay_values, expected, "replay values, {tag}");
@@ -738,7 +732,6 @@ proptest! {
         let rt = Runtime::new(
             RuntimeConfig::default()
                 .with_workers(2)
-                .with_tracker_shards(7)
                 .with_tracing(true),
         );
         let part = PartitionedData::new(vec![0u64, 0], 1);

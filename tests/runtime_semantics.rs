@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ompss::{RenameRing, Runtime, RuntimeConfig, SchedulerPolicy};
+use ompss::{FaultPlan, RenameRing, Runtime, RuntimeConfig, SchedulerPolicy};
 
 fn runtime(workers: usize) -> Runtime {
     Runtime::new(RuntimeConfig::default().with_workers(workers))
@@ -320,7 +320,7 @@ fn nested_tasks_and_nested_taskwait() {
 /// Spawning from inside task bodies, at volume. No workload, bin or example
 /// does it, so this is the one place where worker threads acquire task nodes
 /// and push their own spawns, thousands of times, while other workers retire
-/// and recycle — under every policy, one tracker shard and several.
+/// and recycle — under every policy.
 #[test]
 fn nested_spawn_storm_drains_and_recycles() {
     const ROOTS: usize = 4;
@@ -333,96 +333,93 @@ fn nested_spawn_storm_drains_and_recycles() {
         SchedulerPolicy::WorkStealing,
         SchedulerPolicy::LocalityWorkStealing,
     ] {
-        for shards in [1, 7] {
-            let rt = Runtime::new(
-                RuntimeConfig::default()
-                    .with_workers(3)
-                    .with_policy(policy)
-                    .with_tracker_shards(shards)
-                    .with_dcheck(true),
-            );
-            let cells: Vec<_> = (0..ROOTS).map(|_| rt.data(0u64)).collect();
-            let slots: Vec<_> = (0..ROOTS)
-                .map(|_| rt.partitioned(vec![0u64; CHILDREN / 2], 1))
-                .collect();
-            for (r, (cell, part)) in cells.iter().zip(&slots).enumerate() {
-                let (cell, part) = (cell.clone(), part.clone());
-                rt.task().spawn(move |ctx| {
-                    // Even children chain on the root's cell (an order-
-                    // sensitive update), odd ones each fill a chunk of their
-                    // own.
-                    let chained = Arc::new(AtomicUsize::new(0));
-                    let finished = Arc::new(AtomicUsize::new(0));
-                    for i in 0..CHILDREN {
-                        let (chained, finished) = (chained.clone(), finished.clone());
-                        if i % 2 == 0 {
-                            let cell = cell.clone();
-                            ctx.task().inout(&cell).spawn(move |c| {
-                                let mut v = c.write(&cell);
-                                *v = step(*v, i as u64);
-                                chained.fetch_add(1, Ordering::SeqCst);
-                                finished.fetch_add(1, Ordering::SeqCst);
-                            });
-                        } else {
-                            let chunk = part.chunk(i / 2);
-                            ctx.task().output(&chunk).spawn(move |c| {
-                                c.write_chunk(&chunk)[0] = i as u64;
-                                finished.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    }
-                    if r % 2 == 0 {
-                        ctx.taskwait();
-                        assert_eq!(finished.load(Ordering::SeqCst), CHILDREN);
+        let rt = Runtime::new(
+            RuntimeConfig::default()
+                .with_workers(3)
+                .with_policy(policy)
+                .with_dcheck(true),
+        );
+        let cells: Vec<_> = (0..ROOTS).map(|_| rt.data(0u64)).collect();
+        let slots: Vec<_> = (0..ROOTS)
+            .map(|_| rt.partitioned(vec![0u64; CHILDREN / 2], 1))
+            .collect();
+        for (r, (cell, part)) in cells.iter().zip(&slots).enumerate() {
+            let (cell, part) = (cell.clone(), part.clone());
+            rt.task().spawn(move |ctx| {
+                // Even children chain on the root's cell (an order-
+                // sensitive update), odd ones each fill a chunk of their
+                // own.
+                let chained = Arc::new(AtomicUsize::new(0));
+                let finished = Arc::new(AtomicUsize::new(0));
+                for i in 0..CHILDREN {
+                    let (chained, finished) = (chained.clone(), finished.clone());
+                    if i % 2 == 0 {
+                        let cell = cell.clone();
+                        ctx.task().inout(&cell).spawn(move |c| {
+                            let mut v = c.write(&cell);
+                            *v = step(*v, i as u64);
+                            chained.fetch_add(1, Ordering::SeqCst);
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
                     } else {
-                        ctx.taskwait_on(&cell);
-                        assert_eq!(chained.load(Ordering::SeqCst), CHILDREN / 2);
+                        let chunk = part.chunk(i / 2);
+                        ctx.task().output(&chunk).spawn(move |c| {
+                            c.write_chunk(&chunk)[0] = i as u64;
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
                     }
-                });
-            }
-            rt.try_taskwait().expect("no task of the storm failed");
-            let what = format!("{policy:?}, {shards} shard(s)");
-            assert!(
-                rt.take_panics().is_empty(),
-                "{what}: a nested wait returned early"
-            );
-            let races = rt.take_dcheck_reports();
-            assert!(
-                races.is_empty(),
-                "{what}: {} race(s), first {:?}",
-                races.len(),
-                races.first()
-            );
-            assert!(rt.take_dcheck_audit_violations().is_empty(), "{what}");
-            rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
-            let stats = rt.stats();
-            assert_eq!(
-                stats.tasks_executed as usize,
-                ROOTS * (CHILDREN + 1),
-                "{what}"
-            );
-            // The storm stocked the slab (how much of it was reused on the
-            // way depends on how soon the first child ran): now a task that
-            // spawns from its body is served from the free list, every time.
-            rt.task().spawn(|ctx| {
-                for _ in 0..64 {
-                    ctx.task().spawn(|_| {});
                 }
-                ctx.taskwait();
+                if r % 2 == 0 {
+                    ctx.taskwait();
+                    assert_eq!(finished.load(Ordering::SeqCst), CHILDREN);
+                } else {
+                    ctx.taskwait_on(&cell);
+                    assert_eq!(chained.load(Ordering::SeqCst), CHILDREN / 2);
+                }
             });
-            rt.taskwait();
-            let reused = rt.stats().task_nodes_recycled - stats.task_nodes_recycled;
-            assert_eq!(
-                reused, 65,
-                "{what}: a warm slab allocated for a nested spawn"
-            );
-            rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
-            let chain = (0..CHILDREN as u64).step_by(2).fold(0, step);
-            let filled: Vec<u64> = (0..CHILDREN as u64).skip(1).step_by(2).collect();
-            for (cell, part) in cells.into_iter().zip(slots) {
-                assert_eq!(rt.into_inner(cell), chain, "{what}");
-                assert_eq!(rt.into_vec(part), filled, "{what}");
+        }
+        rt.try_taskwait().expect("no task of the storm failed");
+        let what = format!("{policy:?}");
+        assert!(
+            rt.take_panics().is_empty(),
+            "{what}: a nested wait returned early"
+        );
+        let races = rt.take_dcheck_reports();
+        assert!(
+            races.is_empty(),
+            "{what}: {} race(s), first {:?}",
+            races.len(),
+            races.first()
+        );
+        assert!(rt.take_dcheck_audit_violations().is_empty(), "{what}");
+        rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
+        let stats = rt.stats();
+        assert_eq!(
+            stats.tasks_executed as usize,
+            ROOTS * (CHILDREN + 1),
+            "{what}"
+        );
+        // The storm stocked the slab (how much of it was reused on the
+        // way depends on how soon the first child ran): now a task that
+        // spawns from its body is served from the free list, every time.
+        rt.task().spawn(|ctx| {
+            for _ in 0..64 {
+                ctx.task().spawn(|_| {});
             }
+            ctx.taskwait();
+        });
+        rt.taskwait();
+        let reused = rt.stats().task_nodes_recycled - stats.task_nodes_recycled;
+        assert_eq!(
+            reused, 65,
+            "{what}: a warm slab allocated for a nested spawn"
+        );
+        rt.audit().unwrap_or_else(|v| panic!("{what}: {v:?}"));
+        let chain = (0..CHILDREN as u64).step_by(2).fold(0, step);
+        let filled: Vec<u64> = (0..CHILDREN as u64).skip(1).step_by(2).collect();
+        for (cell, part) in cells.into_iter().zip(slots) {
+            assert_eq!(rt.into_inner(cell), chain, "{what}");
+            assert_eq!(rt.into_vec(part), filled, "{what}");
         }
     }
 }
@@ -607,7 +604,10 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
 /// shared queue (prioritised or not) or stolen. With no `priority` clause in
 /// the program each spawned task also entered one exactly once: at spawn if
 /// it was ready, else when its last predecessor woke it onto that worker's
-/// deque or the shared queue. Fresh spawns and replayed passes alike.
+/// deque or the shared queue. Fresh spawns and replayed passes alike. The
+/// tracker's gate counts (fast-path hits + fallbacks) account for every
+/// fresh spawn that declared an access, and under the forced-fallback
+/// reference configuration none is a hit.
 #[test]
 fn scheduler_counts_account_for_every_task() {
     fn check(rt: &Runtime, what: &str) {
@@ -623,8 +623,21 @@ fn scheduler_counts_account_for_every_task() {
             "{what}: every spawned task was queued once ({s:?})"
         );
     }
-    for workers in [1, 2] {
-        let rt = runtime(workers);
+    // The tracker's gate counts: a fresh spawn with at least one access is
+    // either a fast-path hit or a fallback, an access-free spawn neither,
+    // and a replayed task neither.
+    fn gate_counts(rt: &Runtime) -> (u64, u64) {
+        let s = rt.stats();
+        (s.tracker_fast_path_hits, s.tracker_fast_path_fallbacks)
+    }
+    // The last runtime is the tracker's forced-fallback reference
+    // configuration.
+    for (workers, forced) in [(1, false), (2, false), (2, true)] {
+        let mut config = RuntimeConfig::default().with_workers(workers);
+        if forced {
+            config = config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1));
+        }
+        let rt = Runtime::new(config);
         let cells: Vec<_> = (0..4).map(|_| rt.data(0u64)).collect();
         // Chains on every cell, joined pairwise: some tasks are ready when
         // spawned, the others are woken by a predecessor.
@@ -672,6 +685,13 @@ fn scheduler_counts_account_for_every_task() {
             "the spinning worker's child was stolen"
         );
         check(&rt, &format!("fresh, {workers} worker(s)"));
+        // 64 chain tasks and 3 cancelled ones declared accesses; the parent
+        // and its child did not.
+        let (hits, fallbacks) = gate_counts(&rt);
+        assert_eq!(hits + fallbacks, s.tasks_spawned - 2);
+        if forced {
+            assert_eq!(hits, 0, "a forced fallback is never a hit");
+        }
 
         let mut scope = rt.capture();
         for i in 0..8 {
@@ -689,6 +709,13 @@ fn scheduler_counts_account_for_every_task() {
         rt.taskwait();
         assert_eq!(rt.stats().replay_tasks, 16 * 8);
         check(&rt, &format!("replayed, {workers} worker(s)"));
+        // The capture iteration spawned its 8 tasks fresh; the 16 × 8
+        // replayed ones count in neither.
+        let (replay_hits, replay_fallbacks) = gate_counts(&rt);
+        assert_eq!(replay_hits + replay_fallbacks, hits + fallbacks + 8);
+        if forced {
+            assert_eq!(replay_hits, 0);
+        }
     }
 }
 

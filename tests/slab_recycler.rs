@@ -124,11 +124,7 @@ fn run_churn(config: RuntimeConfig) -> (Runtime, u64) {
 
 #[test]
 fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
-    let (rt, total) = run_churn(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8),
-    );
+    let (rt, total) = run_churn(RuntimeConfig::default().with_workers(4));
     // The fetch tasks of the per-thread asserts also went through the slab;
     // only the drained end state has to balance: no node outstanding, no
     // tracker residue (the audit's `SlabLeak` and `TrackerResidue` checks).

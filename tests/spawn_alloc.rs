@@ -3,9 +3,9 @@
 //! Installs [`ompss::CountingAllocator`] as the binary's global allocator
 //! and proves the headline claim of the diet: once the runtime is warm
 //! (slab full of recycled nodes, tracker maps and scheduler queues at their
-//! high-water capacity), a batch of ≤2-access task spawns — on one tracker
-//! shard or across two, including their execution, completion, retirement
-//! and node recycling — performs **zero** heap allocations.
+//! high-water capacity), a batch of ≤2-access task spawns — on one
+//! allocation or across two, including their execution, completion,
+//! retirement and node recycling — performs **zero** heap allocations.
 //!
 //! This file contains exactly one test so no unrelated test thread can
 //! allocate inside the measurement window.
@@ -29,8 +29,8 @@ fn spawn_batch(rt: &Runtime, cells: &[Data<u64>]) {
 }
 
 /// The same batch with every task spanning two allocations — `input` on one
-/// cell, `output` on the next — which sit on different tracker shards.
-fn spawn_cross_shard_batch(rt: &Runtime, cells: &[Data<u64>]) {
+/// cell, `output` on the next.
+fn spawn_two_allocation_batch(rt: &Runtime, cells: &[Data<u64>]) {
     for i in 0..BATCH {
         let src = cells[i % cells.len()].clone();
         let dst = cells[(i + 1) % cells.len()].clone();
@@ -40,9 +40,9 @@ fn spawn_cross_shard_batch(rt: &Runtime, cells: &[Data<u64>]) {
     }
 }
 
-/// Busy-wait for the batch to drain without calling anything that
-/// allocates (`taskwait` runs a GC sweep and `stats()` builds vectors;
-/// `in_flight_tasks` is one atomic read). Workers recycle a node *before*
+/// Busy-wait for the batch to drain without calling anything that may
+/// allocate (`taskwait` runs a GC sweep; `in_flight_tasks` is one atomic
+/// read). Workers recycle a node *before*
 /// decrementing the in-flight count, so a drained runtime deterministically
 /// has every batch node parked in the free list — the next batch of
 /// `BATCH` spawns can never outrun the stock, whatever the scheduling.
@@ -57,7 +57,6 @@ fn steady_state_spawn_is_allocation_free() {
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(4)
             // No periodic GC sweep: the tracker maps keep their warmed
             // capacity across the window (GC itself is scratch-reusing, but
             // dropping and re-creating per-allocation index entries would
@@ -106,29 +105,29 @@ fn steady_state_spawn_is_allocation_free() {
     assert_eq!(stats.access_inline_spills, 0);
     assert_eq!(stats.access_inline_hits, stats.tasks_spawned);
 
-    // A registration spanning two shards rides the same diet: the set of
-    // shard ids it holds lives on the spawner's stack, not in a vector.
-    // Consecutive cells have consecutive allocation ids, so with 4 shards
-    // every one of these tasks spans two — none is a single-shard hit.
+    // A registration spanning two allocations rides the same diet: it
+    // collects predecessors from both into the history's scratch set.
     for _ in 0..4 {
-        spawn_cross_shard_batch(&rt, &cells);
+        spawn_two_allocation_batch(&rt, &cells);
         drain(&rt);
     }
-    let fallbacks_before = rt.stats().tracker_fast_path_fallbacks;
+    let registered =
+        |s: &ompss::RuntimeStats| s.tracker_fast_path_hits + s.tracker_fast_path_fallbacks;
+    let registered_before = registered(&rt.stats());
     let before = CountingAllocator::allocations();
-    spawn_cross_shard_batch(&rt, &cells);
+    spawn_two_allocation_batch(&rt, &cells);
     drain(&rt);
-    let delta_cross = CountingAllocator::allocations() - before;
+    let delta_two = CountingAllocator::allocations() - before;
     assert_eq!(
-        delta_cross, 0,
-        "steady-state spawns spanning two shards must not allocate (saw {delta_cross} \
+        delta_two, 0,
+        "steady-state spawns spanning two allocations must not allocate (saw {delta_two} \
          allocations across a {BATCH}-task batch)"
     );
     let stats = rt.stats();
     assert_eq!(
-        stats.tracker_fast_path_fallbacks - fallbacks_before,
+        registered(&stats) - registered_before,
         BATCH as u64,
-        "every task of the measured batch spanned two shards"
+        "every task of the measured batch registered through the tracker gate"
     );
     assert_eq!(stats.access_inline_spills, 0);
 

@@ -1,10 +1,9 @@
-//! Equivalence of the sharded dependence tracker with the single-shard
-//! (historical single-lock) tracker — and of the optimistic (gate-CAS)
-//! registration fast path with the forced-locked mutex path.
+//! Equivalence of the dependence tracker's optimistic gate acquisition (a
+//! polite try first) with the forced-locked reference configuration (every
+//! acquisition forced to wait, every retirement through the inbox).
 //!
-//! Sharding and the fast path must be invisible except in throughput: for
-//! any program, the tracker with N shards — with or without the optimistic
-//! path — must discover exactly the dependence structure the 1-shard
+//! The fast path must be invisible except in throughput: for any program,
+//! the default tracker must discover exactly the dependence structure the
 //! forced-locked tracker discovers, and execution must produce exactly the
 //! values of sequential (spawn-order) execution.
 //!
@@ -14,11 +13,11 @@
 //! 1. **Edge-structure equivalence.** Task bodies are *gated* on a shared
 //!    flag, so no task completes (and nothing retires) while the program is
 //!    being spawned — registration is then fully deterministic, and the edge
-//!    multiset (recorded by the tracing `Edge` events, which also carry the
-//!    shard id), the per-task dependence counts, and every edge counter must
-//!    be identical for shard counts {1, 2, 7, 16}.
-//! 2. **Value equivalence.** The same programs run ungated on every shard
-//!    count and must end with exactly the sequential final values.
+//!    multiset (recorded by the tracing `Edge` events), the per-task
+//!    dependence counts, and every edge counter must be identical in both
+//!    configurations.
+//! 2. **Value equivalence.** The same programs run ungated in both
+//!    configurations and must end with exactly the sequential final values.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,10 +25,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, TraceEvent};
-
-/// The shard counts the suite compares (1 is the reference single-lock
-/// configuration).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 /// The tracker configuration under test: optimistic (the default), or
 /// forced-locked — every gate acquisition forced off the polite try and
@@ -156,8 +151,8 @@ fn run_sequential_matching_tasks(cells: usize, ops: &[Op]) -> Vec<u64> {
     run_sequential(cells, ops)
 }
 
-/// Everything that must be identical across shard counts when no task can
-/// complete during registration.
+/// Everything that must be identical across tracker configurations when no
+/// task can complete during registration.
 #[derive(Debug, PartialEq, Eq)]
 struct EdgeStructure {
     /// Dependence edges as (pred spawn index, succ spawn index), sorted.
@@ -168,20 +163,14 @@ struct EdgeStructure {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
-    let rt = Runtime::new(
-        tracker_config(fast_path)
-            .with_workers(2)
-            .with_tracker_shards(shards)
-            .with_tracing(true),
-    );
+fn edge_structure(fast_path: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
+    let rt = Runtime::new(tracker_config(fast_path).with_workers(2).with_tracing(true));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let ids = spawn_program(&rt, &handles, ops, Some(&gate));
     // All registrations done, nothing has completed: snapshot the
     // deterministic structure, then release the tasks and drain.
     let stats = rt.stats();
-    assert_eq!(stats.tracker_shards, shards);
     // Hit/fallback accounting: every registration that has accesses is
     // either a hit or a fallback, and a forced fallback is a fallback.
     assert_eq!(
@@ -202,10 +191,7 @@ fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> E
     let mut deps = vec![usize::MAX; ids.len()];
     for ev in &trace {
         match ev {
-            TraceEvent::Edge {
-                task, from, shard, ..
-            } => {
-                assert!(*shard < shards, "edge shard id out of range");
+            TraceEvent::Edge { task, from, .. } => {
                 let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                     panic!("edge references an unknown task");
                 };
@@ -237,12 +223,8 @@ fn edge_structure(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> E
     }
 }
 
-fn final_values(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
-    let rt = Runtime::new(
-        tracker_config(fast_path)
-            .with_workers(3)
-            .with_tracker_shards(shards),
-    );
+fn final_values(fast_path: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
+    let rt = Runtime::new(tracker_config(fast_path).with_workers(3));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     spawn_program(&rt, &handles, ops, None);
     rt.taskwait();
@@ -254,58 +236,43 @@ fn final_values(shards: usize, fast_path: bool, cells: usize, ops: &[Op]) -> Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// With task completion gated off during spawning, the sharded tracker —
+    /// With task completion gated off during spawning, the tracker —
     /// optimistic fast path enabled — discovers exactly the edge multiset,
     /// per-task dependence counts and edge-class counters of the
-    /// forced-locked single-shard tracker, for every shard count; the
-    /// forced-locked configuration agrees at every shard count too.
+    /// forced-locked reference. (The name predates the one-gate tracker; the
+    /// reference was the one-shard configuration.)
     #[test]
     fn sharded_edge_structure_equals_single_shard(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
-        // Reference: 1 shard, forced-locked (the historical tracker).
-        let reference = edge_structure(1, false, 4, &ops);
+        let reference = edge_structure(false, 4, &ops);
         prop_assert_eq!(reference.edges.len() as u64, reference.counters.0);
-        for shards in SHARD_COUNTS {
-            let optimistic = edge_structure(shards, true, 4, &ops);
-            prop_assert_eq!(&optimistic, &reference, "optimistic, shards = {}", shards);
-        }
-        for shards in &SHARD_COUNTS[1..] {
-            let locked = edge_structure(*shards, false, 4, &ops);
-            prop_assert_eq!(&locked, &reference, "forced-locked, shards = {}", shards);
-        }
+        let optimistic = edge_structure(true, 4, &ops);
+        prop_assert_eq!(&optimistic, &reference);
     }
 
-    /// Ungated execution on every shard count — optimistic and
-    /// forced-locked — ends in exactly the sequential final values.
+    /// Ungated execution — optimistic and forced-locked — ends in exactly
+    /// the sequential final values.
     #[test]
     fn sharded_execution_matches_sequential_semantics(
         ops in proptest::collection::vec(op_strategy(5), 1..48),
     ) {
         let expected = run_sequential_matching_tasks(5, &ops);
-        for shards in SHARD_COUNTS {
-            let got = final_values(shards, true, 5, &ops);
-            prop_assert_eq!(&got, &expected, "optimistic, shards = {}", shards);
-        }
-        let got = final_values(7, false, 5, &ops);
-        prop_assert_eq!(&got, &expected, "forced-locked, shards = 7");
+        let got = final_values(true, 5, &ops);
+        prop_assert_eq!(&got, &expected, "optimistic");
+        let got = final_values(false, 5, &ops);
+        prop_assert_eq!(&got, &expected, "forced-locked");
     }
 }
 
 /// Run one program under the dcheck race oracle on a given tracker
 /// configuration and return (final values, race reports, audit verdict).
 fn final_values_dcheck(
-    shards: usize,
     fast_path: bool,
     cells: usize,
     ops: &[Op],
 ) -> (Vec<u64>, Vec<ompss::RaceReport>, bool) {
-    let rt = Runtime::new(
-        tracker_config(fast_path)
-            .with_workers(3)
-            .with_tracker_shards(shards)
-            .with_dcheck(true),
-    );
+    let rt = Runtime::new(tracker_config(fast_path).with_workers(3).with_dcheck(true));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     spawn_program(&rt, &handles, ops, None);
     rt.taskwait();
@@ -319,43 +286,35 @@ fn final_values_dcheck(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The full tracker matrix under the dcheck race oracle: every shard
-    /// count × {optimistic, forced-locked} runs random programs with zero
-    /// race reports and a clean audit — the sharded tracker orders every
-    /// conflicting pair no matter which registration path is active, and
-    /// the oracle agrees.
+    /// The tracker matrix under the dcheck race oracle: {optimistic,
+    /// forced-locked} runs random programs with zero race reports and a
+    /// clean audit — the tracker orders every conflicting pair no matter
+    /// which registration path is active, and the oracle agrees.
     #[test]
     fn tracker_matrix_is_race_free_under_dcheck(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
         let expected = run_sequential_matching_tasks(4, &ops);
-        for shards in SHARD_COUNTS {
-            for fast_path in [true, false] {
-                let (got, races, audit_ok) = final_values_dcheck(shards, fast_path, 4, &ops);
-                let tag = format!("shards = {shards}, fast_path = {fast_path}");
-                prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
-                prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
-                prop_assert!(audit_ok, "audit violation under {}", tag);
-            }
+        for fast_path in [true, false] {
+            let (got, races, audit_ok) = final_values_dcheck(fast_path, 4, &ops);
+            let tag = format!("fast_path = {fast_path}");
+            prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
+            prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
+            prop_assert!(audit_ok, "audit violation under {}", tag);
         }
     }
 }
 
 /// A fixed two-stage pipeline whose structure is easy to reason about:
 /// `n` producer→consumer pairs over disjoint handles, plus a final reader of
-/// everything. The edge multiset is the same for every shard count, and the
-/// shard ids recorded on the edges cover more than one shard once shards > 1
-/// (fresh allocation ids round-robin across shards).
+/// everything. The edge multiset is the same with the optimistic gate
+/// acquisition and in the forced-locked reference. (The name predates the
+/// one-gate tracker, when the edges were also spread over several shards.)
 #[test]
 fn pipeline_edges_identical_and_spread_across_shards() {
     let n = 8;
-    let run = |shards: usize| {
-        let rt = Runtime::new(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_tracker_shards(shards)
-                .with_tracing(true),
-        );
+    let run = |fast_path: bool| {
+        let rt = Runtime::new(tracker_config(fast_path).with_workers(2).with_tracing(true));
         let cells: Vec<Data<u64>> = (0..n).map(|_| rt.data(0u64)).collect();
         let sum = rt.data(0u64);
         let gate = Arc::new(AtomicBool::new(false));
@@ -390,61 +349,18 @@ fn pipeline_edges_identical_and_spread_across_shards() {
         rt.shutdown();
         let index_of = |id: ompss::TaskId| ids.iter().position(|t| *t == id).unwrap();
         let mut edges = Vec::new();
-        let mut shards_seen = std::collections::HashSet::new();
         for ev in &trace {
-            if let TraceEvent::Edge {
-                task, from, shard, ..
-            } = ev
-            {
+            if let TraceEvent::Edge { task, from, .. } = ev {
                 edges.push((index_of(*from), index_of(*task)));
-                shards_seen.insert(*shard);
             }
         }
         edges.sort_unstable();
-        (edges, shards_seen, total)
+        (edges, total)
     };
 
-    let (reference_edges, one_shard_seen, total) = run(1);
+    let (reference_edges, total) = run(false);
     assert_eq!(total, (1..=n as u64).sum::<u64>());
     // n RAW producer→consumer edges + the inout chain through `sum`.
     assert_eq!(reference_edges.len(), n + n - 1);
-    assert_eq!(one_shard_seen.len(), 1);
-    for shards in [4, 16] {
-        let (edges, shards_seen, total_s) = run(shards);
-        assert_eq!(edges, reference_edges, "shards = {shards}");
-        assert_eq!(total_s, total);
-        assert!(
-            shards_seen.len() > 1,
-            "with {shards} shards the {n} handles must not all map to one shard"
-        );
-    }
-}
-
-/// The config knob: 0 means auto (2 × workers), anything else is taken
-/// as-is; the runtime reports the effective count.
-#[test]
-fn tracker_shard_configuration_is_reported() {
-    let shards = |config: RuntimeConfig| {
-        let rt = Runtime::new(config);
-        let shards = rt.stats().tracker_shards;
-        rt.shutdown();
-        shards
-    };
-    assert_eq!(shards(RuntimeConfig::default().with_workers(3)), 6);
-    assert_eq!(
-        shards(
-            RuntimeConfig::default()
-                .with_workers(3)
-                .with_tracker_shards(7)
-        ),
-        7
-    );
-    assert_eq!(
-        shards(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_tracker_shards(0)
-        ),
-        4
-    );
+    assert_eq!(run(true), (reference_edges, total));
 }

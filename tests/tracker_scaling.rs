@@ -8,9 +8,9 @@
 //!   registrations examined. A chunk access on an N-chunk partition examines
 //!   its neighbours (≤ 2), a `whole()` access exactly the N chunks; a walk
 //!   of the allocation's whole region list per access would read N for both.
-//! * A worker completing a task whose tracker shard is held — here by the
-//!   test thread itself, through the hidden `hold_tracker_shard` hook — must
-//!   come back without the gate: the retirement waits in the shard's inbox,
+//! * A worker completing a task while the tracker gate is held — here by
+//!   the test thread itself, through the hidden `hold_tracker` hook — must
+//!   come back without the gate: the retirement waits in the inbox,
 //!   the runtime drains (`in_flight_tasks() == 0`) while the gate is still
 //!   held, and the retirement is applied when the gate is released.
 
@@ -86,7 +86,6 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(1)
             .with_tracker_gc_interval(0),
     );
     let x = rt.data(0u64);
@@ -100,10 +99,10 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
             *ctx.write(&x) += 1;
         });
     }
-    let hold = rt.hold_tracker_shard(0);
+    let hold = rt.hold_tracker();
     go.store(true, Ordering::Release);
     // The worker finishes the task — body, wakeups, retirement, tickets,
-    // node hand-back, counters — while this thread still holds the shard.
+    // node hand-back, counters — while this thread still holds the gate.
     wait_until("the worker to finish under a held gate", || {
         rt.in_flight_tasks() == 0
     });
@@ -112,7 +111,7 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
         1,
         "the retirement waits in the inbox"
     );
-    // `stats` takes no gate, so it can look while the shard is held.
+    // `stats` takes no gate, so it can look while the gate is held.
     assert_eq!(
         rt.stats().task_nodes_outstanding,
         1,
@@ -149,13 +148,12 @@ fn deferred_retirements_survive_a_burst_larger_than_the_inbox() {
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(1)
             .with_tracker_gc_interval(0),
     );
     let cells: Vec<_> = (0..TASKS).map(|_| rt.data(0u64)).collect();
     let go = Arc::new(AtomicBool::new(false));
     // A gatekeeper task every cell task depends on, so nothing completes
-    // before the shard is held.
+    // before the gate is held.
     let keeper = rt.data(0u64);
     {
         let (keeper, go) = (keeper.clone(), go.clone());
@@ -172,7 +170,7 @@ fn deferred_retirements_survive_a_burst_larger_than_the_inbox() {
             *ctx.write(&cell) = *ctx.read(&keeper);
         });
     }
-    let hold = rt.hold_tracker_shard(0);
+    let hold = rt.hold_tracker();
     go.store(true, Ordering::Release);
     wait_until("every task to finish under a held gate", || {
         rt.in_flight_tasks() == 0

@@ -1,8 +1,8 @@
-//! Concurrent-spawn stress for the sharded dependence tracker.
+//! Concurrent-spawn stress for the dependence tracker.
 //!
 //! Many OS threads spawn into one runtime at once, over overlapping
 //! allocations, so registrations, completions and retirements genuinely race
-//! on the tracker shards. The invariants checked:
+//! on the tracker gate. The invariants checked:
 //!
 //! * **no lost edges** — every per-thread `inout` chain counts exactly its
 //!   own tasks (a lost edge lets two chain tasks race on the same cell and
@@ -12,11 +12,12 @@
 //!   (`tasks_executed == tasks_spawned`, the bodies' own counter agrees, and
 //!   a re-executed body would panic in the runtime and be reported);
 //! * **clean drain** — after the final `taskwait` the tracker maps are
-//!   empty in every shard (the completion retire path plus GC reclaimed all
-//!   history, including the `by_alloc` overlap index);
-//! * **no deadlock between multi-shard spans** — registrations naming the
-//!   same shards in opposite clause order, racing a template replay over the
-//!   same cells, all terminate (`opposite_order_spans_and_concurrent_replay`).
+//!   empty (the completion retire path plus GC reclaimed all history,
+//!   including the `by_alloc` overlap index);
+//! * **no deadlock between multi-allocation spans** — registrations naming
+//!   the same cells in opposite clause order, racing a template replay over
+//!   the same cells, all terminate
+//!   (`opposite_order_spans_and_concurrent_replay`).
 //!
 //! CI runs this under `cargo test --release` with both default test
 //! threading and `RUST_TEST_THREADS=1`, so the contention is real.
@@ -122,12 +123,12 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     rt.taskwait();
     assert!(rt.audit().expect("clean drain after the storm").quiescent);
 
-    // The tracker was exercised: every gate acquisition counted a hit on
-    // its shard.
-    let hits: u64 = stats.tracker_shard_hits.iter().sum();
-    assert!(
-        hits >= total,
-        "every registration takes at least one shard gate"
+    // The tracker was exercised: every registration took the gate, at the
+    // first try or after a wait.
+    assert_eq!(
+        stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks,
+        total,
+        "every registration takes the tracker gate"
     );
 
     rt.shutdown();
@@ -135,34 +136,16 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
 }
 
 #[test]
-fn concurrent_spawn_stress_sharded() {
-    let stats = run_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8),
-    );
-    assert_eq!(stats.tracker_shards, 8);
-    // Handles are allocated round-robin across shards, so several shards
-    // must have been hit.
-    let active = stats.tracker_shard_hits.iter().filter(|&&h| h > 0).count();
-    assert!(
-        active > 1,
-        "sharded run concentrated on one shard: {:?}",
-        stats.tracker_shard_hits
-    );
-}
-
-#[test]
 fn concurrent_spawn_stress_single_shard() {
-    // The historical single-lock configuration must survive the same storm
-    // (it is the equivalence reference) — only its throughput differs.
+    // Eight spawners serialise on the one tracker gate, and so does the
+    // forced-locked reference configuration; only their throughput differs.
+    run_stress(RuntimeConfig::default().with_workers(4));
     let stats = run_stress(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(1),
+            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
-    assert_eq!(stats.tracker_shards, 1);
-    assert_eq!(stats.tracker_shard_hits.len(), 1);
+    assert_eq!(stats.tracker_fast_path_hits, 0);
 }
 
 /// Regression test for the retire path of the `by_alloc` overlap index:
@@ -173,11 +156,7 @@ fn concurrent_spawn_stress_single_shard() {
 /// forever for programs spawning less than that.
 #[test]
 fn retired_allocations_leave_by_alloc() {
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(4),
-    );
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(2));
     // Far fewer than the periodic-GC threshold, so only the retire path and
     // the explicit / quiescent GC can clean up.
     let v = rt.versioned_data(0u64);
@@ -217,9 +196,9 @@ fn retired_allocations_leave_by_alloc() {
 /// Deferred-retirement stress: 8 spawner threads hammer one partition with
 /// chunk updates while also inserting whole-partition readers, whose
 /// registrations walk every chunk entry and add an edge per live writer —
-/// long gate holds, during which the workers keep completing chunk tasks on
-/// the very same shard. Those completions cannot retire in place; they go
-/// through the shard's retire inbox. Nothing may be lost: every increment
+/// long gate holds, during which the workers keep completing chunk tasks.
+/// Those completions cannot retire in place; they go through the tracker's
+/// retire inbox. Nothing may be lost: every increment
 /// lands, every reader sees a consistent total order per chunk, and after
 /// the drain the tracker holds no history, every gate is free and every
 /// node is back in the slab (or freed) — one missed tombstone would leave a
@@ -300,39 +279,30 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
 
 #[test]
 fn deferred_retire_stress_one_shard() {
-    // One shard: every registration and every completion meet on one gate.
-    run_deferred_retire_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(1),
-    );
+    // Every registration and every completion meet on the one gate.
+    run_deferred_retire_stress(RuntimeConfig::default().with_workers(4));
 }
 
 #[test]
 fn deferred_retire_stress_sharded_and_forced_locked() {
+    // The reference configuration (no polite try) defers and drains the same
+    // way. (The name predates the one-gate tracker, when this test also ran
+    // eight shards.)
     run_deferred_retire_stress(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(8),
-    );
-    // The reference configuration (no polite try) defers and drains the same way.
-    run_deferred_retire_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(2)
             .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
 }
 
-/// Multi-shard spans racing in opposite declaration order. Every spawner
-/// registers `inout` tasks over two or three neighbouring cells — even
-/// spawners name them ascending, odd spawners descending — while one more
-/// thread keeps replaying a captured template over the same cells. All of
-/// them take several shard gates per registration, through the gates alone:
-/// it is the canonical (ascending shard id) acquisition order, not the order
-/// the clauses were declared in, that keeps them from deadlocking. The run
-/// must terminate, lose no edge (each cell counts exactly the tasks that
-/// named it), drain clean and pass the audit.
+/// Multi-allocation spans racing in opposite declaration order. Every
+/// spawner registers `inout` tasks over two or three neighbouring cells —
+/// even spawners name them ascending, odd spawners descending — while one
+/// more thread keeps replaying a captured template over the same cells. Each
+/// registration takes the one tracker gate once, whatever the order its
+/// clauses were declared in. The run must terminate, lose no edge (each
+/// cell counts exactly the tasks that named it), drain clean and pass the
+/// audit.
 fn run_opposite_order_span_stress(config: RuntimeConfig) {
     const CELLS: usize = 8;
     const REPLAYS: usize = 40;
@@ -425,17 +395,11 @@ fn run_opposite_order_span_stress(config: RuntimeConfig) {
 
 #[test]
 fn opposite_order_spans_and_concurrent_replay() {
-    // More cells than shards, so distinct cells share gates too.
+    run_opposite_order_span_stress(RuntimeConfig::default().with_workers(4));
+    // The reference configuration waits for the gate instead of trying it.
     run_opposite_order_span_stress(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(4),
-    );
-    // The reference configuration waits on every gate instead of trying it.
-    run_opposite_order_span_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(3)
             .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
     );
 }
