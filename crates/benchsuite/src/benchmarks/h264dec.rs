@@ -24,7 +24,7 @@ use kernels::h264::{
     EncodedFrame, EncodedStream, EntropyContext, FrameHeader, MacroblockSyntax, NalContext,
     OutputContext, PictureInfoBuffer, ReadContext, ReconstructContext, VideoParams,
 };
-use ompss::{Runtime, RenameRing};
+use ompss::{Data, RenameRing, Runtime, TaskContext};
 use parking_lot::Mutex;
 use threadkit::Pipeline;
 
@@ -171,12 +171,159 @@ pub fn run_pthreads(p: &Params, _threads: usize) -> u64 {
     frames_checksum(&oc.emitted)
 }
 
-/// Shared decoder state used by the OmpSs variant's tasks (the contexts of
+/// Shared decoder state used by the OmpSs variants' tasks (the contexts of
 /// Listing 1). The read context carries an EOF flag the main loop polls
 /// after `taskwait on (*rc)`.
 struct OmpssReadState {
     rc: ReadContext,
     eof: Arc<AtomicBool>,
+}
+
+/// What every OmpSs variant's frame loop shares: the stage contexts, each an
+/// `inout` dependence that serialises its stage across iterations (plain
+/// handles — an in-place update chain gains nothing from versioning), the
+/// EOF flag, and the hidden Picture Info and Decoded Picture Buffers,
+/// protected by critical sections inside task bodies.
+struct Contexts {
+    eof: Arc<AtomicBool>,
+    rc: Data<OmpssReadState>,
+    nc: Data<NalContext>,
+    ec: Data<EntropyContext>,
+    rec: Data<(ReconstructContext, Option<DecodedFrame>)>,
+    oc: Data<OutputContext>,
+    pib: Arc<Mutex<PictureInfoBuffer>>,
+    dpb: Arc<Mutex<DecodedPictureBuffer>>,
+}
+
+impl Contexts {
+    fn new(stream: &EncodedStream, pool: usize, rt: &Runtime) -> Self {
+        let eof = Arc::new(AtomicBool::new(false));
+        Contexts {
+            rc: rt.data(OmpssReadState {
+                rc: ReadContext::new(stream),
+                eof: eof.clone(),
+            }),
+            eof,
+            nc: rt.data(NalContext::new(stream)),
+            ec: rt.data(EntropyContext::default()),
+            rec: rt.data((ReconstructContext::default(), None::<DecodedFrame>)),
+            oc: rt.data(OutputContext::new()),
+            pib: Arc::new(Mutex::new(PictureInfoBuffer::new(pool))),
+            dpb: Arc::new(Mutex::new(DecodedPictureBuffer::new(
+                pool,
+                stream.params.width,
+                stream.params.height,
+            ))),
+        }
+    }
+
+    fn eof(&self) -> bool {
+        self.eof.load(Ordering::SeqCst)
+    }
+
+    /// Wait for the last task, then checksum what the output stage emitted.
+    fn finish(self, rt: &Runtime) -> u64 {
+        rt.taskwait();
+        frames_checksum(&rt.fetch(&self.oc).emitted)
+    }
+}
+
+// The five stage bodies, shared by every OmpSs variant: each variant
+// declares the clauses (over versioned handles, a manual ring's slots, or
+// recorded into a template) and its task closures call these.
+
+/// `task inout(*rc) output(*frm)`: read the next frame, or raise EOF.
+fn read_stage(ctx: &TaskContext<'_>, rc: &Data<OmpssReadState>, frm: &Data<Option<EncodedFrame>>) {
+    let mut state = ctx.write(rc);
+    let frame = read_frame(&mut state.rc);
+    if frame.is_none() {
+        state.eof.store(true, Ordering::SeqCst);
+    }
+    *ctx.write(frm) = frame;
+}
+
+/// `task inout(*nc) input(*frm) output(*s)`: parse the slice header. Fetch
+/// and release of the hidden Picture Info Buffer are protected by a critical
+/// section, not by dependences.
+fn parse_stage(
+    ctx: &TaskContext<'_>,
+    nc: &Data<NalContext>,
+    frm: &Data<Option<EncodedFrame>>,
+    slice: &Data<Option<FrameHeader>>,
+    pib: &Mutex<PictureInfoBuffer>,
+) {
+    let frame = ctx.read(frm);
+    let Some(frame) = frame.as_ref() else {
+        *ctx.write(slice) = None;
+        return;
+    };
+    let mut nal = ctx.write(nc);
+    let header = parse_header(&mut nal, frame);
+    let idx = ctx.critical("pib", || pib.lock().fetch(header));
+    *ctx.write(slice) = Some(header);
+    if let Some(idx) = idx {
+        ctx.critical("pib", || pib.lock().release(idx));
+    }
+}
+
+/// `task inout(*ec) input(*frm, *s) output(*ed_buf)`: entropy-decode the
+/// frame's macroblocks.
+fn entropy_stage(
+    ctx: &TaskContext<'_>,
+    ec: &Data<EntropyContext>,
+    frm: &Data<Option<EncodedFrame>>,
+    slice: &Data<Option<FrameHeader>>,
+    ed: &Data<Vec<MacroblockSyntax>>,
+) {
+    let frame = ctx.read(frm);
+    let header = ctx.read(slice);
+    let (Some(frame), Some(header)) = (frame.as_ref(), header.as_ref()) else {
+        ctx.write(ed).clear();
+        return;
+    };
+    let mut entropy = ctx.write(ec);
+    *ctx.write(ed) = entropy_decode_frame(&mut entropy, frame, header);
+}
+
+/// `task inout(*rec) input(*s, *ed_buf) output(*pic)`: reconstruct the
+/// picture, storing it in the hidden Decoded Picture Buffer under a
+/// critical section.
+fn reconstruct_stage(
+    ctx: &TaskContext<'_>,
+    rec: &Data<(ReconstructContext, Option<DecodedFrame>)>,
+    slice: &Data<Option<FrameHeader>>,
+    ed: &Data<Vec<MacroblockSyntax>>,
+    pic: &Data<Option<DecodedFrame>>,
+    dpb: &Mutex<DecodedPictureBuffer>,
+) {
+    let header = ctx.read(slice);
+    let Some(header) = header.as_ref() else {
+        *ctx.write(pic) = None;
+        return;
+    };
+    let mbs = ctx.read(ed);
+    let mut state = ctx.write(rec);
+    let idx = ctx.critical("dpb", || dpb.lock().fetch(header.frame_num));
+    let (rec_ctx, last) = &mut *state;
+    let decoded = reconstruct_frame(rec_ctx, header, &mbs, last.as_ref());
+    if let Some(idx) = idx {
+        ctx.critical("dpb", || {
+            let mut pool = dpb.lock();
+            pool.store(idx, decoded.clone());
+            pool.release(idx);
+        });
+    }
+    *last = Some(decoded.clone());
+    *ctx.write(pic) = Some(decoded);
+}
+
+/// `task inout(*oc) input(*pic)`: emit the picture in order.
+fn output_stage(ctx: &TaskContext<'_>, oc: &Data<OutputContext>, pic: &Data<Option<DecodedFrame>>) {
+    let pic = ctx.read(pic);
+    if let Some(pic) = pic.as_ref() {
+        let mut out = ctx.write(oc);
+        output_frame(&mut out, pic.clone());
+    }
 }
 
 /// OmpSs-style variant using the runtime's automatic renaming: the
@@ -192,20 +339,7 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
 /// Decode-only core of [`run_ompss`], for harnesses that pre-build the
 /// stream (stream generation would otherwise dominate the measurement).
 pub fn decode_ompss(stream: &EncodedStream, pool: usize, rt: &Runtime) -> u64 {
-    let eof = Arc::new(AtomicBool::new(false));
-
-    // Contexts, exactly as in the manual variant: `inout` dependences that
-    // serialise each stage across iterations (plain handles — an in-place
-    // update chain gains nothing from versioning).
-    let rc = rt.data(OmpssReadState {
-        rc: ReadContext::new(stream),
-        eof: eof.clone(),
-    });
-    let nc = rt.data(NalContext::new(stream));
-    let ec = rt.data(EntropyContext::default());
-    let rec = rt.data((ReconstructContext::default(), None::<DecodedFrame>));
-    let oc = rt.data(OutputContext::new());
-
+    let cx = Contexts::new(stream, pool, rt);
     // The inter-stage buffers: one versioned handle each. `output` accesses
     // rename them per iteration (no RenameRing, no window bookkeeping).
     let frm = rt.versioned_data::<Option<EncodedFrame>>(None);
@@ -213,140 +347,59 @@ pub fn decode_ompss(stream: &EncodedStream, pool: usize, rt: &Runtime) -> u64 {
     let ed = rt.versioned_data(Vec::<MacroblockSyntax>::new());
     let pic = rt.versioned_data::<Option<DecodedFrame>>(None);
 
-    // The hidden buffers, protected by critical sections inside task bodies.
-    let pib = Arc::new(Mutex::new(PictureInfoBuffer::new(pool)));
-    let dpb = Arc::new(Mutex::new(DecodedPictureBuffer::new(
-        pool,
-        stream.params.width,
-        stream.params.height,
-    )));
-
-    while !eof.load(Ordering::SeqCst) {
-        // task inout(*rc) output(*frm) — the output renames `frm`.
+    while !cx.eof() {
         {
-            let rc = rc.clone();
-            let frm = frm.clone();
+            let (rc, frm) = (cx.rc.clone(), frm.clone());
             rt.task()
                 .name("h264_read")
                 .inout(&rc)
                 .output(&frm)
-                .spawn(move |ctx| {
-                    let mut state = ctx.write(&rc);
-                    let frame = read_frame(&mut state.rc);
-                    if frame.is_none() {
-                        state.eof.store(true, Ordering::SeqCst);
-                    }
-                    *ctx.write(&frm) = frame;
-                });
+                .spawn(move |ctx| read_stage(ctx, &rc, &frm));
         }
-        // task inout(*nc) input(*frm) output(*s)
         {
-            let nc = nc.clone();
-            let frm = frm.clone();
-            let slice = slice.clone();
-            let pib = pib.clone();
+            let (nc, frm, slice, pib) = (cx.nc.clone(), frm.clone(), slice.clone(), cx.pib.clone());
             rt.task()
                 .name("h264_parse")
                 .inout(&nc)
                 .input(&frm)
                 .output(&slice)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm);
-                    let Some(frame) = frame.as_ref() else {
-                        *ctx.write(&slice) = None;
-                        return;
-                    };
-                    let mut nal = ctx.write(&nc);
-                    let header = parse_header(&mut nal, frame);
-                    let idx = ctx.critical("pib", || pib.lock().fetch(header));
-                    *ctx.write(&slice) = Some(header);
-                    if let Some(idx) = idx {
-                        ctx.critical("pib", || pib.lock().release(idx));
-                    }
-                });
+                .spawn(move |ctx| parse_stage(ctx, &nc, &frm, &slice, &pib));
         }
-        // task inout(*ec) input(*frm, *s) output(*ed_buf)
         {
-            let ec = ec.clone();
-            let frm = frm.clone();
-            let slice = slice.clone();
-            let ed = ed.clone();
+            let (ec, frm, slice, ed) = (cx.ec.clone(), frm.clone(), slice.clone(), ed.clone());
             rt.task()
                 .name("h264_entropy")
                 .inout(&ec)
                 .input(&frm)
                 .input(&slice)
                 .output(&ed)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm);
-                    let header = ctx.read(&slice);
-                    let (Some(frame), Some(header)) = (frame.as_ref(), header.as_ref()) else {
-                        ctx.write(&ed).clear();
-                        return;
-                    };
-                    let mut entropy = ctx.write(&ec);
-                    *ctx.write(&ed) = entropy_decode_frame(&mut entropy, frame, header);
-                });
+                .spawn(move |ctx| entropy_stage(ctx, &ec, &frm, &slice, &ed));
         }
-        // task inout(*rec) input(*s, *ed_buf) output(*pic)
         {
-            let rec = rec.clone();
-            let slice = slice.clone();
-            let ed = ed.clone();
-            let pic = pic.clone();
-            let dpb = dpb.clone();
+            let (rec, slice, ed) = (cx.rec.clone(), slice.clone(), ed.clone());
+            let (pic, dpb) = (pic.clone(), cx.dpb.clone());
             rt.task()
                 .name("h264_reconstruct")
                 .inout(&rec)
                 .input(&slice)
                 .input(&ed)
                 .output(&pic)
-                .spawn(move |ctx| {
-                    let header = ctx.read(&slice);
-                    let Some(header) = header.as_ref() else {
-                        *ctx.write(&pic) = None;
-                        return;
-                    };
-                    let mbs = ctx.read(&ed);
-                    let mut state = ctx.write(&rec);
-                    let idx = ctx.critical("dpb", || dpb.lock().fetch(header.frame_num));
-                    let (rec_ctx, last) = &mut *state;
-                    let decoded = reconstruct_frame(rec_ctx, header, &mbs, last.as_ref());
-                    if let Some(idx) = idx {
-                        ctx.critical("dpb", || {
-                            let mut pool = dpb.lock();
-                            pool.store(idx, decoded.clone());
-                            pool.release(idx);
-                        });
-                    }
-                    *last = Some(decoded.clone());
-                    *ctx.write(&pic) = Some(decoded);
-                });
+                .spawn(move |ctx| reconstruct_stage(ctx, &rec, &slice, &ed, &pic, &dpb));
         }
-        // task inout(*oc) input(*pic)
         {
-            let oc = oc.clone();
-            let pic = pic.clone();
+            let (oc, pic) = (cx.oc.clone(), pic.clone());
             rt.task()
                 .name("h264_output")
                 .inout(&oc)
                 .input(&pic)
-                .spawn(move |ctx| {
-                    let pic = ctx.read(&pic);
-                    if let Some(pic) = pic.as_ref() {
-                        let mut out = ctx.write(&oc);
-                        output_frame(&mut out, pic.clone());
-                    }
-                });
+                .spawn(move |ctx| output_stage(ctx, &oc, &pic));
         }
 
         // taskwait on (*rc): only the read must have finished before the
         // EOF condition of the while loop is evaluated.
-        rt.taskwait_on(&rc);
+        rt.taskwait_on(&cx.rc);
     }
-    rt.taskwait();
-    let emitted = rt.fetch(&oc).emitted;
-    frames_checksum(&emitted)
+    cx.finish(rt)
 }
 
 /// Captured variant of the frame loop (`h264dec-cap`): the 5-task pipeline
@@ -365,80 +418,36 @@ pub fn run_ompss_captured(p: &Params, rt: &Runtime) -> u64 {
 /// Decode-only core of [`run_ompss_captured`], for harnesses that pre-build
 /// the stream.
 pub fn decode_ompss_captured(stream: &EncodedStream, pool: usize, rt: &Runtime) -> u64 {
-    let eof = Arc::new(AtomicBool::new(false));
-
-    let rc = rt.data(OmpssReadState {
-        rc: ReadContext::new(stream),
-        eof: eof.clone(),
-    });
-    let nc = rt.data(NalContext::new(stream));
-    let ec = rt.data(EntropyContext::default());
-    let rec = rt.data((ReconstructContext::default(), None::<DecodedFrame>));
-    let oc = rt.data(OutputContext::new());
-
+    let cx = Contexts::new(stream, pool, rt);
     let frm = rt.versioned_data::<Option<EncodedFrame>>(None);
     let slice = rt.versioned_data::<Option<FrameHeader>>(None);
     let ed = rt.versioned_data(Vec::<MacroblockSyntax>::new());
     let pic = rt.versioned_data::<Option<DecodedFrame>>(None);
 
-    let pib = Arc::new(Mutex::new(PictureInfoBuffer::new(pool)));
-    let dpb = Arc::new(Mutex::new(DecodedPictureBuffer::new(
-        pool,
-        stream.params.width,
-        stream.params.height,
-    )));
-
     // Capture frame 0's pipeline iteration (the tasks run as they record).
     let template = {
         let mut scope = rt.capture();
         {
-            let rc = rc.clone();
-            let frm = frm.clone();
+            let (rc, frm) = (cx.rc.clone(), frm.clone());
             scope
                 .task()
                 .name("h264_read")
                 .inout(&rc)
                 .output(&frm)
-                .spawn(move |ctx| {
-                    let mut state = ctx.write(&rc);
-                    let frame = read_frame(&mut state.rc);
-                    if frame.is_none() {
-                        state.eof.store(true, Ordering::SeqCst);
-                    }
-                    *ctx.write(&frm) = frame;
-                });
+                .spawn(move |ctx| read_stage(ctx, &rc, &frm));
         }
         {
-            let nc = nc.clone();
-            let frm = frm.clone();
-            let slice = slice.clone();
-            let pib = pib.clone();
+            let (nc, frm, slice, pib) = (cx.nc.clone(), frm.clone(), slice.clone(), cx.pib.clone());
             scope
                 .task()
                 .name("h264_parse")
                 .inout(&nc)
                 .input(&frm)
                 .output(&slice)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm);
-                    let Some(frame) = frame.as_ref() else {
-                        *ctx.write(&slice) = None;
-                        return;
-                    };
-                    let mut nal = ctx.write(&nc);
-                    let header = parse_header(&mut nal, frame);
-                    let idx = ctx.critical("pib", || pib.lock().fetch(header));
-                    *ctx.write(&slice) = Some(header);
-                    if let Some(idx) = idx {
-                        ctx.critical("pib", || pib.lock().release(idx));
-                    }
-                });
+                .spawn(move |ctx| parse_stage(ctx, &nc, &frm, &slice, &pib));
         }
         {
-            let ec = ec.clone();
-            let frm = frm.clone();
-            let slice = slice.clone();
-            let ed = ed.clone();
+            let (ec, frm, slice, ed) = (cx.ec.clone(), frm.clone(), slice.clone(), ed.clone());
             scope
                 .task()
                 .name("h264_entropy")
@@ -446,23 +455,11 @@ pub fn decode_ompss_captured(stream: &EncodedStream, pool: usize, rt: &Runtime) 
                 .input(&frm)
                 .input(&slice)
                 .output(&ed)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm);
-                    let header = ctx.read(&slice);
-                    let (Some(frame), Some(header)) = (frame.as_ref(), header.as_ref()) else {
-                        ctx.write(&ed).clear();
-                        return;
-                    };
-                    let mut entropy = ctx.write(&ec);
-                    *ctx.write(&ed) = entropy_decode_frame(&mut entropy, frame, header);
-                });
+                .spawn(move |ctx| entropy_stage(ctx, &ec, &frm, &slice, &ed));
         }
         {
-            let rec = rec.clone();
-            let slice = slice.clone();
-            let ed = ed.clone();
-            let pic = pic.clone();
-            let dpb = dpb.clone();
+            let (rec, slice, ed) = (cx.rec.clone(), slice.clone(), ed.clone());
+            let (pic, dpb) = (pic.clone(), cx.dpb.clone());
             scope
                 .task()
                 .name("h264_reconstruct")
@@ -470,43 +467,16 @@ pub fn decode_ompss_captured(stream: &EncodedStream, pool: usize, rt: &Runtime) 
                 .input(&slice)
                 .input(&ed)
                 .output(&pic)
-                .spawn(move |ctx| {
-                    let header = ctx.read(&slice);
-                    let Some(header) = header.as_ref() else {
-                        *ctx.write(&pic) = None;
-                        return;
-                    };
-                    let mbs = ctx.read(&ed);
-                    let mut state = ctx.write(&rec);
-                    let idx = ctx.critical("dpb", || dpb.lock().fetch(header.frame_num));
-                    let (rec_ctx, last) = &mut *state;
-                    let decoded = reconstruct_frame(rec_ctx, header, &mbs, last.as_ref());
-                    if let Some(idx) = idx {
-                        ctx.critical("dpb", || {
-                            let mut pool = dpb.lock();
-                            pool.store(idx, decoded.clone());
-                            pool.release(idx);
-                        });
-                    }
-                    *last = Some(decoded.clone());
-                    *ctx.write(&pic) = Some(decoded);
-                });
+                .spawn(move |ctx| reconstruct_stage(ctx, &rec, &slice, &ed, &pic, &dpb));
         }
         {
-            let oc = oc.clone();
-            let pic = pic.clone();
+            let (oc, pic) = (cx.oc.clone(), pic.clone());
             scope
                 .task()
                 .name("h264_output")
                 .inout(&oc)
                 .input(&pic)
-                .spawn(move |ctx| {
-                    let pic = ctx.read(&pic);
-                    if let Some(pic) = pic.as_ref() {
-                        let mut out = ctx.write(&oc);
-                        output_frame(&mut out, pic.clone());
-                    }
-                });
+                .spawn(move |ctx| output_stage(ctx, &oc, &pic));
         }
         scope.finish()
     };
@@ -514,14 +484,12 @@ pub fn decode_ompss_captured(stream: &EncodedStream, pool: usize, rt: &Runtime) 
     // Frames 1..EOF: one replay per frame, exactly the fresh-spawn loop
     // with the five spawns collapsed into one stamp.
     let bindings = ompss::ReplayBindings::new();
-    rt.taskwait_on(&rc);
-    while !eof.load(Ordering::SeqCst) {
+    rt.taskwait_on(&cx.rc);
+    while !cx.eof() {
         rt.replay(&template, &bindings);
-        rt.taskwait_on(&rc);
+        rt.taskwait_on(&cx.rc);
     }
-    rt.taskwait();
-    let emitted = rt.fetch(&oc).emitted;
-    frames_checksum(&emitted)
+    cx.finish(rt)
 }
 
 /// OmpSs-style variant following Listing 1 verbatim: manual renaming with
@@ -535,18 +503,7 @@ pub fn run_ompss_manual(p: &Params, rt: &Runtime) -> u64 {
 /// the stream.
 pub fn decode_ompss_manual(stream: &EncodedStream, window: usize, pool: usize, rt: &Runtime) -> u64 {
     let n = window;
-    let eof = Arc::new(AtomicBool::new(false));
-
-    // Contexts (the `rc`, `nc`, `ec`, … of Listing 1), each an `inout`
-    // dependence that serialises its stage across iterations.
-    let rc = rt.data(OmpssReadState {
-        rc: ReadContext::new(stream),
-        eof: eof.clone(),
-    });
-    let nc = rt.data(NalContext::new(stream));
-    let ec = rt.data(EntropyContext::default());
-    let rec = rt.data((ReconstructContext::default(), None::<DecodedFrame>));
-    let oc = rt.data(OutputContext::new());
+    let cx = Contexts::new(stream, pool, rt);
 
     // Circular buffers of depth N (the manual renaming of Listing 1).
     let frm: RenameRing<Option<EncodedFrame>> = RenameRing::with_default(n);
@@ -554,16 +511,8 @@ pub fn decode_ompss_manual(stream: &EncodedStream, window: usize, pool: usize, r
     let ed_bufs: RenameRing<Vec<MacroblockSyntax>> = RenameRing::with_default(n);
     let pics: RenameRing<Option<DecodedFrame>> = RenameRing::with_default(n);
 
-    // The hidden buffers, protected by critical sections inside task bodies.
-    let pib = Arc::new(Mutex::new(PictureInfoBuffer::new(pool)));
-    let dpb = Arc::new(Mutex::new(DecodedPictureBuffer::new(
-        pool,
-        stream.params.width,
-        stream.params.height,
-    )));
-
     let mut k = 0usize;
-    while !eof.load(Ordering::SeqCst) {
+    while !cx.eof() {
         let frm_k = frm.slot(k).clone();
         let slice_k = slices.slot(k).clone();
         let ed_k = ed_bufs.slot(k).clone();
@@ -571,132 +520,64 @@ pub fn decode_ompss_manual(stream: &EncodedStream, window: usize, pool: usize, r
 
         // #pragma omp task inout(*rc) output(*frm)
         {
-            let rc = rc.clone();
-            let frm_k = frm_k.clone();
+            let (rc, frm_k) = (cx.rc.clone(), frm_k.clone());
             rt.task()
                 .name("h264_read")
                 .inout(&rc)
                 .output(&frm_k)
-                .spawn(move |ctx| {
-                    let mut state = ctx.write(&rc);
-                    let frame = read_frame(&mut state.rc);
-                    if frame.is_none() {
-                        state.eof.store(true, Ordering::SeqCst);
-                    }
-                    *ctx.write(&frm_k) = frame;
-                });
+                .spawn(move |ctx| read_stage(ctx, &rc, &frm_k));
         }
         // #pragma omp task inout(*nc) input(*frm) output(*s)
         {
-            let nc = nc.clone();
-            let frm_k = frm_k.clone();
-            let slice_k = slice_k.clone();
-            let pib = pib.clone();
+            let (nc, frm_k, slice_k) = (cx.nc.clone(), frm_k.clone(), slice_k.clone());
+            let pib = cx.pib.clone();
             rt.task()
                 .name("h264_parse")
                 .inout(&nc)
                 .input(&frm_k)
                 .output(&slice_k)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm_k);
-                    let Some(frame) = frame.as_ref() else {
-                        *ctx.write(&slice_k) = None;
-                        return;
-                    };
-                    let mut nal = ctx.write(&nc);
-                    let header = parse_header(&mut nal, frame);
-                    // Fetch/release of the hidden Picture Info Buffer is
-                    // protected by a critical section, not by dependences.
-                    let idx = ctx.critical("pib", || pib.lock().fetch(header));
-                    *ctx.write(&slice_k) = Some(header);
-                    if let Some(idx) = idx {
-                        ctx.critical("pib", || pib.lock().release(idx));
-                    }
-                });
+                .spawn(move |ctx| parse_stage(ctx, &nc, &frm_k, &slice_k, &pib));
         }
         // #pragma omp task inout(*ec) input(*frm, *s) output(*ed_buf)
         {
-            let ec = ec.clone();
-            let frm_k = frm_k.clone();
-            let slice_k = slice_k.clone();
-            let ed_k = ed_k.clone();
+            let (ec, frm_k) = (cx.ec.clone(), frm_k.clone());
+            let (slice_k, ed_k) = (slice_k.clone(), ed_k.clone());
             rt.task()
                 .name("h264_entropy")
                 .inout(&ec)
                 .input(&frm_k)
                 .input(&slice_k)
                 .output(&ed_k)
-                .spawn(move |ctx| {
-                    let frame = ctx.read(&frm_k);
-                    let header = ctx.read(&slice_k);
-                    let (Some(frame), Some(header)) = (frame.as_ref(), header.as_ref()) else {
-                        ctx.write(&ed_k).clear();
-                        return;
-                    };
-                    let mut entropy = ctx.write(&ec);
-                    *ctx.write(&ed_k) = entropy_decode_frame(&mut entropy, frame, header);
-                });
+                .spawn(move |ctx| entropy_stage(ctx, &ec, &frm_k, &slice_k, &ed_k));
         }
         // #pragma omp task inout(*rec) input(*s, *ed_buf) output(*pic)
         {
-            let rec = rec.clone();
-            let slice_k = slice_k.clone();
-            let ed_k = ed_k.clone();
-            let pic_k = pic_k.clone();
-            let dpb = dpb.clone();
+            let (rec, slice_k, ed_k) = (cx.rec.clone(), slice_k.clone(), ed_k.clone());
+            let (pic_k, dpb) = (pic_k.clone(), cx.dpb.clone());
             rt.task()
                 .name("h264_reconstruct")
                 .inout(&rec)
                 .input(&slice_k)
                 .input(&ed_k)
                 .output(&pic_k)
-                .spawn(move |ctx| {
-                    let header = ctx.read(&slice_k);
-                    let Some(header) = header.as_ref() else {
-                        *ctx.write(&pic_k) = None;
-                        return;
-                    };
-                    let mbs = ctx.read(&ed_k);
-                    let mut state = ctx.write(&rec);
-                    let idx = ctx.critical("dpb", || dpb.lock().fetch(header.frame_num));
-                    let (rec_ctx, last) = &mut *state;
-                    let decoded = reconstruct_frame(rec_ctx, header, &mbs, last.as_ref());
-                    if let Some(idx) = idx {
-                        ctx.critical("dpb", || {
-                            let mut pool = dpb.lock();
-                            pool.store(idx, decoded.clone());
-                            pool.release(idx);
-                        });
-                    }
-                    *last = Some(decoded.clone());
-                    *ctx.write(&pic_k) = Some(decoded);
-                });
+                .spawn(move |ctx| reconstruct_stage(ctx, &rec, &slice_k, &ed_k, &pic_k, &dpb));
         }
         // #pragma omp task inout(*oc) input(*pic)
         {
-            let oc = oc.clone();
-            let pic_k = pic_k.clone();
+            let (oc, pic_k) = (cx.oc.clone(), pic_k.clone());
             rt.task()
                 .name("h264_output")
                 .inout(&oc)
                 .input(&pic_k)
-                .spawn(move |ctx| {
-                    let pic = ctx.read(&pic_k);
-                    if let Some(pic) = pic.as_ref() {
-                        let mut out = ctx.write(&oc);
-                        output_frame(&mut out, pic.clone());
-                    }
-                });
+                .spawn(move |ctx| output_stage(ctx, &oc, &pic_k));
         }
 
         k += 1;
         // #pragma omp taskwait on (*rc): only the read must have finished
         // before the EOF condition of the while loop is evaluated.
-        rt.taskwait_on(&rc);
+        rt.taskwait_on(&cx.rc);
     }
-    rt.taskwait();
-    let emitted = rt.fetch(&oc).emitted;
-    frames_checksum(&emitted)
+    cx.finish(rt)
 }
 
 #[cfg(test)]
