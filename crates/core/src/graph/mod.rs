@@ -44,11 +44,12 @@
 //! ledger (`ledger/`: the main thread in `table1.*`, the round loop in
 //! `insert.storm`, each tenant's running job in `service.closed`), so the
 //! gate is shared between that spawner and the workers retiring behind it.
-//! Routing allocations over `2 × workers` gates bought nothing there: with
-//! one gate instead, alternating benchmark pairs on a 2-vCPU host moved no
-//! end-to-end median by more than a few per cent either way, and the
-//! routing cost an ordered multi-gate acquisition on every registration
-//! that touched two allocations. Concurrent spawners (task bodies spawning
+//! Routing allocations over `2 × workers` gates bought nothing there and
+//! cost an ordered multi-gate acquisition on every registration that
+//! touched two allocations: with one gate instead (10 alternating 20 s
+//! benchmark pairs per workload, 2-vCPU host), no end-to-end median got
+//! worse by more than 1 %, and `insert.storm` and `service.closed` ran 6–8 %
+//! faster. Concurrent spawners (task bodies spawning
 //! children, several threads sharing one runtime) stay correct: they
 //! serialise on the gate.
 //!
@@ -114,7 +115,8 @@
 //! [`RuntimeStats`](crate::RuntimeStats)). A fresh spawn without accesses
 //! takes no gate and counts in neither; nor does a replay batch. On the
 //! benchmark ledger (`--trace 1`) the hit share (`graph.fast_path_share`)
-//! reads ≈1.0; it read 0.155 while a registration over two allocations
+//! reads 0.999–1.0 on every workload; it read 0.155 (`insert.storm`) to
+//! 0.345 (`table1.coarse`) while a registration over two allocations
 //! usually spanned two gates and counted as a fallback. Traced edges carry
 //! a `fast_path` flag. The equivalence suites' reference configuration is a
 //! fault plan
@@ -288,10 +290,11 @@ pub(crate) struct Registration {
 /// holders need besides. See the module docs.
 ///
 /// Every registration and every retiring worker takes the gate, so the
-/// tracker starts a cache-line pair of its own (the sizing of
-/// [`CachePadded`](crate::stats::CachePadded)) and fills it: packed beside
-/// the runtime's other fields, the tracker's fields once shared a line with
-/// the critical-section registry's lock, and `table1.fine` replayed 4.8 %
+/// tracker is aligned to a cache-line pair (the sizing of
+/// [`CachePadded`](crate::stats::CachePadded)), gate first, and no
+/// other runtime field shares its lines: packed beside the runtime's other
+/// fields, the tracker's fields once shared a line with the
+/// critical-section registry's lock, and `table1.fine` replayed 4.8 %
 /// slower (2-vCPU host, 10 alternating benchmark pairs).
 #[repr(C, align(128))]
 pub(crate) struct Tracker {

@@ -22,9 +22,10 @@
 //! [`crate::graph`]): `tracker_fast_path_hits` + `tracker_fast_path_fallbacks`
 //! is the number of fresh spawns with at least one access. With one gate a
 //! registration falls back only when it waits, so on the benchmark ledger
-//! (`--trace 1`) the hit share, `graph.fast_path_share`, reads ≈1.0; it read
-//! 0.155 while a registration over two allocations usually spanned two
-//! tracker gates and counted as a fallback.
+//! (`--trace 1`) the hit share, `graph.fast_path_share`, reads 0.999–1.0; it
+//! read 0.155 (`insert.storm`) to 0.345 (`table1.coarse`) while a
+//! registration over two allocations usually spanned two tracker gates and
+//! counted as a fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

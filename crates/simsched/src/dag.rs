@@ -19,8 +19,8 @@
 //! A [`SimDag`] is static and complete before it runs — costs annotated,
 //! dependences as indices, listed in topological order — because list
 //! scheduling needs the whole graph; `ompss`'s `graph` module is the
-//! opposite (live, sharded by allocation, edges discovered at spawn time and
-//! retired at completion), so the two share no representation until real
+//! opposite (live, edges discovered at spawn time and retired at
+//! completion), so the two share no representation until real
 //! traces are replayed through this one (ROADMAP direction 5).
 
 use crate::machine::{DataLocality, MachineParams};
