@@ -79,8 +79,9 @@ impl<T: Send + 'static> Pipeline<T> {
 
         // queues[0] feeds stage 0, queues[i] connects stage i-1 to stage i,
         // queues[n] collects the output.
-        let queues: Vec<BoundedQueue<T>> =
-            (0..=n_stages).map(|_| BoundedQueue::new(capacity)).collect();
+        let queues: Vec<BoundedQueue<T>> = (0..=n_stages)
+            .map(|_| BoundedQueue::new(capacity))
+            .collect();
         let counters: Vec<Arc<Mutex<u64>>> =
             (0..n_stages).map(|_| Arc::new(Mutex::new(0))).collect();
         let stage_names: Vec<String> = self.stages.iter().map(|s| s.name.clone()).collect();
