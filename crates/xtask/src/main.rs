@@ -199,8 +199,7 @@ fn rules_for(root: &Path, path: &Path) -> Option<FileRules> {
     } else {
         PanicScope::Off
     };
-    let wallclock =
-        (in_core && file == "failpoint.rs") || rel_str.starts_with("vendor/proptest/");
+    let wallclock = (in_core && file == "failpoint.rs") || rel_str.starts_with("vendor/proptest/");
     Some(FileRules {
         safety: !rel_str.starts_with("vendor/"),
         panic,
@@ -438,7 +437,10 @@ fn find_word<'a>(code: &'a str, word: &str) -> Option<&'a str> {
                 .next_back()
                 .is_some_and(|c| c.is_alphanumeric() || c == '_');
         let after = &code[abs + word.len()..];
-        let after_ok = !after.chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let after_ok = !after
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
         if before_ok && after_ok {
             return Some(after);
         }
@@ -536,7 +538,14 @@ mod tests {
     fn marked_region_rule_follows_the_core_crate() {
         let root = super::workspace_root();
         let scope = |rel: &str| rules_for(&root, &root.join(rel)).map(|r| r.panic);
-        for file in ["mod.rs", "gate.rs", "history.rs", "index.rs", "complete.rs", "plan.rs"] {
+        for file in [
+            "mod.rs",
+            "gate.rs",
+            "history.rs",
+            "index.rs",
+            "complete.rs",
+            "plan.rs",
+        ] {
             let rel = format!("crates/core/src/graph/{file}");
             assert!(scope(&rel) == Some(PanicScope::MarkedRegions), "{rel}");
         }
@@ -552,7 +561,11 @@ mod tests {
                    // lint: hot-path-end\nfn c() { z.unwrap(); }\n";
         let rules = rules_for(&root, &gate).expect("graph files are linted");
         let v = lint_file(&gate, src, rules);
-        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3], "{v:?}");
+        assert_eq!(
+            v.iter().map(|v| v.line).collect::<Vec<_>>(),
+            vec![3],
+            "{v:?}"
+        );
         // And the real files do mark their hot paths: the gate, what every
         // task crosses before it (clause resolution, the insertion tail) and
         // after it (the ready-queue push and pop).
@@ -576,7 +589,8 @@ mod tests {
     #[test]
     fn cfg_test_modules_are_exempt_from_panic_rule() {
         for vis in ["", "pub ", "pub(crate) "] {
-            let src = format!("#[cfg(test)]\n{vis}mod tests {{\n    fn f() {{ x.unwrap(); }}\n}}\n");
+            let src =
+                format!("#[cfg(test)]\n{vis}mod tests {{\n    fn f() {{ x.unwrap(); }}\n}}\n");
             let v = lint_file(Path::new("t.rs"), &src, FileRules::all());
             assert!(v.is_empty(), "{vis:?}: {v:?}");
         }
