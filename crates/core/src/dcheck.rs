@@ -264,7 +264,7 @@ pub enum AuditViolation {
         /// Tasks in flight at audit time.
         in_flight: u64,
     },
-    /// The tracker's sequence gate read odd at quiescence — some
+    /// The tracker's gate was held at quiescence — some
     /// registration or retirement never released it.
     GateHeld,
     /// The tracker still holds region or allocation history after a

@@ -72,7 +72,7 @@ pub enum FaultClass {
     /// exhausted: the access falls back to serialising in place (the
     /// documented backpressure path). Serial: per-class call counter.
     RenameExhaustion = 2,
-    /// A tracker gate acquisition forced to skip the polite try (a fresh
+    /// A tracker gate acquisition forced off the fast path (a fresh
     /// registration so forced counts as a fast-path fallback), or a
     /// retirement forced through the tracker's retire inbox. Serial:
     /// per-class call counter.

@@ -1,152 +1,76 @@
-//! The tracker gate — the tracker's **one** exclusion protocol — and the
-//! retire inbox that lets a completion go past a held gate. The `unsafe`
-//! access to the history and the SeqCst gate/inbox handshake live here and
-//! nowhere else (see the [module docs](super), "Exclusion: one gate" and
-//! "Retirement").
+//! The tracker gate — a mutex over the history, the tracker's **one** lock —
+//! and the retire inbox that lets a completion go past it while it is held.
+//! The fence handshake that keeps a deferred retirement from being stranded
+//! lives here and nowhere else (see the [module docs](super), "Exclusion:
+//! the gate" and "Retirement").
+//!
+//! **Starvation.** The gate is an ordinary mutex: a registration that finds
+//! it held waits in `lock()`. While it waits, the only acquirers that do not
+//! block are retirements — a task's one `try_lock`, its second look after a
+//! deferral, and a release's re-check, which takes the gate only to apply
+//! entries deferred since — and a task retires once, so they are bounded by
+//! the tasks in flight. Every blocking acquirer (GC, the residue read,
+//! `taskwait on`, another registration) is a spawning thread waiting in the
+//! same `lock()`. That is also why a registration that waited behind a
+//! retirement still counts as a fast-path hit, and only one that waited
+//! behind another blocking acquirer (or was forced) counts as a fallback.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use super::history::{release_node, History, Retirement};
 use super::Tracker;
 use crate::stats::{StatCounters, StatField};
 use crate::task::TaskNode;
 
-/// The history, the gate protecting it, and the inbox of retirements
-/// deferred while it was held.
+/// The history behind its lock, and the inbox of retirements deferred while
+/// the lock was held.
 ///
-/// * `word` is the seqlock-style sequence counter and the **single point of
-///   mutual exclusion**: even = quiescent, odd = some mutator owns the
-///   history.
+/// * `history` is the **single point of mutual exclusion**: all access to
+///   it — reads included — goes through a [`Held`] guard.
+/// * `blocker_holds` says whether the holder took the gate with a blocking
+///   acquisition ([`Held::acquire`]: a registration, a sweep, a lookup) —
+///   a spawning thread, then, not a retirement. Only that holder writes it;
+///   only a registration whose `try_lock` failed reads it, to count the
+///   wait as a fast-path fallback or not. It orders nothing.
 /// * `inbox` holds the retirements of workers that found the gate held (see
 ///   [`Tracker::retire`]); its mutex is only ever held for one push or one
 ///   buffer swap, never across history work. `inbox_len` mirrors its length
 ///   so a gate holder can skip the lock when nothing is pending.
-///
-/// All access to `history` — reads included — happens with the gate held
-/// odd, through a [`Held`] guard.
 pub(super) struct Gate {
-    word: AtomicU64,
+    history: Mutex<History>,
+    blocker_holds: AtomicBool,
     inbox_len: AtomicUsize,
     inbox: Mutex<Vec<Retirement>>,
-    history: UnsafeCell<History>,
 }
-
-/// Flag bit in the gate word set by an acquirer while it *waits*: polite
-/// attempts ([`Gate::try_acquire`]) refuse while it is set, so a waiter
-/// cannot be starved by a stream of short publications. The sequence
-/// occupies the remaining bits.
-const GATE_WAITER: u64 = 1 << 63;
-
-/// How many spins an acquisition outwaits a gate holder for before it raises
-/// [`GATE_WAITER`], and how many more a waiter spins before it starts
-/// yielding. A retirement, a one-region registration or an inbox drain is
-/// gone long before the budget runs out.
-const GATE_SPINS: u32 = 64;
 
 /// Retirements the inbox (and the history-side buffer it is swapped with)
 /// can hold before growing: sized for the completions of one long gate hold,
 /// so a warm runtime defers without allocating.
 const INBOX_CAPACITY: usize = 64;
 
-// SAFETY: `history` is only ever accessed while the gate is held odd
-// (acquired with a SeqCst CAS, released with a SeqCst add), which makes
-// every access exclusive; `History` itself is `Send` (task nodes are
-// `Send + Sync`). The remaining fields are atomics and a mutex.
-unsafe impl Sync for Gate {}
-
 // lint: hot-path-begin — gate, guard and retire inbox: every task
 // registration and completion passes through here; no panicking calls
 // allowed (see `cargo xtask lint`).
 //
-// Memory ordering: the gate CASes/adds and the `inbox_len` accesses are all
-// SeqCst. A deferring worker *stores* `inbox_len` and then *loads* the gate;
-// a gate holder *stores* the gate (release) and then *loads* `inbox_len` —
-// the store-then-load pairing needs the single total order so that at least
-// one side sees the other (see `Tracker::retire`).
+// Memory ordering: `inbox_len` is read and written `Relaxed`. What a holder
+// must see of it comes from three places: the inbox mutex (the entries
+// themselves), the happens-before chain of invariant (a) (a retirement is
+// handed over before the ticket release a spawner observes under the
+// handle's chain lock), and the fence handshake between a deferring worker
+// and a releasing holder (`Tracker::defer_retirement`, `Release::drop`).
 impl Gate {
     pub(super) fn new() -> Self {
         Gate {
-            word: AtomicU64::new(0),
-            inbox_len: AtomicUsize::new(0),
-            inbox: Mutex::new(Vec::with_capacity(INBOX_CAPACITY)),
-            history: UnsafeCell::new(History {
+            history: Mutex::new(History {
                 scratch_inbox: Vec::with_capacity(INBOX_CAPACITY),
                 ..History::default()
             }),
-        }
-    }
-
-    /// Whether some mutator holds the gate right now. The waiter flag is
-    /// advisory and masked out; only the low sequence bit decides.
-    pub(super) fn is_held(&self) -> bool {
-        self.word.load(Ordering::Acquire) & 1 == 1
-    }
-
-    /// Take the gate if it is free right now *and* nobody is waiting for it.
-    /// Never blocks.
-    fn try_acquire(&self) -> bool {
-        let seq = self.word.load(Ordering::SeqCst);
-        seq & 1 == 0
-            && seq & GATE_WAITER == 0
-            && self
-                .word
-                .compare_exchange(seq, seq + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    /// The polite first step of a blocking acquisition:
-    /// [`Gate::try_acquire`] for up to [`GATE_SPINS`] spins, giving up at
-    /// once when somebody is already waiting (it must not be starved).
-    fn try_acquire_spinning(&self) -> bool {
-        for _ in 0..GATE_SPINS {
-            if self.try_acquire() {
-                return true;
-            }
-            if self.word.load(Ordering::Relaxed) & GATE_WAITER != 0 {
-                return false;
-            }
-            std::hint::spin_loop();
-        }
-        self.try_acquire()
-    }
-
-    /// Wait until the gate is acquired, counting the wait as contended if
-    /// the gate is found held. Raising [`GATE_WAITER`] turns every polite
-    /// attempt away, so the wait is bounded by real mutator work rather than
-    /// by a stream of short publications. Several waiters may spin here at
-    /// once and whichever acquires clears the flag, so each re-raises it on
-    /// every failed iteration.
-    fn wait_acquire(&self, stats: &StatCounters) {
-        let mut seq = self.word.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
-        if seq & 1 == 1 {
-            stats.add(StatField::TrackerLockContention, 1);
-        }
-        let mut spins = 0u32;
-        loop {
-            if seq & 1 == 0
-                && self
-                    .word
-                    .compare_exchange_weak(
-                        seq,
-                        (seq & !GATE_WAITER) + 1,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                return;
-            }
-            if spins < GATE_SPINS {
-                std::hint::spin_loop();
-                spins += 1;
-            } else {
-                std::thread::yield_now();
-            }
-            seq = self.word.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
+            blocker_holds: AtomicBool::new(false),
+            inbox_len: AtomicUsize::new(0),
+            inbox: Mutex::new(Vec::with_capacity(INBOX_CAPACITY)),
         }
     }
 
@@ -155,118 +79,157 @@ impl Gate {
     pub(super) fn push_retirements(&self, retirements: impl Iterator<Item = Retirement>) {
         let mut inbox = self.inbox.lock();
         inbox.extend(retirements);
-        self.inbox_len.store(inbox.len(), Ordering::SeqCst);
-    }
-}
-
-/// Exclusive access to the history: the proof that the gate is held (odd),
-/// and the only way to reach the history. Every tracker operation — a
-/// registration of one node or of a whole replay batch, a retirement, a GC
-/// sweep, a residue read, a `taskwait on` lookup — works through one of
-/// these. Dropping it releases the gate (so a panic while holding cannot
-/// wedge the tracker).
-pub(super) struct Held<'a> {
-    tracker: &'a Tracker,
-    /// Whether the gate fell to the polite try, without waiting.
-    tried: bool,
-}
-
-impl<'a> Held<'a> {
-    /// Acquire the gate, waiting as long as it takes: a polite attempt
-    /// within the spin budget; failing that (or when the fault plan forces
-    /// this acquisition off the try), the waiter-flag wait. The retire inbox
-    /// is applied as the gate is taken, so no holder ever reads history with
-    /// a retirement pending that was handed over before it acquired. A wait
-    /// that finds the gate held is counted into `stats`.
-    pub(super) fn acquire(tracker: &'a Tracker, stats: &StatCounters) -> Self {
-        let gate = &tracker.gate;
-        let tried = !tracker.forced_fallback() && gate.try_acquire_spinning();
-        if !tried {
-            gate.wait_acquire(stats);
-        }
-        let mut held = Held { tracker, tried };
-        held.drain_inbox();
-        held
-    }
-
-    /// Take the gate if it is free right now; never waits.
-    fn try_acquire(tracker: &'a Tracker) -> Option<Self> {
-        tracker.gate.try_acquire().then(|| {
-            let mut held = Held {
-                tracker,
-                tried: true,
-            };
-            held.drain_inbox();
-            held
-        })
-    }
-
-    /// Whether the acquisition never had to wait: the gate fell to the
-    /// polite try.
-    pub(super) fn tried(&self) -> bool {
-        self.tried
-    }
-
-    /// The history. Takes `&mut self` so the borrow checker serialises
-    /// access through the guard; the underlying exclusivity comes from the
-    /// held gate.
-    pub(super) fn history(&mut self) -> &mut History {
-        // SAFETY: a `Held` exists only after its gate was taken (`acquire`,
-        // `try_acquire`), and `drop` — the only place that releases — comes
-        // back here only after re-taking the gate. So whenever this runs,
-        // this guard holds the gate odd, which makes the access exclusive;
-        // the returned borrow is tied to `&mut self`.
-        unsafe { &mut *self.tracker.gate.history.get() }
+        self.inbox_len.store(inbox.len(), Ordering::Relaxed);
     }
 
     /// Retirements waiting in the inbox.
     pub(super) fn pending_retirements(&self) -> usize {
-        self.tracker.gate.inbox_len.load(Ordering::SeqCst)
-    }
-
-    /// Apply the retirements workers deferred into the inbox.
-    /// Allocation-free: the inbox vector and the history's scratch vector
-    /// swap roles, both keeping their capacity.
-    fn drain_inbox(&mut self) {
-        let tracker = self.tracker;
-        let gate = &tracker.gate;
-        if gate.inbox_len.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let history = self.history();
-        let mut batch = std::mem::take(&mut history.scratch_inbox);
-        {
-            let mut inbox = gate.inbox.lock();
-            std::mem::swap(&mut *inbox, &mut batch);
-            gate.inbox_len.store(0, Ordering::SeqCst);
-        }
-        for r in batch.drain(..) {
-            // The worker that deferred this usually finished with the node
-            // long ago, which makes the history reference the last one.
-            if let Some(node) = history.retire_region(r.rid, r.task, r.kind) {
-                release_node(node, &tracker.recycler);
-            }
-        }
-        history.scratch_inbox = batch;
+        self.inbox_len.load(Ordering::Relaxed)
     }
 }
 
+/// Exclusive access to the history: the held lock, and the only way to
+/// reach the history. Every tracker operation — a registration of one node
+/// or of a whole replay batch, a retirement, a GC sweep, a residue read, a
+/// `taskwait on` lookup — works through one of these. Dropping it releases
+/// the gate (so a panic while holding cannot wedge the tracker) and then
+/// re-checks the inbox.
+pub(super) struct Held<'a> {
+    /// Declared before `release`, so it drops first: the lock is free by
+    /// the time `release` looks at the inbox.
+    history: MutexGuard<'a, History>,
+    release: Release<'a>,
+    /// Whether the acquisition was a fast-path hit (see [`Held::acquire`]).
+    fast_path: bool,
+    /// Whether this guard came from [`Held::acquire`] and so raised
+    /// `blocker_holds`.
+    blocker: bool,
+}
+
+/// The second half of dropping a [`Held`]: runs after its lock is released.
+struct Release<'a>(&'a Tracker);
+
+impl<'a> Held<'a> {
+    /// Acquire the gate, waiting as long as it takes: one `try_lock`;
+    /// failing that, a blocking `lock()`, counted into `stats` as
+    /// contention. The acquisition is a fast-path hit unless the try found
+    /// another blocking acquirer holding the gate or the fault plan forced
+    /// it: a wait behind a retirement is bounded (see the module doc) and
+    /// still a hit. The retire inbox is applied as the gate is taken, so no
+    /// holder ever reads history with a retirement pending that was handed
+    /// over before it acquired.
+    pub(super) fn acquire(tracker: &'a Tracker, stats: &StatCounters) -> Self {
+        let gate = &tracker.gate;
+        let forced = tracker.forced_fallback();
+        let (history, behind_blocker) = match gate.history.try_lock() {
+            Some(history) => (history, false),
+            None => {
+                stats.add(StatField::TrackerLockContention, 1);
+                let behind_blocker = gate.blocker_holds.load(Ordering::Relaxed);
+                (gate.history.lock(), behind_blocker)
+            }
+        };
+        gate.blocker_holds.store(true, Ordering::Relaxed);
+        Held::new(tracker, history, !forced && !behind_blocker, true)
+    }
+
+    /// Take the gate if it is free right now; never waits.
+    pub(super) fn try_acquire(tracker: &'a Tracker) -> Option<Self> {
+        let history = tracker.gate.history.try_lock()?;
+        Some(Held::new(tracker, history, true, false))
+    }
+
+    fn new(
+        tracker: &'a Tracker,
+        mut history: MutexGuard<'a, History>,
+        fast_path: bool,
+        blocker: bool,
+    ) -> Self {
+        drain_inbox(tracker, &mut history);
+        Held {
+            history,
+            release: Release(tracker),
+            fast_path,
+            blocker,
+        }
+    }
+
+    /// Whether the acquisition was a fast-path hit: its `try_lock` found
+    /// the gate free or held by a retirement, and no fault plan forced it.
+    pub(super) fn fast_path(&self) -> bool {
+        self.fast_path
+    }
+
+    /// The history. Takes `&mut self` so the borrow checker serialises
+    /// access through the guard.
+    pub(super) fn history(&mut self) -> &mut History {
+        &mut self.history
+    }
+
+    /// Retirements waiting in the inbox.
+    pub(super) fn pending_retirements(&self) -> usize {
+        self.release.0.gate.pending_retirements()
+    }
+}
+
+/// Apply the retirements workers deferred into the inbox. Allocation-free:
+/// the inbox vector and the history's scratch vector swap roles, both
+/// keeping their capacity.
+fn drain_inbox(tracker: &Tracker, history: &mut History) {
+    let gate = &tracker.gate;
+    if gate.pending_retirements() == 0 {
+        return;
+    }
+    let mut batch = std::mem::take(&mut history.scratch_inbox);
+    {
+        let mut inbox = gate.inbox.lock();
+        std::mem::swap(&mut *inbox, &mut batch);
+        gate.inbox_len.store(0, Ordering::Relaxed);
+    }
+    for r in batch.drain(..) {
+        // The worker that deferred this usually finished with the node long
+        // ago, which makes the history reference the last one.
+        if let Some(node) = history.retire_region(r.rid, r.task, r.kind) {
+            release_node(node, &tracker.recycler);
+        }
+    }
+    history.scratch_inbox = batch;
+}
+
 impl Drop for Held<'_> {
-    /// Release the gate, then look at the inbox once more: a worker that
-    /// found the gate held may have deferred a retirement after our
+    /// Runs before the fields drop, so the flag falls while the gate is
+    /// still held.
+    fn drop(&mut self) {
+        if self.blocker {
+            self.release
+                .0
+                .gate
+                .blocker_holds
+                .store(false, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for Release<'_> {
+    /// The gate was just released; look at the inbox once more: a worker
+    /// that found the gate held may have deferred a retirement after the
     /// acquisition-time drain. If so, and the gate is still free, take it
     /// back and drain — so a deferred retirement never outlives the gate
     /// hold that displaced it (and never waits for the next registration).
     /// If someone else got the gate first, their acquisition drains.
     fn drop(&mut self) {
-        let gate = &self.tracker.gate;
+        let tracker = self.0;
+        let gate = &tracker.gate;
         loop {
-            // Odd → even; a concurrently raised GATE_WAITER bit survives.
-            gate.word.fetch_add(1, Ordering::SeqCst);
-            if gate.inbox_len.load(Ordering::SeqCst) == 0 || !gate.try_acquire() {
-                break;
+            // Pairs with the fence in `Tracker::defer_retirement`: see there.
+            fence(Ordering::SeqCst);
+            if gate.pending_retirements() == 0 {
+                return;
             }
-            self.drain_inbox();
+            let Some(mut history) = gate.history.try_lock() else {
+                return;
+            };
+            drain_inbox(tracker, &mut history);
         }
     }
 }
@@ -275,10 +238,10 @@ impl Tracker {
     /// Retire a completed task from the history: every live reference it
     /// still holds is replaced by a tombstone, releasing the node.
     /// Idempotent per task, and **never blocks**: if the gate is free right
-    /// now (one CAS) the history is updated in place; if it is held (or the
-    /// fault plan forces it), the retirements go into the inbox and whoever
-    /// holds or next takes the gate applies them. A worker stalled here
-    /// would stop executing tasks while the spawner's next registration
+    /// now (one `try_lock`) the history is updated in place; if it is held
+    /// (or the fault plan forces it), the retirements go into the inbox and
+    /// whoever holds or next takes the gate applies them. A worker stalled
+    /// here would stop executing tasks while the spawner's next registration
     /// finds ever more live predecessors.
     ///
     /// Ordering contract (load-bearing, see the module docs): by the time
@@ -313,13 +276,17 @@ impl Tracker {
     /// Hand `node`'s retirements to the inbox, then try the gate once more.
     ///
     /// The second look closes the window in which the holder we collided
-    /// with released (and checked the inbox) just before our push: in the
-    /// SeqCst order either its post-release `inbox_len` load follows our
-    /// store — it drains — or our gate load follows its release — we find
-    /// the gate free and drain ourselves, or find a *newer* holder, whose
-    /// own release repeats the argument. Either way the entries are applied
-    /// by a thread that is still inside a registration or a completion, i.e.
-    /// before the runtime can look quiescent.
+    /// with released (and checked the inbox) just before our push. This
+    /// thread stores `inbox_len`, fences, then reads the lock word in
+    /// `try_lock`; the holder writes the lock word in its unlock, fences
+    /// (`Release::drop`), then loads `inbox_len`. The two SeqCst fences are
+    /// totally ordered. If ours comes first, the holder's load sees our
+    /// store (or a later one — a drainer that already took the entries), so
+    /// it drains. If the holder's comes first, our `try_lock` sees its
+    /// unlock: we find the gate free and drain ourselves, or find a *newer*
+    /// holder, whose own release repeats the argument. Either way the
+    /// entries are applied by a thread that is still inside a registration
+    /// or a completion, i.e. before the runtime can look quiescent.
     fn defer_retirement(&self, node: &TaskNode) {
         self.gate
             .push_retirements(node.accesses.iter().map(|access| Retirement {
@@ -327,6 +294,7 @@ impl Tracker {
                 task: node.id,
                 kind: access.kind,
             }));
+        fence(Ordering::SeqCst);
         drop(Held::try_acquire(self));
     }
 }

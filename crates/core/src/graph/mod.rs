@@ -86,46 +86,39 @@
 //! one node; a template replay registers its whole batch under one
 //! acquisition.
 //!
-//! ## Exclusion: the gate protocol
+//! ## Exclusion: the gate
 //!
-//! The gate is a seqlock-style **sequence word** (`AtomicU64`; even =
-//! quiescent, odd = a mutator holds the history), and it is the only lock
-//! there is. Every operation — registering one node or a replay batch,
-//! retiring, garbage collection, the audit's residue read, `taskwait on` —
-//! goes through one guard type (`gate::Held`), acquired one way:
-//!
-//! 1. **Try.** One CAS if the gate is free and nobody is waiting for it,
-//!    repeated for a bounded number of spins while a holder is outwaited (a
-//!    retirement, a one-region registration or an inbox drain is gone long
-//!    before the budget runs out). No blocking, no flag.
-//! 2. **Wait.** If the try fails — the holder is slow (a wide registration,
-//!    a GC sweep) or another acquirer is already waiting — raise the waiter
-//!    flag in the gate word and spin, then yield, until the CAS succeeds.
-//!    The flag turns new polite tries away at once, so a waiter is bounded
-//!    by real mutator work and cannot be starved by a stream of short
-//!    publications; several waiters re-raise it in turn.
+//! The gate is a mutex over the history (`parking_lot::Mutex<History>`),
+//! and it is the only lock there is. Every operation — registering one node
+//! or a replay batch, retiring, garbage collection, the audit's residue
+//! read, `taskwait on` — goes through one guard type (`gate::Held`),
+//! acquired one way: one `try_lock`, and if the gate is held, a blocking
+//! `lock()`. A retirement only ever tries (below). Why a waiting
+//! registration is not starved is argued in `gate.rs`'s module doc.
 //!
 //! The history keeps the registration's scratch predecessor set, so a warm
 //! registration allocates nothing, whatever it touches.
 //!
-//! The counters: `tracker_fast_path_hits` counts fresh registrations whose
-//! gate fell to the try, `tracker_fast_path_fallbacks` those that waited or
-//! whose try a fault plan forced off, and `tracker_lock_contention` waiting
-//! acquisitions that found the gate held (all in
-//! [`RuntimeStats`](crate::RuntimeStats)). A fresh spawn without accesses
-//! takes no gate and counts in neither; nor does a replay batch. On the
-//! benchmark ledger (`--trace 1`) the hit share (`graph.fast_path_share`)
-//! reads 0.999–1.0 on every workload; it read 0.155 (`insert.storm`) to
-//! 0.345 (`table1.coarse`) while a registration over two allocations
-//! usually spanned two gates and counted as a fallback. Traced edges carry
-//! a `fast_path` flag. The equivalence suites' reference configuration is a
-//! fault plan
+//! The counters (all in [`RuntimeStats`](crate::RuntimeStats)):
+//! `tracker_lock_contention` counts acquisitions whose `try_lock` found the
+//! gate held, by anyone. `tracker_fast_path_fallbacks` counts fresh
+//! registrations that found it held by another *blocking* acquirer — a
+//! registration, a sweep, a lookup: another spawning thread — or whose
+//! acquisition a fault plan forced, and `tracker_fast_path_hits` the rest:
+//! the `try_lock` took the gate, or the holder was a retirement, a wait
+//! that is bounded (see `gate.rs`). On a 2-vCPU host one spawner's first
+//! `try_lock` meets a retiring worker on 10–25 % of the registrations of a
+//! one-access chain (`tests/hot_path.rs`'s GC storm); those waits are
+//! contention, not fallbacks. A fresh spawn without accesses takes no gate
+//! and counts in neither; nor does a replay batch. Traced edges carry a
+//! `fast_path` flag.
+//!
+//! The equivalence suites' reference configuration is a fault plan
 //! ([`FaultPlan::tracker_fallback_one_in(1)`](crate::FaultPlan::tracker_fallback_one_in)):
-//! it skips step 1 everywhere (every acquisition waits, every fresh
-//! registration counts as a fallback) and sends every retirement through the
-//! inbox. Both configurations run the same passes on the same history maps,
-//! which is why the edge multiset is byte-identical between them;
-//! `tests/tracker_equivalence.rs` pins that.
+//! every fresh registration counts as a fallback, and every retirement goes
+//! through the inbox. Both configurations run the same passes on the same
+//! history maps, which is why the edge multiset is byte-identical between
+//! them; `tests/tracker_equivalence.rs` pins that.
 //!
 //! **Every** acquisition first applies the retire inbox (below), so no
 //! holder ever reads history with a retirement pending that was handed over
@@ -145,7 +138,7 @@
 //! quiescent `taskwait`.
 //!
 //! **A retirement never blocks the worker.** It takes the gate only if the
-//! gate is free right now (one CAS, no spinning). If the gate is held —
+//! gate is free right now (one `try_lock`). If the gate is held —
 //! typically by a spawner in the middle of a long registration — or a fault
 //! plan forces it, the worker pushes `(region, task, access kind)` for each
 //! access onto the **retire inbox**, looks at the gate once more, and goes
@@ -158,10 +151,12 @@
 //! gate **release**, which re-checks the inbox and, if something arrived
 //! during the hold and the gate is still free, takes it back to apply it.
 //! Together with the deferring worker's own second look this is a
-//! store-then-load handshake on (`inbox_len`, gate) in the SeqCst order: a
-//! retirement is applied either by the holder it collided with, by the
-//! worker itself, or by whoever took the gate in between — always by a
-//! thread that is still inside a registration or a completion.
+//! store-then-load handshake on (`inbox_len`, gate), each side ordered by
+//! an explicit SeqCst fence between its store and its load (argued at
+//! `Tracker::defer_retirement`): a retirement is applied either by the
+//! holder it collided with, by the worker itself, or by whoever took the
+//! gate in between — always by a thread that is still inside a
+//! registration or a completion.
 //!
 //! The invariants this keeps, each load-bearing elsewhere:
 //!
@@ -279,8 +274,9 @@ pub(crate) struct Registration {
     /// come from the plan), so entries are sparse: index by the stored batch
     /// position, not by vector offset.
     pub per_task: Vec<(usize, Vec<TaskId>)>,
-    /// Whether the registration took the gate at the first, polite try (see
-    /// the module docs).
+    /// Whether the registration was a fast-path hit: it took the gate
+    /// without waiting behind another blocking acquirer, unforced (see the
+    /// module docs).
     pub fast_path: bool,
     /// Overlap-index spans examined.
     scanned: u64,
@@ -300,7 +296,7 @@ pub(crate) struct Registration {
 pub(crate) struct Tracker {
     gate: Gate,
     /// Chaos-test hook: when set, individual gate acquisitions may be forced
-    /// to skip the polite try and individual retirements through the inbox
+    /// to count as fallbacks and individual retirements through the inbox
     /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
     /// rate of one in one that is the equivalence suites' reference
     /// configuration. `None` in production — a single pointer check on the
@@ -333,8 +329,9 @@ impl Tracker {
         self.recycler = Some(slab);
     }
 
-    /// Whether the installed fault plan (if any) forces this operation —
-    /// one gate acquisition, or one retirement — to skip the polite try.
+    /// Whether the installed fault plan (if any) forces this operation off
+    /// the fast path: one gate acquisition to count as a fallback, or one
+    /// retirement through the inbox.
     pub(super) fn forced_fallback(&self) -> bool {
         self.fault
             .as_ref()
@@ -383,8 +380,8 @@ impl Tracker {
     /// every conflicting in-flight task, and updating the per-region history
     /// so that future tasks depend on `node` where required: a
     /// [`register_batch`](Tracker::register_batch) of one node, counted as a
-    /// fast-path hit (gate taken at the first try) or fallback (a wait, or a
-    /// try the fault plan forced off) unless it has no access.
+    /// fast-path hit or fallback (the gate was held by another blocking
+    /// acquirer, or the fault plan forced it) unless it has no access.
     /// `record_edges` asks for edge records (only the tracing path wants
     /// them).
     pub(crate) fn register(
@@ -434,7 +431,7 @@ impl Tracker {
             return reg;
         }
         let mut held = Held::acquire(self, stats);
-        reg.fast_path = held.tried();
+        reg.fast_path = held.fast_path();
         let history = held.history();
         // The scratch set is borrowed for the whole registration (the gate
         // is held, so it is exclusively ours), keeping a warm registration
@@ -474,9 +471,11 @@ impl Tracker {
 
     /// Whether some mutator holds the gate right now. At runtime quiescence
     /// no registration or retirement can be mid-publication, so a held gate
-    /// is an invariant violation (see [`crate::Runtime::audit`]).
+    /// is an invariant violation (see [`crate::Runtime::audit`]). The probe
+    /// takes the gate through a guard, so its release re-checks the inbox
+    /// like every other.
     pub(crate) fn gate_held(&self) -> bool {
-        self.gate.is_held()
+        Held::try_acquire(self).is_none()
     }
 
     /// What the tracker still holds, `(regions, allocs)`: the history
@@ -638,8 +637,8 @@ mod tests {
         }
     }
 
-    /// The reference configuration: every gate acquisition forced off the
-    /// polite try, every retirement through the inbox.
+    /// The reference configuration: every gate acquisition forced to count
+    /// as a fallback, every retirement through the inbox.
     fn tracker_locked() -> TestTracker {
         let mut tr = tracker();
         tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
@@ -906,8 +905,8 @@ mod tests {
     fn registration_outcome_is_the_same_tried_or_forced() {
         // The same program must produce identical registrations (edge count,
         // classification, predecessors seen, and edge order) whether the
-        // gate falls to the polite try or every acquisition is forced to
-        // wait.
+        // gate falls to the first try or every acquisition is forced to
+        // count as a fallback.
         let program: Vec<Vec<Access>> = vec![
             vec![acc(11, 0, 0..64, AccessKind::Output)],
             vec![
@@ -1005,9 +1004,9 @@ mod tests {
         let hold = tr.hold(); // e.g. a GC sweep
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| tr.register(&a, false));
-            // The registration's try ran out of spins and it now waits: it
-            // found the gate held, which is what the contention counter
-            // counts. Only then let it through.
+            // The registration's `try_lock` failed and it now waits in
+            // `lock()`: it found the gate held, which is what the contention
+            // counter counts. Only then let it through.
             while tr.count(StatField::TrackerLockContention) == 0 {
                 std::thread::yield_now();
             }
@@ -1243,6 +1242,70 @@ mod tests {
     }
 
     #[test]
+    fn no_deferred_retirement_outlives_the_hold_it_collided_with() {
+        // A holder takes and releases the gate while another thread retires
+        // a completed task, once per round, the two staggered by a varying
+        // spin so the retirement lands before, during and after the hold.
+        // However it meets the holder — applied in place, deferred and
+        // drained by the holder's release, or drained by its own second
+        // look — nothing may be left in the inbox once both are done: the
+        // fence handshake between a deferring worker and a releasing
+        // holder. Forced, every retirement goes through the inbox.
+        const ROUNDS: u32 = 2_000;
+        let spins = |n: u32| {
+            for _ in 0..n {
+                std::hint::spin_loop();
+            }
+        };
+        for tr in [tracker(), tracker_locked()] {
+            let nodes: Vec<_> = (0..ROUNDS)
+                .map(|c| {
+                    let start = c as usize * 8;
+                    let n = node_with(vec![acc(5, c, start..start + 8, AccessKind::Output)]);
+                    tr.register(&n, false);
+                    finish_registration(&n);
+                    finish(&n);
+                    n
+                })
+                .collect();
+            let round = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for i in 0..ROUNDS {
+                        round.wait();
+                        let hold = tr.hold();
+                        spins(i * 7 % 256);
+                        drop(hold);
+                        round.wait();
+                    }
+                });
+                let retirer = scope.spawn(|| {
+                    // The first round that left something behind, reported
+                    // after the last one so the holder is never left at the
+                    // barrier.
+                    let mut stranded = None;
+                    for (i, n) in (0..ROUNDS).zip(&nodes) {
+                        round.wait();
+                        spins(i * 13 % 64);
+                        tr.retire(n);
+                        round.wait();
+                        let left = (tr.gate.pending_retirements(), Arc::strong_count(n));
+                        if left != (0, 1) && stranded.is_none() {
+                            stranded = Some((i, left));
+                        }
+                    }
+                    stranded
+                });
+                assert_eq!(
+                    retirer.join().unwrap(),
+                    None,
+                    "(round, (inbox entries, node references)) of a stranded retirement"
+                );
+            });
+        }
+    }
+
+    #[test]
     fn every_acquisition_drains_the_inbox_first() {
         // Push retirements straight into the inbox (as a worker that lost
         // the race for the gate would, minus its own second look), then
@@ -1271,12 +1334,12 @@ mod tests {
         let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
         assert!(tr.register(&r, false).fast_path);
         assert_eq!(Arc::strong_count(&w), 1, "tried gate drained");
-        // Registration, waiting acquisition.
+        // Registration, forced acquisition.
         let tr = tracker_locked();
         let w = completed_writer(&tr);
         defer(&tr, &w);
         tr.register(&node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]), false);
-        assert_eq!(Arc::strong_count(&w), 1, "awaited gate drained");
+        assert_eq!(Arc::strong_count(&w), 1, "forced acquisition drained");
         // Batch registration.
         let tr = tracker();
         let w = completed_writer(&tr);

@@ -20,12 +20,12 @@
 //!
 //! The tracker's gate counts say how a registration took the gate (see
 //! [`crate::graph`]): `tracker_fast_path_hits` + `tracker_fast_path_fallbacks`
-//! is the number of fresh spawns with at least one access. With one gate a
-//! registration falls back only when it waits, so on the benchmark ledger
-//! (`--trace 1`) the hit share, `graph.fast_path_share`, reads 0.999–1.0; it
-//! read 0.155 (`insert.storm`) to 0.345 (`table1.coarse`) while a
-//! registration over two allocations usually spanned two tracker gates and
-//! counted as a fallback.
+//! is the number of fresh spawns with at least one access. A registration
+//! falls back only when it waits behind another spawning thread (or a fault
+//! plan forces it); a wait behind a retiring worker is contention
+//! (`tracker_lock_contention`), not a fallback. So where one thread spawns
+//! per runtime — every workload of the benchmark ledger — the hit share
+//! (`graph.fast_path_share`, `--trace 1`) reads 1.0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,12 +125,13 @@ pub(crate) enum StatField {
     SchedLocalWakeups,
     /// Woken successors pushed onto the shared queue.
     SchedGlobalWakeups,
-    /// Tracker gate acquisitions that had to wait and found the gate held.
+    /// Tracker gate acquisitions whose `try_lock` found the gate held.
     TrackerLockContention,
-    /// Fresh registrations whose gate fell to the first try.
+    /// Fresh registrations that took the gate without waiting behind
+    /// another blocking acquirer.
     TrackerFastPathHits,
-    /// Fresh registrations that waited for the gate, or whose try a fault
-    /// plan forced off.
+    /// Fresh registrations that waited behind another blocking acquirer, or
+    /// that a fault plan forced.
     TrackerFastPathFallbacks,
     /// Overlap-index spans registrations examined, added once per
     /// registration (or replay batch).
@@ -225,19 +226,20 @@ pub struct RuntimeStats {
     pub sched_global_wakeups: u64,
     /// Tasks that went through the priority heap.
     pub sched_priority_pops: u64,
-    /// Tracker gate acquisitions that had to wait and found the gate held by
-    /// another thread at that point: the spawn/spawn, spawn/retire and
-    /// spawn/sweep collisions that outlast the spin budget.
+    /// Tracker gate acquisitions whose first `try_lock` found the gate held
+    /// by another thread: the spawn/spawn, spawn/retire and spawn/sweep
+    /// collisions, however short.
     pub tracker_lock_contention: u64,
     /// Fresh spawns with at least one access whose registration took the
-    /// tracker gate at the first try, without waiting — see
-    /// [`crate::graph`], "Exclusion: the gate protocol". Access-free spawns
-    /// and replayed tasks count neither here nor in
+    /// tracker gate without waiting behind another blocking acquirer: its
+    /// `try_lock` succeeded, or the holder was a retiring worker — see
+    /// [`crate::graph`], "Exclusion: the gate". Access-free spawns and
+    /// replayed tasks count neither here nor in
     /// [`RuntimeStats::tracker_fast_path_fallbacks`].
     pub tracker_fast_path_hits: u64,
     /// Fresh spawns with at least one access whose registration did not:
-    /// the gate was held (contention, a GC sweep) past the spin budget, or a
-    /// fault plan forced the acquisition off the try.
+    /// its `try_lock` found the gate held by another registration, a GC
+    /// sweep or a lookup, or a fault plan forced the acquisition.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap
@@ -315,8 +317,8 @@ impl RuntimeStats {
         }
     }
 
-    /// Fraction of fresh registrations that took the tracker gate at the
-    /// first try. `None` when no fresh spawn with accesses happened (hits +
+    /// Fraction of fresh registrations that were fast-path hits (see
+    /// [`RuntimeStats::tracker_fast_path_hits`]). `None` when no fresh spawn with accesses happened (hits +
     /// fallbacks account for every such spawn).
     pub fn tracker_fast_path_rate(&self) -> Option<f64> {
         let total = self.tracker_fast_path_hits + self.tracker_fast_path_fallbacks;
