@@ -201,11 +201,8 @@ impl Drop for Held<'_> {
     /// still held.
     fn drop(&mut self) {
         if self.blocker {
-            self.release
-                .0
-                .gate
-                .blocker_holds
-                .store(false, Ordering::Relaxed);
+            let gate = &self.release.0.gate;
+            gate.blocker_holds.store(false, Ordering::Relaxed);
         }
     }
 }
