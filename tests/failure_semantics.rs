@@ -153,8 +153,8 @@ fn forced_rename_exhaustion_falls_back_without_changing_results() {
     rt.shutdown();
 }
 
-/// Forcing every tracker gate acquisition off its polite try exercises the
-/// waiting path on every registration; dependency order is identical.
+/// Forcing every tracker gate acquisition off the fast path sends every
+/// retirement through the inbox; dependency order is identical.
 #[test]
 fn forced_tracker_fallback_keeps_dependency_order() {
     let plan = FaultPlan::seeded(23).tracker_fallback_one_in(1);

@@ -1,6 +1,6 @@
-//! Equivalence of the dependence tracker's optimistic gate acquisition (a
-//! polite try first) with the forced-locked reference configuration (every
-//! acquisition forced to wait, every retirement through the inbox).
+//! Equivalence of the dependence tracker's default gate acquisition with the
+//! forced-locked reference configuration (every acquisition forced to count
+//! as a fallback, every retirement through the inbox).
 //!
 //! The fast path must be invisible except in throughput: for any program,
 //! the default tracker must discover exactly the dependence structure the
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, TraceEvent};
 
 /// The tracker configuration under test: optimistic (the default), or
-/// forced-locked — every gate acquisition forced off the polite try and
+/// forced-locked — every gate acquisition forced off the fast path and
 /// every retirement through the inbox, the suite's reference.
 fn tracker_config(fast_path: bool) -> RuntimeConfig {
     if fast_path {

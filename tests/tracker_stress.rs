@@ -285,7 +285,7 @@ fn deferred_retire_stress_one_shard() {
 
 #[test]
 fn deferred_retire_stress_sharded_and_forced_locked() {
-    // The reference configuration (no polite try) defers and drains the same
+    // The reference configuration (no fast path) defers and drains the same
     // way. (The name predates the one-gate tracker, when this test also ran
     // eight shards.)
     run_deferred_retire_stress(
