@@ -245,7 +245,9 @@ pub fn list_schedule(
     let mut completed = 0usize;
     while completed < n {
         // The core with the smallest clock acts next.
-        let core = (0..cores).min_by_key(|&c| (core_free[c], c)).expect("cores > 0");
+        let core = (0..cores)
+            .min_by_key(|&c| (core_free[c], c))
+            .expect("cores > 0");
         let now = core_free[core];
 
         // 1. Own stack (LIFO), 2. global queue (FIFO among currently
@@ -297,7 +299,10 @@ pub fn list_schedule(
                     core_free[core] = t;
                     continue;
                 }
-                None => panic!("simulation stalled with {} of {n} tasks completed", completed),
+                None => panic!(
+                    "simulation stalled with {} of {n} tasks completed",
+                    completed
+                ),
             }
         };
 
@@ -497,7 +502,10 @@ mod tests {
                 ..ScheduleOptions::ideal()
             },
         );
-        assert!(r.steals > 0, "other cores must steal from the producer's stack");
+        assert!(
+            r.steals > 0,
+            "other cores must steal from the producer's stack"
+        );
         // The 64 successors must spread over the cores: makespan well below
         // the serial 64 ms.
         assert!(r.makespan_ns < 20_000_000);

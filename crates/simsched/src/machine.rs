@@ -185,7 +185,10 @@ mod tests {
     fn polling_barrier_grows_mildly_with_cores() {
         let m = MachineParams::default();
         let delta = m.polling_barrier_ns(32) - m.polling_barrier_ns(1);
-        assert!(delta < 10_000, "polling barrier stays in the microsecond range");
+        assert!(
+            delta < 10_000,
+            "polling barrier stays in the microsecond range"
+        );
     }
 
     #[test]

@@ -200,7 +200,10 @@ mod tests {
         consumer.linked_to_previous = true;
         let with = phased_time_ns(&[producer.clone(), consumer.clone()], 8, &machine(), true);
         let without = phased_time_ns(&[producer, consumer], 8, &machine(), false);
-        assert!(with < without, "locality scheduling must help: {with} vs {without}");
+        assert!(
+            with < without,
+            "locality scheduling must help: {with} vs {without}"
+        );
     }
 
     #[test]

@@ -126,10 +126,7 @@ pub fn simulate_table1(machine: &MachineParams) -> Table1 {
             }
         })
         .collect();
-    Table1 {
-        core_counts,
-        rows,
-    }
+    Table1 { core_counts, rows }
 }
 
 /// The values published in the paper's Table 1 (used for comparison in the
@@ -222,7 +219,11 @@ mod tests {
         // (2) rgbcmy: OmpSs advantage grows with the core count and is
         //     substantial at 32 cores (polling vs blocking barrier).
         let rgbcmy = t.row("rgbcmy").unwrap();
-        assert!(rgbcmy.speedups[4] > 1.20, "rgbcmy at 32: {}", rgbcmy.speedups[4]);
+        assert!(
+            rgbcmy.speedups[4] > 1.20,
+            "rgbcmy at 32: {}",
+            rgbcmy.speedups[4]
+        );
         assert!(rgbcmy.speedups[4] > rgbcmy.speedups[1]);
         // (3) ray-rot beats both of its components thanks to locality.
         let ray_rot = t.row("ray-rot").unwrap();
@@ -237,9 +238,21 @@ mod tests {
         // (4) h264dec: OmpSs roughly competitive at 8 cores, clearly losing
         //     at 24 and 32 cores.
         let h264 = t.row("h264dec").unwrap();
-        assert!(h264.speedups[1] > 0.85, "h264dec at 8: {}", h264.speedups[1]);
-        assert!(h264.speedups[3] < 0.80, "h264dec at 24: {}", h264.speedups[3]);
-        assert!(h264.speedups[4] < 0.65, "h264dec at 32: {}", h264.speedups[4]);
+        assert!(
+            h264.speedups[1] > 0.85,
+            "h264dec at 8: {}",
+            h264.speedups[1]
+        );
+        assert!(
+            h264.speedups[3] < 0.80,
+            "h264dec at 24: {}",
+            h264.speedups[3]
+        );
+        assert!(
+            h264.speedups[4] < 0.65,
+            "h264dec at 32: {}",
+            h264.speedups[4]
+        );
         assert!(h264.speedups[4] < h264.speedups[1]);
         // (5) The overall mean stays close to parity (the paper reports
         //     +2 %).
