@@ -59,7 +59,10 @@ fn main() {
         .unwrap_or(2);
     println!("\nmeasured locality hit rate of the real runtime on rot-cc ({threads} workers):");
     for (label, policy) in [
-        ("locality work stealing", SchedulerPolicy::LocalityWorkStealing),
+        (
+            "locality work stealing",
+            SchedulerPolicy::LocalityWorkStealing,
+        ),
         ("plain work stealing", SchedulerPolicy::WorkStealing),
         ("global FIFO", SchedulerPolicy::Fifo),
     ] {

@@ -25,7 +25,11 @@ fn main() {
     println!("=== H.264 pipeline case study (Listing 1) ===");
     println!(
         "stream: {}x{} pixels, {} frames, GOP {}, ring depth N={}",
-        params.video.width, params.video.height, params.video.frames, params.video.gop, params.window
+        params.video.width,
+        params.video.height,
+        params.video.frames,
+        params.video.gop,
+        params.window
     );
 
     let t0 = Instant::now();
@@ -48,7 +52,10 @@ fn main() {
     let omp_time = t0.elapsed();
     println!("ompss task pipeline:      {omp_time:>12.3?}  checksum {omp:#018x}");
 
-    assert_eq!(seq, pth, "pthreads output must match the sequential decoder");
+    assert_eq!(
+        seq, pth,
+        "pthreads output must match the sequential decoder"
+    );
     assert_eq!(seq, omp, "ompss output must match the sequential decoder");
     println!("all three variants produce identical decoded video ✔");
 
@@ -56,7 +63,10 @@ fn main() {
     println!("\n--- OmpSs task-graph statistics ---");
     println!("tasks spawned:            {}", stats.tasks_spawned);
     println!("dependence edges:         {}", stats.edges_added);
-    println!("edges per task:           {:.2}", stats.mean_edges_per_task());
+    println!(
+        "edges per task:           {:.2}",
+        stats.mean_edges_per_task()
+    );
     println!("immediately ready tasks:  {}", stats.immediately_ready);
     println!("taskwait_on calls (EOF):  {}", stats.taskwait_ons);
     println!(

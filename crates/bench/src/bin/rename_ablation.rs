@@ -136,13 +136,21 @@ struct PipeRow {
 /// per-band accumulator (`input` band + `inout` accumulator). No barrier
 /// between iterations: whatever serialisation appears comes from the
 /// dependence system.
-fn run_chunked(label: &'static str, config: RuntimeConfig, mode: PipeMode, iters: usize) -> PipeRow {
+fn run_chunked(
+    label: &'static str,
+    config: RuntimeConfig,
+    mode: PipeMode,
+    iters: usize,
+) -> PipeRow {
     let rt = Runtime::new(config);
     let accumulators: Vec<Data<u64>> = (0..PIPE_CHUNKS).map(|_| rt.data(0u64)).collect();
     let parts: Vec<ompss::PartitionedData<u64>> = match &mode {
-        PipeMode::Versioned => vec![
-            rt.versioned_partitioned(vec![0u64; PIPE_CHUNKS * PIPE_CHUNK_ELEMS], PIPE_CHUNK_ELEMS),
-        ],
+        PipeMode::Versioned => {
+            vec![rt.versioned_partitioned(
+                vec![0u64; PIPE_CHUNKS * PIPE_CHUNK_ELEMS],
+                PIPE_CHUNK_ELEMS,
+            )]
+        }
         PipeMode::ManualRing { depth } => (0..*depth)
             .map(|_| rt.partitioned(vec![0u64; PIPE_CHUNKS * PIPE_CHUNK_ELEMS], PIPE_CHUNK_ELEMS))
             .collect(),
@@ -219,7 +227,12 @@ fn chunked_pipeline_section(workers: usize, iters: usize) {
             PipeMode::ManualRing { depth: 2 },
             iters,
         ),
-        run_chunked("automatic per-chunk", base.clone(), PipeMode::Versioned, iters),
+        run_chunked(
+            "automatic per-chunk",
+            base.clone(),
+            PipeMode::Versioned,
+            iters,
+        ),
     ];
     println!(
         "{:<28}{:>12}{:>10}{:>8}{:>8}{:>8}{:>9}{:>9}",
