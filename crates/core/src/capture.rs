@@ -88,7 +88,8 @@
 //!   frozen allocation — the pass unwires the baked edges and falls back to
 //!   the resolved-per-pass registration above, so correctness is never
 //!   baked in. The plan is kept: the conflicting history is usually
-//!   transient (tombstones that the next garbage-collection sweep drops).
+//!   transient (completed tasks that the next garbage-collection sweep
+//!   drops).
 //! * **Frozen + non-empty bindings → resolved pass.** Substituted handles
 //!   must re-resolve; the plan is kept for later empty-binding passes.
 //!
@@ -641,8 +642,8 @@ impl Runtime {
                 // and fall back to full re-derivation. The plan's accesses
                 // are still the right resolution — freezing proved it
                 // pass-invariant — so only the registration repeats. The
-                // plan is kept: the conflict is usually a transient
-                // tombstone the next GC sweep drops.
+                // plan is kept: the conflict is usually a completed task
+                // the next GC sweep drops.
                 graph::unwire_batch(nodes);
                 inner
                     .tracker

@@ -19,7 +19,7 @@
 //!   registers with the tracker (single spawn or replay batch alike), the
 //!   global set of already-completed tasks is OR-ed into its clock. This is
 //!   what orders a fresh task after predecessors that completed — and were
-//!   possibly tombstoned and garbage-collected — before the task ever
+//!   possibly garbage-collected from history — before the task ever
 //!   existed: completion is published to the snapshot *before* the
 //!   predecessor reads as completed or its successor list closes, so any
 //!   edge the tracker declined to add (`add_edge` on a completed node) or
@@ -63,7 +63,7 @@
 //! [`Runtime::audit`](crate::Runtime::audit) unifies the drain-time
 //! identities that were previously asserted piecemeal across the test
 //! suites: the task ledger (`executed + poisoned + cancelled == spawned`),
-//! the tracker gate even at quiescence, tombstones and by-alloc
+//! the tracker gate even at quiescence, history entries and by-alloc
 //! maps scrubbed after GC, slab `outstanding == 0`, and version-ticket
 //! bind/release balance. Under dcheck the audit runs automatically at every
 //! quiescent `taskwait`. A non-quiescent audit checks the one direction that
@@ -265,10 +265,10 @@ pub enum AuditViolation {
         in_flight: u64,
     },
     /// The tracker's gate was held at quiescence — some
-    /// registration or retirement never released it.
+    /// registration or sweep never released it.
     GateHeld,
     /// The tracker still holds region or allocation history after a
-    /// quiescent GC sweep (tombstones or by-alloc entries leaked).
+    /// quiescent GC sweep (history entries or by-alloc ids leaked).
     TrackerResidue {
         /// Regions still tracked.
         regions: usize,

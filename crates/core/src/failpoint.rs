@@ -72,10 +72,10 @@ pub enum FaultClass {
     /// exhausted: the access falls back to serialising in place (the
     /// documented backpressure path). Serial: per-class call counter.
     RenameExhaustion = 2,
-    /// A tracker gate acquisition forced off the fast path (a fresh
-    /// registration so forced counts as a fast-path fallback), or a
-    /// retirement forced through the tracker's retire inbox. Serial:
-    /// per-class call counter.
+    /// A tracker gate acquisition forced off the fast path: a fresh
+    /// registration so forced counts as a fast-path fallback. It takes the
+    /// gate as an unforced one would, so the forced configuration differs
+    /// from the default only in that count. Serial: per-class call counter.
     TrackerFallback = 3,
     /// An ingest-queue push forced to report the queue as full, shedding the
     /// job even below capacity. Serial: per-class call counter.
@@ -175,8 +175,8 @@ impl FaultPlan {
         self.with_rate(FaultClass::RenameExhaustion, one_in(n))
     }
 
-    /// Force roughly one in `n` tracker operations off the fast path; `n = 1`
-    /// forces all of them — the tracker's reference configuration.
+    /// Force roughly one in `n` tracker gate acquisitions off the fast path;
+    /// `n = 1` forces all of them — the tracker's reference configuration.
     pub fn tracker_fallback_one_in(self, n: u64) -> Self {
         self.with_rate(FaultClass::TrackerFallback, one_in(n))
     }

@@ -13,49 +13,6 @@ use crate::access::{Access, AccessKind, Dependence};
 use crate::region::{AllocId, Region, RegionId};
 use crate::task::{TaskId, TaskNode, TaskSlab};
 
-/// One in-flight (or retired) access recorded in a region's history.
-pub(super) enum HistoryRef {
-    /// The task is still live: edges can be added to it and `taskwait on`
-    /// must wait for it.
-    Live(Arc<TaskNode>),
-    /// The task completed and was retired: only its identity is kept, so
-    /// that `predecessors_seen` stays deterministic until the next garbage
-    /// collection (see [`Registration::predecessors_seen`](super::Registration::predecessors_seen)).
-    Retired(TaskId),
-}
-
-impl HistoryRef {
-    pub(super) fn id(&self) -> TaskId {
-        match self {
-            HistoryRef::Live(t) => t.id,
-            HistoryRef::Retired(id) => *id,
-        }
-    }
-
-    pub(super) fn live(&self) -> Option<&Arc<TaskNode>> {
-        match self {
-            HistoryRef::Live(t) => Some(t),
-            HistoryRef::Retired(_) => None,
-        }
-    }
-
-    /// Whether the reference still pins a live, incomplete task (everything
-    /// else is garbage-collectable).
-    fn is_live_incomplete(&self) -> bool {
-        match self {
-            HistoryRef::Live(t) => !t.is_completed(),
-            HistoryRef::Retired(_) => false,
-        }
-    }
-
-    /// Let go of a reference history no longer needs (see [`release_node`]).
-    fn release(self, recycler: &Recycler) {
-        if let HistoryRef::Live(node) = self {
-            release_node(node, recycler);
-        }
-    }
-}
-
 /// Where node references released by history go (see [`release_node`]): the
 /// runtime's slab, or nowhere for trackers built without a runtime (unit
 /// tests, benches, the freeze-time shadow).
@@ -64,11 +21,10 @@ pub(super) type Recycler = Option<Arc<TaskSlab>>;
 /// Let go of a node reference the tracker held — in history, or borrowed
 /// from it as a predecessor. A task still running is referenced by its
 /// worker too, which hands the node back to the slab itself. A *completed*
-/// task's worker may already have let go — its retirement was deferred and
-/// is applied only now, or arrived during the very registration or sweep
-/// that is dropping this reference — and then this is the node's last
-/// reference: it is parked in the slab, not freed, so deferral costs the
-/// recycler nothing.
+/// task's worker has usually let go already — history keeps a completed
+/// task's reference until a later writer generation or a GC sweep drops it
+/// — and then this is the node's last reference: it is parked in the slab,
+/// not freed, so keeping the reference costs the recycler nothing.
 pub(super) fn release_node(node: Arc<TaskNode>, recycler: &Recycler) {
     if let Some(slab) = recycler {
         if node.is_completed() {
@@ -79,20 +35,27 @@ pub(super) fn release_node(node: Arc<TaskNode>, recycler: &Recycler) {
 
 /// Per-region bookkeeping of in-flight accesses. The byte range the region
 /// id stands for lives in the allocation's [`AllocIndex`], not here.
+///
+/// A list keeps a task's node until a later writer generation ([`clear`])
+/// or a GC sweep ([`prune`]) drops it, completed or not: a completed task
+/// is its own tombstone — it still counts as a predecessor seen, and takes
+/// no edge.
+///
+/// [`clear`]: RegionEntry::clear
+/// [`prune`]: RegionEntry::prune
 #[derive(Default)]
 pub(super) struct RegionEntry {
     /// Tasks forming the last "writer generation".
-    pub(super) writers: Vec<HistoryRef>,
+    pub(super) writers: Vec<Arc<TaskNode>>,
     /// Tasks that have read the region since the last writer generation.
-    pub(super) readers: Vec<HistoryRef>,
+    pub(super) readers: Vec<Arc<TaskNode>>,
     /// Tasks with `concurrent` access since the last plain writer.
-    pub(super) concurrent: Vec<HistoryRef>,
+    pub(super) concurrent: Vec<Arc<TaskNode>>,
 }
 
 impl RegionEntry {
-    /// The list an access of `kind` records itself into — and therefore the
-    /// only list a retirement of that access has to search.
-    fn list_mut(&mut self, kind: AccessKind) -> &mut Vec<HistoryRef> {
+    /// The list an access of `kind` records itself into.
+    fn list_mut(&mut self, kind: AccessKind) -> &mut Vec<Arc<TaskNode>> {
         match kind {
             AccessKind::Input => &mut self.readers,
             AccessKind::Output | AccessKind::InOut => &mut self.writers,
@@ -100,7 +63,7 @@ impl RegionEntry {
         }
     }
 
-    pub(super) fn refs(&self) -> impl Iterator<Item = &HistoryRef> {
+    pub(super) fn refs(&self) -> impl Iterator<Item = &Arc<TaskNode>> {
         self.writers
             .iter()
             .chain(self.readers.iter())
@@ -110,23 +73,19 @@ impl RegionEntry {
     /// Start a new writer generation: forget every recorded access.
     fn clear(&mut self, recycler: &Recycler) {
         for list in [&mut self.writers, &mut self.readers, &mut self.concurrent] {
-            while let Some(r) = list.pop() {
-                r.release(recycler);
+            while let Some(node) = list.pop() {
+                release_node(node, recycler);
             }
         }
     }
 
-    /// Drop references that no longer pin anything (tombstones and completed
-    /// tasks); returns whether the entry is now empty.
+    /// Drop the completed tasks, keeping the order of the rest; returns
+    /// whether the entry is now empty.
     fn prune(&mut self, recycler: &Recycler) -> bool {
         for list in [&mut self.writers, &mut self.readers, &mut self.concurrent] {
-            list.retain_mut(|r| {
-                let keep = r.is_live_incomplete();
-                if !keep {
-                    std::mem::replace(r, HistoryRef::Retired(r.id())).release(recycler);
-                }
-                keep
-            });
+            for node in list.extract_if(.., |node| node.is_completed()) {
+                release_node(node, recycler);
+            }
         }
         self.writers.is_empty() && self.readers.is_empty() && self.concurrent.is_empty()
     }
@@ -170,8 +129,12 @@ pub(super) struct PredSet {
 }
 
 impl PredSet {
-    fn push(&mut self, t: &HistoryRef, dependence: Dependence) {
-        let id = t.id();
+    /// Add `t` unless it was collected already. A completed task is
+    /// counted but not cloned: it can take no edge, and a registration
+    /// behind thousands of completed chunk writers would otherwise pay a
+    /// reference-count round trip on each.
+    fn push(&mut self, t: &Arc<TaskNode>, dependence: Dependence) {
+        let id = t.id;
         if id.0 > self.max_id {
             self.max_id = id.0;
         } else if self.contains(id) {
@@ -179,7 +142,7 @@ impl PredSet {
         }
         self.preds.push(PredRef {
             id,
-            live: t.live().cloned(),
+            live: (!t.is_completed()).then(|| t.clone()),
             dependence,
         });
     }
@@ -217,14 +180,6 @@ impl PredSet {
     }
 }
 
-/// One retirement a worker handed to the retire inbox because the gate was
-/// held: "task `task` is done with its `kind` access on `rid`".
-pub(super) struct Retirement {
-    pub(super) rid: RegionId,
-    pub(super) task: TaskId,
-    pub(super) kind: AccessKind,
-}
-
 /// The region history and per-allocation overlap index of every tracked
 /// allocation. All methods expect the caller (the
 /// [`Tracker`](super::Tracker)) to hold the gate.
@@ -238,9 +193,6 @@ pub(super) struct History {
     /// steady-state registration allocates nothing. Only ever touched while
     /// the gate is held (exclusive access), and always left empty.
     pub(super) scratch_preds: PredSet,
-    /// The buffer an inbox drain swaps the pending retirements into (see
-    /// [`super::gate`]); always left empty.
-    pub(super) scratch_inbox: Vec<Retirement>,
 }
 
 impl History {
@@ -325,9 +277,7 @@ impl History {
         if matches!(access.kind, AccessKind::Output | AccessKind::InOut) {
             entry.clear(recycler);
         }
-        entry
-            .list_mut(access.kind)
-            .push(HistoryRef::Live(node.clone()));
+        entry.list_mut(access.kind).push(node.clone());
     }
 
     /// Bulk-publish one [`FrozenInstall`]: replace the region's history with
@@ -347,36 +297,13 @@ impl History {
         let entry = self.entry_mut(&inst.region);
         entry.clear(recycler);
         for &p in &inst.writers {
-            entry.writers.push(HistoryRef::Live(nodes[p].clone()));
+            entry.writers.push(nodes[p].clone());
         }
         for &p in &inst.readers {
-            entry.readers.push(HistoryRef::Live(nodes[p].clone()));
+            entry.readers.push(nodes[p].clone());
         }
         for &p in &inst.concurrent {
-            entry.concurrent.push(HistoryRef::Live(nodes[p].clone()));
-        }
-    }
-
-    /// Replace the live history reference task `id` recorded under region
-    /// `rid` through an access of `kind` with a tombstone (the retire path),
-    /// handing the released node reference back. Only the list that kind
-    /// records into is searched. A reference already cleared by a later
-    /// writer generation is silently gone — that is fine.
-    pub(super) fn retire_region(
-        &mut self,
-        rid: RegionId,
-        id: TaskId,
-        kind: AccessKind,
-    ) -> Option<Arc<TaskNode>> {
-        let slot = self
-            .entries
-            .get_mut(&rid)?
-            .list_mut(kind)
-            .iter_mut()
-            .find(|r| r.id() == id && r.live().is_some())?;
-        match std::mem::replace(slot, HistoryRef::Retired(id)) {
-            HistoryRef::Live(node) => Some(node),
-            HistoryRef::Retired(_) => None,
+            entry.concurrent.push(nodes[p].clone());
         }
     }
 
@@ -402,7 +329,7 @@ impl History {
             let Some(entry) = self.entries.get(&RegionId { alloc, chunk }) else {
                 return;
             };
-            for t in entry.refs().filter_map(HistoryRef::live) {
+            for t in entry.refs() {
                 if !t.is_completed() && !out.iter().any(|o| o.id == t.id) {
                     out.push(t.clone());
                 }
@@ -411,12 +338,11 @@ impl History {
         out
     }
 
-    /// Drop history references that no longer pin anything (tombstones and
-    /// completed tasks), then entries left empty together with their index
-    /// spans, then allocations left without spans — so a fully retired
-    /// allocation leaves **both** maps (`tests` pin this). The sweep walks
-    /// the index, which reaches every entry: a region id is indexed exactly
-    /// while it has one.
+    /// Drop history references to completed tasks, then entries left empty
+    /// together with their index spans, then allocations left without spans
+    /// — so an allocation whose tasks all completed leaves **both** maps
+    /// (`tests` pin this). The sweep walks the index, which reaches every
+    /// entry: a region id is indexed exactly while it has one.
     pub(super) fn garbage_collect(&mut self, recycler: &Recycler) {
         let entries = &mut self.entries;
         self.by_alloc.retain(|&alloc, index| {

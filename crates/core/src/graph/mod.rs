@@ -37,21 +37,19 @@
 //! ## One gate
 //!
 //! The tracker is the insertion-side critical path: every spawned task takes
-//! it to register, and every completed task takes it again to retire its
-//! history. It has **one** gate, one retire inbox and one history. A
-//! program in this model has one task-creating thread — the master thread
-//! running the sequential code — and so does every workload of the benchmark
-//! ledger (`ledger/`: the main thread in `table1.*`, the round loop in
+//! it to register. It has **one** gate and one history. A program in this
+//! model has one task-creating thread — the master thread running the
+//! sequential code — and so does every workload of the benchmark ledger
+//! (`ledger/`: the main thread in `table1.*`, the round loop in
 //! `insert.storm`, each tenant's running job in `service.closed`), so the
-//! gate is shared between that spawner and the workers retiring behind it.
-//! Routing allocations over `2 × workers` gates bought nothing there and
-//! cost an ordered multi-gate acquisition on every registration that
-//! touched two allocations: with one gate instead (10 alternating 20 s
+//! gate belongs to that spawner: completing a task takes no gate (see
+//! "Completion is the tombstone"). Routing allocations over `2 × workers` gates bought nothing
+//! there and cost an ordered multi-gate acquisition on every registration
+//! that touched two allocations: with one gate instead (10 alternating 20 s
 //! benchmark pairs per workload, 2-vCPU host), no end-to-end median got
 //! worse by more than 1 %, and `insert.storm` and `service.closed` ran 6–8 %
-//! faster. Concurrent spawners (task bodies spawning
-//! children, several threads sharing one runtime) stay correct: they
-//! serialise on the gate.
+//! faster. Concurrent spawners (task bodies spawning children, several
+//! threads sharing one runtime) stay correct: they serialise on the gate.
 //!
 //! ## The overlap index
 //!
@@ -90,103 +88,74 @@
 //!
 //! The gate is a mutex over the history (`parking_lot::Mutex<History>`),
 //! and it is the only lock there is. Every operation — registering one node
-//! or a replay batch, retiring, garbage collection, the audit's residue
-//! read, `taskwait on` — goes through one guard type (`gate::Held`),
-//! acquired one way: one `try_lock`, and if the gate is held, a blocking
-//! `lock()`. A retirement only ever tries (below). Why a waiting
-//! registration is not starved is argued in `gate.rs`'s module doc.
+//! or a replay batch, garbage collection, the audit's residue read,
+//! `taskwait on` — goes through one guard type (`gate::Held`), acquired one
+//! way: one `try_lock`, and if the gate is held, a blocking `lock()`. Every
+//! acquirer is a thread that spawns or waits; completing a task takes no
+//! gate (below).
 //!
 //! The history keeps the registration's scratch predecessor set, so a warm
 //! registration allocates nothing, whatever it touches.
 //!
 //! The counters (all in [`RuntimeStats`](crate::RuntimeStats)):
 //! `tracker_lock_contention` counts acquisitions whose `try_lock` found the
-//! gate held, by anyone. `tracker_fast_path_fallbacks` counts fresh
-//! registrations that found it held by another *blocking* acquirer — a
-//! registration, a sweep, a lookup: another spawning thread — or whose
-//! acquisition a fault plan forced, and `tracker_fast_path_hits` the rest:
-//! the `try_lock` took the gate, or the holder was a retirement, a wait
-//! that is bounded (see `gate.rs`). On a 2-vCPU host one spawner's first
-//! `try_lock` meets a retiring worker on 10–25 % of the registrations of a
-//! one-access chain (`tests/hot_path.rs`'s GC storm); those waits are
-//! contention, not fallbacks. A fresh spawn without accesses takes no gate
-//! and counts in neither; nor does a replay batch. Traced edges carry a
-//! `fast_path` flag.
+//! gate held. `tracker_fast_path_fallbacks` counts fresh registrations whose
+//! `try_lock` failed — another spawning thread held the gate — or whose
+//! acquisition a fault plan forced, and `tracker_fast_path_hits` the rest.
+//! With one spawning thread and no `taskwait on` in a task body, every
+//! unforced registration is a hit. A fresh
+//! spawn without accesses takes no gate and counts in neither; nor does a
+//! replay batch. Traced edges carry a `fast_path` flag.
 //!
 //! The equivalence suites' reference configuration is a fault plan
 //! ([`FaultPlan::tracker_fallback_one_in(1)`](crate::FaultPlan::tracker_fallback_one_in)):
-//! every fresh registration counts as a fallback, and every retirement goes
-//! through the inbox. Both configurations run the same passes on the same
-//! history maps, which is why the edge multiset is byte-identical between
-//! them; `tests/tracker_equivalence.rs` pins that.
+//! every fresh registration counts as a fallback. It runs the same passes on
+//! the same history maps as the default configuration and differs from it
+//! only in that count, which is why the edge multiset is byte-identical
+//! between them; `tests/tracker_equivalence.rs` pins that.
 //!
-//! **Every** acquisition first applies the retire inbox (below), so no
-//! holder ever reads history with a retirement pending that was handed over
-//! before it acquired.
+//! ## Completion is the tombstone
 //!
-//! ## Retirement
-//!
-//! When a task completes, the worker retires it: each of its history
-//! references is replaced by a lightweight *tombstone* (its
-//! [`TaskId`]); only the list the access kind recorded into is searched.
-//! Tombstones keep `predecessors_seen` deterministic (a
-//! completed-but-conflicting predecessor is still *seen*) while releasing
-//! the task node itself — closures, successor lists, version tickets — as
-//! soon as the task finishes. `History::garbage_collect` then drops
-//! tombstoned entries and their index spans, so fully retired allocations
-//! leave both maps; it runs periodically from the spawn path and at every
-//! quiescent `taskwait`.
-//!
-//! **A retirement never blocks the worker.** It takes the gate only if the
-//! gate is free right now (one `try_lock`). If the gate is held —
-//! typically by a spawner in the middle of a long registration — or a fault
-//! plan forces it, the worker pushes `(region, task, access kind)` for each
-//! access onto the **retire inbox**, looks at the gate once more, and goes
-//! back to executing tasks.
-//! Were it to wait instead, every worker would park behind the one long
-//! registration, nothing would complete, and each following registration
-//! would find *more* live predecessors and hold the gate longer still.
-//!
-//! Who drains: every gate acquisition, before it touches history; and every
-//! gate **release**, which re-checks the inbox and, if something arrived
-//! during the hold and the gate is still free, takes it back to apply it.
-//! Together with the deferring worker's own second look this is a
-//! store-then-load handshake on (`inbox_len`, gate), each side ordered by
-//! an explicit SeqCst fence between its store and its load (argued at
-//! `Tracker::defer_retirement`): a retirement is applied either by the
-//! holder it collided with, by the worker itself, or by whoever took the
-//! gate in between — always by a thread that is still inside a
-//! registration or a completion.
+//! A completing task does not touch the tracker. `complete_into` publishes
+//! its `Completed` state and closes its successor list; from then on every
+//! history reference to it is a *tombstone*. A registration that meets one
+//! counts it in `predecessors_seen` — so the count stays deterministic until
+//! the next garbage collection — but neither clones it nor adds an edge
+//! from it (`PredSet::push`). History keeps the node until one of two places
+//! lets go: the region's next writer generation (`RegionEntry::clear`) or a
+//! GC sweep (`History::garbage_collect`), which also drops emptied entries
+//! and their index spans, so an allocation whose tasks all completed leaves
+//! both maps. GC runs periodically from the spawn path and at every
+//! quiescent `taskwait`. Until one of them runs, a completed node stays out
+//! of the slab: a stream of readers of one region pins at most the readers
+//! spawned since the last sweep (`tests/tracker_scaling.rs` pins the bound).
 //!
 //! The invariants this keeps, each load-bearing elsewhere:
 //!
-//! * **(a) Hand-off happens-before ticket release.** `Tracker::retire`
-//!   returns with every access tombstoned or in the inbox, and only then does
-//!   the worker release the task's version tickets. A spawner that observes
-//!   a binding count of zero (and elides a rename, see [`crate::rename`])
-//!   therefore observes the inbox entries too, and its registration drains
-//!   them before scanning: "count zero ⇒ every earlier task on the version
-//!   is a tombstone" holds exactly as with in-place retirement.
-//! * **(b) Quiescence means drained.** Whoever applies a deferred
-//!   retirement is a task still counted in flight (a worker in its
-//!   completion tail, a spawner whose task cannot run before its
-//!   registration returns) or the observing thread itself, so once
-//!   `in_flight == 0` is observed the inbox holds nothing: "no history
-//!   residue after GC, no held gate, slab `outstanding == 0`" remain
-//!   post-drain facts for `taskwait` and `Runtime::audit` (whose residue
-//!   read drains on acquisition anyway).
-//! * **(c) Deferral does not cost the recycler.** The deferring worker's own
-//!   hand-back to the slab fails (history still references the node), so
-//!   history may now hold a completed task's *last* reference. Every place
-//!   history lets go of a reference — the drain that tombstones it, a later
-//!   writer generation clearing it, a GC sweep pruning it, a registration
-//!   dropping the predecessor clones it borrowed — goes through
-//!   `release_node`, which hands a completed task's node to the
+//! * **(a) Completion happens-before ticket release.** `complete_into`
+//!   stores `Completed` (SeqCst) and closes the successor list before the
+//!   worker releases the task's version tickets. A spawner that observes a
+//!   binding count of zero (and elides a rename, see [`crate::rename`])
+//!   therefore observes every earlier task on the version completed: each
+//!   is a tombstone, so the elided write inherits no WAR/WAW edge,
+//!   deterministically.
+//! * **(b) Quiescence means collectable.** Once `in_flight == 0` is
+//!   observed every tracked task has completed, so the sweep a quiescent
+//!   `taskwait` (or `Runtime::audit`) runs drops every history reference:
+//!   "no history residue after GC, no held gate, slab `outstanding == 0`"
+//!   remain post-drain facts.
+//! * **(c) History's hold does not cost the recycler.** The worker's own
+//!   hand-back to the slab fails while history holds the node, so history
+//!   usually holds a completed task's *last* reference. Every place history
+//!   lets go of one — a writer generation clearing it, a GC sweep pruning
+//!   it, a registration dropping the predecessor clones it borrowed — goes
+//!   through `release_node`, which hands a completed task's node to the
 //!   slab (`TaskSlab::try_recycle`, which also settles who is last when
 //!   several holders let go at once) instead of freeing it.
-//! * **(d) The inbox is allocation-free when warm.** It is a pre-sized
-//!   vector behind a mutex held only for one push or one swap; a drain swaps
-//!   it with a scratch vector in the history, so both keep their capacity.
+//! * **(d) A tombstone cannot alias.** History holds the node itself, so it
+//!   cannot be recycled — re-armed with a new id and a fresh state — while
+//!   a list still names it: `Completed` read through a history reference is
+//!   always about the task that recorded it.
 //!
 //! [`crate::rename`]: crate::rename
 
@@ -204,7 +173,9 @@ pub(crate) use plan::{build_frozen_plan, prewire_batch, unwire_batch, FrozenPlan
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gate::{Gate, Held};
+use parking_lot::Mutex;
+
+use gate::Held;
 use history::{History, PredRef, PredSet, Recycler};
 
 use crate::access::Dependence;
@@ -285,8 +256,8 @@ pub(crate) struct Registration {
 /// The dependence tracker: one gate over one history, and what the gate
 /// holders need besides. See the module docs.
 ///
-/// Every registration and every retiring worker takes the gate, so the
-/// tracker is aligned to a cache-line pair (the sizing of
+/// Every registration takes the gate, so the tracker is aligned to a
+/// cache-line pair (the sizing of
 /// [`CachePadded`](crate::stats::CachePadded)), gate first, and no
 /// other runtime field shares its lines: packed beside the runtime's other
 /// fields, the tracker's fields once shared a line with the
@@ -294,9 +265,11 @@ pub(crate) struct Registration {
 /// slower (2-vCPU host, 10 alternating benchmark pairs).
 #[repr(C, align(128))]
 pub(crate) struct Tracker {
-    gate: Gate,
+    /// The gate: all access to the history — reads included — goes through
+    /// a [`Held`] guard.
+    gate: Mutex<History>,
     /// Chaos-test hook: when set, individual gate acquisitions may be forced
-    /// to count as fallbacks and individual retirements through the inbox
+    /// to count as fallbacks
     /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
     /// rate of one in one that is the equivalence suites' reference
     /// configuration. `None` in production — a single pointer check on the
@@ -310,7 +283,7 @@ pub(crate) struct Tracker {
 impl Tracker {
     pub(crate) fn new() -> Self {
         Tracker {
-            gate: Gate::new(),
+            gate: Mutex::new(History::default()),
             fault: None,
             recycler: None,
         }
@@ -329,9 +302,8 @@ impl Tracker {
         self.recycler = Some(slab);
     }
 
-    /// Whether the installed fault plan (if any) forces this operation off
-    /// the fast path: one gate acquisition to count as a fallback, or one
-    /// retirement through the inbox.
+    /// Whether the installed fault plan (if any) forces this gate
+    /// acquisition to count as a fallback.
     pub(super) fn forced_fallback(&self) -> bool {
         self.fault
             .as_ref()
@@ -380,8 +352,8 @@ impl Tracker {
     /// every conflicting in-flight task, and updating the per-region history
     /// so that future tasks depend on `node` where required: a
     /// [`register_batch`](Tracker::register_batch) of one node, counted as a
-    /// fast-path hit or fallback (the gate was held by another blocking
-    /// acquirer, or the fault plan forced it) unless it has no access.
+    /// fast-path hit or fallback (its `try_lock` failed, or the fault plan
+    /// forced it) unless it has no access.
     /// `record_edges` asks for edge records (only the tracing path wants
     /// them).
     pub(crate) fn register(
@@ -413,7 +385,7 @@ impl Tracker {
     ///
     /// Equivalence with per-task registration: the batch is one legal
     /// linearization of the same per-node pass sequence, and the gate makes
-    /// it atomic against concurrent registrations and retirements. A batch
+    /// it atomic against concurrent registrations and sweeps. A batch
     /// without any access takes no gate. Gate waits and the spans scanned
     /// are counted into `stats`.
     pub(crate) fn register_batch(
@@ -456,13 +428,12 @@ impl Tracker {
         Held::acquire(self, stats).history().tasks_touching(region)
     }
 
-    /// Garbage-collect the history: drop tombstones, completed tasks,
-    /// emptied entries and their index spans. Called periodically from the
+    /// Garbage-collect the history: drop completed tasks, emptied entries
+    /// and their index spans. Called periodically from the
     /// spawn path (cadence:
     /// [`RuntimeConfig::with_tracker_gc_interval`](crate::RuntimeConfig::with_tracker_gc_interval))
     /// and from quiescent `taskwait`s to bound memory on long-running
-    /// programs. Registrations wait behind the sweep — which drains the
-    /// retire inbox first, like every acquisition.
+    /// programs. Registrations wait behind the sweep.
     pub(crate) fn garbage_collect(&self, stats: &StatCounters) {
         Held::acquire(self, stats)
             .history()
@@ -470,19 +441,16 @@ impl Tracker {
     }
 
     /// Whether some mutator holds the gate right now. At runtime quiescence
-    /// no registration or retirement can be mid-publication, so a held gate
-    /// is an invariant violation (see [`crate::Runtime::audit`]). The probe
-    /// takes the gate through a guard, so its release re-checks the inbox
-    /// like every other.
+    /// no registration or sweep can be mid-publication, so a held gate is an
+    /// invariant violation (see [`crate::Runtime::audit`]).
     pub(crate) fn gate_held(&self) -> bool {
-        Held::try_acquire(self).is_none()
+        self.gate.try_lock().is_none()
     }
 
     /// What the tracker still holds, `(regions, allocs)`: the history
     /// entries and the allocations indexed in `by_alloc`. After a quiescent
     /// `taskwait` (which garbage-collects) both read zero; anything else is
-    /// a retire-path leak. Like every acquisition it applies pending
-    /// deferred retirements first.
+    /// a leak.
     pub(crate) fn residue(&self, stats: &StatCounters) -> (usize, usize) {
         let mut held = Held::acquire(self, stats);
         let history = held.history();
@@ -490,22 +458,19 @@ impl Tracker {
     }
 
     /// Test support: hold the gate until the returned guard drops, so a test
-    /// can make completions defer their retirements deterministically.
+    /// can show that tasks complete without it.
     pub(crate) fn hold(&self, stats: &StatCounters) -> TrackerHold<'_> {
-        TrackerHold(Held::acquire(self, stats))
+        TrackerHold {
+            _held: Held::acquire(self, stats),
+        }
     }
 }
 
 /// The held tracker gate (test support; see
 /// [`Runtime::hold_tracker`](crate::Runtime::hold_tracker)).
 #[doc(hidden)]
-pub struct TrackerHold<'a>(Held<'a>);
-
-impl TrackerHold<'_> {
-    /// Retirements currently waiting in the inbox.
-    pub fn deferred_retirements(&self) -> usize {
-        self.0.pending_retirements()
-    }
+pub struct TrackerHold<'a> {
+    _held: Held<'a>,
 }
 
 // lint: hot-path-begin — pass 2 of registration: runs once per predecessor;
@@ -548,7 +513,6 @@ fn add_pred_edges(
 
 #[cfg(test)]
 mod tests {
-    use super::history::Retirement;
     use super::index::Span;
     use super::*;
     use crate::access::{Access, AccessKind};
@@ -578,10 +542,6 @@ mod tests {
     impl TestTracker {
         fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
             self.tr.register(node, record_edges, &self.stats)
-        }
-
-        fn register_batch(&self, nodes: &[Arc<TaskNode>], record_edges: bool) -> Registration {
-            self.tr.register_batch(nodes, record_edges, &self.stats)
         }
 
         fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
@@ -638,7 +598,7 @@ mod tests {
     }
 
     /// The reference configuration: every gate acquisition forced to count
-    /// as a fallback, every retirement through the inbox.
+    /// as a fallback.
     fn tracker_locked() -> TestTracker {
         let mut tr = tracker();
         tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
@@ -811,21 +771,26 @@ mod tests {
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
+        // Completion is the tombstone: history keeps the node …
         finish(&w);
-        // The retire path replaces the live reference with a tombstone …
-        tr.retire(&w);
+        assert_eq!(Arc::strong_count(&w), 2, "history still holds the node");
         let r1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let reg = tr.register(&r1, false);
-        assert_eq!(reg.edges, 0, "a tombstone can take no edge");
+        assert_eq!(reg.edges, 0, "a completed predecessor can take no edge");
         assert_eq!(
             reg.predecessors_seen, 1,
-            "a retired conflicting predecessor still counts as seen"
+            "a completed conflicting predecessor still counts as seen"
+        );
+        assert_eq!(
+            Arc::strong_count(&w),
+            2,
+            "the registration took no clone of the completed predecessor"
         );
         finish_registration(&r1);
         finish(&r1);
-        tr.retire(&r1);
-        // … and garbage collection drops the tombstones.
+        // … and garbage collection drops it.
         tr.garbage_collect();
+        assert_eq!(Arc::strong_count(&w), 1);
         let r2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let reg = tr.register(&r2, false);
         assert_eq!(reg.predecessors_seen, 0);
@@ -833,28 +798,33 @@ mod tests {
     }
 
     #[test]
-    fn retire_is_idempotent_and_skips_access_free_tasks() {
+    fn completion_tombstones_without_a_tracker_call() {
         let tr = tracker();
+        // An access-free task completes without the tracker ever seeing it.
         let free = node_with(vec![]);
+        tr.register(&free, false);
         finish_registration(&free);
         finish(&free);
-        tr.retire(&free); // no accesses: nothing to do, must not panic
+        assert_eq!(tr.residue(), (0, 0));
+        // A completed writer is seen — once each, without an edge — by every
+        // later registration until a sweep drops it.
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
         finish(&w);
-        tr.retire(&w);
-        tr.retire(&w); // second retire is a no-op
-        let r = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
-        assert_eq!(tr.register(&r, false).predecessors_seen, 1);
-        finish_registration(&r);
+        for _ in 0..2 {
+            let r = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
+            let reg = tr.register(&r, false);
+            assert_eq!((reg.edges, reg.predecessors_seen), (0, 1));
+            assert!(finish_registration(&r));
+        }
     }
 
     #[test]
     fn fully_retired_allocations_leave_by_alloc() {
-        // Regression test for the retire path: once every task of an
-        // allocation has retired and a GC ran, the allocation must be gone
-        // from `entries` *and* from the `by_alloc` overlap index — a stale
+        // Regression test for the sweep: once every task of an allocation
+        // has completed and a GC ran, the allocation must be gone from
+        // `entries` *and* from the `by_alloc` overlap index — a stale
         // `by_alloc` region id is a leak that also slows every future
         // overlap scan.
         let tr = tracker();
@@ -869,17 +839,16 @@ mod tests {
         assert_eq!(tr.residue(), (6, 6));
         for n in &nodes {
             finish(n);
-            tr.retire(n);
         }
-        // Tombstones keep the maps populated (deterministic counting) …
+        // Completed tasks keep the maps populated (deterministic counting) …
         assert_eq!(tr.tracked_regions(), 6);
         tr.garbage_collect();
         // … and GC must empty both maps.
         let (regions, allocs) = tr.residue();
-        assert_eq!(regions, 0, "entries leak after full retire");
+        assert_eq!(regions, 0, "entries leak after every task completed");
         assert_eq!(
             allocs, 0,
-            "by_alloc holds stale region ids after full retire"
+            "by_alloc holds stale region ids after every task completed"
         );
     }
 
@@ -890,13 +859,12 @@ mod tests {
         tr.register(&w1, false);
         finish_registration(&w1);
         finish(&w1);
-        tr.retire(&w1);
-        // A later writer generation clears the tombstoned history in place.
+        // A later writer generation clears the completed history in place.
         let w2 = node_with(vec![acc(7, 0, 0..10, AccessKind::Output)]);
         tr.register(&w2, false);
+        assert_eq!(Arc::strong_count(&w1), 1, "the new generation let go");
         finish_registration(&w2);
         finish(&w2);
-        tr.retire(&w2);
         tr.garbage_collect();
         assert_eq!(tr.residue(), (0, 0));
     }
@@ -1065,7 +1033,6 @@ mod tests {
         let touching = tr.tasks_touching(&region(1, 9, 0..5));
         assert_eq!(touching.len(), 2);
         finish(&w);
-        tr.retire(&w);
         let touching = tr.tasks_touching(&region(1, 9, 0..5));
         assert_eq!(touching.len(), 1);
         assert_eq!(touching[0].id, r.id);
@@ -1217,175 +1184,32 @@ mod tests {
     }
 
     #[test]
-    fn retire_under_a_held_gate_defers_and_is_applied_before_the_next_scan() {
-        let tr = tracker();
-        let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
-        tr.register(&w, false);
-        finish_registration(&w);
-        finish(&w);
-        {
-            let hold = tr.hold();
-            // Returns at once although this very thread holds the gate — a
-            // blocking retire would deadlock right here.
-            tr.retire(&w);
-            assert_eq!(hold.deferred_retirements(), 1);
-            assert_eq!(Arc::strong_count(&w), 2, "history still pins the node");
-            tr.retire(&w); // idempotent while deferred, too
-            assert_eq!(hold.deferred_retirements(), 1);
-        }
-        // Releasing the gate applied the inbox: the reference is a tombstone.
-        assert_eq!(Arc::strong_count(&w), 1);
-        let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
-        let reg = tr.register(&r, false);
-        assert_eq!((reg.edges, reg.predecessors_seen), (0, 1));
-        finish_registration(&r);
-    }
-
-    #[test]
-    fn no_deferred_retirement_outlives_the_hold_it_collided_with() {
-        // A holder takes and releases the gate while another thread retires
-        // a completed task, once per round, the two staggered by a varying
-        // spin so the retirement lands before, during and after the hold.
-        // However it meets the holder — applied in place, deferred and
-        // drained by the holder's release, or drained by its own second
-        // look — nothing may be left in the inbox once both are done: the
-        // fence handshake between a deferring worker and a releasing
-        // holder. Forced, every retirement goes through the inbox.
-        const ROUNDS: u32 = 2_000;
-        let spins = |n: u32| {
-            for _ in 0..n {
-                std::hint::spin_loop();
-            }
-        };
-        for tr in [tracker(), tracker_locked()] {
-            let nodes: Vec<_> = (0..ROUNDS)
-                .map(|c| {
-                    let start = c as usize * 8;
-                    let n = node_with(vec![acc(5, c, start..start + 8, AccessKind::Output)]);
-                    tr.register(&n, false);
-                    finish_registration(&n);
-                    finish(&n);
-                    n
-                })
-                .collect();
-            let round = std::sync::Barrier::new(2);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for i in 0..ROUNDS {
-                        round.wait();
-                        let hold = tr.hold();
-                        spins(i * 7 % 256);
-                        drop(hold);
-                        round.wait();
-                    }
-                });
-                let retirer = scope.spawn(|| {
-                    // The first round that left something behind, reported
-                    // after the last one so the holder is never left at the
-                    // barrier.
-                    let mut stranded = None;
-                    for (i, n) in (0..ROUNDS).zip(&nodes) {
-                        round.wait();
-                        spins(i * 13 % 64);
-                        tr.retire(n);
-                        round.wait();
-                        let left = (tr.gate.pending_retirements(), Arc::strong_count(n));
-                        if left != (0, 1) && stranded.is_none() {
-                            stranded = Some((i, left));
-                        }
-                    }
-                    stranded
-                });
-                assert_eq!(
-                    retirer.join().unwrap(),
-                    None,
-                    "(round, (inbox entries, node references)) of a stranded retirement"
-                );
-            });
-        }
-    }
-
-    #[test]
-    fn every_acquisition_drains_the_inbox_first() {
-        // Push retirements straight into the inbox (as a worker that lost
-        // the race for the gate would, minus its own second look), then
-        // check each way of taking the gate applies them before using the
-        // history.
-        let defer = |tr: &Tracker, node: &Arc<TaskNode>| {
-            assert!(node.mark_retired());
-            let a = &node.accesses[0];
-            tr.gate.push_retirements(std::iter::once(Retirement {
-                rid: a.region.id,
-                task: node.id,
-                kind: a.kind,
-            }));
-        };
-        let completed_writer = |tr: &TestTracker| {
-            let w = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
-            tr.register(&w, false);
-            finish_registration(&w);
-            finish(&w);
-            w
-        };
-        // Registration, gate taken at the first try.
-        let tr = tracker();
-        let w = completed_writer(&tr);
-        defer(&tr, &w);
-        let r = node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]);
-        assert!(tr.register(&r, false).fast_path);
-        assert_eq!(Arc::strong_count(&w), 1, "tried gate drained");
-        // Registration, forced acquisition.
-        let tr = tracker_locked();
-        let w = completed_writer(&tr);
-        defer(&tr, &w);
-        tr.register(&node_with(vec![acc(2, 0, 0..10, AccessKind::Input)]), false);
-        assert_eq!(Arc::strong_count(&w), 1, "forced acquisition drained");
-        // Batch registration.
-        let tr = tracker();
-        let w = completed_writer(&tr);
-        defer(&tr, &w);
-        let batch = [node_with(vec![acc(2, 0, 0..10, AccessKind::Input)])];
-        tr.register_batch(&batch, false);
-        assert_eq!(Arc::strong_count(&w), 1, "batch drained");
-        // Garbage collection: drains, then drops the tombstone it produced.
-        let tr = tracker();
-        let w = completed_writer(&tr);
-        defer(&tr, &w);
-        tr.garbage_collect();
-        assert_eq!(Arc::strong_count(&w), 1, "GC drained");
-        assert_eq!(tr.tracked_regions(), 0);
-        // `taskwait on` lookups and residue reads.
-        let tr = tracker();
-        let w = completed_writer(&tr);
-        defer(&tr, &w);
-        assert!(tr.tasks_touching(&region(2, 0, 0..10)).is_empty());
-        assert_eq!(Arc::strong_count(&w), 1, "lookup drained");
-        let w2 = completed_writer(&tr);
-        defer(&tr, &w2);
-        tr.residue();
-        assert_eq!(Arc::strong_count(&w2), 1, "the residue read drained");
-    }
-
-    #[test]
-    fn a_drain_parks_released_nodes_in_the_slab() {
+    fn history_release_parks_completed_nodes_in_the_slab() {
         let slab = Arc::new(TaskSlab::new(8));
         let mut tr = tracker();
         tr.set_recycler(slab.clone());
-        let accesses = [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect();
-        let w = crate::task::tests::test_node(Some(&slab), None, 0, accesses);
-        tr.register(&w, false);
-        finish_registration(&w);
-        let _ = w.body.lock().take();
-        finish(&w);
-        let hold = tr.hold();
-        tr.retire(&w);
-        // The worker's own hand-back fails — history still pins the node —
+        let writer = || {
+            let accesses = [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect();
+            let w = crate::task::tests::test_node(Some(&slab), None, 0, accesses);
+            tr.register(&w, false);
+            finish_registration(&w);
+            let _ = w.body.lock().take();
+            finish(&w);
+            w
+        };
+        let w1 = writer();
+        // The worker's own hand-back fails — history still holds the node —
         // and it moves on.
-        slab.try_recycle(w);
+        slab.try_recycle(w1);
         assert_eq!(slab.gauges(), (0, 1));
-        drop(hold);
-        // The drain dropped the last reference: parked, not freed.
-        assert_eq!(slab.gauges(), (1, 0));
+        // The next writer generation drops the last reference: parked, not
+        // freed.
+        let w2 = writer();
+        slab.try_recycle(w2);
+        assert_eq!(slab.gauges(), (1, 1));
+        // So does a GC sweep.
+        tr.garbage_collect();
+        assert_eq!(slab.gauges(), (2, 0));
     }
 
     #[test]

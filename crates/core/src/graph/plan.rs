@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::gate::Held;
-use super::history::{History, HistoryRef, PredSet};
+use super::history::{History, PredSet};
 use super::{IdBuildHasher, Registration, Tracker};
 use crate::access::{AccessKind, AccessVec, Dependence};
 use crate::region::{AllocId, Region, RegionId};
@@ -216,9 +216,9 @@ pub(crate) fn build_frozen_plan(nodes: &[Arc<TaskNode>]) -> Option<FrozenPlan> {
     plan.allocs.sort_unstable_by_key(|(alloc, _)| *alloc);
     // Bake the batch's net history effect per overwritten region from the
     // shadow's final state.
-    let to_positions = |refs: &[HistoryRef]| -> Vec<usize> {
+    let to_positions = |refs: &[Arc<TaskNode>]| -> Vec<usize> {
         refs.iter()
-            .map(|r| *index_of.get(&r.id()).expect("shadow refs are in-batch"))
+            .map(|r| *index_of.get(&r.id).expect("shadow refs are in-batch"))
             .collect()
     };
     for region in &cleared {
@@ -236,7 +236,7 @@ pub(crate) fn build_frozen_plan(nodes: &[Arc<TaskNode>]) -> Option<FrozenPlan> {
     // Never-overwritten regions need no install: every task touching one is
     // frontier, so all their refs land inside the live prefix.
     debug_assert!(shadow.entries.iter().all(|(rid, entry)| {
-        cleared_ids.contains(rid) || entry.refs().all(|r| index_of[&r.id()] < plan.scan_upto)
+        cleared_ids.contains(rid) || entry.refs().all(|r| index_of[&r.id] < plan.scan_upto)
     }));
     Some(plan)
 }

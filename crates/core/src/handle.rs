@@ -372,9 +372,9 @@ fn resolve_chains<O: ChainOwner>(
         // dependences are preserved, `inout` chains still serialise.
         let writes_fresh = kind == AccessKind::Output && cx.renaming_enabled();
         // First-write rename elision: nobody is bound to the current version
-        // (ticket release happens after tracker retirement, so "no bindings"
-        // means every earlier task on this version is a tombstone that can
-        // take no WAR/WAW edge) — overwrite it in place instead of paying
+        // (ticket release happens after completion is published, so "no
+        // bindings" means every earlier task on this version is a tombstone
+        // that can take no WAR/WAW edge) — overwrite it in place instead of paying
         // for a version that would conflict with nothing anyway. The binding
         // is marked elided so the clause set can undo it if an `input` on
         // the same sub-region follows (the output-before-input corner).

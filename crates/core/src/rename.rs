@@ -35,9 +35,9 @@
 //! pay one allocation per band for versions that never conflict with
 //! anything. So an `output` access first checks the current version's
 //! in-flight binding count: when it is **zero** — and, because workers
-//! release their version tickets only *after* retiring the task from the
-//! dependence tracker, zero means every earlier bound task has completed
-//! *and* its history references are tombstones — the access **binds the
+//! release their version tickets only *after* publishing the task's
+//! completion, zero means every earlier bound task has completed, which
+//! makes its history references tombstones — the access **binds the
 //! current version in place** instead of renaming. The elided write
 //! provably inherits no WAR/WAW edge (tombstones can take none), so the
 //! zero-false-dependence property of renaming is preserved deterministically;

@@ -261,8 +261,9 @@ pub(crate) struct RuntimeInner {
     pub(crate) critical: CriticalSections,
     pub(crate) panics: Mutex<Vec<Error>>,
     pub(crate) rename: Arc<RenamePool>,
-    /// Shared with the tracker, whose retire-inbox drains park released
-    /// nodes here (see [`Tracker::set_recycler`]).
+    /// Shared with the tracker, whose writer generations and GC sweeps park
+    /// the completed nodes they let go of here (see
+    /// [`Tracker::set_recycler`]).
     pub(crate) slab: Arc<TaskSlab>,
     pub(crate) fault: Option<FaultPlan>,
     /// The race-oracle + auditor state, present only under
@@ -490,8 +491,8 @@ impl RuntimeInner {
         let in_flight = self.in_flight.count() as u64;
         let quiescent = in_flight == 0;
         if quiescent {
-            // Deterministically drop tombstoned history before checking for
-            // residue, exactly as a quiescent `taskwait` does.
+            // Deterministically drop the completed tasks' history before
+            // checking for residue, exactly as a quiescent `taskwait` does.
             self.tracker.garbage_collect(&self.stats);
         }
         let executed = self.stats.get(StatField::TasksExecuted);
@@ -678,9 +679,10 @@ impl Runtime {
         self.inner.config.policy
     }
 
-    /// Garbage-collect the dependence tracker now: drop retired-task
-    /// tombstones, entries they emptied, and the `by_alloc` overlap-index
-    /// ids of dropped entries. This happens automatically
+    /// Garbage-collect the dependence tracker now: drop the history
+    /// references of completed tasks (returning their nodes to the slab),
+    /// entries they emptied, and the `by_alloc` overlap-index ids of dropped
+    /// entries. This happens automatically
     /// every few hundred spawns and at every quiescent [`Runtime::taskwait`];
     /// the explicit entry point exists for leak tests and long-idle services.
     pub fn tracker_gc(&self) {
@@ -696,9 +698,8 @@ impl Runtime {
     }
 
     /// Test support: hold the dependence tracker's gate until the returned
-    /// guard drops. While it is held, a completing task cannot retire in
-    /// place and hands its retirement to the tracker's inbox instead — which
-    /// is how the protocol tests make that path deterministic. The holding
+    /// guard drops. Tasks still complete while it is held — completion takes
+    /// no gate — which is what the protocol tests show with it. The holding
     /// thread must not register, `taskwait` or `audit` meanwhile (those take
     /// the gate); [`Runtime::stats`] takes no gate.
     #[doc(hidden)]
@@ -803,9 +804,10 @@ impl Runtime {
         // waiting for quiescence: a nested task enters `in_flight` before
         // its parent can leave it.
         help_while(&self.inner, None, || !self.inner.quiescent());
-        // Quiescence: every task has completed and retired, so this sweep
-        // deterministically drops the tombstoned history — a drained runtime
-        // tracks nothing (see `Runtime::audit`).
+        // Quiescence: every task has completed, so this sweep
+        // deterministically drops every history reference and returns the
+        // nodes to the slab — a drained runtime tracks nothing (see
+        // `Runtime::audit`).
         self.inner.tracker.garbage_collect(&self.inner.stats);
         self.inner.dcheck_quiescent_pass();
     }

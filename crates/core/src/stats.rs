@@ -21,11 +21,11 @@
 //! The tracker's gate counts say how a registration took the gate (see
 //! [`crate::graph`]): `tracker_fast_path_hits` + `tracker_fast_path_fallbacks`
 //! is the number of fresh spawns with at least one access. A registration
-//! falls back only when it waits behind another spawning thread (or a fault
-//! plan forces it); a wait behind a retiring worker is contention
-//! (`tracker_lock_contention`), not a fallback. So where one thread spawns
-//! per runtime — every workload of the benchmark ledger — the hit share
-//! (`graph.fast_path_share`, `--trace 1`) reads 1.0.
+//! falls back when its `try_lock` fails or a fault plan forces it; only
+//! spawning (or waiting) threads take the gate — completing a task takes
+//! none — so where one thread spawns per runtime, as in every workload of
+//! the benchmark ledger, the hit share (`graph.fast_path_share`,
+//! `--trace 1`) reads 1.0 and `tracker_lock_contention` stays near zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -227,19 +227,18 @@ pub struct RuntimeStats {
     /// Tasks that went through the priority heap.
     pub sched_priority_pops: u64,
     /// Tracker gate acquisitions whose first `try_lock` found the gate held
-    /// by another thread: the spawn/spawn, spawn/retire and spawn/sweep
-    /// collisions, however short.
+    /// by another thread: the collisions of registrations, sweeps and
+    /// lookups on different threads, however short.
     pub tracker_lock_contention: u64,
     /// Fresh spawns with at least one access whose registration took the
-    /// tracker gate without waiting behind another blocking acquirer: its
-    /// `try_lock` succeeded, or the holder was a retiring worker — see
+    /// tracker gate at its first `try_lock`, unforced — see
     /// [`crate::graph`], "Exclusion: the gate". Access-free spawns and
     /// replayed tasks count neither here nor in
     /// [`RuntimeStats::tracker_fast_path_fallbacks`].
     pub tracker_fast_path_hits: u64,
     /// Fresh spawns with at least one access whose registration did not:
-    /// its `try_lock` found the gate held by another registration, a GC
-    /// sweep or a lookup, or a fault plan forced the acquisition.
+    /// its `try_lock` found the gate held, or a fault plan forced the
+    /// acquisition.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap

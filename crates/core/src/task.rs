@@ -23,10 +23,11 @@
 //!   (verified with `Arc::get_mut`, so reuse is provably exclusive), the
 //!   node is reset — the successor-list capacity staying warm for its next
 //!   life — and pushed onto the slab's free list (a mutex-protected FIFO).
-//!   The next spawn pops it back instead of allocating. A node
-//!   whose retirement was deferred (see [`crate::graph`], "Retirement") is
-//!   still referenced by tracker history when its worker lets go; whoever
-//!   drops that reference later hands the node in the same way, and
+//!   The next spawn pops it back instead of allocating. A node with
+//!   accesses is usually still referenced by tracker history when its
+//!   worker lets go (see [`crate::graph`], "Completion is the tombstone");
+//!   the writer generation or GC sweep that drops that reference later
+//!   hands the node in the same way, and
 //!   `TaskSlab::try_recycle` settles which of several simultaneous
 //!   holders is the last. The slab builds a fixed stock before it reuses
 //!   anything (`TaskSlab::acquire`), so whether a runtime is warm does not
@@ -34,7 +35,7 @@
 //!
 //! Staleness is guarded twice over: [`TaskId`]s are minted from a global
 //! never-reused serial (an id can therefore never alias across reuses —
-//! tracker tombstones and trace events stay ABA-proof), and each node
+//! the ids a registration collects and trace events stay ABA-proof), and each node
 //! carries a `TaskNode::generation` reuse counter, bumped on every
 //! recycle, that the worker asserts against mid-execution and the trace
 //! records per spawn.
@@ -348,10 +349,6 @@ pub(crate) struct TaskNode {
     /// access that resolved against a versioned handle); drained exactly
     /// once on completion.
     pub tickets: Mutex<Vec<Box<dyn VersionTicket>>>,
-    /// Set once the completion path has retired this task from the
-    /// dependence tracker, making retirement idempotent (see
-    /// [`TaskNode::mark_retired`]).
-    pub retired: AtomicBool,
     /// Raw id of the task whose failure poisoned this node (`0` = clean —
     /// ids are minted from 1). A poisoned node is dequeued and retired
     /// without running its body, propagating the same origin to its own
@@ -419,7 +416,6 @@ impl TaskNode {
             in_edges: AtomicUsize::new(0),
             replay_pass: 0,
             tickets: Mutex::new(Vec::new()),
-            retired: AtomicBool::new(false),
             poison: AtomicU64::new(0),
             cancel: None,
             link: SlabLink {
@@ -487,7 +483,6 @@ impl TaskNode {
     /// owes it a `child_done`). The node stays checked out: parking it is
     /// what checks it in.
     fn reset_for_reuse(&mut self) -> Option<Arc<ChildTracker>> {
-        debug_assert!(self.retired.load(Ordering::Relaxed) || self.accesses.is_empty());
         self.name = None;
         self.accesses.clear();
         self.body.get_mut().clear();
@@ -511,20 +506,12 @@ impl TaskNode {
         self.state
             .store(TaskState::WaitingDeps as u8, Ordering::Relaxed);
         self.in_edges.store(0, Ordering::Relaxed);
-        self.retired.store(false, Ordering::Relaxed);
         self.poison.store(0, Ordering::Relaxed);
         self.cancel = None;
         self.dcheck_index
             .store(crate::dcheck::NO_INDEX, Ordering::Relaxed);
         self.generation = self.generation.wrapping_add(1);
         parent
-    }
-
-    /// Claim the right to retire this task from the dependence history.
-    /// Returns `true` exactly once; later callers see `false` and skip the
-    /// history walk.
-    pub(crate) fn mark_retired(&self) -> bool {
-        !self.retired.swap(true, Ordering::AcqRel)
     }
 
     /// Poison this node with `origin` unless it is already poisoned (the
@@ -770,15 +757,14 @@ impl TaskSlab {
 
     /// Return a completed node to the free list, if the caller holds the
     /// last reference and the slab has room. Nodes still referenced
-    /// elsewhere (a `taskwait on` waiter, tracker history awaiting a
-    /// deferred retirement) simply drop normally here; a waiter or a history
-    /// drain that lets go last parks the node — correctness never depends
-    /// on recycling succeeding.
+    /// elsewhere (a `taskwait on` waiter, tracker history) simply drop
+    /// normally here; a waiter or a history sweep that lets go last parks
+    /// the node — correctness never depends on recycling succeeding.
     ///
-    /// A node whose retirement was deferred has several holders letting go
-    /// at about the same time: the worker that completed it, the tracker
-    /// drain that tombstones its history reference, possibly a registration
-    /// that borrowed it as a predecessor. If each ran "not unique, so drop"
+    /// A node can have several holders letting go at about the same time:
+    /// the worker that completed it, the writer generation or GC sweep that
+    /// drops its history reference, possibly a registration that borrowed it
+    /// as a predecessor. If each ran "not unique, so drop"
     /// unsynchronised, all of them could see another's reference and the
     /// node would be freed although one of them was its last holder. So a
     /// *failed* uniqueness check is repeated under `handback`, and the drop
@@ -933,14 +919,6 @@ pub(crate) mod tests {
         assert_eq!(c.live_children(), 1);
         c.child_done();
         assert_eq!(c.live_children(), 0);
-    }
-
-    #[test]
-    fn mark_retired_claims_exactly_once() {
-        let n = dummy_node();
-        assert!(n.mark_retired());
-        assert!(!n.mark_retired());
-        assert!(!n.mark_retired());
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub(crate) fn execute_task(
     ready: &mut Vec<Arc<TaskNode>>,
 ) {
     // Poison / cancellation short-circuit: the node is retired through the
-    // exact same tracker/ticket tail as an executed task — only the body is
-    // skipped — so the tracker still drains to zero and versions recycle.
+    // exact same completion/ticket tail as an executed task — only the body
+    // is skipped — so the tracker still drains to zero and versions recycle.
     if let Some(origin) = node.poison_origin() {
         retire_without_run(inner, node, worker, ready, Some(origin));
         return;
@@ -137,7 +137,7 @@ pub(crate) fn execute_task(
     }
 
     // Deterministic completion delay: widens the window between "body done"
-    // and "successors woken / history retired" to shake out ordering bugs,
+    // and "completion published / successors woken" to shake out ordering bugs,
     // without touching the wall clock.
     if let Some(plan) = inner.fault.as_ref() {
         if plan.roll(FaultClass::DelayedCompletion, task_id.raw()) {
@@ -168,8 +168,8 @@ pub(crate) fn execute_task(
 /// failure and `None` for a node whose cancel flag was raised — in the
 /// latter case this node becomes the poison origin for everything
 /// downstream. Either way the node takes the exact same completion tail as
-/// an executed task (poison-propagate → retire → release tickets →
-/// recycle), which is what keeps `in_flight`, the tracker's residue and
+/// an executed task (poison-propagate → release tickets → recycle), which
+/// is what keeps `in_flight`, the tracker's residue and
 /// the slab ledger balanced after a failed run.
 fn retire_without_run(
     inner: &Arc<RuntimeInner>,
@@ -215,8 +215,8 @@ fn retire_without_run(
 }
 
 /// The shared completion tail: wake (already-drained-into-`ready`)
-/// successors, retire the dependence history, release version tickets, and
-/// hand the node back to the slab. Identical for executed, panicked,
+/// successors, release version tickets, and hand the node back to the
+/// slab. Identical for executed, panicked,
 /// poisoned and cancelled tasks — the ordering here is load-bearing (see
 /// the comments inline).
 fn retire_node(
@@ -238,23 +238,15 @@ fn retire_node(
         inner.sched.push(succ, worker, true, &inner.stats);
     }
 
-    // Retire the task's dependence history: its live references become
-    // tombstones — in place where the tracker's gate is free, through its
-    // retire inbox where it is held. The
-    // call never waits for a gate: a worker parked behind a spawner's long
-    // registration completes nothing, and the spawner's next registration
-    // then finds even more live predecessors (see `graph`, "Retirement").
-    inner.tracker.retire(&node);
-
     // Only now release the version bindings, so superseded versions can be
     // recycled (see rename.rs; successors bound to the same versions hold
-    // their own tickets). Releasing strictly *after* `retire` returned —
-    // i.e. after every access is a tombstone or sits in an inbox — is what
-    // makes first-write rename elision deterministic: a spawner that reads
-    // a binding count of zero also sees those inbox entries, and its
-    // registration applies them before it scans, so every earlier task on
-    // the version is a tombstone by then — an elided overwrite can inherit
-    // no WAR/WAW edge.
+    // their own tickets). The tracker is not touched: `complete_into` above
+    // published `Completed` and closed the successor list, which makes every
+    // history reference to this node a tombstone. Releasing strictly *after*
+    // that is what makes first-write rename elision deterministic: a spawner
+    // that reads a binding count of zero also sees every earlier task on the
+    // version completed, so an elided overwrite can inherit no WAR/WAW edge
+    // (see `graph`, "Completion is the tombstone").
     let released = node.release_tickets();
     if released != 0 {
         inner
@@ -267,17 +259,18 @@ fn retire_node(
         "task node was recycled while executing"
     );
 
-    // Retired, tickets released, bookkeeping done: if this worker holds the
-    // last reference, the node's storage goes back to the slab for the next
-    // spawn (best-effort). If a `taskwait on` waiter or the history of a
-    // *deferred* retirement still references the node, the hand-back fails
-    // and the waiter or the inbox drain that drops the last reference parks
-    // the node instead. A worker or a drain does this *before* the completion
-    // counters of its thread tick over, so once `taskwait` observes a drained
-    // runtime every node really is parked or freed — the slab's
+    // Tickets released, bookkeeping done: if this worker holds the last
+    // reference, the node's storage goes back to the slab for the next spawn
+    // (best-effort). If a `taskwait on` waiter or tracker history still
+    // references the node, the hand-back fails and whoever drops the last
+    // reference parks the node instead: the waiter, or the writer
+    // generation or GC sweep that lets go of the history reference. The
+    // sweep a quiescent `taskwait` runs drops every history reference, so
+    // once it returns every node really is parked or freed — the slab's
     // `outstanding == 0` (`Runtime::audit`, `RuntimeStats`) is a firm
-    // post-drain invariant, not a race. The parent tracker of a nested task comes back
-    // out of the node (the worker still owes it the `child_done` below).
+    // post-drain invariant, not a race. The parent tracker of a nested task
+    // comes back out of the node (the worker still owes it the `child_done`
+    // below).
     if let Some(parent) = inner.slab.try_recycle(node) {
         parent.child_done();
     }

@@ -10,7 +10,7 @@
 //! 2. **Elision determinism.** A single-pass workload (rotate-shaped: every
 //!    chunk written exactly once) must elide *every* rename — zero versions
 //!    allocated, zero WAR/WAW edges — deterministically, because workers
-//!    release version bindings only after tracker retirement.
+//!    release version bindings only after publishing the task's completion.
 //! 3. **Fallback under GC.** With the GC cadence forced to every spawn, the
 //!    optimistic path keeps falling back to waiting for the gate mid-storm; no
 //!    edge may be lost and the tracker must drain clean.
@@ -580,17 +580,17 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
 }
 
 // ---------------------------------------------------------------------------
-// 2c. The same corners behind a *deferred* retirement
+// 2c. The same corners behind a predecessor that completed under a held gate
 // ---------------------------------------------------------------------------
 //
 // Elision binds a version in place when its binding count is zero, relying
 // on "count zero ⇒ every earlier task on the version is a tombstone". A
-// worker that finds the tracker gate held does not wait for it: it leaves
-// the retirement in the tracker's inbox and releases its tickets. The three
-// regressions above are re-run with exactly that history — a predecessor on
-// the handle completes while this thread holds the gate — and must come out
-// the same: whoever takes the gate next applies the inbox before it reads
-// history.
+// completing worker takes no tracker gate: publishing `Completed` makes its
+// history references tombstones, and only then does it release its tickets.
+// The three regressions above are re-run with a predecessor on the handle
+// that completes — body, completion, ticket release — while this thread
+// holds the gate, and must come out the same. (The test names keep the
+// older word for this history: the retirement that used to be deferred.)
 
 /// Spin until `done()`, failing loudly instead of hanging.
 fn wait_until(what: &str, done: impl Fn() -> bool) {
@@ -608,19 +608,14 @@ fn two_worker_runtime() -> Runtime {
     Runtime::new(RuntimeConfig::default().with_workers(2))
 }
 
-/// Open `go` while this thread holds the tracker gate, wait for the tasks
-/// blocked on it to finish completely, and check their retirements were
-/// deferred rather than applied.
-fn finish_with_deferred_retirement(rt: &Runtime, go: &std::sync::atomic::AtomicBool) {
+/// Open `go` while this thread holds the tracker gate and wait for the
+/// tasks blocked on it to finish completely: none of them needs the gate.
+fn finish_under_a_held_gate(rt: &Runtime, go: &std::sync::atomic::AtomicBool) {
     let hold = rt.hold_tracker();
     go.store(true, Ordering::Release);
     wait_until("tasks to finish under a held gate", || {
         rt.in_flight_tasks() == 0
     });
-    assert!(
-        hold.deferred_retirements() >= 1,
-        "the retirement was deferred"
-    );
     drop(hold);
 }
 
@@ -631,7 +626,7 @@ fn output_before_input_unelides_behind_a_deferred_retirement() {
     let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
     {
         // The predecessor updates the current version in place; it holds the
-        // version's only binding until its retirement is handed over.
+        // version's only binding until it has completed.
         let (x, go) = (x.clone(), go.clone());
         rt.task().inout(&x).spawn(move |ctx| {
             while !go.load(Ordering::Acquire) {
@@ -640,7 +635,7 @@ fn output_before_input_unelides_behind_a_deferred_retirement() {
             *ctx.write(&x) += 1;
         });
     }
-    finish_with_deferred_retirement(&rt, &go);
+    finish_under_a_held_gate(&rt, &go);
     let before = rt.stats();
     let (w, r) = (x.clone(), x.clone());
     rt.task().output(&w).input(&r).spawn(move |ctx| {
@@ -684,7 +679,7 @@ fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
             ctx.write_chunk(&chunk).fill(1);
         });
     }
-    finish_with_deferred_retirement(&rt, &go);
+    finish_under_a_held_gate(&rt, &go);
     let before = rt.stats();
     assert_eq!((before.renames, before.renames_elided), (0, 3));
     let chunk0 = part.chunk(0);
@@ -717,7 +712,7 @@ fn chunk_output_before_whole_input_unelides_behind_a_deferred_retirement() {
 fn replay_reruns_unelision_behind_deferred_retirements() {
     // Every pass — the capture iteration and each replay — completes while
     // the gate is held, so every pass's bind-time analysis runs against a
-    // predecessor whose retirement went through the inbox.
+    // predecessor that completed without the tracker.
     let rt = two_worker_runtime();
     let x = rt.versioned_data(42u64);
     let released = Arc::new(AtomicU64::new(0));
@@ -749,7 +744,6 @@ fn replay_reruns_unelision_behind_deferred_retirements() {
         wait_until("the pass to finish under a held gate", || {
             rt.in_flight_tasks() == 0
         });
-        assert!(hold.deferred_retirements() >= 1);
         drop(hold);
     }
     rt.taskwait();

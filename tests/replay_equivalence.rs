@@ -28,8 +28,8 @@ use ompss::{
 
 /// The tracker configurations the suite compares (matching
 /// `tracker_equivalence`): the optimistic gate acquisition, and the
-/// forced-locked reference — every acquisition forced to wait, every
-/// retirement through the inbox.
+/// forced-locked reference — every acquisition forced to count as a
+/// fallback.
 const FAST_PATH: [bool; 2] = [true, false];
 
 /// One step of a random program over a fixed set of cells.

@@ -1,6 +1,6 @@
 //! Equivalence of the dependence tracker's default gate acquisition with the
 //! forced-locked reference configuration (every acquisition forced to count
-//! as a fallback, every retirement through the inbox).
+//! as a fallback). The two differ only in that count.
 //!
 //! The fast path must be invisible except in throughput: for any program,
 //! the default tracker must discover exactly the dependence structure the
@@ -27,8 +27,8 @@ use proptest::prelude::*;
 use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, TraceEvent};
 
 /// The tracker configuration under test: optimistic (the default), or
-/// forced-locked — every gate acquisition forced off the fast path and
-/// every retirement through the inbox, the suite's reference.
+/// forced-locked — every gate acquisition forced to count as a fallback,
+/// the suite's reference.
 fn tracker_config(fast_path: bool) -> RuntimeConfig {
     if fast_path {
         RuntimeConfig::default()

@@ -9,10 +9,11 @@
 //!   its neighbours (≤ 2), a `whole()` access exactly the N chunks; a walk
 //!   of the allocation's whole region list per access would read N for both.
 //! * A worker completing a task while the tracker gate is held — here by
-//!   the test thread itself, through the hidden `hold_tracker` hook — must
-//!   come back without the gate: the retirement waits in the inbox,
-//!   the runtime drains (`in_flight_tasks() == 0`) while the gate is still
-//!   held, and the retirement is applied when the gate is released.
+//!   the test thread itself, through the hidden `hold_tracker` hook — never
+//!   needs the gate: the runtime drains (`in_flight_tasks() == 0`) while the
+//!   gate is still held. History keeps the completed node, as a tombstone,
+//!   until a writer generation or a GC sweep drops it; how many nodes that
+//!   pins is counted too.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -101,27 +102,19 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
     }
     let hold = rt.hold_tracker();
     go.store(true, Ordering::Release);
-    // The worker finishes the task — body, wakeups, retirement, tickets,
-    // node hand-back, counters — while this thread still holds the gate.
+    // The worker finishes the task — body, wakeups, tickets, node
+    // hand-back, counters — while this thread still holds the gate.
     wait_until("the worker to finish under a held gate", || {
         rt.in_flight_tasks() == 0
     });
-    assert_eq!(
-        hold.deferred_retirements(),
-        1,
-        "the retirement waits in the inbox"
-    );
     // `stats` takes no gate, so it can look while the gate is held.
     assert_eq!(
         rt.stats().task_nodes_outstanding,
         1,
-        "history still pins the node until the inbox is drained"
+        "history still holds the completed node"
     );
     drop(hold);
-    // Releasing the gate applied it: the node is back in the slab without
-    // any taskwait or GC in between …
-    assert_eq!(rt.stats().task_nodes_outstanding, 0);
-    // … and the next registration meets a tombstone: a predecessor seen,
+    // The next registration meets the completed task: a predecessor seen,
     // no edge to wait on.
     let before = rt.stats();
     {
@@ -135,15 +128,19 @@ fn retire_under_a_held_gate_does_not_block_the_worker() {
     assert_eq!(after.edges_added, before.edges_added);
     rt.taskwait();
     assert!(rt.take_panics().is_empty());
+    // The quiescent sweep let go of the node: it is back in the slab.
+    assert_eq!(rt.stats().task_nodes_outstanding, 0);
     rt.audit()
-        .expect("clean audit after the deferred retirement");
+        .expect("clean audit after a completion under a held gate");
     rt.shutdown();
 }
 
 #[test]
 fn deferred_retirements_survive_a_burst_larger_than_the_inbox() {
-    // More completions behind one held gate than the inbox was sized for:
-    // it grows, nothing is lost, and everything is applied on release.
+    // Hundreds of completions behind one held gate: none waits for it,
+    // nothing is lost, and `taskwait` returns every node to the slab. (The
+    // name predates completion as the tombstone, when these completions
+    // went through a retire inbox.)
     const TASKS: usize = 300;
     let rt = Runtime::new(
         RuntimeConfig::default()
@@ -175,16 +172,89 @@ fn deferred_retirements_survive_a_burst_larger_than_the_inbox() {
     wait_until("every task to finish under a held gate", || {
         rt.in_flight_tasks() == 0
     });
-    // One retirement per access: the keeper's one plus two per cell task.
-    assert_eq!(hold.deferred_retirements(), 1 + 2 * TASKS);
     drop(hold);
-    assert_eq!(rt.stats().task_nodes_outstanding, 0);
     rt.taskwait();
+    assert_eq!(rt.stats().task_nodes_outstanding, 0);
     for cell in &cells {
         assert_eq!(rt.fetch(cell), 7);
     }
     rt.taskwait();
     // No regions or allocations left in the tracker, among the rest.
+    assert!(rt.audit().expect("clean audit").quiescent);
+    rt.shutdown();
+}
+
+/// Readers per round of `readers_of_one_value`; a divisor of the GC
+/// interval, so a periodic sweep always lands on a round's last spawn.
+const READER_ROUND: usize = 64;
+
+/// The nodes a slab builds up before it reuses any: a sixteenth of its
+/// default capacity of 4 096.
+const WARM_STOCK: u64 = 256;
+
+/// Spawn `8 × DEFAULT_TRACKER_GC_INTERVAL` `input` tasks on one `Data`, in
+/// rounds of `READER_ROUND` with a spin until nothing is in flight between
+/// rounds (no `taskwait`, so no quiescent sweep), and return the runtime's
+/// node-allocation count before any `taskwait` next to the value read.
+fn readers_of_one_value(config: RuntimeConfig) -> (Runtime, u64) {
+    let tasks = 8 * ompss::runtime::DEFAULT_TRACKER_GC_INTERVAL as usize;
+    let rt = Runtime::new(config);
+    let x = rt.data(7u64);
+    for _ in 0..tasks / READER_ROUND {
+        for _ in 0..READER_ROUND {
+            let x = x.clone();
+            rt.task()
+                .input(&x)
+                .spawn(move |ctx| assert_eq!(*ctx.read(&x), 7));
+        }
+        wait_until("a round of readers to finish", || rt.in_flight_tasks() == 0);
+    }
+    let allocated = rt.stats().task_nodes_allocated;
+    assert_eq!(rt.stats().tasks_spawned, tasks as u64);
+    (rt, allocated)
+}
+
+#[test]
+fn completed_readers_stay_pinned_only_until_the_next_sweep() {
+    // Readers never start a writer generation, so only a sweep lets go of a
+    // completed one. A sweep on spawn k·I (I = the GC interval) drops every
+    // completed reader; the at most READER_ROUND still in flight then stay
+    // until the next one. So between sweeps at most I + READER_ROUND nodes
+    // are out of the slab — in flight, or completed and held by history —
+    // and the slab allocates only when its free list is empty or its warm
+    // stock is still being built: task_nodes_allocated ≤
+    // max(WARM_STOCK, I + READER_ROUND). Each worker's node is in flight, so
+    // the worker count adds nothing beyond READER_ROUND.
+    let (rt, allocated) = readers_of_one_value(RuntimeConfig::default().with_workers(2));
+    let interval = ompss::runtime::DEFAULT_TRACKER_GC_INTERVAL;
+    let bound = WARM_STOCK.max(interval + READER_ROUND as u64);
+    assert!(
+        allocated <= bound,
+        "{allocated} nodes allocated for readers of one value, bound {bound}"
+    );
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty());
+    assert_eq!(rt.stats().task_nodes_outstanding, 0);
+    assert!(rt.audit().expect("clean audit").quiescent);
+    rt.shutdown();
+}
+
+#[test]
+fn without_periodic_gc_completed_readers_wait_for_the_quiescent_taskwait() {
+    // With the periodic sweep off, nothing lets go of a completed reader
+    // before the quiescent `taskwait`: every reader keeps its node, so the
+    // slab never has one to reuse and allocates one per task.
+    let (rt, allocated) = readers_of_one_value(
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_tracker_gc_interval(0),
+    );
+    let tasks = 8 * ompss::runtime::DEFAULT_TRACKER_GC_INTERVAL;
+    assert_eq!(allocated, tasks);
+    assert_eq!(rt.stats().task_nodes_outstanding, tasks as usize);
+    rt.taskwait();
+    assert!(rt.take_panics().is_empty());
+    assert_eq!(rt.stats().task_nodes_outstanding, 0);
     assert!(rt.audit().expect("clean audit").quiescent);
     rt.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Concurrent-spawn stress for the dependence tracker.
 //!
 //! Many OS threads spawn into one runtime at once, over overlapping
-//! allocations, so registrations, completions and retirements genuinely race
-//! on the tracker gate. The invariants checked:
+//! allocations, so registrations race each other on the tracker gate and
+//! completions race the registrations that meet them. The invariants checked:
 //!
 //! * **no lost edges** — every per-thread `inout` chain counts exactly its
 //!   own tasks (a lost edge lets two chain tasks race on the same cell and
@@ -12,7 +12,7 @@
 //!   (`tasks_executed == tasks_spawned`, the bodies' own counter agrees, and
 //!   a re-executed body would panic in the runtime and be reported);
 //! * **clean drain** — after the final `taskwait` the tracker maps are
-//!   empty (the completion retire path plus GC reclaimed all history,
+//!   empty (the quiescent GC reclaimed all history,
 //!   including the `by_alloc` overlap index);
 //! * **no deadlock between multi-allocation spans** — registrations naming
 //!   the same cells in opposite clause order, racing a template replay over
@@ -117,7 +117,7 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     let shared_sum: u64 = shared.iter().map(|s| rt.fetch(s)).sum();
     assert_eq!(shared_sum, total, "shared concurrent accumulators");
 
-    // Clean drain: the retire path plus the quiescent-taskwait GC leave the
+    // Clean drain: the quiescent-taskwait GC leaves the
     // tracker empty — entries *and* the by_alloc overlap index (the audit's
     // `TrackerResidue` check).
     rt.taskwait();
@@ -148,17 +148,17 @@ fn concurrent_spawn_stress_single_shard() {
     assert_eq!(stats.tracker_fast_path_hits, 0);
 }
 
-/// Regression test for the retire path of the `by_alloc` overlap index:
+/// Regression test for the sweep of the `by_alloc` overlap index:
 /// short-lived allocations (versioned handles mint a fresh allocation id per
-/// renamed version) must leave *both* tracker maps once their tasks retire —
-/// before this retire path existed, history (entries **and** stale
-/// `by_alloc` region ids) survived until the next 512-spawn GC, i.e.
+/// renamed version) must leave *both* tracker maps once their tasks complete
+/// and a quiescent `taskwait` sweeps — history (entries **and** stale
+/// `by_alloc` region ids) must not wait for the next 512-spawn GC, i.e.
 /// forever for programs spawning less than that.
 #[test]
 fn retired_allocations_leave_by_alloc() {
     let rt = Runtime::new(RuntimeConfig::default().with_workers(2));
-    // Far fewer than the periodic-GC threshold, so only the retire path and
-    // the explicit / quiescent GC can clean up.
+    // Far fewer than the periodic-GC threshold, so only writer generations
+    // and the explicit / quiescent GC can clean up.
     let v = rt.versioned_data(0u64);
     for i in 0..40u64 {
         let d = v.clone();
@@ -177,7 +177,7 @@ fn retired_allocations_leave_by_alloc() {
         });
     }
     rt.taskwait();
-    // Everything completed and retired: fully-retired allocations must leave
+    // Everything completed and swept: fully-retired allocations must leave
     // entries and by_alloc (the audit's `TrackerResidue` check).
     let report = rt
         .audit()
@@ -193,16 +193,17 @@ fn retired_allocations_leave_by_alloc() {
     rt.shutdown();
 }
 
-/// Deferred-retirement stress: 8 spawner threads hammer one partition with
-/// chunk updates while also inserting whole-partition readers, whose
-/// registrations walk every chunk entry and add an edge per live writer —
-/// long gate holds, during which the workers keep completing chunk tasks.
-/// Those completions cannot retire in place; they go through the tracker's
-/// retire inbox. Nothing may be lost: every increment
-/// lands, every reader sees a consistent total order per chunk, and after
-/// the drain the tracker holds no history, every gate is free and every
-/// node is back in the slab (or freed) — one missed tombstone would leave a
-/// pinned node behind.
+/// Completion-under-registration stress: 8 spawner threads hammer one
+/// partition with chunk updates while also inserting whole-partition
+/// readers, whose registrations walk every chunk entry and add an edge per
+/// live writer — long gate holds, during which the workers keep completing
+/// chunk tasks without the gate, so a registration meets predecessors that
+/// complete under it. Nothing may be lost: every increment lands, every
+/// reader sees a consistent total order per chunk, and after the drain the
+/// tracker holds no history, the gate is free and every node is back in the
+/// slab (or freed) — a history reference the sweep missed would leave a
+/// pinned node behind. (The test names predate completion as the
+/// tombstone, when these completions were deferred retirements.)
 fn run_deferred_retire_stress(config: RuntimeConfig) {
     const CHUNKS: usize = 96;
     const CHUNK_LEN: usize = 4;
@@ -265,7 +266,7 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
 
     // Post-drain facts: the auditor checks the ledger, gates, tracker
     // residue, slab and tickets.
-    rt.audit().expect("audit after the deferred-retire storm");
+    rt.audit().expect("audit after the completion storm");
 
     let writes = total - (SPAWNERS * (per_thread / 16)) as u64;
     let data = rt.into_vec(part);
@@ -279,15 +280,16 @@ fn run_deferred_retire_stress(config: RuntimeConfig) {
 
 #[test]
 fn deferred_retire_stress_one_shard() {
-    // Every registration and every completion meet on the one gate.
+    // Every registration meets the others on the one gate; completions take
+    // none.
     run_deferred_retire_stress(RuntimeConfig::default().with_workers(4));
 }
 
 #[test]
 fn deferred_retire_stress_sharded_and_forced_locked() {
-    // The reference configuration (no fast path) defers and drains the same
-    // way. (The name predates the one-gate tracker, when this test also ran
-    // eight shards.)
+    // The reference configuration (no fast path) drains the same way. (The
+    // name predates the one-gate tracker, when this test also ran eight
+    // shards.)
     run_deferred_retire_stress(
         RuntimeConfig::default()
             .with_workers(4)
