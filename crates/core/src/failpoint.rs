@@ -293,6 +293,32 @@ mod tests {
     }
 
     #[test]
+    fn seeded_streams_are_pinned() {
+        // The first 64 decisions of each class's stream for one seed at a
+        // 1-in-3 rate, bit `s` for serial `s`. A changed key, mixer or class
+        // discriminant shifts these — and every seeded chaos test with them.
+        let plan = FaultPlan::seeded(0x5EED)
+            .panic_one_in(3)
+            .delay_one_in(3, 1)
+            .rename_exhaust_one_in(3)
+            .queue_full_one_in(3);
+        let stream = |class| {
+            (0..64).fold(0u64, |bits, s| {
+                bits | (u64::from(plan.roll_next(class)) << s)
+            })
+        };
+        for (class, expected) in [
+            (FaultClass::TaskPanic, 0x0180_4cc5_001f_cc42u64),
+            (FaultClass::DelayedCompletion, 0x607b_6814_cf4c_0271),
+            (FaultClass::RenameExhaustion, 0x00b0_4ee0_3f00_8895),
+            (FaultClass::QueueFull, 0x08d5_28d0_1320_9aa8),
+        ] {
+            let got = stream(class);
+            assert_eq!(got, expected, "{class:?}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn one_in_bounds() {
         assert_eq!(one_in(0), 0);
         assert_eq!(one_in(1), 1_000_000);
