@@ -137,7 +137,10 @@ pub fn estimate_pose(particles: &[Particle], weights: &[f32]) -> Vec<f32> {
                 pose[j] += p[j] as f64;
             }
         }
-        return pose.iter().map(|&v| (v / particles.len() as f64) as f32).collect();
+        return pose
+            .iter()
+            .map(|&v| (v / particles.len() as f64) as f32)
+            .collect();
     }
     for (p, &w) in particles.iter().zip(weights.iter()) {
         for j in 0..joints {
@@ -180,10 +183,22 @@ pub fn track_seq(config: &FilterConfig, observations: &[Vec<f32>], seed: u64) ->
         let mut weights = vec![0f32; config.particles];
         for layer in 0..config.layers {
             let noise = config.base_noise / (1 << layer) as f32;
-            evaluate_weights_range(&particles, obs, config.beta, 0..config.particles, &mut weights);
+            evaluate_weights_range(
+                &particles,
+                obs,
+                config.beta,
+                0..config.particles,
+                &mut weights,
+            );
             particles = resample(&particles, &weights, noise, &mut rng);
         }
-        evaluate_weights_range(&particles, obs, config.beta, 0..config.particles, &mut weights);
+        evaluate_weights_range(
+            &particles,
+            obs,
+            config.beta,
+            0..config.particles,
+            &mut weights,
+        );
         let pose = estimate_pose(&particles, &weights);
         total_err += pose
             .iter()

@@ -192,7 +192,9 @@ fn trace(scene: &Scene, origin: Vec3, dir: Vec3, depth: u32) -> Vec3 {
     let Some((t, sphere)) = nearest else {
         // Background: vertical gradient.
         let f = 0.5 * (dir.y + 1.0);
-        return Vec3::new(0.05, 0.05, 0.1).scale(1.0 - f).add(Vec3::new(0.1, 0.15, 0.3).scale(f));
+        return Vec3::new(0.05, 0.05, 0.1)
+            .scale(1.0 - f)
+            .add(Vec3::new(0.1, 0.15, 0.3).scale(f));
     };
 
     let hit = origin.add(dir.scale(t));

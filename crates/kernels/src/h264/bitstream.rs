@@ -57,7 +57,7 @@ impl BitWriter {
     pub fn put_ue(&mut self, value: u32) {
         let v = value as u64 + 1;
         let bits = 64 - v.leading_zeros() as u8; // position of the MSB
-        // (bits - 1) zeros, then the value itself in `bits` bits.
+                                                 // (bits - 1) zeros, then the value itself in `bits` bits.
         for _ in 0..bits - 1 {
             self.put_bit(false);
         }

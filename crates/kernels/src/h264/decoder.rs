@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use super::dpb::{DecodedPictureBuffer, PictureInfoBuffer};
 use super::model::{
     parse_macroblocks, predict_pixel, DecodedFrame, EncodedFrame, EncodedStream, FrameHeader,
-    FrameType, MacroblockSyntax, START_CODE, MB_SIZE,
+    FrameType, MacroblockSyntax, MB_SIZE, START_CODE,
 };
 
 /// Context of the read stage: the raw byte stream plus a cursor.

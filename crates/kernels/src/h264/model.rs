@@ -232,7 +232,8 @@ fn sad_block(
             let cx = mb_x * MB_SIZE + dx;
             let cy = mb_y * MB_SIZE + dy;
             let cur_pix = cur.pixels[cy * cur.width + cx];
-            let ref_pix = reference.sample_clamped(cx as isize + mv.0 as isize, cy as isize + mv.1 as isize);
+            let ref_pix =
+                reference.sample_clamped(cx as isize + mv.0 as isize, cy as isize + mv.1 as isize);
             sad += (cur_pix as i64 - ref_pix as i64).unsigned_abs();
         }
     }
@@ -337,7 +338,13 @@ pub fn encode_sequence(params: &VideoParams, frames: &[DecodedFrame]) -> Encoded
         } else {
             None
         };
-        let encoded = encode_frame(frame, reference, frame_type, params.mb_cols(), params.mb_rows());
+        let encoded = encode_frame(
+            frame,
+            reference,
+            frame_type,
+            params.mb_cols(),
+            params.mb_rows(),
+        );
         // Container framing: start code, frame_num, type, payload length,
         // payload.
         bytes.extend_from_slice(&START_CODE.to_be_bytes());

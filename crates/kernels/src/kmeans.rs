@@ -36,9 +36,21 @@ pub fn assign_range(
     labels: &mut [u32],
 ) {
     assert!(dim > 0, "dim must be positive");
-    assert_eq!(points.len() % dim, 0, "points length must be a multiple of dim");
-    assert_eq!(centroids.len() % dim, 0, "centroids length must be a multiple of dim");
-    assert_eq!(labels.len(), range.len(), "labels slice must match the range");
+    assert_eq!(
+        points.len() % dim,
+        0,
+        "points length must be a multiple of dim"
+    );
+    assert_eq!(
+        centroids.len() % dim,
+        0,
+        "centroids length must be a multiple of dim"
+    );
+    assert_eq!(
+        labels.len(),
+        range.len(),
+        "labels slice must match the range"
+    );
     let k = centroids.len() / dim;
     assert!(k > 0, "need at least one centroid");
     for (li, p) in range.enumerate() {
@@ -66,7 +78,11 @@ pub fn partial_sums_range(
     k: usize,
     range: std::ops::Range<usize>,
 ) -> (Vec<f64>, Vec<u64>) {
-    assert_eq!(labels.len(), range.len(), "labels slice must match the range");
+    assert_eq!(
+        labels.len(),
+        range.len(),
+        "labels slice must match the range"
+    );
     let mut sums = vec![0f64; k * dim];
     let mut counts = vec![0u64; k];
     for (li, p) in range.enumerate() {

@@ -179,7 +179,11 @@ mod tests {
             ),
         ];
         for (input, expected) in cases {
-            assert_eq!(to_hex(&md5_digest(input.as_bytes())), expected, "input {input:?}");
+            assert_eq!(
+                to_hex(&md5_digest(input.as_bytes())),
+                expected,
+                "input {input:?}"
+            );
         }
     }
 

@@ -224,7 +224,11 @@ mod tests {
         let cheap = local_search_seq(&points, 2, 0.1, 2, 64);
         let expensive = local_search_seq(&points, 2, 1e6, 2, 64);
         assert!(cheap.centers.len() >= expensive.centers.len());
-        assert_eq!(expensive.centers.len(), 1, "huge facility cost opens nothing");
+        assert_eq!(
+            expensive.centers.len(),
+            1,
+            "huge facility cost opens nothing"
+        );
     }
 
     #[test]

@@ -87,7 +87,12 @@ pub fn body_observations(frames: usize, joints: usize, seed: u64) -> Vec<Vec<f32
             *t += r.gen_range(-0.08f32..0.08);
             *t = t.clamp(-1.5, 1.5);
         }
-        out.push(truth.iter().map(|&t| t + r.gen_range(-0.05f32..0.05)).collect());
+        out.push(
+            truth
+                .iter()
+                .map(|&t| t + r.gen_range(-0.05f32..0.05))
+                .collect(),
+        );
     }
     out
 }
