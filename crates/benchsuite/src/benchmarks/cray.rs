@@ -53,11 +53,7 @@ pub fn run_pthreads(p: &Params, threads: usize) -> u64 {
     let height = p.height;
     {
         // Hand out disjoint mutable rows to the threads, cyclically.
-        let rows: Vec<(usize, &mut [u8])> = img
-            .data
-            .chunks_mut(3 * width)
-            .enumerate()
-            .collect();
+        let rows: Vec<(usize, &mut [u8])> = img.data.chunks_mut(3 * width).enumerate().collect();
         let mut per_thread: Vec<Vec<(usize, &mut [u8])>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (y, row) in rows {

@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 use kernels::h264::{
     decode_sequence, encode_sequence, entropy_decode_frame, generate_video, output_frame,
-    parse_header, read_frame, reconstruct_frame, DecodedFrame, DecodedPictureBuffer,
-    EncodedFrame, EncodedStream, EntropyContext, FrameHeader, MacroblockSyntax, NalContext,
-    OutputContext, PictureInfoBuffer, ReadContext, ReconstructContext, VideoParams,
+    parse_header, read_frame, reconstruct_frame, DecodedFrame, DecodedPictureBuffer, EncodedFrame,
+    EncodedStream, EntropyContext, FrameHeader, MacroblockSyntax, NalContext, OutputContext,
+    PictureInfoBuffer, ReadContext, ReconstructContext, VideoParams,
 };
 use ompss::{Data, RenameRing, Runtime, TaskContext};
 use parking_lot::Mutex;
@@ -501,7 +501,12 @@ pub fn run_ompss_manual(p: &Params, rt: &Runtime) -> u64 {
 
 /// Decode-only core of [`run_ompss_manual`], for harnesses that pre-build
 /// the stream.
-pub fn decode_ompss_manual(stream: &EncodedStream, window: usize, pool: usize, rt: &Runtime) -> u64 {
+pub fn decode_ompss_manual(
+    stream: &EncodedStream,
+    window: usize,
+    pool: usize,
+    rt: &Runtime,
+) -> u64 {
     let n = window;
     let cx = Contexts::new(stream, pool, rt);
 

@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use kernels::kmeans::{
-    assign_range, init_centroids, partial_sums_range, reduce_centroids,
-};
+use kernels::kmeans::{assign_range, init_centroids, partial_sums_range, reduce_centroids};
 use kernels::workload::clustered_points;
 use ompss::Runtime;
 use threadkit::partition::block_range;
@@ -123,8 +121,7 @@ pub fn run_pthreads(p: &Params, threads: usize) -> u64 {
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let my_chunks = block_range(n_chunks, threads, t);
-                    let my_ranges: Vec<std::ops::Range<usize>> =
-                        ranges[my_chunks.clone()].to_vec();
+                    let my_ranges: Vec<std::ops::Range<usize>> = ranges[my_chunks.clone()].to_vec();
                     let my_points: usize = my_ranges.iter().map(|r| r.len()).sum();
                     let (my_labels, lrest) = label_rest.split_at_mut(my_points);
                     label_rest = lrest;
@@ -168,10 +165,7 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
     let n_chunks = p.points.div_ceil(p.chunk);
     let labels = rt.partitioned(vec![0u32; p.points], p.chunk);
     // One partial-sum slot per chunk, plus a handle for the shared centroids.
-    let partials = rt.partitioned(
-        vec![(Vec::<f64>::new(), Vec::<u64>::new()); n_chunks],
-        1,
-    );
+    let partials = rt.partitioned(vec![(Vec::<f64>::new(), Vec::<u64>::new()); n_chunks], 1);
     let centroids = rt.data(init_centroids(&points, p.dim, p.k));
 
     for _ in 0..p.iterations {

@@ -106,10 +106,8 @@ pub fn run_pthreads(p: &Params, threads: usize) -> u64 {
 /// double-buffering.
 pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
     let src = rt.data(p.input());
-    let out = rt.versioned_partitioned(
-        vec![0u8; 4 * p.width * p.height],
-        4 * p.width * p.band_rows,
-    );
+    let out =
+        rt.versioned_partitioned(vec![0u8; 4 * p.width * p.height], 4 * p.width * p.band_rows);
     let band_rows = p.band_rows;
     let height = p.height;
     for _ in 0..p.iterations {
@@ -128,10 +126,8 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
 /// out entirely.
 pub fn run_ompss_pipelined(p: &Params, rt: &Runtime) -> u64 {
     let src = rt.data(p.input());
-    let out = rt.versioned_partitioned(
-        vec![0u8; 4 * p.width * p.height],
-        4 * p.width * p.band_rows,
-    );
+    let out =
+        rt.versioned_partitioned(vec![0u8; 4 * p.width * p.height], 4 * p.width * p.band_rows);
     for _ in 0..p.iterations {
         spawn_iteration(rt, &src, &out, p.band_rows, p.height);
     }

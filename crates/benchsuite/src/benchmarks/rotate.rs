@@ -1,6 +1,5 @@
 //! `rotate`: bilinear image rotation, one work unit per band of output rows.
 
-
 use kernels::image::ImageRgb;
 use kernels::rotate::rotate_rows;
 use kernels::workload::synthetic_rgb_image;

@@ -2,7 +2,6 @@
 //! conversion. The conversion of an output band only needs the matching
 //! rotated band, so the OmpSs variant chains band-to-band tasks.
 
-
 use kernels::image::{ImageCmyk, ImageRgb, ImageRgbView};
 use kernels::rgbcmy::{convert_rows, convert_rows_view};
 use kernels::rotate::rotate_rows;

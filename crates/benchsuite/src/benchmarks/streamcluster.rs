@@ -111,8 +111,7 @@ pub fn run_pthreads(p: &Params, threads: usize) -> u64 {
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let my_chunks = threadkit::partition::block_range(ranges.len(), threads, t);
-                    let my_ranges: Vec<std::ops::Range<usize>> =
-                        ranges[my_chunks.clone()].to_vec();
+                    let my_ranges: Vec<std::ops::Range<usize>> = ranges[my_chunks.clone()].to_vec();
                     let (mine, tail) = rest.split_at_mut(my_chunks.len());
                     rest = tail;
                     let dim = p.dim;
@@ -181,9 +180,7 @@ pub fn run_ompss(p: &Params, rt: &Runtime) -> u64 {
                 .inout(&state)
                 .spawn(move |ctx| {
                     let mut st = ctx.write(&state);
-                    if st.centers.len() >= max_centers
-                        || st.centers.contains(&(candidate as u32))
-                    {
+                    if st.centers.len() >= max_centers || st.centers.contains(&(candidate as u32)) {
                         return;
                     }
                     let parts = ctx.read_whole(&all_gains);

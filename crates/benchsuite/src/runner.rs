@@ -130,10 +130,7 @@ pub fn verify_benchmark(name: &str, threads: usize) -> u64 {
         seq, pthreads,
         "{name}: pthreads variant diverges from sequential"
     );
-    assert_eq!(
-        seq, ompss,
-        "{name}: ompss variant diverges from sequential"
-    );
+    assert_eq!(seq, ompss, "{name}: ompss variant diverges from sequential");
     seq
 }
 
