@@ -4,14 +4,16 @@
 //! "inject or not": no wall clock, no global RNG state, no environment
 //! variables. The serial is the task's spawn id for task-granular faults
 //! (task-body panics, delayed completions) and a per-class call counter for
-//! infrastructure faults (forced rename-budget exhaustion, forced tracker
-//! fast-path fallbacks, queue-full bursts), so a plan replays the *same*
-//! decisions for the same workload shape — a chaos counterexample found in
-//! CI reproduces locally from nothing but the seed.
+//! infrastructure faults (forced rename-budget exhaustion, queue-full
+//! bursts), so a plan replays the *same* decisions for the same workload
+//! shape — a chaos counterexample found in CI reproduces locally from
+//! nothing but the seed.
 //!
 //! Rates are expressed per million rolls. The decision is
 //! `splitmix64(seed ⊕ class ⊕ serial) mod 1_000_000 < rate`, which makes
-//! every class an independent Bernoulli stream over serials.
+//! every class an independent Bernoulli stream over serials. A class's key
+//! is its [`FaultClass`] discriminant; key 3 belonged to a deleted class and
+//! stays unused, so no surviving stream moved when it went.
 //!
 //! When no plan is installed ([`RuntimeConfig`](crate::RuntimeConfig) default)
 //! the hooks cost a single `Option` check on an `Arc` field — no atomics, no
@@ -72,16 +74,12 @@ pub enum FaultClass {
     /// exhausted: the access falls back to serialising in place (the
     /// documented backpressure path). Serial: per-class call counter.
     RenameExhaustion = 2,
-    /// A tracker gate acquisition forced off the fast path: a fresh
-    /// registration so forced counts as a fast-path fallback. It takes the
-    /// gate as an unforced one would, so the forced configuration differs
-    /// from the default only in that count. Serial: per-class call counter.
-    TrackerFallback = 3,
     /// An ingest-queue push forced to report the queue as full, shedding the
     /// job even below capacity. Serial: per-class call counter.
     QueueFull = 4,
 }
 
+/// Per-class slots, indexed by discriminant (slot 3 is the unused key).
 const NUM_CLASSES: usize = 5;
 
 /// SplitMix64: a full-period mixer; consecutive serials map to
@@ -175,12 +173,6 @@ impl FaultPlan {
         self.with_rate(FaultClass::RenameExhaustion, one_in(n))
     }
 
-    /// Force roughly one in `n` tracker gate acquisitions off the fast path;
-    /// `n = 1` forces all of them — the tracker's reference configuration.
-    pub fn tracker_fallback_one_in(self, n: u64) -> Self {
-        self.with_rate(FaultClass::TrackerFallback, one_in(n))
-    }
-
     /// Force roughly one in `n` ingest-queue pushes to see a full queue.
     pub fn queue_full_one_in(self, n: u64) -> Self {
         self.with_rate(FaultClass::QueueFull, one_in(n))
@@ -206,7 +198,7 @@ impl FaultPlan {
     }
 
     /// As [`FaultPlan::roll`] with the class's own call counter as serial —
-    /// for hooks without a natural serial (rename, tracker, queue).
+    /// for hooks without a natural serial (rename, queue).
     pub fn roll_next(&self, class: FaultClass) -> bool {
         if self.inner.rates[class as usize] == 0 {
             return false;

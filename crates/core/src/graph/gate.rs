@@ -32,25 +32,20 @@ pub(super) struct Held<'a> {
 impl<'a> Held<'a> {
     /// Acquire the gate, waiting as long as it takes: one `try_lock`;
     /// failing that, a blocking `lock()`, counted into `stats` as
-    /// contention. The acquisition is a fast-path hit unless the try failed
-    /// or the fault plan forced it.
+    /// contention. The acquisition is a fast-path hit unless the try failed.
     pub(super) fn acquire(tracker: &'a Tracker, stats: &StatCounters) -> Self {
-        let forced = tracker.forced_fallback();
-        let (history, tried) = match tracker.gate.try_lock() {
+        let (history, fast_path) = match tracker.gate.try_lock() {
             Some(history) => (history, true),
             None => {
                 stats.add(StatField::TrackerLockContention, 1);
                 (tracker.gate.lock(), false)
             }
         };
-        Held {
-            history,
-            fast_path: tried && !forced,
-        }
+        Held { history, fast_path }
     }
 
     /// Whether the acquisition was a fast-path hit: its `try_lock` took the
-    /// gate, and no fault plan forced it.
+    /// gate.
     pub(super) fn fast_path(&self) -> bool {
         self.fast_path
     }

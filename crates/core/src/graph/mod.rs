@@ -100,19 +100,18 @@
 //! The counters (all in [`RuntimeStats`](crate::RuntimeStats)):
 //! `tracker_lock_contention` counts acquisitions whose `try_lock` found the
 //! gate held. `tracker_fast_path_fallbacks` counts fresh registrations whose
-//! `try_lock` failed — another spawning thread held the gate — or whose
-//! acquisition a fault plan forced, and `tracker_fast_path_hits` the rest.
-//! With one spawning thread and no `taskwait on` in a task body, every
-//! unforced registration is a hit. A fresh
-//! spawn without accesses takes no gate and counts in neither; nor does a
-//! replay batch. Traced edges carry a `fast_path` flag.
+//! `try_lock` failed — another spawning thread held the gate — and
+//! `tracker_fast_path_hits` the rest. With one spawning thread and no
+//! `taskwait on` in a task body, every registration is a hit. A fresh spawn
+//! without accesses takes no gate and counts in neither; nor does a replay
+//! batch.
 //!
-//! The equivalence suites' reference configuration is a fault plan
-//! ([`FaultPlan::tracker_fallback_one_in(1)`](crate::FaultPlan::tracker_fallback_one_in)):
-//! every fresh registration counts as a fallback. It runs the same passes on
-//! the same history maps as the default configuration and differs from it
-//! only in that count, which is why the edge multiset is byte-identical
-//! between them; `tests/tracker_equivalence.rs` pins that.
+//! `tests/tracker_equivalence.rs` checks the tracker against a model of
+//! the rules above: a sequential interpreter that keeps, per region, the
+//! writers, the readers since and the `concurrent` accessors since (an
+//! `output`/`inout` clears all three). The tracker must discover exactly
+//! the edge multiset, per-task dependence counts and edge-class counters
+//! the model predicts.
 //!
 //! ## Completion is the tombstone
 //!
@@ -246,8 +245,7 @@ pub(crate) struct Registration {
     /// position, not by vector offset.
     pub per_task: Vec<(usize, Vec<TaskId>)>,
     /// Whether the registration was a fast-path hit: it took the gate
-    /// without waiting behind another blocking acquirer, unforced (see the
-    /// module docs).
+    /// without waiting behind another acquirer (see the module docs).
     pub fast_path: bool,
     /// Overlap-index spans examined.
     scanned: u64,
@@ -268,46 +266,18 @@ pub(crate) struct Tracker {
     /// The gate: all access to the history — reads included — goes through
     /// a [`Held`] guard.
     gate: Mutex<History>,
-    /// Chaos-test hook: when set, individual gate acquisitions may be forced
-    /// to count as fallbacks
-    /// ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)); at a
-    /// rate of one in one that is the equivalence suites' reference
-    /// configuration. `None` in production — a single pointer check on the
-    /// hot path.
-    fault: Option<crate::failpoint::FaultPlan>,
     /// Where the node references history lets go of after their worker did
-    /// are parked (see `history::release_node`).
+    /// are parked (see `history::release_node`): the runtime's slab, or
+    /// `None` for a tracker without a runtime.
     recycler: Recycler,
 }
 
 impl Tracker {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(recycler: Option<Arc<TaskSlab>>) -> Self {
         Tracker {
             gate: Mutex::new(History::default()),
-            fault: None,
-            recycler: None,
+            recycler,
         }
-    }
-
-    /// Install a fault-injection plan (chaos tests only; see
-    /// [`crate::failpoint`]). Called before the tracker is shared.
-    pub(crate) fn set_fault_plan(&mut self, plan: crate::failpoint::FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    /// Route the references history lets go of after their worker did (see
-    /// `history::release_node`) back to `slab`. Called before the tracker is
-    /// shared.
-    pub(crate) fn set_recycler(&mut self, slab: Arc<TaskSlab>) {
-        self.recycler = Some(slab);
-    }
-
-    /// Whether the installed fault plan (if any) forces this gate
-    /// acquisition to count as a fallback.
-    pub(super) fn forced_fallback(&self) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|p| p.roll_next(crate::failpoint::FaultClass::TrackerFallback))
     }
 
     // lint: hot-path-begin — registration: every spawned task and every
@@ -352,8 +322,8 @@ impl Tracker {
     /// every conflicting in-flight task, and updating the per-region history
     /// so that future tasks depend on `node` where required: a
     /// [`register_batch`](Tracker::register_batch) of one node, counted as a
-    /// fast-path hit or fallback (its `try_lock` failed, or the fault plan
-    /// forced it) unless it has no access.
+    /// fast-path hit or fallback (its `try_lock` failed) unless it has no
+    /// access.
     /// `record_edges` asks for edge records (only the tracing path wants
     /// them).
     pub(crate) fn register(
@@ -584,25 +554,15 @@ mod tests {
         }
     }
 
-    impl std::ops::DerefMut for TestTracker {
-        fn deref_mut(&mut self) -> &mut Tracker {
-            &mut self.tr
-        }
-    }
-
-    fn tracker() -> TestTracker {
+    fn tracker_with(recycler: Option<Arc<TaskSlab>>) -> TestTracker {
         TestTracker {
-            tr: Tracker::new(),
+            tr: Tracker::new(recycler),
             stats: StatCounters::default(),
         }
     }
 
-    /// The reference configuration: every gate acquisition forced to count
-    /// as a fallback.
-    fn tracker_locked() -> TestTracker {
-        let mut tr = tracker();
-        tr.set_fault_plan(crate::failpoint::FaultPlan::seeded(0).tracker_fallback_one_in(1));
-        tr
+    fn tracker() -> TestTracker {
+        tracker_with(None)
     }
 
     /// Drain a node as if it executed (without a runtime).
@@ -871,10 +831,10 @@ mod tests {
 
     #[test]
     fn registration_outcome_is_the_same_tried_or_forced() {
-        // The same program must produce identical registrations (edge count,
-        // classification, predecessors seen, and edge order) whether the
-        // gate falls to the first try or every acquisition is forced to
-        // count as a fallback.
+        // Each registration's edge count, classification, predecessors seen
+        // and edge order, derived by hand from the rules in the module docs.
+        // (The name predates the one tracker configuration, when this
+        // compared a tried gate acquisition with a forced one.)
         let program: Vec<Vec<Access>> = vec![
             vec![acc(11, 0, 0..64, AccessKind::Output)],
             vec![
@@ -891,39 +851,40 @@ mod tests {
                 acc(11, 0, 0..64, AccessKind::Input),
             ],
         ];
-        let outcome = |tr: TestTracker| {
-            let mut out = Vec::new();
-            let mut nodes = Vec::new();
-            for accesses in &program {
-                let n = node_with(accesses.clone());
-                let reg = tr.register(&n, true);
-                out.push((
-                    reg.edges,
-                    reg.raw_edges,
-                    reg.war_edges,
-                    reg.waw_edges,
-                    reg.predecessors_seen,
-                    edge_list(&reg).to_vec(),
-                ));
-                finish_registration(&n);
-                nodes.push(n);
-            }
-            // Map TaskIds to per-run spawn indices so runs compare equal.
-            let index_of = |id: TaskId| nodes.iter().position(|n| n.id == id).unwrap();
-            out.into_iter()
-                .map(|(e, r, w, ww, seen, preds)| {
-                    (
-                        e,
-                        r,
-                        w,
-                        ww,
-                        seen,
-                        preds.into_iter().map(index_of).collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(outcome(tracker()), outcome(tracker_locked()));
+        // (edges, raw, war, waw, predecessors seen, predecessor indices)
+        let expected: Vec<(usize, usize, usize, usize, usize, Vec<usize>)> = vec![
+            (0, 0, 0, 0, 0, vec![]),
+            // Reads 11 after task 0 wrote it.
+            (1, 1, 0, 0, 1, vec![0]),
+            // An `inout` reads what task 1 wrote: RAW, not WAW.
+            (1, 1, 0, 0, 1, vec![1]),
+            // Overwrites 11: after its writer (WAW), then its reader (WAR).
+            (2, 0, 1, 1, 2, vec![0, 1]),
+            // A `concurrent` reads too: RAW from 13's writer, then 11's.
+            (2, 2, 0, 0, 2, vec![2, 3]),
+        ];
+        let tr = tracker();
+        let mut nodes: Vec<Arc<TaskNode>> = Vec::new();
+        for (accesses, expected) in program.into_iter().zip(expected) {
+            let n = node_with(accesses);
+            let reg = tr.register(&n, true);
+            let preds: Vec<usize> = edge_list(&reg)
+                .iter()
+                .map(|id| nodes.iter().position(|p| p.id == *id).unwrap())
+                .collect();
+            let got = (
+                reg.edges,
+                reg.raw_edges,
+                reg.war_edges,
+                reg.waw_edges,
+                reg.predecessors_seen,
+                preds,
+            );
+            assert_eq!(got, expected, "task {}", nodes.len());
+            finish_registration(&n);
+            nodes.push(n);
+        }
+        assert_eq!(tr.fast_path(), (5, 0));
     }
 
     #[test]
@@ -950,19 +911,6 @@ mod tests {
         tr.register(&free, false);
         finish_registration(&free);
         assert_eq!(tr.fast_path(), (3, 0));
-    }
-
-    #[test]
-    fn forced_locked_tracker_never_takes_the_fast_path() {
-        let tr = tracker_locked();
-        let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
-        assert!(!tr.register(&a, false).fast_path);
-        finish_registration(&a);
-        assert_eq!(
-            tr.fast_path(),
-            (0, 1),
-            "a forced fallback counts as a fallback"
-        );
     }
 
     #[test]
@@ -1186,8 +1134,7 @@ mod tests {
     #[test]
     fn history_release_parks_completed_nodes_in_the_slab() {
         let slab = Arc::new(TaskSlab::new(8));
-        let mut tr = tracker();
-        tr.set_recycler(slab.clone());
+        let tr = tracker_with(Some(slab.clone()));
         let writer = || {
             let accesses = [acc(2, 0, 0..10, AccessKind::Output)].into_iter().collect();
             let w = crate::task::tests::test_node(Some(&slab), None, 0, accesses);

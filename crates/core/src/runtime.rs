@@ -85,9 +85,9 @@ pub struct RuntimeConfig {
     pub replay_prewiring: bool,
     /// Optional deterministic fault-injection plan (see [`crate::failpoint`]).
     /// `None` (the default) compiles the hooks down to a single `Option`
-    /// check; a seeded plan injects task panics, delayed completions, forced
-    /// rename-budget exhaustion and forced tracker fallbacks at the plan's
-    /// rates — reproducibly, from nothing but the seed.
+    /// check; a seeded plan injects task panics, delayed completions and
+    /// forced rename-budget exhaustion at the plan's rates — reproducibly,
+    /// from nothing but the seed.
     pub fault_plan: Option<FaultPlan>,
     /// Whether the [`dcheck`](crate::dcheck) race oracle is armed: every
     /// task carries a vector clock, bind-time accesses append to per-worker
@@ -262,8 +262,7 @@ pub(crate) struct RuntimeInner {
     pub(crate) panics: Mutex<Vec<Error>>,
     pub(crate) rename: Arc<RenamePool>,
     /// Shared with the tracker, whose writer generations and GC sweeps park
-    /// the completed nodes they let go of here (see
-    /// [`Tracker::set_recycler`]).
+    /// the completed nodes they let go of here (see [`Tracker::new`]).
     pub(crate) slab: Arc<TaskSlab>,
     pub(crate) fault: Option<FaultPlan>,
     /// The race-oracle + auditor state, present only under
@@ -375,7 +374,6 @@ impl RuntimeInner {
                     self.trace.record(TraceEvent::Edge {
                         task: nodes[*i].id,
                         from,
-                        fast_path: registration.fast_path,
                         at_ns: self.trace.now_ns(),
                     });
                 }
@@ -634,14 +632,9 @@ impl Runtime {
         }
         let sched = SchedState::new(config.policy, config.workers);
         let slab = Arc::new(TaskSlab::new(DEFAULT_TASK_SLAB_CAPACITY));
-        let mut tracker = Tracker::new();
-        tracker.set_recycler(slab.clone());
-        if let Some(plan) = config.fault_plan.clone() {
-            tracker.set_fault_plan(plan);
-        }
         let inner = Arc::new(RuntimeInner {
             sched,
-            tracker,
+            tracker: Tracker::new(Some(slab.clone())),
             in_flight: InFlight::default(),
             shutdown: AtomicBool::new(false),
             stats: StatCounters::default(),

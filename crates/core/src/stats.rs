@@ -21,7 +21,7 @@
 //! The tracker's gate counts say how a registration took the gate (see
 //! [`crate::graph`]): `tracker_fast_path_hits` + `tracker_fast_path_fallbacks`
 //! is the number of fresh spawns with at least one access. A registration
-//! falls back when its `try_lock` fails or a fault plan forces it; only
+//! falls back when its `try_lock` fails; only
 //! spawning (or waiting) threads take the gate — completing a task takes
 //! none — so where one thread spawns per runtime, as in every workload of
 //! the benchmark ledger, the hit share (`graph.fast_path_share`,
@@ -130,8 +130,7 @@ pub(crate) enum StatField {
     /// Fresh registrations that took the gate without waiting behind
     /// another blocking acquirer.
     TrackerFastPathHits,
-    /// Fresh registrations that waited behind another blocking acquirer, or
-    /// that a fault plan forced.
+    /// Fresh registrations that waited behind another blocking acquirer.
     TrackerFastPathFallbacks,
     /// Overlap-index spans registrations examined, added once per
     /// registration (or replay batch).
@@ -231,14 +230,13 @@ pub struct RuntimeStats {
     /// lookups on different threads, however short.
     pub tracker_lock_contention: u64,
     /// Fresh spawns with at least one access whose registration took the
-    /// tracker gate at its first `try_lock`, unforced — see
+    /// tracker gate at its first `try_lock` — see
     /// [`crate::graph`], "Exclusion: the gate". Access-free spawns and
     /// replayed tasks count neither here nor in
     /// [`RuntimeStats::tracker_fast_path_fallbacks`].
     pub tracker_fast_path_hits: u64,
     /// Fresh spawns with at least one access whose registration did not:
-    /// its `try_lock` found the gate held, or a fault plan forced the
-    /// acquisition.
+    /// its `try_lock` found the gate held.
     pub tracker_fast_path_fallbacks: u64,
     /// History entries examined by the tracker's overlap queries: for every
     /// access of every registration, the spans of the allocation's overlap

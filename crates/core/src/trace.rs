@@ -45,9 +45,6 @@ pub enum TraceEvent {
         task: TaskId,
         /// The predecessor the edge points from.
         from: TaskId,
-        /// Whether the registration that discovered this edge took the
-        /// tracker gate at the first try (see [`crate::graph`]).
-        fast_path: bool,
         /// Nanoseconds since runtime start.
         at_ns: u64,
     },
@@ -371,19 +368,13 @@ mod tests {
         r.record(TraceEvent::Edge {
             task: tid(2),
             from: tid(1),
-            fast_path: true,
             at_ns: 7,
         });
         let snap = r.snapshot();
         assert_eq!(snap[0].task(), tid(2));
         assert_eq!(snap[0].at_ns(), 7);
         match &snap[0] {
-            TraceEvent::Edge {
-                from, fast_path, ..
-            } => {
-                assert_eq!(*from, tid(1));
-                assert!(*fast_path);
-            }
+            TraceEvent::Edge { from, .. } => assert_eq!(*from, tid(1)),
             other => panic!("unexpected event {other:?}"),
         }
     }

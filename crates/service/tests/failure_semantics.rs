@@ -1,8 +1,9 @@
 //! End-to-end failure semantics of the job service: deadlines (shed at
 //! dequeue and enforced mid-run by the watchdog), ticket cancellation
 //! (queued and running), the stall watchdog, injected queue-full bursts,
-//! and a seeded chaos property driving several fault classes through the
-//! full service stack at once.
+//! and a seeded chaos property driving every fault class — task panics,
+//! delayed completions and rename exhaustion in the tenants' runtimes,
+//! queue-full bursts at the service edge — through the full stack at once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -413,8 +414,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Chaos: a seeded `FaultPlan` injecting task panics, delayed
-    /// completions, rename exhaustion and tracker fallbacks inside the
-    /// tenants' runtimes — plus queue-full bursts at the service edge —
+    /// completions and rename exhaustion inside the tenants' runtimes — plus queue-full bursts at the service edge —
     /// driven through the full stack. Every admitted ticket reaches a
     /// terminal state, the ledger balances, completed jobs' effects are
     /// exactly intact, and the tenant's runtime drains clean.
@@ -427,8 +427,7 @@ proptest! {
         let tenant_plan = FaultPlan::seeded(seed)
             .panic_one_in(panic_one_in)
             .delay_one_in(4, 8)
-            .rename_exhaust_one_in(5)
-            .tracker_fallback_one_in(6);
+            .rename_exhaust_one_in(5);
         let svc = JobService::new(
             ServiceConfig::default()
                 .with_dispatchers(2)

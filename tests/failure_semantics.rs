@@ -1,6 +1,6 @@
 //! End-to-end failure semantics of the core runtime: cancel scopes,
-//! deterministic fault injection (panics, delays, rename exhaustion,
-//! tracker fallbacks), and the drain-clean guarantee — however a graph is
+//! deterministic fault injection (panics, delays, rename exhaustion), and
+//! the drain-clean guarantee — however a graph is
 //! poisoned or cancelled, every node retires, every diagnostic returns to
 //! zero, and unaffected results stay exact.
 
@@ -150,32 +150,6 @@ fn forced_rename_exhaustion_falls_back_without_changing_results() {
     );
     assert!(rt.take_panics().is_empty(), "all reader assertions held");
     assert_eq!(rt.into_inner(x), 9);
-    rt.shutdown();
-}
-
-/// Forcing every tracker gate acquisition to count as a fallback leaves
-/// dependency order identical.
-#[test]
-fn forced_tracker_fallback_keeps_dependency_order() {
-    let plan = FaultPlan::seeded(23).tracker_fallback_one_in(1);
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_fault_plan(plan),
-    );
-    let data = rt.data(0u64);
-    for i in 1..=16u64 {
-        let h = data.clone();
-        rt.task().inout(&h).spawn(move |ctx| *ctx.write(&h) += i);
-    }
-    rt.taskwait();
-    let stats = rt.stats();
-    assert!(
-        stats.tracker_fast_path_fallbacks > 0,
-        "forced fallbacks must be taken and counted"
-    );
-    assert_eq!(rt.in_flight_tasks(), 0);
-    assert_eq!(rt.into_inner(data), (1..=16).sum::<u64>());
     rt.shutdown();
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{FaultPlan, Runtime, RuntimeConfig};
+use ompss::{Runtime, RuntimeConfig};
 
 // ---------------------------------------------------------------------------
 // 1. Elision on/off/mixed keeps sequential-value semantics
@@ -870,20 +870,4 @@ fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
         stats.tracker_fast_path_hits,
         stats.tracker_fast_path_fallbacks,
     );
-}
-
-#[test]
-fn forced_locked_storm_matches_invariants() {
-    // The forced-fallback configuration survives the same storm (it is the
-    // equivalence reference); every registration counts as a fallback.
-    let stats = gc_storm(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
-            .with_tracker_gc_interval(64),
-        4,
-        storm_tasks(),
-    );
-    assert_eq!(stats.tracker_fast_path_hits, 0);
-    assert_eq!(stats.tracker_fast_path_fallbacks, stats.tasks_spawned);
 }

@@ -4,8 +4,8 @@
 //! for any captured program, every replay pass must discover exactly the
 //! dependence structure that spawning the same tasks freshly through
 //! `TaskBuilder` discovers, and execution must produce exactly the values of
-//! repeating the program sequentially — with the tracker's optimistic gate
-//! acquisition and in its forced-locked reference configuration.
+//! repeating the program sequentially. (Whether the tracker itself follows
+//! its rules is `tests/tracker_equivalence.rs`'s question, asked of a model.)
 //!
 //! The measurement idiom mirrors `tests/tracker_equivalence.rs`: task bodies
 //! are *gated* on a shared flag, so nothing completes (and nothing retires)
@@ -22,15 +22,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ompss::{
-    Data, FaultPlan, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig,
-    TraceEvent,
+    Data, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig, TraceEvent,
 };
-
-/// The tracker configurations the suite compares (matching
-/// `tracker_equivalence`): the optimistic gate acquisition, and the
-/// forced-locked reference — every acquisition forced to count as a
-/// fallback.
-const FAST_PATH: [bool; 2] = [true, false];
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -210,13 +203,8 @@ struct InsertionStructure {
     counters: (u64, u64, u64, u64, u64, u64),
 }
 
-fn runtime_for(fast_path: bool) -> Runtime {
-    let config = RuntimeConfig::default().with_workers(2).with_tracing(true);
-    Runtime::new(if fast_path {
-        config
-    } else {
-        config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
-    })
+fn traced_runtime() -> Runtime {
+    Runtime::new(RuntimeConfig::default().with_workers(2).with_tracing(true))
 }
 
 /// Build the structure of one trace segment (events recorded between the
@@ -267,13 +255,12 @@ fn segment_structure(
 /// `undrained` gated iterations with no drain between them as one measured
 /// segment; return the segment's structure and the final cell values.
 fn fresh(
-    fast_path: bool,
     cells: usize,
     ops: &[Op],
     drained: usize,
     undrained: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(fast_path);
+    let rt = traced_runtime();
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(true));
     for _ in 0..drained {
@@ -297,13 +284,8 @@ fn fresh(
 
 /// Capture one gated iteration, then run `replays` gated replay passes;
 /// return the structure of the final pass and the final cell values.
-fn replayed(
-    fast_path: bool,
-    cells: usize,
-    ops: &[Op],
-    replays: usize,
-) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(fast_path);
+fn replayed(cells: usize, ops: &[Op], replays: usize) -> (InsertionStructure, Vec<u64>) {
+    let rt = traced_runtime();
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -358,43 +340,37 @@ fn demo_ops() -> Vec<Op> {
     ]
 }
 
-/// Both tracker configurations: the final replay pass must discover
-/// byte-identical edge multisets, per-task dependence counts, and counter
-/// deltas as the final fresh iteration, and both must end in the sequential
-/// values.
+/// The final replay pass must discover byte-identical edge multisets,
+/// per-task dependence counts, and counter deltas as the final fresh
+/// iteration, and both must end in the sequential values. (The name
+/// predates the one tracker configuration, when the grid had two.)
 #[test]
 fn replay_structure_and_values_match_fresh_across_grid() {
     let ops = demo_ops();
     let rounds = 3; // capture + 2 replays on the replay side
     let expected = run_sequential_rounds(4, &ops, rounds);
-    for fast_path in FAST_PATH {
-        let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, rounds - 1, 1);
-        let (replay_structure, replay_values) = replayed(fast_path, 4, &ops, rounds - 1);
-        let tag = format!("fast_path = {fast_path}");
-        assert_eq!(replay_structure, fresh_structure, "{tag}");
-        assert_eq!(fresh_values, expected, "fresh values, {tag}");
-        assert_eq!(replay_values, expected, "replay values, {tag}");
-    }
+    let (fresh_structure, fresh_values) = fresh(4, &ops, rounds - 1, 1);
+    let (replay_structure, replay_values) = replayed(4, &ops, rounds - 1);
+    assert_eq!(replay_structure, fresh_structure);
+    assert_eq!(fresh_values, expected, "fresh values");
+    assert_eq!(replay_values, expected, "replay values");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random programs: the final replay pass matches the final fresh
-    /// iteration structurally, and both match sequential semantics, in both
-    /// tracker configurations.
+    /// iteration structurally, and both match sequential semantics.
     #[test]
     fn prop_replay_equals_fresh(
         ops in proptest::collection::vec(op_strategy(4), 1..24),
     ) {
         let expected = run_sequential_rounds(4, &ops, 3);
-        for fast_path in FAST_PATH {
-            let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, 2, 1);
-            let (replay_structure, replay_values) = replayed(fast_path, 4, &ops, 2);
-            prop_assert_eq!(&replay_structure, &fresh_structure, "fast_path = {}", fast_path);
-            prop_assert_eq!(&fresh_values, &expected, "fresh, fast_path = {}", fast_path);
-            prop_assert_eq!(&replay_values, &expected, "replay, fast_path = {}", fast_path);
-        }
+        let (fresh_structure, fresh_values) = fresh(4, &ops, 2, 1);
+        let (replay_structure, replay_values) = replayed(4, &ops, 2);
+        prop_assert_eq!(&replay_structure, &fresh_structure);
+        prop_assert_eq!(&fresh_values, &expected, "fresh");
+        prop_assert_eq!(&replay_values, &expected, "replay");
     }
 }
 
@@ -523,13 +499,12 @@ fn rename_ring_rebind_rotates_replayed_slots() {
 /// segment — `k` [`Runtime::replay`] calls with no drain between them — and
 /// return the segment's structure plus the final cell values.
 fn replayed_undrained(
-    fast_path: bool,
     cells: usize,
     ops: &[Op],
     k: usize,
     warm: bool,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(fast_path);
+    let rt = traced_runtime();
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -565,8 +540,8 @@ fn replayed_undrained(
 /// `k` replays with no drain between them must discover byte-identical
 /// structure (edge multiset over all k·n tasks, per-task dependence counts,
 /// counter deltas) to `k` undrained fresh iterations — including the carried
-/// inter-iteration dependences — in both tracker configurations, both before the
-/// template freezes (resolved insertion) and after (pre-wired insertion).
+/// inter-iteration dependences — both before the template freezes (resolved
+/// insertion) and after (pre-wired insertion).
 #[test]
 fn undrained_replays_match_fresh_spawns_across_grid() {
     let ops = demo_ops();
@@ -574,14 +549,12 @@ fn undrained_replays_match_fresh_spawns_across_grid() {
     for warm in [false, true] {
         let drained = 1 + usize::from(warm); // capture + warm
         let expected = run_sequential_rounds(4, &ops, drained + k);
-        for fast_path in FAST_PATH {
-            let (fresh_structure, fresh_values) = fresh(fast_path, 4, &ops, drained, k);
-            let (replay_structure, replay_values) = replayed_undrained(fast_path, 4, &ops, k, warm);
-            let tag = format!("fast_path = {fast_path}, warm = {warm}");
-            assert_eq!(replay_structure, fresh_structure, "{tag}");
-            assert_eq!(fresh_values, expected, "fresh values, {tag}");
-            assert_eq!(replay_values, expected, "replay values, {tag}");
-        }
+        let (fresh_structure, fresh_values) = fresh(4, &ops, drained, k);
+        let (replay_structure, replay_values) = replayed_undrained(4, &ops, k, warm);
+        let tag = format!("warm = {warm}");
+        assert_eq!(replay_structure, fresh_structure, "{tag}");
+        assert_eq!(fresh_values, expected, "fresh values, {tag}");
+        assert_eq!(replay_values, expected, "replay values, {tag}");
     }
 }
 

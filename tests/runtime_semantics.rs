@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ompss::{FaultPlan, RenameRing, Runtime, RuntimeConfig, SchedulerPolicy};
+use ompss::{RenameRing, Runtime, RuntimeConfig, SchedulerPolicy};
 
 fn runtime(workers: usize) -> Runtime {
     Runtime::new(RuntimeConfig::default().with_workers(workers))
@@ -606,8 +606,8 @@ fn panicking_tasks_poison_successors_but_not_the_runtime() {
 /// it was ready, else when its last predecessor woke it onto that worker's
 /// deque or the shared queue. Fresh spawns and replayed passes alike. The
 /// tracker's gate counts (fast-path hits + fallbacks) account for every
-/// fresh spawn that declared an access, and under the forced-fallback
-/// reference configuration none is a hit.
+/// fresh spawn that declared an access; with one spawning thread every one
+/// is a hit.
 #[test]
 fn scheduler_counts_account_for_every_task() {
     fn check(rt: &Runtime, what: &str) {
@@ -630,14 +630,8 @@ fn scheduler_counts_account_for_every_task() {
         let s = rt.stats();
         (s.tracker_fast_path_hits, s.tracker_fast_path_fallbacks)
     }
-    // The last runtime is the tracker's forced-fallback reference
-    // configuration.
-    for (workers, forced) in [(1, false), (2, false), (2, true)] {
-        let mut config = RuntimeConfig::default().with_workers(workers);
-        if forced {
-            config = config.with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1));
-        }
-        let rt = Runtime::new(config);
+    for workers in [1, 2] {
+        let rt = Runtime::new(RuntimeConfig::default().with_workers(workers));
         let cells: Vec<_> = (0..4).map(|_| rt.data(0u64)).collect();
         // Chains on every cell, joined pairwise: some tasks are ready when
         // spawned, the others are woken by a predecessor.
@@ -688,10 +682,7 @@ fn scheduler_counts_account_for_every_task() {
         // 64 chain tasks and 3 cancelled ones declared accesses; the parent
         // and its child did not.
         let (hits, fallbacks) = gate_counts(&rt);
-        assert_eq!(hits + fallbacks, s.tasks_spawned - 2);
-        if forced {
-            assert_eq!(hits, 0, "a forced fallback is never a hit");
-        }
+        assert_eq!((hits, fallbacks), (s.tasks_spawned - 2, 0));
 
         let mut scope = rt.capture();
         for i in 0..8 {
@@ -711,11 +702,7 @@ fn scheduler_counts_account_for_every_task() {
         check(&rt, &format!("replayed, {workers} worker(s)"));
         // The capture iteration spawned its 8 tasks fresh; the 16 × 8
         // replayed ones count in neither.
-        let (replay_hits, replay_fallbacks) = gate_counts(&rt);
-        assert_eq!(replay_hits + replay_fallbacks, hits + fallbacks + 8);
-        if forced {
-            assert_eq!(replay_hits, 0);
-        }
+        assert_eq!(gate_counts(&rt), (hits + 8, 0));
     }
 }
 

@@ -1,41 +1,27 @@
-//! Equivalence of the dependence tracker's default gate acquisition with the
-//! forced-locked reference configuration (every acquisition forced to count
-//! as a fallback). The two differ only in that count.
+//! Equivalence of the dependence tracker with an independent model of its
+//! rules, and of execution with sequential program order.
 //!
-//! The fast path must be invisible except in throughput: for any program,
-//! the default tracker must discover exactly the dependence structure the
-//! forced-locked tracker discovers, and execution must produce exactly the
-//! values of sequential (spawn-order) execution.
+//! The runtime's claim is OmpSs semantics: a run equals sequential program
+//! order over the declared `input` / `output` / `inout` / `concurrent`
+//! accesses. Two angles, both over randomly generated access programs over
+//! many handles:
 //!
-//! Two angles, both over randomly generated access programs (mixed
-//! `input` / `output` / `inout` / `concurrent` accesses over many handles):
-//!
-//! 1. **Edge-structure equivalence.** Task bodies are *gated* on a shared
-//!    flag, so no task completes (and nothing retires) while the program is
-//!    being spawned — registration is then fully deterministic, and the edge
-//!    multiset (recorded by the tracing `Edge` events), the per-task
-//!    dependence counts, and every edge counter must be identical in both
-//!    configurations.
-//! 2. **Value equivalence.** The same programs run ungated in both
-//!    configurations and must end with exactly the sequential final values.
+//! 1. **Edge structure against a model.** Task bodies are *gated* on a
+//!    shared flag, so no task completes while the program is being spawned —
+//!    registration is then fully deterministic, and the edge multiset
+//!    (recorded by the tracing `Edge` events), the per-task dependence
+//!    counts and every edge counter must be exactly what [`model`] predicts:
+//!    a short sequential interpreter of the tracker's rules that shares no
+//!    code with the tracker.
+//! 2. **Value equivalence.** The same programs run ungated and must end with
+//!    exactly the sequential final values.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ompss::{Data, FaultPlan, Runtime, RuntimeConfig, TraceEvent};
-
-/// The tracker configuration under test: optimistic (the default), or
-/// forced-locked — every gate acquisition forced to count as a fallback,
-/// the suite's reference.
-fn tracker_config(fast_path: bool) -> RuntimeConfig {
-    if fast_path {
-        RuntimeConfig::default()
-    } else {
-        RuntimeConfig::default().with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1))
-    }
-}
+use ompss::{Data, Runtime, RuntimeConfig, TraceEvent};
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -151,8 +137,120 @@ fn run_sequential_matching_tasks(cells: usize, ops: &[Op]) -> Vec<u64> {
     run_sequential(cells, ops)
 }
 
-/// Everything that must be identical across tracker configurations when no
-/// task can complete during registration.
+/// An access kind as the model sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Input,
+    Output,
+    InOut,
+    Concurrent,
+}
+
+/// The accesses `spawn_program` declares for `op`, in declaration order.
+fn accesses(op: &Op) -> Vec<(usize, Kind)> {
+    match *op {
+        Op::Set { dst, .. } => vec![(dst, Kind::Output)],
+        Op::AddFrom { dst, src } if dst != src => vec![(dst, Kind::InOut), (src, Kind::Input)],
+        Op::AddFrom { dst, .. } | Op::Scale { dst } => vec![(dst, Kind::InOut)],
+        Op::Accumulate { dst, .. } => vec![(dst, Kind::Concurrent)],
+    }
+}
+
+/// What one cell's history holds, as spawn indices.
+#[derive(Debug, Clone, Default)]
+struct CellHistory {
+    /// The last writer generation.
+    writers: Vec<usize>,
+    /// Plain readers since it.
+    readers: Vec<usize>,
+    /// `concurrent` accessors since it.
+    concurrent: Vec<usize>,
+}
+
+/// Edge classes, as the tracker's counters split them.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    Raw,
+    War,
+    Waw,
+}
+
+/// The model: registers `ops` one after another, nothing completing, by
+/// the tracker's rules. A later access depends on every earlier writer; an
+/// `input` also on earlier `concurrent` accessors; an `output`/`inout` also
+/// on earlier readers and `concurrent` accessors; a `concurrent` also on
+/// earlier readers, but not on other `concurrent` accessors. An edge is RAW
+/// when the later access reads (`input`, `inout`, `concurrent`) what a
+/// writer or `concurrent` accessor left, WAR when it writes over a reader,
+/// and WAW when an `output` overwrites without reading. A task's
+/// predecessors are collected over its accesses in declaration order, each
+/// once, classed by its first conflict; then its accesses are recorded, an
+/// `output`/`inout` starting a new writer generation.
+fn model(cells: usize, ops: &[Op]) -> EdgeStructure {
+    let mut history = vec![CellHistory::default(); cells];
+    let mut edges = Vec::new();
+    let mut deps = Vec::new();
+    let (mut raw, mut war, mut waw) = (0, 0, 0);
+    for (task, op) in ops.iter().enumerate() {
+        let mut preds: Vec<(usize, Class)> = Vec::new();
+        for &(cell, kind) in &accesses(op) {
+            let h = &history[cell];
+            let after_write = if kind == Kind::Output {
+                Class::Waw
+            } else {
+                Class::Raw
+            };
+            let mut found: Vec<(usize, Class)> =
+                h.writers.iter().map(|&p| (p, after_write)).collect();
+            match kind {
+                Kind::Input => found.extend(h.concurrent.iter().map(|&p| (p, Class::Raw))),
+                Kind::Output | Kind::InOut => {
+                    found.extend(h.readers.iter().map(|&p| (p, Class::War)));
+                    found.extend(h.concurrent.iter().map(|&p| (p, after_write)));
+                }
+                Kind::Concurrent => found.extend(h.readers.iter().map(|&p| (p, Class::War))),
+            }
+            for (p, class) in found {
+                if preds.iter().all(|&(q, _)| q != p) {
+                    preds.push((p, class));
+                }
+            }
+        }
+        for &(cell, kind) in &accesses(op) {
+            let h = &mut history[cell];
+            match kind {
+                Kind::Input => h.readers.push(task),
+                Kind::Concurrent => h.concurrent.push(task),
+                Kind::Output | Kind::InOut => {
+                    *h = CellHistory {
+                        writers: vec![task],
+                        ..CellHistory::default()
+                    }
+                }
+            }
+        }
+        deps.push(preds.len());
+        for (p, class) in preds {
+            edges.push((p, task));
+            match class {
+                Class::Raw => raw += 1,
+                Class::War => war += 1,
+                Class::Waw => waw += 1,
+            }
+        }
+    }
+    edges.sort_unstable();
+    let n = edges.len() as u64;
+    EdgeStructure {
+        edges,
+        deps,
+        // Nothing completed, so every predecessor seen took an edge.
+        counters: (n, raw, war, waw, n),
+    }
+}
+
+/// The dependence structure of a registration during which no task could
+/// complete.
 #[derive(Debug, PartialEq, Eq)]
 struct EdgeStructure {
     /// Dependence edges as (pred spawn index, succ spawn index), sorted.
@@ -163,24 +261,24 @@ struct EdgeStructure {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn edge_structure(fast_path: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
-    let rt = Runtime::new(tracker_config(fast_path).with_workers(2).with_tracing(true));
+fn edge_structure(cells: usize, ops: &[Op]) -> EdgeStructure {
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracing(true));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let ids = spawn_program(&rt, &handles, ops, Some(&gate));
     // All registrations done, nothing has completed: snapshot the
     // deterministic structure, then release the tasks and drain.
     let stats = rt.stats();
-    // Hit/fallback accounting: every registration that has accesses is
-    // either a hit or a fallback, and a forced fallback is a fallback.
+    // Hit/fallback accounting: every task has an access, and with one
+    // spawning thread every registration takes the gate at the first try.
     assert_eq!(
-        stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks,
-        stats.tasks_spawned,
-        "every registration is accounted as fast-path hit or fallback"
+        (
+            stats.tracker_fast_path_hits,
+            stats.tracker_fast_path_fallbacks
+        ),
+        (stats.tasks_spawned, 0),
+        "one spawner: every registration is a fast-path hit"
     );
-    if !fast_path {
-        assert_eq!(stats.tracker_fast_path_hits, 0);
-    }
     let trace = rt.trace();
     gate.store(true, Ordering::Release);
     rt.taskwait();
@@ -223,8 +321,8 @@ fn edge_structure(fast_path: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
     }
 }
 
-fn final_values(fast_path: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
-    let rt = Runtime::new(tracker_config(fast_path).with_workers(3));
+fn final_values(cells: usize, ops: &[Op]) -> Vec<u64> {
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(3));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     spawn_program(&rt, &handles, ops, None);
     rt.taskwait();
@@ -236,43 +334,32 @@ fn final_values(fast_path: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// With task completion gated off during spawning, the tracker —
-    /// optimistic fast path enabled — discovers exactly the edge multiset,
-    /// per-task dependence counts and edge-class counters of the
-    /// forced-locked reference. (The name predates the one-gate tracker; the
-    /// reference was the one-shard configuration.)
+    /// With task completion gated off during spawning, the tracker
+    /// discovers exactly the edge multiset, per-task dependence counts and
+    /// edge-class counters the model predicts. (The name predates the
+    /// one-gate tracker, when the reference was the one-shard
+    /// configuration.)
     #[test]
     fn sharded_edge_structure_equals_single_shard(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
-        let reference = edge_structure(false, 4, &ops);
-        prop_assert_eq!(reference.edges.len() as u64, reference.counters.0);
-        let optimistic = edge_structure(true, 4, &ops);
-        prop_assert_eq!(&optimistic, &reference);
+        prop_assert_eq!(&edge_structure(4, &ops), &model(4, &ops));
     }
 
-    /// Ungated execution — optimistic and forced-locked — ends in exactly
-    /// the sequential final values.
+    /// Ungated execution ends in exactly the sequential final values.
     #[test]
     fn sharded_execution_matches_sequential_semantics(
         ops in proptest::collection::vec(op_strategy(5), 1..48),
     ) {
         let expected = run_sequential_matching_tasks(5, &ops);
-        let got = final_values(true, 5, &ops);
-        prop_assert_eq!(&got, &expected, "optimistic");
-        let got = final_values(false, 5, &ops);
-        prop_assert_eq!(&got, &expected, "forced-locked");
+        prop_assert_eq!(&final_values(5, &ops), &expected);
     }
 }
 
-/// Run one program under the dcheck race oracle on a given tracker
-/// configuration and return (final values, race reports, audit verdict).
-fn final_values_dcheck(
-    fast_path: bool,
-    cells: usize,
-    ops: &[Op],
-) -> (Vec<u64>, Vec<ompss::RaceReport>, bool) {
-    let rt = Runtime::new(tracker_config(fast_path).with_workers(3).with_dcheck(true));
+/// Run one program under the dcheck race oracle and return (final values,
+/// race reports, audit verdict).
+fn final_values_dcheck(cells: usize, ops: &[Op]) -> (Vec<u64>, Vec<ompss::RaceReport>, bool) {
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(3).with_dcheck(true));
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     spawn_program(&rt, &handles, ops, None);
     rt.taskwait();
@@ -286,35 +373,33 @@ fn final_values_dcheck(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tracker matrix under the dcheck race oracle: {optimistic,
-    /// forced-locked} runs random programs with zero race reports and a
-    /// clean audit — the tracker orders every conflicting pair no matter
-    /// which registration path is active, and the oracle agrees.
+    /// Under the dcheck race oracle, random programs run with zero race
+    /// reports and a clean audit: the tracker orders every conflicting
+    /// pair, and the oracle agrees. (The name predates the one tracker
+    /// configuration, when this ran a matrix of them.)
     #[test]
     fn tracker_matrix_is_race_free_under_dcheck(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
         let expected = run_sequential_matching_tasks(4, &ops);
-        for fast_path in [true, false] {
-            let (got, races, audit_ok) = final_values_dcheck(fast_path, 4, &ops);
-            let tag = format!("fast_path = {fast_path}");
-            prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
-            prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
-            prop_assert!(audit_ok, "audit violation under {}", tag);
-        }
+        let (got, races, audit_ok) = final_values_dcheck(4, &ops);
+        prop_assert_eq!(&got, &expected, "values diverged");
+        prop_assert!(races.is_empty(), "races: {:?}", races);
+        prop_assert!(audit_ok, "audit violation");
     }
 }
 
 /// A fixed two-stage pipeline whose structure is easy to reason about:
-/// `n` producer→consumer pairs over disjoint handles, plus a final reader of
-/// everything. The edge multiset is the same with the optimistic gate
-/// acquisition and in the forced-locked reference. (The name predates the
-/// one-gate tracker, when the edges were also spread over several shards.)
+/// `n` producers over disjoint handles, each read by a consumer that also
+/// folds into one shared sum. The edge list is exactly the `n` RAW
+/// producer→consumer edges plus the `inout` chain through the sum. (The
+/// name predates the one-gate tracker, when the edges were also spread over
+/// several shards.)
 #[test]
 fn pipeline_edges_identical_and_spread_across_shards() {
     let n = 8;
-    let run = |fast_path: bool| {
-        let rt = Runtime::new(tracker_config(fast_path).with_workers(2).with_tracing(true));
+    let run = || {
+        let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracing(true));
         let cells: Vec<Data<u64>> = (0..n).map(|_| rt.data(0u64)).collect();
         let sum = rt.data(0u64);
         let gate = Arc::new(AtomicBool::new(false));
@@ -358,9 +443,11 @@ fn pipeline_edges_identical_and_spread_across_shards() {
         (edges, total)
     };
 
-    let (reference_edges, total) = run(false);
-    assert_eq!(total, (1..=n as u64).sum::<u64>());
-    // n RAW producer→consumer edges + the inout chain through `sum`.
-    assert_eq!(reference_edges.len(), n + n - 1);
-    assert_eq!(run(true), (reference_edges, total));
+    // Producers are tasks 0..n, consumers n..2n: producer i → consumer
+    // n + i, and each consumer → the next through `sum`.
+    let expected: Vec<(usize, usize)> = (0..n)
+        .map(|i| (i, n + i))
+        .chain((n..2 * n - 1).map(|c| (c, c + 1)))
+        .collect();
+    assert_eq!(run(), (expected, (1..=n as u64).sum::<u64>()));
 }

@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ompss::{Data, FaultPlan, Runtime, RuntimeConfig};
+use ompss::{Data, Runtime, RuntimeConfig};
 
 const SPAWNERS: usize = 8;
 
@@ -41,8 +41,8 @@ fn tasks_per_spawner() -> usize {
 }
 
 /// Spawn `SPAWNERS × per_thread` tasks from separate OS threads and check
-/// every invariant. Returns the runtime stats for extra assertions.
-fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
+/// every invariant.
+fn run_stress(config: RuntimeConfig) {
     let per_thread = tasks_per_spawner();
     let total = (SPAWNERS * per_thread) as u64;
     let rt = Runtime::new(config);
@@ -132,20 +132,12 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     );
 
     rt.shutdown();
-    stats
 }
 
 #[test]
 fn concurrent_spawn_stress_single_shard() {
-    // Eight spawners serialise on the one tracker gate, and so does the
-    // forced-locked reference configuration; only their throughput differs.
+    // Eight spawners serialise on the one tracker gate.
     run_stress(RuntimeConfig::default().with_workers(4));
-    let stats = run_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
-    );
-    assert_eq!(stats.tracker_fast_path_hits, 0);
 }
 
 /// Regression test for the sweep of the `by_alloc` overlap index:
@@ -285,18 +277,6 @@ fn deferred_retire_stress_one_shard() {
     run_deferred_retire_stress(RuntimeConfig::default().with_workers(4));
 }
 
-#[test]
-fn deferred_retire_stress_sharded_and_forced_locked() {
-    // The reference configuration (no fast path) drains the same way. (The
-    // name predates the one-gate tracker, when this test also ran eight
-    // shards.)
-    run_deferred_retire_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
-    );
-}
-
 /// Multi-allocation spans racing in opposite declaration order. Every
 /// spawner registers `inout` tasks over two or three neighbouring cells —
 /// even spawners name them ascending, odd spawners descending — while one
@@ -398,10 +378,4 @@ fn run_opposite_order_span_stress(config: RuntimeConfig) {
 #[test]
 fn opposite_order_spans_and_concurrent_replay() {
     run_opposite_order_span_stress(RuntimeConfig::default().with_workers(4));
-    // The reference configuration waits for the gate instead of trying it.
-    run_opposite_order_span_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_fault_plan(FaultPlan::seeded(0).tracker_fallback_one_in(1)),
-    );
 }
